@@ -30,7 +30,7 @@ from .scalars import (
     prime_decomposition_zero,
     scalar_ring,
 )
-from .series import key_subgroups
+from .series import hirsch_length, key_subgroups, nilpotency_class
 
 
 def _print_json(payload: dict) -> None:
@@ -98,8 +98,8 @@ def _cmd_analyze(args) -> int:
         "command": "analyze",
         "name": p.name,
         "rank": p.m,
-        "hirsch": sum(1 for e in p.periods if e is None),
-        "class": len(sg.lower_central_series(p)) - 1,
+        "hirsch": hirsch_length(p),
+        "class": nilpotency_class(p),
         "center": _rows(ks.center),
         "derived": _rows(ks.derived),
         "derived_isolator": _rows(ks.derived_isolator),

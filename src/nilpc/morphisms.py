@@ -14,7 +14,7 @@ from . import presentation as pc
 from . import subgroups as sg
 from .abelian import abelianization
 from .presentation import Element, PcPresentation
-from .series import key_subgroups
+from .series import hirsch_length, key_subgroups, nilpotency_class
 
 
 class HomError(ValueError):
@@ -148,8 +148,8 @@ def invariant_report(p: PcPresentation) -> InvariantReport:
     """Basis-independent profile; equal groups give equal reports."""
     ks = key_subgroups(p)
     return InvariantReport(
-        hirsch=sum(1 for per in p.periods if per is None),
-        nilpotency_class=len(sg.lower_central_series(p)) - 1,
+        hirsch=hirsch_length(p),
+        nilpotency_class=nilpotency_class(p),
         ab_invariants=abelianization(p).periods,
         mn_order=ks.mn.order(),
         p=ks.p,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intlinalg import (
@@ -94,7 +95,7 @@ class Pairing:
                 if ea is not None:
                     g = ea
                 if eb is not None:
-                    g = eb if g is None else _gcd(g, eb)
+                    g = eb if g is None else gcd(g, eb)
                 if g is not None:
                     for k, v in enumerate(cell):
                         per = self.periods_c[k]
@@ -111,12 +112,6 @@ class Pairing:
         return tuple(
             v if per is None else v % per
             for v, per in zip(cell, self.periods_c))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def multiplication_pairing(n: int) -> Pairing:

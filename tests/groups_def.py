@@ -11,8 +11,15 @@ Generator dictionaries:
   ZK    same letters, a^5 changed to f^2
   NR    u1..u6 = a, b, c, [a,b], [a,c], [b,c] with the last two of order 3
   F23   free 2-generator class-3: u1, u2, u3=[u2,u1], u4=[u3,u1], u5=[u3,u2]
+
+Closed-form families for the collection tests:
+  UT_n  unitriangular integer matrices on the letters e_ij (i < j)
+  H_n   x_1..x_n, y_1..y_n, z = [x_i, y_i] central, inside UT_{n+2}
+  ZG_q  ZG with its period 5 replaced by the prime q
 """
 
+from nilpc import presentation as pc
+from nilpc import subgroups as sg
 from nilpc.presentation import PcPresentation
 
 INF = None
@@ -37,10 +44,10 @@ def mutated_heis():
     )
 
 
-def zg():
+def zg(q=5):
     return PcPresentation(
-        name="ZG",
-        periods=(INF, INF, INF, 5, INF, 5, 5, 5, INF, INF),
+        name="ZG" if q == 5 else f"ZG_{q}",
+        periods=(INF, INF, INF, q, INF, q, q, q, INF, INF),
         powers=((4, ((5, 1),)),),
         commutators=(
             ((2, 1), ((9, -1),)),
@@ -112,4 +119,104 @@ def f23():
     )
 
 
+def heis_index2():
+    # HEIS on the basis x, x^2, y, z: x has period 2 over <x^2, y, z> and
+    # acts on y, so its power tail meets a torsion-free suffix
+    return PcPresentation(
+        name="HEIS-index2",
+        periods=(2, INF, INF, INF),
+        powers=((1, ((2, 1),)),),
+        commutators=(((3, 1), ((4, -1),)), ((3, 2), ((4, -2),))),
+    )
+
+
 ALL_CONSISTENT = [heis, zg, zh, zk, nr, f23]
+
+
+# -- closed-form families ------------------------------------------------------
+
+
+def ut_letters(n):
+    """Elementary matrices e_ij of UT_n, by level j - i, then by i."""
+    return [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
+
+
+def heisenberg_letters(n):
+    """x_i = e_{1,i+1}, y_i = e_{i+1,n+2}, z = e_{1,n+2} in UT_{n+2}."""
+    return ([(1, i + 1) for i in range(1, n + 1)]
+            + [(i + 1, n + 2) for i in range(1, n + 1)] + [(1, n + 2)])
+
+
+def _matrix_letters(name, letters):
+    """[x, y] = x^-1 y^-1 x y of elementary matrices: [e_ij, e_jk] = e_ik,
+    and letters that share no index commute."""
+    pos = {x: k for k, x in enumerate(letters, start=1)}
+    comms = []
+    for (i, j) in letters:
+        for (j2, k) in letters:
+            if j2 == j and (i, k) in pos:
+                a, b = pos[(i, j)], pos[(j, k)]
+                if a < b:
+                    comms.append(((b, a), ((pos[(i, k)], -1),)))
+                else:
+                    comms.append(((a, b), ((pos[(i, k)], 1),)))
+    return PcPresentation(name=name, periods=(INF,) * len(letters),
+                          commutators=tuple(sorted(comms)))
+
+
+def unitriangular(n):
+    return _matrix_letters(f"UT_{n}", ut_letters(n))
+
+
+def heisenberg(n):
+    return _matrix_letters(f"H_{n}", heisenberg_letters(n))
+
+
+def random_basis_change(p, rng):
+    """Rebase p on u_i * (random word above i); same group, new basis."""
+    return rebase(p, random_basis(p, rng))
+
+
+def random_basis(p, rng):
+    """Rows u_i * (random word above i), a basis of p."""
+    rows = []
+    for i in range(1, p.m + 1):
+        coords = [0] * p.m
+        coords[i - 1] = 1
+        for k in range(i + 1, p.m + 1):
+            per = p.period(k)
+            coords[k - 1] = (
+                rng.randrange(per) if per is not None else rng.randint(-2, 2))
+        rows.append(tuple(coords))
+    return tuple(rows)
+
+
+def rebase(p, rows):
+    """The presentation of p on the basis rows, checked consistent."""
+    sub = sg.Subgroup(p, rows)
+
+    def tail_of(w, above):
+        coeffs = sub.coefficients_of(w)
+        assert coeffs is not None
+        assert all(c == 0 for c in coeffs[:above])
+        return tuple((k + 1, v) for k, v in enumerate(coeffs) if v)
+
+    powers = []
+    for i, per in enumerate(p.periods, start=1):
+        if per is None:
+            continue
+        entries = tail_of(pc.power(p, rows[i - 1], per), i)
+        if entries:
+            powers.append((i, entries))
+    commutators = []
+    for j in range(2, p.m + 1):
+        for i in range(1, j):
+            w = pc.commutator(p, rows[j - 1], rows[i - 1])
+            if w == pc.identity_element(p):
+                continue
+            commutators.append(((j, i), tail_of(w, j)))
+    q = pc.PcPresentation(
+        name=f"{p.name} rebased", periods=p.periods,
+        powers=tuple(powers), commutators=tuple(commutators))
+    assert pc.consistency_check(q).ok
+    return q

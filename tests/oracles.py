@@ -182,6 +182,65 @@ def heis_coords(mat):
 
 
 # ---------------------------------------------------------------------------
+# unitriangular integer matrices
+#
+# A presentation whose generators are elementary matrices I + E_ij, listed as
+# letters (i, j), maps coordinates (t_1, ..., t_m) to the ordered product of
+# the (I + E_ij)^t = I + t E_ij. The map is faithful for UT_n and H_n, so
+# products, powers and commutators can be compared as matrices.
+
+
+def ut_identity(size):
+    return tuple(tuple(int(r == c) for c in range(size)) for r in range(size))
+
+
+def ut_of(size, letters, coords):
+    out = ut_identity(size)
+    for (i, j), t in zip(letters, coords):
+        if t:
+            step = [list(r) for r in ut_identity(size)]
+            step[i - 1][j - 1] = t
+            out = ut_mat_mul(out, step)
+    return out
+
+
+def ut_mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
+        for r in range(n)
+    )
+
+
+def ut_mat_inv(a):
+    """Back substitution for the inverse of a unitriangular matrix."""
+    n = len(a)
+    inv = [[int(r == c) for c in range(n)] for r in range(n)]
+    for c in range(n):
+        for r in range(c - 1, -1, -1):
+            inv[r][c] = -sum(a[r][k] * inv[k][c] for k in range(r + 1, c + 1))
+    return tuple(tuple(r) for r in inv)
+
+
+def ut_mat_pow(a, n):
+    if n < 0:
+        return ut_mat_pow(ut_mat_inv(a), -n)
+    r = ut_identity(len(a))
+    while n:
+        if n & 1:
+            r = ut_mat_mul(r, a)
+        a = ut_mat_mul(a, a)
+        n >>= 1
+    return r
+
+
+def ut_mat_comm(a, b):
+    """[a, b] = a^-1 b^-1 a b."""
+    return ut_mat_mul(
+        ut_mat_mul(ut_mat_inv(a), ut_mat_inv(b)), ut_mat_mul(a, b))
+
+
+# ---------------------------------------------------------------------------
 # small pairing fixtures for scalar-ring checks
 #
 # Each oracle enumerates the first endomorphism matrix over a box, derives

@@ -20,7 +20,8 @@ from nilpc.morphisms import (
     spot_check,
 )
 
-from groups_def import ALL_CONSISTENT, heis, nr, zg, zh, zk
+from groups_def import (
+    ALL_CONSISTENT, heis, nr, random_basis_change, zg, zh, zk)
 
 
 def phi_zh_to_zk():
@@ -162,46 +163,6 @@ class TestInvariantReport:
         a = adapt_basis(zg())
         assert invariant_report(a.pres) == base
         assert invariant_report(abdef(a, (3,), ((1,),)).pres) == base
-
-
-def random_basis_change(p, rng):
-    """Rebase p on u_i * (random word above i); same group, new basis."""
-    rows = []
-    for i in range(1, p.m + 1):
-        coords = [0] * p.m
-        coords[i - 1] = 1
-        for k in range(i + 1, p.m + 1):
-            per = p.period(k)
-            coords[k - 1] = (
-                rng.randrange(per) if per is not None else rng.randint(-2, 2))
-        rows.append(tuple(coords))
-    sub = sg.Subgroup(p, tuple(rows))
-
-    def tail_of(w, above):
-        coeffs = sub.coefficients_of(w)
-        assert coeffs is not None
-        assert all(c == 0 for c in coeffs[:above])
-        return tuple((k + 1, v) for k, v in enumerate(coeffs) if v)
-
-    powers = []
-    for i, per in enumerate(p.periods, start=1):
-        if per is None:
-            continue
-        entries = tail_of(pc.power(p, rows[i - 1], per), i)
-        if entries:
-            powers.append((i, entries))
-    commutators = []
-    for j in range(2, p.m + 1):
-        for i in range(1, j):
-            w = pc.commutator(p, rows[j - 1], rows[i - 1])
-            if w == pc.identity_element(p):
-                continue
-            commutators.append(((j, i), tail_of(w, j)))
-    q = pc.PcPresentation(
-        name=f"{p.name} rebased", periods=p.periods,
-        powers=tuple(powers), commutators=tuple(commutators))
-    assert pc.consistency_check(q).ok
-    return q
 
 
 class TestBasisIndependence:
