@@ -80,7 +80,6 @@ from .subgroups import (
     induce,
     isolator,
     lower_central_series,
-    normal_closure,
     quotient,
     subgroup_presentation,
     torsion_subgroup,
@@ -103,11 +102,11 @@ __all__ = [
     "identity_hom", "image_index", "induce", "invariant_report", "inverse",
     "is_inverse_pair", "isolator", "key_subgroups", "load", "load_fixture",
     "lower_central_series", "multiplication_pairing", "multiply",
-    "normal_closure", "normal_form", "pairing_of", "parse", "power",
-    "prime_decomposition_zero", "quotient", "refined_series", "save",
-    "scalar_ring", "section_basis", "spot_check", "standard_embedding",
-    "subgroup_presentation", "torsion_subgroup", "twisted_embedding",
-    "upper_central_series", "whole_subgroup",
+    "normal_form", "pairing_of", "parse", "power", "prime_decomposition_zero",
+    "quotient", "refined_series", "save", "scalar_ring", "section_basis",
+    "spot_check", "standard_embedding", "subgroup_presentation",
+    "torsion_subgroup", "twisted_embedding", "upper_central_series",
+    "whole_subgroup",
 ]
 
 __version__ = "0.1.0"

@@ -85,17 +85,7 @@ def section_basis(p: PcPresentation, a: Subgroup, b: Subgroup,
     rows = arows.rows
     s = len(rows)
 
-    rel: List[List[int]] = []
-    for k, (r, o) in enumerate(zip(rows, arows.relative_orders())):
-        if o is None:
-            continue
-        coeffs = arows.coefficients_of(pc.power(qp, r, o))
-        if coeffs is None:
-            raise SubgroupError("row power escaped its own subgroup")
-        vec = [-c for c in coeffs]
-        vec[k] += o
-        rel.append(vec)
-
+    rel = arows.power_relations()
     if rel:
         d, _, v = snf(rel)
         dvals = tuple(d[j][j] if j < len(d) else 0 for j in range(s))

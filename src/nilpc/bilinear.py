@@ -40,24 +40,26 @@ class AssociatedSeries:
 def associated_series(p: PcPresentation,
                       series: Optional[Sequence[Subgroup]] = None
                       ) -> AssociatedSeries:
-    whole = sg.whole_subgroup(p)
     if series is None:
-        series = sg.lower_central_series(p)
-    series = list(series)
-    if series[0] != whole:
-        raise SeriesError("series must start at the whole group")
-    if not series[-1].is_trivial:
-        raise SeriesError("series must end at the trivial subgroup")
-
-    lower: List[Subgroup] = [whole]
-    for k in range(len(series) - 1):
-        nxt = sg.commutator_subgroup(p, series[k], whole)
-        for r in nxt.rows:
-            if not series[k + 1].contains(r):
-                raise SeriesError("input series is not central")
-        lower.append(nxt)
-    if not lower[-1].is_trivial:
-        raise SeriesError("lower companion does not terminate")
+        # the lower central series is its own lower companion
+        series = lower = sg.lower_central_series(p)
+        whole = lower[0]
+    else:
+        whole = sg.whole_subgroup(p)
+        series = list(series)
+        if series[0] != whole:
+            raise SeriesError("series must start at the whole group")
+        if not series[-1].is_trivial:
+            raise SeriesError("series must end at the trivial subgroup")
+        lower = [whole]
+        for k in range(len(series) - 1):
+            nxt = sg.commutator_subgroup(p, series[k], whole)
+            for r in nxt.rows:
+                if not series[k + 1].contains(r):
+                    raise SeriesError("input series is not central")
+            lower.append(nxt)
+        if not lower[-1].is_trivial:
+            raise SeriesError("lower companion does not terminate")
 
     upper = tuple(
         sg.commutation_preimage(p, lower[k + 1])
@@ -170,7 +172,7 @@ def bilinearize(p: PcPresentation,
                 series: Optional[Sequence[Subgroup]] = None) -> Bilinearization:
     s = associated_series(p, series)
     c = s.c
-    whole = sg.whole_subgroup(p)
+    whole = s.lower[0]
 
     conditions = []
     for i in range(c - 1):

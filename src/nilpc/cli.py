@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import files
 from . import presentation as pc
 from . import subgroups as sg
-from .bilinear import SeriesError, bilinearize
+from .bilinear import SeriesError
 from .deformation import DeformError, abdef, adapt_basis, \
     enumerate_deformations
 from .morphisms import HomError, hom_from_images, image_index, \
@@ -26,11 +26,10 @@ from .scalars import (
     ScalarRing,
     ScalarRingError,
     multiplication_pairing,
-    pairing_of,
     prime_decomposition_zero,
     scalar_ring,
 )
-from .series import hirsch_length, key_subgroups, nilpotency_class
+from .series import hirsch_length, key_subgroups
 
 
 def _print_json(payload: dict) -> None:
@@ -99,7 +98,7 @@ def _cmd_analyze(args) -> int:
         "name": p.name,
         "rank": p.m,
         "hirsch": hirsch_length(p),
-        "class": nilpotency_class(p),
+        "class": len(ks.lower_central) - 1,
         "center": _rows(ks.center),
         "derived": _rows(ks.derived),
         "derived_isolator": _rows(ks.derived_isolator),
@@ -117,25 +116,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _series_arg(p: PcPresentation, kind: str):
+def _central_series(p: PcPresentation, kind: str) -> List[sg.Subgroup]:
+    """The lower or upper central series, from G down to 1."""
     if kind == "upper":
         return list(reversed(sg.upper_central_series(p)))
-    return None  # bilinearize defaults to the lower central series
+    return sg.lower_central_series(p)
 
 
 def _cmd_series(args) -> int:
     p = files.load(args.file)
-    if args.kind == "lower":
-        terms = sg.lower_central_series(p)
+    if args.kind != "refined":
         _print_json({
-            "command": "series", "kind": "lower", "name": p.name,
-            "terms": [_rows(t) for t in terms]})
-        return 0
-    if args.kind == "upper":
-        terms = list(reversed(sg.upper_central_series(p)))
-        _print_json({
-            "command": "series", "kind": "upper", "name": p.name,
-            "terms": [_rows(t) for t in terms]})
+            "command": "series", "kind": args.kind, "name": p.name,
+            "terms": [_rows(t) for t in _central_series(p, args.kind)]})
         return 0
     rs = refined_series(p)
     _print_json({
@@ -165,10 +158,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_scalars(args) -> int:
     p = files.load(args.file)
-    series = _series_arg(p, args.series)
-    b = bilinearize(p, series)
-    ring = scalar_ring(pairing_of(b))
-    rs = refined_series(p, series)
+    # given no series, refined_series builds the lower central series once
+    rs = refined_series(
+        p, _central_series(p, "upper") if args.series == "upper" else None)
+    b = rs.bilin
     _print_json({
         "command": "scalars",
         "series": args.series,
@@ -181,7 +174,7 @@ def _cmd_scalars(args) -> int:
         "left_nondegenerate": b.left_nondegenerate(),
         "right_nondegenerate": b.right_nondegenerate(),
         "full": b.full(),
-        "pairing_ring": _ring_summary(ring),
+        "pairing_ring": _ring_summary(rs.base_ring),
         "refined_ring": _ring_summary(rs.ring),
     })
     return 0

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 from . import abelian as ab
 from . import intlinalg as il
 from . import presentation as pc
-from . import subgroups as sg
 from .presentation import Element, PcPresentation
 from .series import key_subgroups
 
@@ -68,8 +67,7 @@ class DeformationSurvey:
 def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     """Rewrite p on a basis adapted to the M >= N >= Is(G') tower."""
     ks = key_subgroups(p)
-    whole = sg.whole_subgroup(p)
-    seg1 = ab.section_basis(p, whole, ks.m_sub)
+    seg1 = ab.section_basis(p, ks.lower_central[0], ks.m_sub)
     seg2 = ks.mn
     seg3 = ks.n_is
     tail = ks.derived_isolator
@@ -93,7 +91,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     nontail: List[Element] = (
         list(seg1.basis) + list(seg2.basis) + list(seg3.basis))
     mseq: List[Element] = nontail + list(tail.rows)
-    abel = ab.abelianization(p)
+    abel = ks.abelianized
     moduli = [0 if d is None else d for d in abel.periods]
     ab_nontail = [abel.coords(x) for x in nontail]
     ab_tail = [abel.coords(r) for r in tail.rows]

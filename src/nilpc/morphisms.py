@@ -12,9 +12,8 @@ from typing import Optional, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import abelianization
 from .presentation import Element, PcPresentation
-from .series import hirsch_length, key_subgroups, nilpotency_class
+from .series import hirsch_length, key_subgroups
 
 
 class HomError(ValueError):
@@ -149,8 +148,8 @@ def invariant_report(p: PcPresentation) -> InvariantReport:
     ks = key_subgroups(p)
     return InvariantReport(
         hirsch=hirsch_length(p),
-        nilpotency_class=nilpotency_class(p),
-        ab_invariants=abelianization(p).periods,
+        nilpotency_class=len(ks.lower_central) - 1,
+        ab_invariants=ks.abelianized.periods,
         mn_order=ks.mn.order(),
         p=ks.p,
         n=ks.n,

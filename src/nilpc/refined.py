@@ -151,7 +151,7 @@ def refined_series(p: PcPresentation,
     b = bilinearize(p, series)
     s = b.series
     c = s.c
-    whole = sg.whole_subgroup(p)
+    whole = s.lower[0]
     trivial = sg.trivial_subgroup(p)
     derived = s.lower[1]
     gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))

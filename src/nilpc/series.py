@@ -1,20 +1,23 @@
 """The canonical subgroups of a presented group and the numbers they carry.
 
-key_subgroups computes, exactly: the center, derived subgroup and its
-isolator, the torsion subgroup, the torsion-image part of the center, the
-products N = Is(G') Z and M = Is(G' Z), a free complement G0 of the
-torsion-image part inside the center, the foundation quotient G/G0, and
-the section invariants (n, p, e) read off M/N and N/Is(G').
+key_subgroups computes, exactly: the lower central series, the center,
+the derived subgroup G' (the second term of that series) and its
+isolator, the abelianization G/G', the torsion subgroup, the
+torsion-image part of the center, the products N = Is(G') Z and
+M = Is(G' Z), a free complement G0 of the torsion-image part inside the
+center, the foundation quotient G/G0, and the section invariants (n, p, e)
+read off M/N and N/Is(G').  Each is computed once and handed on: callers
+that need the class or the abelianization read them off the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian, abelianization, section_basis
+from .abelian import FgAbelian, section_basis
 from .intlinalg import inverse_unimodular, snf, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
@@ -26,11 +29,6 @@ def hirsch_length(p: PcPresentation) -> int:
 
 def nilpotency_class(p: PcPresentation) -> int:
     return len(sg.lower_central_series(p)) - 1
-
-
-def derived_subgroup(p: PcPresentation) -> Subgroup:
-    w = sg.whole_subgroup(p)
-    return sg.commutator_subgroup(p, w, w)
 
 
 def _reduce_by(p: PcPresentation, x, sub: Subgroup):
@@ -78,13 +76,7 @@ def _free_complement(p: PcPresentation, z: Subgroup,
         if coeffs is None:
             raise SubgroupError("inner subgroup escapes the ambient one")
         w_rows.append(coeffs)
-    for k, (r, o) in enumerate(zip(rows, z.relative_orders())):
-        if o is None:
-            continue
-        coeffs = z.coefficients_of(pc.power(p, r, o))
-        vec = [-c for c in coeffs]
-        vec[k] += o
-        w_rows.append(vec)
+    w_rows += z.power_relations()
     if not w_rows:
         return z
     d, _, v = snf(w_rows)
@@ -103,7 +95,15 @@ def _free_complement(p: PcPresentation, z: Subgroup,
 
 @dataclass(frozen=True)
 class KeySubgroups:
+    """The canonical subgroups of pres; see the module docstring.
+
+    lower_central runs G = gamma_1 > gamma_2 = G' > ... > 1, so its length
+    is the nilpotency class plus one; abelianized is G/G' as a section.
+    """
+
     pres: PcPresentation
+    lower_central: Tuple[Subgroup, ...]
+    abelianized: FgAbelian
     center: Subgroup
     derived: Subgroup
     derived_isolator: Subgroup
@@ -123,11 +123,13 @@ class KeySubgroups:
 
 
 def key_subgroups(pres: PcPresentation) -> KeySubgroups:
+    lcs = tuple(sg.lower_central_series(pres))
+    whole = lcs[0]
+    der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
-    der = derived_subgroup(pres)
     iso_der = sg.isolator(pres, der)
-    tors = sg.torsion_subgroup(pres)
-    ab = abelianization(pres)
+    tors = sg._torsion_subgroup(pres, z)
+    ab = section_basis(pres, whole, der, name=f"{pres.name} abelianized")
     iso_c = _torsion_image_part(pres, z, ab)
 
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
@@ -147,6 +149,8 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
         e_val *= d
     return KeySubgroups(
         pres=pres,
+        lower_central=lcs,
+        abelianized=ab,
         center=z,
         derived=der,
         derived_isolator=iso_der,

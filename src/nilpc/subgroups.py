@@ -61,24 +61,8 @@ class Subgroup:
     def row_at(self, i: int) -> Optional[Element]:
         return self._by_lead.get(i)
 
-    def sift(self, x: Element) -> Element:
-        """Strip x by the rows; identity iff x is a member."""
-        p = self.pres
-        y = x
-        while True:
-            lam = leading_index(y)
-            if lam is None:
-                return y
-            row = self._by_lead.get(lam)
-            if row is None:
-                return y
-            a, b = y[lam - 1], row[lam - 1]
-            if a % b:
-                return y
-            y = pc.multiply(p, pc.power(p, row, -(a // b)), y)
-
     def contains(self, x: Element) -> bool:
-        return leading_index(self.sift(x)) is None
+        return self.coefficients_of(x) is not None
 
     def coefficients_of(self, x: Element) -> Optional[List[int]]:
         """Exponents a with x == rows[0]^a0 * rows[1]^a1 * ... , or None."""
@@ -99,6 +83,22 @@ class Subgroup:
             q = a // b
             coeffs[order[lam]] = q
             y = pc.multiply(p, pc.power(p, row, -q), y)
+
+    def power_relations(self) -> List[List[int]]:
+        """o*e_k minus the coefficients of r^o, for each row r = rows[k] of
+        finite relative order o; for an abelian subgroup these span the
+        relation lattice of the rows."""
+        rel = []
+        for k, (r, o) in enumerate(zip(self.rows, self.relative_orders())):
+            if o is None:
+                continue
+            coeffs = self.coefficients_of(pc.power(self.pres, r, o))
+            if coeffs is None:
+                raise SubgroupError("power of a row left the subgroup")
+            vec = [-c for c in coeffs]
+            vec[k] += o
+            rel.append(vec)
+        return rel
 
     def relative_orders(self) -> Tuple[Optional[int], ...]:
         out = []
@@ -140,7 +140,8 @@ def trivial_subgroup(p: PcPresentation) -> Subgroup:
 
 
 def whole_subgroup(p: PcPresentation) -> Subgroup:
-    return induce(p, [pc.generator(p, i) for i in range(1, p.m + 1)])
+    # the generators themselves are canonical rows
+    return Subgroup(p, tuple(pc.generator(p, i) for i in range(1, p.m + 1)))
 
 
 def induce(p: PcPresentation, gens: Sequence[Element], *,
@@ -148,7 +149,8 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
     """Canonical row sequence for the subgroup generated by gens.
 
     With normal=True the normal closure is taken instead (conjugates by
-    the ambient generators are added until the rows stabilise).
+    the ambient generators are added until the rows stabilise; conjugating
+    by u_i alone suffices, see is_normal).
     """
     rows: Dict[int, Element] = {}
     queue: List[Element] = [g for g in gens if leading_index(g) is not None]
@@ -165,7 +167,6 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
         if normal:
             for g in ambient:
                 queue.append(pc.conjugate(p, r, g))
-                queue.append(pc.conjugate(p, r, pc.inverse(p, g)))
 
     def install(lam: int, g: Element) -> None:
         a = g[lam - 1]
@@ -221,18 +222,19 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
 
 
 def is_normal(p: PcPresentation, s: Subgroup) -> bool:
+    """Is s^{u_i} inside s for every ambient generator u_i?
+
+    One side is enough.  A polycyclic group satisfies the maximal condition
+    on subgroups, and s^{u_i} <= s gives the ascending chain
+    s <= s^{u_i^-1} <= s^{u_i^-2} <= ...; it stabilises at some k, and
+    conjugating s^{u_i^-k} = s^{u_i^-(k+1)} by u_i^(k+1) gives s^{u_i} = s.
+    So s is also closed under conjugation by u_i^-1, hence by all of G.
+    """
     for r in s.rows:
         for i in range(1, p.m + 1):
-            g = pc.generator(p, i)
-            if not s.contains(pc.conjugate(p, r, g)):
-                return False
-            if not s.contains(pc.conjugate(p, r, pc.inverse(p, g))):
+            if not s.contains(pc.conjugate(p, r, pc.generator(p, i))):
                 return False
     return True
-
-
-def normal_closure(p: PcPresentation, gens: Sequence[Element]) -> Subgroup:
-    return induce(p, gens, normal=True)
 
 
 def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -367,10 +369,22 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     """Largest T <= s with [T, h] inside L for every condition (hs, L).
 
     Works down the generator filtration: after layer j the current rows
-    satisfy [x, h] in L*K_{j+1}.  Passing from one layer to the next is a
-    congruence system because x -> [x, h] is a homomorphism into the cyclic
-    layer quotient on the group where the previous layers' constraints hold.
-    Each L must be normal.
+    satisfy [x, h] in L*K_{j+1}, where K_{j+1} = <u_{j+1}, ..., u_m>.
+    Passing from one layer to the next is a congruence system because
+    x -> [x, h] is a homomorphism into the cyclic layer quotient
+    L*K_j / L*K_{j+1} on the group where the previous layers' constraints
+    hold.  Each L must be normal.
+
+    The layer value needs no quotient, only L's rows.  Let G_j be
+    <u_j, ..., u_m> and o_j L's lead at j, or the period of u_j when L has
+    no row there.  Right multiplication by K_{j+1} fixes coordinates 1..j,
+    so an element of L*K_{j+1} inside G_j is l*k with l in L and G_j, and
+    its coordinate j is a multiple of o_j (0 when o_j is infinite).  Hence
+    the elements of the coset L*K_{j+1}*[r, h] inside G_j agree in
+    coordinate j modulo o_j, and that residue is the layer value.
+    Left multiplication by powers of L's rows strips coordinates 1..j-1 of
+    [r, h] and reaches one of them; a coordinate the rows cannot strip
+    means [r, h] is not in L*K_j, which the earlier layers rule out.
     """
     t = s
     for j in range(1, p.m + 1):
@@ -379,24 +393,13 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
         eq_rows: List[List[int]] = []
         moduli: List[int] = []
         for hs, ell in conditions:
-            gens = list(ell.rows) + [
-                pc.generator(p, i) for i in range(j + 1, p.m + 1)]
-            lk_next = induce(p, gens)
-            row_j = lk_next.row_at(j)
+            row_j = ell.row_at(j)
             o_j = row_j[j - 1] if row_j is not None else p.period(j)
             if o_j == 1:
                 continue
-            qm = quotient(p, lk_next)
-            pos = {amb: k for k, amb in enumerate(qm.kept)}
             for h in hs:
-                vals = []
-                for r in t.rows:
-                    c = qm.proj(pc.commutator(p, r, h))
-                    for amb, k in pos.items():
-                        if amb < j and c[k]:
-                            raise SubgroupError(
-                                "layer invariant violated in constraint pass")
-                    vals.append(c[pos[j]])
+                vals = [_layer_value(p, ell, pc.commutator(p, r, h), j, o_j)
+                        for r in t.rows]
                 if any(vals):
                     eq_rows.append(vals)
                     moduli.append(0 if o_j is None else o_j)
@@ -411,10 +414,22 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     return t
 
 
+def _layer_value(p: PcPresentation, ell: Subgroup, x: Element, j: int,
+                 o_j: Optional[int]) -> int:
+    """The layer-j value of x in L*K_j / L*K_{j+1}; see above."""
+    y = x
+    lam = leading_index(y)
+    while lam is not None and lam < j:
+        row = ell.row_at(lam)
+        if row is None or y[lam - 1] % row[lam - 1]:
+            raise SubgroupError("layer invariant violated in constraint pass")
+        y = pc.multiply(p, pc.power(p, row, -(y[lam - 1] // row[lam - 1])), y)
+        lam = leading_index(y)
+    return y[j - 1] if o_j is None else y[j - 1] % o_j
+
+
 def center(p: PcPresentation) -> Subgroup:
-    gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))
-    return constrained_subgroup(
-        p, whole_subgroup(p), [(gens, trivial_subgroup(p))])
+    return commutation_preimage(p, trivial_subgroup(p))
 
 
 def commutation_preimage(p: PcPresentation, ell: Subgroup) -> Subgroup:
@@ -430,8 +445,7 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    whole = whole_subgroup(p)
-    if chain[-1] != whole:
+    if chain[-1] != whole_subgroup(p):
         raise SubgroupError(f"{p.name}: upper central series does not reach G")
     return chain
 
@@ -442,18 +456,7 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
 def _abelian_torsion_gens(p: PcPresentation, s: Subgroup) -> List[Element]:
     """Torsion generators of an abelian subgroup, via its relation lattice."""
     rows = s.rows
-    if not rows:
-        return []
-    rel: List[List[int]] = []
-    for k, (r, o) in enumerate(zip(rows, s.relative_orders())):
-        if o is None:
-            continue
-        coeffs = s.coefficients_of(pc.power(p, r, o))
-        if coeffs is None:
-            raise SubgroupError("power of a row left the subgroup")
-        vec = [-c for c in coeffs]
-        vec[k] += o
-        rel.append(vec)
+    rel = s.power_relations()
     if not rel:
         return []
     d, _, v = snf(rel)
@@ -467,7 +470,11 @@ def _abelian_torsion_gens(p: PcPresentation, s: Subgroup) -> List[Element]:
 
 
 def torsion_subgroup(p: PcPresentation) -> Subgroup:
-    z = center(p)
+    return _torsion_subgroup(p, center(p))
+
+
+def _torsion_subgroup(p: PcPresentation, z: Subgroup) -> Subgroup:
+    """torsion_subgroup(p) given z, the center of p."""
     tz = induce(p, _abelian_torsion_gens(p, z))
     if tz.is_trivial:
         return tz

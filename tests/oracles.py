@@ -7,6 +7,10 @@ explicit matrix model), so agreement between the two is meaningful evidence.
 
 from itertools import product
 
+from nilpc import presentation as pc
+from nilpc import subgroups as sg
+from nilpc.intlinalg import solve_congruences
+
 
 # ---------------------------------------------------------------------------
 # echelon forms
@@ -335,3 +339,73 @@ def zmod_mult_solutions(n):
         if (x1 - x0) % n == 0 and (x2 - x0) % n == 0:
             out.append((x1, x2, x0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# subgroups
+#
+# These build on the package's collection and induced rows, but not on the
+# shortcuts under test: normality by conjugating with u_i and u_i^-1, the
+# normal closure by adding such conjugates until none lies outside, and the
+# constrained subgroup by projecting into an explicit quotient per layer.
+
+
+def two_sided_is_normal(p, s):
+    """s^g <= s for g = u_i and g = u_i^-1, every ambient generator u_i."""
+    for r in s.rows:
+        for i in range(1, p.m + 1):
+            g = pc.generator(p, i)
+            for h in (g, pc.inverse(p, g)):
+                if not s.contains(pc.conjugate(p, r, h)):
+                    return False
+    return True
+
+
+def ref_normal_closure(p, gens):
+    """Add a two-sided conjugate of a row while one lies outside."""
+    ambient = [pc.generator(p, i) for i in range(1, p.m + 1)]
+    ambient += [pc.inverse(p, g) for g in ambient]
+    s = sg.induce(p, gens)
+    while True:
+        outside = [x for x in (pc.conjugate(p, r, g)
+                               for r in s.rows for g in ambient)
+                   if not s.contains(x)]
+        if not outside:
+            return s
+        s = sg.induce(p, list(s.rows) + outside)
+
+
+def ref_constrained_subgroup(p, s, conditions):
+    """constrained_subgroup by a quotient per layer and condition: each
+    layer value is the projection of [r, h] into G / L*K_{j+1}."""
+    t = s
+    for j in range(1, p.m + 1):
+        if t.is_trivial:
+            break
+        eq_rows, moduli = [], []
+        for hs, ell in conditions:
+            gens = list(ell.rows) + [
+                pc.generator(p, i) for i in range(j + 1, p.m + 1)]
+            lk_next = sg.induce(p, gens)
+            row_j = lk_next.row_at(j)
+            o_j = row_j[j - 1] if row_j is not None else p.period(j)
+            if o_j == 1:
+                continue
+            qm = sg.quotient(p, lk_next)
+            pos = {amb: k for k, amb in enumerate(qm.kept)}
+            for h in hs:
+                vals = []
+                for r in t.rows:
+                    c = qm.proj(pc.commutator(p, r, h))
+                    assert all(not c[k] for amb, k in pos.items() if amb < j)
+                    vals.append(c[pos[j]])
+                if any(vals):
+                    eq_rows.append(vals)
+                    moduli.append(0 if o_j is None else o_j)
+        if not eq_rows:
+            continue
+        sol = solve_congruences(eq_rows, [0] * len(eq_rows), moduli,
+                                len(t.rows))
+        assert sol.consistent
+        t = sg.induce(p, [sg.prod_rows(p, t.rows, v) for v in sol.basis])
+    return t

@@ -1,19 +1,21 @@
 """Command-line behaviour: reports, exit codes, determinism."""
 
+import cProfile
 import json
+import pstats
 
 import pytest
 
 from nilpc import files
 from nilpc.cli import main
 
-from groups_def import heis, mutated_heis, nr, zg, zh, zk
+from groups_def import f23, heis, mutated_heis, nr, zg, zh, zk
 
 
 @pytest.fixture
 def workdir(tmp_path):
     for name, p in (("ZG", zg()), ("ZH", zh()), ("ZK", zk()),
-                    ("HEIS", heis()), ("NR", nr()),
+                    ("HEIS", heis()), ("NR", nr()), ("F23", f23()),
                     ("BAD", mutated_heis())):
         files.save(p, str(tmp_path / f"{name}.json"))
     return tmp_path
@@ -140,6 +142,48 @@ class TestSeriesScalars:
         a, b = json.loads(low), json.loads(up)
         assert a["tables"] == b["tables"]
         assert a["pairing_ring"]["periods"] == [0]
+
+
+class TestComputedOnce:
+    """Each canonical subgroup is built once per command and handed on."""
+
+    @staticmethod
+    def profile(capsys, *argv):
+        """{(module, function): (calls, {calling function: calls})}."""
+        prof = cProfile.Profile()
+        code = prof.runcall(main, list(argv))
+        capsys.readouterr()
+        assert code == 0
+        out = {}
+        for (path, _, fn), (_, calls, _, _, callers) in \
+                pstats.Stats(prof).stats.items():
+            if "/nilpc/" in path:
+                module = path.rsplit("/", 1)[-1][:-3]
+                out[module, fn] = (calls, {
+                    c[2]: n for c, (_, n, _, _) in callers.items()})
+        return out
+
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
+    def test_scalars_bilinearizes_once(self, workdir, capsys, name):
+        stats = self.profile(capsys, "scalars", str(workdir / f"{name}.json"))
+        assert stats["bilinear", "bilinearize"][0] == 1
+
+    @pytest.mark.parametrize("command", ["invariants", "adapt"])
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
+    def test_series_and_abelianization_once(self, workdir, capsys, command,
+                                            name):
+        stats = self.profile(capsys, command, str(workdir / f"{name}.json"))
+        for key in (("abelian", "abelianization"),
+                    ("subgroups", "lower_central_series")):
+            assert stats.get(key, (0,))[0] <= 1, key
+
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
+    def test_constrained_subgroup_builds_no_quotient(self, workdir, capsys,
+                                                     name):
+        stats = self.profile(capsys, "series", str(workdir / f"{name}.json"),
+                             "--kind", "refined")
+        assert stats["subgroups", "constrained_subgroup"][0] > 0
+        assert "constrained_subgroup" not in stats["subgroups", "quotient"][1]
 
 
 class TestHoms:

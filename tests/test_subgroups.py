@@ -1,12 +1,18 @@
 """Induced generating sequences, quotients, and the canonical subgroups."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
+from nilpc.bilinear import associated_series
 
-from groups_def import f23, heis, nr, zg
+import oracles
+from groups_def import (
+    f23, heis, heis_index2, heisenberg, nr, random_basis_change,
+    unitriangular, zg, zh, zk)
 
 H = heis()
 G = zg()
@@ -238,3 +244,71 @@ def test_subgroup_presentation_consistent():
     x = pc.multiply(G, pc.power(G, gen(G, 4), 3), pc.power(G, gen(G, 9), -2))
     c = sub.to_sub(x)
     assert sub.from_sub(c) == x
+
+
+# -- the fast paths against the references in oracles.py -----------------------
+
+
+def _basis_change(p):
+    return random_basis_change(p, random.Random(p.name))
+
+
+def _random_element(p, rng):
+    return tuple(rng.randrange(e) if e is not None else rng.randint(-2, 2)
+                 for e in p.periods)
+
+
+# ZH and ZK differ from ZG in two tails; their basis changes are left out
+# to save time
+NORMALITY = [(make, rebased) for make in (heis, zg, nr, f23)
+             for rebased in (False, True)] + [(zh, False), (zk, False)]
+
+
+@pytest.mark.parametrize(
+    "make,rebased", NORMALITY,
+    ids=[f.__name__ + (" rebased" if r else "") for f, r in NORMALITY])
+def test_one_sided_normality_matches_two_sided_sweep(make, rebased):
+    p = _basis_change(make()) if rebased else make()
+    rng = random.Random(p.name)
+    draws = [[_random_element(p, rng) for _ in range(rng.randint(1, 2))]
+             for _ in range(2)]
+    seen = set()
+    for gens in draws + [[pc.generator(p, i)] for i in range(1, p.m + 1)]:
+        s = sg.induce(p, gens)
+        closure = sg.induce(p, gens, normal=True)
+        assert closure == oracles.ref_normal_closure(p, gens)
+        for sub in (s, closure):
+            normal = oracles.two_sided_is_normal(p, sub)
+            assert sg.is_normal(p, sub) == normal
+            seen.add(normal)
+    assert seen == {False, True}
+
+
+def _constrained_inputs(p):
+    """Starts G and each LCS term; conditions (all generators, gamma_k)
+    and the radical conditions of the lower central series' pairing."""
+    gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))
+    series = associated_series(p)
+    radical = [(series.upper[i].rows, series.lower[i + 2])
+               for i in range(series.c - 1)]
+    conditions = [[(gens, term)] for term in series.lower]
+    if radical:
+        conditions.append(radical)
+    return [(s, cond) for s in series.lower for cond in conditions]
+
+
+CONSTRAINED = {
+    "HEIS": heis, "ZG": zg, "NR": nr, "F23": f23, "ZG_3": lambda: zg(3),
+    "ZG_7": lambda: zg(7), "UT_4": lambda: unitriangular(4),
+    "UT_5": lambda: unitriangular(5), "H_3": lambda: heisenberg(3),
+    "HEIS-index2": heis_index2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRAINED))
+def test_constrained_subgroup_matches_quotient_per_layer(name):
+    base = CONSTRAINED[name]()
+    for p in [base] if base.m > 8 else [base, _basis_change(base)]:
+        for s, conditions in _constrained_inputs(p):
+            got = sg.constrained_subgroup(p, s, conditions)
+            assert got == oracles.ref_constrained_subgroup(p, s, conditions)
