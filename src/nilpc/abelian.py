@@ -74,12 +74,18 @@ class FgAbelian:
 
 def section_basis(p: PcPresentation, a: Subgroup, b: Subgroup,
                   *, name: str = "") -> FgAbelian:
+    qm = sg.quotient(p, b, name=name or f"{p.name} section")
+    return _section_basis(p, a, b, qm, name=name)
+
+
+def _section_basis(p: PcPresentation, a: Subgroup, b: Subgroup,
+                   qm: sg.QuotientMap, *, name: str = "") -> FgAbelian:
+    """section_basis(p, a, b) given qm, the quotient map of p by b."""
     for i, r in enumerate(a.rows):
         for s in a.rows[i + 1:]:
             if not b.contains(pc.commutator(p, r, s)):
                 raise SubgroupError(
                     f"{p.name}: section {name or 'A/B'} is not abelian")
-    qm = sg.quotient(p, b, name=name or f"{p.name} section")
     qp = qm.pres
     arows = sg.induce(qp, [qm.proj(r) for r in a.rows])
     rows = arows.rows

@@ -9,29 +9,37 @@ Elements are canonical coordinate tuples: u_1^{t_1} * ... * u_m^{t_m} with
 Products are computed by collection from the left: a work stack of
 (generator, exponent) letters is merged into the coordinate vector one letter
 at a time. A letter u_i^e first moves past the suffix u_{i+1}^{t_{i+1}} ...
-u_m^{t_m}, which it conjugates, and the periods alone decide how:
+u_m^{t_m}, which it conjugates. How it moves is decided by the torsion-free
+cover G~: the same generators and commutator tails, with every period and
+power tail dropped. Layer i of the cover is accepted when a certificate
+proves that G~_i = <u_i, ..., u_m> is a group with those relations (see
+"the cover" below), and the accepted layers form a suffix i >= low.
 
-- When u_{i+1}, ..., u_m all have infinite period, one evaluation of layer
-  i's conjugation polynomial gives the conjugated suffix, at a cost that
-  does not grow with the exponents. The polynomials of all such layers are
-  derived together, on first use, and kept in the presentation's _layers
-  field.
-- Otherwise the conjugation automorphism of u_i^e is built by binary
-  powering (rewriting), and each suffix letter's image is raised to its
-  exponent and pushed back onto the stack.
+- A letter of an accepted layer moves by one evaluation of the layer's
+  conjugation polynomial in G~, at a cost that does not grow with the
+  exponents. Each finite coordinate k >= i that left [0, e_k) is then
+  reduced, in ascending k, by u_k^a = u_k^d (u_k^{e_k})^q, where the power
+  tail's q-th power times the suffix is computed in G~_{k+1}. This is sound
+  because u_l -> u_l is a homomorphism G~_i -> G_i (von Dyck: G satisfies
+  the cover's relations).
+- A letter below the lowest accepted layer rebuilds the conjugation
+  automorphism of u_i^e by binary powering (rewriting), and each suffix
+  letter's image is raised to its exponent and pushed back onto the stack;
+  period overflow of u_i feeds its power tail onto the stack, in front of
+  the conjugated suffix.
 
-Either way, period overflow of u_i feeds its power tail onto the stack, in
-front of the conjugated suffix. Popping a letter of index i only ever pushes
-letters of index > i, which is what makes the loop terminate.
+Popping a letter of index i only ever pushes letters of index > i, which is
+what makes the loop terminate. The polynomials are derived once, on first
+use, and kept in the presentation's _layers field.
 
-The polynomials are interpolated from collection in the presentation itself,
-so they describe a group only when the presentation is consistent.
-consistency_check therefore collects by rewriting alone and never derives
-them: an inconsistent presentation cannot pass by agreeing with tables
-interpolated from its own relations. The interpolation is complete by a
-degree bound from per-generator weights read off the commutator tails, as in
-Deep Thought (Leedham-Green & Soicher 1998); see "conjugation polynomials"
-below.
+The polynomials are interpolated from collection in the cover, and the
+layers from the last finite generator on are taken on trust, so they
+describe G only when the presentation is consistent. consistency_check
+therefore collects by rewriting alone and never derives them: an
+inconsistent presentation cannot pass by agreeing with tables interpolated
+from its own relations. The interpolation is complete by a degree bound from
+per-generator weights read off the commutator tails, as in Deep Thought
+(Leedham-Green & Soicher 1998); see "conjugation polynomials" below.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ class PcPresentation:
     _comm: Dict[Tuple[int, int], Word] = field(
         init=False, repr=False, compare=False, hash=False
     )
-    _layers: Optional[tuple] = field(
+    _layers: Optional[_Tables] = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -179,7 +187,7 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # conjugation automorphisms, by rewriting
 #
-# Letters whose suffix has a finite period, and every letter that
+# Letters below the lowest accepted layer of the cover, and every letter that
 # consistency_check collects, move by these automorphisms (layers=None
 # selects rewriting throughout). _conj_step(p, i) maps k > i to the canonical
 # form of u_i^-1 u_k u_i; _conj_step_inv is its inverse, solved from the top
@@ -251,11 +259,11 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # ---------------------------------------------------------------------------
 # conjugation polynomials
 #
-# Layer i is polynomial when u_{i+1}, ..., u_m all have infinite period. Then
-# G_{i+1} = <u_{i+1}, ..., u_m> is torsion-free nilpotent, and coordinate k
-# of u_i^-e z u_i^e is z_k + h_k(e, z_{i+1}, ..., z_{k-1}), where h_k is an
-# integer-valued polynomial (Hall; Leedham-Green & Soicher, "Symbolic
-# collection using Deep Thought", 1998). In the binomial basis
+# Layer i is polynomial when its layer of the cover is accepted (see "the
+# cover" below). Then G~_i = <u_i, ..., u_m> is torsion-free nilpotent, and
+# coordinate k of u_i^-e z u_i^e is z_k + h_k(e, z_{i+1}, ..., z_{k-1}), where
+# h_k is an integer-valued polynomial (Hall; Leedham-Green & Soicher,
+# "Symbolic collection using Deep Thought", 1998). In the binomial basis
 # binom(e, b_0) * prod_v binom(z_{i+v}, b_v) its coefficients are integers,
 # and the coefficient at b is the finite difference Delta^b h_k(0), taken
 # one axis at a time over the values at the lattice points a <= b (Newton
@@ -268,8 +276,35 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # weighted degree at most w(k), counting w(i) for e and w(l) for z_l (the
 # Deep Thought bound). A layer therefore needs the points b with b_0 >= 1
 # whose weighted degree is at most w(k) for some coordinate k beyond the
-# last z that b uses. Their values come from collecting in G_{i+1} with the
+# last z that b uses. Their values come from collecting in G~_{i+1} with the
 # deeper layers' polynomials, so the layers are derived bottom-up.
+#
+# the cover
+#
+# G~ keeps the generators and commutator tails of G and drops every period
+# and power tail, so G~_m = <u_m> is infinite cyclic. Suppose the
+# presentation of G~_{i+1} is consistent. Then that of G~_i is consistent
+# exactly when c: u_l -> u_l [u_l, u_i] (l > i) extends to an automorphism
+# of G~_{i+1}: G~_i is then the semidirect product of G~_{i+1} by <u_i>
+# acting through c, and conversely conjugation by u_i is such an
+# automorphism. By von Dyck, c extends to an endomorphism exactly when it
+# respects the relations u_j^-1 u_k u_j = u_k [u_k, u_j] of G~_{i+1}, which
+# is the certificate of layer i:
+#
+#     c(u_j)^-1 c(u_k) c(u_j) == c(u_k [u_k, u_j])   for all i < j < k.
+#
+# The endomorphism is then bijective. Tails have support > j, so c(u_l)
+# lies in u_l G~_{l+1}, and by descending induction on l the image of c
+# contains each G~_l: c is onto. Finitely generated nilpotent groups are
+# residually finite, hence Hopfian, so c is one-to-one as well, and no
+# overlaps with inverses are needed.
+#
+# The certificate collects in G~_{i+1} with the accepted layers above i,
+# never with layer i's own table, and the layers below the first one that
+# fails keep rewriting. From the last finite generator f on, the cover's
+# tables are G's own (G~_{i+1} = G_{i+1} for i >= f), and the consistency
+# of G, which files.load checks by default, already makes conjugation by u_i
+# an automorphism there; the certificate skips those layers.
 
 
 @dataclass(frozen=True)
@@ -289,8 +324,23 @@ class _ConjPoly:
     rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 
 
-def _conj_layers(p: PcPresentation) -> tuple:
-    """Per layer, its _ConjPoly, or None where collection rewrites."""
+@dataclass(frozen=True)
+class _Tables:
+    """What collection in a presentation reads besides its relations.
+
+    cover: the torsion-free cover G~, with no periods or power tails.
+    polys: per layer, its _ConjPoly in G~, or None where collection rewrites.
+    finite: the generators with a finite period, ascending; they have none
+        in G~, so collection in the cover reduces nothing.
+    """
+
+    cover: PcPresentation
+    polys: tuple
+    finite: Tuple[int, ...]
+
+
+def _conj_layers(p: PcPresentation) -> _Tables:
+    """The tables of p, derived on first use."""
     layers = p._layers
     if layers is None:
         layers = _derive_layers(p)
@@ -298,26 +348,42 @@ def _conj_layers(p: PcPresentation) -> tuple:
     return layers
 
 
-def _derive_layers(p: PcPresentation, slack: int = 0) -> tuple:
-    """Derive every polynomial layer, deepest first.
+def _derive_layers(p: PcPresentation, slack: int = 0) -> _Tables:
+    """Certify and derive the layers of the cover, deepest first, down to
+    the first layer whose certificate fails.
 
     slack raises every degree bound, so more lattice points are used; a
     sound bound leaves the tables unchanged (the tests pin it that way).
     """
     m = p.m
-    # the layers from the last finite period on have torsion-free suffixes
-    first = max(
-        [k for k, e in enumerate(p.periods, start=1) if e is not None],
-        default=1)
+    cover = PcPresentation(p.name, (None,) * m, (), p.commutators)
+    finite = tuple(k for k, e in enumerate(p.periods, start=1) if e is not None)
+    trusted = finite[-1] if finite else 1
     weight = [1] * (m + 1)
     for (j, i), tail in sorted(p.commutators):
-        if i >= first:
-            for l, _ in tail:
-                weight[l] = max(weight[l], weight[i] + weight[j])
-    layers: list = [None] * m
-    for i in range(m, first - 1, -1):
-        layers[i - 1] = _derive_layer(p, i, weight, layers, slack)
-    return tuple(layers)
+        for l, _ in tail:
+            weight[l] = max(weight[l], weight[i] + weight[j])
+    polys: list = [None] * m
+    layers = _Tables(cover, polys, finite)
+    for i in range(m, 0, -1):
+        if i < trusted and not _certified(cover, i, layers):
+            break
+        polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
+    return _Tables(cover, tuple(polys), finite)
+
+
+def _certified(cover: PcPresentation, i: int, layers: _Tables) -> bool:
+    """The certificate of layer i (see "the cover"), collected in G~_{i+1}."""
+    c = dict(_conj_step(cover, i))
+    for j in range(i + 1, cover.m + 1):
+        cj = c[j]
+        cj_inv = _inverse(cover, cj, layers)
+        for k, ukj in _conj_step(cover, j):  # ukj = u_k [u_k, u_j]
+            lhs = _multiply(cover, _multiply(cover, cj_inv, c[k], layers), cj,
+                            layers)
+            if lhs != _apply_aut(cover, c, ukj, layers):
+                return False
+    return True
 
 
 def _derive_layer(p: PcPresentation, i: int, weight, layers,
@@ -432,10 +498,15 @@ def _conj_poly(poly: _ConjPoly, e: int, t: list, i: int) -> None:
 
 
 def _collect(p: PcPresentation, t: list, letters: Iterable[Tuple[int, int]],
-             layers) -> None:
+             layers: Optional[_Tables]) -> None:
     """Collect letters into t; layers is _conj_layers(p), or None to rewrite
     every letter."""
     m = p.m
+    if layers is None:
+        polys, last = (None,) * m, 0
+    else:
+        polys, finite = layers.polys, layers.finite
+        last = finite[-1] if finite and p is not layers.cover else 0
     stack = list(letters)
     stack.reverse()
     while stack:
@@ -444,20 +515,23 @@ def _collect(p: PcPresentation, t: list, letters: Iterable[Tuple[int, int]],
             continue
         if not (1 <= i <= m):
             raise ValueError(f"letter index {i} out of range")
-        poly = layers[i - 1] if layers is not None else None
+        poly = polys[i - 1]
         if poly is not None:
             if poly.rows and any(t[i:]):
                 _conj_poly(poly, e, t, i)
-        else:
-            suffix = [(k, t[k - 1]) for k in range(i + 1, m + 1) if t[k - 1]]
-            if suffix:
-                images = _conj_aut(p, i, e, layers)
-                moved: list = []
-                for k, a in suffix:
-                    g = _power(p, images[k], a, layers)
-                    moved.extend(word_of(p, g))
-                    t[k - 1] = 0
-                stack.extend(reversed(moved))
+            t[i - 1] += e
+            if i <= last:
+                _reduce(p, t, i, layers)
+            continue
+        suffix = [(k, t[k - 1]) for k in range(i + 1, m + 1) if t[k - 1]]
+        if suffix:
+            images = _conj_aut(p, i, e, layers)
+            moved: list = []
+            for k, a in suffix:
+                g = _power(p, images[k], a, layers)
+                moved.extend(word_of(p, g))
+                t[k - 1] = 0
+            stack.extend(reversed(moved))
         ei = p.periods[i - 1]
         a = t[i - 1] + e
         if ei is None:
@@ -469,14 +543,27 @@ def _collect(p: PcPresentation, t: list, letters: Iterable[Tuple[int, int]],
         if q:
             tail = p.power_tail(i)
             if tail:
-                if poly is not None:
-                    # the power tail goes in front of the conjugated suffix
-                    moved = [(k, t[k - 1]) for k in range(i + 1, m + 1)
-                             if t[k - 1]]
-                    t[i:] = [0] * (m - i)
-                    stack.extend(reversed(moved))
                 g = _power(p, element_of_word_coords(p, tail), q, layers)
                 stack.extend(reversed(word_of(p, g)))
+
+
+def _reduce(p: PcPresentation, t: list, i: int, layers: _Tables) -> None:
+    """Bring the finite coordinates from i on into range, in ascending
+    order: u_k^a = u_k^d (u_k^{e_k})^q, where the power tail's q-th power
+    times the suffix is collected in the cover G~_{k+1}."""
+    m = len(t)
+    cover = layers.cover
+    for k in layers.finite:
+        ek = p.periods[k - 1]
+        if k < i or 0 <= t[k - 1] < ek:
+            continue
+        q, t[k - 1] = divmod(t[k - 1], ek)
+        tail = p.power_tail(k)
+        if tail:
+            s = list(_power(cover, element_of_word_coords(p, tail), q, layers))
+            _collect(cover, s, [(l, t[l - 1]) for l in range(k + 1, m + 1)
+                                if t[l - 1]], layers)
+            t[k:] = s[k:]
 
 
 def _normal_form(p: PcPresentation, word, layers) -> Element:
@@ -569,6 +656,25 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     Checked overlaps: u_k(u_j u_i) vs (u_k u_j)u_i for k > j > i;
     u_j^{e_j} u_i against the power tail for finite e_j; u_j u_i^{e_i}
     likewise for finite e_i; and u_i^{e_i + 1} both ways.
+
+    Overlaps with inverses of infinite-period generators (u_j u_i^-1 u_i and
+    the like; Sims 1994, section 9.8) are not checked: the tails of
+    [u_j, u_i] have support > j, and for such nilpotent presentations they
+    are redundant. By descending induction on i, let the presentation of
+    G_{i+1} = <u_{i+1}, ..., u_m> be consistent. The overlaps at (k, j, i)
+    and the power-gen overlaps at (j, i) say that c: u_l -> u_l [u_l, u_i]
+    (l > i) respects the relations of G_{i+1}, so by von Dyck it extends to
+    an endomorphism of G_{i+1}. It moves each u_l only by an element of
+    G_{l+1}, so it is onto, and finitely generated nilpotent groups are
+    Hopfian, so c is an automorphism. For infinite e_i, G_i is then the
+    semidirect product of G_{i+1} by <u_i> acting through c. For finite
+    e_i, the gen-power overlaps say that c^{e_i} is conjugation by the
+    power tail w and the power-power overlap that c fixes w, which is what
+    the cyclic extension of G_{i+1} by u_i needs. Either way the relations
+    u_i u_l u_i^-1 = c^-1(u_l) hold with no check of their own. Collection
+    certifies the torsion-free cover by the same argument (see "the
+    cover"), and the tests hold the two against each other on random
+    presentations.
     """
     failures = []
     m = p.m

@@ -17,7 +17,7 @@ from typing import Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian, section_basis
+from .abelian import FgAbelian, _section_basis
 from .intlinalg import inverse_unimodular, snf, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
@@ -127,17 +127,30 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     whole = lcs[0]
     der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
-    iso_der = sg.isolator(pres, der)
+    quotients = {}
+
+    def mod(b: Subgroup, name: str = "") -> sg.QuotientMap:
+        """G/b, built once per b: G' often equals Is(G'), G'Z or N."""
+        if b.rows not in quotients:
+            quotients[b.rows] = sg.quotient(pres, b, name=name)
+        return quotients[b.rows]
+
+    ab_name = f"{pres.name} abelianized"
+    ab = _section_basis(pres, whole, der, mod(der, ab_name), name=ab_name)
+    iso_der = sg._isolator(pres, der, ab.qm)
     tors = sg._torsion_subgroup(pres, z)
-    ab = section_basis(pres, whole, der, name=f"{pres.name} abelianized")
     iso_c = _torsion_image_part(pres, z, ab)
 
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
-    m_sub = sg.isolator(pres, sg.induce(pres, list(der.rows) + list(z.rows)))
-    mn = section_basis(pres, m_sub, n_sub, name=f"{pres.name} M/N")
+    dz = sg.induce(pres, list(der.rows) + list(z.rows))
+    m_sub = sg._isolator(pres, dz, mod(dz))
+    mn_name = f"{pres.name} M/N"
+    mn = _section_basis(pres, m_sub, n_sub, mod(n_sub, mn_name), name=mn_name)
     if any(d is None for d in mn.periods):
         raise SubgroupError("M/N came out infinite")
-    n_is = section_basis(pres, n_sub, iso_der, name=f"{pres.name} N/Is")
+    ni_name = f"{pres.name} N/Is"
+    n_is = _section_basis(pres, n_sub, iso_der, mod(iso_der, ni_name),
+                          name=ni_name)
     if any(d is not None for d in n_is.periods):
         raise SubgroupError("N/Is(G') came out non-free")
 

@@ -486,7 +486,11 @@ def _torsion_subgroup(p: PcPresentation, z: Subgroup) -> Subgroup:
 
 def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
     """Preimage in G of the torsion of G/n.  n must be normal."""
-    qm = quotient(p, n)
+    return _isolator(p, n, quotient(p, n))
+
+
+def _isolator(p: PcPresentation, n: Subgroup, qm: QuotientMap) -> Subgroup:
+    """isolator(p, n) given qm, the quotient map of p by n."""
     tq = torsion_subgroup(qm.pres)
     gens = list(n.rows) + [qm.lift(r) for r in tq.rows]
     return induce(p, gens)

@@ -409,3 +409,29 @@ def ref_constrained_subgroup(p, s, conditions):
         assert sol.consistent
         t = sg.induce(p, [sg.prod_rows(p, t.rows, v) for v in sol.basis])
     return t
+
+
+# ---------------------------------------------------------------------------
+# the torsion-free cover
+#
+# The package certifies the cover of a presentation layer by layer, by an
+# endomorphism check collected with its own polynomials. The oracle asks the
+# rewriting consistency_check of each periods-dropped subpresentation
+# instead.
+
+
+def lowest_consistent_cover_layer(p):
+    """The lowest i such that the presentation of G_l = <u_l, ..., u_m>,
+    with its periods and power tails dropped, is consistent for every
+    l >= i."""
+    m = p.m
+    for i in range(m, 0, -1):
+        comms = tuple(
+            ((j - i + 1, k - i + 1), tuple((l - i + 1, e) for l, e in tail))
+            for (j, k), tail in p.commutators if k >= i)
+        cover = pc.PcPresentation(name=f"{p.name} cover of G_{i}",
+                                  periods=(None,) * (m - i + 1),
+                                  commutators=comms)
+        if not pc.consistency_check(cover).ok:
+            return i + 1
+    return 1

@@ -7,6 +7,7 @@ import pstats
 import pytest
 
 from nilpc import files
+from nilpc import subgroups as sg
 from nilpc.cli import main
 
 from groups_def import f23, heis, mutated_heis, nr, zg, zh, zk
@@ -176,6 +177,25 @@ class TestComputedOnce:
         for key in (("abelian", "abelianization"),
                     ("subgroups", "lower_central_series")):
             assert stats.get(key, (0,))[0] <= 1, key
+
+    @pytest.mark.parametrize("command", ["invariants", "analyze"])
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
+    def test_abelianization_quotient_built_once(self, workdir, capsys,
+                                                monkeypatch, command, name):
+        path = str(workdir / f"{name}.json")
+        p = files.load(path)
+        der = sg.lower_central_series(p)[1]
+        built = []
+        quotient = sg.quotient
+
+        def recording(q, n, **kwargs):
+            if q == p and n == der:
+                built.append(kwargs.get("name"))
+            return quotient(q, n, **kwargs)
+
+        monkeypatch.setattr(sg, "quotient", recording)
+        self.profile(capsys, command, path)
+        assert len(built) == 1, built
 
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
     def test_constrained_subgroup_builds_no_quotient(self, workdir, capsys,

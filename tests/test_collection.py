@@ -1,11 +1,13 @@
 """Polynomial collection against rewriting and integer-matrix models.
 
-A letter u_i^e whose deeper generators all have infinite period moves past
-the suffix with one evaluation of a conjugation polynomial; every other
+A letter u_i^e of a layer whose torsion-free cover is certified moves past
+the suffix with one evaluation of a conjugation polynomial, and the finite
+coordinates it pushes out of range are reduced in the cover; every other
 letter, and everything consistency_check collects, goes by rewriting. These
 tests hold the two paths to the same answers, compare them with matrix
 models at large exponents, pin the degree bound the polynomials are
-interpolated under, and check that consistency_check never derives them.
+interpolated under, pin the certificate against a rewriting oracle on random
+presentations, and check that consistency_check never derives the tables.
 """
 
 import functools
@@ -22,15 +24,16 @@ from nilpc.presentation import PcPresentation
 
 import oracles
 from groups_def import (
-    f23, heis_index2, heisenberg, heisenberg_letters, mutated_heis,
-    random_basis, rebase, unitriangular, ut_letters, zg)
+    f23, heis_index2, heisenberg, heisenberg_letters, mutated_heis, nr,
+    random_basis, rebase, unitriangular, ut_letters, zg, zh, zk)
 
 BASE = {
     "UT_3": lambda: unitriangular(3), "UT_4": lambda: unitriangular(4),
     "UT_5": lambda: unitriangular(5), "UT_6": lambda: unitriangular(6),
     "H_2": lambda: heisenberg(2), "H_3": lambda: heisenberg(3),
     "H_4": lambda: heisenberg(4), "F23": f23, "HEIS-index2": heis_index2,
-    "ZG_3": lambda: zg(3), "ZG": zg, "ZG_7": lambda: zg(7),
+    "ZG_3": lambda: zg(3), "ZG": zg, "ZG_7": lambda: zg(7), "NR": nr,
+    "ZH": zh, "ZK": zk,
 }
 REBASED = " rebased"
 NAMES = [n + r for n in BASE for r in ("", REBASED)]
@@ -149,16 +152,107 @@ def test_power_tail_in_front_of_a_torsion_free_suffix(x, y):
     assert got == oracles.heis_mat_mul(heis_of(x), heis_of(y))
 
 
+# -- the certificate of the cover ----------------------------------------------
+
+
+def accepted_layers(p):
+    return [i for i, poly in enumerate(pc._conj_layers(p).polys, start=1)
+            if poly is not None]
+
+
+def fallback():
+    """Consistent, but with a cover that fails at layer 1: conjugation by
+    u1 respects [u3, u2] = 1 only modulo u5^2 = 1."""
+    return PcPresentation(
+        name="FALLBACK", periods=(None, None, None, None, 2),
+        commutators=(((2, 1), ((4, 2),)), ((3, 1), ((4, 1),)),
+                     ((4, 3), ((5, 1),))))
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_failed_layer_falls_back_to_rewriting(span):
+    p = fallback()
+    assert pc.consistency_check(p).ok
+    assert accepted_layers(p) == [2, 3, 4, 5]
+    assert oracles.lowest_consistent_cover_layer(p) == 2
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(elements(p, span), elements(p, span), st.integers(-span, span))
+    def check(x, y, n):
+        xw, yw = pc.word_of(p, x), pc.word_of(p, y)
+        xi, yi = pc._inverse_word(p, x), pc._inverse_word(p, y)
+        assert pc.multiply(p, x, y) == rewrite(p, xw + yw)
+        assert pc.inverse(p, x) == rewrite(p, xi)
+        assert pc.power(p, x, n) == pc._power(p, x, n, None)
+        assert pc.commutator(p, x, y) == rewrite(p, xi + yi + xw + yw)
+
+    check()
+
+
+def random_presentation(rng):
+    """m = 4 or 5, periods from {None, 2, 3, 5}, one-letter tails.
+
+    The deepest generator has a finite period and tails on infinite
+    generators have exponents +-1, +-2: a tail exponent divisible by a
+    period is what lets a tail satisfy Jacobi only modulo that period.
+    """
+    m = rng.choice((4, 5))
+    periods = tuple(rng.choice((None, None, None, 2, 3, 5))
+                    for _ in range(m - 1)) + (rng.choice((2, 3, 5)),)
+
+    def letter(low):
+        k = rng.randint(low + 1, m)
+        e = periods[k - 1]
+        return ((k, rng.randrange(1, e) if e else rng.choice((-2, -1, 1, 2))),)
+
+    return PcPresentation(
+        name="random", periods=periods,
+        powers=tuple((i, letter(i)) for i, e in enumerate(periods[:-1], 1)
+                     if e and rng.random() < 0.3),
+        commutators=tuple(((j, i), letter(j)) for j in range(2, m)
+                          for i in range(1, j) if rng.random() < 0.6))
+
+
+def test_certificate_matches_rewriting_oracle_sweep():
+    rng = random.Random("cover sweep")
+    consistent = fails = 0
+    for _ in range(1000):
+        p = random_presentation(rng)
+        if not pc.consistency_check(p).ok:
+            continue
+        consistent += 1
+        low = oracles.lowest_consistent_cover_layer(p)
+        assert accepted_layers(p) == list(range(low, p.m + 1)), p
+        fails += low > 1
+        for _ in range(2):
+            x, y = (tuple(rng.randint(-20, 20) if e is None else
+                          rng.randrange(e) for e in p.periods)
+                    for _ in range(2))
+            xw, yw = pc.word_of(p, x), pc.word_of(p, y)
+            xi, yi = pc._inverse_word(p, x), pc._inverse_word(p, y)
+            n = rng.randint(-6, 6)
+            assert pc.multiply(p, x, y) == rewrite(p, xw + yw), p
+            assert pc.inverse(p, x) == rewrite(p, xi), p
+            assert pc.power(p, x, n) == pc._power(p, x, n, None), p
+            assert pc.commutator(p, x, y) == rewrite(
+                p, xi + yi + xw + yw), p
+    assert consistent >= 100
+    # presentations whose full cover fails, so the sweep covers fallback
+    assert fails >= 3
+
+
 # -- the degree bound ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", [
     n + r for n in ("UT_3", "UT_4", "UT_5", "UT_6", "H_2", "H_3", "H_4", "F23")
-    for r in ("", REBASED)])
+    for r in ("", REBASED)] + ["ZG", "NR", "HEIS-index2"])
 def test_one_more_interpolation_point_changes_nothing(name):
+    # ZG, NR and HEIS-index2 have finite periods: their tables are those of
+    # the torsion-free cover
     p = presentation(name)
     layers = pc._derive_layers(p)
-    assert any(layer is not None and layer.rows for layer in layers)
+    assert any(layer is not None and layer.rows for layer in layers.polys)
     assert pc._derive_layers(p, slack=1) == layers
 
 
@@ -174,8 +268,8 @@ def _mutant(p, key, tail):
                           commutators=tuple(sorted(comms.items())))
 
 
-# Each mutation changes one exponent of one tail and breaks the Jacobi
-# identity of the associated Lie ring, so the presentation is inconsistent.
+# Each mutation changes one tail and breaks the overlap named beside it, so
+# the presentation is inconsistent.
 MUTANTS = {
     "HEIS_MUTATED": mutated_heis,
     # [u4, u2] = u5 where u4 = [u3, u1], u5 = [u3, u2]: Jacobi on
@@ -185,6 +279,13 @@ MUTANTS = {
     "UT_4": lambda: _mutant(unitriangular(4), (2, 1), ((4, -2),)),
     # [y1, x1] = y2 z^-1: Jacobi on (y1, x1, x2) leaves [y2, x2] = z^-1
     "H_3": lambda: _mutant(heisenberg(3), (4, 1), ((5, 1), (7, -1))),
+    # [u4, u1] = u9 of infinite order, while u4^5 = u5 is central: the
+    # power-gen overlap u4^5 u1 then asks u9^5 = 1
+    "ZG": lambda: _mutant(zg(), (4, 1), ((9, 1),)),
+    # [u4, u3] = u5 where u4 = [u2, u1]^-1 and [u3, u1], [u3, u2] are
+    # central: the triple overlap u3 u2 u1 (Jacobi on u3, u2, u1) then asks
+    # [u4, u3] = 1
+    "NR": lambda: _mutant(nr(), (4, 3), ((5, 1),)),
 }
 
 
@@ -197,7 +298,7 @@ def test_check_rejects_mutants_after_tables_exist(name):
     assert not pc.consistency_check(p).ok
 
 
-@pytest.mark.parametrize("name", ["F23", "ZG", "UT_5", "HEIS-index2"])
+@pytest.mark.parametrize("name", ["F23", "ZG", "UT_5", "HEIS-index2", "NR"])
 def test_check_leaves_tables_unset(name):
     p = BASE[name]()
     assert pc.consistency_check(p).ok
