@@ -4,7 +4,7 @@ Groups enter as polycyclic presentations with power and commutator tails;
 the package provides normal-form arithmetic, canonical subgroup series,
 bilinearization with its largest ring of scalars, abelian deformation
 families with their extension classes, and certified homomorphisms between
-presentations. See the README for the command-line entry points.
+presentations. Run `nilpc --help` for the command-line entry points.
 """
 
 from .abelian import FgAbelian, abelianization, section_basis

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from . import abelian as ab
 from . import intlinalg as il
 from . import presentation as pc
+from . import subgroups as sg
 from .presentation import Element, PcPresentation
 from .series import key_subgroups
 
@@ -296,17 +297,13 @@ def standard_embedding(
     sent to the product its deformed power now lands on."""
     out = abdef(a, d, c)
     q = out.pres
+    free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
     images = []
     for i in range(1, q.m + 1):
         if a.i1 < i <= a.i1 + a.n:
             t = i - a.i1 - 1
-            img = pc.identity_element(q)
-            for k in range(a.n):
-                coef = d[k] * c[t][k]
-                if coef:
-                    img = pc.multiply(q, img, pc.power(
-                        q, pc.generator(q, a.i1 + k + 1), coef))
-            images.append(img)
+            images.append(sg.prod_rows(
+                q, free, [d[k] * c[t][k] for k in range(a.n)]))
         else:
             images.append(pc.generator(q, i))
     return out, tuple(images)
@@ -340,26 +337,20 @@ def twisted_embedding(
     out = abdef(a, d, c)
     q = out.pres
     qs = [_prime_product_avoiding(d[k], j) for k in range(a.n)]
+    free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
     images = []
     for i in range(1, q.m + 1):
         if a.i0 < i <= a.i1:
             t = i - a.i0 - 1
             ei = a.pres.periods[i - 1]
             assert ei is not None
-            img = pc.generator(q, i)
-            for k in range(a.n):
-                coef = qs[k] * (a.e // ei) * c[t][k]
-                if coef:
-                    img = pc.multiply(q, img, pc.power(
-                        q, pc.generator(q, a.i1 + k + 1), coef))
+            img = sg.prod_rows(
+                q, [pc.generator(q, i)] + free,
+                [1] + [qs[k] * (a.e // ei) * c[t][k] for k in range(a.n)])
         elif a.i1 < i <= a.i1 + a.n:
             t = i - a.i1 - 1
-            img = pc.identity_element(q)
-            for k in range(a.n):
-                coef = (d[k] + qs[k] * a.e) * c[t][k]
-                if coef:
-                    img = pc.multiply(q, img, pc.power(
-                        q, pc.generator(q, a.i1 + k + 1), coef))
+            img = sg.prod_rows(
+                q, free, [(d[k] + qs[k] * a.e) * c[t][k] for k in range(a.n)])
         else:
             img = pc.generator(q, i)
         images.append(img)

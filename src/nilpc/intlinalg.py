@@ -4,7 +4,9 @@ Hermite and Smith normal forms with unimodular transforms, and a solver for
 systems of linear congruences with mixed moduli (modulus 0 meaning equality
 over Z). Matrices are lists of rows of Python ints; nothing here mutates its
 arguments. All downstream lattice work in the package (subgroup layers,
-abelian sections, scalar-ring solving) funnels through this module.
+abelian sections, scalar-ring solving) funnels through this module, and
+InvariantFactors is the one reading of a Smith form as coordinates on a
+finitely generated abelian group.
 """
 
 from __future__ import annotations
@@ -221,6 +223,52 @@ def inverse_unimodular(u: Sequence[Sequence[int]]) -> Matrix:
     if h != identity(len(u)):
         raise ValueError("matrix is not unimodular")
     return w
+
+
+class InvariantFactors:
+    """Invariant-factor coordinates on Z^n modulo a relation lattice.
+
+    With d == u * rel * v the Smith form, the rows of v^-1 generate cyclic
+    summands of Z^n / span(rel) whose orders are the diagonal of d. The
+    summands of order 1 are dropped: rows[k] is the k-th kept basis row over
+    Z^n and periods[k] its order, None when free. A vector y has coordinate
+    k equal to y * v at the kept column, reduced modulo periods[k].
+    """
+
+    def __init__(self, rel: Sequence[Sequence[int]], n: int):
+        if rel:
+            d, _, v = snf(rel)
+            dvals = [d[j][j] if j < len(d) else 0 for j in range(n)]
+        else:
+            v, dvals = identity(n), [0] * n
+        vinv = inverse_unimodular(v)
+        kept = [j for j in range(n) if dvals[j] != 1]
+        self.rows = [vinv[j] for j in kept]
+        self._cols = [[r[j] for r in v] for j in kept]
+        self.periods: Tuple[Optional[int], ...] = tuple(
+            dvals[j] or None for j in kept)
+
+    def coords(self, y: Sequence[int]) -> Tuple[int, ...]:
+        return self.reduce(tuple(
+            sum(a * b for a, b in zip(y, col)) for col in self._cols))
+
+    def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(
+            c if d is None else c % d for c, d in zip(vec, self.periods))
+
+    def order(self) -> Optional[int]:
+        """The number of elements, None when infinite."""
+        total = 1
+        for d in self.periods:
+            if d is None:
+                return None
+            total *= d
+        return total
+
+    def negate(self, k: int) -> None:
+        """Replace basis row k by its negative; coordinate k changes sign."""
+        self.rows[k] = [-x for x in self.rows[k]]
+        self._cols[k] = [-x for x in self._cols[k]]
 
 
 def left_kernel(a: Sequence[Sequence[int]]) -> Matrix:

@@ -39,8 +39,7 @@ def _eval_word(dst: PcPresentation, images: Tuple[Element, ...],
 
 def evaluate(h: GroupHom, x: Element) -> Element:
     """Image of the canonical element x = prod u_i^{x_i}."""
-    return _eval_word(h.target, h.images, ((i + 1, e) for i, e in
-                                           enumerate(x) if e))
+    return sg.prod_rows(h.target, h.images, x)
 
 
 def hom_from_images(src: PcPresentation, dst: PcPresentation,

@@ -45,7 +45,6 @@ per-generator weights read off the commutator tails, as in Deep Thought
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -79,6 +78,10 @@ class PcPresentation:
     )
     _layers: Optional[_Tables] = field(
         default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _steps: Dict[int, Tuple[Tuple[int, Element], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False,
+        hash=False
     )
 
     def __post_init__(self):
@@ -189,37 +192,41 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 #
 # Letters below the lowest accepted layer of the cover, and every letter that
 # consistency_check collects, move by these automorphisms (layers=None
-# selects rewriting throughout). _conj_step(p, i) maps k > i to the canonical
-# form of u_i^-1 u_k u_i; _conj_step_inv is its inverse, solved from the top
-# index downward. Both are cached per presentation, and _conj_step_inv is
-# always solved by rewriting, so both paths read the same images. Larger
-# exponents are assembled by binary powering.
+# selects rewriting throughout). _step(p, i) maps k > i to the canonical
+# form of u_i^-1 u_k u_i; _step_inv is its inverse, solved from the top
+# index downward. Both are kept in the presentation's _steps field, under i
+# and -i, and _step_inv is always solved by rewriting, so both paths read
+# the same images. The field is separate from _layers because
+# consistency_check needs these tables but must not derive the layers.
+# Larger exponents are assembled by binary powering.
 
 
-@lru_cache(maxsize=None)
-def _conj_step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
-    out = []
-    for k in range(i + 1, p.m + 1):
-        v = [0] * p.m
-        v[k - 1] = 1
-        for l, e in p.commutator_tail(k, i):
-            v[l - 1] = e
-        out.append((k, tuple(v)))
-    return tuple(out)
+def _step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
+    if i not in p._steps:
+        out = []
+        for k in range(i + 1, p.m + 1):
+            v = [0] * p.m
+            v[k - 1] = 1
+            for l, e in p.commutator_tail(k, i):
+                v[l - 1] = e
+            out.append((k, tuple(v)))
+        p._steps[i] = tuple(out)
+    return p._steps[i]
 
 
-@lru_cache(maxsize=None)
-def _conj_step_inv(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
-    images: Dict[int, Element] = {}
-    for k in range(p.m, i, -1):
-        tail = p.commutator_tail(k, i)
-        if not tail:
-            images[k] = generator(p, k)
-            continue
-        c = element_of_word_coords(p, tail)
-        delta = _apply_aut(p, images, _inverse(p, c, None), None)
-        images[k] = _multiply(p, generator(p, k), delta, None)
-    return tuple(sorted(images.items()))
+def _step_inv(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
+    if -i not in p._steps:
+        images: Dict[int, Element] = {}
+        for k in range(p.m, i, -1):
+            tail = p.commutator_tail(k, i)
+            if not tail:
+                images[k] = generator(p, k)
+                continue
+            c = element_of_word_coords(p, tail)
+            delta = _apply_aut(p, images, _inverse(p, c, None), None)
+            images[k] = _multiply(p, generator(p, k), delta, None)
+        p._steps[-i] = tuple(sorted(images.items()))
+    return p._steps[-i]
 
 
 def _apply_aut(
@@ -241,10 +248,10 @@ def _compose_aut(
 def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
     """Images of u_k (k > i) under conjugation by u_i^e."""
     if e >= 0:
-        base = dict(_conj_step(p, i))
+        base = dict(_step(p, i))
         n = e
     else:
-        base = dict(_conj_step_inv(p, i))
+        base = dict(_step_inv(p, i))
         n = -e
     result = {k: generator(p, k) for k in range(i + 1, p.m + 1)}
     while n:
@@ -374,11 +381,11 @@ def _derive_layers(p: PcPresentation, slack: int = 0) -> _Tables:
 
 def _certified(cover: PcPresentation, i: int, layers: _Tables) -> bool:
     """The certificate of layer i (see "the cover"), collected in G~_{i+1}."""
-    c = dict(_conj_step(cover, i))
+    c = dict(_step(cover, i))
     for j in range(i + 1, cover.m + 1):
         cj = c[j]
         cj_inv = _inverse(cover, cj, layers)
-        for k, ukj in _conj_step(cover, j):  # ukj = u_k [u_k, u_j]
+        for k, ukj in _step(cover, j):  # ukj = u_k [u_k, u_j]
             lhs = _multiply(cover, _multiply(cover, cj_inv, c[k], layers), cj,
                             layers)
             if lhs != _apply_aut(cover, c, ukj, layers):
@@ -396,7 +403,7 @@ def _derive_layer(p: PcPresentation, i: int, weight, layers,
     top = [0] * (n + 1)  # top[v]: the largest bound beyond variable v
     for v in range(n - 1, -1, -1):
         top[v] = max(top[v + 1], ws[v + 1] + slack)
-    step = dict(_conj_step(p, i))
+    step = dict(_step(p, i))
     images: Dict[int, list] = {}
 
     def image(v: int, e: int) -> Element:

@@ -9,7 +9,8 @@ fixed direct-sum coordinates.  A scalar of f is a triple of endomorphisms
 Triples add entrywise and multiply by composition, and the set of all of
 them modulo triples of null maps is a ring with identity.  This module
 computes that ring exactly: a lattice basis for the solution set, additive
-invariant factors, unit coordinates, the multiplication table, restrictions
+invariant factors (read as intlinalg.InvariantFactors, like the abelian
+sections), unit coordinates, the multiplication table, restrictions
 by extra linear side conditions, intersections, and prime factorizations of
 the zero ideal when the ring is finite.
 
@@ -27,12 +28,10 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intlinalg import (
+    InvariantFactors,
     hnf_basis,
-    identity as eye,
-    inverse_unimodular,
     lattice_intersect,
     mat_mul,
-    snf,
     solve_congruences,
     solve_lattice,
     vec_mat,
@@ -319,12 +318,13 @@ def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
 # the ring itself
 
 
-class ScalarRing:
+class ScalarRing(InvariantFactors):
     """The ring of scalar triples of a pairing, with exact coordinates.
 
-    Additive structure: coordinates over `periods` (invariant factors of
-    the solution lattice modulo null triples, None meaning a free factor).
-    Multiplication is composition, tabulated on the additive basis.
+    Additive structure: the InvariantFactors of the solution lattice
+    modulo null triples, with each free basis vector oriented so that its
+    first nonzero entry is positive.  Multiplication is composition,
+    tabulated on the additive basis.
     """
 
     def __init__(self, pairing: Pairing, s_basis: List[List[int]],
@@ -360,34 +360,15 @@ class ScalarRing:
                     "null triple escapes the solution lattice")
             rel.append(y)
 
-        if rel:
-            d, _, v = snf(rel)
-            dvals = [d[j][j] if j < len(d) and j < len(d[j]) else 0
-                     for j in range(rho)]
-        else:
-            v = eye(rho)
-            dvals = [0] * rho
-        vinv = inverse_unimodular(v)
-        self._v = v
-        kept = [j for j in range(rho) if dvals[j] != 1]
-        signs = []
+        super().__init__(rel, rho)
         basis_vecs = []
-        for j in kept:
-            h = vec_mat(vinv[j], list(self.s_basis)) if rho else []
-            sign = 1
-            if dvals[j] == 0:
-                first = next((x for x in h if x), 0)
-                if first < 0:
-                    sign = -1
-                    h = [-x for x in h]
-            signs.append(sign)
+        for k, period in enumerate(self.periods):
+            h = vec_mat(self.rows[k], list(self.s_basis))
+            if period is None and next((x for x in h if x), 0) < 0:
+                self.negate(k)
+                h = [-x for x in h]
             basis_vecs.append(h)
-        self._kept = tuple(kept)
-        self._dvals = tuple(dvals[j] for j in kept)
-        self._signs = tuple(signs)
         self.basis_vecs = tuple(tuple(h) for h in basis_vecs)
-        self.periods: Tuple[Period, ...] = tuple(
-            None if d == 0 else d for d in self._dvals)
 
         unit_vec = [0] * n
         for idx, size, _ in slots:
@@ -457,14 +438,7 @@ class ScalarRing:
         if y is None:
             raise ScalarRingError("triple does not satisfy the pairing "
                                   "identities")
-        if not y:
-            return ()
-        yv = vec_mat(y, self._v)
-        out = []
-        for pos, (j, d) in enumerate(zip(self._kept, self._dvals)):
-            val = self._signs[pos] * yv[j]
-            out.append(val if d == 0 else val % d)
-        return tuple(out)
+        return self.coords(y)
 
     def element_vec(self, coords: Sequence[int]) -> List[int]:
         vec = [0] * self.lay.total
@@ -478,11 +452,6 @@ class ScalarRing:
         return self._reshape(self.element_vec(coords))
 
     # -- coordinate-level ring operations
-
-    def reduce(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(
-            c if d is None else c % d
-            for c, d in zip(coords, self.periods))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
@@ -503,14 +472,6 @@ class ScalarRing:
                 for i in range(k):
                     acc[i] += aj * bl * cell[i]
         return self.reduce(tuple(acc))
-
-    def order(self) -> Optional[int]:
-        total = 1
-        for d in self.periods:
-            if d is None:
-                return None
-            total *= d
-        return total
 
     # -- semantic recheck, independent of the congruence assembly
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian, _section_basis
-from .intlinalg import inverse_unimodular, snf, solve_congruences
+from .abelian import FgAbelian
+from .intlinalg import InvariantFactors, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
 
@@ -29,19 +28,6 @@ def hirsch_length(p: PcPresentation) -> int:
 
 def nilpotency_class(p: PcPresentation) -> int:
     return len(sg.lower_central_series(p)) - 1
-
-
-def _reduce_by(p: PcPresentation, x, sub: Subgroup):
-    """Right-reduce the deeper coordinates of x modulo the rows of sub."""
-    lead = sg.leading_index(x)
-    for r in sub.rows:
-        mu = sg.leading_index(r)
-        if lead is not None and mu <= lead:
-            continue
-        q = x[mu - 1] // r[mu - 1]
-        if q:
-            x = pc.multiply(p, x, pc.power(p, r, -q))
-    return x
 
 
 def _torsion_image_part(p: PcPresentation, z: Subgroup,
@@ -66,10 +52,6 @@ def _free_complement(p: PcPresentation, z: Subgroup,
     Requires z/inner free, which holds when inner is the torsion-image
     part: the quotient embeds into a free abelian group.
     """
-    rows = z.rows
-    s = len(rows)
-    if s == 0:
-        return z
     w_rows = []
     for r in inner.rows:
         coeffs = z.coefficients_of(r)
@@ -79,18 +61,14 @@ def _free_complement(p: PcPresentation, z: Subgroup,
     w_rows += z.power_relations()
     if not w_rows:
         return z
-    d, _, v = snf(w_rows)
-    dvals = [d[j][j] if j < len(d) else 0 for j in range(s)]
-    if any(dv not in (0, 1) for dv in dvals):
+    f = InvariantFactors(w_rows, len(z.rows))
+    if any(d is not None for d in f.periods):
         raise SubgroupError("complement does not split off freely")
-    vinv = inverse_unimodular(v)
-    gens = [
-        _reduce_by(p, sg.prod_rows(p, rows, vinv[j]), inner)
-        for j in range(s) if dvals[j] == 0
-    ]
+    gens = [sg._reduce_deeper(p, sg.prod_rows(p, z.rows, row), inner.rows)
+            for row in f.rows]
     comp = sg.induce(p, gens)
-    reduced = tuple(_reduce_by(p, r, inner) for r in comp.rows)
-    return Subgroup(p, reduced)
+    return Subgroup(p, tuple(
+        sg._reduce_deeper(p, r, inner.rows) for r in comp.rows))
 
 
 @dataclass(frozen=True)
@@ -136,7 +114,7 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
         return quotients[b.rows]
 
     ab_name = f"{pres.name} abelianized"
-    ab = _section_basis(pres, whole, der, mod(der, ab_name), name=ab_name)
+    ab = FgAbelian(pres, whole, der, mod(der, ab_name), name=ab_name)
     iso_der = sg._isolator(pres, der, ab.qm)
     tors = sg._torsion_subgroup(pres, z)
     iso_c = _torsion_image_part(pres, z, ab)
@@ -145,12 +123,12 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     dz = sg.induce(pres, list(der.rows) + list(z.rows))
     m_sub = sg._isolator(pres, dz, mod(dz))
     mn_name = f"{pres.name} M/N"
-    mn = _section_basis(pres, m_sub, n_sub, mod(n_sub, mn_name), name=mn_name)
+    mn = FgAbelian(pres, m_sub, n_sub, mod(n_sub, mn_name), name=mn_name)
     if any(d is None for d in mn.periods):
         raise SubgroupError("M/N came out infinite")
     ni_name = f"{pres.name} N/Is"
-    n_is = _section_basis(pres, n_sub, iso_der, mod(iso_der, ni_name),
-                          name=ni_name)
+    n_is = FgAbelian(pres, n_sub, iso_der, mod(iso_der, ni_name),
+                     name=ni_name)
     if any(d is not None for d in n_is.periods):
         raise SubgroupError("N/Is(G') came out non-free")
 

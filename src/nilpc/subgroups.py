@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
-from .intlinalg import snf, inverse_unimodular, solve_congruences
+from .intlinalg import InvariantFactors, solve_congruences
 from .presentation import Element, PcPresentation
 
 
@@ -205,20 +205,22 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
             break
 
     ordered = [rows[lam] for lam in sorted(rows)]
-    leads = sorted(rows)
-    for k in range(len(ordered)):
-        r = ordered[k]
-        for mu in leads:
-            if mu <= leads[k]:
-                continue
-            c = r[mu - 1]
-            b = rows[mu][mu - 1]
-            q = c // b
-            if q:
-                r = pc.multiply(p, r, pc.power(p, rows[mu], -q))
-        ordered[k] = r
-        rows[leads[k]] = r
-    return Subgroup(p, tuple(ordered))
+    return Subgroup(p, tuple(_reduce_deeper(p, r, ordered) for r in ordered))
+
+
+def _reduce_deeper(p: PcPresentation, x: Element,
+                   rows: Sequence[Element]) -> Element:
+    """x reduced modulo the rows deeper than its lead, in ascending order of
+    lead mu: x becomes x * r^-q with q = x_mu // r_mu."""
+    lam = leading_index(x)
+    for r in rows:
+        mu = leading_index(r)
+        if lam is not None and mu <= lam:
+            continue
+        q = x[mu - 1] // r[mu - 1]
+        if q:
+            x = pc.multiply(p, x, pc.power(p, r, -q))
+    return x
 
 
 def is_normal(p: PcPresentation, s: Subgroup) -> bool:
@@ -271,6 +273,7 @@ class QuotientMap:
         self.pres = pres
         self.kept = kept
         self._pos = {j: k for k, j in enumerate(kept)}
+        self._gens = tuple(pc.generator(ambient, j) for j in kept)
 
     def proj(self, x: Element) -> Element:
         p, n = self.ambient, self.n
@@ -302,12 +305,7 @@ class QuotientMap:
         return tuple(out)
 
     def lift(self, q: Element) -> Element:
-        p = self.ambient
-        acc = pc.identity_element(p)
-        for j, tau in zip(self.kept, q):
-            if tau:
-                acc = pc.multiply(p, acc, pc.power(p, pc.generator(p, j), tau))
-        return acc
+        return prod_rows(self.ambient, self._gens, q)
 
 
 def quotient(p: PcPresentation, n: Subgroup, *, name: str = "") -> QuotientMap:
@@ -455,18 +453,9 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
 
 def _abelian_torsion_gens(p: PcPresentation, s: Subgroup) -> List[Element]:
     """Torsion generators of an abelian subgroup, via its relation lattice."""
-    rows = s.rows
-    rel = s.power_relations()
-    if not rel:
-        return []
-    d, _, v = snf(rel)
-    vinv = inverse_unimodular(v)
-    out = []
-    for j in range(len(rows)):
-        dj = d[j][j] if j < len(d) else 0
-        if dj > 1:
-            out.append(prod_rows(p, rows, vinv[j]))
-    return out
+    f = InvariantFactors(s.power_relations(), len(s.rows))
+    return [prod_rows(p, s.rows, row)
+            for row, d in zip(f.rows, f.periods) if d is not None]
 
 
 def torsion_subgroup(p: PcPresentation) -> Subgroup:

@@ -1,11 +1,14 @@
 """Command-line behaviour: reports, exit codes, determinism."""
 
 import cProfile
+import hashlib
 import json
 import pstats
+from pathlib import Path
 
 import pytest
 
+import nilpc
 from nilpc import files
 from nilpc import subgroups as sg
 from nilpc.cli import main
@@ -264,3 +267,37 @@ class TestPrimes:
         _, first = run(capsys, "primes", "--zmod", "12")
         _, second = run(capsys, "primes", "--zmod", "12")
         assert first == second
+
+
+FIXTURES = Path(nilpc.__file__).resolve().parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+REPORT_COMMANDS = (
+    ("check",), ("analyze",), ("series", "--kind", "lower"),
+    ("series", "--kind", "upper"), ("series", "--kind", "refined"),
+    ("scalars",), ("scalars", "--series", "upper"), ("adapt",),
+    ("enumerate",), ("invariants",))
+
+
+def _report_jobs():
+    """{job id: argv} of every report the benchmark pins in golden.json."""
+    jobs = {}
+    for name in ("HEIS", "NR", "F23", "ZG", "ZH", "ZK"):
+        for cmd in REPORT_COMMANDS:
+            jobs[" ".join(cmd + (name,))] = (
+                (cmd[0], str(FIXTURES / f"{name}.json")) + cmd[1:])
+    jobs["check HEIS_MUTATED"] = (
+        "check", str(FIXTURES / "HEIS_MUTATED.json"))
+    for n in (30, 60, 64):
+        jobs[f"primes --zmod {n}"] = ("primes", "--zmod", str(n))
+    return jobs
+
+
+REPORT_JOBS = _report_jobs()
+
+
+@pytest.mark.parametrize("job_id", list(REPORT_JOBS))
+def test_report_bytes_match_golden(capsys, job_id):
+    # A refactor must not move a single byte of a report.
+    golden = json.loads(GOLDEN.read_text())
+    code, out = run(capsys, *REPORT_JOBS[job_id])
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[job_id]

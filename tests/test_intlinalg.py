@@ -1,5 +1,7 @@
 """Frozen values and properties for the exact integer matrix layer."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,46 @@ def test_snf_properties(a):
             if i != j:
                 assert d[i][j] == 0
     assert diag == ref_smith_diagonal(a)
+
+
+def relation_lattices():
+    """(n, rel, y): rel spans a lattice in Z^n, possibly empty, rank-deficient
+    (zero or repeated rows) or all of Z^n (unit rows added); y is a vector."""
+    def build(n):
+        row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+        return st.tuples(st.just(n), st.lists(row, max_size=4),
+                         st.sampled_from(["plain", "repeat", "units"]), row)
+
+    def shape(case):
+        n, rel, extra, y = case
+        if extra == "repeat" and rel:
+            rel = rel + [[3 * x for x in rel[0]], [0] * n]
+        elif extra == "units":
+            rel = rel + la.identity(n)
+        return n, rel, y
+
+    return st.integers(0, 4).flatmap(build).map(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_lattices())
+def test_invariant_factors_properties(case):
+    n, rel, y = case
+    f = la.InvariantFactors(rel, n)
+    diag = ref_smith_diagonal(rel) if rel else []
+    diag += [0] * (n - len(diag))
+    assert f.periods == tuple(d or None for d in diag if d != 1)
+    assert f.order() == (None if 0 in diag else math.prod(diag))
+    k = len(f.periods)
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    assert [f.coords(r) for r in f.rows] == units
+    assert all(f.coords(r) == (0,) * k for r in rel)
+    for j in range(k):
+        before = list(f.coords(y))
+        f.negate(j)
+        before[j] = -before[j]
+        assert f.coords(y) == f.reduce(before)
+        assert f.coords(f.rows[j]) == units[j]
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,5 +1,8 @@
 """Collection engine: frozen values, the matrix-model oracle, and group laws."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +169,20 @@ def test_fixtures_are_consistent():
         p = factory()
         report = pc.consistency_check(p)
         assert report.ok, (p.name, report.failures)
+
+
+def test_dropped_presentation_is_freed():
+    # The collector's tables live on the presentation, not in a
+    # process-wide cache, so a presentation goes once nothing refers to it.
+    p = zg()
+    x = pc.normal_form(p, [(i, 1) for i in range(p.m, 0, -1)])
+    pc.multiply(p, x, x)
+    pc.power(p, x, -3)
+    assert pc.consistency_check(p).ok
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_mutated_heis_fails_consistency():
