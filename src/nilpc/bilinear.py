@@ -18,7 +18,7 @@ from . import subgroups as sg
 from .abelian import FgAbelian, section_basis
 from .intlinalg import hnf_basis, identity as eye, solve_congruences
 from .presentation import Element, PcPresentation
-from .subgroups import Subgroup, SubgroupError
+from .subgroups import Subgroup
 
 
 class SeriesError(ValueError):

@@ -4,8 +4,10 @@ A presentation file holds name, rank, the period list (0 encodes an
 infinite period), and the sparse power and commutator tails.  Parsing
 validates the schema, rebuilds the presentation (which enforces the
 support and range rules), and by default also runs the consistency
-check.  Emission is deterministic: tails sorted by index, keys in
-numeric order, fixed indentation.
+check.  Text that is not a JSON value the parser can build, such as
+arrays nested past the recursion limit, is a FileFormatError like any
+other malformed input.  Emission is deterministic: tails sorted by index,
+keys in numeric order, fixed indentation.
 """
 
 import json
@@ -132,13 +134,21 @@ def presentation_from_dict(d: dict, *, check: bool = True) -> PcPresentation:
     return p
 
 
-def parse(text: str, *, check: bool = True) -> PcPresentation:
+def _json(text: str):
+    """The JSON value in text; every way of failing is a FileFormatError."""
     try:
-        d = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno})")
-    return presentation_from_dict(d, check=check)
+    except RecursionError:
+        raise FileFormatError("not valid JSON: nested too deeply")
+    except ValueError as exc:  # e.g. an integer past the digit limit
+        raise FileFormatError(f"not valid JSON: {exc}")
+
+
+def parse(text: str, *, check: bool = True) -> PcPresentation:
+    return presentation_from_dict(_json(text), check=check)
 
 
 def load(path: str, *, check: bool = True) -> PcPresentation:
@@ -167,11 +177,7 @@ def load_fixture(name: str, *, check: bool = True) -> PcPresentation:
 
 def parse_hom_map(text: str, m: int) -> Tuple[pc.Word, ...]:
     """A map file is an array of m sparse image words."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"not valid JSON (line {exc.lineno}, column {exc.colno})")
+    raw = _json(text)
     if not isinstance(raw, list) or len(raw) != m:
         raise FileFormatError(f"map file must hold exactly {m} image words")
     return tuple(_tail(word, f"image {i + 1}")

@@ -29,24 +29,30 @@ proves that G~_i = <u_i, ..., u_m> is a group with those relations (see
   the conjugated suffix.
 
 Popping a letter of index i only ever pushes letters of index > i, which is
-what makes the loop terminate. The polynomials are derived once, on first
-use, and kept in the presentation's _layers field.
+what makes the loop terminate. The polynomials are derived once, by
+consistency_check or else on first use, and kept in the presentation's
+_layers field.
 
-The polynomials are interpolated from collection in the cover, and the
-layers from the last finite generator on are taken on trust, so they
-describe G only when the presentation is consistent. consistency_check
-therefore collects by rewriting alone and never derives them: an
-inconsistent presentation cannot pass by agreeing with tables interpolated
-from its own relations. The interpolation is complete by a degree bound from
-per-generator weights read off the commutator tails, as in Deep Thought
-(Leedham-Green & Soicher 1998); see "conjugation polynomials" below.
+The polynomials are interpolated from collection in the cover, and when
+they are derived on first use the layers from the last finite generator on
+are taken on trust, so they describe G only when the presentation is
+consistent. consistency_check therefore builds its own tables, bottom-up: it
+proves layer i of G by collecting in G_{i+1} = <u_{i+1}, ..., u_m>, already
+proven, with the tables of the layers above i, and derives layer i's table
+only after that (see consistency_check). It never reads tables derived
+earlier, so an inconsistent presentation cannot pass by agreeing with tables
+interpolated from its own relations; the tables it builds stay on the
+presentation for the commands that follow. The interpolation is complete by
+a degree bound from per-generator weights read off the commutator tails, as
+in Deep Thought (Leedham-Green & Soicher 1998); see "conjugation
+polynomials" below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 Period = Optional[int]  # None = infinite
@@ -123,8 +129,9 @@ class PcPresentation:
                 raise PresentationError(
                     f"{self.name}: tail touches generator {k}, needs support > {low}"
                 )
-            if k < prev:
-                raise PresentationError(f"{self.name}: tail word not ascending")
+            if k <= prev:
+                raise PresentationError(
+                    f"{self.name}: tail word not strictly ascending")
             prev = k
             ek = self.periods[k - 1]
             if e == 0:
@@ -190,15 +197,18 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # conjugation automorphisms, by rewriting
 #
-# Letters below the lowest accepted layer of the cover, and every letter that
-# consistency_check collects, move by these automorphisms (layers=None
-# selects rewriting throughout). _step(p, i) maps k > i to the canonical
-# form of u_i^-1 u_k u_i; _step_inv is its inverse, solved from the top
+# Letters below the lowest accepted layer of the cover move by these
+# automorphisms, and so does every letter of the rewriting pass that writes
+# consistency_check's failure list (layers=None selects rewriting
+# throughout). _step(p, i) maps k > i to the canonical form of
+# u_i^-1 u_k u_i, which is also the map c: u_k -> u_k [u_k, u_i] whose
+# extension the check proves; _step_inv is its inverse, solved from the top
 # index downward. Both are kept in the presentation's _steps field, under i
-# and -i, and _step_inv is always solved by rewriting, so both paths read
-# the same images. The field is separate from _layers because
-# consistency_check needs these tables but must not derive the layers.
-# Larger exponents are assembled by binary powering.
+# and -i, and _step_inv is always solved by rewriting, so every path reads
+# the same images. The field is separate from _layers because its entries
+# depend on the relations alone, whenever they were filled, so the check may
+# read them; it must never read layers derived on trust. Larger exponents
+# are assembled by binary powering.
 
 
 def _step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
@@ -308,10 +318,13 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 #
 # The certificate collects in G~_{i+1} with the accepted layers above i,
 # never with layer i's own table, and the layers below the first one that
-# fails keep rewriting. From the last finite generator f on, the cover's
-# tables are G's own (G~_{i+1} = G_{i+1} for i >= f), and the consistency
-# of G, which files.load checks by default, already makes conjugation by u_i
-# an automorphism there; the certificate skips those layers.
+# fails keep rewriting. It is the triple part of the routine (_extends) that
+# proves layer i of G in consistency_check: the cover has no periods, so the
+# other parts do not apply to it. From the last finite generator f on, the
+# cover's tables are G's own (G~_{i+1} = G_{i+1} for i >= f), so layer i of
+# G, which consistency_check proves before it derives layer i's table,
+# includes the certificate. The certificate skips those layers, and tables
+# derived on first use take them on trust.
 
 
 @dataclass(frozen=True)
@@ -355,12 +368,16 @@ def _conj_layers(p: PcPresentation) -> _Tables:
     return layers
 
 
-def _derive_layers(p: PcPresentation, slack: int = 0) -> _Tables:
+def _derive_layers(p: PcPresentation, slack: int = 0,
+                   check: bool = False) -> Optional[_Tables]:
     """Certify and derive the layers of the cover, deepest first, down to
     the first layer whose certificate fails.
 
-    slack raises every degree bound, so more lattice points are used; a
-    sound bound leaves the tables unchanged (the tests pin it that way).
+    With check set, layer i of p itself is proven before layer i's table
+    is derived, every layer of p is proven, and None is returned at the
+    first layer that fails (see consistency_check). slack raises every
+    degree bound, so more lattice points are used; a sound bound leaves the
+    tables unchanged (the tests pin it that way).
     """
     m = p.m
     cover = PcPresentation(p.name, (None,) * m, (), p.commutators)
@@ -372,25 +389,48 @@ def _derive_layers(p: PcPresentation, slack: int = 0) -> _Tables:
             weight[l] = max(weight[l], weight[i] + weight[j])
     polys: list = [None] * m
     layers = _Tables(cover, polys, finite)
+    low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
-        if i < trusted and not _certified(cover, i, layers):
+        if check and not _extends(p, i, layers):
+            return None
+        if low == i + 1 and (i >= trusted or _extends(cover, i, layers)):
+            polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
+            low = i
+        elif not check:
             break
-        polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
     return _Tables(cover, tuple(polys), finite)
 
 
-def _certified(cover: PcPresentation, i: int, layers: _Tables) -> bool:
-    """The certificate of layer i (see "the cover"), collected in G~_{i+1}."""
-    c = dict(_step(cover, i))
-    for j in range(i + 1, cover.m + 1):
+def _extends(q: PcPresentation, i: int, layers: _Tables) -> bool:
+    """Whether layer i of q is consistent, given that Q_{i+1} =
+    <u_{i+1}, ..., u_m> is: the overlaps of layer i, read as relations of
+    c: u_l -> u_l [u_l, u_i] (l > i), collected in Q_{i+1} with the tables
+    of the layers above i (see consistency_check). The cover has no
+    periods, so there only the triple part applies, and it is the
+    certificate of layer i (see "the cover")."""
+    c = dict(_step(q, i))
+    for j in range(i + 1, q.m + 1):
         cj = c[j]
-        cj_inv = _inverse(cover, cj, layers)
-        for k, ukj in _step(cover, j):  # ukj = u_k [u_k, u_j]
-            lhs = _multiply(cover, _multiply(cover, cj_inv, c[k], layers), cj,
-                            layers)
-            if lhs != _apply_aut(cover, c, ukj, layers):
+        cj_inv = _inverse(q, cj, layers)
+        for k, ukj in _step(q, j):  # ukj = u_k [u_k, u_j]
+            lhs = _multiply(q, _multiply(q, cj_inv, c[k], layers), cj, layers)
+            if lhs != _apply_aut(q, c, ukj, layers):
                 return False
-    return True
+        ej = q.periods[j - 1]
+        if ej is not None:
+            wj = element_of_word_coords(q, q.power_tail(j))
+            if _apply_aut(q, c, wj, layers) != _power(q, cj, ej, layers):
+                return False
+    ei = q.periods[i - 1]
+    if ei is None:
+        return True
+    wi = element_of_word_coords(q, q.power_tail(i))
+    wi_inv = _inverse(q, wi, layers)
+    for j, img in _conj_aut(q, i, ei, layers).items():
+        uj = _multiply(q, wi_inv, generator(q, j), layers)
+        if img != _multiply(q, uj, wi, layers):
+            return False
+    return _apply_aut(q, c, wi, layers) == wi
 
 
 def _derive_layer(p: PcPresentation, i: int, weight, layers,
@@ -658,30 +698,70 @@ class ConsistencyReport:
 
 
 def consistency_check(p: PcPresentation) -> ConsistencyReport:
-    """Collect the standard overlap pairs both ways and compare.
+    """Prove the presentation consistent layer by layer, from i = m down to
+    1, and leave the collector's tables on it; at the first layer that
+    fails, write the failure list by rewriting.
+
+    By descending induction on i, let the presentation of G_{i+1} =
+    <u_{i+1}, ..., u_m> be consistent. The overlaps of layer i are
+    relations of c: u_l -> u_l [u_l, u_i] (l > i), collected in G_{i+1}
+    (_extends):
+
+    - triple: c(u_j)^-1 c(u_k) c(u_j) == c(u_k [u_k, u_j]), i < j < k;
+    - power-gen: c(w_j) == c(u_j)^{e_j} for each finite e_j, j > i;
+    - gen-power: c^{e_i} is conjugation by w_i on G_{i+1};
+    - power-power: c(w_i) == w_i;
+
+    where w_l is the power tail of u_l. The first two say that c respects
+    the relations of G_{i+1}, so by von Dyck it extends to an endomorphism
+    of G_{i+1}. It moves each u_l only by an element of G_{l+1}, so it is
+    onto, and finitely generated nilpotent groups are Hopfian, so c is an
+    automorphism. For infinite e_i, G_i is then the semidirect product of
+    G_{i+1} by <u_i> acting through c. For finite e_i, the last two are
+    what the cyclic extension of G_{i+1} by u_i needs. Either way G_i is
+    consistent, and the relations u_i u_l u_i^-1 = c^-1(u_l) hold with no
+    check of their own (the overlaps with inverses of Sims 1994, section
+    9.8, are redundant here because the tails of [u_j, u_i] have support
+    > j). Conversely, in a consistent G_i conjugation by u_i is such an
+    automorphism, so every layer passes.
+
+    The tables of the layers above i may be used at layer i without
+    circularity. Layer l's table describes the cover G~_l and is accepted
+    only once G~_l is proven: by its certificate below the last finite
+    generator f, and from f on by layer l of G itself, which the loop
+    proves first (G~_{l+1} = G_{l+1} there, and the triple part is the
+    certificate). Collection in G_{i+1} moves a letter by such a table and
+    reduces in G, which is sound because u_l -> u_l is a homomorphism
+    G~_l -> G_l once G_l is a group with the presentation's relations, and
+    the induction has proven that for every l > i. In G_{i+1} every
+    collection that applies valid relations ends in the one normal form,
+    so layer i is decided as rewriting would decide it. Layer i's own table
+    is derived only after layer i passes, under the accept rule of
+    _derive_layers, and tables derived earlier on trust (p._layers) are
+    never read.
+
+    When every layer passes, the tables are left in p._layers, equal to
+    _derive_layers(p), for the commands that follow. When one fails, the
+    overlap pairs are collected both ways by rewriting alone in all of G
+    (_rewriting_check), which writes the report; the tests hold the two
+    passes against each other.
+    """
+    layers = _derive_layers(p, check=True)
+    if layers is None:
+        return _rewriting_check(p)
+    object.__setattr__(p, "_layers", layers)
+    return ConsistencyReport(ok=True, failures=())
+
+
+def _rewriting_check(p: PcPresentation) -> ConsistencyReport:
+    """Collect the standard overlap pairs both ways, by rewriting alone,
+    and compare.
 
     Checked overlaps: u_k(u_j u_i) vs (u_k u_j)u_i for k > j > i;
     u_j^{e_j} u_i against the power tail for finite e_j; u_j u_i^{e_i}
-    likewise for finite e_i; and u_i^{e_i + 1} both ways.
-
-    Overlaps with inverses of infinite-period generators (u_j u_i^-1 u_i and
-    the like; Sims 1994, section 9.8) are not checked: the tails of
-    [u_j, u_i] have support > j, and for such nilpotent presentations they
-    are redundant. By descending induction on i, let the presentation of
-    G_{i+1} = <u_{i+1}, ..., u_m> be consistent. The overlaps at (k, j, i)
-    and the power-gen overlaps at (j, i) say that c: u_l -> u_l [u_l, u_i]
-    (l > i) respects the relations of G_{i+1}, so by von Dyck it extends to
-    an endomorphism of G_{i+1}. It moves each u_l only by an element of
-    G_{l+1}, so it is onto, and finitely generated nilpotent groups are
-    Hopfian, so c is an automorphism. For infinite e_i, G_i is then the
-    semidirect product of G_{i+1} by <u_i> acting through c. For finite
-    e_i, the gen-power overlaps say that c^{e_i} is conjugation by the
-    power tail w and the power-power overlap that c fixes w, which is what
-    the cyclic extension of G_{i+1} by u_i needs. Either way the relations
-    u_i u_l u_i^-1 = c^-1(u_l) hold with no check of their own. Collection
-    certifies the torsion-free cover by the same argument (see "the
-    cover"), and the tests hold the two against each other on random
-    presentations.
+    likewise for finite e_i; and u_i^{e_i + 1} both ways. Each is the
+    layer-i relation of the same name in consistency_check, so both passes
+    reject the same presentations.
     """
     failures = []
     m = p.m

@@ -11,8 +11,7 @@ equality of row tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from .intlinalg import InvariantFactors, solve_congruences

@@ -416,8 +416,9 @@ def ref_constrained_subgroup(p, s, conditions):
 #
 # The package certifies the cover of a presentation layer by layer, by an
 # endomorphism check collected with its own polynomials. The oracle asks the
-# rewriting consistency_check of each periods-dropped subpresentation
-# instead.
+# rewriting pass of consistency_check (_rewriting_check, which collects
+# every overlap in the whole group and derives no tables) about each
+# periods-dropped subpresentation instead.
 
 
 def lowest_consistent_cover_layer(p):
@@ -432,6 +433,6 @@ def lowest_consistent_cover_layer(p):
         cover = pc.PcPresentation(name=f"{p.name} cover of G_{i}",
                                   periods=(None,) * (m - i + 1),
                                   commutators=comms)
-        if not pc.consistency_check(cover).ok:
+        if not pc._rewriting_check(cover).ok:
             return i + 1
     return 1

@@ -3,11 +3,14 @@
 A letter u_i^e of a layer whose torsion-free cover is certified moves past
 the suffix with one evaluation of a conjugation polynomial, and the finite
 coordinates it pushes out of range are reduced in the cover; every other
-letter, and everything consistency_check collects, goes by rewriting. These
-tests hold the two paths to the same answers, compare them with matrix
-models at large exponents, pin the degree bound the polynomials are
-interpolated under, pin the certificate against a rewriting oracle on random
-presentations, and check that consistency_check never derives the tables.
+letter goes by rewriting. These tests hold the two paths to the same
+answers, compare them with matrix models at large exponents, pin the degree
+bound the polynomials are interpolated under, and pin the certificate
+against a rewriting oracle on random presentations. consistency_check
+proves a presentation layer by layer on the tables it builds: the tests hold
+its reports to those of the rewriting pass (_rewriting_check) on mutants and
+random presentations, check that it never reads tables derived earlier, and
+that the tables it leaves are those derived on first use.
 """
 
 import functools
@@ -214,13 +217,21 @@ def random_presentation(rng):
 
 
 def test_certificate_matches_rewriting_oracle_sweep():
+    # consistency_check against its rewriting pass on every draw, then the
+    # certificate against the oracle and collection against rewriting on
+    # the consistent ones
     rng = random.Random("cover sweep")
     consistent = fails = 0
     for _ in range(1000):
         p = random_presentation(rng)
-        if not pc.consistency_check(p).ok:
+        q = PcPresentation(p.name, p.periods, p.powers, p.commutators)
+        report = pc.consistency_check(p)
+        assert report == pc._rewriting_check(q), p
+        if not report.ok:
+            assert p._layers is None
             continue
         consistent += 1
+        assert p._layers == pc._derive_layers(q), p
         low = oracles.lowest_consistent_cover_layer(p)
         assert accepted_layers(p) == list(range(low, p.m + 1)), p
         fails += low > 1
@@ -256,7 +267,7 @@ def test_one_more_interpolation_point_changes_nothing(name):
     assert pc._derive_layers(p, slack=1) == layers
 
 
-# -- consistency_check rewrites ------------------------------------------------
+# -- consistency_check, bottom-up --------------------------------------------
 
 
 def _mutant(p, key, tail):
@@ -266,6 +277,15 @@ def _mutant(p, key, tail):
     return PcPresentation(name=f"{p.name} mutated", periods=p.periods,
                           powers=p.powers,
                           commutators=tuple(sorted(comms.items())))
+
+
+def _power_mutant(p, i, tail):
+    """p with the power tail of u_i replaced."""
+    powers = dict(p.powers)
+    powers[i] = tail
+    return PcPresentation(name=f"{p.name} mutated", periods=p.periods,
+                          powers=tuple(sorted(powers.items())),
+                          commutators=p.commutators)
 
 
 # Each mutation changes one tail and breaks the overlap named beside it, so
@@ -288,6 +308,35 @@ MUTANTS = {
     "NR": lambda: _mutant(nr(), (4, 3), ((5, 1),)),
 }
 
+# Mutants by where the defect sits: (make, the one layer i whose overlaps
+# fail, given that G_{i+1} is consistent, and a kind that fails there). The
+# check proves G_{i+1} on its own tables before it reaches layer i.
+PLACED_MUTANTS = {
+    # top layer, with every deeper table in use: [e13, e12] = e14^-1,
+    # where e12 and e13 commute in UT_5 (u5 = e13, u8 = e14)
+    "UT_5 top": (lambda: _mutant(unitriangular(5), (5, 1), ((8, -1),)),
+                 1, "triple"),
+    # deep layer: [e35, e13] = e14 in place of e15^-1 (u5 = e13, u7 = e35,
+    # u8 = e14). G_5 stays consistent, but conjugation by e45 (u4) fixes
+    # e13 and e35 and moves e14 to e14 e15, so it breaks the new relation
+    "UT_5 deep": (lambda: _mutant(unitriangular(5), (7, 5), ((8, 1),)),
+                  4, "triple"),
+    # finite layer: u4 = a has period 5 and the central power tail u5 = f;
+    # [u9, u4] = u10 makes c^5 move u9 by u10^5, where conjugation by f
+    # fixes it
+    "ZG gen-power": (lambda: _mutant(zg(), (9, 4), ((10, 1),)), 4,
+                     "gen-power"),
+    # power tail u8^5 = u9^2: u3 = d conjugates u4 to u4 u8, and
+    # (u4 u8)^5 = u5 u9^2 is no longer c(u4^5) = u5
+    "ZG power-gen": (lambda: _power_mutant(zg(), 8, ((9, 2),)), 3,
+                     "power-gen"),
+    # power tail x^2 = y^2 in HEIS on x, x^2, y, z: conjugation by x moves
+    # y^2 to (y z^-1)^2, so x does not commute with its own power
+    "HEIS-index2 power-power": (
+        lambda: _power_mutant(heis_index2(), 1, ((3, 2),)), 1,
+        "power-power"),
+}
+
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_check_rejects_mutants_after_tables_exist(name):
@@ -298,11 +347,36 @@ def test_check_rejects_mutants_after_tables_exist(name):
     assert not pc.consistency_check(p).ok
 
 
-@pytest.mark.parametrize("name", ["F23", "ZG", "UT_5", "HEIS-index2", "NR"])
-def test_check_leaves_tables_unset(name):
-    p = BASE[name]()
-    assert pc.consistency_check(p).ok
+@pytest.mark.parametrize("name", list(MUTANTS) + list(PLACED_MUTANTS))
+def test_check_reports_mutants_as_rewriting_does(name):
+    make, layer, kind = PLACED_MUTANTS.get(name) or (MUTANTS[name], 0, None)
+    p = make()
+    report = pc.consistency_check(p)
+    assert not report.ok
     assert p._layers is None
+    assert report == pc._rewriting_check(make())
+    if kind is not None:
+        assert max(f.i for f in report.failures) == layer
+        assert kind in {f.kind for f in report.failures if f.i == layer}
+
+
+# an inconsistent relative of each group, whose tables the check must not read
+RELATIVES = {
+    "F23": MUTANTS["F23"], "ZG": MUTANTS["ZG"],
+    "UT_5": PLACED_MUTANTS["UT_5 top"][0],
+    "HEIS-index2": PLACED_MUTANTS["HEIS-index2 power-power"][0],
+    "NR": MUTANTS["NR"],
+}
+
+
+@pytest.mark.parametrize("name", list(RELATIVES))
+def test_check_leaves_the_tables_derived_on_first_use(name):
+    p = BASE[name]()
+    wrong = pc._derive_layers(RELATIVES[name]())
+    object.__setattr__(p, "_layers", wrong)
+    assert pc.consistency_check(p).ok
+    assert p._layers == pc._derive_layers(BASE[name]())
+    assert p._layers != wrong
 
 
 # -- runtime dependencies --------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Presentation file format: schema, round trips, packaged fixtures."""
+"""Presentation file format: schema, round trips, packaged fixtures, and
+malformed input, which may only end in FileFormatError or
+PresentationError."""
+
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilpc import files
+from nilpc.cli import main
 from nilpc.deformation import abdef, adapt_basis
 from nilpc.presentation import PresentationError
 
@@ -85,6 +91,81 @@ class TestSchemaErrors:
     def test_not_json(self):
         with pytest.raises(files.FileFormatError):
             files.parse("{nope")
+
+    def test_tail_repeating_a_generator(self):
+        text = ('{"name": "bad", "rank": 3, "periods": [0, 0, 0], '
+                '"powers": {}, "commutators": {"2,1": [[3, 1], [3, 1]]}}')
+        with pytest.raises(PresentationError):
+            files.parse(text, check=False)
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", [DEEP, "1" * 5000, "[" + "1" * 5000 + "]"])
+    def test_json_the_parser_cannot_build(self, text):
+        # nesting past the recursion limit, integers past the digit limit
+        with pytest.raises(files.FileFormatError):
+            files.parse(text)
+        with pytest.raises(files.FileFormatError):
+            files.parse_hom_map(text, 1)
+
+    def test_cli_exits_2_on_deep_nesting(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        assert main(["check", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20)
+
+
+@st.composite
+def near_presentations(draw):
+    """Dicts close to the schema, so that most reach the constructor and
+    some the consistency check."""
+    rank = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(1, 5), st.integers(-2, 2)).map(list)
+    tail = st.sampled_from((True,) * 9 + (False,)).flatmap(
+        lambda ok: st.lists(pair, max_size=2) if ok else
+        st.lists(st.lists(st.integers(-3, 6), max_size=3), max_size=2))
+    d = {
+        "name": draw(st.text(max_size=3)),
+        "rank": rank,
+        "periods": draw(st.lists(st.sampled_from((0, 0, 0, 2, 3, 1, -1)),
+                                 min_size=rank, max_size=rank)),
+        "powers": draw(st.dictionaries(
+            st.sampled_from(("1", "2", "3") * 3 + ("x",)), tail, max_size=2)),
+        "commutators": draw(st.dictionaries(
+            st.sampled_from(("2,1", "3,1", "3,2", "4,1", "4,2", "4,3") * 3
+                            + ("1,2", "2", "a,b")),
+            tail, max_size=4)),
+    }
+    key = draw(st.sampled_from([None] * 10 + sorted(d)))
+    if key is not None:
+        d[key] = draw(JSON)
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(JSON, near_presentations()).map(json.dumps)
+       | st.text(max_size=40))
+def test_parsers_raise_only_format_or_presentation_errors(text):
+    for t in (text, text[:-1]):
+        try:
+            files.parse(t)
+        except (files.FileFormatError, PresentationError):
+            pass
+        try:
+            files.parse_hom_map(t, 2)
+        except files.FileFormatError:
+            pass
 
 
 class TestHomMapFiles:

@@ -244,6 +244,18 @@ def test_tail_exponent_out_of_range_rejected():
         )
 
 
+def test_tail_repeating_a_generator_rejected():
+    # the collector would read ((3, 1), (3, 1)) as u3, a word evaluation as
+    # u3^2: tails must name each generator once, in ascending order
+    for comm in (((3, 1), (3, 1)), ((3, 1), (3, -1))):
+        with pytest.raises(PresentationError):
+            PcPresentation(name="bad", periods=(None,) * 3,
+                           commutators=(((2, 1), comm),))
+    with pytest.raises(PresentationError):
+        PcPresentation(name="bad", periods=(2, None, None),
+                       powers=((1, ((2, 1), (3, 1), (3, 1))),))
+
+
 def _assert_canonical(p, x):
     for e, v in zip(p.periods, x):
         if e is not None:
