@@ -231,6 +231,12 @@ def _load_hom(src_path: str, dst_path: str, map_path: str):
     dst = files.load(dst_path)
     with open(map_path, "r", encoding="utf-8") as fh:
         words = files.parse_hom_map(fh.read(), src.m)
+    for i, word in enumerate(words):
+        for k, _ in word:
+            if not 1 <= k <= dst.m:
+                raise files.FileFormatError(
+                    f"image {i + 1}: letter {k} is not a generator of "
+                    f"{dst.name}, which has rank {dst.m}")
     images = tuple(pc.normal_form(dst, w) for w in words)
     return src, dst, hom_from_images(src, dst, images)
 

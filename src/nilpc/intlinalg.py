@@ -271,49 +271,31 @@ class InvariantFactors:
         self._cols[k] = [-x for x in self._cols[k]]
 
 
-def left_kernel(a: Sequence[Sequence[int]]) -> Matrix:
-    """Basis of {x : x * a == 0}."""
-    h, u = hnf(a)
-    return [u[i] for i in range(len(h)) if not any(h[i])]
-
-
 def solve_lattice(
     basis: Sequence[Sequence[int]], v: Sequence[int]
 ) -> Optional[List[int]]:
-    """Coefficients x with x * basis == v, or None if v is outside the span."""
-    if not basis:
-        return [] if not any(v) else None
-    h, u = hnf(basis)
-    w = [0] * len(basis)
+    """Coefficients x with x * basis == v, or None if v is outside the span.
+
+    `basis` must be in echelon shape, as hnf_basis returns it: nonzero rows
+    whose leading columns strictly increase.  Then x is read off in one
+    back-substitution; any other basis raises ValueError.
+    """
+    leads = [next((j for j, a in enumerate(row) if a), None) for row in basis]
+    if None in leads or any(a >= b for a, b in zip(leads, leads[1:])):
+        raise ValueError("solve_lattice needs an echelon basis")
+    x = []
     residual = list(v)
-    for k, row in enumerate(h):
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        if residual[nz] % row[nz]:
+    for row, lead in zip(basis, leads):
+        q, r = divmod(residual[lead], row[lead])
+        if r:
             return None
-        q = residual[nz] // row[nz]
-        w[k] = q
+        x.append(q)
         if q:
-            for j in range(len(residual)):
+            for j in range(lead, len(residual)):
                 residual[j] -= q * row[j]
     if any(residual):
         return None
-    return vec_mat(w, u)
-
-
-def lattice_intersect(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], ncols: int
-) -> Matrix:
-    """Spanning set of span(a) intersect span(b) inside Z^ncols."""
-    if not a or not b:
-        return []
-    stacked = [list(r) for r in a] + [list(r) for r in b]
-    out = []
-    for coeffs in left_kernel(stacked):
-        x = coeffs[: len(a)]
-        out.append(vec_mat(x, a))
-    return hnf_basis(out, ncols)
+    return x
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,14 @@ canonical refinements of the series:
 
 Compatibility is expressed through linear side conditions on the scalar
 triples (intertwining with the connecting maps between layers, invariance
-of the embedded images), and the final ring is the intersection of the two
-compatible subrings.  Each gap of each chain is reported together with the
-matrices by which the ring's additive basis acts on it; the one gap that
-carries no action (between a chain's graded part and its central
-refinement) is marked special and reported without matrices.
+of the embedded images).  The final ring is one restriction of the
+layer-compatible ring by the conditions of both chains together; that is
+the intersection of the two chains' compatible subrings, because the
+conditions of the two chains share no auxiliary unknowns.  Each gap of
+each chain is reported together with the matrices by which the ring's
+additive basis acts on it; the one gap that carries no action (between a
+chain's graded part and its central refinement) is marked special and
+reported without matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .scalars import (
     ScalarRing,
     ScalarRingError,
     _offsets,
-    intersect_rings,
     pairing_of,
     restrict_ring,
     scalar_ring,
@@ -69,8 +71,6 @@ class RefinedSeries:
     bilin: Bilinearization
     base_ring: ScalarRing
     pl_ring: ScalarRing
-    ae_ring: ScalarRing
-    ad_ring: ScalarRing
     ring: ScalarRing
     upper_chain: Tuple[Tuple[str, Subgroup], ...]
     left_chain: Tuple[Tuple[str, Subgroup], ...]
@@ -99,9 +99,10 @@ def _block_of(mat, off: int, size: int, periods, m_name: str):
     """Extract a diagonal block, insisting the rest of its rows/columns
     vanish as maps."""
     n = len(periods)
-    for r in range(off, off + size):
+    inside = range(off, off + size)
+    for r in range(n):
         for c in range(n):
-            if off <= c < off + size:
+            if (r in inside) == (c in inside):
                 continue
             v = mat[r][c]
             per = periods[r]
@@ -109,19 +110,7 @@ def _block_of(mat, off: int, size: int, periods, m_name: str):
             if bad:
                 raise ScalarRingError(
                     f"{m_name} does not respect the grading")
-    for c in range(off, off + size):
-        for r in range(n):
-            if off <= r < off + size:
-                continue
-            v = mat[r][c]
-            per = periods[r]
-            bad = v != 0 if per is None else v % per != 0
-            if bad:
-                raise ScalarRingError(
-                    f"{m_name} does not respect the grading")
-    return tuple(
-        tuple(mat[r][c] for c in range(off, off + size))
-        for r in range(off, off + size))
+    return tuple(tuple(mat[r][c] for c in inside) for r in inside)
 
 
 def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
@@ -157,8 +146,6 @@ def refined_series(p: PcPresentation,
     gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))
     pairing = pairing_of(b)
     base = scalar_ring(pairing)
-    boffs = _offsets(pairing.b_blocks)
-    coffs = _offsets(pairing.c_blocks)
 
     # compatibility with the connecting maps between consecutive layers
     pl_cons = []
@@ -169,7 +156,7 @@ def refined_series(p: PcPresentation,
             continue
         pl_cons.append(HomCompat(
             _embedding_matrix(small, big), c_block=i - 2, b_block=i - 1))
-    pl = restrict_ring(base, pl_cons) if pl_cons else base
+    pl = restrict_ring(base, pl_cons)
 
     # central parts of the lower-style terms
     zc = {}
@@ -184,7 +171,6 @@ def refined_series(p: PcPresentation,
             continue
         ae_cons.append(InvariantSubmodule(
             "phi0", i - 2, tuple(sec.coords(r) for r in zc[i].rows)))
-    ae = restrict_ring(pl, ae_cons) if ae_cons else pl
 
     # intersections of the radical with the upper-style terms
     vcond = [(s.upper[i].rows, s.lower[i + 2]) for i in range(c - 1)]
@@ -201,9 +187,7 @@ def refined_series(p: PcPresentation,
         if not sec.periods or not gens_i:
             continue
         ad_cons.append(InvariantSubmodule("phi2", i - 1, gens_i))
-    ad = restrict_ring(pl, ad_cons) if ad_cons else pl
-
-    ring = intersect_rings(ae, ad)
+    ring = restrict_ring(pl, ae_cons + ad_cons)
 
     # chains
     terms_u: List[Tuple[str, Subgroup]] = []
@@ -234,17 +218,27 @@ def refined_series(p: PcPresentation,
         coords = tuple(1 if i == j else 0 for i in range(k))
         triples.append(ring.triple_of(coords))
 
-    def phi2_blocks(i):
-        off, size = boffs[i], pairing.b_blocks[i]
-        return tuple(
-            _block_of(t[1], off, size, pairing.periods_b, "phi2")
-            for t in triples)
+    # per matrix name: its place in a triple, the sections of its blocks,
+    # the block offsets and the periods of the whole module
+    geometry = {
+        "phi2": (1, b.right, _offsets(pairing.b_blocks), pairing.periods_b),
+        "phi0": (2, b.out, _offsets(pairing.c_blocks), pairing.periods_c),
+    }
 
-    def phi0_blocks(i):
-        off, size = coffs[i], pairing.c_blocks[i]
-        return tuple(
-            _block_of(t[2], off, size, pairing.periods_c, "phi0")
-            for t in triples)
+    def blocks(which, i):
+        slot, secs, offs, periods = geometry[which]
+        size = len(secs[i].periods)
+        return tuple(_block_of(t[slot], offs[i], size, periods, which)
+                     for t in triples)
+
+    def pullbacks(sec, which, i):
+        """The action on sec, a section embedded in block i of `which`."""
+        if not sec.periods:
+            return tuple(() for _ in triples)
+        big = geometry[which][1][i]
+        e = _embedding_matrix(sec, big)
+        return tuple(_pullback(e, big.periods, sec, m)
+                     for m in blocks(which, i))
 
     actions: List[ChainAction] = []
 
@@ -260,22 +254,15 @@ def refined_series(p: PcPresentation,
         if idx < c - 1:
             i = idx + 1  # gap (U_i, U_{i+1})
             emit("upper", top, bottom, b.right[i - 1],
-                 "phi2", phi2_blocks(i - 1))
+                 "phi2", blocks("phi2", i - 1))
         elif idx == c - 1:
             emit("upper", top, bottom, gap_section, "special", None)
         else:
             i = idx - c + 2  # gap (Z^L_i, Z^L_{i+1})
             sec = section_basis(p, zc[i], zc[i + 1],
                                 name=f"{p.name} central part {i}")
-            big = b.out[i - 2]
-            if sec.periods:
-                e = _embedding_matrix(sec, big)
-                mats = tuple(
-                    _pullback(e, big.periods, sec, m)
-                    for m in phi0_blocks(i - 2))
-            else:
-                mats = tuple(() for _ in triples)
-            emit("upper", top, bottom, sec, "pullback-phi0", mats)
+            emit("upper", top, bottom, sec, "pullback-phi0",
+                 pullbacks(sec, "phi0", i - 2))
 
     # left-domain chain gaps
     for idx in range(len(terms_l) - 1):
@@ -289,15 +276,8 @@ def refined_series(p: PcPresentation,
             i = idx  # gap (W_i G', W_{i+1} G'), with W_1 G' read as V
             sec = section_basis(p, top[1], bottom[1],
                                 name=f"{p.name} radical layer {i}")
-            big = b.right[i - 1]
-            if sec.periods:
-                e = _embedding_matrix(sec, big)
-                mats = tuple(
-                    _pullback(e, big.periods, sec, m)
-                    for m in phi2_blocks(i - 1))
-            else:
-                mats = tuple(() for _ in triples)
-            emit("left", top, bottom, sec, "pullback-phi2", mats)
+            emit("left", top, bottom, sec, "pullback-phi2",
+                 pullbacks(sec, "phi2", i - 1))
         elif idx == c:
             sec = section_basis(p, top[1], bottom[1],
                                 name=f"{p.name} special gap (left)")
@@ -305,10 +285,9 @@ def refined_series(p: PcPresentation,
         else:
             i = idx - c + 1  # gap (L_i, L_{i+1})
             emit("left", top, bottom, b.out[i - 2],
-                 "phi0", phi0_blocks(i - 2))
+                 "phi0", blocks("phi0", i - 2))
 
     return RefinedSeries(
-        pres=p, bilin=b, base_ring=base, pl_ring=pl, ae_ring=ae,
-        ad_ring=ad, ring=ring,
+        pres=p, bilin=b, base_ring=base, pl_ring=pl, ring=ring,
         upper_chain=_dedup(terms_u), left_chain=_dedup(terms_l),
         gap_section=gap_section, actions=tuple(actions))

@@ -10,9 +10,15 @@ Triples add entrywise and multiply by composition, and the set of all of
 them modulo triples of null maps is a ring with identity.  This module
 computes that ring exactly: a lattice basis for the solution set, additive
 invariant factors (read as intlinalg.InvariantFactors, like the abelian
-sections), unit coordinates, the multiplication table, restrictions
-by extra linear side conditions, intersections, and prime factorizations of
-the zero ideal when the ring is finite.
+sections), unit coordinates, the multiplication table, restrictions by
+extra linear side conditions, and prime factorizations of the zero ideal
+when the ring is finite.
+
+The defining system is solved once per pairing, in na^2 + nb^2 + nc^2
+unknowns.  A ring is its lattice of triples, held in Hermite normal form;
+a restriction solves only its new conditions, in the ring's own
+coordinates (one unknown per basis triple, plus the conditions' auxiliary
+unknowns), so restrictions compose without re-solving earlier ones.
 
 B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks only matter to restriction constraints, which address
@@ -30,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .intlinalg import (
     InvariantFactors,
     hnf_basis,
-    lattice_intersect,
     mat_mul,
     solve_congruences,
     solve_lattice,
@@ -135,6 +140,12 @@ class _Layout:
         self.o2 = self.na * self.na
         self.o0 = self.o2 + self.nb * self.nb
         self.total = self.o0 + self.nc * self.nc
+        # per matrix: its index map, size and module periods
+        self.slots = (
+            (self.idx1, self.na, pairing.periods_a),
+            (self.idx2, self.nb, pairing.periods_b),
+            (self.idx0, self.nc, pairing.periods_c),
+        )
 
     def idx1(self, r: int, c: int) -> int:
         return self.o1 + r * self.na + c
@@ -146,68 +157,42 @@ class _Layout:
         return self.o0 + r * self.nc + c
 
 
-def _endo_wd_rows(lay: _Layout, pairing: Pairing):
-    """Congruences making each matrix a well-defined endomorphism."""
-    rows = []
-    slots = (
-        (lay.idx1, lay.na, pairing.periods_a),
-        (lay.idx2, lay.nb, pairing.periods_b),
-        (lay.idx0, lay.nc, pairing.periods_c),
-    )
-    for idx, n, periods in slots:
+def _base_system(pairing: Pairing):
+    """All congruences defining the scalar triples: dense rows over the
+    flattened unknowns, with their moduli."""
+    lay = _Layout(pairing)
+    rows: List[List[int]] = []
+    moduli: List[int] = []
+    # each matrix is a well-defined endomorphism
+    for idx, n, periods in lay.slots:
         for c in range(n):
-            d = periods[c]
-            if d is None:
+            if periods[c] is None:
                 continue
             for r in range(n):
-                row: Dict[int, int] = {idx(r, c): d}
-                rows.append((row, 0 if periods[r] is None else periods[r]))
-    return rows
-
-
-def _base_system(pairing: Pairing):
-    """All congruences defining the scalar triples, as sparse rows."""
-    lay = _Layout(pairing)
-    rows = _endo_wd_rows(lay, pairing)
+                row = [0] * lay.total
+                row[idx(r, c)] = periods[c]
+                rows.append(row)
+                moduli.append(0 if periods[r] is None else periods[r])
+    # f(phi1 a_s, b_t) == phi0 f(a_s, b_t) == f(a_s, phi2 b_t) at ell
     f = pairing.table
     for s in range(lay.na):
         for t in range(lay.nb):
             for ell in range(lay.nc):
-                per = pairing.periods_c[ell]
-                mod = 0 if per is None else per
-                row1: Dict[int, int] = {}
+                row1 = [0] * lay.total
+                row2 = [0] * lay.total
                 for r in range(lay.na):
-                    v = f[r][t][ell]
-                    if v:
-                        row1[lay.idx1(r, s)] = row1.get(lay.idx1(r, s), 0) + v
-                row2: Dict[int, int] = {}
+                    row1[lay.idx1(r, s)] += f[r][t][ell]
                 for r in range(lay.nb):
-                    v = f[s][r][ell]
-                    if v:
-                        row2[lay.idx2(r, t)] = row2.get(lay.idx2(r, t), 0) + v
+                    row2[lay.idx2(r, t)] += f[s][r][ell]
                 for k in range(lay.nc):
-                    v = f[s][t][k]
-                    if v:
-                        i = lay.idx0(ell, k)
-                        row1[i] = row1.get(i, 0) - v
-                        row2[i] = row2.get(i, 0) - v
-                if row1:
-                    rows.append((row1, mod))
-                if row2:
-                    rows.append((row2, mod))
-    return lay, rows
-
-
-def _densify(sparse_rows, width: int):
-    rows = []
-    moduli = []
-    for d, mod in sparse_rows:
-        row = [0] * width
-        for i, v in d.items():
-            row[i] = v
-        rows.append(row)
-        moduli.append(mod)
-    return rows, moduli
+                    row1[lay.idx0(ell, k)] -= f[s][t][k]
+                    row2[lay.idx0(ell, k)] -= f[s][t][k]
+                per = pairing.periods_c[ell]
+                for row in (row1, row2):
+                    if any(row):
+                        rows.append(row)
+                        moduli.append(0 if per is None else per)
+    return lay, rows, moduli
 
 
 # --------------------------------------------------------------------------
@@ -321,30 +306,26 @@ def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
 class ScalarRing(InvariantFactors):
     """The ring of scalar triples of a pairing, with exact coordinates.
 
-    Additive structure: the InvariantFactors of the solution lattice
+    `rows` is any spanning set of the lattice of triples; s_basis is its
+    Hermite normal form, so equal lattices give equal rings.  Additive
+    structure: the InvariantFactors of the solution lattice
     modulo null triples, with each free basis vector oriented so that its
     first nonzero entry is positive.  Multiplication is composition,
     tabulated on the additive basis.
     """
 
-    def __init__(self, pairing: Pairing, s_basis: List[List[int]],
-                 constraints: Tuple = ()):
+    def __init__(self, pairing: Pairing, rows: Sequence[Sequence[int]]):
         self.pairing = pairing
         self.lay = _Layout(pairing)
-        self.s_basis = tuple(tuple(r) for r in s_basis)
-        self.constraints = constraints
+        self.s_basis = tuple(
+            tuple(r) for r in hnf_basis(rows, self.lay.total))
 
         n = self.lay.total
         rho = len(self.s_basis)
 
         # null triples: matrices that are the zero map entrywise
         t0 = []
-        slots = (
-            (self.lay.idx1, self.lay.na, pairing.periods_a),
-            (self.lay.idx2, self.lay.nb, pairing.periods_b),
-            (self.lay.idx0, self.lay.nc, pairing.periods_c),
-        )
-        for idx, size, periods in slots:
+        for idx, size, periods in self.lay.slots:
             for r in range(size):
                 if periods[r] is None:
                     continue
@@ -371,7 +352,7 @@ class ScalarRing(InvariantFactors):
         self.basis_vecs = tuple(tuple(h) for h in basis_vecs)
 
         unit_vec = [0] * n
-        for idx, size, _ in slots:
+        for idx, size, _ in self.lay.slots:
             for r in range(size):
                 unit_vec[idx(r, r)] = 1
         self.unit = self.coords_vec(unit_vec)
@@ -503,44 +484,46 @@ class ScalarRing(InvariantFactors):
 
 
 def scalar_ring(pairing: Pairing) -> ScalarRing:
-    lay, sparse = _base_system(pairing)
-    rows, moduli = _densify(sparse, lay.total)
+    lay, rows, moduli = _base_system(pairing)
     sol = solve_congruences(rows, [0] * len(rows), moduli, lay.total)
-    basis = hnf_basis([list(b) for b in sol.basis], lay.total)
-    return ScalarRing(pairing, basis)
+    return ScalarRing(pairing, sol.basis)
 
 
 def restrict_ring(ring: ScalarRing,
                   constraints: Sequence) -> ScalarRing:
     """Subring cut out by extra linear side conditions.
 
-    Re-solves the defining system together with the ring's stored
-    constraints and the new ones, so restrictions compose.
+    The conditions are solved in the ring's own coordinates: the unknown
+    triple is x . s_basis, so there is one unknown per basis triple plus
+    the conditions' auxiliary unknowns.  Every triple of the ring already
+    satisfies the pairing identities and the conditions of earlier
+    restrictions, so restrictions compose.
     """
-    all_cons = tuple(ring.constraints) + tuple(constraints)
-    lay, sparse = _base_system(ring.pairing)
-    sparse = list(sparse)
+    if not constraints:
+        return ring
+    lay, s = ring.lay, ring.s_basis
+    sparse = []
     naux = 0
-    for con in all_cons:
+    for con in constraints:
         rows, used = _constraint_rows(ring.pairing, lay, con,
                                       lay.total + naux)
         sparse.extend(rows)
         naux += used
-    width = lay.total + naux
-    rows, moduli = _densify(sparse, width)
-    sol = solve_congruences(rows, [0] * len(rows), moduli, width)
-    basis = hnf_basis([list(b)[:lay.total] for b in sol.basis], lay.total)
-    return ScalarRing(ring.pairing, basis, all_cons)
-
-
-def intersect_rings(a: ScalarRing, b: ScalarRing) -> ScalarRing:
-    if a.pairing != b.pairing:
-        raise ScalarRingError("rings belong to different pairings")
-    n = a.lay.total
-    basis = lattice_intersect(
-        [list(r) for r in a.s_basis], [list(r) for r in b.s_basis], n)
-    return ScalarRing(a.pairing, basis,
-                      tuple(a.constraints) + tuple(b.constraints))
+    rank = len(s)
+    rows = []
+    for d, _ in sparse:
+        row = [0] * (rank + naux)
+        for i, v in d.items():
+            if i < lay.total:
+                for t, h in enumerate(s):
+                    row[t] += v * h[i]
+            else:
+                row[rank + i - lay.total] = v
+        rows.append(row)
+    sol = solve_congruences(rows, [0] * len(rows),
+                            [mod for _, mod in sparse], rank + naux)
+    return ScalarRing(ring.pairing,
+                      [vec_mat(x[:rank], s) for x in sol.basis])
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,9 @@ explicit matrix model), so agreement between the two is meaningful evidence.
 from itertools import product
 
 from nilpc import presentation as pc
+from nilpc import scalars as sc
 from nilpc import subgroups as sg
-from nilpc.intlinalg import solve_congruences
+from nilpc.intlinalg import hnf_basis, solve_congruences
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +437,31 @@ def lowest_consistent_cover_layer(p):
         if not pc._rewriting_check(cover).ok:
             return i + 1
     return 1
+
+
+# ---------------------------------------------------------------------------
+# scalar rings
+
+
+def ref_restrict_ring(pairing, constraints):
+    """HNF basis of the scalar triples of `pairing` that satisfy
+    `constraints`, from one system over the full triple coordinates: every
+    defining congruence of the pairing and every condition, solved together
+    in na^2 + nb^2 + nc^2 unknowns plus the conditions' auxiliary ones."""
+    lay, base_rows, moduli = sc._base_system(pairing)
+    sparse = []
+    naux = 0
+    for con in constraints:
+        rows, used = sc._constraint_rows(pairing, lay, con, lay.total + naux)
+        sparse.extend(rows)
+        naux += used
+    width = lay.total + naux
+    rows = [row + [0] * naux for row in base_rows]
+    for d, mod in sparse:
+        row = [0] * width
+        for i, v in d.items():
+            row[i] = v
+        rows.append(row)
+        moduli.append(mod)
+    sol = solve_congruences(rows, [0] * len(rows), moduli, width)
+    return hnf_basis([list(b)[:lay.total] for b in sol.basis], lay.total)

@@ -254,6 +254,27 @@ class TestHoms:
         assert payload["inverse_pair"] is True
 
 
+    @pytest.mark.parametrize("letter", [0, 7])
+    def test_letter_outside_target_is_usage_error(self, workdir, capsys,
+                                                  letter):
+        bad = workdir / "bad.json"
+        bad.write_text(files.emit_hom_map([[[letter, 1]], [], []]),
+                       encoding="utf-8")
+        good = workdir / "id.json"
+        good.write_text(files.emit_hom_map([[[1, 1]], [[2, 1]], [[3, 1]]]),
+                        encoding="utf-8")
+        heis_file = str(workdir / "HEIS.json")
+        for argv in (["hom", heis_file, heis_file, "--map", str(bad)],
+                     ["inverse-pair", heis_file, heis_file,
+                      "--forward", str(bad), "--backward", str(good)],
+                     ["inverse-pair", heis_file, heis_file,
+                      "--forward", str(good), "--backward", str(bad)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"letter {letter} is not a generator" in captured.err
+
+
 class TestPrimes:
     def test_zmod_six(self, capsys):
         code, out = run(capsys, "primes", "--zmod", "6")

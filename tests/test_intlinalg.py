@@ -83,16 +83,14 @@ def test_lattice_membership():
     assert la.solve_lattice(basis, [1, 0]) is None
 
 
-def test_lattice_intersection():
-    a = [[2, 0], [0, 1]]
-    b = [[1, 1]]
-    got = la.hnf_basis(la.lattice_intersect(a, b, 2), 2)
-    assert got == [[2, 2]]
-
-
-def test_left_kernel():
-    k = la.left_kernel([[1], [2]])
-    assert la.hnf_basis(k, 2) == [[2, -1]]
+@pytest.mark.parametrize("basis", [
+    [[0, 1], [1, 0]],  # leading columns decrease
+    [[1, 0], [2, 1]],  # leading columns repeat
+    [[1, 0], [0, 0]],  # zero row
+])
+def test_lattice_membership_rejects_non_echelon_basis(basis):
+    with pytest.raises(ValueError):
+        la.solve_lattice(basis, [0, 0])
 
 
 # -- properties -------------------------------------------------------------
@@ -214,12 +212,16 @@ def test_solver_against_exhaustive(case):
         assert la.solve_lattice(la.hnf_basis(sol.basis, n), delta) is not None
 
 
-@settings(max_examples=80, deadline=None)
-@given(mat_strategy(max_dim=3, bound=5))
-def test_left_kernel_property(a):
+@settings(max_examples=120, deadline=None)
+@given(mat_strategy(bound=6), st.lists(st.integers(-4, 4), min_size=4,
+                                       max_size=4))
+def test_lattice_membership_reads_back_combinations(a, coeffs):
     ncols = len(a[0])
-    for row in la.left_kernel(a):
-        assert la.vec_mat(row, a) == [0] * ncols
+    basis = la.hnf_basis(a, ncols)
+    v = la.vec_mat(coeffs[:len(a)], a)
+    x = la.solve_lattice(basis, v)
+    assert x is not None
+    assert la.vec_mat(x, basis) == v if basis else not any(v)
 
 
 def _assert_echelon(h):

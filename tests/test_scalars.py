@@ -1,6 +1,8 @@
 """Scalar rings of pairings: construction, restriction, primes, refinement."""
 
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +14,24 @@ from nilpc.bilinear import bilinearize
 from nilpc.intlinalg import identity as eye
 from nilpc.refined import refined_series
 from nilpc.scalars import (
+    HomCompat,
     InvariantSubmodule,
     Pairing,
     ScalarRingError,
-    intersect_rings,
     multiplication_pairing,
     pairing_of,
     prime_decomposition_zero,
     restrict_ring,
     scalar_ring,
 )
-from oracles import gaussian_solutions, symplectic_solutions, zmod_mult_solutions
+from oracles import (
+    gaussian_solutions,
+    ref_restrict_ring,
+    symplectic_solutions,
+    zmod_mult_solutions,
+)
 
-from groups_def import f23, heis, nr, zg
+from groups_def import f23, heis, heisenberg, nr, unitriangular, zg
 
 
 def flat(triple):
@@ -206,11 +213,87 @@ class TestRestriction:
             ring, [InvariantSubmodule("phi0", 0, gens)])
         assert res.s_basis == ring.s_basis
 
-    def test_intersect_with_self(self):
-        ring = scalar_ring(multiplication_pairing(4))
-        meet = intersect_rings(ring, ring)
-        assert meet.periods == ring.periods
-        assert meet.s_basis == ring.s_basis
+
+def split_pairing(p, q):
+    """Multiplication on Z/p and on Z/q side by side, one block each (None
+    for Z): the ring is the product of the two, so a condition that links
+    the blocks cuts it."""
+    return Pairing((p, q), (p, q), (p, q),
+                   (((1, 0), (0, 0)), ((0, 0), (0, 1))), (1, 1), (1, 1))
+
+
+# the groups' rings are all Z, which no condition cuts; the last three
+# pairings have larger rings, so that the comparison sees proper cuts
+_PAIRING_OF = {
+    "HEIS": lambda: pairing_of(bilinearize(heis())),
+    "NR": lambda: pairing_of(bilinearize(nr())),
+    "F23": lambda: pairing_of(bilinearize(f23())),
+    "ZG": lambda: pairing_of(bilinearize(zg())),
+    "UT_4": lambda: pairing_of(bilinearize(unitriangular(4))),
+    "H_3": lambda: pairing_of(bilinearize(heisenberg(3))),
+    "Z[i]": gaussian_pairing,
+    "ZxZ": lambda: split_pairing(None, None),
+    "Z/4xZ/6": lambda: split_pairing(4, 6),
+}
+_CUT = ("Z[i]", "ZxZ", "Z/4xZ/6")
+
+
+def random_conditions(pairing, rng, count):
+    """Seeded InvariantSubmodule and HomCompat conditions on `pairing`.
+
+    An intertwiner column of period d into a row of period e is a multiple
+    of e / gcd(d, e) (zero into Z), so that it is a well-defined map."""
+    b_used = [i for i, n in enumerate(pairing.b_blocks) if n]
+    c_used = [i for i, n in enumerate(pairing.c_blocks) if n]
+    slots = [("phi1", None, len(pairing.periods_a))]
+    slots += [("phi2", i, pairing.b_blocks[i]) for i in b_used]
+    slots += [("phi0", i, pairing.c_blocks[i]) for i in c_used]
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.4:
+            bi, ci = rng.choice(b_used), rng.choice(c_used)
+            bo, co = sum(pairing.b_blocks[:bi]), sum(pairing.c_blocks[:ci])
+            e = []
+            for r in range(pairing.b_blocks[bi]):
+                per_r = pairing.periods_b[bo + r]
+                row = []
+                for t in range(pairing.c_blocks[ci]):
+                    per_t = pairing.periods_c[co + t]
+                    v = rng.randint(-2, 2)
+                    if per_t is not None:
+                        v = 0 if per_r is None else \
+                            v * (per_r // gcd(per_r, per_t))
+                    row.append(v)
+                e.append(tuple(row))
+            out.append(HomCompat(tuple(e), c_block=ci, b_block=bi))
+        else:
+            which, block, size = rng.choice(slots)
+            gens = tuple(tuple(rng.randint(-2, 2) for _ in range(size))
+                         for _ in range(rng.randint(1, 2)))
+            out.append(InvariantSubmodule(which, block, gens))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_PAIRING_OF))
+def test_restriction_matches_direct_solve(name):
+    pairing = _PAIRING_OF[name]()
+    ring = scalar_ring(pairing)
+    rng = random.Random(7)
+    cuts = 0
+    for _ in range(12):
+        cons = random_conditions(pairing, rng, rng.randint(1, 4))
+        want = tuple(tuple(r) for r in ref_restrict_ring(pairing, cons))
+        got = restrict_ring(ring, cons)
+        assert got.s_basis == want
+        cuts += got.s_basis != ring.s_basis
+        # restricting in two steps solves the second conditions in the
+        # coordinates of the first restriction
+        k = rng.randint(0, len(cons))
+        again = restrict_ring(restrict_ring(ring, cons[:k]), cons[k:])
+        assert again.s_basis == want
+        assert again.periods == got.periods
+    if name in _CUT:
+        assert cuts
 
 
 class TestPrimeDecomposition:
