@@ -1,9 +1,10 @@
 """Finitely generated abelian sections A/B with exact integer coordinates.
 
-section_basis(p, a, b) presents the image of a in G/b as a direct sum of
-cyclic groups in invariant-factor order (torsion factors first, ascending
-divisibility, then free factors).  The periods and coordinates are those
-of intlinalg.InvariantFactors on the relation lattice of a's rows in G/b;
+FgAbelian(p, a, b), or section_basis, presents the image of a in G/b as a
+direct sum of cyclic groups in invariant-factor order (torsion factors
+first, ascending divisibility, then free factors).  The periods and
+coordinates are those of intlinalg.InvariantFactors on the relation
+lattice of a's rows in G/b, which is subgroups.quotient(p, b), kept on p;
 this module adds only the sign rule.  Basis elements are ambient
 representatives; coords/element convert both ways.
 """
@@ -20,14 +21,15 @@ from .subgroups import Subgroup, SubgroupError
 
 
 class FgAbelian(InvariantFactors):
-    """The section a/b of p, given qm, the quotient map of p by b.
+    """The section a/b of p, read in G/b.
 
     Each basis element is oriented so that its first nonzero coordinate at
     an infinite-period generator of G/b is positive.
     """
 
     def __init__(self, p: PcPresentation, a: Subgroup, b: Subgroup,
-                 qm: sg.QuotientMap, *, name: str = ""):
+                 *, name: str = ""):
+        qm = sg.quotient(p, b)
         for i, r in enumerate(a.rows):
             for s in a.rows[i + 1:]:
                 if not b.contains(pc.commutator(p, r, s)):
@@ -63,13 +65,10 @@ class FgAbelian(InvariantFactors):
         return sg.prod_rows(self.pres, self.basis, vec)
 
 
-def section_basis(p: PcPresentation, a: Subgroup, b: Subgroup,
-                  *, name: str = "") -> FgAbelian:
-    qm = sg.quotient(p, b, name=name or f"{p.name} section")
-    return FgAbelian(p, a, b, qm, name=name)
+section_basis = FgAbelian
 
 
 def abelianization(p: PcPresentation) -> FgAbelian:
     w = sg.whole_subgroup(p)
     der = sg.commutator_subgroup(p, w, w)
-    return section_basis(p, w, der, name=f"{p.name} abelianized")
+    return FgAbelian(p, w, der, name=f"{p.name} abelianized")

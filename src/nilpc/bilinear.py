@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian, section_basis
+from .abelian import FgAbelian
 from .intlinalg import hnf_basis, identity as eye, solve_congruences
 from .presentation import Element, PcPresentation
 from .subgroups import Subgroup
@@ -182,16 +182,16 @@ def bilinearize(p: PcPresentation,
         v_r = sg.constrained_subgroup(p, whole, conditions)
     else:
         v_r = whole
-    left = section_basis(p, whole, v_r, name=f"{p.name} mod radical")
+    left = FgAbelian(p, whole, v_r, name=f"{p.name} mod radical")
 
     right: List[FgAbelian] = []
     out: List[FgAbelian] = []
     tables = []
     for i in range(c - 1):
-        b_i = section_basis(p, s.upper[i], s.upper[i + 1],
-                            name=f"{p.name} upper layer {i + 1}")
-        c_i = section_basis(p, s.lower[i + 1], s.lower[i + 2],
-                            name=f"{p.name} lower layer {i + 2}")
+        b_i = FgAbelian(p, s.upper[i], s.upper[i + 1],
+                        name=f"{p.name} upper layer {i + 1}")
+        c_i = FgAbelian(p, s.lower[i + 1], s.lower[i + 2],
+                        name=f"{p.name} lower layer {i + 2}")
         table = tuple(
             tuple(c_i.coords(pc.commutator(p, xs, yt)) for yt in b_i.basis)
             for xs in left.basis)

@@ -8,6 +8,7 @@ file so its output can be fed straight back in.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -198,11 +199,7 @@ def _cmd_deform(args) -> int:
     p = files.load(args.file)
     a = adapt_basis(p)
     out = abdef(a, args.d, args.c)
-    named = PcPresentation(
-        name=f"{p.name} deformed",
-        periods=out.pres.periods,
-        powers=out.pres.powers,
-        commutators=out.pres.commutators)
+    named = dataclasses.replace(out.pres, name=f"{p.name} deformed")
     sys.stdout.write(files.emit(named))
     return 0
 
@@ -226,9 +223,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _load_hom(src_path: str, dst_path: str, map_path: str):
-    src = files.load(src_path)
-    dst = files.load(dst_path)
+def _read_hom(src: PcPresentation, dst: PcPresentation, map_path: str):
     with open(map_path, "r", encoding="utf-8") as fh:
         words = files.parse_hom_map(fh.read(), src.m)
     for i, word in enumerate(words):
@@ -238,12 +233,14 @@ def _load_hom(src_path: str, dst_path: str, map_path: str):
                     f"image {i + 1}: letter {k} is not a generator of "
                     f"{dst.name}, which has rank {dst.m}")
     images = tuple(pc.normal_form(dst, w) for w in words)
-    return src, dst, hom_from_images(src, dst, images)
+    return hom_from_images(src, dst, images)
 
 
 def _cmd_hom(args) -> int:
+    src = files.load(args.source)
+    dst = files.load(args.target)
     try:
-        src, dst, h = _load_hom(args.source, args.target, args.map)
+        h = _read_hom(src, dst, args.map)
     except HomError as exc:
         _print_json({
             "command": "hom",
@@ -272,9 +269,11 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_inverse_pair(args) -> int:
+    src = files.load(args.source)
+    dst = files.load(args.target)
     try:
-        _, _, fwd = _load_hom(args.source, args.target, args.forward)
-        _, _, bwd = _load_hom(args.target, args.source, args.backward)
+        fwd = _read_hom(src, dst, args.forward)
+        bwd = _read_hom(dst, src, args.backward)
     except HomError as exc:
         _print_json({
             "command": "inverse-pair",

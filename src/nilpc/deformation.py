@@ -10,19 +10,22 @@ and permuted without touching anything else; that is the deformation.
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import gcd
+from math import factorial, gcd
 from typing import Dict, List, Optional, Tuple
 
-from . import abelian as ab
 from . import intlinalg as il
 from . import presentation as pc
 from . import subgroups as sg
+from .abelian import FgAbelian
 from .presentation import Element, PcPresentation
 from .series import key_subgroups
 
 
 class DeformError(ValueError):
     pass
+
+
+SURVEY_CAP = 10 ** 6  # (d, c) cases; every shipped fixture needs at most 8
 
 
 @dataclass(frozen=True)
@@ -68,26 +71,16 @@ class DeformationSurvey:
 def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     """Rewrite p on a basis adapted to the M >= N >= Is(G') tower."""
     ks = key_subgroups(p)
-    seg1 = ab.section_basis(p, ks.lower_central[0], ks.m_sub)
-    seg2 = ks.mn
-    seg3 = ks.n_is
-    tail = ks.derived_isolator
+    seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
+    seg2, seg3, tail = ks.mn, ks.n_is, ks.derived_isolator
     if any(d is not None for d in seg1.periods):
         raise DeformError(f"{p.name}: torsion above the isolated section")
-    if any(d is None for d in seg2.periods):
-        raise DeformError(f"{p.name}: the middle section is not finite")
-    if any(d is not None for d in seg3.periods):
-        raise DeformError(f"{p.name}: torsion below the finite section")
 
+    # key_subgroups has checked that M/N is finite and N/Is(G') free
+    n, p_rank, e = ks.n, ks.p, ks.e
     i0 = len(seg1.periods)
-    n = len(seg2.periods)
-    p_rank = len(seg3.periods)
     i1, i2 = i0 + n, i0 + n + p_rank
     e_vals: List[int] = list(seg2.periods)
-    e = 1
-    for d in e_vals:
-        e *= d
-    assert (n, p_rank, e) == (ks.n, ks.p, ks.e)
 
     nontail: List[Element] = (
         list(seg1.basis) + list(seg2.basis) + list(seg3.basis))
@@ -134,30 +127,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     periods: List[Optional[int]] = (
         [None] * i0 + list(e_vals) + [None] * p_rank
         + list(tail.relative_orders()))
-    powers = []
-    for i, per in enumerate(periods, start=1):
-        if per is None:
-            continue
-        vec = expr(pc.power(p, mseq[i - 1], per), i + 1)
-        entries = tuple((k + 1, v) for k, v in enumerate(vec) if v)
-        if entries:
-            powers.append((i, entries))
-    commutators = []
-    for j in range(2, len(mseq) + 1):
-        for i in range(1, j):
-            w = pc.commutator(p, mseq[j - 1], mseq[i - 1])
-            if w == pc.identity_element(p):
-                continue
-            vec = expr(w, j + 1)
-            entries = tuple((k + 1, v) for k, v in enumerate(vec) if v)
-            commutators.append(((j, i), entries))
-
-    new_p = PcPresentation(
-        name=f"{p.name} adapted",
-        periods=tuple(periods),
-        powers=tuple(powers),
-        commutators=tuple(commutators),
-    )
+    new_p = sg.presentation_on(p, f"{p.name} adapted", mseq, periods, expr)
     report = pc.consistency_check(new_p)
     if not report.ok:
         raise DeformError(
@@ -266,9 +236,19 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
 
     Groups the parameter space by extension class and returns one
     representative per class, together with the crude upper bound e^p on
-    how many classes could exist at all.
+    how many classes could exist at all.  There are |units|^n n! 2^n
+    cases; past SURVEY_CAP it raises DeformError, as soon as the units
+    listed so far show it, instead of looping.
     """
-    units = [u for u in range(1, a.e + 1) if gcd(u, a.e) == 1]
+    per_d = factorial(a.n) * 2 ** a.n
+    units = []
+    for u in range(1, a.e + 1):
+        if gcd(u, a.e) == 1:
+            units.append(u)
+            if len(units) ** a.n * per_d > SURVEY_CAP:
+                raise DeformError(
+                    f"{a.pres.name}: surveying deformations takes more "
+                    f"cases than the cap of {SURVEY_CAP}")
     found = {}
     for d in product(units, repeat=a.n):
         for perm in permutations(range(a.n)):
@@ -295,18 +275,7 @@ def standard_embedding(
     """Embed the base group into its deformation, fixing everything but
     the free segment: the free generator that used to receive power i is
     sent to the product its deformed power now lands on."""
-    out = abdef(a, d, c)
-    q = out.pres
-    free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
-    images = []
-    for i in range(1, q.m + 1):
-        if a.i1 < i <= a.i1 + a.n:
-            t = i - a.i1 - 1
-            images.append(sg.prod_rows(
-                q, free, [d[k] * c[t][k] for k in range(a.n)]))
-        else:
-            images.append(pc.generator(q, i))
-    return out, tuple(images)
+    return _embedding(a, d, c, [0] * a.n)
 
 
 def _prime_product_avoiding(dk: int, j: int) -> int:
@@ -334,9 +303,17 @@ def twisted_embedding(
     grows with j yet stays coprime to e."""
     if j < 1:
         raise DeformError("twist depth must be at least 1")
+    return _embedding(
+        a, d, c, [_prime_product_avoiding(d[k], j) for k in range(a.n)])
+
+
+def _embedding(a: AdaptedPresentation, d: Tuple[int, ...],
+               c: Tuple[Tuple[int, ...], ...], qs: List[int]
+               ) -> Tuple[AdaptedPresentation, Tuple[Element, ...]]:
+    """The embedding into abdef(a, d, c) sheared by qs; qs = 0 is the
+    standard one."""
     out = abdef(a, d, c)
     q = out.pres
-    qs = [_prime_product_avoiding(d[k], j) for k in range(a.n)]
     free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
     images = []
     for i in range(1, q.m + 1):

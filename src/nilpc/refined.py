@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian, section_basis
+from .abelian import FgAbelian
 from .bilinear import Bilinearization, bilinearize
 from .intlinalg import solve_congruences
 from .presentation import PcPresentation
@@ -208,8 +208,8 @@ def refined_series(p: PcPresentation,
 
     # gap between the graded part and its central refinement
     gap_top = s.upper[c - 1]
-    gap_section = section_basis(p, gap_top, zc[2],
-                                name=f"{p.name} special gap")
+    gap_section = FgAbelian(p, gap_top, zc[2],
+                            name=f"{p.name} special gap")
 
     # ring basis as full matrix triples
     k = len(ring.periods)
@@ -259,8 +259,8 @@ def refined_series(p: PcPresentation,
             emit("upper", top, bottom, gap_section, "special", None)
         else:
             i = idx - c + 2  # gap (Z^L_i, Z^L_{i+1})
-            sec = section_basis(p, zc[i], zc[i + 1],
-                                name=f"{p.name} central part {i}")
+            sec = FgAbelian(p, zc[i], zc[i + 1],
+                            name=f"{p.name} central part {i}")
             emit("upper", top, bottom, sec, "pullback-phi0",
                  pullbacks(sec, "phi0", i - 2))
 
@@ -274,13 +274,13 @@ def refined_series(p: PcPresentation,
                  tuple(tuple(tuple(r) for r in t[0]) for t in triples))
         elif idx < c:
             i = idx  # gap (W_i G', W_{i+1} G'), with W_1 G' read as V
-            sec = section_basis(p, top[1], bottom[1],
-                                name=f"{p.name} radical layer {i}")
+            sec = FgAbelian(p, top[1], bottom[1],
+                            name=f"{p.name} radical layer {i}")
             emit("left", top, bottom, sec, "pullback-phi2",
                  pullbacks(sec, "phi2", i - 1))
         elif idx == c:
-            sec = section_basis(p, top[1], bottom[1],
-                                name=f"{p.name} special gap (left)")
+            sec = FgAbelian(p, top[1], bottom[1],
+                            name=f"{p.name} special gap (left)")
             emit("left", top, bottom, sec, "special", None)
         else:
             i = idx - c + 1  # gap (L_i, L_{i+1})

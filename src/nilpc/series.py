@@ -6,7 +6,8 @@ isolator, the abelianization G/G', the torsion subgroup, the
 torsion-image part of the center, the products N = Is(G') Z and
 M = Is(G' Z), a free complement G0 of the torsion-image part inside the
 center, the foundation quotient G/G0, and the section invariants (n, p, e)
-read off M/N and N/Is(G').  Each is computed once and handed on: callers
+read off M/N and N/Is(G').  The quotients G/B and constrained passes
+behind them are kept on the presentation (see subgroups.py), and callers
 that need the class or the abelianization read them off the result.
 """
 
@@ -105,35 +106,23 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     whole = lcs[0]
     der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
-    quotients = {}
-
-    def mod(b: Subgroup, name: str = "") -> sg.QuotientMap:
-        """G/b, built once per b: G' often equals Is(G'), G'Z or N."""
-        if b.rows not in quotients:
-            quotients[b.rows] = sg.quotient(pres, b, name=name)
-        return quotients[b.rows]
-
-    ab_name = f"{pres.name} abelianized"
-    ab = FgAbelian(pres, whole, der, mod(der, ab_name), name=ab_name)
-    iso_der = sg._isolator(pres, der, ab.qm)
-    tors = sg._torsion_subgroup(pres, z)
+    ab = FgAbelian(pres, whole, der, name=f"{pres.name} abelianized")
+    iso_der = sg.isolator(pres, der)
+    tors = sg.torsion_subgroup(pres)
     iso_c = _torsion_image_part(pres, z, ab)
 
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
     dz = sg.induce(pres, list(der.rows) + list(z.rows))
-    m_sub = sg._isolator(pres, dz, mod(dz))
-    mn_name = f"{pres.name} M/N"
-    mn = FgAbelian(pres, m_sub, n_sub, mod(n_sub, mn_name), name=mn_name)
+    m_sub = sg.isolator(pres, dz)
+    mn = FgAbelian(pres, m_sub, n_sub, name=f"{pres.name} M/N")
     if any(d is None for d in mn.periods):
         raise SubgroupError("M/N came out infinite")
-    ni_name = f"{pres.name} N/Is"
-    n_is = FgAbelian(pres, n_sub, iso_der, mod(iso_der, ni_name),
-                     name=ni_name)
+    n_is = FgAbelian(pres, n_sub, iso_der, name=f"{pres.name} N/Is")
     if any(d is not None for d in n_is.periods):
         raise SubgroupError("N/Is(G') came out non-free")
 
     g0 = _free_complement(pres, z, iso_c)
-    foundation = sg.quotient(pres, g0, name=f"{pres.name} foundation")
+    foundation = sg.quotient(pres, g0)
 
     e_val = 1
     for d in mn.periods:

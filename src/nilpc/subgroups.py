@@ -6,12 +6,18 @@ index, leads are positive (and divide the generator period when finite),
 and every row is reduced modulo the deeper rows.  Membership is a pure
 divide-and-strip pass against the rows, so equality of subgroups is
 equality of row tuples.
+
+So rows are a sound cache key.  quotient(p, n) and constrained_subgroup(p,
+s, conditions) keep what they build on p, keyed by n's rows, or by s's rows
+and each condition's (generators, rows): each G/N and each constrained pass
+(center, commutation preimages, radical, ...) is built at most once per
+presentation, whichever caller asks first.  Both results are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from .intlinalg import InvariantFactors, solve_congruences
@@ -265,94 +271,65 @@ class QuotientMap:
     (the section used by proj itself), so proj(lift(q)) == q.
     """
 
-    def __init__(self, ambient: PcPresentation, n: Subgroup,
-                 pres: PcPresentation, kept: Tuple[int, ...]):
+    def __init__(self, ambient: PcPresentation, n: Subgroup):
         self.ambient = ambient
         self.n = n
-        self.pres = pres
-        self.kept = kept
-        self._pos = {j: k for k, j in enumerate(kept)}
-        self._gens = tuple(pc.generator(ambient, j) for j in kept)
+        # relative period of each kept u_j modulo n; n holds the others
+        self._period: Dict[int, Optional[int]] = {}
+        for j in range(1, ambient.m + 1):
+            row = n.row_at(j)
+            e = row[j - 1] if row is not None else ambient.period(j)
+            if e != 1:
+                self._period[j] = e
+        self.kept = tuple(self._period)
+        self._gens = tuple(pc.generator(ambient, j) for j in self.kept)
+        self.pres = presentation_on(
+            ambient, f"{ambient.name}/N", self._gens,
+            list(self._period.values()), lambda x, k: self.proj(x))
 
     def proj(self, x: Element) -> Element:
-        p, n = self.ambient, self.n
+        """Strip coordinate j of x by u_j^tau, the quotient coordinate, and
+        the rest by a power of n's row at j, for j = 1, 2, ..."""
+        p = self.ambient
         y = x
         out = []
         for j in range(1, p.m + 1):
             a = y[j - 1]
-            row = n.row_at(j)
-            if j in self._pos:
-                pb = row[j - 1] if row is not None else p.period(j)
-                if pb is None:
-                    tau, q = a, 0
-                else:
-                    tau = a % pb
-                    q = (a - tau) // pb
-                if tau:
-                    y = pc.multiply(
-                        p, pc.power(p, pc.generator(p, j), -tau), y)
-                if q:
-                    y = pc.multiply(p, pc.power(p, row, -q), y)
+            pb = self._period.get(j, 1)  # 1: n's row at j has lead 1
+            tau = a if pb is None else a % pb
+            if tau:
+                y = pc.multiply(p, pc.power(p, pc.generator(p, j), -tau), y)
+            if a != tau:
+                y = pc.multiply(
+                    p, pc.power(p, self.n.row_at(j), (tau - a) // pb), y)
+            if j in self._period:
                 out.append(tau)
-            else:
-                if a:
-                    y = pc.multiply(p, pc.power(p, row, -a), y)
             if y[j - 1] != 0:
                 raise SubgroupError("projection failed to strip a coordinate")
-        if leading_index(y) is not None:
-            raise SubgroupError("projection left a nontrivial residue")
         return tuple(out)
 
     def lift(self, q: Element) -> Element:
         return prod_rows(self.ambient, self._gens, q)
 
 
-def quotient(p: PcPresentation, n: Subgroup, *, name: str = "") -> QuotientMap:
+def _once(p: PcPresentation, key: tuple, build, *args):
+    """build(p, *args), made once per presentation and key."""
+    if key not in p._built:
+        p._built[key] = build(p, *args)
+    return p._built[key]
+
+
+def quotient(p: PcPresentation, n: Subgroup) -> QuotientMap:
+    """G/n, built once per presentation and n.  n must be normal."""
     if n.pres != p:
         raise SubgroupError("subgroup belongs to a different presentation")
+    return _once(p, ("quotient", n.rows), _build_quotient, n)
+
+
+def _build_quotient(p: PcPresentation, n: Subgroup) -> QuotientMap:
     if not is_normal(p, n):
         raise SubgroupError(f"{p.name}: quotient by a non-normal subgroup")
-
-    ebar: List[Optional[int]] = []
-    for j in range(1, p.m + 1):
-        row = n.row_at(j)
-        ebar.append(row[j - 1] if row is not None else p.period(j))
-    kept = tuple(j for j in range(1, p.m + 1) if ebar[j - 1] != 1)
-
-    qm = QuotientMap(p, n, None, kept)  # pres filled in below
-
-    periods = tuple(ebar[j - 1] for j in kept)
-    pos = {j: k + 1 for k, j in enumerate(kept)}
-
-    def as_word(coords: Element) -> pc.Word:
-        return tuple((k + 1, c) for k, c in enumerate(coords) if c)
-
-    powers = []
-    for j in kept:
-        pb = ebar[j - 1]
-        if pb is None:
-            continue
-        tail = qm.proj(pc.power(p, pc.generator(p, j), pb))
-        word = as_word(tail)
-        if word:
-            powers.append((pos[j], word))
-    commutators = []
-    for bi, i in enumerate(kept):
-        for j in kept[bi + 1:]:
-            tail = qm.proj(
-                pc.commutator(p, pc.generator(p, j), pc.generator(p, i)))
-            word = as_word(tail)
-            if word:
-                commutators.append(((pos[j], pos[i]), word))
-
-    pres = PcPresentation(
-        name=name or f"{p.name}/N",
-        periods=periods,
-        powers=tuple(powers),
-        commutators=tuple(commutators),
-    )
-    qm.pres = pres
-    return qm
+    return QuotientMap(p, n)
 
 
 # -- constrained subgroups ----------------------------------------------------
@@ -364,6 +341,9 @@ Condition = Tuple[Tuple[Element, ...], Subgroup]
 def constrained_subgroup(p: PcPresentation, s: Subgroup,
                          conditions: Sequence[Condition]) -> Subgroup:
     """Largest T <= s with [T, h] inside L for every condition (hs, L).
+
+    Each pass is run once per presentation and key (s, conditions); see
+    the module docstring.
 
     Works down the generator filtration: after layer j the current rows
     satisfy [x, h] in L*K_{j+1}, where K_{j+1} = <u_{j+1}, ..., u_m>.
@@ -383,6 +363,13 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     [r, h] and reaches one of them; a coordinate the rows cannot strip
     means [r, h] is not in L*K_j, which the earlier layers rule out.
     """
+    key = ("constrained", s.rows,
+           tuple((tuple(hs), ell.rows) for hs, ell in conditions))
+    return _once(p, key, _build_constrained, s, conditions)
+
+
+def _build_constrained(p: PcPresentation, s: Subgroup,
+                       conditions: Sequence[Condition]) -> Subgroup:
     t = s
     for j in range(1, p.m + 1):
         if t.is_trivial:
@@ -450,35 +437,20 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
 # -- torsion ------------------------------------------------------------------
 
 
-def _abelian_torsion_gens(p: PcPresentation, s: Subgroup) -> List[Element]:
-    """Torsion generators of an abelian subgroup, via its relation lattice."""
-    f = InvariantFactors(s.power_relations(), len(s.rows))
-    return [prod_rows(p, s.rows, row)
-            for row, d in zip(f.rows, f.periods) if d is not None]
-
-
 def torsion_subgroup(p: PcPresentation) -> Subgroup:
-    return _torsion_subgroup(p, center(p))
-
-
-def _torsion_subgroup(p: PcPresentation, z: Subgroup) -> Subgroup:
-    """torsion_subgroup(p) given z, the center of p."""
-    tz = induce(p, _abelian_torsion_gens(p, z))
-    if tz.is_trivial:
-        return tz
-    qm = quotient(p, tz, name=f"{p.name} mod central torsion")
-    tq = torsion_subgroup(qm.pres)
-    gens = list(tz.rows) + [qm.lift(r) for r in tq.rows]
-    return induce(p, gens)
+    """The torsion tz of the center, read off its relation lattice, and
+    then the torsion of G/tz lifted back: the isolator of tz, which is tz
+    itself when tz is trivial."""
+    z = center(p)
+    f = InvariantFactors(z.power_relations(), len(z.rows))
+    tz = induce(p, [prod_rows(p, z.rows, row)
+                    for row, d in zip(f.rows, f.periods) if d is not None])
+    return tz if tz.is_trivial else isolator(p, tz)
 
 
 def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
     """Preimage in G of the torsion of G/n.  n must be normal."""
-    return _isolator(p, n, quotient(p, n))
-
-
-def _isolator(p: PcPresentation, n: Subgroup, qm: QuotientMap) -> Subgroup:
-    """isolator(p, n) given qm, the quotient map of p by n."""
+    qm = quotient(p, n)
     tq = torsion_subgroup(qm.pres)
     gens = list(n.rows) + [qm.lift(r) for r in tq.rows]
     return induce(p, gens)
@@ -488,9 +460,14 @@ def _isolator(p: PcPresentation, n: Subgroup, qm: QuotientMap) -> Subgroup:
 
 
 class SubgroupPresentation:
-    def __init__(self, sub: Subgroup, pres: PcPresentation):
+    """sub as a presentation of its own, on its rows, with both directions."""
+
+    def __init__(self, sub: Subgroup, *, name: str = ""):
+        p = sub.pres
         self.sub = sub
-        self.pres = pres
+        self.pres = presentation_on(
+            p, name or f"{p.name} subgroup", sub.rows,
+            sub.relative_orders(), lambda x, k: self.to_sub(x))
 
     def to_sub(self, x: Element) -> Element:
         coeffs = self.sub.coefficients_of(x)
@@ -502,38 +479,39 @@ class SubgroupPresentation:
         return prod_rows(self.sub.pres, self.sub.rows, coords)
 
 
-def subgroup_presentation(s: Subgroup, *, name: str = "") -> SubgroupPresentation:
-    p = s.pres
-    rows = s.rows
-    orders = s.relative_orders()
+subgroup_presentation = SubgroupPresentation
 
-    def tail_word(x: Element, above: int) -> pc.Word:
-        coeffs = s.coefficients_of(x)
-        if coeffs is None:
-            raise SubgroupError("closure failure while presenting a subgroup")
-        for k in range(above):
-            if coeffs[k]:
-                raise SubgroupError("tail escapes below its own generator")
-        return tuple((k + 1, c) for k, c in enumerate(coeffs) if c)
+
+def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
+                    periods: Sequence[Optional[int]],
+                    coords: Callable[[Element, int], Sequence[int]]
+                    ) -> PcPresentation:
+    """The presentation on gens, elements of p with the given relative
+    periods.  coords(x, k) is the exponent vector over gens of an x in
+    <gens[k-1], gens[k], ...>; the tails are coords of the powers (k = i + 1)
+    and of [gens[j-1], gens[i-1]] (k = j + 1), in ascending (j, i) order."""
+
+    def tail(x: Element, k: int) -> pc.Word:
+        if leading_index(x) is None:
+            return ()
+        vec = coords(x, k)
+        if any(vec[:k - 1]):
+            raise SubgroupError(
+                f"{name}: tail escapes below its own generator")
+        return tuple((i + 1, c) for i, c in enumerate(vec) if c)
 
     powers = []
-    for k, (r, o) in enumerate(zip(rows, orders)):
-        if o is None:
-            continue
-        word = tail_word(pc.power(p, r, o), k + 1)
-        if word:
-            powers.append((k + 1, word))
-    commutators = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            word = tail_word(pc.commutator(p, rows[j], rows[i]), j + 1)
+    for i, (g, e) in enumerate(zip(gens, periods), start=1):
+        if e is not None:
+            word = tail(pc.power(p, g, e), i + 1)
             if word:
-                commutators.append(((j + 1, i + 1), word))
-
-    pres = PcPresentation(
-        name=name or f"{p.name} subgroup",
-        periods=orders,
-        powers=tuple(powers),
-        commutators=tuple(commutators),
-    )
-    return SubgroupPresentation(s, pres)
+                powers.append((i, word))
+    commutators = []
+    for j in range(2, len(gens) + 1):
+        for i in range(1, j):
+            word = tail(pc.commutator(p, gens[j - 1], gens[i - 1]), j + 1)
+            if word:
+                commutators.append(((j, i), word))
+    return PcPresentation(name=name, periods=tuple(periods),
+                          powers=tuple(powers),
+                          commutators=tuple(commutators))

@@ -16,10 +16,14 @@ Closed-form families for the collection tests:
   UT_n  unitriangular integer matrices on the letters e_ij (i < j)
   H_n   x_1..x_n, y_1..y_n, z = [x_i, y_i] central, inside UT_{n+2}
   ZG_q  ZG with its period 5 replaced by the prime q
+
+wide_adapted() is a hand-built adapted presentation with n = 6 and e = 7,
+whose deformation survey would take phi(7)^6 * 6! * 2^6 (about 2e9) cases.
 """
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
+from nilpc.deformation import AdaptedPresentation
 from nilpc.presentation import PcPresentation
 
 INF = None
@@ -220,3 +224,13 @@ def rebase(p, rows):
         powers=tuple(powers), commutators=tuple(commutators))
     assert pc.consistency_check(q).ok
     return q
+
+
+def wide_adapted():
+    """u1..u6 of period 7 with u_i^7 = u_{i+6}, u7..u12 free; declared with
+    n = p = 6 and e = 7 (its true section exponent is 7^6: only n and e
+    size the survey)."""
+    pres = PcPresentation(
+        name="WIDE", periods=(7,) * 6 + (INF,) * 6,
+        powers=tuple((i, ((i + 6, 1),)) for i in range(1, 7)))
+    return AdaptedPresentation(pres=pres, i0=0, i1=6, i2=12, n=6, p=6, e=7)

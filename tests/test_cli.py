@@ -13,7 +13,8 @@ from nilpc import files
 from nilpc import subgroups as sg
 from nilpc.cli import main
 
-from groups_def import f23, heis, mutated_heis, nr, zg, zh, zk
+from groups_def import f23, heis, mutated_heis, nr, wide_adapted, zg, \
+    zh, zk
 
 
 @pytest.fixture
@@ -120,6 +121,14 @@ class TestAnalyzeAdaptEnumerate:
         assert payload["bound"] == 5
         assert payload["count"] == 4
 
+    def test_enumerate_past_the_cap_exits_1(self, workdir, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr("nilpc.cli.adapt_basis",
+                            lambda p: wide_adapted())
+        code, out = run(capsys, "enumerate", str(workdir / "ZG.json"))
+        assert code == 1
+        assert "cap" in json.loads(out)["error"]
+
 
 class TestSeriesScalars:
     def test_series_lower_heis(self, workdir, capsys):
@@ -189,16 +198,47 @@ class TestComputedOnce:
         p = files.load(path)
         der = sg.lower_central_series(p)[1]
         built = []
-        quotient = sg.quotient
+        build = sg._build_quotient
 
-        def recording(q, n, **kwargs):
+        def recording(q, n):
             if q == p and n == der:
-                built.append(kwargs.get("name"))
-            return quotient(q, n, **kwargs)
+                built.append(n)
+            return build(q, n)
 
-        monkeypatch.setattr(sg, "quotient", recording)
+        monkeypatch.setattr(sg, "_build_quotient", recording)
         self.profile(capsys, command, path)
         assert len(built) == 1, built
+
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
+    def test_quotients_and_passes_built_once(self, capsys, monkeypatch,
+                                             name):
+        # Every report command builds each G/B and runs each constrained
+        # pass at most once per presentation object.
+        quotients, passes, seen = [], [], []
+        build_q, build_c = sg._build_quotient, sg._build_constrained
+
+        def quotient(p, n):
+            seen.append(p)  # held, so no id is reused during the command
+            quotients.append((id(p), n.rows))
+            return build_q(p, n)
+
+        def constrained(p, s, conditions):
+            seen.append(p)
+            passes.append((id(p), s.rows, tuple(
+                (tuple(hs), ell.rows) for hs, ell in conditions)))
+            return build_c(p, s, conditions)
+
+        monkeypatch.setattr(sg, "_build_quotient", quotient)
+        monkeypatch.setattr(sg, "_build_constrained", constrained)
+        total = 0
+        for cmd in REPORT_COMMANDS[1:]:
+            del quotients[:], passes[:], seen[:]
+            main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
+            capsys.readouterr()
+            total += len(quotients) + len(passes)
+            assert len(set(quotients)) == len(quotients), cmd
+            assert len(set(passes)) == len(passes), cmd
+        assert total
 
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
     def test_constrained_subgroup_builds_no_quotient(self, workdir, capsys,
@@ -253,6 +293,28 @@ class TestHoms:
         assert code == 0
         assert payload["inverse_pair"] is True
 
+    def test_inverse_pair_loads_each_file_once(self, workdir, capsys,
+                                               monkeypatch):
+        ident = workdir / "id.json"
+        ident.write_text(files.emit_hom_map(
+            [[[i, 1]] for i in range(1, 11)]), encoding="utf-8")
+        argv = ("inverse-pair", str(workdir / "ZG.json"),
+                str(workdir / "ZG.json"), "--forward", str(ident),
+                "--backward", str(ident))
+        _, before = run(capsys, *argv)
+        loaded = []
+        load = files.load
+
+        def counting(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(files, "load", counting)
+        code, out = run(capsys, *argv)
+        assert len(loaded) == 2
+        assert code == 0
+        assert out == before
+        assert json.loads(out)["inverse_pair"] is True
 
     @pytest.mark.parametrize("letter", [0, 7])
     def test_letter_outside_target_is_usage_error(self, workdir, capsys,

@@ -7,6 +7,7 @@ import pytest
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.deformation import (
+    SURVEY_CAP,
     DeformError,
     abdef,
     adapt_basis,
@@ -16,7 +17,7 @@ from nilpc.deformation import (
     twisted_embedding,
 )
 
-from groups_def import heis, nr, zg, zk
+from groups_def import heis, nr, wide_adapted, zg, zk
 
 
 def same_presentation(a, b):
@@ -144,6 +145,12 @@ class TestEnumerate:
         assert rep.bound == 1
         assert len(rep.classes) == 1
         assert rep.classes[0].components == ()
+
+    def test_survey_past_the_cap_raises(self):
+        a = wide_adapted()
+        assert 6 ** 6 * 720 * 2 ** 6 > SURVEY_CAP
+        with pytest.raises(DeformError, match="cap"):
+            enumerate_deformations(a)
 
 
 class TestEmbeddings:

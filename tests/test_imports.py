@@ -1,19 +1,24 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level function or class is read somewhere.
 
-No linter ships with the package, so this test parses each module with
-ast and looks for each imported name among the names the module reads.
-`__init__.py` is exempt: its imports are the package's re-exports.
+No linter ships with the package, so these tests parse each module with
+ast.  An import is used when the module reads the name; `__init__.py` is
+exempt: its imports are the package's re-exports.  A private definition
+is read when some package module or test reads it, as a name or as an
+attribute, outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import nilpc
 
-MODULES = sorted(p for p in Path(nilpc.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(nilpc.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str):
@@ -40,3 +45,48 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(tree):
+    """Names the tree reads, bare or as an attribute, with multiplicity."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.append(node.attr)
+    return out
+
+
+def unread_privates(defining: str, reads: Counter):
+    """Private module-level functions and classes of `defining` with no
+    read in reads (counted over every reader, `defining` included) outside
+    the definition's own body."""
+    unread = []
+    for node in ast.parse(defining).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            inside = _reads(node).count(node.name)
+            if reads[node.name] <= inside:
+                unread.append(node.name)
+    return unread
+
+
+def test_detects_an_unread_private():
+    src = ("def _used():\n    return 1\n\n"
+           "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+           "class _Unused:\n    pass\n\n"
+           "x = _used()\n")
+    reads = Counter(_reads(ast.parse(src)))
+    assert unread_privates(src, reads) == ["_recursive", "_Unused"]
+
+
+def test_every_private_definition_is_read():
+    reads = Counter()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.rglob("*.py")):
+        reads.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = {p.name: unread_privates(p.read_text(encoding="utf-8"), reads)
+              for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in unread.items() if v} == {}

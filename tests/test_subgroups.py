@@ -136,7 +136,7 @@ def test_upper_central_series_heis():
 
 def test_quotient_heis_by_center():
     z = sg.induce(H, [gen(H, 3)])
-    qm = sg.quotient(H, z, name="HEIS/Z")
+    qm = sg.quotient(H, z)
     assert qm.pres.periods == (None, None)
     assert qm.pres.powers == ()
     assert qm.pres.commutators == ()
@@ -145,7 +145,7 @@ def test_quotient_heis_by_center():
 
 def test_quotient_zg_by_center():
     z = sg.center(G)
-    qm = sg.quotient(G, z, name="ZG/Z")
+    qm = sg.quotient(G, z)
     assert qm.pres.periods == (None, None, None, 5)
     assert qm.pres.powers == ()  # u4^5 = u5 dies in the quotient
     assert qm.pres.commutators == ()
@@ -155,12 +155,12 @@ def test_quotient_zg_by_center():
 def test_quotient_rejects_non_normal():
     s = sg.induce(H, [gen(H, 1)])  # not normal in HEIS
     with pytest.raises(sg.SubgroupError):
-        sg.quotient(H, s, name="bad")
+        sg.quotient(H, s)
 
 
 def test_quotient_projection_is_hom():
     z = sg.center(G)
-    qm = sg.quotient(G, z, name="ZG/Z")
+    qm = sg.quotient(G, z)
     a = pc.normal_form(G, ((1, 2), (4, 3), (9, -1)))
     b = pc.normal_form(G, ((2, 1), (3, 4), (4, 4)))
     lhs = qm.proj(pc.multiply(G, a, b))
@@ -170,7 +170,7 @@ def test_quotient_projection_is_hom():
 
 def test_quotient_constant_on_cosets():
     z = sg.center(G)
-    qm = sg.quotient(G, z, name="ZG/Z")
+    qm = sg.quotient(G, z)
     x = pc.normal_form(G, ((1, 1), (4, 2)))
     for r in z.rows:
         assert qm.proj(pc.multiply(G, x, r)) == qm.proj(x)
@@ -178,7 +178,7 @@ def test_quotient_constant_on_cosets():
 
 def test_quotient_lift_section():
     z = sg.center(G)
-    qm = sg.quotient(G, z, name="ZG/Z")
+    qm = sg.quotient(G, z)
     x = pc.normal_form(G, ((1, 3), (2, -2), (4, 4)))
     back = qm.proj(qm.lift(qm.proj(x)))
     assert back == qm.proj(x)
