@@ -12,7 +12,16 @@ computes that ring exactly: a lattice basis for the solution set, additive
 invariant factors (read as intlinalg.InvariantFactors, like the abelian
 sections), unit coordinates, the multiplication table, restrictions by
 extra linear side conditions, and prime factorizations of the zero ideal
-when the ring is finite.
+when the ring is finite and commutative.
+
+The factorization follows the ring's structure rather than enumerating
+its ideals: a finite commutative ring is the product of local rings, one
+per maximal ideal M, and the zero ideal is the product of the powers
+M^t(M) at which M^t stops shrinking.  The maximal ideals over a prime p
+come from R/pR, whose nilradical is the kernel of a Frobenius power and
+whose Berlekamp subalgebra {x : x^p == x} splits into the primitive
+idempotents.  Ideals are Hermite-normal lattices; the factors are
+returned sorted by (size, sorted elements), each repeated t(M) times.
 
 The defining system is solved once per pairing, in na^2 + nb^2 + nc^2
 unknowns.  A ring is its lattice of triples, held in Hermite normal form;
@@ -27,18 +36,18 @@ a single block of phi2 or phi0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intlinalg import (
     InvariantFactors,
     hnf_basis,
+    identity,
     mat_mul,
     solve_congruences,
     solve_lattice,
+    transpose,
     vec_mat,
 )
 
@@ -529,70 +538,148 @@ def restrict_ring(ring: ScalarRing,
 # --------------------------------------------------------------------------
 # prime factorization of the zero ideal in a finite scalar ring
 
+# the factorization lists every element of every factor (a 1.6 MB report
+# for Z/2^13), so rings above this order are refused before any factoring
+PRIMES_ORDER_CAP = 10 ** 4
+
+
+def _kernel_mod(g: Sequence[Sequence[int]], p: int) -> List[List[int]]:
+    """Hermite basis of the lattice {x : x . g == 0 (mod p)}.  It holds
+    p Z^n, so each pivot is p or 1, and the rows with pivot 1 are a basis
+    of the kernel over F_p."""
+    n = len(g)
+    sol = solve_congruences(transpose(g), [0] * n, [p] * n, n)
+    return hnf_basis(sol.basis, n)
+
+
+def _maximal_ideal_gens(ring: ScalarRing, p: int) -> List[List[List[int]]]:
+    """Generators of each maximal ideal over p: p, the nilradical N of
+    A = R/pR and 1 - e, for e each primitive idempotent of A.  N is the
+    kernel of a Frobenius power and the e split the Berlekamp subalgebra
+    {x : x^p == x} = F_p^s; both maps are F_p-linear on A."""
+    k = len(ring.periods)
+    idx = [i for i, d in enumerate(ring.periods) if d % p == 0]
+    n = len(idx)
+
+    def lift(v):
+        out = [0] * k
+        for i, x in zip(idx, v):
+            out[i] = x
+        return out
+
+    def mul(a, b):
+        c = ring.mul(lift(a), lift(b))
+        return [c[i] % p for i in idx]
+
+    def sub(a, b):
+        return [(x - y) % p for x, y in zip(a, b)]
+
+    one = [ring.unit[i] % p for i in idx]
+
+    def power(a, e):
+        out = one
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            e >>= 1
+        return out
+
+    frob = [power(row, p) for row in identity(n)]
+    # a nilpotent x has x^(p^t) == 0 once p^t >= dim A
+    nil, reach = frob, p
+    while reach < n:
+        nil = [[x % p for x in row] for row in mat_mul(nil, frob)]
+        reach *= p
+    fixed = [row for row in _kernel_mod(
+        [sub(f, u) for f, u in zip(frob, identity(n))], p)
+        if next(x for x in row if x) == 1]
+    # on F_p^s, 1 - (b - c)^(p - 1) is the indicator of b == c, so its
+    # nonzero products with e over c split e by the values of b
+    idems = [one]
+    for b in fixed:
+        if len(idems) == len(fixed):
+            break
+        split = []
+        for e in idems:
+            rest = e
+            for c in range(p):
+                if not any(rest):
+                    break
+                f = mul(e, sub(one, power(sub(b, [c * x for x in one]),
+                                          p - 1)))
+                if any(f):
+                    split.append(f)
+                    rest = sub(rest, f)
+        idems = split
+    nil_rows = [lift(row) for row in _kernel_mod(nil, p)]
+    return [[[p * x for x in ring.unit], lift(sub(one, e))] + nil_rows
+            for e in idems]
+
+
+def _elements(ring: ScalarRing, rows: Sequence[Sequence[int]]):
+    """The ideal with Hermite basis `rows` (which span the period lattice
+    too) as a frozenset: sums of c_i rows[i], 0 <= c_i < d_i / rows[i][i]."""
+    out = [tuple(0 for _ in ring.periods)]
+    for i, row in enumerate(rows):
+        out = [ring.reduce([x + c * y for x, y in zip(v, row)])
+               for v in out for c in range(ring.periods[i] // row[i])]
+    return frozenset(out)
+
 
 def prime_decomposition_zero(ring: ScalarRing):
-    """Shortest factorization of the zero ideal as a product of prime
-    ideals, each returned as a frozenset of coordinate tuples."""
+    """Shortest factorization of the zero ideal of a finite commutative
+    ring as a product of prime ideals, each a frozenset of coordinate
+    tuples: the primes sorted by (size, sorted elements), each M repeated
+    t(M) times.
+
+    The primes are the maximal ideals M, and the zero ideal is the product
+    of the M^t(M), t(M) the first t with M^t == M^(t+1) (Atiyah-Macdonald,
+    ch. 8); every shortest factorization uses exactly these factors.  An
+    ideal is a lattice between Z^k and the period lattice in Hermite normal
+    form, so ideals and their products are spans of products of additive
+    generators; elements are listed only for the result.  Rings of order
+    above PRIMES_ORDER_CAP are refused before any factoring.
+    """
     order = ring.order()
     if order is None:
-        raise ScalarRingError("only finite rings can be factored "
-                              "exhaustively")
+        raise ScalarRingError("only finite rings can be factored")
+    if not ring.is_commutative:
+        raise ScalarRingError("only commutative rings can be factored")
+    if order > PRIMES_ORDER_CAP:
+        raise ScalarRingError(
+            f"ring of order {order} is above the factoring bound "
+            f"{PRIMES_ORDER_CAP}")
     k = len(ring.periods)
-    if order > 200 or order ** max(k, 1) > 5000:
-        raise ScalarRingError("ring too large to factor exhaustively")
-    elements = sorted(product(*[range(d) for d in ring.periods]))
-    zero = tuple(0 for _ in range(k))
+    eye = identity(k)
+    rel = [[d * x for x in row] for d, row in zip(ring.periods, eye)]
 
-    def closure(gens):
-        cur = {zero} | set(gens)
-        frontier = list(cur)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(cur):
-                    s = ring.add(a, b)
-                    if s not in cur:
-                        cur.add(s)
-                        nxt.append(s)
-                for r in elements:
-                    m = ring.mul(r, a)
-                    if m not in cur:
-                        cur.add(m)
-                        nxt.append(m)
-            frontier = nxt
-        return frozenset(cur)
+    def span(xs, ys):
+        # the ideal spanned by the products: R . gens is span(eye, gens),
+        # and I J is span(I, J) on additive generators of I and J
+        return hnf_basis([ring.mul(x, y) for x in xs for y in ys] + rel, k)
 
-    candidates = {closure(())}
-    for size in range(1, k + 1):
-        for sub in combinations(elements, size):
-            candidates.add(closure(sub))
-    ideals = sorted(candidates, key=lambda s: (len(s), sorted(s)))
-
-    def is_prime(p):
-        if len(p) == order:
-            return False
-        outside = [x for x in elements if x not in p]
-        return all(ring.mul(x, y) not in p
-                   for x in outside for y in outside)
-
-    primes = [p for p in ideals if is_prime(p)]
-    zero_ideal = frozenset({zero})
-
-    def ideal_product(i, j):
-        return closure(tuple(ring.mul(a, b) for a in i for b in j))
-
-    queue = deque((p, [p]) for p in primes)
-    seen = set(primes)
-    while queue:
-        current, path = queue.popleft()
-        if current == zero_ideal:
-            return path
-        for p in primes:
-            nxt = ideal_product(current, p)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path + [p]))
-    raise ScalarRingError("zero ideal is not a product of prime ideals")
+    maximal = []
+    rest, q = order, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            maximal.extend(span(eye, g) for g in _maximal_ideal_gens(ring, q))
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if not maximal:
+        raise ScalarRingError("zero ideal is not a product of prime ideals")
+    listed = sorted(((_elements(ring, m), m) for m in maximal),
+                    key=lambda pair: (len(pair[0]), sorted(pair[0])))
+    factors = []
+    for elements, m in listed:
+        cur, nxt = None, m
+        while nxt != cur:
+            factors.append(elements)
+            cur, nxt = nxt, span(nxt, m)
+    return factors
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ the package itself (classical textbook forms, brute-force enumeration, or an
 explicit matrix model), so agreement between the two is meaningful evidence.
 """
 
-from itertools import product
+from collections import deque
+from itertools import combinations, product
 
 from nilpc import presentation as pc
 from nilpc import scalars as sc
@@ -465,3 +466,72 @@ def ref_restrict_ring(pairing, constraints):
         moduli.append(mod)
     sol = solve_congruences(rows, [0] * len(rows), moduli, width)
     return hnf_basis([list(b)[:lay.total] for b in sol.basis], lay.total)
+
+
+def ref_prime_decomposition_zero(ring):
+    """Shortest factorization of the zero ideal by exhaustion: the ideal
+    closure of every subset of at most k elements, the primes among them,
+    then a breadth-first search over products of primes, with sums and
+    products tabulated on the elements.  Each ideal is a frozenset of
+    coordinate tuples.  Its caps keep the enumeration small."""
+    order = ring.order()
+    if order is None:
+        raise sc.ScalarRingError("only finite rings can be factored "
+                                 "exhaustively")
+    k = len(ring.periods)
+    if order > 200 or order ** max(k, 1) > 5000:
+        raise sc.ScalarRingError("ring too large to factor exhaustively")
+    elements = sorted(product(*[range(d) for d in ring.periods]))
+    zero = tuple(0 for _ in range(k))
+    add = {(a, b): ring.add(a, b) for a in elements for b in elements}
+    mul = {(a, b): ring.mul(a, b) for a in elements for b in elements}
+
+    def closure(gens):
+        cur = {zero} | set(gens)
+        frontier = list(cur)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in list(cur):
+                    s = add[a, b]
+                    if s not in cur:
+                        cur.add(s)
+                        nxt.append(s)
+                for r in elements:
+                    m = mul[r, a]
+                    if m not in cur:
+                        cur.add(m)
+                        nxt.append(m)
+            frontier = nxt
+        return frozenset(cur)
+
+    candidates = {closure(())}
+    for size in range(1, k + 1):
+        for sub in combinations(elements, size):
+            candidates.add(closure(sub))
+    ideals = sorted(candidates, key=lambda s: (len(s), sorted(s)))
+
+    def is_prime(p):
+        if len(p) == order:
+            return False
+        outside = [x for x in elements if x not in p]
+        return all(mul[x, y] not in p for x in outside for y in outside)
+
+    primes = [p for p in ideals if is_prime(p)]
+    zero_ideal = frozenset({zero})
+
+    def ideal_product(i, j):
+        return closure(tuple(mul[a, b] for a in i for b in j))
+
+    queue = deque((p, [p]) for p in primes)
+    seen = set(primes)
+    while queue:
+        current, path = queue.popleft()
+        if current == zero_ideal:
+            return path
+        for p in primes:
+            nxt = ideal_product(current, p)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, path + [p]))
+    raise sc.ScalarRingError("zero ideal is not a product of prime ideals")

@@ -10,6 +10,7 @@ import pytest
 
 import nilpc
 from nilpc import files
+from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import main
 
@@ -350,6 +351,32 @@ class TestPrimes:
         _, first = run(capsys, "primes", "--zmod", "12")
         _, second = run(capsys, "primes", "--zmod", "12")
         assert first == second
+
+    @pytest.mark.parametrize("n, sizes", [(97, [1]),
+                                          (210, [30, 42, 70, 105])])
+    def test_past_the_old_enumeration_caps(self, capsys, n, sizes):
+        # the factors pZ/n, smallest first
+        code, out = run(capsys, "primes", "--zmod", str(n))
+        assert code == 0
+        assert [len(f) for f in json.loads(out)["factors"]] == sizes
+
+    def test_huge_modulus_exits_1_before_factoring(self, capsys,
+                                                   monkeypatch):
+        def refuse(ring, p):
+            raise AssertionError("factoring started")
+
+        monkeypatch.setattr(sc, "_maximal_ideal_gens", refuse)
+        code = main(["primes", "--zmod", str(10 ** 30)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "factoring bound" in json.loads(captured.out)["error"]
+
+    def test_zero_ring_exits_1(self, capsys):
+        code, out = run(capsys, "primes", "--zmod", "1")
+        assert code == 1
+        assert out == ('{\n  "command": "primes",\n  "error": "zero ideal is '
+                       'not a product of prime ideals"\n}\n')
 
 
 FIXTURES = Path(nilpc.__file__).resolve().parent / "fixtures"

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpc import presentation as pc
+from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.bilinear import bilinearize
 from nilpc.intlinalg import identity as eye
 from nilpc.refined import refined_series
 from nilpc.scalars import (
+    PRIMES_ORDER_CAP,
     HomCompat,
     InvariantSubmodule,
     Pairing,
@@ -26,6 +28,7 @@ from nilpc.scalars import (
 )
 from oracles import (
     gaussian_solutions,
+    ref_prime_decomposition_zero,
     ref_restrict_ring,
     symplectic_solutions,
     zmod_mult_solutions,
@@ -296,6 +299,38 @@ def test_restriction_matches_direct_solve(name):
         assert cuts
 
 
+def gaussian_pairing_mod(p):
+    # multiplication on Z[i]/p in the basis (1, i)
+    return Pairing((p, p), (p, p), (p, p), gaussian_pairing().table)
+
+
+# Z/n for n <= 40 (n = 1 is the zero ring), products of two Z/n, and
+# Z[i]/p: local (p = 2), a field (p = 3) and split (p = 5)
+_FINITE = {f"Z/{n}": (lambda n=n: multiplication_pairing(n))
+           for n in range(1, 41)}
+_FINITE.update({f"Z/{p}xZ/{q}": (lambda p=p, q=q: split_pairing(p, q))
+                for p, q in ((2, 3), (4, 6), (2, 2), (3, 9), (4, 4), (5, 5),
+                             (2, 4))})
+_FINITE.update({f"Z[i]/{p}": (lambda p=p: gaussian_pairing_mod(p))
+                for p in (2, 3, 5)})
+
+
+def _factor(fn, ring):
+    try:
+        return fn(ring)
+    except ScalarRingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(_FINITE))
+def test_primes_match_exhaustive_oracle(name):
+    ring = scalar_ring(_FINITE[name]())
+    want = _factor(ref_prime_decomposition_zero, ring)
+    assert _factor(prime_decomposition_zero, ring) == want
+    if name == "Z/1":
+        assert want == "zero ideal is not a product of prime ideals"
+
+
 class TestPrimeDecomposition:
     def test_zmod6_splits(self):
         ring = scalar_ring(multiplication_pairing(6))
@@ -322,6 +357,32 @@ class TestPrimeDecomposition:
         ring = scalar_ring(symplectic_pairing())
         with pytest.raises(ScalarRingError):
             prime_decomposition_zero(ring)
+
+    def test_non_commutative_ring_rejected(self):
+        # f(a, b) = a_0 b, so phi1 has first row (phi0, 0) and a free
+        # second row: the lower triangular 2 x 2 matrices over F_2
+        ring = scalar_ring(Pairing((2, 2), (2,), (2,), (((1,),), ((0,),))))
+        assert ring.order() == 8
+        assert not ring.is_commutative
+        with pytest.raises(ScalarRingError, match="commutative"):
+            prime_decomposition_zero(ring)
+
+    def test_order_bound_checked_before_factoring(self, monkeypatch):
+        def refuse(ring, p):
+            raise AssertionError("factoring started")
+
+        monkeypatch.setattr(sc, "_maximal_ideal_gens", refuse)
+        for n in (PRIMES_ORDER_CAP + 1, 10 ** 30):
+            ring = scalar_ring(multiplication_pairing(n))
+            with pytest.raises(ScalarRingError, match="factoring bound"):
+                prime_decomposition_zero(ring)
+
+    def test_ring_at_the_bound_is_factored(self):
+        # 10^4 = 2^4 5^4: four factors 5Z/10^4, then four 2Z/10^4
+        ring = scalar_ring(multiplication_pairing(PRIMES_ORDER_CAP))
+        factors = prime_decomposition_zero(ring)
+        assert [len(f) for f in factors] == [2000] * 4 + [5000] * 4
+        assert factors[0] == frozenset((x,) for x in range(0, 10 ** 4, 5))
 
 
 def _unit_acts_as_identity(rs):
