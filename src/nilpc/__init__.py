@@ -7,7 +7,7 @@ families with their extension classes, and certified homomorphisms between
 presentations. Run `nilpc --help` for the command-line entry points.
 """
 
-from .abelian import FgAbelian, abelianization, section_basis
+from .abelian import FgAbelian, abelianization
 from .bilinear import (
     AssociatedSeries,
     Bilinearization,
@@ -76,12 +76,12 @@ from .series import KeySubgroups, key_subgroups
 from .subgroups import (
     Subgroup,
     SubgroupError,
+    SubgroupPresentation,
     center,
     induce,
     isolator,
     lower_central_series,
     quotient,
-    subgroup_presentation,
     torsion_subgroup,
     upper_central_series,
     whole_subgroup,
@@ -94,7 +94,7 @@ __all__ = [
     "ExtClass", "FgAbelian", "FileFormatError", "GroupHom", "HomError",
     "InvariantReport", "KeySubgroups", "Pairing", "PcPresentation",
     "PresentationError", "RefinedSeries", "ScalarRing", "ScalarRingError",
-    "SeriesError", "Subgroup", "SubgroupError",
+    "SeriesError", "Subgroup", "SubgroupError", "SubgroupPresentation",
     "abdef", "abelianization", "adapt_basis", "associated_series",
     "bilinearize", "center", "commutator", "compose", "consistency_check",
     "emit", "enumerate_deformations", "evaluate", "ext_class",
@@ -103,8 +103,8 @@ __all__ = [
     "is_inverse_pair", "isolator", "key_subgroups", "load", "load_fixture",
     "lower_central_series", "multiplication_pairing", "multiply",
     "normal_form", "pairing_of", "parse", "power", "prime_decomposition_zero",
-    "quotient", "refined_series", "save", "scalar_ring", "section_basis",
-    "spot_check", "standard_embedding", "subgroup_presentation",
+    "quotient", "refined_series", "save", "scalar_ring",
+    "spot_check", "standard_embedding",
     "torsion_subgroup", "twisted_embedding", "upper_central_series",
     "whole_subgroup",
 ]

@@ -1,12 +1,12 @@
 """Finitely generated abelian sections A/B with exact integer coordinates.
 
-FgAbelian(p, a, b), or section_basis, presents the image of a in G/b as a
-direct sum of cyclic groups in invariant-factor order (torsion factors
-first, ascending divisibility, then free factors).  The periods and
-coordinates are those of intlinalg.InvariantFactors on the relation
-lattice of a's rows in G/b, which is subgroups.quotient(p, b), kept on p;
-this module adds only the sign rule.  Basis elements are ambient
-representatives; coords/element convert both ways.
+FgAbelian(p, a, b) presents the image of a in G/b as a direct sum of
+cyclic groups in invariant-factor order (torsion factors first, ascending
+divisibility, then free factors).  The periods and coordinates are those
+of intlinalg.InvariantFactors on the relation lattice of a's rows in G/b,
+which is subgroups.quotient(p, b), kept on p; this module adds only the
+sign rule.  Basis elements are ambient representatives; coords/element
+convert both ways.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class FgAbelian(InvariantFactors):
 
     def element(self, vec: Tuple[int, ...]) -> Element:
         return sg.prod_rows(self.pres, self.basis, vec)
-
-
-section_basis = FgAbelian
 
 
 def abelianization(p: PcPresentation) -> FgAbelian:

@@ -4,10 +4,12 @@ A presentation file holds name, rank, the period list (0 encodes an
 infinite period), and the sparse power and commutator tails.  Parsing
 validates the schema, rebuilds the presentation (which enforces the
 support and range rules), and by default also runs the consistency
-check.  Text that is not a JSON value the parser can build, such as
-arrays nested past the recursion limit, is a FileFormatError like any
-other malformed input.  Emission is deterministic: tails sorted by index,
-keys in numeric order, fixed indentation.
+check.  A rank above RANK_CAP is refused before anything is built, as
+a PresentationError.  Text that is not a JSON value the parser can
+build, such as arrays nested past the recursion limit, is a
+FileFormatError like any other malformed input.  Emission is
+deterministic: tails sorted by index, keys in numeric order, fixed
+indentation.
 """
 
 import json
@@ -20,6 +22,12 @@ from .presentation import PcPresentation, PresentationError
 
 class FileFormatError(ValueError):
     pass
+
+
+# The consistency check's cost grows faster than rank^3: the free
+# abelian group of rank 64 checks in about 0.5 s, rank 100 in about 2.5 s.
+# Every shipped fixture and family presentation has rank at most 10.
+RANK_CAP = 64
 
 
 def presentation_to_dict(p: PcPresentation) -> dict:
@@ -87,6 +95,9 @@ def presentation_from_dict(d: dict, *, check: bool = True) -> PcPresentation:
         raise FileFormatError("name must be a string")
     if not isinstance(rank, int) or rank < 0:
         raise FileFormatError("rank must be a non-negative integer")
+    if rank > RANK_CAP:
+        raise PresentationError(
+            f"{name}: rank {rank} is above the cap of {RANK_CAP}")
     raw_periods = d["periods"]
     if (not isinstance(raw_periods, list) or len(raw_periods) != rank
             or not all(isinstance(e, int) for e in raw_periods)):

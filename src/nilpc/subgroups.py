@@ -12,6 +12,11 @@ s, conditions) keep what they build on p, keyed by n's rows, or by s's rows
 and each condition's (generators, rows): each G/N and each constrained pass
 (center, commutation preimages, radical, ...) is built at most once per
 presentation, whichever caller asks first.  Both results are immutable.
+
+Within one constrained pass each commutator [r, h] is collected once, keyed
+by the elements r and h themselves: [r, h] depends on neither the layer nor
+the condition, and a row of t that survives a binding layer is the same
+element, while a new row is a new key.
 """
 
 from __future__ import annotations
@@ -362,6 +367,12 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     Left multiplication by powers of L's rows strips coordinates 1..j-1 of
     [r, h] and reaches one of them; a coordinate the rows cannot strip
     means [r, h] is not in L*K_j, which the earlier layers rule out.
+
+    Only the rows r of t change from layer to layer, and only at a layer
+    that binds, so the pass collects each [r, h] once and reads it at every
+    later layer and under every condition sharing h.  The key is the pair
+    of elements (r, h), not r's position in t: the value is a function of
+    the two elements alone, so a hit is always the right commutator.
     """
     key = ("constrained", s.rows,
            tuple((tuple(hs), ell.rows) for hs, ell in conditions))
@@ -371,6 +382,13 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
     t = s
+    comm: Dict[Tuple[Element, Element], Element] = {}
+
+    def commutator(r: Element, h: Element) -> Element:
+        if (r, h) not in comm:
+            comm[r, h] = pc.commutator(p, r, h)
+        return comm[r, h]
+
     for j in range(1, p.m + 1):
         if t.is_trivial:
             break
@@ -382,7 +400,7 @@ def _build_constrained(p: PcPresentation, s: Subgroup,
             if o_j == 1:
                 continue
             for h in hs:
-                vals = [_layer_value(p, ell, pc.commutator(p, r, h), j, o_j)
+                vals = [_layer_value(p, ell, commutator(r, h), j, o_j)
                         for r in t.rows]
                 if any(vals):
                     eq_rows.append(vals)
@@ -477,9 +495,6 @@ class SubgroupPresentation:
 
     def from_sub(self, coords: Element) -> Element:
         return prod_rows(self.sub.pres, self.sub.rows, coords)
-
-
-subgroup_presentation = SubgroupPresentation
 
 
 def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],

@@ -4,7 +4,7 @@ import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
-from nilpc.abelian import section_basis, abelianization
+from nilpc.abelian import FgAbelian, abelianization
 
 from groups_def import heis, nr, zg, f23
 
@@ -34,7 +34,7 @@ def test_mixed_torsion_invariants():
         commutators=(),
     )
     assert pc.consistency_check(a2).ok
-    ab = section_basis(a2, sg.whole_subgroup(a2), sg.trivial_subgroup(a2))
+    ab = FgAbelian(a2, sg.whole_subgroup(a2), sg.trivial_subgroup(a2))
     assert ab.periods == (2, 4)
     x = ab.coords(pc.generator(a2, 1))
     rebuilt = ab.element(x)
@@ -48,7 +48,7 @@ def test_section_mn_zg_is_z5():
     z = sg.center(G)
     n = sg.induce(G, list(iso.rows) + list(z.rows))
     m = sg.isolator(G, sg.induce(G, list(der.rows) + list(z.rows)))
-    mn = section_basis(G, m, n)
+    mn = FgAbelian(G, m, n)
     assert mn.periods == (5,)
     assert mn.coords(gen(G, 4)) == (1,)
     assert mn.coords(pc.power(G, gen(G, 4), 3)) == (3,)
@@ -61,7 +61,7 @@ def test_section_free_orientation_zg():
     iso = sg.isolator(G, der)
     z = sg.center(G)
     m = sg.isolator(G, sg.induce(G, list(der.rows) + list(z.rows)))
-    a = section_basis(G, m, iso)
+    a = FgAbelian(G, m, iso)
     assert a.periods == (None,)
     assert a.coords(gen(G, 4)) == (1,)
     assert a.basis[0] == gen(G, 4)
@@ -70,7 +70,7 @@ def test_section_free_orientation_zg():
 def test_coords_additive():
     w = sg.whole_subgroup(G)
     der = sg.commutator_subgroup(G, w, w)
-    ab = section_basis(G, w, der)
+    ab = FgAbelian(G, w, der)
     x = pc.normal_form(G, ((1, 2), (2, -1), (4, 3)))
     y = pc.normal_form(G, ((2, 5), (3, 1), (4, 4)))
     cx, cy = ab.coords(x), ab.coords(y)
@@ -81,7 +81,7 @@ def test_coords_additive():
 def test_coords_reject_outsider():
     z = sg.center(G)
     iso = sg.induce(G, [gen(G, i) for i in range(6, 11)])
-    sec = section_basis(G, z, iso)
+    sec = FgAbelian(G, z, iso)
     with pytest.raises(sg.SubgroupError):
         sec.coords(gen(G, 1))
 
@@ -89,4 +89,4 @@ def test_coords_reject_outsider():
 def test_section_requires_commutativity():
     w = sg.whole_subgroup(H)
     with pytest.raises(sg.SubgroupError):
-        section_basis(H, w, sg.trivial_subgroup(H))
+        FgAbelian(H, w, sg.trivial_subgroup(H))

@@ -10,6 +10,7 @@ import pytest
 
 import nilpc
 from nilpc import files
+from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import main
@@ -51,6 +52,26 @@ class TestCheck:
     def test_missing_file(self, workdir, capsys):
         code = main(["check", str(workdir / "NOPE.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("rank", [files.RANK_CAP, files.RANK_CAP + 1])
+    def test_rank_cap(self, tmp_path, capsys, monkeypatch, rank):
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({
+            "name": "free", "rank": rank, "periods": [0] * rank,
+            "powers": {}, "commutators": {}}))
+        if rank > files.RANK_CAP:
+            # refused before any consistency work starts
+            monkeypatch.setattr(pc, "consistency_check", None)
+        code, out = run(capsys, "check", str(path))
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out)
+        if rank > files.RANK_CAP:
+            assert code == 1
+            assert payload["error"] == (
+                f"free: rank {rank} is above the cap of {files.RANK_CAP}")
+        else:
+            assert code == 0
+            assert payload["consistent"] is True
 
 
 class TestInvariants:

@@ -111,7 +111,7 @@ class TestImageIndex:
         p = heis()
         sub = sg.induce(p, [pc.power(p, pc.generator(p, 1), 2),
                             pc.generator(p, 2)])
-        sp = sg.subgroup_presentation(sub)
+        sp = sg.SubgroupPresentation(sub)
         h = hom_from_images(sp.pres, p, sub.rows)
         image, idx = image_index(h)
         assert idx == 4

@@ -11,8 +11,8 @@ from nilpc.bilinear import associated_series
 
 import oracles
 from groups_def import (
-    f23, heis, heis_index2, heisenberg, nr, random_basis_change,
-    unitriangular, zg, zh, zk)
+    f23, heis, heis_index2, heisenberg, heisenberg_letters, nr,
+    random_basis_change, unitriangular, ut_letters, zg, zh, zk)
 
 H = heis()
 G = zg()
@@ -131,6 +131,34 @@ def test_upper_central_series_heis():
     assert chain[2].index_in_ambient() == 1
 
 
+def _spanned_by(p, letters, keep):
+    """The subgroup whose rows are the generators u_k with keep(letters[k-1]);
+    generators are canonical rows, so no induce is needed."""
+    return sg.Subgroup(p, tuple(gen(p, k) for k, x in
+                                enumerate(letters, start=1) if keep(x)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_central_series_of_unitriangular_in_closed_form(n):
+    """gamma_k(UT_n) = <e_ij : j - i >= k> and Z_k(UT_n) = gamma_{n-k}."""
+    p = unitriangular(n)
+    letters = ut_letters(n)
+    gamma = [_spanned_by(p, letters, lambda x, k=k: x[1] - x[0] >= k)
+             for k in range(1, n + 1)]
+    assert sg.lower_central_series(p) == gamma
+    assert sg.upper_central_series(p) == gamma[::-1]
+
+
+def test_center_of_heisenberg_is_its_derived_subgroup():
+    """Z(H_n) = H_n' = <z>, z = e_{1,n+2} the last letter."""
+    n = 10
+    p = heisenberg(n)
+    z = _spanned_by(p, heisenberg_letters(n), lambda x: x == (1, n + 2))
+    assert sg.center(p) == z
+    assert sg.lower_central_series(p) == [sg.whole_subgroup(p), z,
+                                          sg.trivial_subgroup(p)]
+
+
 # -- quotients ----------------------------------------------------------------
 
 
@@ -238,7 +266,7 @@ def test_center_via_relative_condition():
 
 def test_subgroup_presentation_consistent():
     s = sg.induce(G, [gen(G, 4), gen(G, 6), gen(G, 9)])
-    sub = sg.subgroup_presentation(s, name="sub")
+    sub = sg.SubgroupPresentation(s, name="sub")
     assert pc.consistency_check(sub.pres).ok
     # coordinates roundtrip through the abstract presentation
     x = pc.multiply(G, pc.power(G, gen(G, 4), 3), pc.power(G, gen(G, 9), -2))
@@ -312,3 +340,35 @@ def test_constrained_subgroup_matches_quotient_per_layer(name):
         for s, conditions in _constrained_inputs(p):
             got = sg.constrained_subgroup(p, s, conditions)
             assert got == oracles.ref_constrained_subgroup(p, s, conditions)
+
+
+@pytest.mark.parametrize("name", ["HEIS-index2", "NR", "UT_5", "ZG"])
+def test_constrained_pass_collects_each_commutator_once(name, monkeypatch):
+    """Within one pass no [r, h] is collected twice.  induce's own
+    commutators of rows are not the pass's and are not counted."""
+    p = CONSTRAINED[name]()
+    inputs = _constrained_inputs(p)
+    real_commutator, real_induce = pc.commutator, sg.induce
+    inside_induce = [False]
+
+    def induce(*args, **kwargs):
+        inside_induce[0] = True
+        try:
+            return real_induce(*args, **kwargs)
+        finally:
+            inside_induce[0] = False
+
+    def commutator(q, x, y):
+        if not inside_induce[0]:
+            pairs.append((x, y))
+        return real_commutator(q, x, y)
+
+    monkeypatch.setattr(sg, "induce", induce)
+    monkeypatch.setattr(pc, "commutator", commutator)
+    collected = 0
+    for s, conditions in inputs:
+        pairs = []
+        sg._build_constrained(p, s, conditions)
+        assert len(pairs) == len(set(pairs))
+        collected += len(pairs)
+    assert collected
