@@ -62,11 +62,15 @@ class Subgroup:
     _by_lead: Dict[int, Element] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _order: Dict[int, int] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
+        leads = [leading_index(r) for r in self.rows]
+        object.__setattr__(self, "_by_lead", dict(zip(leads, self.rows)))
         object.__setattr__(
-            self, "_by_lead", {leading_index(r): r for r in self.rows}
-        )
+            self, "_order", {lam: k for k, lam in enumerate(leads)})
 
     def row_at(self, i: int) -> Optional[Element]:
         return self._by_lead.get(i)
@@ -77,7 +81,6 @@ class Subgroup:
     def coefficients_of(self, x: Element) -> Optional[List[int]]:
         """Exponents a with x == rows[0]^a0 * rows[1]^a1 * ... , or None."""
         p = self.pres
-        order = {leading_index(r): k for k, r in enumerate(self.rows)}
         coeffs = [0] * len(self.rows)
         y = x
         while True:
@@ -91,7 +94,7 @@ class Subgroup:
             if a % b:
                 return None
             q = a // b
-            coeffs[order[lam]] = q
+            coeffs[self._order[lam]] = q
             y = pc.multiply(p, pc.power(p, row, -q), y)
 
     def power_relations(self) -> List[List[int]]:
@@ -241,7 +244,16 @@ def is_normal(p: PcPresentation, s: Subgroup) -> bool:
     s <= s^{u_i^-1} <= s^{u_i^-2} <= ...; it stabilises at some k, and
     conjugating s^{u_i^-k} = s^{u_i^-(k+1)} by u_i^(k+1) gives s^{u_i} = s.
     So s is also closed under conjugation by u_i^-1, hence by all of G.
+
+    A suffix s = <u_k, ..., u_m>, whose canonical rows are the unit vectors
+    u_k..u_m, is normal with no conjugation.  Take a row u_j, j >= k.  For
+    i < j, u_i^-1 u_j u_i = u_j [u_j, u_i], and the tail of [u_j, u_i] has
+    support > j, so the conjugate lies in u_j <u_{j+1}, ..., u_m> <= s.  For
+    i >= j, u_i lies in s itself.  So s^{u_i} <= s for every i.
     """
+    k = p.m + 1 - len(s.rows)
+    if s.rows == tuple(pc.generator(p, i) for i in range(k, p.m + 1)):
+        return True
     for r in s.rows:
         for i in range(1, p.m + 1):
             if not s.contains(pc.conjugate(p, r, pc.generator(p, i))):

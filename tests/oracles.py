@@ -144,6 +144,26 @@ def satisfies(rows, rhs, moduli, x):
 
 
 # ---------------------------------------------------------------------------
+# element arithmetic by word collection
+#
+# The package computes commutators and conjugates as left quotients (see
+# presentation.py). These collect the defining words from the identity
+# instead.
+
+
+def ref_commutator(p, x, y):
+    """[x, y]: the word x^-1 y^-1 x y collected from the identity."""
+    return pc.normal_form(p, pc._inverse_word(p, x) + pc._inverse_word(p, y)
+                          + pc.word_of(p, x) + pc.word_of(p, y))
+
+
+def ref_conjugate(p, x, g):
+    """g^-1 x g: the word collected from the identity."""
+    return pc.normal_form(
+        p, pc._inverse_word(p, g) + pc.word_of(p, x) + pc.word_of(p, g))
+
+
+# ---------------------------------------------------------------------------
 # 3x3 unitriangular matrix model of the discrete Heisenberg group
 #
 # coords (x, y, z)  <->  [[1, x, x*y + z], [0, 1, y], [0, 0, 1]]
@@ -358,7 +378,7 @@ def two_sided_is_normal(p, s):
         for i in range(1, p.m + 1):
             g = pc.generator(p, i)
             for h in (g, pc.inverse(p, g)):
-                if not s.contains(pc.conjugate(p, r, h)):
+                if not s.contains(ref_conjugate(p, r, h)):
                     return False
     return True
 
@@ -369,7 +389,7 @@ def ref_normal_closure(p, gens):
     ambient += [pc.inverse(p, g) for g in ambient]
     s = sg.induce(p, gens)
     while True:
-        outside = [x for x in (pc.conjugate(p, r, g)
+        outside = [x for x in (ref_conjugate(p, r, g)
                                for r in s.rows for g in ambient)
                    if not s.contains(x)]
         if not outside:
@@ -398,7 +418,7 @@ def ref_constrained_subgroup(p, s, conditions):
             for h in hs:
                 vals = []
                 for r in t.rows:
-                    c = qm.proj(pc.commutator(p, r, h))
+                    c = qm.proj(ref_commutator(p, r, h))
                     assert all(not c[k] for amb, k in pos.items() if amb < j)
                     vals.append(c[pos[j]])
                 if any(vals):

@@ -400,6 +400,63 @@ class TestPrimes:
                        'not a product of prime ideals"\n}\n')
 
 
+HUGE = 10 ** 100
+# a period, a power-tail exponent and a commutator-tail exponent of 10^100
+HUGE_PRESENTATIONS = {
+    "period": {"periods": [0, 0, HUGE], "powers": {},
+               "commutators": {"2,1": [[3, 1]]}},
+    "power tail": {"periods": [2, 0, 0, 0], "powers": {"1": [[4, HUGE]]},
+                   "commutators": {"3,2": [[4, 1]]}},
+    "commutator tail": {"periods": [0, 0, 0], "powers": {},
+                        "commutators": {"2,1": [[3, HUGE]]}},
+}
+HUGE_COMMANDS = (
+    ("check",), ("analyze",), ("invariants",), ("series", "--kind", "refined"),
+    ("scalars",), ("adapt",), ("enumerate",))
+
+
+class TestHugeExponents:
+    """Exponents of 10^100 end in a clean report: exit 0 or 1, JSON on
+    stdout, nothing on stderr."""
+
+    @pytest.mark.parametrize("command", HUGE_COMMANDS,
+                             ids=[" ".join(c) for c in HUGE_COMMANDS])
+    @pytest.mark.parametrize("name", list(HUGE_PRESENTATIONS))
+    def test_every_command_ends_cleanly(self, tmp_path, capsys, name,
+                                        command):
+        raw = HUGE_PRESENTATIONS[name]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"name": name, "rank": len(raw["periods"]), **raw}))
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        if command == ("enumerate",) and name == "period":
+            # Z/10^100 in the middle section: far past the case cap
+            assert code == 1
+            assert "cap" in payload["error"]
+        else:
+            assert code == 0
+            assert "error" not in payload
+
+    def test_hom_with_huge_images(self, workdir, capsys):
+        # u1 -> u1^N, u2 -> u2, u3 -> u3^N respects [u2, u1] = u3^-1
+        mapfile = workdir / "huge.json"
+        mapfile.write_text(files.emit_hom_map(
+            [[[1, HUGE]], [[2, 1]], [[3, HUGE]]]), encoding="utf-8")
+        code = main(["hom", str(workdir / "HEIS.json"),
+                     str(workdir / "HEIS.json"), "--map", str(mapfile),
+                     "--verify"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert code == 0
+        assert payload["certified"] is True
+        assert payload["spot_check"] is True
+        assert payload["image_index"] == HUGE ** 2
+
+
 FIXTURES = Path(nilpc.__file__).resolve().parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 REPORT_COMMANDS = (

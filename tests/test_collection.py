@@ -4,9 +4,11 @@ A letter u_i^e of a layer whose torsion-free cover is certified moves past
 the suffix with one evaluation of a conjugation polynomial, and the finite
 coordinates it pushes out of range are reduced in the cover; every other
 letter goes by rewriting. These tests hold the two paths to the same
-answers, compare them with matrix models at large exponents, pin the degree
-bound the polynomials are interpolated under, and pin the certificate
-against a rewriting oracle on random presentations. consistency_check
+answers, compare them with matrix models at large exponents, hold
+commutators and conjugates, which are left quotients, to their words
+collected from the identity, pin the degree bound the polynomials are
+interpolated under, and pin the certificate against a rewriting oracle on
+random presentations. consistency_check
 proves a presentation layer by layer on the tables it builds: the tests hold
 its reports to those of the rewriting pass (_rewriting_check) on mutants and
 random presentations, check that it never reads tables derived earlier, and
@@ -17,6 +19,7 @@ import functools
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from nilpc.presentation import PcPresentation
 
 import oracles
 from groups_def import (
-    f23, heis_index2, heisenberg, heisenberg_letters, mutated_heis, nr,
+    f23, heis, heis_index2, heisenberg, heisenberg_letters, mutated_heis, nr,
     random_basis, rebase, unitriangular, ut_letters, zg, zh, zk)
 
 BASE = {
@@ -41,6 +44,9 @@ BASE = {
 REBASED = " rebased"
 NAMES = [n + r for n in BASE for r in ("", REBASED)]
 SPANS = (1, 50, 10 ** 4)
+# checked against word collection only, where rewriting would be too slow
+LARGE = {"HEIS": heis, "UT_7": lambda: unitriangular(7),
+         **{f"H_{n}": functools.partial(heisenberg, n) for n in range(5, 9)}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,7 +60,7 @@ def presentation(name):
     if name.endswith(REBASED):
         base = name[: -len(REBASED)]
         return rebase(presentation(base), basis(base))
-    return BASE[name]()
+    return (BASE.get(name) or LARGE[name])()
 
 
 def elements(p, span):
@@ -93,6 +99,7 @@ def test_fast_path_agrees_with_rewriting(name, span):
         assert pc.inverse(p, x) == rewrite(p, xi)
         if not big:
             assert pc.commutator(p, x, y) == rewrite(p, xi + yi + xw + yw)
+            assert pc.conjugate(p, x, y) == rewrite(p, yi + xw + yw)
             assert pc.power(p, x, n) == pc._power(p, x, n, None)
 
     check()
@@ -137,6 +144,8 @@ def test_matrix_model(name, span):
         assert mat(pc.multiply(p, x, y)) == oracles.ut_mat_mul(a, b)
         assert mat(pc.power(p, x, n)) == oracles.ut_mat_pow(a, n)
         assert mat(pc.commutator(p, x, y)) == oracles.ut_mat_comm(a, b)
+        assert mat(pc.conjugate(p, x, y)) == oracles.ut_mat_mul(
+            oracles.ut_mat_inv(b), oracles.ut_mat_mul(a, b))
 
     check()
 
@@ -153,6 +162,68 @@ def test_power_tail_in_front_of_a_torsion_free_suffix(x, y):
 
     got = heis_of(pc.multiply(p, x, y))
     assert got == oracles.heis_mat_mul(heis_of(x), heis_of(y))
+
+
+# -- commutators and conjugates by left division ---------------------------------
+
+
+@pytest.mark.parametrize("span", (0,) + SPANS)
+@pytest.mark.parametrize("name", NAMES + list(LARGE))
+def test_commutator_and_conjugate_match_word_collection(name, span):
+    # span 0 takes every pair of generators
+    p = presentation(name)
+
+    def agree(x, y):
+        assert pc.commutator(p, x, y) == oracles.ref_commutator(p, x, y)
+        assert pc.conjugate(p, x, y) == oracles.ref_conjugate(p, x, y)
+
+    if span == 0:
+        gens = [pc.generator(p, i) for i in range(1, p.m + 1)]
+        for x, y in product(gens, repeat=2):
+            agree(x, y)
+        return
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(elements(p, span), elements(p, span))
+    def check(x, y):
+        agree(x, y)
+
+    check()
+
+
+@pytest.mark.parametrize("rewriting", [False, True])
+@pytest.mark.parametrize("name", ["ZG", "NR", "HEIS-index2"])
+def test_left_quotient_is_canonical_and_solves(name, rewriting):
+    # finite periods, on the polynomial path and by rewriting alone
+    p = presentation(name)
+    layers = None if rewriting else pc._conj_layers(p)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(elements(p, 50), elements(p, 50))
+    def check(a, b):
+        z = pc._left_quotient(p, a, b, layers)
+        assert pc.is_canonical(p, z)
+        assert pc._multiply(p, a, z, layers) == b
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["ZG", "NR", "UT_5 rebased", "FALLBACK"])
+def test_commutator_and_conjugate_collect_no_word(name, monkeypatch):
+    p = fallback() if name == "FALLBACK" else presentation(name)
+    rng = random.Random(name)
+    pairs = [tuple(tuple(rng.randint(-9, 9) if e is None else rng.randrange(e)
+                         for e in p.periods) for _ in range(2))
+             for _ in range(5)]
+    want = [(oracles.ref_commutator(p, x, y), oracles.ref_conjugate(p, x, y))
+            for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("collected a word from the identity")
+
+    monkeypatch.setattr(pc, "normal_form", refuse)
+    got = [(pc.commutator(p, x, y), pc.conjugate(p, x, y)) for x, y in pairs]
+    assert got == want
 
 
 # -- the certificate of the cover ----------------------------------------------
@@ -188,6 +259,7 @@ def test_failed_layer_falls_back_to_rewriting(span):
         assert pc.inverse(p, x) == rewrite(p, xi)
         assert pc.power(p, x, n) == pc._power(p, x, n, None)
         assert pc.commutator(p, x, y) == rewrite(p, xi + yi + xw + yw)
+        assert pc.conjugate(p, x, y) == rewrite(p, yi + xw + yw)
 
     check()
 

@@ -312,6 +312,32 @@ def test_one_sided_normality_matches_two_sided_sweep(make, rebased):
     assert seen == {False, True}
 
 
+# the fixtures and the benchmark's family groups
+SUFFIX_GROUPS = {
+    "HEIS": heis, "ZG": zg, "ZH": zh, "ZK": zk, "NR": nr, "F23": f23,
+    "UT_4": lambda: unitriangular(4), "UT_5": lambda: unitriangular(5),
+    "H_3": lambda: heisenberg(3), "H_4": lambda: heisenberg(4),
+    "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUFFIX_GROUPS))
+def test_every_suffix_is_normal_without_conjugation(name, monkeypatch):
+    p = SUFFIX_GROUPS[name]()
+    suffixes = []
+    for k in range(1, p.m + 2):
+        s = sg.induce(p, [gen(p, i) for i in range(k, p.m + 1)])
+        assert s.rows == tuple(gen(p, i) for i in range(k, p.m + 1))
+        assert oracles.two_sided_is_normal(p, s)
+        suffixes.append(s)
+
+    def refuse(*args):
+        raise AssertionError("conjugated a row of a suffix")
+
+    monkeypatch.setattr(pc, "conjugate", refuse)
+    assert all(sg.is_normal(p, s) for s in suffixes)
+
+
 def _constrained_inputs(p):
     """Starts G and each LCS term; conditions (all generators, gamma_k)
     and the radical conditions of the lower central series' pairing."""
