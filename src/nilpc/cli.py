@@ -322,73 +322,79 @@ def _cmd_primes(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _arg(*flags, **options):
+    return flags, options
+
+
+FILE = _arg("file", help="presentation file")
+PAIR = _arg("source"), _arg("target")
+
+# name -> (handler, help, arguments); main builds only the chosen
+# command's parser
+COMMANDS = {
+    "check": (_cmd_check, "validate and consistency-check a presentation",
+              (FILE,)),
+    "analyze": (_cmd_analyze, "key subgroups and adapted markers", (FILE,)),
+    "series": (_cmd_series, "central series and refinements", (
+        FILE, _arg("--kind", choices=("lower", "upper", "refined"),
+                   default="lower"))),
+    "scalars": (_cmd_scalars, "bilinearized pairing and its scalar rings", (
+        FILE, _arg("--series", choices=("lower", "upper"),
+                   default="lower"))),
+    "adapt": (_cmd_adapt, "rewrite on a basis adapted to M >= N >= Is(G')",
+              (FILE,)),
+    "deform": (_cmd_deform,
+               "deform the finite-section power tails; prints a file", (
+                   FILE,
+                   _arg("--d", type=_parse_d, required=True,
+                        help="comma-separated multipliers"),
+                   _arg("--c", type=_parse_c, required=True,
+                        help="semicolon-separated matrix rows"))),
+    "enumerate": (_cmd_enumerate,
+                  "survey deformation classes over unit multipliers",
+                  (FILE,)),
+    "hom": (_cmd_hom, "certify a generator-image map", PAIR + (
+        _arg("--map", required=True, help="image word file"),
+        _arg("--verify", action="store_true",
+             help="also spot-check 200 random pairs"))),
+    "inverse-pair": (_cmd_inverse_pair,
+                     "certify a two-sided isomorphism witness", PAIR + (
+                         _arg("--forward", required=True),
+                         _arg("--backward", required=True))),
+    "invariants": (_cmd_invariants, "basis-independent profile of the group",
+                   (FILE,)),
+    "primes": (_cmd_primes, "factor the zero ideal of a finite ring", (
+        _arg("--zmod", type=int, required=True,
+             help="modulus of the multiplication ring"),)),
+}
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    top = argparse.ArgumentParser(
         prog="nilpc",
         description="Exact computation with polycyclic presentations of "
-                    "finitely generated nilpotent groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, *, file_arg=True):
-        cmd = sub.add_parser(name, help=help_text)
-        if file_arg:
-            cmd.add_argument("file", help="presentation file")
-        cmd.set_defaults(handler=handler)
-        return cmd
-
-    add("check", _cmd_check, "validate and consistency-check a presentation")
-    add("analyze", _cmd_analyze, "key subgroups and adapted markers")
-
-    cmd = add("series", _cmd_series, "central series and refinements")
-    cmd.add_argument("--kind", choices=("lower", "upper", "refined"),
-                     default="lower")
-
-    cmd = add("scalars", _cmd_scalars,
-              "bilinearized pairing and its scalar rings")
-    cmd.add_argument("--series", choices=("lower", "upper"), default="lower")
-
-    add("adapt", _cmd_adapt, "rewrite on a basis adapted to M >= N >= Is(G')")
-
-    cmd = add("deform", _cmd_deform,
-              "deform the finite-section power tails; prints a file")
-    cmd.add_argument("--d", type=_parse_d, required=True,
-                     help="comma-separated multipliers")
-    cmd.add_argument("--c", type=_parse_c, required=True,
-                     help="semicolon-separated matrix rows")
-
-    add("enumerate", _cmd_enumerate,
-        "survey deformation classes over unit multipliers")
-
-    cmd = sub.add_parser("hom", help="certify a generator-image map")
-    cmd.add_argument("source")
-    cmd.add_argument("target")
-    cmd.add_argument("--map", required=True, help="image word file")
-    cmd.add_argument("--verify", action="store_true",
-                     help="also spot-check 200 random pairs")
-    cmd.set_defaults(handler=_cmd_hom)
-
-    cmd = sub.add_parser("inverse-pair",
-                         help="certify a two-sided isomorphism witness")
-    cmd.add_argument("source")
-    cmd.add_argument("target")
-    cmd.add_argument("--forward", required=True)
-    cmd.add_argument("--backward", required=True)
-    cmd.set_defaults(handler=_cmd_inverse_pair)
-
-    add("invariants", _cmd_invariants,
-        "basis-independent profile of the group")
-
-    cmd = sub.add_parser("primes",
-                         help="factor the zero ideal of a finite ring")
-    cmd.add_argument("--zmod", type=int, required=True,
-                     help="modulus of the multiplication ring")
-    cmd.set_defaults(handler=_cmd_primes)
-    return parser
+                    "finitely generated nilpotent groups.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<14}{help_text}"
+            for name, (_, help_text, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("command", choices=COMMANDS, metavar="command",
+                     help="one of the commands below")
+    top.add_argument("args", nargs=argparse.REMAINDER,
+                     help="its arguments; see nilpc <command> --help")
+    chosen = top.parse_args(argv)
+    handler, help_text, arguments = COMMANDS[chosen.command]
+    parser = argparse.ArgumentParser(prog=f"nilpc {chosen.command}",
+                                     description=help_text)
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    args = parser.parse_args(chosen.args)
+    args.command, args.handler = chosen.command, handler
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except (files.FileFormatError, OSError) as exc:

@@ -35,9 +35,10 @@ class AdaptedPresentation:
     Segment boundaries are cumulative counts: generators 1..i0 are free
     modulo M, (i0, i1] generate M/N with invariant factors multiplying to
     e, (i1, i2] are free modulo Is(G'), the rest generate Is(G').
-    `new_in_old` gives each new generator as an element of `source`;
-    `old_in_new` gives each old generator as an exponent vector over the
-    new basis.  Both are absent on presentations produced by deformation.
+    `new_in_old` gives each new generator as an element of the presentation
+    it was adapted from; `old_in_new` gives each old generator as an
+    exponent vector over the new basis.  Both are absent on presentations
+    produced by deformation.
     """
 
     pres: PcPresentation
@@ -49,7 +50,6 @@ class AdaptedPresentation:
     e: int
     new_in_old: Optional[Tuple[Element, ...]] = None
     old_in_new: Optional[Tuple[Tuple[int, ...], ...]] = None
-    source: Optional[PcPresentation] = None
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,20 @@ class DeformationSurvey:
 
 
 def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
-    """Rewrite p on a basis adapted to the M >= N >= Is(G') tower."""
+    """Rewrite p on a basis adapted to the M >= N >= Is(G') tower.
+
+    The basis is that of the sections G/M, M/N and N/Is(G'), as FgAbelian
+    builds them, then the rows of Is(G').  The coordinates of w are read
+    off the same sections: its G/M coordinates c1, then the M/N
+    coordinates of w1 = element(c1)^-1 w, the N/Is(G') coordinates of the
+    next remainder, and the exponents of the last over Is(G')'s rows.
+    Each section's coordinates are unique (reduced modulo the periods of
+    M/N), so each tail is the unique normal form.
+    """
     ks = key_subgroups(p)
     seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
-    seg2, seg3, tail = ks.mn, ks.n_is, ks.derived_isolator
+    segments = (seg1, ks.mn, ks.n_is)
+    tail = ks.derived_isolator
     if any(d is not None for d in seg1.periods):
         raise DeformError(f"{p.name}: torsion above the isolated section")
 
@@ -80,52 +90,22 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     n, p_rank, e = ks.n, ks.p, ks.e
     i0 = len(seg1.periods)
     i1, i2 = i0 + n, i0 + n + p_rank
-    e_vals: List[int] = list(seg2.periods)
+    mseq: List[Element] = [
+        x for seg in segments for x in seg.basis] + list(tail.rows)
 
-    nontail: List[Element] = (
-        list(seg1.basis) + list(seg2.basis) + list(seg3.basis))
-    mseq: List[Element] = nontail + list(tail.rows)
-    abel = ks.abelianized
-    moduli = [0 if d is None else d for d in abel.periods]
-    ab_nontail = [abel.coords(x) for x in nontail]
-    ab_tail = [abel.coords(r) for r in tail.rows]
-
-    def peel(w: Element, idx: int) -> int:
-        # exponent of nontail[idx] in w, modulo everything after it
-        lat = ab_nontail[idx + 1:] + ab_tail
-        rows = [[ab_nontail[idx][r]] + [v[r] for v in lat]
-                for r in range(len(moduli))]
-        target = abel.coords(w)
-        sol = il.solve_congruences(rows, list(target), moduli, 1 + len(lat))
-        if not sol.consistent:
-            raise DeformError(
-                f"{p.name}: element escapes layer {idx + 1} of the adapted "
-                "tower")
-        return sol.particular[0]
-
-    def expr(w: Element, level: int) -> Tuple[int, ...]:
-        # exponent vector of w over mseq, given w lies in layer `level`
-        vec = [0] * len(mseq)
-        x = w
-        for idx in range(level - 1, i2):
-            a = peel(x, idx)
-            if i0 <= idx < i1:
-                a %= e_vals[idx - i0]
-            if a:
-                vec[idx] = a
-                x = pc.multiply(p, pc.power(p, nontail[idx], -a), x)
-        coeffs = tail.coefficients_of(x)
+    def expr(w: Element) -> Tuple[int, ...]:
+        vec: List[int] = []
+        for seg in segments:
+            c = seg.coords(w)
+            vec += c
+            w = pc.multiply(p, pc.inverse(p, seg.element(c)), w)
+        coeffs = tail.coefficients_of(w)
         if coeffs is None:
             raise DeformError(f"{p.name}: remainder escapes the deep segment")
-        for jpos, cval in enumerate(coeffs):
-            if cval and i2 + jpos + 1 < level:
-                raise DeformError(
-                    f"{p.name}: deep support precedes level {level}")
-            vec[i2 + jpos] = cval
-        return tuple(vec)
+        return tuple(vec + coeffs)
 
     periods: List[Optional[int]] = (
-        [None] * i0 + list(e_vals) + [None] * p_rank
+        [None] * i0 + list(ks.mn.periods) + [None] * p_rank
         + list(tail.relative_orders()))
     new_p = sg.presentation_on(p, f"{p.name} adapted", mseq, periods, expr)
     report = pc.consistency_check(new_p)
@@ -133,11 +113,10 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
         raise DeformError(
             f"{p.name}: adapted presentation fails consistency: "
             f"{report.failures[0]}")
-    old_in_new = tuple(
-        expr(pc.generator(p, i), 1) for i in range(1, p.m + 1))
     return AdaptedPresentation(
         pres=new_p, i0=i0, i1=i1, i2=i2, n=n, p=p_rank, e=e,
-        new_in_old=tuple(mseq), old_in_new=old_in_new, source=p)
+        new_in_old=tuple(mseq),
+        old_in_new=tuple(expr(pc.generator(p, i)) for i in range(1, p.m + 1)))
 
 
 def _validate_params(a: AdaptedPresentation,
@@ -155,7 +134,7 @@ def _validate_params(a: AdaptedPresentation,
     if gcd(prod, a.e) != 1:
         raise DeformError(
             "multipliers must be invertible modulo the section exponent")
-    if abs(il.det([list(row) for row in c])) != 1:
+    if il.hnf_basis(c, a.n) != il.identity(a.n):
         raise DeformError("change matrix must be unimodular")
 
 

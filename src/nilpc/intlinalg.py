@@ -191,32 +191,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
     return m, u, v
 
 
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("det needs a square matrix")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def inverse_unimodular(u: Sequence[Sequence[int]]) -> Matrix:
     """Integer inverse of a unimodular matrix (HNF of it is the identity)."""
     h, w = hnf(u)

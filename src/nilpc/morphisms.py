@@ -29,14 +29,6 @@ class GroupHom:
     images: Tuple[Element, ...]
 
 
-def _eval_word(dst: PcPresentation, images: Tuple[Element, ...],
-               word) -> Element:
-    out = pc.identity_element(dst)
-    for k, exp in word:
-        out = pc.multiply(dst, out, pc.power(dst, images[k - 1], exp))
-    return out
-
-
 def evaluate(h: GroupHom, x: Element) -> Element:
     """Image of the canonical element x = prod u_i^{x_i}."""
     return sg.prod_rows(h.target, h.images, x)
@@ -50,23 +42,24 @@ def hom_from_images(src: PcPresentation, dst: PcPresentation,
     for i, img in enumerate(images, start=1):
         if not pc.is_canonical(dst, img):
             raise HomError(f"image of generator {i} is not canonical")
-    tails = dict(src.powers)
+    # tails are strictly ascending, so each is its own coordinate vector
     for i in range(1, src.m + 1):
         e = src.period(i)
         if e is None:
             continue
         lhs = pc.power(dst, images[i - 1], e)
-        rhs = _eval_word(dst, images, tails.get(i, ()))
+        rhs = sg.prod_rows(
+            dst, images, pc.element_of_word_coords(src, src.power_tail(i)))
         if lhs != rhs:
             raise HomError(
                 f"power relation of generator {i} is violated: "
                 f"{lhs} != {rhs}",
                 relation=("power", i))
-    comms = dict(src.commutators)
     for j in range(2, src.m + 1):
         for i in range(1, j):
             lhs = pc.commutator(dst, images[j - 1], images[i - 1])
-            rhs = _eval_word(dst, images, comms.get((j, i), ()))
+            rhs = sg.prod_rows(dst, images, pc.element_of_word_coords(
+                src, src.commutator_tail(j, i)))
             if lhs != rhs:
                 raise HomError(
                     f"commutator relation [u{j}, u{i}] is violated: "

@@ -5,10 +5,10 @@ the derived subgroup G' (the second term of that series) and its
 isolator, the abelianization G/G', the torsion subgroup, the
 torsion-image part of the center, the products N = Is(G') Z and
 M = Is(G' Z), a free complement G0 of the torsion-image part inside the
-center, the foundation quotient G/G0, and the section invariants (n, p, e)
-read off M/N and N/Is(G').  The quotients G/B and constrained passes
-behind them are kept on the presentation (see subgroups.py), and callers
-that need the class or the abelianization read them off the result.
+center, and the section invariants (n, p, e) read off M/N and N/Is(G').
+The quotients G/B and constrained passes behind them are kept on the
+presentation (see subgroups.py), and callers that need the class or the
+abelianization read them off the result.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class KeySubgroups:
     n_sub: Subgroup       # Is(G') Z
     m_sub: Subgroup       # Is(G' Z)
     g0: Subgroup
-    foundation: sg.QuotientMap
     mn: FgAbelian         # M/N, always finite
     n_is: FgAbelian       # N/Is(G'), always free
     regular: bool
@@ -122,7 +121,6 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
         raise SubgroupError("N/Is(G') came out non-free")
 
     g0 = _free_complement(pres, z, iso_c)
-    foundation = sg.quotient(pres, g0)
 
     e_val = 1
     for d in mn.periods:
@@ -139,7 +137,6 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
         n_sub=n_sub,
         m_sub=m_sub,
         g0=g0,
-        foundation=foundation,
         mn=mn,
         n_is=n_is,
         regular=(m_sub == n_sub),

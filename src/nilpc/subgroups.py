@@ -7,11 +7,13 @@ and every row is reduced modulo the deeper rows.  Membership is a pure
 divide-and-strip pass against the rows, so equality of subgroups is
 equality of row tuples.
 
-So rows are a sound cache key.  quotient(p, n) and constrained_subgroup(p,
-s, conditions) keep what they build on p, keyed by n's rows, or by s's rows
-and each condition's (generators, rows): each G/N and each constrained pass
-(center, commutation preimages, radical, ...) is built at most once per
-presentation, whichever caller asks first.  Both results are immutable.
+So rows are a sound cache key.  quotient(p, n), commutator_subgroup(p, a,
+b) and constrained_subgroup(p, s, conditions) keep what they build on p,
+keyed by n's rows, by a's and b's rows, or by s's rows and each
+condition's (generators, rows): each G/N, each [A, B] and each constrained
+pass (center, commutation preimages, radical, ...) is built at most once
+per presentation, whichever caller asks first.  The results are
+immutable.
 
 Within one constrained pass each commutator [r, h] is collected once, keyed
 by the elements r and h themselves: [r, h] depends on neither the layer nor
@@ -262,6 +264,11 @@ def is_normal(p: PcPresentation, s: Subgroup) -> bool:
 
 
 def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
+    """[a, b], built once per presentation and pair of row tuples."""
+    return _once(p, ("commutator", a.rows, b.rows), _build_commutator, a, b)
+
+
+def _build_commutator(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
     gens = [pc.commutator(p, r, s) for r in a.rows for s in b.rows]
     return induce(p, gens, normal=True)
 
@@ -302,7 +309,7 @@ class QuotientMap:
         self._gens = tuple(pc.generator(ambient, j) for j in self.kept)
         self.pres = presentation_on(
             ambient, f"{ambient.name}/N", self._gens,
-            list(self._period.values()), lambda x, k: self.proj(x))
+            list(self._period.values()), self.proj)
 
     def proj(self, x: Element) -> Element:
         """Strip coordinate j of x by u_j^tau, the quotient coordinate, and
@@ -497,7 +504,7 @@ class SubgroupPresentation:
         self.sub = sub
         self.pres = presentation_on(
             p, name or f"{p.name} subgroup", sub.rows,
-            sub.relative_orders(), lambda x, k: self.to_sub(x))
+            sub.relative_orders(), self.to_sub)
 
     def to_sub(self, x: Element) -> Element:
         coeffs = self.sub.coefficients_of(x)
@@ -511,17 +518,18 @@ class SubgroupPresentation:
 
 def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
                     periods: Sequence[Optional[int]],
-                    coords: Callable[[Element, int], Sequence[int]]
+                    coords: Callable[[Element], Sequence[int]]
                     ) -> PcPresentation:
     """The presentation on gens, elements of p with the given relative
-    periods.  coords(x, k) is the exponent vector over gens of an x in
-    <gens[k-1], gens[k], ...>; the tails are coords of the powers (k = i + 1)
-    and of [gens[j-1], gens[i-1]] (k = j + 1), in ascending (j, i) order."""
+    periods.  coords(x) is the exponent vector over gens of an x in
+    <gens>.  The tails are the coords of gens[i-1]^periods[i-1], which must
+    lie in <gens[i], ...>, and of [gens[j-1], gens[i-1]], which must lie
+    in <gens[j], ...>, in ascending (j, i) order."""
 
     def tail(x: Element, k: int) -> pc.Word:
         if leading_index(x) is None:
             return ()
-        vec = coords(x, k)
+        vec = coords(x)
         if any(vec[:k - 1]):
             raise SubgroupError(
                 f"{name}: tail escapes below its own generator")

@@ -11,7 +11,9 @@ from itertools import combinations, product
 from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
+from nilpc.abelian import FgAbelian
 from nilpc.intlinalg import hnf_basis, solve_congruences
+from nilpc.series import key_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,7 @@ def ref_smith_diagonal(rows):
         for rsel in _subsets(range(nr), k):
             for csel in _subsets(range(nc), k):
                 sub = [[m[i][j] for j in csel] for i in rsel]
-                g = gcd(g, _det(sub))
+                g = gcd(g, ref_det(sub))
         return g
 
     prev = 1
@@ -91,7 +93,8 @@ def _subsets(seq, k):
     return combinations(seq, k)
 
 
-def _det(m):
+def ref_det(m):
+    """Determinant by cofactor expansion along the first row."""
     n = len(m)
     if n == 0:
         return 1
@@ -102,7 +105,7 @@ def _det(m):
         if m[0][j] == 0:
             continue
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
+        total += (-1) ** j * m[0][j] * ref_det(minor)
     return total
 
 
@@ -431,6 +434,81 @@ def ref_constrained_subgroup(p, s, conditions):
         assert sol.consistent
         t = sg.induce(p, [sg.prod_rows(p, t.rows, v) for v in sol.basis])
     return t
+
+
+# ---------------------------------------------------------------------------
+# adapted bases
+#
+# The package reads each adapted coordinate off the sections G/M, M/N and
+# N/Is(G') that key_subgroups built. The oracle peels one basis element at
+# a time instead: its exponent solves a congruence system over
+# abelianization coordinates, modulo every later basis element, and the
+# presentation is assembled here rather than by subgroups.presentation_on.
+
+
+def ref_adapted_presentation(p):
+    """(pres, new_in_old, old_in_new) on the adapted basis of p."""
+    ks = key_subgroups(p)
+    seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
+    seg2, seg3, tail = ks.mn, ks.n_is, ks.derived_isolator
+    assert all(d is None for d in seg1.periods)
+    i0 = len(seg1.periods)
+    i1 = i0 + len(seg2.periods)
+    i2 = i1 + len(seg3.periods)
+    nontail = list(seg1.basis) + list(seg2.basis) + list(seg3.basis)
+    mseq = nontail + list(tail.rows)
+    abel = ks.abelianized
+    moduli = [0 if d is None else d for d in abel.periods]
+    ab_nontail = [abel.coords(x) for x in nontail]
+    ab_tail = [abel.coords(r) for r in tail.rows]
+
+    def peel(w, idx):
+        # exponent of nontail[idx] in w, modulo everything after it
+        lat = ab_nontail[idx + 1:] + ab_tail
+        rows = [[ab_nontail[idx][r]] + [v[r] for v in lat]
+                for r in range(len(moduli))]
+        sol = solve_congruences(rows, list(abel.coords(w)), moduli,
+                                1 + len(lat))
+        assert sol.consistent
+        return sol.particular[0]
+
+    def expr(w, level):
+        # exponent vector of w over mseq, given w lies in layer `level`
+        vec = [0] * len(mseq)
+        x = w
+        for idx in range(level - 1, i2):
+            a = peel(x, idx)
+            if i0 <= idx < i1:
+                a %= seg2.periods[idx - i0]
+            if a:
+                vec[idx] = a
+                x = pc.multiply(p, pc.power(p, nontail[idx], -a), x)
+        coeffs = tail.coefficients_of(x)
+        assert coeffs is not None
+        for jpos, c in enumerate(coeffs):
+            assert not c or i2 + jpos + 1 >= level
+            vec[i2 + jpos] = c
+        return tuple(vec)
+
+    def word(x, level):
+        return tuple((k + 1, c) for k, c in enumerate(expr(x, level)) if c)
+
+    periods = ([None] * i0 + list(seg2.periods) + [None] * (i2 - i1)
+               + list(tail.relative_orders()))
+    powers, commutators = [], []
+    for i, (g, e) in enumerate(zip(mseq, periods), start=1):
+        if e is not None and any(pc.power(p, g, e)):
+            powers.append((i, word(pc.power(p, g, e), i + 1)))
+    for j in range(2, len(mseq) + 1):
+        for i in range(1, j):
+            c = pc.commutator(p, mseq[j - 1], mseq[i - 1])
+            if any(c):
+                commutators.append(((j, i), word(c, j + 1)))
+    pres = pc.PcPresentation(
+        name=f"{p.name} adapted", periods=tuple(periods),
+        powers=tuple(powers), commutators=tuple(commutators))
+    old_in_new = tuple(expr(pc.generator(p, i), 1) for i in range(1, p.m + 1))
+    return pres, tuple(mseq), old_in_new
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,33 @@ def run(capsys, *argv):
     return code, out
 
 
+ALL_COMMANDS = ("check", "analyze", "series", "scalars", "adapt", "deform",
+                "enumerate", "hom", "inverse-pair", "invariants", "primes")
+
+
+class TestParser:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ALL_COMMANDS:
+            assert f"\n  {name} " in out, name
+
+    @pytest.mark.parametrize("name", ALL_COMMANDS)
+    def test_command_help(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: nilpc {name} ")
+
+    def test_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "file.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_consistent(self, workdir, capsys):
         code, out = run(capsys, "check", str(workdir / "ZG.json"))
@@ -234,15 +261,21 @@ class TestComputedOnce:
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
     def test_quotients_and_passes_built_once(self, capsys, monkeypatch,
                                              name):
-        # Every report command builds each G/B and runs each constrained
-        # pass at most once per presentation object.
-        quotients, passes, seen = [], [], []
+        # Every report command builds each G/B and each [A, B] and runs
+        # each constrained pass at most once per presentation object.
+        quotients, commutators, passes, seen = [], [], [], []
         build_q, build_c = sg._build_quotient, sg._build_constrained
+        build_k = sg._build_commutator
 
         def quotient(p, n):
             seen.append(p)  # held, so no id is reused during the command
             quotients.append((id(p), n.rows))
             return build_q(p, n)
+
+        def commutator(p, a, b):
+            seen.append(p)
+            commutators.append((id(p), a.rows, b.rows))
+            return build_k(p, a, b)
 
         def constrained(p, s, conditions):
             seen.append(p)
@@ -252,13 +285,15 @@ class TestComputedOnce:
 
         monkeypatch.setattr(sg, "_build_quotient", quotient)
         monkeypatch.setattr(sg, "_build_constrained", constrained)
+        monkeypatch.setattr(sg, "_build_commutator", commutator)
         total = 0
         for cmd in REPORT_COMMANDS[1:]:
-            del quotients[:], passes[:], seen[:]
+            del quotients[:], commutators[:], passes[:], seen[:]
             main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
             capsys.readouterr()
-            total += len(quotients) + len(passes)
+            total += len(quotients) + len(commutators) + len(passes)
             assert len(set(quotients)) == len(quotients), cmd
+            assert len(set(commutators)) == len(commutators), cmd
             assert len(set(passes)) == len(passes), cmd
         assert total
 

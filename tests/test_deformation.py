@@ -1,5 +1,6 @@
 """Adapted bases, power-tail deformations, class enumeration, embeddings."""
 
+import random
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.deformation import (
     SURVEY_CAP,
+    AdaptedPresentation,
     DeformError,
     abdef,
     adapt_basis,
@@ -17,7 +19,28 @@ from nilpc.deformation import (
     twisted_embedding,
 )
 
-from groups_def import heis, nr, wide_adapted, zg, zk
+from groups_def import (
+    f23,
+    heis,
+    heisenberg,
+    nr,
+    random_basis_change,
+    unitriangular,
+    wide_adapted,
+    zg,
+    zh,
+    zk,
+)
+from oracles import ref_adapted_presentation
+
+ADAPTABLE = {
+    "HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh, "ZK": zk,
+    "UT_4": lambda: unitriangular(4), "H_3": lambda: heisenberg(3),
+    **{f"{base.__name__.upper()}_rebased_{seed}":
+       (lambda base=base, seed=seed:
+        random_basis_change(base(), random.Random(seed)))
+       for base in (nr, f23) for seed in range(3)},
+}
 
 
 def same_presentation(a, b):
@@ -58,8 +81,18 @@ class TestAdaptBasis:
         # the new generator is the cube of the old third one
         assert a.new_in_old[3] == pc.power(p, pc.generator(p, 3), 3)
 
-    def test_nr_witness_words_invert(self):
-        p = nr()
+    @pytest.mark.parametrize("name", ADAPTABLE)
+    def test_matches_reference(self, name):
+        p = ADAPTABLE[name]()
+        a = adapt_basis(p)
+        pres, new_in_old, old_in_new = ref_adapted_presentation(p)
+        assert same_presentation(a.pres, pres)
+        assert a.new_in_old == new_in_old
+        assert a.old_in_new == old_in_new
+
+    @pytest.mark.parametrize("name", ADAPTABLE)
+    def test_witness_words_invert(self, name):
+        p = ADAPTABLE[name]()
         a = adapt_basis(p)
         # old generator words in the new basis evaluate back correctly
         for i in range(1, p.m + 1):
@@ -70,6 +103,15 @@ class TestAdaptBasis:
                     accum = pc.multiply(
                         p, accum, pc.power(p, a.new_in_old[k], exp))
             assert accum == pc.generator(p, i)
+
+
+def two_by_two():
+    """u1, u2 of period 3 with u1^3 = u3 and u2^3 = u4, u3, u4 free: an
+    abelian group already adapted with n = p = 2 and e = 9."""
+    pres = pc.PcPresentation(
+        name="TWO", periods=(3, 3, None, None),
+        powers=((1, ((3, 1),)), (2, ((4, 1),))))
+    return AdaptedPresentation(pres=pres, i0=0, i1=2, i2=4, n=2, p=2, e=9)
 
 
 class TestAbdef:
@@ -102,6 +144,17 @@ class TestAbdef:
         a = adapt_basis(zg())
         with pytest.raises(DeformError):
             abdef(a, (2,), ((2,),))
+
+    @pytest.mark.parametrize("c", [((2, 1), (1, 1)), ((1, 3), (0, -1))])
+    def test_unimodular_non_permutation_accepted(self, c):
+        out = abdef(two_by_two(), (1, 1), c)
+        assert dict(out.pres.powers) == {
+            i: tuple((k, v) for k, v in zip((3, 4), c[i - 1]) if v)
+            for i in (1, 2)}
+
+    def test_determinant_two_rejected(self):
+        with pytest.raises(DeformError, match="unimodular"):
+            abdef(two_by_two(), (1, 1), ((2, 1), (0, 1)))
 
     def test_unnormalized_base_rejected(self):
         a = adapt_basis(zk())  # power tail lands on the square

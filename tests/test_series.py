@@ -84,7 +84,7 @@ def test_zoo_heis():
 
 def test_foundation_nr():
     ks = key_subgroups(N6)
-    f = ks.foundation.pres
+    f = sg.quotient(ks.pres, ks.g0).pres
     assert f.periods == (None, None, 3, None, 3, 3)
     assert pc.consistency_check(f).ok
     # c becomes an honest order-3 generator with trivial power tail
@@ -93,7 +93,7 @@ def test_foundation_nr():
 
 def test_foundation_heis_is_whole_group():
     ks = key_subgroups(H)
-    assert ks.foundation.pres.periods == (None, None, None)
+    assert sg.quotient(ks.pres, ks.g0).pres.periods == (None, None, None)
 
 
 def test_invariants_agree_across_deformed_fixtures():
