@@ -197,6 +197,13 @@ def ext_class(a: AdaptedPresentation,
     """Class of the deformed extension; equal classes, equal groups."""
     _validate_params(a, d, c)
     _check_diagonal(a)
+    return _ext_class(a, d, c)
+
+
+def _ext_class(a: AdaptedPresentation,
+               d: Tuple[int, ...],
+               c: Tuple[Tuple[int, ...], ...]) -> ExtClass:
+    """ext_class on parameters already known to be valid."""
     moduli = []
     components = []
     for i in range(a.i0 + 1, a.i1 + 1):
@@ -217,7 +224,9 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
     representative per class, together with the crude upper bound e^p on
     how many classes could exist at all.  There are |units|^n n! 2^n
     cases; past SURVEY_CAP it raises DeformError, as soon as the units
-    listed so far show it, instead of looping.
+    listed so far show it, instead of looping.  Every d is a unit and
+    every c a signed permutation by construction, so the presentation is
+    checked once and no case is validated again.
     """
     per_d = factorial(a.n) * 2 ** a.n
     units = []
@@ -228,6 +237,7 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
                 raise DeformError(
                     f"{a.pres.name}: surveying deformations takes more "
                     f"cases than the cap of {SURVEY_CAP}")
+    _check_diagonal(a)
     found = {}
     for d in product(units, repeat=a.n):
         for perm in permutations(range(a.n)):
@@ -236,7 +246,7 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
                     tuple(signs[t] if k == perm[t] else 0
                           for k in range(a.n))
                     for t in range(a.n))
-                cls = ext_class(a, d, c)
+                cls = _ext_class(a, d, c)
                 if cls not in found:
                     found[cls] = (d, c)
     classes = tuple(sorted(found, key=lambda cl: cl.components))

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
-Hermite and Smith normal forms with unimodular transforms, and a solver for
+Hermite and Smith normal forms with unimodular transforms, a solver for
 systems of linear congruences with mixed moduli (modulus 0 meaning equality
-over Z). Matrices are lists of rows of Python ints; nothing here mutates its
-arguments. All downstream lattice work in the package (subgroup layers,
+over Z), and lattice_kernel, which solves a sparse homogeneous system one
+connected component of unknowns at a time. Matrices are lists of rows of
+Python ints; nothing here mutates its arguments. All downstream lattice work in the package (subgroup layers,
 abelian sections, scalar-ring solving) funnels through this module, and
 InvariantFactors is the one reading of a Smith form as coordinates on a
 finitely generated abelian group.
@@ -12,7 +13,7 @@ finitely generated abelian group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 Matrix = List[List[int]]
@@ -336,3 +337,63 @@ def solve_congruences(
     particular = tuple(z0[:n_unknowns])
     basis = tuple(tuple(k[:n_unknowns]) for k in kernel)
     return SolutionSet(True, particular, basis)
+
+
+def lattice_kernel(rows: Sequence[Tuple[Dict[int, int], int]],
+                   n: int) -> List[List[int]]:
+    """A spanning set of {x in Z^n : row . x == 0 (mod modulus), every row}.
+
+    Each row is a (column -> coefficient, modulus) pair, modulus 0 meaning
+    equality over Z.  Two unknowns are linked when a row touches both; the
+    solution lattice is the direct sum of the lattices of the connected
+    components, so each component is solved densely on its own columns
+    (a finite modulus's auxiliary unknown lives in its one row, hence in
+    its component) and an unknown that no row touches contributes its unit
+    vector.
+    """
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    touched = [False] * n
+    live = []
+    for coeffs, mod in rows:
+        terms = [(j, v) for j, v in coeffs.items() if v]
+        if not terms:
+            continue
+        live.append((terms, mod))
+        root = find(terms[0][0])
+        for j, _ in terms:
+            touched[j] = True
+            other = find(j)
+            if other != root:
+                parent[other] = root
+    members: Dict[int, List[int]] = {}
+    for j in range(n):
+        if touched[j]:
+            members.setdefault(find(j), []).append(j)
+    blocks: Dict[int, list] = {}
+    for terms, mod in live:
+        blocks.setdefault(find(terms[0][0]), []).append((terms, mod))
+    out = [[1 if i == j else 0 for i in range(n)]
+           for j in range(n) if not touched[j]]
+    for root, cols in members.items():
+        pos = {j: k for k, j in enumerate(cols)}
+        dense, moduli = [], []
+        for terms, mod in blocks[root]:
+            row = [0] * len(cols)
+            for j, v in terms:
+                row[pos[j]] = v
+            dense.append(row)
+            moduli.append(mod)
+        sol = solve_congruences(dense, [0] * len(dense), moduli, len(cols))
+        for b in sol.basis:
+            vec = [0] * n
+            for j, v in zip(cols, b):
+                vec[j] = v
+            out.append(vec)
+    return out

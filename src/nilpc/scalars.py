@@ -23,11 +23,15 @@ whose Berlekamp subalgebra {x : x^p == x} splits into the primitive
 idempotents.  Ideals are Hermite-normal lattices; the factors are
 returned sorted by (size, sorted elements), each repeated t(M) times.
 
-The defining system is solved once per pairing, in na^2 + nb^2 + nc^2
-unknowns.  A ring is its lattice of triples, held in Hermite normal form;
-a restriction solves only its new conditions, in the ring's own
-coordinates (one unknown per basis triple, plus the conditions' auxiliary
-unknowns), so restrictions compose without re-solving earlier ones.
+The defining system has na^2 + nb^2 + nc^2 unknowns but is sparse: each
+congruence touches one column of phi1 or phi2 and one row of phi0, so the
+unknowns fall into many small connected components (UT_7's 661 unknowns
+into 481, the largest of 41).  intlinalg.lattice_kernel solves each
+component on its own and takes the direct sum.  A ring is its lattice of
+triples, held in Hermite normal form; a restriction solves only its new
+conditions, in the ring's own coordinates (one unknown per basis triple,
+plus the conditions' auxiliary unknowns), so restrictions compose without
+re-solving earlier ones.
 
 B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks only matter to restriction constraints, which address
@@ -44,8 +48,8 @@ from .intlinalg import (
     InvariantFactors,
     hnf_basis,
     identity,
+    lattice_kernel,
     mat_mul,
-    solve_congruences,
     solve_lattice,
     transpose,
     vec_mat,
@@ -167,41 +171,41 @@ class _Layout:
 
 
 def _base_system(pairing: Pairing):
-    """All congruences defining the scalar triples: dense rows over the
-    flattened unknowns, with their moduli."""
+    """All congruences defining the scalar triples: sparse rows over the
+    flattened unknowns, each a (column -> coefficient, modulus) pair."""
     lay = _Layout(pairing)
-    rows: List[List[int]] = []
-    moduli: List[int] = []
+    rows: List[Tuple[Dict[int, int], int]] = []
     # each matrix is a well-defined endomorphism
     for idx, n, periods in lay.slots:
         for c in range(n):
             if periods[c] is None:
                 continue
             for r in range(n):
-                row = [0] * lay.total
-                row[idx(r, c)] = periods[c]
-                rows.append(row)
-                moduli.append(0 if periods[r] is None else periods[r])
-    # f(phi1 a_s, b_t) == phi0 f(a_s, b_t) == f(a_s, phi2 b_t) at ell
+                rows.append(({idx(r, c): periods[c]},
+                             0 if periods[r] is None else periods[r]))
+    # f(phi1 a_s, b_t) == phi0 f(a_s, b_t) == f(a_s, phi2 b_t) at ell; the
+    # three index ranges are disjoint, so no entry is written twice
     f = pairing.table
     for s in range(lay.na):
         for t in range(lay.nb):
             for ell in range(lay.nc):
-                row1 = [0] * lay.total
-                row2 = [0] * lay.total
+                row1: Dict[int, int] = {}
+                row2: Dict[int, int] = {}
                 for r in range(lay.na):
-                    row1[lay.idx1(r, s)] += f[r][t][ell]
+                    if f[r][t][ell]:
+                        row1[lay.idx1(r, s)] = f[r][t][ell]
                 for r in range(lay.nb):
-                    row2[lay.idx2(r, t)] += f[s][r][ell]
+                    if f[s][r][ell]:
+                        row2[lay.idx2(r, t)] = f[s][r][ell]
                 for k in range(lay.nc):
-                    row1[lay.idx0(ell, k)] -= f[s][t][k]
-                    row2[lay.idx0(ell, k)] -= f[s][t][k]
+                    if f[s][t][k]:
+                        row1[lay.idx0(ell, k)] = -f[s][t][k]
+                        row2[lay.idx0(ell, k)] = -f[s][t][k]
                 per = pairing.periods_c[ell]
                 for row in (row1, row2):
-                    if any(row):
-                        rows.append(row)
-                        moduli.append(0 if per is None else per)
-    return lay, rows, moduli
+                    if row:
+                        rows.append((row, 0 if per is None else per))
+    return lay, rows
 
 
 # --------------------------------------------------------------------------
@@ -493,9 +497,8 @@ class ScalarRing(InvariantFactors):
 
 
 def scalar_ring(pairing: Pairing) -> ScalarRing:
-    lay, rows, moduli = _base_system(pairing)
-    sol = solve_congruences(rows, [0] * len(rows), moduli, lay.total)
-    return ScalarRing(pairing, sol.basis)
+    lay, rows = _base_system(pairing)
+    return ScalarRing(pairing, lattice_kernel(rows, lay.total))
 
 
 def restrict_ring(ring: ScalarRing,
@@ -520,19 +523,19 @@ def restrict_ring(ring: ScalarRing,
         naux += used
     rank = len(s)
     rows = []
-    for d, _ in sparse:
-        row = [0] * (rank + naux)
+    for d, mod in sparse:
+        row: Dict[int, int] = {}
         for i, v in d.items():
             if i < lay.total:
                 for t, h in enumerate(s):
-                    row[t] += v * h[i]
+                    if h[i]:
+                        row[t] = row.get(t, 0) + v * h[i]
             else:
                 row[rank + i - lay.total] = v
-        rows.append(row)
-    sol = solve_congruences(rows, [0] * len(rows),
-                            [mod for _, mod in sparse], rank + naux)
+        rows.append((row, mod))
     return ScalarRing(ring.pairing,
-                      [vec_mat(x[:rank], s) for x in sol.basis])
+                      [vec_mat(x[:rank], s)
+                       for x in lattice_kernel(rows, rank + naux)])
 
 
 # --------------------------------------------------------------------------
@@ -548,8 +551,9 @@ def _kernel_mod(g: Sequence[Sequence[int]], p: int) -> List[List[int]]:
     p Z^n, so each pivot is p or 1, and the rows with pivot 1 are a basis
     of the kernel over F_p."""
     n = len(g)
-    sol = solve_congruences(transpose(g), [0] * n, [p] * n, n)
-    return hnf_basis(sol.basis, n)
+    rows = [({i: v for i, v in enumerate(col) if v}, p)
+            for col in transpose(g)]
+    return hnf_basis(lattice_kernel(rows, n), n)
 
 
 def _maximal_ideal_gens(ring: ScalarRing, p: int) -> List[List[List[int]]]:

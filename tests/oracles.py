@@ -542,12 +542,56 @@ def lowest_consistent_cover_layer(p):
 # scalar rings
 
 
+def ref_base_system(pairing):
+    """The defining congruences of the scalar triples as dense rows over
+    the flattened unknowns (phi1, then phi2, then phi0, each row-major),
+    with their moduli."""
+    lay = sc._Layout(pairing)
+    rows, moduli = [], []
+    for idx, n, periods in lay.slots:
+        for c in range(n):
+            if periods[c] is None:
+                continue
+            for r in range(n):
+                row = [0] * lay.total
+                row[idx(r, c)] = periods[c]
+                rows.append(row)
+                moduli.append(0 if periods[r] is None else periods[r])
+    f = pairing.table
+    for s in range(lay.na):
+        for t in range(lay.nb):
+            for ell in range(lay.nc):
+                row1 = [0] * lay.total
+                row2 = [0] * lay.total
+                for r in range(lay.na):
+                    row1[lay.idx1(r, s)] += f[r][t][ell]
+                for r in range(lay.nb):
+                    row2[lay.idx2(r, t)] += f[s][r][ell]
+                for k in range(lay.nc):
+                    row1[lay.idx0(ell, k)] -= f[s][t][k]
+                    row2[lay.idx0(ell, k)] -= f[s][t][k]
+                per = pairing.periods_c[ell]
+                for row in (row1, row2):
+                    if any(row):
+                        rows.append(row)
+                        moduli.append(0 if per is None else per)
+    return lay, rows, moduli
+
+
+def ref_scalar_ring(pairing):
+    """The ring of scalars from one dense system in na^2 + nb^2 + nc^2
+    unknowns, solved by a single HNF."""
+    lay, rows, moduli = ref_base_system(pairing)
+    sol = solve_congruences(rows, [0] * len(rows), moduli, lay.total)
+    return sc.ScalarRing(pairing, sol.basis)
+
+
 def ref_restrict_ring(pairing, constraints):
     """HNF basis of the scalar triples of `pairing` that satisfy
     `constraints`, from one system over the full triple coordinates: every
     defining congruence of the pairing and every condition, solved together
     in na^2 + nb^2 + nc^2 unknowns plus the conditions' auxiliary ones."""
-    lay, base_rows, moduli = sc._base_system(pairing)
+    lay, base_rows, moduli = ref_base_system(pairing)
     sparse = []
     naux = 0
     for con in constraints:

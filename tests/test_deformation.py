@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from nilpc import deformation as dm
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.deformation import (
@@ -198,6 +199,25 @@ class TestEnumerate:
         assert rep.bound == 1
         assert len(rep.classes) == 1
         assert rep.classes[0].components == ()
+
+    def test_survey_validates_no_case(self, monkeypatch):
+        a = adapt_basis(zg())
+        calls = []
+        real = dm._validate_params
+        monkeypatch.setattr(dm, "_validate_params",
+                            lambda *args: calls.append(args) or real(*args))
+        rep = enumerate_deformations(a)
+        assert calls == []
+        assert rep.classes == tuple(sorted(
+            {ext_class(a, d, c) for _, d, c in rep.representatives},
+            key=lambda cl: cl.components))
+        assert len(calls) == len(rep.representatives)
+
+    def test_survey_rejects_undiagonal_tails(self):
+        with pytest.raises(DeformError,
+                           match="ZK adapted: power tail of generator 4 is "
+                                 "not diagonally normalized"):
+            enumerate_deformations(adapt_basis(zk()))
 
     def test_survey_past_the_cap_raises(self):
         a = wide_adapted()

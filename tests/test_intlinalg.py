@@ -240,3 +240,47 @@ def _assert_echelon(h):
         p = nz[0]
         for k in range(i):
             assert 0 <= h[k][p] < row[p]
+
+
+# -- sparse kernels by connected component ----------------------------------
+
+
+def test_lattice_kernel_frozen():
+    # unknown 6 is in no row and 2 only with coefficient 0; one row is
+    # empty, two are isolated, {0, 1, 5} is one component mod 6 and one
+    # row alone links 7, 8 and 9
+    rows = [({0: 2, 1: 4}, 6), ({}, 3), ({2: 0}, 5), ({3: 3}, 0),
+            ({4: 2}, 4), ({1: 1, 5: -1}, 0), ({7: 1, 8: 1, 9: 1}, 0)]
+    before = [(dict(d), md) for d, md in rows]
+    got = la.hnf_basis(la.lattice_kernel(rows, 10), 10)
+    assert got == [[1, 1, 0, 0, 0, 1, 0, 0, 0, 0],
+                   [0, 3, 0, 0, 0, 3, 0, 0, 0, 0],
+                   [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 2, 0, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 0, 0, 1, 0, -1],
+                   [0, 0, 0, 0, 0, 0, 0, 0, 1, -1]]
+    assert rows == before
+
+
+def sparse_systems():
+    def system(n):
+        row = st.tuples(
+            st.dictionaries(st.integers(0, n - 1), st.integers(-4, 4),
+                            max_size=3),
+            st.sampled_from([0, 0, 2, 3, 4, 6]))
+        return st.tuples(st.just(n), st.lists(row, max_size=6))
+    return st.integers(1, 8).flatmap(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_lattice_kernel_matches_dense_solve(case):
+    n, rows = case
+    dense = [[d.get(j, 0) for j in range(n)] for d, _ in rows]
+    moduli = [md for _, md in rows]
+    got = la.lattice_kernel(rows, n)
+    for v in got:
+        assert satisfies(dense, [0] * len(rows), moduli, v)
+    sol = la.solve_congruences(dense, [0] * len(rows), moduli, n)
+    assert la.hnf_basis(got, n) == la.hnf_basis(sol.basis, n)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilpc import intlinalg as la
 from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
@@ -30,11 +31,21 @@ from oracles import (
     gaussian_solutions,
     ref_prime_decomposition_zero,
     ref_restrict_ring,
+    ref_scalar_ring,
     symplectic_solutions,
     zmod_mult_solutions,
 )
 
-from groups_def import f23, heis, heisenberg, nr, unitriangular, zg
+from groups_def import (
+    f23,
+    heis,
+    heisenberg,
+    nr,
+    unitriangular,
+    zg,
+    zh,
+    zk,
+)
 
 
 def flat(triple):
@@ -329,6 +340,54 @@ def test_primes_match_exhaustive_oracle(name):
     assert _factor(prime_decomposition_zero, ring) == want
     if name == "Z/1":
         assert want == "zero ideal is not a product of prime ideals"
+
+
+def _upper_pairing(p):
+    return pairing_of(bilinearize(
+        p, list(reversed(sg.upper_central_series(p)))))
+
+
+_SOLVED = {
+    **{f"{name} {kind}": (lambda g=g, kind=kind:
+                          _upper_pairing(g()) if kind == "upper"
+                          else pairing_of(bilinearize(g())))
+       for name, g in (("HEIS", heis), ("NR", nr), ("F23", f23), ("ZG", zg),
+                       ("ZH", zh), ("ZK", zk))
+       for kind in ("lower", "upper")},
+    **{f"UT_{n}": (lambda n=n: pairing_of(bilinearize(unitriangular(n))))
+       for n in range(4, 8)},
+    **{f"H_{n}": (lambda n=n: pairing_of(bilinearize(heisenberg(n))))
+       for n in range(3, 9)},
+    "symplectic": symplectic_pairing,
+    "Z[i]": gaussian_pairing,
+    **_FINITE,
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVED))
+def test_scalar_ring_matches_dense_solve(name):
+    pairing = _SOLVED[name]()
+    got, want = scalar_ring(pairing), ref_scalar_ring(pairing)
+    assert got.s_basis == want.s_basis
+    assert got.periods == want.periods
+    assert got.unit == want.unit
+
+
+def test_scalar_ring_solves_small_blocks(monkeypatch):
+    pairing = pairing_of(bilinearize(unitriangular(6)))
+    seen = []
+    real = la.hnf
+
+    def spy(a):
+        seen.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(la, "hnf", spy)
+    scalar_ring(pairing)
+    assert seen and max(seen) <= 64
+    seen.clear()
+    ref_scalar_ring(pairing)
+    assert max(seen) == 321
 
 
 class TestPrimeDecomposition:
