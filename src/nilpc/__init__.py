@@ -7,7 +7,7 @@ families with their extension classes, and certified homomorphisms between
 presentations. Run `nilpc --help` for the command-line entry points.
 """
 
-from .abelian import FgAbelian, abelianization
+from .abelian import FgAbelian, abelianization, isolator, torsion_subgroup
 from .bilinear import (
     AssociatedSeries,
     Bilinearization,
@@ -79,10 +79,7 @@ from .subgroups import (
     SubgroupPresentation,
     center,
     induce,
-    isolator,
     lower_central_series,
-    quotient,
-    torsion_subgroup,
     upper_central_series,
     whole_subgroup,
 )
@@ -103,7 +100,7 @@ __all__ = [
     "is_inverse_pair", "isolator", "key_subgroups", "load", "load_fixture",
     "lower_central_series", "multiplication_pairing", "multiply",
     "normal_form", "pairing_of", "parse", "power", "prime_decomposition_zero",
-    "quotient", "refined_series", "save", "scalar_ring",
+    "refined_series", "save", "scalar_ring",
     "spot_check", "standard_embedding",
     "torsion_subgroup", "twisted_embedding", "upper_central_series",
     "whole_subgroup",

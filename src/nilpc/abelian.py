@@ -1,65 +1,130 @@
-"""Finitely generated abelian sections A/B with exact integer coordinates.
+"""Finitely generated abelian sections A/B with exact integer coordinates,
+and the isolators and torsion subgroup they give.
 
-FgAbelian(p, a, b) presents the image of a in G/b as a direct sum of
-cyclic groups in invariant-factor order (torsion factors first, ascending
-divisibility, then free factors).  The periods and coordinates are those
-of intlinalg.InvariantFactors on the relation lattice of a's rows in G/b,
-which is subgroups.quotient(p, b), kept on p; this module adds only the
-sign rule.  Basis elements are ambient representatives; coords/element
-convert both ways.
+FgAbelian(p, a, b) presents a/b as a direct sum of cyclic groups in
+invariant-factor order (torsion factors first, ascending divisibility, then
+free factors).  It works on G's elements alone, by the induced polycyclic
+sequences of Sims (Computation with Finitely Presented Groups, 1994,
+ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and the
+image rows of a are canonical modulo b.  The periods and coordinates are
+those of intlinalg.InvariantFactors on the relation lattice of the image
+rows; this module adds only the sign rule.  Basis elements are elements of
+G; coords/element convert both ways.
+
+isolator(p, n) is the preimage in G of the torsion of G/n, read off the
+sections z/n with z/n the center of G/n.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
 from .intlinalg import InvariantFactors
 from .presentation import Element, PcPresentation
-from .subgroups import Subgroup, SubgroupError
+from .subgroups import Subgroup, SubgroupError, leading_index
 
 
 class FgAbelian(InvariantFactors):
-    """The section a/b of p, read in G/b.
+    """The section a/b of p, read in G.
+
+    b must lie in a, and every commutator of a's rows in b.  Then
+    [a, a] <= b <= a, so b is normal in a and a/b is abelian; b need not be
+    normal in G.  The rows r_1, ..., r_k are a polycyclic sequence with
+    [r_m, r_l] in a_{m+1} = <r_{m+1}, ...>, so by induction on m from k
+    down the [r_n, r_l] with n >= m generate a normal subgroup of a that
+    holds [a_m, a]; for m = 1 that is [a, a].
+
+    rep(x) = b.coset_rep(x) is the canonical element of x*b, which for x in
+    a stands for the coset x*b = b*x.  The image rows are the reps of a's
+    rows whose lead is not a lead of b with the same value, each reduced
+    modulo the deeper image rows; they are canonical rows of a/b, and
+    every product in a/b is a product in G followed by rep.
 
     Each basis element is oriented so that its first nonzero coordinate at
-    an infinite-period generator of G/b is positive.
+    a generator of infinite period in G/b (infinite in G, and no lead of b)
+    is positive.
     """
 
     def __init__(self, p: PcPresentation, a: Subgroup, b: Subgroup,
                  *, name: str = ""):
-        qm = sg.quotient(p, b)
+        label = name or "A/B"
+        if not all(a.contains(r) for r in b.rows):
+            raise SubgroupError(f"{p.name}: section {label} has B outside A")
         for i, r in enumerate(a.rows):
             for s in a.rows[i + 1:]:
                 if not b.contains(pc.commutator(p, r, s)):
                     raise SubgroupError(
-                        f"{p.name}: section {name or 'A/B'} is not abelian")
-        qp = qm.pres
+                        f"{p.name}: section {label} is not abelian")
         self.pres = p
-        self.qm = qm
-        self.arows = sg.induce(qp, [qm.proj(r) for r in a.rows])
-        super().__init__(self.arows.power_relations(), len(self.arows.rows))
+        self.rep = b.coset_rep
+        # the period of u_j in G/b: b's lead at j, else u_j's own; a row of
+        # a whose lead equals it has an image deeper down
+        self._period = {}
+        for j in range(1, p.m + 1):
+            row = b.row_at(j)
+            self._period[j] = row[j - 1] if row is not None else p.period(j)
+        rows: List[Element] = []
+        for r in reversed(a.rows):
+            lam = leading_index(r)
+            if self._period[lam] == r[lam - 1]:
+                continue
+            x = self.rep(r)
+            for y in rows:
+                mu = leading_index(y)
+                q = x[mu - 1] // y[mu - 1]
+                if q:
+                    x = self.rep(pc.multiply(p, x, pc.power(p, y, -q)))
+            rows.insert(0, x)
+        self.arows: Tuple[Element, ...] = tuple(rows)
+        self._order = {leading_index(r): k for k, r in enumerate(rows)}
+
+        rel = []
+        for k, (lam, r) in enumerate(zip(self._order, rows)):
+            e = self._period[lam]
+            if e is None:
+                continue
+            o = e // r[lam - 1]
+            vec = [-c for c in self._sift(pc.power(p, r, o))]
+            vec[k] += o
+            rel.append(vec)
+        super().__init__(rel, len(rows))
+
         basis = []
         for k, row in enumerate(self.rows):
-            h = sg.prod_rows(qp, self.arows.rows, row)
-            lead = next((c for idx, c in enumerate(h)
-                         if c and qp.period(idx + 1) is None), 0)
+            h = self.rep(sg.prod_rows(p, rows, row))
+            lead = next((c for j, c in enumerate(h, 1)
+                         if c and self._period[j] is None), 0)
             if lead < 0:
                 self.negate(k)
-                h = pc.inverse(qp, h)
-            basis.append(qm.lift(h))
+                h = self.rep(pc.inverse(p, h))
+            basis.append(h)
         self.basis: Tuple[Element, ...] = tuple(basis)
+
+    def _sift(self, x: Element) -> List[int]:
+        """Exponents c with rep(x) == rep(arows[0]^c0 * arows[1]^c1 * ...),
+        stripping from the left and taking rep after each strip."""
+        p = self.pres
+        coeffs = [0] * len(self.arows)
+        y = self.rep(x)
+        while True:
+            lam = leading_index(y)
+            if lam is None:
+                return coeffs
+            k = self._order.get(lam)
+            if k is None or y[lam - 1] % self.arows[k][lam - 1]:
+                raise SubgroupError("element does not lie in the section")
+            q = y[lam - 1] // self.arows[k][lam - 1]
+            coeffs[k] = q
+            y = self.rep(pc.multiply(p, pc.power(p, self.arows[k], -q), y))
 
     @property
     def free_rank(self) -> int:
         return sum(1 for d in self.periods if d is None)
 
     def coords(self, x: Element) -> Tuple[int, ...]:
-        coeffs = self.arows.coefficients_of(self.qm.proj(x))
-        if coeffs is None:
-            raise SubgroupError("element does not lie in the section")
-        return super().coords(coeffs)
+        return super().coords(self._sift(x))
 
     def element(self, vec: Tuple[int, ...]) -> Element:
         return sg.prod_rows(self.pres, self.basis, vec)
@@ -69,3 +134,28 @@ def abelianization(p: PcPresentation) -> FgAbelian:
     w = sg.whole_subgroup(p)
     der = sg.commutator_subgroup(p, w, w)
     return FgAbelian(p, w, der, name=f"{p.name} abelianized")
+
+
+def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
+    """Preimage in G of the torsion of G/n.  n must be normal.
+
+    A nilpotent group whose center has no torsion has none, so each step
+    adds to n the torsion of z/n, the center of G/n (z = G once G' <= n),
+    and the loop stops when there is none, or after G/n was abelian.
+    """
+    w = sg.whole_subgroup(p)
+    der = sg.commutator_subgroup(p, w, w)
+    while True:
+        abelian = all(n.contains(r) for r in der.rows)
+        z = w if abelian else sg.commutation_preimage(p, n)
+        sec = FgAbelian(p, z, n)
+        tors = [x for x, d in zip(sec.basis, sec.periods) if d is not None]
+        if not tors:
+            return n
+        n = sg.induce(p, list(n.rows) + tors)
+        if abelian:
+            return n
+
+
+def torsion_subgroup(p: PcPresentation) -> Subgroup:
+    return isolator(p, sg.trivial_subgroup(p))

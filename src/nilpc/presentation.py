@@ -100,10 +100,11 @@ class PcPresentation:
         default_factory=dict, init=False, repr=False, compare=False,
         hash=False
     )
-    # Quotients and constrained subgroups built on this presentation, keyed
-    # by canonical rows (see subgroups.py). Apart from _layers and _steps:
-    # those are collector tables, which consistency_check must tell apart,
-    # while these are subgroup results that only subgroups.py reads.
+    # Commutator subgroups and constrained passes built on this
+    # presentation, keyed by canonical rows (see subgroups.py). Apart from
+    # _layers and _steps: those are collector tables, which
+    # consistency_check must tell apart, while these are subgroup results
+    # that only subgroups.py reads.
     _built: Dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False,
         hash=False

@@ -6,9 +6,10 @@ isolator, the abelianization G/G', the torsion subgroup, the
 torsion-image part of the center, the products N = Is(G') Z and
 M = Is(G' Z), a free complement G0 of the torsion-image part inside the
 center, and the section invariants (n, p, e) read off M/N and N/Is(G').
-The quotients G/B and constrained passes behind them are kept on the
-presentation (see subgroups.py), and callers that need the class or the
-abelianization read them off the result.
+The sections and isolators are read in G (see abelian.py), the
+constrained passes behind them are kept on the presentation (see
+subgroups.py), and callers that need the class or the abelianization read
+them off the result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import subgroups as sg
-from .abelian import FgAbelian
+from .abelian import FgAbelian, isolator, torsion_subgroup
 from .intlinalg import InvariantFactors, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
@@ -106,13 +107,13 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
     ab = FgAbelian(pres, whole, der, name=f"{pres.name} abelianized")
-    iso_der = sg.isolator(pres, der)
-    tors = sg.torsion_subgroup(pres)
+    iso_der = isolator(pres, der)
+    tors = torsion_subgroup(pres)
     iso_c = _torsion_image_part(pres, z, ab)
 
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
     dz = sg.induce(pres, list(der.rows) + list(z.rows))
-    m_sub = sg.isolator(pres, dz)
+    m_sub = isolator(pres, dz)
     mn = FgAbelian(pres, m_sub, n_sub, name=f"{pres.name} M/N")
     if any(d is None for d in mn.periods):
         raise SubgroupError("M/N came out infinite")

@@ -7,13 +7,14 @@ and every row is reduced modulo the deeper rows.  Membership is a pure
 divide-and-strip pass against the rows, so equality of subgroups is
 equality of row tuples.
 
-So rows are a sound cache key.  quotient(p, n), commutator_subgroup(p, a,
-b) and constrained_subgroup(p, s, conditions) keep what they build on p,
-keyed by n's rows, by a's and b's rows, or by s's rows and each
-condition's (generators, rows): each G/N, each [A, B] and each constrained
-pass (center, commutation preimages, radical, ...) is built at most once
-per presentation, whichever caller asks first.  The results are
-immutable.
+So rows are a sound cache key.  commutator_subgroup(p, a, b) and
+constrained_subgroup(p, s, conditions) keep what they build on p, keyed by
+a's and b's rows, or by s's rows and each condition's (generators, rows):
+each [A, B] and each constrained pass (center, commutation preimages,
+radical, ...) is built at most once per presentation, whichever caller
+asks first.  The results are immutable.  No presentation of a quotient is
+built: a section is read in G by coset_rep (see abelian.py), and a
+constrained pass by L's rows alone.
 
 Within one constrained pass each commutator [r, h] is collected once, keyed
 by the elements r and h themselves: [r, h] depends on neither the layer nor
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
-from .intlinalg import InvariantFactors, solve_congruences
+from .intlinalg import solve_congruences
 from .presentation import Element, PcPresentation
 
 
@@ -99,6 +100,19 @@ class Subgroup:
             coeffs[self._order[lam]] = q
             y = pc.multiply(p, pc.power(p, row, -q), y)
 
+    def coset_rep(self, x: Element) -> Element:
+        """The element of x*self whose coordinate at each lead mu of the
+        rows lies in [0, lead): x times powers of the rows, in ascending
+        order of lead.  It is unique, since right multiplication by a
+        nontrivial element of self with lead mu moves coordinate mu by a
+        nonzero multiple of the lead and fixes the ones before it."""
+        p = self.pres
+        for mu, r in self._by_lead.items():
+            q = x[mu - 1] // r[mu - 1]
+            if q:
+                x = pc.multiply(p, x, pc.power(p, r, -q))
+        return x
+
     def power_relations(self) -> List[List[int]]:
         """o*e_k minus the coefficients of r^o, for each row r = rows[k] of
         finite relative order o; for an abelian subgroup these span the
@@ -163,9 +177,13 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
            normal: bool = False) -> Subgroup:
     """Canonical row sequence for the subgroup generated by gens.
 
-    With normal=True the normal closure is taken instead (conjugates by
-    the ambient generators are added until the rows stabilise; conjugating
-    by u_i alone suffices, see is_normal).
+    With normal=True the normal closure is taken instead: conjugates by
+    the ambient generators are added until the rows stabilise.  One side
+    is enough.  A polycyclic group satisfies the maximal condition on
+    subgroups, and s^{u_i} <= s gives the ascending chain
+    s <= s^{u_i^-1} <= s^{u_i^-2} <= ...; it stabilises at some k, and
+    conjugating s^{u_i^-k} = s^{u_i^-(k+1)} by u_i^(k+1) gives s^{u_i} = s.
+    So s is also closed under conjugation by u_i^-1, hence by all of G.
     """
     rows: Dict[int, Element] = {}
     queue: List[Element] = [g for g in gens if leading_index(g) is not None]
@@ -238,31 +256,6 @@ def _reduce_deeper(p: PcPresentation, x: Element,
     return x
 
 
-def is_normal(p: PcPresentation, s: Subgroup) -> bool:
-    """Is s^{u_i} inside s for every ambient generator u_i?
-
-    One side is enough.  A polycyclic group satisfies the maximal condition
-    on subgroups, and s^{u_i} <= s gives the ascending chain
-    s <= s^{u_i^-1} <= s^{u_i^-2} <= ...; it stabilises at some k, and
-    conjugating s^{u_i^-k} = s^{u_i^-(k+1)} by u_i^(k+1) gives s^{u_i} = s.
-    So s is also closed under conjugation by u_i^-1, hence by all of G.
-
-    A suffix s = <u_k, ..., u_m>, whose canonical rows are the unit vectors
-    u_k..u_m, is normal with no conjugation.  Take a row u_j, j >= k.  For
-    i < j, u_i^-1 u_j u_i = u_j [u_j, u_i], and the tail of [u_j, u_i] has
-    support > j, so the conjugate lies in u_j <u_{j+1}, ..., u_m> <= s.  For
-    i >= j, u_i lies in s itself.  So s^{u_i} <= s for every i.
-    """
-    k = p.m + 1 - len(s.rows)
-    if s.rows == tuple(pc.generator(p, i) for i in range(k, p.m + 1)):
-        return True
-    for r in s.rows:
-        for i in range(1, p.m + 1):
-            if not s.contains(pc.conjugate(p, r, pc.generator(p, i))):
-                return False
-    return True
-
-
 def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b], built once per presentation and pair of row tuples."""
     return _once(p, ("commutator", a.rows, b.rows), _build_commutator, a, b)
@@ -284,76 +277,11 @@ def lower_central_series(p: PcPresentation) -> List[Subgroup]:
     return chain
 
 
-# -- quotients ----------------------------------------------------------------
-
-
-class QuotientMap:
-    """Quotient presentation of p by a normal subgroup, with both directions.
-
-    proj sends an ambient element to its canonical quotient coordinates;
-    lift sends quotient coordinates to the canonical coset representative
-    (the section used by proj itself), so proj(lift(q)) == q.
-    """
-
-    def __init__(self, ambient: PcPresentation, n: Subgroup):
-        self.ambient = ambient
-        self.n = n
-        # relative period of each kept u_j modulo n; n holds the others
-        self._period: Dict[int, Optional[int]] = {}
-        for j in range(1, ambient.m + 1):
-            row = n.row_at(j)
-            e = row[j - 1] if row is not None else ambient.period(j)
-            if e != 1:
-                self._period[j] = e
-        self.kept = tuple(self._period)
-        self._gens = tuple(pc.generator(ambient, j) for j in self.kept)
-        self.pres = presentation_on(
-            ambient, f"{ambient.name}/N", self._gens,
-            list(self._period.values()), self.proj)
-
-    def proj(self, x: Element) -> Element:
-        """Strip coordinate j of x by u_j^tau, the quotient coordinate, and
-        the rest by a power of n's row at j, for j = 1, 2, ..."""
-        p = self.ambient
-        y = x
-        out = []
-        for j in range(1, p.m + 1):
-            a = y[j - 1]
-            pb = self._period.get(j, 1)  # 1: n's row at j has lead 1
-            tau = a if pb is None else a % pb
-            if tau:
-                y = pc.multiply(p, pc.power(p, pc.generator(p, j), -tau), y)
-            if a != tau:
-                y = pc.multiply(
-                    p, pc.power(p, self.n.row_at(j), (tau - a) // pb), y)
-            if j in self._period:
-                out.append(tau)
-            if y[j - 1] != 0:
-                raise SubgroupError("projection failed to strip a coordinate")
-        return tuple(out)
-
-    def lift(self, q: Element) -> Element:
-        return prod_rows(self.ambient, self._gens, q)
-
-
 def _once(p: PcPresentation, key: tuple, build, *args):
     """build(p, *args), made once per presentation and key."""
     if key not in p._built:
         p._built[key] = build(p, *args)
     return p._built[key]
-
-
-def quotient(p: PcPresentation, n: Subgroup) -> QuotientMap:
-    """G/n, built once per presentation and n.  n must be normal."""
-    if n.pres != p:
-        raise SubgroupError("subgroup belongs to a different presentation")
-    return _once(p, ("quotient", n.rows), _build_quotient, n)
-
-
-def _build_quotient(p: PcPresentation, n: Subgroup) -> QuotientMap:
-    if not is_normal(p, n):
-        raise SubgroupError(f"{p.name}: quotient by a non-normal subgroup")
-    return QuotientMap(p, n)
 
 
 # -- constrained subgroups ----------------------------------------------------
@@ -469,28 +397,6 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
     if chain[-1] != whole_subgroup(p):
         raise SubgroupError(f"{p.name}: upper central series does not reach G")
     return chain
-
-
-# -- torsion ------------------------------------------------------------------
-
-
-def torsion_subgroup(p: PcPresentation) -> Subgroup:
-    """The torsion tz of the center, read off its relation lattice, and
-    then the torsion of G/tz lifted back: the isolator of tz, which is tz
-    itself when tz is trivial."""
-    z = center(p)
-    f = InvariantFactors(z.power_relations(), len(z.rows))
-    tz = induce(p, [prod_rows(p, z.rows, row)
-                    for row, d in zip(f.rows, f.periods) if d is not None])
-    return tz if tz.is_trivial else isolator(p, tz)
-
-
-def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
-    """Preimage in G of the torsion of G/n.  n must be normal."""
-    qm = quotient(p, n)
-    tq = torsion_subgroup(qm.pres)
-    gens = list(n.rows) + [qm.lift(r) for r in tq.rows]
-    return induce(p, gens)
 
 
 # -- abstract presentation of a subgroup ---------------------------------------

@@ -12,7 +12,7 @@ from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.abelian import FgAbelian
-from nilpc.intlinalg import hnf_basis, solve_congruences
+from nilpc.intlinalg import InvariantFactors, hnf_basis, solve_congruences
 from nilpc.series import key_subgroups
 
 
@@ -416,7 +416,7 @@ def ref_constrained_subgroup(p, s, conditions):
             o_j = row_j[j - 1] if row_j is not None else p.period(j)
             if o_j == 1:
                 continue
-            qm = sg.quotient(p, lk_next)
+            qm = ref_quotient(p, lk_next)
             pos = {amb: k for k, amb in enumerate(qm.kept)}
             for h in hs:
                 vals = []
@@ -434,6 +434,112 @@ def ref_constrained_subgroup(p, s, conditions):
         assert sol.consistent
         t = sg.induce(p, [sg.prod_rows(p, t.rows, v) for v in sol.basis])
     return t
+
+
+# ---------------------------------------------------------------------------
+# quotients, sections and isolators
+#
+# The package reads a section a/b and the isolators in G itself, with
+# coset representatives. These build G/n as a presentation of its own and
+# read sections and torsion there: projection, induced rows and the center
+# are then computed in a different group.
+
+
+class RefQuotient:
+    """G/n as a presentation on the generators u_j that n does not cover,
+    with proj to canonical quotient coordinates and lift back to G."""
+
+    def __init__(self, ambient, n):
+        if not two_sided_is_normal(ambient, n):
+            raise sg.SubgroupError(
+                f"{ambient.name}: quotient by a non-normal subgroup")
+        self.ambient = ambient
+        self.n = n
+        # relative period of each kept u_j modulo n; n holds the others
+        self._period = {}
+        for j in range(1, ambient.m + 1):
+            row = n.row_at(j)
+            e = row[j - 1] if row is not None else ambient.period(j)
+            if e != 1:
+                self._period[j] = e
+        self.kept = tuple(self._period)
+        self._gens = tuple(pc.generator(ambient, j) for j in self.kept)
+        self.pres = sg.presentation_on(
+            ambient, f"{ambient.name}/N", self._gens,
+            list(self._period.values()), self.proj)
+
+    def proj(self, x):
+        """Strip coordinate j of x by u_j^tau, the quotient coordinate, and
+        the rest by a power of n's row at j, for j = 1, 2, ..."""
+        p = self.ambient
+        y = x
+        out = []
+        for j in range(1, p.m + 1):
+            a = y[j - 1]
+            pb = self._period.get(j, 1)  # 1: n's row at j has lead 1
+            tau = a if pb is None else a % pb
+            if tau:
+                y = pc.multiply(p, pc.power(p, pc.generator(p, j), -tau), y)
+            if a != tau:
+                y = pc.multiply(
+                    p, pc.power(p, self.n.row_at(j), (tau - a) // pb), y)
+            if j in self._period:
+                out.append(tau)
+            assert y[j - 1] == 0
+        return tuple(out)
+
+    def lift(self, q):
+        return sg.prod_rows(self.ambient, self._gens, q)
+
+
+ref_quotient = RefQuotient
+
+
+class RefSection(InvariantFactors):
+    """The section a/b read in G/b, which must be a presentation: induced
+    rows of the projected a, their power relations, and the sign rule at
+    the infinite generators of G/b."""
+
+    def __init__(self, p, a, b):
+        qm = ref_quotient(p, b)
+        qp = qm.pres
+        self.qm = qm
+        self.arows = sg.induce(qp, [qm.proj(r) for r in a.rows])
+        super().__init__(self.arows.power_relations(), len(self.arows.rows))
+        basis = []
+        for k, row in enumerate(self.rows):
+            h = sg.prod_rows(qp, self.arows.rows, row)
+            lead = next((c for idx, c in enumerate(h)
+                         if c and qp.period(idx + 1) is None), 0)
+            if lead < 0:
+                self.negate(k)
+                h = pc.inverse(qp, h)
+            basis.append(qm.lift(h))
+        self.basis = tuple(basis)
+
+    def coords(self, x):
+        coeffs = self.arows.coefficients_of(self.qm.proj(x))
+        assert coeffs is not None
+        return super().coords(coeffs)
+
+
+ref_section = RefSection
+
+
+def ref_torsion(p):
+    """The torsion tz of the center, then the torsion of G/tz lifted back."""
+    z = sg.center(p)
+    f = InvariantFactors(z.power_relations(), len(z.rows))
+    tz = sg.induce(p, [sg.prod_rows(p, z.rows, row)
+                       for row, d in zip(f.rows, f.periods) if d is not None])
+    return tz if tz.is_trivial else ref_isolator(p, tz)
+
+
+def ref_isolator(p, n):
+    """The torsion of G/n, found in the presentation G/n, lifted to G."""
+    qm = ref_quotient(p, n)
+    tq = ref_torsion(qm.pres)
+    return sg.induce(p, list(n.rows) + [qm.lift(r) for r in tq.rows])
 
 
 # ---------------------------------------------------------------------------

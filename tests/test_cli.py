@@ -239,41 +239,16 @@ class TestComputedOnce:
                     ("subgroups", "lower_central_series")):
             assert stats.get(key, (0,))[0] <= 1, key
 
-    @pytest.mark.parametrize("command", ["invariants", "analyze"])
-    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
-    def test_abelianization_quotient_built_once(self, workdir, capsys,
-                                                monkeypatch, command, name):
-        path = str(workdir / f"{name}.json")
-        p = files.load(path)
-        der = sg.lower_central_series(p)[1]
-        built = []
-        build = sg._build_quotient
-
-        def recording(q, n):
-            if q == p and n == der:
-                built.append(n)
-            return build(q, n)
-
-        monkeypatch.setattr(sg, "_build_quotient", recording)
-        self.profile(capsys, command, path)
-        assert len(built) == 1, built
-
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
     def test_quotients_and_passes_built_once(self, capsys, monkeypatch,
                                              name):
-        # Every report command builds each G/B and each [A, B] and runs
-        # each constrained pass at most once per presentation object.
-        quotients, commutators, passes, seen = [], [], [], []
-        build_q, build_c = sg._build_quotient, sg._build_constrained
-        build_k = sg._build_commutator
-
-        def quotient(p, n):
-            seen.append(p)  # held, so no id is reused during the command
-            quotients.append((id(p), n.rows))
-            return build_q(p, n)
+        # Every report command builds each [A, B] and runs each
+        # constrained pass at most once per presentation object.
+        commutators, passes, seen = [], [], []
+        build_c, build_k = sg._build_constrained, sg._build_commutator
 
         def commutator(p, a, b):
-            seen.append(p)
+            seen.append(p)  # held, so no id is reused during the command
             commutators.append((id(p), a.rows, b.rows))
             return build_k(p, a, b)
 
@@ -283,27 +258,42 @@ class TestComputedOnce:
                 (tuple(hs), ell.rows) for hs, ell in conditions)))
             return build_c(p, s, conditions)
 
-        monkeypatch.setattr(sg, "_build_quotient", quotient)
         monkeypatch.setattr(sg, "_build_constrained", constrained)
         monkeypatch.setattr(sg, "_build_commutator", commutator)
         total = 0
         for cmd in REPORT_COMMANDS[1:]:
-            del quotients[:], commutators[:], passes[:], seen[:]
+            del commutators[:], passes[:], seen[:]
             main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
             capsys.readouterr()
-            total += len(quotients) + len(commutators) + len(passes)
-            assert len(set(quotients)) == len(quotients), cmd
+            total += len(commutators) + len(passes)
             assert len(set(commutators)) == len(commutators), cmd
             assert len(set(passes)) == len(passes), cmd
         assert total
 
-    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
-    def test_constrained_subgroup_builds_no_quotient(self, workdir, capsys,
-                                                     name):
-        stats = self.profile(capsys, "series", str(workdir / f"{name}.json"),
-                             "--kind", "refined")
-        assert stats["subgroups", "constrained_subgroup"][0] > 0
-        assert "constrained_subgroup" not in stats["subgroups", "quotient"][1]
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])
+    def test_no_presentation_of_a_quotient_is_built(self, capsys,
+                                                    monkeypatch, name):
+        # Collector tables are derived once for the loaded presentation
+        # and, under adapt and enumerate, once for the adapted one:
+        # sections and isolators are read in G, so no other presentation
+        # is built.
+        derived = []
+        derive = pc._derive_layers
+
+        def recording(p, *args, **kwargs):
+            derived.append(p.name)
+            return derive(p, *args, **kwargs)
+
+        monkeypatch.setattr(pc, "_derive_layers", recording)
+        loaded = files.load(str(FIXTURES / f"{name}.json")).name
+        for cmd in REPORT_COMMANDS:
+            del derived[:]
+            main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
+            capsys.readouterr()
+            expected = [loaded]
+            if cmd[0] in ("adapt", "enumerate"):
+                expected.append(f"{loaded} adapted")
+            assert derived == expected, cmd
 
 
 class TestHoms:

@@ -173,18 +173,18 @@ def test_fixtures_are_consistent():
 
 
 def test_dropped_presentation_is_freed():
-    # The collector's tables and the quotients and constrained passes
-    # built on a presentation live on it, not in a process-wide cache, so
-    # a presentation goes once nothing refers to it; the cycle
-    # p -> quotient map -> p is left to the cycle collector.
+    # The collector's tables and the constrained passes built on a
+    # presentation live on it, not in a process-wide cache, so a
+    # presentation goes once nothing refers to it; the cycle
+    # p -> center -> p is left to the cycle collector.
     p = zg()
     x = pc.normal_form(p, [(i, 1) for i in range(p.m, 0, -1)])
     pc.multiply(p, x, x)
     pc.power(p, x, -3)
     assert pc.consistency_check(p).ok
-    qm = sg.quotient(p, sg.center(p))
-    assert qm.ambient is p and p._built
-    del qm
+    z = sg.center(p)
+    assert z.pres is p and p._built
+    del z
     ref = weakref.ref(p)
     del p
     gc.collect()
