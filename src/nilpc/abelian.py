@@ -9,7 +9,8 @@ ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and the
 image rows of a are canonical modulo b.  The periods and coordinates are
 those of intlinalg.InvariantFactors on the relation lattice of the image
 rows; this module adds only the sign rule.  Basis elements are elements of
-G; coords/element convert both ways.
+G; coords/element convert both ways.  section(p, a, b) builds each a/b
+once per presentation, keyed by a's and b's rows; the result is immutable.
 
 isolator(p, n) is the preimage in G of the torsion of G/n, read off the
 sections z/n with z/n the center of G/n.
@@ -130,10 +131,18 @@ class FgAbelian(InvariantFactors):
         return sg.prod_rows(self.pres, self.basis, vec)
 
 
+def section(p: PcPresentation, a: Subgroup, b: Subgroup,
+            *, name: str = "") -> FgAbelian:
+    """FgAbelian(p, a, b), built once per presentation and pair of row
+    tuples.  name only labels the error of a failed build."""
+    return sg._once(p, ("section", a.rows, b.rows),
+                    lambda q, x, y: FgAbelian(q, x, y, name=name), a, b)
+
+
 def abelianization(p: PcPresentation) -> FgAbelian:
     w = sg.whole_subgroup(p)
     der = sg.commutator_subgroup(p, w, w)
-    return FgAbelian(p, w, der, name=f"{p.name} abelianized")
+    return section(p, w, der, name=f"{p.name} abelianized")
 
 
 def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
@@ -148,7 +157,7 @@ def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:
     while True:
         abelian = all(n.contains(r) for r in der.rows)
         z = w if abelian else sg.commutation_preimage(p, n)
-        sec = FgAbelian(p, z, n)
+        sec = section(p, z, n)
         tors = [x for x, d in zip(sec.basis, sec.periods) if d is not None]
         if not tors:
             return n

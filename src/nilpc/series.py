@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import subgroups as sg
-from .abelian import FgAbelian, isolator, torsion_subgroup
+from .abelian import FgAbelian, isolator, section, torsion_subgroup
 from .intlinalg import InvariantFactors, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
@@ -106,7 +106,7 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     whole = lcs[0]
     der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
-    ab = FgAbelian(pres, whole, der, name=f"{pres.name} abelianized")
+    ab = section(pres, whole, der, name=f"{pres.name} abelianized")
     iso_der = isolator(pres, der)
     tors = torsion_subgroup(pres)
     iso_c = _torsion_image_part(pres, z, ab)

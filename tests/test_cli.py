@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nilpc
+from nilpc import abelian as ab
 from nilpc import files
 from nilpc import presentation as pc
 from nilpc import scalars as sc
@@ -239,6 +240,34 @@ class TestComputedOnce:
                     ("subgroups", "lower_central_series")):
             assert stats.get(key, (0,))[0] <= 1, key
 
+    @pytest.mark.parametrize("command", ["invariants", "analyze"])
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
+    def test_abelianization_quotient_built_once(self, workdir, capsys,
+                                                monkeypatch, command, name):
+        # G/G' is built once, as a section read in G: no presentation of
+        # it is derived.
+        path = str(workdir / f"{name}.json")
+        p = files.load(path)
+        whole = sg.whole_subgroup(p)
+        der = sg.lower_central_series(p)[1]
+        built, derived = [], []
+        init, derive = ab.FgAbelian.__init__, pc._derive_layers
+
+        def section(self, q, a, b, **kwargs):
+            if q == p and a == whole and b == der:
+                built.append(b)
+            init(self, q, a, b, **kwargs)
+
+        def recording(q, *args, **kwargs):
+            derived.append(q.name)
+            return derive(q, *args, **kwargs)
+
+        monkeypatch.setattr(ab.FgAbelian, "__init__", section)
+        monkeypatch.setattr(pc, "_derive_layers", recording)
+        self.profile(capsys, command, path)
+        assert len(built) == 1, built
+        assert derived == [p.name], derived
+
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG"])
     def test_quotients_and_passes_built_once(self, capsys, monkeypatch,
                                              name):
@@ -294,6 +323,34 @@ class TestComputedOnce:
             if cmd[0] in ("adapt", "enumerate"):
                 expected.append(f"{loaded} adapted")
             assert derived == expected, cmd
+
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23"])
+    def test_constrained_subgroup_builds_no_quotient(self, workdir, capsys,
+                                                     monkeypatch, name):
+        # No collector tables are derived while a constrained subgroup is
+        # being built.
+        calls, inside, depth = [], [], [0]
+        build, derive = sg.constrained_subgroup, pc._derive_layers
+
+        def constrained(*args, **kwargs):
+            calls.append(1)
+            depth[0] += 1
+            try:
+                return build(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def recording(q, *args, **kwargs):
+            if depth[0]:
+                inside.append(q.name)
+            return derive(q, *args, **kwargs)
+
+        monkeypatch.setattr(sg, "constrained_subgroup", constrained)
+        monkeypatch.setattr(pc, "_derive_layers", recording)
+        self.profile(capsys, "series", str(workdir / f"{name}.json"),
+                     "--kind", "refined")
+        assert calls
+        assert not inside, inside
 
 
 class TestHoms:
