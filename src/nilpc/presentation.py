@@ -57,11 +57,35 @@ z_i = b_i - w_i, reduced mod e_i when e_i is finite, is forced, and after
 coordinate m, w = b. The division collects one letter per nonzero
 coordinate of z, on either path, so a commutator costs two products and at
 most m letters instead of a 4m-letter word collected from the identity.
+
+Powers. When every layer of the cover is accepted, each coordinate of x^n
+in G~ is an integer-valued polynomial f_k(n) of degree at most w(k), the
+weight of u_k (see "conjugation polynomials"), so at most d = max w(k).
+Coordinate k of a product x y in G~ is x_k + y_k + q_k(x_<k, y_<k), where
+q_k has weighted degree at most w(k), counting w(l) for x_l and for y_l:
+collecting y letter by letter substitutes conjugation polynomials, which
+obey that bound, into one another, and substitution keeps it. q_k vanishes
+when x or y is the identity, so every monomial of q_k mixes both factors.
+By induction on k, let f_l have degree at most w(l) for every l < k. Then
+f_k(n + 1) - f_k(n) = x_k + q_k(f(n), x), and in each monomial of q_k the
+factors from x carry weight at least 1, so those from f(n) carry at most
+w(k) - 1 and have degree at most w(k) - 1 in n. Hence f_k has degree at
+most w(k). So x^n = sum_{k <= d} binom(n, k) Delta^k, with Delta^k the
+k-th forward difference of x^0, x^1, ..., x^d in G~ at 0, for negative n
+as well, since the series is the polynomial itself. Expanding Delta^k =
+sum_j (-1)^(k-j) binom(k, j) x^j gives x^n = sum_{1 <= j <= d} c_j x^j
+coordinatewise, c_j = sum_{j <= k <= d} (-1)^(k-j) binom(k, j) binom(n, k)
+(x^0 has zero coordinates). That costs d - 1 products whatever n is, and
+one reduction in G of the finite coordinates maps the result to x^n in G,
+because u_l -> u_l is a homomorphism G~ -> G. Binary powering stays for
+|n| <= d, where it costs no more, and for rewriting, which
+consistency_check and letters below the lowest accepted layer use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from operator import sub
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -372,11 +396,15 @@ class _Tables:
     polys: per layer, its _ConjPoly in G~, or None where collection rewrites.
     finite: the generators with a finite period, ascending; they have none
         in G~, so collection in the cover reduces nothing.
+    degree: the largest Deep Thought weight w(k). When every layer is
+        accepted, each coordinate of x^n in G~ is a polynomial in n of
+        degree at most this (see "powers" in the module docstring).
     """
 
     cover: PcPresentation
     polys: tuple
     finite: Tuple[int, ...]
+    degree: int
 
 
 def _conj_layers(p: PcPresentation) -> _Tables:
@@ -407,8 +435,9 @@ def _derive_layers(p: PcPresentation, slack: int = 0,
     for (j, i), tail in sorted(p.commutators):
         for l, _ in tail:
             weight[l] = max(weight[l], weight[i] + weight[j])
+    degree = max(weight)
     polys: list = [None] * m
-    layers = _Tables(cover, polys, finite)
+    layers = _Tables(cover, polys, finite, degree)
     low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
         if check and not _extends(p, i, layers):
@@ -418,7 +447,7 @@ def _derive_layers(p: PcPresentation, slack: int = 0,
             low = i
         elif not check:
             break
-    return _Tables(cover, tuple(polys), finite)
+    return _Tables(cover, tuple(polys), finite, degree)
 
 
 def _extends(q: PcPresentation, i: int, layers: _Tables) -> bool:
@@ -564,18 +593,16 @@ def _conj_poly(poly: _ConjPoly, e: int, t: list, i: int) -> None:
 # collection
 
 
-def _collect(p: PcPresentation, t: list, letters: Iterable[Tuple[int, int]],
+def _collect(p: PcPresentation, t: list, stack: list,
              layers: Optional[_Tables]) -> None:
-    """Collect letters into t; layers is _conj_layers(p), or None to rewrite
-    every letter."""
+    """Collect the letters of stack into t, last letter first, emptying the
+    stack; layers is _conj_layers(p), or None to rewrite every letter."""
     m = p.m
     if layers is None:
         polys, last = (None,) * m, 0
     else:
         polys, finite = layers.polys, layers.finite
         last = finite[-1] if finite and p is not layers.cover else 0
-    stack = list(letters)
-    stack.reverse()
     while stack:
         i, e = stack.pop()
         if e == 0:
@@ -628,20 +655,24 @@ def _reduce(p: PcPresentation, t: list, i: int, layers: _Tables) -> None:
         tail = p.power_tail(k)
         if tail:
             s = list(_power(cover, element_of_word_coords(p, tail), q, layers))
-            _collect(cover, s, [(l, t[l - 1]) for l in range(k + 1, m + 1)
+            _collect(cover, s, [(l, t[l - 1]) for l in range(m, k, -1)
                                 if t[l - 1]], layers)
             t[k:] = s[k:]
 
 
 def _normal_form(p: PcPresentation, word, layers) -> Element:
     t = [0] * p.m
-    _collect(p, t, tuple(word), layers)
+    stack = list(word)
+    stack.reverse()
+    _collect(p, t, stack, layers)
     return tuple(t)
 
 
 def _multiply(p: PcPresentation, x: Element, y: Element, layers) -> Element:
     t = list(x)
-    _collect(p, t, word_of(p, y), layers)
+    stack = [(k, v) for k, v in enumerate(y, 1) if v]
+    stack.reverse()
+    _collect(p, t, stack, layers)
     return tuple(t)
 
 
@@ -650,8 +681,32 @@ def _inverse(p: PcPresentation, x: Element, layers) -> Element:
 
 
 def _power(p: PcPresentation, x: Element, n: int, layers) -> Element:
+    """x^n: by a Newton series in n over the cover when every layer of it
+    is accepted and |n| exceeds the degree d (see "powers"), in d - 1
+    products; otherwise by binary powering, which rewriting needs and which
+    costs no more for |n| <= d."""
     if n == 0:
         return identity_element(p)
+    # layers.polys is empty when m = 0
+    if (layers is not None and layers.polys and layers.polys[0] is not None
+            and abs(n) > layers.degree):
+        cover, d = layers.cover, layers.degree
+        b = [1]  # b[k] = binom(n, k)
+        for k in range(d):
+            b.append(b[-1] * (n - k) // (k + 1))
+        t = [0] * p.m
+        y = x  # x^j in G~
+        for j in range(1, d + 1):
+            if j > 1:
+                y = _multiply(cover, y, x, layers)
+            c = sum((-1) ** (k - j) * comb(k, j) * b[k]
+                    for k in range(j, d + 1))
+            for l, v in enumerate(y):
+                if v:
+                    t[l] += c * v
+        if p is not cover:
+            _reduce(p, t, 1, layers)
+        return tuple(t)
     if n < 0:
         return _power(p, _inverse(p, x, layers), -n, layers)
     acc = None
@@ -678,6 +733,9 @@ def inverse(p: PcPresentation, x: Element) -> Element:
 
 
 def power(p: PcPresentation, x: Element, n: int) -> Element:
+    """x^n for any integer n. When the cover is accepted at every layer this
+    costs _Tables.degree - 1 products for every |n| above that degree (see
+    "powers" in the module docstring)."""
     return _power(p, x, n, _conj_layers(p))
 
 
@@ -691,7 +749,7 @@ def _left_quotient(p: PcPresentation, a: Element, b: Element,
         c = v - t[i] if e is None else (v - t[i]) % e
         if c:
             z[i] = c
-            _collect(p, t, ((i + 1, c),), layers)
+            _collect(p, t, [(i + 1, c)], layers)
     return tuple(z)
 
 

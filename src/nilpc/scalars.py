@@ -324,10 +324,13 @@ class ScalarRing(InvariantFactors):
     structure: the InvariantFactors of the solution lattice
     modulo null triples, with each free basis vector oriented so that its
     first nonzero entry is positive.  Multiplication is composition,
-    tabulated on the additive basis.
+    tabulated on the additive basis.  The basis is rechecked against the
+    pairing identities unless recheck is off, which restrict_ring alone
+    does (its docstring proves the check redundant there).
     """
 
-    def __init__(self, pairing: Pairing, rows: Sequence[Sequence[int]]):
+    def __init__(self, pairing: Pairing, rows: Sequence[Sequence[int]],
+                 recheck: bool = True):
         self.pairing = pairing
         self.lay = _Layout(pairing)
         self.s_basis = tuple(
@@ -370,7 +373,8 @@ class ScalarRing(InvariantFactors):
                 unit_vec[idx(r, r)] = 1
         self.unit = self.coords_vec(unit_vec)
 
-        self._recheck_basis()
+        if recheck:
+            self._recheck_basis()
 
         k = len(self.periods)
         table = []
@@ -510,6 +514,17 @@ def restrict_ring(ring: ScalarRing,
     the conditions' auxiliary unknowns.  Every triple of the ring already
     satisfies the pairing identities and the conditions of earlier
     restrictions, so restrictions compose.
+
+    The new ring skips _recheck_basis. The identities it checks on a triple
+    h, red(f(phi1 a_s, b_t)) == red(f(a_s, phi2 b_t)) == red(phi0 f(a_s,
+    b_t)) for all s, t, are linear in h, so the triples that pass form a
+    lattice P. The first ring of a chain of restrictions was built with
+    the check, and its lattice is spanned by its basis, which passed, and
+    its null triples, which are zero maps and pass too: a period of A or B
+    kills the table's values by Pairing's order check, and a period of C
+    is reduced away by red. A restriction's triples are integer
+    combinations of its parent's s_basis, so every ring of the chain lies
+    in the first ring's lattice, inside P.
     """
     if not constraints:
         return ring
@@ -535,7 +550,8 @@ def restrict_ring(ring: ScalarRing,
         rows.append((row, mod))
     return ScalarRing(ring.pairing,
                       [vec_mat(x[:rank], s)
-                       for x in lattice_kernel(rows, rank + naux)])
+                       for x in lattice_kernel(rows, rank + naux)],
+                      recheck=False)
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,16 @@ def ref_conjugate(p, x, g):
         p, pc._inverse_word(p, g) + pc.word_of(p, x) + pc.word_of(p, g))
 
 
+def ref_power(p, x, n):
+    """x^n as |n| public products by x, or by x^-1 when n < 0. For large
+    |n| use the matrix and Magnus models below."""
+    step = x if n >= 0 else pc.inverse(p, x)
+    acc = pc.identity_element(p)
+    for _ in range(abs(n)):
+        acc = pc.multiply(p, acc, step)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular matrix model of the discrete Heisenberg group
 #
@@ -263,10 +273,90 @@ def ut_mat_pow(a, n):
     return r
 
 
+def ut_mat_pow_series(a, n):
+    """a^n as the finite binomial series sum_k binom(n, k) (a - I)^k, for
+    any integer n: a - I is nilpotent. Cheaper than ut_mat_pow at huge n."""
+    size = len(a)
+    eye = ut_identity(size)
+    nil = tuple(tuple(x - y for x, y in zip(ra, re)) for ra, re in zip(a, eye))
+    out = [list(r) for r in eye]
+    term, c = eye, 1
+    for k in range(1, size):
+        c = c * (n - k + 1) // k
+        term = ut_mat_mul(term, nil)
+        for r in range(size):
+            for col in range(size):
+                out[r][col] += c * term[r][col]
+    return tuple(tuple(r) for r in out)
+
+
 def ut_mat_comm(a, b):
     """[a, b] = a^-1 b^-1 a b."""
     return ut_mat_mul(
         ut_mat_mul(ut_mat_inv(a), ut_mat_inv(b)), ut_mat_mul(a, b))
+
+
+# ---------------------------------------------------------------------------
+# truncated Magnus model of F23
+#
+# u1 -> 1 + X and u2 -> 1 + Y in Z<<X, Y>> modulo words of length 4, with
+# u3 = [u2, u1], u4 = [u3, u1] and u5 = [u3, u2] computed in the ring. By
+# Magnus' theorem the kernel on the free group is its fourth lower central
+# term, so the map is faithful on the free class-3 group F23. An element is
+# a dict from words over {0, 1} to nonzero coefficients.
+
+MAGNUS_DEPTH = 3
+
+
+def magnus_mul(a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= MAGNUS_DEPTH:
+                out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def magnus_inv(a):
+    """(1 + N)^-1 = 1 - N + N^2 - N^3, N of positive degree."""
+    neg = {w: -c for w, c in a.items() if w}
+    out, term = {(): 1}, {(): 1}
+    for _ in range(MAGNUS_DEPTH):
+        term = magnus_mul(term, neg)
+        for w, c in term.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def magnus_pow(a, n):
+    if n < 0:
+        return magnus_pow(magnus_inv(a), -n)
+    r = {(): 1}
+    while n:
+        if n & 1:
+            r = magnus_mul(r, a)
+        a = magnus_mul(a, a)
+        n >>= 1
+    return r
+
+
+def magnus_comm(a, b):
+    return magnus_mul(magnus_mul(magnus_inv(a), magnus_inv(b)),
+                      magnus_mul(a, b))
+
+
+def f23_magnus_gens():
+    x, y = {(): 1, (0,): 1}, {(): 1, (1,): 1}
+    u3 = magnus_comm(y, x)
+    return (x, y, u3, magnus_comm(u3, x), magnus_comm(u3, y))
+
+
+def magnus_of(gens, coords):
+    out = {(): 1}
+    for g, t in zip(gens, coords):
+        if t:
+            out = magnus_mul(out, magnus_pow(g, t))
+    return out
 
 
 # ---------------------------------------------------------------------------

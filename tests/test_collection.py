@@ -4,11 +4,13 @@ A letter u_i^e of a layer whose torsion-free cover is certified moves past
 the suffix with one evaluation of a conjugation polynomial, and the finite
 coordinates it pushes out of range are reduced in the cover; every other
 letter goes by rewriting. These tests hold the two paths to the same
-answers, compare them with matrix models at large exponents, hold
-commutators and conjugates, which are left quotients, to their words
-collected from the identity, pin the degree bound the polynomials are
-interpolated under, and pin the certificate against a rewriting oracle on
-random presentations. consistency_check
+answers, compare them with matrix models at large exponents, hold powers,
+which take a Newton series in the exponent when the whole cover is
+accepted, to repeated products, rewriting and the models up to 10^100 and
+pin the products a power costs, hold commutators and conjugates, which are
+left quotients, to their words collected from the identity, pin the degree
+bound the polynomials are interpolated under, and pin the certificate
+against a rewriting oracle on random presentations. consistency_check
 proves a presentation layer by layer on the tables it builds: the tests hold
 its reports to those of the rewriting pass (_rewriting_check) on mutants and
 random presentations, check that it never reads tables derived earlier, and
@@ -91,7 +93,7 @@ def test_fast_path_agrees_with_rewriting(name, span):
     big = span == SPANS[-1]
 
     @settings(max_examples=2 if big else 3, deadline=None, derandomize=True)
-    @given(elements(p, span), elements(p, span), st.integers(-4, 4))
+    @given(elements(p, span), elements(p, span), st.integers(-60, 60))
     def check(x, y, n):
         xw, yw = pc.word_of(p, x), pc.word_of(p, y)
         xi, yi = pc._inverse_word(p, x), pc._inverse_word(p, y)
@@ -101,14 +103,17 @@ def test_fast_path_agrees_with_rewriting(name, span):
             assert pc.commutator(p, x, y) == rewrite(p, xi + yi + xw + yw)
             assert pc.conjugate(p, x, y) == rewrite(p, yi + xw + yw)
             assert pc.power(p, x, n) == pc._power(p, x, n, None)
+            assert pc.power(p, x, n) == oracles.ref_power(p, x, n)
 
     check()
 
 
 # -- matrix models ---------------------------------------------------------------
 
-MATRIX = {f"UT_{n}": (n, ut_letters(n)) for n in (3, 4, 5, 6)}
-MATRIX.update({f"H_{n}": (n + 2, heisenberg_letters(n)) for n in (2, 3, 4)})
+MATRIX = {f"UT_{n}": (n, ut_letters(n)) for n in range(3, 8)}
+MATRIX.update({f"H_{n}": (n + 2, heisenberg_letters(n)) for n in range(2, 6)})
+# products and commutators are held to the models on these; powers on all
+PRODUCT_MODELS = ("UT_3", "UT_4", "UT_5", "UT_6", "H_2", "H_3", "H_4")
 
 
 def matrix_model(name):
@@ -125,14 +130,15 @@ def matrix_model(name):
     def rebased(v):
         out = oracles.ut_identity(size)
         for r, t in zip(rows, v):
-            out = oracles.ut_mat_mul(out, oracles.ut_mat_pow(r, t))
+            out = oracles.ut_mat_mul(out, oracles.ut_mat_pow_series(r, t))
         return out
 
     return rebased
 
 
 @pytest.mark.parametrize("span", SPANS[1:])
-@pytest.mark.parametrize("name", [n + r for n in MATRIX for r in ("", REBASED)])
+@pytest.mark.parametrize("name", [n + r for n in PRODUCT_MODELS
+                                  for r in ("", REBASED)])
 def test_matrix_model(name, span):
     p = presentation(name)
     mat = matrix_model(name)
@@ -148,6 +154,100 @@ def test_matrix_model(name, span):
             oracles.ut_mat_inv(b), oracles.ut_mat_mul(a, b))
 
     check()
+
+
+# -- powers by a Newton series in the exponent -----------------------------------
+
+
+def power_model(name):
+    """(of, power): coordinates of presentation(name) to a faithful model,
+    matrices or the Magnus ring, and powers in that model."""
+    base = name.replace(REBASED, "")
+    if base != "F23":
+        return matrix_model(name), oracles.ut_mat_pow
+    gens = oracles.f23_magnus_gens()
+    if name.endswith(REBASED):
+        gens = [oracles.magnus_of(gens, r) for r in basis(base)]
+    return functools.partial(oracles.magnus_of, gens), oracles.magnus_pow
+
+
+@pytest.mark.parametrize("name", [n + r for n in list(MATRIX) + ["F23"]
+                                  for r in ("", REBASED)])
+def test_power_matches_models_at_huge_exponents(name):
+    p = presentation(name)
+    layers = pc._conj_layers(p)
+    assert layers.polys[0] is not None
+    of, model_power = power_model(name)
+    rng = random.Random(name)
+    for n in (layers.degree + 1, 50, 10 ** 100, 10 ** 100 + 1,
+              rng.randint(2, 10 ** 100)):
+        for n in (n, -n):
+            x = tuple(rng.randint(-50, 50) for _ in p.periods)
+            assert of(pc.power(p, x, n)) == model_power(of(x), n), n
+
+
+# rewriting takes seconds per power at these exponents in these bases
+SLOW_REWRITING = {"UT_5" + REBASED, "UT_6", "UT_6" + REBASED, "UT_7",
+                  "UT_7" + REBASED}
+
+
+@pytest.mark.parametrize("name", NAMES + [
+    n + r for n in ("HEIS", "UT_7", "H_5") for r in ("", REBASED)])
+def test_power_agrees_with_products_and_rewriting(name):
+    # every fixture, UT_3..UT_7 and H_2..H_5, with their seeded rebases:
+    # the cover is accepted at every layer, so |n| > degree takes the
+    # Newton series
+    p = presentation(name)
+    layers = pc._conj_layers(p)
+    assert layers.polys[0] is not None
+    rng = random.Random(name)
+    d = layers.degree
+    for n in (d + 1, -d - 1, 60, -60, rng.randint(-60, 60)):
+        x = tuple(rng.randint(-5, 5) if e is None else rng.randrange(e)
+                  for e in p.periods)
+        got = pc.power(p, x, n)
+        assert got == oracles.ref_power(p, x, n), n
+        if name not in SLOW_REWRITING:
+            assert got == pc._power(p, x, n, None), n
+
+
+def spy_products(monkeypatch, p):
+    """Record, for each product, whether it was taken in the cover."""
+    cover = pc._conj_layers(p).cover
+    calls = []
+    multiply = pc._multiply
+
+    def spy(q, x, y, layers):
+        calls.append(q is cover)
+        return multiply(q, x, y, layers)
+
+    monkeypatch.setattr(pc, "_multiply", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, -5, 50, -50, 10 ** 100, -10 ** 100],
+                         ids=["5", "-5", "50", "-50", "1e100", "-1e100"])
+def test_power_costs_degree_minus_one_cover_products(n, monkeypatch):
+    p = presentation("UT_5")
+    layers = pc._conj_layers(p)
+    assert layers.degree == 4  # e_15 has weight 4
+    x = (1, -2, 3, -1, 2, 1, -3, 2, 1, -1)
+    mat = matrix_model("UT_5")
+    calls = spy_products(monkeypatch, p)
+    monkeypatch.setattr(pc, "_inverse", None)  # negative n needs no inverse
+    got = pc.power(p, x, n)
+    assert calls == [True] * (layers.degree - 1)
+    assert mat(got) == oracles.ut_mat_pow(mat(x), n)
+
+
+@pytest.mark.parametrize("n", [-4, 3, 4])
+def test_power_up_to_the_degree_powers_in_binary(n, monkeypatch):
+    p = presentation("UT_5")
+    x = (1, -2, 3, -1, 2, 1, -3, 2, 1, -1)
+    calls = spy_products(monkeypatch, p)
+    got = pc.power(p, x, n)
+    assert calls and not any(calls)
+    assert got == oracles.ref_power(p, x, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,6 +364,22 @@ def test_failed_layer_falls_back_to_rewriting(span):
     check()
 
 
+@pytest.mark.parametrize("n", [-50, 7, 10 ** 6])
+def test_failed_cover_powers_in_binary(n, monkeypatch):
+    # the cover fails at layer 1, so the Newton series does not apply and
+    # no product is taken in the cover
+    p = fallback()
+    assert pc.consistency_check(p).ok
+    assert pc._conj_layers(p).polys[0] is None
+    x = (2, -1, 3, 1, 1)
+    want = pc._power(p, x, n, None)
+    calls = spy_products(monkeypatch, p)
+    assert pc.power(p, x, n) == want
+    assert calls and not any(calls)
+    if abs(n) <= 50:
+        assert want == oracles.ref_power(p, x, n)
+
+
 def random_presentation(rng):
     """m = 4 or 5, periods from {None, 2, 3, 5}, one-letter tails.
 
@@ -293,6 +409,7 @@ def test_certificate_matches_rewriting_oracle_sweep():
     # certificate against the oracle and collection against rewriting on
     # the consistent ones
     rng = random.Random("cover sweep")
+    exponents = random.Random("cover sweep exponents")  # keeps rng's draws
     consistent = fails = 0
     for _ in range(1000):
         p = random_presentation(rng)
@@ -313,10 +430,11 @@ def test_certificate_matches_rewriting_oracle_sweep():
                     for _ in range(2))
             xw, yw = pc.word_of(p, x), pc.word_of(p, y)
             xi, yi = pc._inverse_word(p, x), pc._inverse_word(p, y)
-            n = rng.randint(-6, 6)
             assert pc.multiply(p, x, y) == rewrite(p, xw + yw), p
             assert pc.inverse(p, x) == rewrite(p, xi), p
-            assert pc.power(p, x, n) == pc._power(p, x, n, None), p
+            for n in (rng.randint(-6, 6), exponents.randint(-60, 60)):
+                assert pc.power(p, x, n) == pc._power(p, x, n, None), p
+                assert pc.power(p, x, n) == oracles.ref_power(p, x, n), p
             assert pc.commutator(p, x, y) == rewrite(
                 p, xi + yi + xw + yw), p
     assert consistent >= 100

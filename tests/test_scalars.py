@@ -306,8 +306,34 @@ def test_restriction_matches_direct_solve(name):
         again = restrict_ring(restrict_ring(ring, cons[:k]), cons[k:])
         assert again.s_basis == want
         assert again.periods == got.periods
+        got._recheck_basis()  # restrict_ring itself skips it
+        again._recheck_basis()
     if name in _CUT:
         assert cuts
+
+
+_REFINED = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh,
+            "ZK": zk, "UT_8": lambda: unitriangular(8)}
+
+
+@pytest.mark.parametrize("name", list(_REFINED))
+def test_restrictions_pass_the_full_recheck(name, monkeypatch):
+    # restrict_ring builds its ring without _recheck_basis, on the proof in
+    # its docstring; run the full check on every restriction refined_series
+    # builds (test_restriction_matches_direct_solve runs it on random ones)
+    built = []
+    init = sc.ScalarRing.__init__
+
+    def spy(self, pairing, rows, recheck=True):
+        init(self, pairing, rows, recheck)
+        if not recheck:
+            built.append(self)
+
+    monkeypatch.setattr(sc.ScalarRing, "__init__", spy)
+    refined_series(_REFINED[name]())
+    assert built
+    for ring in built:
+        ring._recheck_basis()
 
 
 def gaussian_pairing_mod(p):
