@@ -76,7 +76,6 @@ from .series import KeySubgroups, key_subgroups
 from .subgroups import (
     Subgroup,
     SubgroupError,
-    SubgroupPresentation,
     center,
     induce,
     lower_central_series,
@@ -91,7 +90,7 @@ __all__ = [
     "ExtClass", "FgAbelian", "FileFormatError", "GroupHom", "HomError",
     "InvariantReport", "KeySubgroups", "Pairing", "PcPresentation",
     "PresentationError", "RefinedSeries", "ScalarRing", "ScalarRingError",
-    "SeriesError", "Subgroup", "SubgroupError", "SubgroupPresentation",
+    "SeriesError", "Subgroup", "SubgroupError",
     "abdef", "abelianization", "adapt_basis", "associated_series",
     "bilinearize", "center", "commutator", "compose", "consistency_check",
     "emit", "enumerate_deformations", "evaluate", "ext_class",

@@ -11,7 +11,7 @@ and permuted without touching anything else; that is the deformation.
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg as il
 from . import presentation as pc
@@ -68,6 +68,42 @@ class DeformationSurvey:
         Tuple[ExtClass, Tuple[int, ...], Tuple[Tuple[int, ...], ...]], ...]
 
 
+def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
+                    periods: Sequence[Optional[int]],
+                    coords: Callable[[Element], Sequence[int]]
+                    ) -> PcPresentation:
+    """The presentation on gens, elements of p with the given relative
+    periods.  coords(x) is the exponent vector over gens of an x in
+    <gens>.  The tails are the coords of gens[i-1]^periods[i-1], which must
+    lie in <gens[i], ...>, and of [gens[j-1], gens[i-1]], which must lie
+    in <gens[j], ...>, in ascending (j, i) order."""
+
+    def tail(x: Element, k: int) -> pc.Word:
+        if sg.leading_index(x) is None:
+            return ()
+        vec = coords(x)
+        if any(vec[:k - 1]):
+            raise sg.SubgroupError(
+                f"{name}: tail escapes below its own generator")
+        return tuple((i + 1, c) for i, c in enumerate(vec) if c)
+
+    powers = []
+    for i, (g, e) in enumerate(zip(gens, periods), start=1):
+        if e is not None:
+            word = tail(pc.power(p, g, e), i + 1)
+            if word:
+                powers.append((i, word))
+    commutators = []
+    for j in range(2, len(gens) + 1):
+        for i in range(1, j):
+            word = tail(pc.commutator(p, gens[j - 1], gens[i - 1]), j + 1)
+            if word:
+                commutators.append(((j, i), word))
+    return PcPresentation(name=name, periods=tuple(periods),
+                          powers=tuple(powers),
+                          commutators=tuple(commutators))
+
+
 def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     """Rewrite p on a basis adapted to the M >= N >= Is(G') tower.
 
@@ -107,7 +143,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     periods: List[Optional[int]] = (
         [None] * i0 + list(ks.mn.periods) + [None] * p_rank
         + list(tail.relative_orders()))
-    new_p = sg.presentation_on(p, f"{p.name} adapted", mseq, periods, expr)
+    new_p = presentation_on(p, f"{p.name} adapted", mseq, periods, expr)
     report = pc.consistency_check(new_p)
     if not report.ok:
         raise DeformError(

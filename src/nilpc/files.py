@@ -24,9 +24,11 @@ class FileFormatError(ValueError):
     pass
 
 
-# The consistency check's cost grows faster than rank^3: the free
-# abelian group of rank 64 checks in about 0.5 s, rank 100 in about 2.5 s.
-# Every shipped fixture and family presentation has rank at most 10.
+# The cap bounds the consistency check only for groups of small class: the
+# free abelian group of rank 64 checks in about 0.5 s, rank 100 in about
+# 2.5 s.  For groups like UT_n the class drives the cost, and the cap does
+# not bound it: UT_10 (rank 45) spends about 24 s in the check.  Every
+# shipped fixture and family presentation has rank at most 10.
 RANK_CAP = 64
 
 

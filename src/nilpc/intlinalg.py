@@ -4,10 +4,11 @@ Hermite and Smith normal forms with unimodular transforms, a solver for
 systems of linear congruences with mixed moduli (modulus 0 meaning equality
 over Z), and lattice_kernel, which solves a sparse homogeneous system one
 connected component of unknowns at a time. Matrices are lists of rows of
-Python ints; nothing here mutates its arguments. All downstream lattice work in the package (subgroup layers,
-abelian sections, scalar-ring solving) funnels through this module, and
-InvariantFactors is the one reading of a Smith form as coordinates on a
-finitely generated abelian group.
+Python ints; nothing here mutates its arguments. All downstream lattice
+work in the package (subgroup layers, abelian sections, scalar-ring
+solving) funnels through this module, and InvariantFactors is the one
+reading of a Smith form as coordinates on a finitely generated abelian
+group.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ def nilpotency_class(p: PcPresentation) -> int:
 
 def _torsion_image_part(p: PcPresentation, z: Subgroup,
                         ab: FgAbelian) -> Subgroup:
-    """Elements of z whose abelianization coordinates are pure torsion."""
+    """Elements of z whose abelianization coordinates are pure torsion: the
+    kernel of a homomorphism on z, read off its solution lattice."""
     if z.is_trivial:
         return z
     free_pos = [k for k, d in enumerate(ab.periods) if d is None]
@@ -43,8 +44,7 @@ def _torsion_image_part(p: PcPresentation, z: Subgroup,
     if not eqs:
         return z
     sol = solve_congruences(eqs, [0] * len(eqs), [0] * len(eqs), len(z.rows))
-    gens = [sg.prod_rows(p, z.rows, v) for v in sol.basis]
-    return sg.induce(p, gens)
+    return sg._lattice_subgroup(p, z, sol.basis)
 
 
 def _free_complement(p: PcPresentation, z: Subgroup,

@@ -16,19 +16,19 @@ asks first.  The results are immutable.  No presentation of a quotient is
 built: a section is read in G by coset_rep (see abelian.py), and a
 constrained pass by L's rows alone.
 
-Within one constrained pass each commutator [r, h] is collected once, keyed
-by the elements r and h themselves: [r, h] depends on neither the layer nor
-the condition, and a row of t that survives a binding layer is the same
-element, while a new row is a new key.
+A constrained pass needs neither a closure nor a strip per layer: each
+[r, h] is collected once per pass and sifted once per condition by
+L.coset_rep, and a binding layer's rows are read off the HNF of its
+solution lattice (_lattice_subgroup, also used in series.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
-from .intlinalg import solve_congruences
+from .intlinalg import hnf_basis, solve_congruences
 from .presentation import Element, PcPresentation
 
 
@@ -295,31 +295,35 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     """Largest T <= s with [T, h] inside L for every condition (hs, L).
 
     Each pass is run once per presentation and key (s, conditions); see
-    the module docstring.
+    the module docstring.  Each L must be normal, so L*K is a subgroup for
+    every K <= G and L*x = x*L.
 
     Works down the generator filtration: after layer j the current rows
     satisfy [x, h] in L*K_{j+1}, where K_{j+1} = <u_{j+1}, ..., u_m>.
     Passing from one layer to the next is a congruence system because
     x -> [x, h] is a homomorphism into the cyclic layer quotient
-    L*K_j / L*K_{j+1} on the group where the previous layers' constraints
-    hold.  Each L must be normal.
+    L*K_j / L*K_{j+1} on the group t where the previous layers'
+    constraints hold.  Its kernel is read off the solution lattice (see
+    _lattice_subgroup), which holds every relation among t's rows.
 
-    The layer value needs no quotient, only L's rows.  Let G_j be
-    <u_j, ..., u_m> and o_j L's lead at j, or the period of u_j when L has
-    no row there.  Right multiplication by K_{j+1} fixes coordinates 1..j,
-    so an element of L*K_{j+1} inside G_j is l*k with l in L and G_j, and
-    its coordinate j is a multiple of o_j (0 when o_j is infinite).  Hence
-    the elements of the coset L*K_{j+1}*[r, h] inside G_j agree in
-    coordinate j modulo o_j, and that residue is the layer value.
-    Left multiplication by powers of L's rows strips coordinates 1..j-1 of
-    [r, h] and reaches one of them; a coordinate the rows cannot strip
-    means [r, h] is not in L*K_j, which the earlier layers rule out.
+    Layer values.  Let G_j be <u_j, ..., u_m> and o_j L's lead at j, or
+    the period of u_j when L has no row there.  Right multiplication by
+    K_{j+1} fixes coordinates 1..j, so an element of L*K_{j+1} inside G_j
+    is l*k with l in L and G_j, and its coordinate j is a multiple of o_j
+    (0 when o_j is infinite).  Hence the elements of the coset
+    L*K_{j+1}*[r, h] inside G_j agree in coordinate j modulo o_j, and that
+    residue is the layer value.  One element y = L.coset_rep([r, h]) of
+    L*[r, h] serves every layer.  While [r, h] is in L*K_j, so is y = l*k
+    with l in L and k in K_j, and y agrees with l before j.  Were y
+    nonzero there, its first nonzero coordinate i would be l's lead, a
+    multiple of the lead b of L's row at i; but coset_rep puts y_i in
+    [0, b).  So y is zero before j, and y_j is the layer value, already
+    in [0, o_j) by coset_rep or by the normal form.  A nonzero coordinate
+    before j means [r, h] is not in L*K_j, which earlier layers rule out.
 
-    Only the rows r of t change from layer to layer, and only at a layer
-    that binds, so the pass collects each [r, h] once and reads it at every
-    later layer and under every condition sharing h.  The key is the pair
-    of elements (r, h), not r's position in t: the value is a function of
-    the two elements alone, so a hit is always the right commutator.
+    The pass collects each [r, h] once, keyed by the elements r and h (a
+    row of t that survives a binding layer is the same element, a new row
+    a new key), and sifts it once per condition position.
     """
     key = ("constrained", s.rows,
            tuple((tuple(hs), ell.rows) for hs, ell in conditions))
@@ -328,53 +332,68 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
-    t = s
     comm: Dict[Tuple[Element, Element], Element] = {}
+    reps: Dict[Tuple[int, Element, Element], Element] = {}
 
-    def commutator(r: Element, h: Element) -> Element:
-        if (r, h) not in comm:
-            comm[r, h] = pc.commutator(p, r, h)
-        return comm[r, h]
+    def column(c: int, h: Element) -> Tuple[List[Element], int]:
+        """The representatives of [r, h] under condition c over t's rows,
+        and their least lead."""
+        for r in t.rows:
+            if (c, r, h) not in reps:
+                if (r, h) not in comm:
+                    comm[r, h] = pc.commutator(p, r, h)
+                reps[c, r, h] = conditions[c][1].coset_rep(comm[r, h])
+        ys = [reps[c, r, h] for r in t.rows]
+        return ys, min(leading_index(y) or p.m + 1 for y in ys)
 
+    pairs = [(c, h) for c, (hs, _) in enumerate(conditions) for h in hs]
+    t, columns = s, None
     for j in range(1, p.m + 1):
         if t.is_trivial:
             break
-        eq_rows: List[List[int]] = []
-        moduli: List[int] = []
-        for hs, ell in conditions:
-            row_j = ell.row_at(j)
+        columns = columns or [column(c, h) for c, h in pairs]
+        eq_rows, moduli = [], []
+        for (c, _), (ys, low) in zip(pairs, columns):
+            row_j = conditions[c][1].row_at(j)
             o_j = row_j[j - 1] if row_j is not None else p.period(j)
             if o_j == 1:
                 continue
-            for h in hs:
-                vals = [_layer_value(p, ell, commutator(r, h), j, o_j)
-                        for r in t.rows]
-                if any(vals):
-                    eq_rows.append(vals)
-                    moduli.append(0 if o_j is None else o_j)
+            if low < j:
+                raise SubgroupError("layer invariant violated in constraint pass")
+            vals = [y[j - 1] for y in ys]
+            if any(vals):
+                eq_rows.append(vals)
+                moduli.append(0 if o_j is None else o_j)
         if not eq_rows:
             continue
         sol = solve_congruences(eq_rows, [0] * len(eq_rows), moduli,
                                 len(t.rows))
         if not sol.consistent:
             raise SubgroupError("homogeneous system reported inconsistent")
-        gens = [prod_rows(p, t.rows, v) for v in sol.basis]
-        t = induce(p, gens)
+        t, columns = _lattice_subgroup(p, t, sol.basis), None
     return t
 
 
-def _layer_value(p: PcPresentation, ell: Subgroup, x: Element, j: int,
-                 o_j: Optional[int]) -> int:
-    """The layer-j value of x in L*K_j / L*K_{j+1}; see above."""
-    y = x
-    lam = leading_index(y)
-    while lam is not None and lam < j:
-        row = ell.row_at(lam)
-        if row is None or y[lam - 1] % row[lam - 1]:
-            raise SubgroupError("layer invariant violated in constraint pass")
-        y = pc.multiply(p, pc.power(p, row, -(y[lam - 1] // row[lam - 1])), y)
-        lam = leading_index(y)
-    return y[j - 1] if o_j is None else y[j - 1] % o_j
+def _lattice_subgroup(p: PcPresentation, t: Subgroup,
+                      spanning: Sequence[Sequence[int]]) -> Subgroup:
+    """The products of t's rows r_k to the exponents w, over w in the
+    lattice spanned by `spanning`, which must hold every relation among
+    t's rows, as a homomorphism's kernel lattice does.  Let d_k be the HNF
+    pivot in column k and o_k r_k's relative order.  An x in t with r_k's
+    lead is r_k^w_k times deeper rows, w_k != 0 (in (0, o_k) if o_k is
+    finite), and its lead coefficient is w_k times r_k's.  x is in the
+    subgroup exactly when w is in the lattice, so d_k divides w_k; and
+    d_k divides o_k, as the lattice holds r_k's power relation.  So the
+    subgroup has an element with r_k's lead exactly when d_k > 0 and
+    d_k != o_k, and the HNF row's product is one with the least positive
+    lead coefficient; _reduce_deeper makes the rows canonical."""
+    orders = t.relative_orders()
+    gens = []
+    for h in hnf_basis(spanning, len(t.rows)):
+        k = leading_index(h) - 1
+        if h[k] != orders[k]:
+            gens.append(prod_rows(p, t.rows, h))
+    return Subgroup(p, tuple(_reduce_deeper(p, g, gens) for g in gens))
 
 
 def center(p: PcPresentation) -> Subgroup:
@@ -397,62 +416,3 @@ def upper_central_series(p: PcPresentation) -> List[Subgroup]:
     if chain[-1] != whole_subgroup(p):
         raise SubgroupError(f"{p.name}: upper central series does not reach G")
     return chain
-
-
-# -- abstract presentation of a subgroup ---------------------------------------
-
-
-class SubgroupPresentation:
-    """sub as a presentation of its own, on its rows, with both directions."""
-
-    def __init__(self, sub: Subgroup, *, name: str = ""):
-        p = sub.pres
-        self.sub = sub
-        self.pres = presentation_on(
-            p, name or f"{p.name} subgroup", sub.rows,
-            sub.relative_orders(), self.to_sub)
-
-    def to_sub(self, x: Element) -> Element:
-        coeffs = self.sub.coefficients_of(x)
-        if coeffs is None:
-            raise SubgroupError("element is not in the subgroup")
-        return tuple(coeffs)
-
-    def from_sub(self, coords: Element) -> Element:
-        return prod_rows(self.sub.pres, self.sub.rows, coords)
-
-
-def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
-                    periods: Sequence[Optional[int]],
-                    coords: Callable[[Element], Sequence[int]]
-                    ) -> PcPresentation:
-    """The presentation on gens, elements of p with the given relative
-    periods.  coords(x) is the exponent vector over gens of an x in
-    <gens>.  The tails are the coords of gens[i-1]^periods[i-1], which must
-    lie in <gens[i], ...>, and of [gens[j-1], gens[i-1]], which must lie
-    in <gens[j], ...>, in ascending (j, i) order."""
-
-    def tail(x: Element, k: int) -> pc.Word:
-        if leading_index(x) is None:
-            return ()
-        vec = coords(x)
-        if any(vec[:k - 1]):
-            raise SubgroupError(
-                f"{name}: tail escapes below its own generator")
-        return tuple((i + 1, c) for i, c in enumerate(vec) if c)
-
-    powers = []
-    for i, (g, e) in enumerate(zip(gens, periods), start=1):
-        if e is not None:
-            word = tail(pc.power(p, g, e), i + 1)
-            if word:
-                powers.append((i, word))
-    commutators = []
-    for j in range(2, len(gens) + 1):
-        for i in range(1, j):
-            word = tail(pc.commutator(p, gens[j - 1], gens[i - 1]), j + 1)
-            if word:
-                commutators.append(((j, i), word))
-    return PcPresentation(name=name, periods=tuple(periods),
-                          powers=tuple(powers),
-                          commutators=tuple(commutators))

@@ -12,6 +12,7 @@ from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.abelian import FgAbelian
+from nilpc.deformation import presentation_on
 from nilpc.intlinalg import InvariantFactors, hnf_basis, solve_congruences
 from nilpc.series import key_subgroups
 
@@ -554,7 +555,7 @@ class RefQuotient:
                 self._period[j] = e
         self.kept = tuple(self._period)
         self._gens = tuple(pc.generator(ambient, j) for j in self.kept)
-        self.pres = sg.presentation_on(
+        self.pres = presentation_on(
             ambient, f"{ambient.name}/N", self._gens,
             list(self._period.values()), self.proj)
 
@@ -639,7 +640,7 @@ def ref_isolator(p, n):
 # N/Is(G') that key_subgroups built. The oracle peels one basis element at
 # a time instead: its exponent solves a congruence system over
 # abelianization coordinates, modulo every later basis element, and the
-# presentation is assembled here rather than by subgroups.presentation_on.
+# presentation is assembled here rather than by deformation.presentation_on.
 
 
 def ref_adapted_presentation(p):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-private module-level function or class is read somewhere.
+private module-level function or class is read somewhere; `__all__`
+lists exactly the names `__init__.py` imports, and `__version__`.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -90,3 +91,12 @@ def test_every_private_definition_is_read():
     unread = {p.name: unread_privates(p.read_text(encoding="utf-8"), reads)
               for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_all_lists_exactly_the_reexports():
+    """A deleted export leaves no stale entry in __all__, and no import in
+    __init__.py goes unlisted."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(nilpc.__all__) == sorted(imported | {"__version__"})

@@ -6,7 +6,8 @@ import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
-from nilpc.deformation import abdef, adapt_basis, standard_embedding
+from nilpc.deformation import (
+    abdef, adapt_basis, presentation_on, standard_embedding)
 from nilpc.morphisms import (
     HomError,
     compose,
@@ -111,8 +112,9 @@ class TestImageIndex:
         p = heis()
         sub = sg.induce(p, [pc.power(p, pc.generator(p, 1), 2),
                             pc.generator(p, 2)])
-        sp = sg.SubgroupPresentation(sub)
-        h = hom_from_images(sp.pres, p, sub.rows)
+        sp = presentation_on(p, "sub", sub.rows, sub.relative_orders(),
+                             sub.coefficients_of)
+        h = hom_from_images(sp, p, sub.rows)
         image, idx = image_index(h)
         assert idx == 4
         assert image.rows == sub.rows

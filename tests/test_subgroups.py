@@ -9,6 +9,7 @@ from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.abelian import isolator, torsion_subgroup
 from nilpc.bilinear import associated_series
+from nilpc.deformation import presentation_on
 
 import oracles
 from groups_def import (
@@ -290,12 +291,17 @@ def test_center_via_relative_condition():
 
 def test_subgroup_presentation_consistent():
     s = sg.induce(G, [gen(G, 4), gen(G, 6), gen(G, 9)])
-    sub = sg.SubgroupPresentation(s, name="sub")
-    assert pc.consistency_check(sub.pres).ok
+    sub = presentation_on(G, "sub", s.rows, s.relative_orders(),
+                          s.coefficients_of)
+    assert pc.consistency_check(sub).ok
     # coordinates roundtrip through the abstract presentation
     x = pc.multiply(G, pc.power(G, gen(G, 4), 3), pc.power(G, gen(G, 9), -2))
-    c = sub.to_sub(x)
-    assert sub.from_sub(c) == x
+    c = tuple(s.coefficients_of(x))
+    assert sg.prod_rows(G, s.rows, c) == x
+    y = pc.commutator(G, gen(G, 4), gen(G, 6))
+    d = tuple(s.coefficients_of(y))
+    assert s.coefficients_of(pc.multiply(G, x, y)) == list(
+        pc.multiply(sub, c, d))
 
 
 # -- the fast paths against the references in oracles.py -----------------------
@@ -366,23 +372,19 @@ def test_constrained_subgroup_matches_quotient_per_layer(name):
 
 @pytest.mark.parametrize("name", ["HEIS-index2", "NR", "UT_5", "ZG"])
 def test_constrained_pass_collects_each_commutator_once(name, monkeypatch):
-    """Within one pass no [r, h] is collected twice.  induce's own
-    commutators of rows are not the pass's and are not counted."""
+    """Within one pass no [r, h] is collected twice, and no closure runs:
+    a binding layer's rows are read off its solution lattice."""
     p = CONSTRAINED[name]()
     inputs = _constrained_inputs(p)
     real_commutator, real_induce = pc.commutator, sg.induce
-    inside_induce = [False]
+    induced = []
 
     def induce(*args, **kwargs):
-        inside_induce[0] = True
-        try:
-            return real_induce(*args, **kwargs)
-        finally:
-            inside_induce[0] = False
+        induced.append(args)
+        return real_induce(*args, **kwargs)
 
     def commutator(q, x, y):
-        if not inside_induce[0]:
-            pairs.append((x, y))
+        pairs.append((x, y))
         return real_commutator(q, x, y)
 
     monkeypatch.setattr(sg, "induce", induce)
@@ -391,6 +393,35 @@ def test_constrained_pass_collects_each_commutator_once(name, monkeypatch):
     for s, conditions in inputs:
         pairs = []
         sg._build_constrained(p, s, conditions)
+        assert induced == []
         assert len(pairs) == len(set(pairs))
         collected += len(pairs)
     assert collected
+
+
+SWEEP = {
+    **{f.__name__.upper(): f for f in (heis, zg, nr, f23, zh, zk)},
+    **{f.__name__.upper() + " rebased": (lambda f=f: _basis_change(f()))
+       for f in (heis, zg, nr, f23, zh, zk)},
+    "UT_4": lambda: unitriangular(4), "UT_5": lambda: unitriangular(5),
+    "H_3": lambda: heisenberg(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_constrained_subgroup_matches_oracle_on_random_inputs(name):
+    """Random s, normal L (the normal closure of 0-2 random elements) and
+    random hs, in one or two conditions."""
+    p = SWEEP[name]()
+    rng = random.Random(name)
+
+    def elements(lo, hi):
+        return [_random_element(p, rng) for _ in range(rng.randint(lo, hi))]
+
+    for _ in range(8):
+        s = sg.induce(p, elements(1, 3))
+        conditions = [(tuple(elements(1, 2)),
+                       sg.induce(p, elements(0, 2), normal=True))
+                      for _ in range(rng.randint(1, 2))]
+        got = sg.constrained_subgroup(p, s, conditions)
+        assert got == oracles.ref_constrained_subgroup(p, s, conditions)
