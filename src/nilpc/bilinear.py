@@ -75,18 +75,18 @@ def associated_series(p: PcPresentation,
     return AssociatedSeries(p, tuple(series), tuple(lower), upper)
 
 
+@dataclass(frozen=True)
 class Bilinearization:
-    def __init__(self, series: AssociatedSeries, v_r: Subgroup,
-                 left: FgAbelian, right: Tuple[FgAbelian, ...],
-                 out: Tuple[FgAbelian, ...],
-                 tables: Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], ...]):
-        self.pres = series.pres
-        self.series = series
-        self.v_r = v_r
-        self.left = left
-        self.right = right
-        self.out = out
-        self.tables = tables
+    series: AssociatedSeries
+    v_r: Subgroup
+    left: FgAbelian
+    right: Tuple[FgAbelian, ...]
+    out: Tuple[FgAbelian, ...]
+    tables: Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], ...]
+
+    @property
+    def pres(self) -> PcPresentation:
+        return self.series.pres
 
     def evaluate(self, block: int, x: Element, y: Element) -> Tuple[int, ...]:
         xs = self.left.coords(x)

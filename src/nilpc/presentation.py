@@ -29,21 +29,13 @@ proves that G~_i = <u_i, ..., u_m> is a group with those relations (see
   the conjugated suffix.
 
 Popping a letter of index i only ever pushes letters of index > i, which is
-what makes the loop terminate. The polynomials are derived once, by
-consistency_check or else on first use, and kept in the presentation's
-_layers field.
-
-The polynomials are interpolated from collection in the cover, and when
-they are derived on first use the layers from the last finite generator on
-are taken on trust, so they describe G only when the presentation is
-consistent. consistency_check therefore builds its own tables, bottom-up: it
-proves layer i of G by collecting in G_{i+1} = <u_{i+1}, ..., u_m>, already
-proven, with the tables of the layers above i, and derives layer i's table
-only after that (see consistency_check). It never reads tables derived
-earlier, so an inconsistent presentation cannot pass by agreeing with tables
-interpolated from its own relations; the tables it builds stay on the
-presentation for the commands that follow. The interpolation is complete by
-a degree bound from per-generator weights read off the commutator tails, as
+what makes the loop terminate. The polynomials exist only as a by-product of
+consistency_check, which proves the presentation layer by layer and derives
+each layer's table once that layer has passed; they stay in the
+presentation's _layers field for the commands that follow. Arithmetic on a
+presentation that was never checked runs the proof first and refuses an
+inconsistent one with PresentationError. The interpolation is complete by a
+degree bound from per-generator weights read off the commutator tails, as
 in Deep Thought (Leedham-Green & Soicher 1998); see "conjugation
 polynomials" below.
 
@@ -251,8 +243,7 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 # and -i, and _step_inv is always solved by rewriting, so every path reads
 # the same images. The field is separate from _layers because its entries
 # depend on the relations alone, whenever they were filled, so the check may
-# read them; it must never read layers derived on trust. Larger exponents
-# are assembled by binary powering.
+# read them. Larger exponents are assembled by binary powering.
 
 
 def _step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
@@ -367,8 +358,7 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # other parts do not apply to it. From the last finite generator f on, the
 # cover's tables are G's own (G~_{i+1} = G_{i+1} for i >= f), so layer i of
 # G, which consistency_check proves before it derives layer i's table,
-# includes the certificate. The certificate skips those layers, and tables
-# derived on first use take them on trust.
+# includes the certificate, and the certificate skips those layers.
 
 
 @dataclass(frozen=True)
@@ -408,29 +398,32 @@ class _Tables:
 
 
 def _conj_layers(p: PcPresentation) -> _Tables:
-    """The tables of p, derived on first use."""
+    """The tables of p. When p was never checked, the proof runs here, and
+    an inconsistent p is refused."""
     layers = p._layers
     if layers is None:
         layers = _derive_layers(p)
+        if layers is None:
+            raise PresentationError(f"{p.name}: inconsistent presentation")
         object.__setattr__(p, "_layers", layers)
     return layers
 
 
-def _derive_layers(p: PcPresentation, slack: int = 0,
-                   check: bool = False) -> Optional[_Tables]:
-    """Certify and derive the layers of the cover, deepest first, down to
-    the first layer whose certificate fails.
+def _derive_layers(p: PcPresentation, slack: int = 0) -> Optional[_Tables]:
+    """Prove p consistent layer by layer, deepest first, and derive the
+    tables of the cover on the way; None at the first layer of p that fails
+    (see consistency_check).
 
-    With check set, layer i of p itself is proven before layer i's table
-    is derived, every layer of p is proven, and None is returned at the
-    first layer that fails (see consistency_check). slack raises every
-    degree bound, so more lattice points are used; a sound bound leaves the
-    tables unchanged (the tests pin it that way).
+    Layer i of p is proven before layer i's table is derived, and the
+    accepted layers of the cover stop at the first one whose certificate
+    fails. slack raises every degree bound, so more lattice points are
+    used; a sound bound leaves the tables unchanged (the tests pin it that
+    way).
     """
     m = p.m
     cover = PcPresentation(p.name, (None,) * m, (), p.commutators)
     finite = tuple(k for k, e in enumerate(p.periods, start=1) if e is not None)
-    trusted = finite[-1] if finite else 1
+    f = finite[-1] if finite else 1  # from f on, p's layer is the certificate
     weight = [1] * (m + 1)
     for (j, i), tail in sorted(p.commutators):
         for l, _ in tail:
@@ -440,13 +433,11 @@ def _derive_layers(p: PcPresentation, slack: int = 0,
     layers = _Tables(cover, polys, finite, degree)
     low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
-        if check and not _extends(p, i, layers):
+        if not _extends(p, i, layers):
             return None
-        if low == i + 1 and (i >= trusted or _extends(cover, i, layers)):
+        if low == i + 1 and (i >= f or _extends(cover, i, layers)):
             polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
             low = i
-        elif not check:
-            break
     return _Tables(cover, tuple(polys), finite, degree)
 
 
@@ -825,17 +816,16 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     the induction has proven that for every l > i. In G_{i+1} every
     collection that applies valid relations ends in the one normal form,
     so layer i is decided as rewriting would decide it. Layer i's own table
-    is derived only after layer i passes, under the accept rule of
-    _derive_layers, and tables derived earlier on trust (p._layers) are
+    is derived only after layer i passes (_derive_layers), and p._layers is
     never read.
 
-    When every layer passes, the tables are left in p._layers, equal to
-    _derive_layers(p), for the commands that follow. When one fails, the
-    overlap pairs are collected both ways by rewriting alone in all of G
-    (_rewriting_check), which writes the report; the tests hold the two
+    When every layer passes, the tables are left in p._layers for the
+    commands that follow; this proof is their only source. When one fails,
+    the overlap pairs are collected both ways by rewriting alone in all of
+    G (_rewriting_check), which writes the report; the tests hold the two
     passes against each other.
     """
-    layers = _derive_layers(p, check=True)
+    layers = _derive_layers(p)
     if layers is None:
         return _rewriting_check(p)
     object.__setattr__(p, "_layers", layers)

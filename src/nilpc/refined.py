@@ -38,7 +38,6 @@ from .scalars import (
     InvariantSubmodule,
     ScalarRing,
     ScalarRingError,
-    _offsets,
     pairing_of,
     restrict_ring,
     scalar_ring,
@@ -93,24 +92,6 @@ def _embedding_matrix(small: FgAbelian, big: FgAbelian):
     rows = tuple(
         tuple(col[r] for col in cols) for r in range(len(big.periods)))
     return rows
-
-
-def _block_of(mat, off: int, size: int, periods, m_name: str):
-    """Extract a diagonal block, insisting the rest of its rows/columns
-    vanish as maps."""
-    n = len(periods)
-    inside = range(off, off + size)
-    for r in range(n):
-        for c in range(n):
-            if (r in inside) == (c in inside):
-                continue
-            v = mat[r][c]
-            per = periods[r]
-            bad = v != 0 if per is None else v % per != 0
-            if bad:
-                raise ScalarRingError(
-                    f"{m_name} does not respect the grading")
-    return tuple(tuple(mat[r][c] for c in inside) for r in inside)
 
 
 def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
@@ -211,34 +192,16 @@ def refined_series(p: PcPresentation,
     gap_section = FgAbelian(p, gap_top, zc[2],
                             name=f"{p.name} special gap")
 
-    # ring basis as full matrix triples
-    k = len(ring.periods)
-    triples = []
-    for j in range(k):
-        coords = tuple(1 if i == j else 0 for i in range(k))
-        triples.append(ring.triple_of(coords))
-
-    # per matrix name: its place in a triple, the sections of its blocks,
-    # the block offsets and the periods of the whole module
-    geometry = {
-        "phi2": (1, b.right, _offsets(pairing.b_blocks), pairing.periods_b),
-        "phi0": (2, b.out, _offsets(pairing.c_blocks), pairing.periods_c),
-    }
-
-    def blocks(which, i):
-        slot, secs, offs, periods = geometry[which]
-        size = len(secs[i].periods)
-        return tuple(_block_of(t[slot], offs[i], size, periods, which)
-                     for t in triples)
+    sections = {"phi2": b.right, "phi0": b.out}
 
     def pullbacks(sec, which, i):
         """The action on sec, a section embedded in block i of `which`."""
         if not sec.periods:
-            return tuple(() for _ in triples)
-        big = geometry[which][1][i]
+            return ((),) * len(ring.periods)
+        big = sections[which][i]
         e = _embedding_matrix(sec, big)
         return tuple(_pullback(e, big.periods, sec, m)
-                     for m in blocks(which, i))
+                     for m in ring.block_matrices(which, i))
 
     actions: List[ChainAction] = []
 
@@ -254,7 +217,7 @@ def refined_series(p: PcPresentation,
         if idx < c - 1:
             i = idx + 1  # gap (U_i, U_{i+1})
             emit("upper", top, bottom, b.right[i - 1],
-                 "phi2", blocks("phi2", i - 1))
+                 "phi2", ring.block_matrices("phi2", i - 1))
         elif idx == c - 1:
             emit("upper", top, bottom, gap_section, "special", None)
         else:
@@ -271,7 +234,7 @@ def refined_series(p: PcPresentation,
             continue
         if idx == 0:
             emit("left", top, bottom, b.left, "phi1",
-                 tuple(tuple(tuple(r) for r in t[0]) for t in triples))
+                 ring.block_matrices("phi1"))
         elif idx < c:
             i = idx  # gap (W_i G', W_{i+1} G'), with W_1 G' read as V
             sec = FgAbelian(p, top[1], bottom[1],
@@ -285,7 +248,7 @@ def refined_series(p: PcPresentation,
         else:
             i = idx - c + 1  # gap (L_i, L_{i+1})
             emit("left", top, bottom, b.out[i - 2],
-                 "phi0", blocks("phi0", i - 2))
+                 "phi0", ring.block_matrices("phi0", i - 2))
 
     return RefinedSeries(
         pres=p, bilin=b, base_ring=base, pl_ring=pl, ring=ring,

@@ -34,8 +34,8 @@ plus the conditions' auxiliary unknowns), so restrictions compose without
 re-solving earlier ones.
 
 B and C may carry a block grading (one block per layer of a graded
-pairing); the blocks only matter to restriction constraints, which address
-a single block of phi2 or phi0.
+pairing); the blocks matter to restriction constraints, which address a
+single block of phi2 or phi0, and to ScalarRing.block_matrices.
 """
 
 from __future__ import annotations
@@ -238,20 +238,18 @@ class InvariantSubmodule:
 
 def _block_geometry(pairing: Pairing, lay: _Layout, which: str,
                     block: Optional[int]):
+    """The index map and size of matrix `which`, the offset and size of one
+    of its blocks, and the periods of the whole module it acts on."""
     if which == "phi1":
         if block is not None:
             raise ScalarRingError("phi1 carries no grading")
         return lay.idx1, lay.na, 0, lay.na, pairing.periods_a
     if which == "phi2":
-        offs = _offsets(pairing.b_blocks)
-        o = offs[block]
-        size = pairing.b_blocks[block]
-        return lay.idx2, lay.nb, o, size, pairing.periods_b[o:o + size]
+        o = _offsets(pairing.b_blocks)[block]
+        return lay.idx2, lay.nb, o, pairing.b_blocks[block], pairing.periods_b
     if which == "phi0":
-        offs = _offsets(pairing.c_blocks)
-        o = offs[block]
-        size = pairing.c_blocks[block]
-        return lay.idx0, lay.nc, o, size, pairing.periods_c[o:o + size]
+        o = _offsets(pairing.c_blocks)[block]
+        return lay.idx0, lay.nc, o, pairing.c_blocks[block], pairing.periods_c
     raise ScalarRingError(f"unknown matrix name {which!r}")
 
 
@@ -286,7 +284,7 @@ def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
         idx, nm, o, size, periods = _block_geometry(
             pairing, lay, con.which, con.block)
         lat = [list(g) for g in con.gens if any(g)]
-        for r, per in enumerate(periods):
+        for r, per in enumerate(periods[o:o + size]):
             if per is not None:
                 lat.append([per if k == r else 0 for k in range(size)])
         naux = 0
@@ -448,6 +446,26 @@ class ScalarRing(InvariantFactors):
 
     def triple_of(self, coords: Sequence[int]):
         return self._reshape(self.element_vec(coords))
+
+    def block_matrices(self, which: str, block: Optional[int] = None):
+        """Per additive basis element, the matrix of `which` ("phi1",
+        "phi2" or "phi0") on one block of its grading (None for phi1).
+        Raises when an element maps into or out of the block."""
+        idx, n, o, size, periods = _block_geometry(
+            self.pairing, self.lay, which, block)
+        inside = range(o, o + size)
+        out = []
+        for h in self.basis_vecs:
+            for r, per in enumerate(periods):
+                for c in range(n):
+                    v = h[idx(r, c)]
+                    if ((r in inside) != (c in inside)
+                            and (v if per is None else v % per)):
+                        raise ScalarRingError(
+                            f"{which} does not respect the grading")
+            out.append(tuple(tuple(h[idx(r, c)] for c in inside)
+                             for r in inside))
+        return tuple(out)
 
     # -- coordinate-level ring operations
 

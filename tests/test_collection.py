@@ -13,8 +13,9 @@ bound the polynomials are interpolated under, and pin the certificate
 against a rewriting oracle on random presentations. consistency_check
 proves a presentation layer by layer on the tables it builds: the tests hold
 its reports to those of the rewriting pass (_rewriting_check) on mutants and
-random presentations, check that it never reads tables derived earlier, and
-that the tables it leaves are those derived on first use.
+random presentations, and check that it never reads tables left on the
+presentation. The proof is the tables' only source, so arithmetic on an
+inconsistent presentation that was never checked is refused.
 """
 
 import functools
@@ -27,8 +28,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilpc import presentation as pc
-from nilpc.presentation import PcPresentation
+from nilpc import files, presentation as pc
+from nilpc.presentation import PcPresentation, PresentationError
 
 import oracles
 from groups_def import (
@@ -528,13 +529,51 @@ PLACED_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(MUTANTS))
+ARITHMETIC = {
+    "normal_form": lambda p, x: pc.normal_form(p, pc.word_of(p, x)),
+    "multiply": lambda p, x: pc.multiply(p, x, x),
+    "inverse": pc.inverse,
+    "power": lambda p, x: pc.power(p, x, 10 ** 6),
+    "commutator": lambda p, x: pc.commutator(p, x, x),
+    "conjugate": lambda p, x: pc.conjugate(p, x, x),
+}
+
+
+# the consistent group each inconsistent one was made from
+ORIGINALS = {
+    "HEIS_MUTATED": heis, "F23": f23, "UT_4": BASE["UT_4"], "H_3": BASE["H_3"],
+    "ZG": zg, "NR": nr, "UT_5 top": BASE["UT_5"],
+    "HEIS-index2 power-power": heis_index2,
+}
+
+
+@pytest.mark.parametrize("name", list(ORIGINALS))
 def test_check_rejects_mutants_after_tables_exist(name):
-    p = MUTANTS[name]()
+    # The proof is the only source of tables, so every public entry refuses
+    # a mutant that was never checked and leaves it no tables. Planting the
+    # proven tables of the group it was made from changes no report: the
+    # check never reads them.
+    make = MUTANTS.get(name) or PLACED_MUTANTS[name][0]
+    p = make()
     x = tuple(1 if e is None else 0 for e in p.periods)
-    pc.multiply(p, x, x)  # derives the polynomials of the mutant
-    assert p._layers is not None
-    assert not pc.consistency_check(p).ok
+    for op, run in ARITHMETIC.items():
+        with pytest.raises(PresentationError, match="inconsistent"):
+            run(p, x)
+        assert p._layers is None, op
+    report = pc.consistency_check(p)
+    assert report == pc._rewriting_check(make())
+    object.__setattr__(p, "_layers", pc._conj_layers(ORIGINALS[name]()))
+    assert pc.consistency_check(p) == report
+
+
+def test_arithmetic_refuses_the_unchecked_mutated_fixture():
+    p = files.load_fixture("HEIS_MUTATED", check=False)
+    x = (1, 1, 0)
+    message = "HEIS_MUTATED: inconsistent presentation"
+    for op, run in ARITHMETIC.items():
+        with pytest.raises(PresentationError, match=message):
+            run(p, x)
+        assert p._layers is None, op
 
 
 @pytest.mark.parametrize("name", list(MUTANTS) + list(PLACED_MUTANTS))
@@ -548,25 +587,6 @@ def test_check_reports_mutants_as_rewriting_does(name):
     if kind is not None:
         assert max(f.i for f in report.failures) == layer
         assert kind in {f.kind for f in report.failures if f.i == layer}
-
-
-# an inconsistent relative of each group, whose tables the check must not read
-RELATIVES = {
-    "F23": MUTANTS["F23"], "ZG": MUTANTS["ZG"],
-    "UT_5": PLACED_MUTANTS["UT_5 top"][0],
-    "HEIS-index2": PLACED_MUTANTS["HEIS-index2 power-power"][0],
-    "NR": MUTANTS["NR"],
-}
-
-
-@pytest.mark.parametrize("name", list(RELATIVES))
-def test_check_leaves_the_tables_derived_on_first_use(name):
-    p = BASE[name]()
-    wrong = pc._derive_layers(RELATIVES[name]())
-    object.__setattr__(p, "_layers", wrong)
-    assert pc.consistency_check(p).ok
-    assert p._layers == pc._derive_layers(BASE[name]())
-    assert p._layers != wrong
 
 
 # -- runtime dependencies --------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-private module-level function or class is read somewhere; `__all__`
-lists exactly the names `__init__.py` imports, and `__version__`.
+"""Every name a package module imports is used in that module, no
+package module imports another's private name, and every private
+module-level function or class is read somewhere; `__all__` lists exactly
+the names `__init__.py` imports, and `__version__`.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -46,6 +47,31 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str):
+    """(line, name) for each private name imported from a package module:
+    a private helper belongs to its module, and a second module that needs
+    it should get a public method or function instead."""
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_detects_a_private_import():
+    src = ("from __future__ import annotations\n"
+           "from . import presentation as pc\n"
+           "from .scalars import Pairing, _offsets\n"
+           "from typing import _SpecialForm\n")
+    assert private_imports(src) == [(3, "_offsets")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _reads(tree):
