@@ -9,8 +9,9 @@ ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and the
 image rows of a are canonical modulo b.  The periods and coordinates are
 those of intlinalg.InvariantFactors on the relation lattice of the image
 rows; this module adds only the sign rule.  Basis elements are elements of
-G; coords/element convert both ways.  section(p, a, b) builds each a/b
-once per presentation, keyed by a's and b's rows; the result is immutable.
+G; coords/element convert both ways.  section(p, a, b) is the only builder
+of sections: it builds each a/b once per presentation, keyed by a's and
+b's rows, and every caller shares it, as a section is immutable once built.
 
 isolator(p, n) is the preimage in G of the torsion of G/n, read off the
 sections z/n with z/n the center of G/n.
@@ -48,16 +49,14 @@ class FgAbelian(InvariantFactors):
     is positive.
     """
 
-    def __init__(self, p: PcPresentation, a: Subgroup, b: Subgroup,
-                 *, name: str = ""):
-        label = name or "A/B"
+    def __init__(self, p: PcPresentation, a: Subgroup, b: Subgroup):
         if not all(a.contains(r) for r in b.rows):
-            raise SubgroupError(f"{p.name}: section {label} has B outside A")
+            raise SubgroupError(f"{p.name}: section A/B has B outside A")
         for i, r in enumerate(a.rows):
             for s in a.rows[i + 1:]:
                 if not b.contains(pc.commutator(p, r, s)):
                     raise SubgroupError(
-                        f"{p.name}: section {label} is not abelian")
+                        f"{p.name}: section A/B is not abelian")
         self.pres = p
         self.rep = b.coset_rep
         # the period of u_j in G/b: b's lead at j, else u_j's own; a row of
@@ -131,18 +130,16 @@ class FgAbelian(InvariantFactors):
         return sg.prod_rows(self.pres, self.basis, vec)
 
 
-def section(p: PcPresentation, a: Subgroup, b: Subgroup,
-            *, name: str = "") -> FgAbelian:
+def section(p: PcPresentation, a: Subgroup, b: Subgroup) -> FgAbelian:
     """FgAbelian(p, a, b), built once per presentation and pair of row
-    tuples.  name only labels the error of a failed build."""
-    return sg._once(p, ("section", a.rows, b.rows),
-                    lambda q, x, y: FgAbelian(q, x, y, name=name), a, b)
+    tuples."""
+    return sg._once(p, ("section", a.rows, b.rows), FgAbelian, a, b)
 
 
 def abelianization(p: PcPresentation) -> FgAbelian:
     w = sg.whole_subgroup(p)
     der = sg.commutator_subgroup(p, w, w)
-    return section(p, w, der, name=f"{p.name} abelianized")
+    return section(p, w, der)
 
 
 def isolator(p: PcPresentation, n: Subgroup) -> Subgroup:

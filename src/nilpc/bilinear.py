@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian
+from .abelian import FgAbelian, section
 from .intlinalg import hnf_basis, identity as eye, solve_congruences
 from .presentation import Element, PcPresentation
 from .subgroups import Subgroup
@@ -40,26 +40,23 @@ class AssociatedSeries:
 def associated_series(p: PcPresentation,
                       series: Optional[Sequence[Subgroup]] = None
                       ) -> AssociatedSeries:
-    if series is None:
-        # the lower central series is its own lower companion
-        series = lower = sg.lower_central_series(p)
-        whole = lower[0]
-    else:
-        whole = sg.whole_subgroup(p)
-        series = list(series)
-        if series[0] != whole:
-            raise SeriesError("series must start at the whole group")
-        if not series[-1].is_trivial:
-            raise SeriesError("series must end at the trivial subgroup")
-        lower = [whole]
-        for k in range(len(series) - 1):
-            nxt = sg.commutator_subgroup(p, series[k], whole)
-            for r in nxt.rows:
-                if not series[k + 1].contains(r):
-                    raise SeriesError("input series is not central")
-            lower.append(nxt)
-        if not lower[-1].is_trivial:
-            raise SeriesError("lower companion does not terminate")
+    # the lower central series is its own lower companion, and each of its
+    # commutator subgroups is kept on p, so rebuilding it below costs nothing
+    series = list(sg.lower_central_series(p) if series is None else series)
+    whole = sg.whole_subgroup(p)
+    if series[0] != whole:
+        raise SeriesError("series must start at the whole group")
+    if not series[-1].is_trivial:
+        raise SeriesError("series must end at the trivial subgroup")
+    lower = [whole]
+    for k in range(len(series) - 1):
+        nxt = sg.commutator_subgroup(p, series[k], whole)
+        for r in nxt.rows:
+            if not series[k + 1].contains(r):
+                raise SeriesError("input series is not central")
+        lower.append(nxt)
+    if not lower[-1].is_trivial:
+        raise SeriesError("lower companion does not terminate")
 
     upper = tuple(
         sg.commutation_preimage(p, lower[k + 1])
@@ -174,24 +171,17 @@ def bilinearize(p: PcPresentation,
     c = s.c
     whole = s.lower[0]
 
-    conditions = []
-    for i in range(c - 1):
-        # [x, upper_i] must land two layers down
-        conditions.append((s.upper[i].rows, s.lower[i + 2]))
-    if conditions:
-        v_r = sg.constrained_subgroup(p, whole, conditions)
-    else:
-        v_r = whole
-    left = FgAbelian(p, whole, v_r, name=f"{p.name} mod radical")
+    # [x, upper_i] must land two layers down
+    conditions = [(s.upper[i].rows, s.lower[i + 2]) for i in range(c - 1)]
+    v_r = sg.constrained_subgroup(p, whole, conditions)
+    left = section(p, whole, v_r)
 
     right: List[FgAbelian] = []
     out: List[FgAbelian] = []
     tables = []
     for i in range(c - 1):
-        b_i = FgAbelian(p, s.upper[i], s.upper[i + 1],
-                        name=f"{p.name} upper layer {i + 1}")
-        c_i = FgAbelian(p, s.lower[i + 1], s.lower[i + 2],
-                        name=f"{p.name} lower layer {i + 2}")
+        b_i = section(p, s.upper[i], s.upper[i + 1])
+        c_i = section(p, s.lower[i + 1], s.lower[i + 2])
         table = tuple(
             tuple(c_i.coords(pc.commutator(p, xs, yt)) for yt in b_i.basis)
             for xs in left.basis)

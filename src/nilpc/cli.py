@@ -159,7 +159,8 @@ def _cmd_series(args) -> int:
 
 def _cmd_scalars(args) -> int:
     p = files.load(args.file)
-    # given no series, refined_series builds the lower central series once
+    # refined_ring is one restriction of pairing_ring (the same ring when
+    # nothing cuts it); no series means the lower central series
     rs = refined_series(
         p, _central_series(p, "upper") if args.series == "upper" else None)
     b = rs.bilin

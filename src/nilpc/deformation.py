@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import intlinalg as il
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian
+from .abelian import section
 from .presentation import Element, PcPresentation
 from .series import key_subgroups
 
@@ -116,7 +116,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     M/N), so each tail is the unique normal form.
     """
     ks = key_subgroups(p)
-    seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
+    seg1 = section(p, ks.lower_central[0], ks.m_sub)
     segments = (seg1, ks.mn, ks.n_is)
     tail = ks.derived_isolator
     if any(d is not None for d in seg1.periods):

@@ -34,10 +34,10 @@ consistency_check, which proves the presentation layer by layer and derives
 each layer's table once that layer has passed; they stay in the
 presentation's _layers field for the commands that follow. Arithmetic on a
 presentation that was never checked runs the proof first and refuses an
-inconsistent one with PresentationError. The interpolation is complete by a
-degree bound from per-generator weights read off the commutator tails, as
-in Deep Thought (Leedham-Green & Soicher 1998); see "conjugation
-polynomials" below.
+inconsistent one with PresentationError, keeping the refusal. The
+interpolation is complete by a degree bound from per-generator weights read
+off the commutator tails, as in Deep Thought (Leedham-Green & Soicher
+1998); see "conjugation polynomials" below.
 
 Commutators and conjugates are left quotients: [x, y] is the z with
 (y x) z = x y, and g^-1 x g the z with g z = x g. The canonical z with
@@ -79,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 from operator import sub
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 
 Period = Optional[int]  # None = infinite
@@ -109,7 +109,7 @@ class PcPresentation:
     _comm: Dict[Tuple[int, int], Word] = field(
         init=False, repr=False, compare=False, hash=False
     )
-    _layers: Optional[_Tables] = field(
+    _layers: Union[_Tables, bool, None] = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
     _steps: Dict[int, Tuple[Tuple[int, Element], ...]] = field(
@@ -399,13 +399,15 @@ class _Tables:
 
 def _conj_layers(p: PcPresentation) -> _Tables:
     """The tables of p. When p was never checked, the proof runs here, and
-    an inconsistent p is refused."""
+    an inconsistent p is refused; p._layers then keeps False, so the proof
+    runs once."""
     layers = p._layers
-    if layers is None:
-        layers = _derive_layers(p)
+    if not layers:
         if layers is None:
+            layers = _derive_layers(p) or False
+            object.__setattr__(p, "_layers", layers)
+        if not layers:
             raise PresentationError(f"{p.name}: inconsistent presentation")
-        object.__setattr__(p, "_layers", layers)
     return layers
 
 
@@ -821,14 +823,14 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
 
     When every layer passes, the tables are left in p._layers for the
     commands that follow; this proof is their only source. When one fails,
-    the overlap pairs are collected both ways by rewriting alone in all of
-    G (_rewriting_check), which writes the report; the tests hold the two
-    passes against each other.
+    p._layers keeps False and the overlap pairs are collected both ways by
+    rewriting alone in all of G (_rewriting_check), which writes the report;
+    the tests hold the two passes against each other.
     """
     layers = _derive_layers(p)
+    object.__setattr__(p, "_layers", layers or False)
     if layers is None:
         return _rewriting_check(p)
-    object.__setattr__(p, "_layers", layers)
     return ConsistencyReport(ok=True, failures=())
 
 

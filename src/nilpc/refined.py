@@ -13,13 +13,14 @@ canonical refinements of the series:
 Compatibility is expressed through linear side conditions on the scalar
 triples (intertwining with the connecting maps between layers, invariance
 of the embedded images).  The final ring is one restriction of the
-layer-compatible ring by the conditions of both chains together; that is
-the intersection of the two chains' compatible subrings, because the
-conditions of the two chains share no auxiliary unknowns.  Each gap of
-each chain is reported together with the matrices by which the ring's
-additive basis acts on it; the one gap that carries no action (between a
-chain's graded part and its central refinement) is marked special and
-reported without matrices.
+pairing's ring by all of them together, which is the intersection of the
+subrings each set cuts out: restrictions compose (see restrict_ring) and
+no two conditions share an auxiliary unknown.  Each gap of each chain is
+reported with its section, built by abelian.section and so the pairing's
+own where they share one, and the matrices by which the ring's additive
+basis acts on it; the one gap that carries no action (between a chain's
+graded part and its central refinement) is marked special and reported
+without matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
-from .abelian import FgAbelian
+from .abelian import FgAbelian, section
 from .bilinear import Bilinearization, bilinearize
 from .intlinalg import solve_congruences
 from .presentation import PcPresentation
@@ -69,7 +70,6 @@ class RefinedSeries:
     pres: PcPresentation
     bilin: Bilinearization
     base_ring: ScalarRing
-    pl_ring: ScalarRing
     ring: ScalarRing
     upper_chain: Tuple[Tuple[str, Subgroup], ...]
     left_chain: Tuple[Tuple[str, Subgroup], ...]
@@ -137,7 +137,6 @@ def refined_series(p: PcPresentation,
             continue
         pl_cons.append(HomCompat(
             _embedding_matrix(small, big), c_block=i - 2, b_block=i - 1))
-    pl = restrict_ring(base, pl_cons)
 
     # central parts of the lower-style terms
     zc = {}
@@ -157,8 +156,7 @@ def refined_series(p: PcPresentation,
     vcond = [(s.upper[i].rows, s.lower[i + 2]) for i in range(c - 1)]
     w = {1: b.v_r}
     for i in range(2, c + 1):
-        w[i] = sg.constrained_subgroup(p, s.upper[i - 1], vcond) \
-            if vcond else s.upper[i - 1]
+        w[i] = sg.constrained_subgroup(p, s.upper[i - 1], vcond)
 
     ad_cons = []
     for i in range(1, c):
@@ -168,7 +166,7 @@ def refined_series(p: PcPresentation,
         if not sec.periods or not gens_i:
             continue
         ad_cons.append(InvariantSubmodule("phi2", i - 1, gens_i))
-    ring = restrict_ring(pl, ae_cons + ad_cons)
+    ring = restrict_ring(base, pl_cons + ae_cons + ad_cons)
 
     # chains
     terms_u: List[Tuple[str, Subgroup]] = []
@@ -187,11 +185,6 @@ def refined_series(p: PcPresentation,
         label = "1" if term.is_trivial else ("G'" if i == 2 else f"L{i}")
         terms_l.append((label, term))
 
-    # gap between the graded part and its central refinement
-    gap_top = s.upper[c - 1]
-    gap_section = FgAbelian(p, gap_top, zc[2],
-                            name=f"{p.name} special gap")
-
     sections = {"phi2": b.right, "phi0": b.out}
 
     def pullbacks(sec, which, i):
@@ -203,54 +196,33 @@ def refined_series(p: PcPresentation,
         return tuple(_pullback(e, big.periods, sec, m)
                      for m in ring.block_matrices(which, i))
 
+    def action(chain, idx, sec):
+        """The kind of gap idx of chain, and the ring's action on it."""
+        if chain == "upper":
+            if idx < c - 1:  # (U_i, U_{i+1}), i = idx + 1
+                return "phi2", ring.block_matrices("phi2", idx)
+            if idx > c - 1:  # (Z^L_i, Z^L_{i+1}), i = idx - c + 2
+                return "pullback-phi0", pullbacks(sec, "phi0", idx - c)
+        elif idx == 0:
+            return "phi1", ring.block_matrices("phi1")
+        elif idx < c:  # (W_i G', W_{i+1} G'), i = idx, W_1 G' read as V
+            return "pullback-phi2", pullbacks(sec, "phi2", idx - 1)
+        elif idx > c:  # (L_i, L_{i+1}), i = idx - c + 1
+            return "phi0", ring.block_matrices("phi0", idx - c - 1)
+        # between the graded part and its central refinement
+        return "special", None
+
     actions: List[ChainAction] = []
-
-    def emit(chain, top, bottom, section, kind, matrices):
-        actions.append(ChainAction(chain, top[0], bottom[0], section,
-                                   kind, matrices))
-
-    # upper-style chain gaps
-    for idx in range(len(terms_u) - 1):
-        top, bottom = terms_u[idx], terms_u[idx + 1]
-        if top[1] == bottom[1]:
-            continue
-        if idx < c - 1:
-            i = idx + 1  # gap (U_i, U_{i+1})
-            emit("upper", top, bottom, b.right[i - 1],
-                 "phi2", ring.block_matrices("phi2", i - 1))
-        elif idx == c - 1:
-            emit("upper", top, bottom, gap_section, "special", None)
-        else:
-            i = idx - c + 2  # gap (Z^L_i, Z^L_{i+1})
-            sec = FgAbelian(p, zc[i], zc[i + 1],
-                            name=f"{p.name} central part {i}")
-            emit("upper", top, bottom, sec, "pullback-phi0",
-                 pullbacks(sec, "phi0", i - 2))
-
-    # left-domain chain gaps
-    for idx in range(len(terms_l) - 1):
-        top, bottom = terms_l[idx], terms_l[idx + 1]
-        if top[1] == bottom[1]:
-            continue
-        if idx == 0:
-            emit("left", top, bottom, b.left, "phi1",
-                 ring.block_matrices("phi1"))
-        elif idx < c:
-            i = idx  # gap (W_i G', W_{i+1} G'), with W_1 G' read as V
-            sec = FgAbelian(p, top[1], bottom[1],
-                            name=f"{p.name} radical layer {i}")
-            emit("left", top, bottom, sec, "pullback-phi2",
-                 pullbacks(sec, "phi2", i - 1))
-        elif idx == c:
-            sec = FgAbelian(p, top[1], bottom[1],
-                            name=f"{p.name} special gap (left)")
-            emit("left", top, bottom, sec, "special", None)
-        else:
-            i = idx - c + 1  # gap (L_i, L_{i+1})
-            emit("left", top, bottom, b.out[i - 2],
-                 "phi0", ring.block_matrices("phi0", i - 2))
+    for chain, terms in (("upper", terms_u), ("left", terms_l)):
+        for idx in range(len(terms) - 1):
+            (top, x), (bottom, y) = terms[idx], terms[idx + 1]
+            if x != y:
+                sec = section(p, x, y)
+                actions.append(ChainAction(chain, top, bottom, sec,
+                                           *action(chain, idx, sec)))
 
     return RefinedSeries(
-        pres=p, bilin=b, base_ring=base, pl_ring=pl, ring=ring,
+        pres=p, bilin=b, base_ring=base, ring=ring,
         upper_chain=_dedup(terms_u), left_chain=_dedup(terms_l),
-        gap_section=gap_section, actions=tuple(actions))
+        gap_section=section(p, s.upper[c - 1], zc[2]),
+        actions=tuple(actions))

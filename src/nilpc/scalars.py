@@ -543,9 +543,10 @@ def restrict_ring(ring: ScalarRing,
     is reduced away by red. A restriction's triples are integer
     combinations of its parent's s_basis, so every ring of the chain lies
     in the first ring's lattice, inside P.
+    The rows of s_basis are independent, so nothing is cut exactly when the
+    solutions x, in the ring's coordinates, span Z^rank; then ring itself is
+    returned, which is exact since equal lattices have equal HNFs.
     """
-    if not constraints:
-        return ring
     lay, s = ring.lay, ring.s_basis
     sparse = []
     naux = 0
@@ -566,9 +567,10 @@ def restrict_ring(ring: ScalarRing,
             else:
                 row[rank + i - lay.total] = v
         rows.append((row, mod))
-    return ScalarRing(ring.pairing,
-                      [vec_mat(x[:rank], s)
-                       for x in lattice_kernel(rows, rank + naux)],
+    kernel = [x[:rank] for x in lattice_kernel(rows, rank + naux)]
+    if hnf_basis(kernel, rank) == identity(rank):
+        return ring
+    return ScalarRing(ring.pairing, [vec_mat(x, s) for x in kernel],
                       recheck=False)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import subgroups as sg
-from .abelian import FgAbelian, isolator, section, torsion_subgroup
+from .abelian import (
+    FgAbelian, abelianization, isolator, section, torsion_subgroup)
 from .intlinalg import InvariantFactors, solve_congruences
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
@@ -106,7 +107,7 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     whole = lcs[0]
     der = lcs[1] if len(lcs) > 1 else whole
     z = sg.center(pres)
-    ab = section(pres, whole, der, name=f"{pres.name} abelianized")
+    ab = abelianization(pres)
     iso_der = isolator(pres, der)
     tors = torsion_subgroup(pres)
     iso_c = _torsion_image_part(pres, z, ab)
@@ -114,10 +115,10 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
     dz = sg.induce(pres, list(der.rows) + list(z.rows))
     m_sub = isolator(pres, dz)
-    mn = FgAbelian(pres, m_sub, n_sub, name=f"{pres.name} M/N")
+    mn = section(pres, m_sub, n_sub)
     if any(d is None for d in mn.periods):
         raise SubgroupError("M/N came out infinite")
-    n_is = FgAbelian(pres, n_sub, iso_der, name=f"{pres.name} N/Is")
+    n_is = section(pres, n_sub, iso_der)
     if any(d is not None for d in n_is.periods):
         raise SubgroupError("N/Is(G') came out non-free")
 

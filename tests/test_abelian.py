@@ -6,7 +6,7 @@ import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
-from nilpc.abelian import FgAbelian, abelianization, isolator, \
+from nilpc.abelian import FgAbelian, abelianization, isolator, section, \
     torsion_subgroup
 from nilpc.cli import main
 
@@ -135,8 +135,8 @@ def test_report_sections_match_quotient_oracle(capsys, monkeypatch, name):
     built = {}
     init = FgAbelian.__init__
 
-    def recording(self, p, a, b, **kwargs):
-        init(self, p, a, b, **kwargs)
+    def recording(self, p, a, b):
+        init(self, p, a, b)
         built.setdefault((id(p), a.rows, b.rows), (p, a, b, self))
 
     monkeypatch.setattr(FgAbelian, "__init__", recording)
@@ -199,6 +199,21 @@ def test_central_series_layers_match_quotient_oracle(name):
     pairs = list(zip(lcs, lcs[1:])) + list(zip(ucs[1:], ucs))
     for a, b in pairs:
         _assert_section_agrees(p, a, b, FgAbelian(p, a, b), rng)
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED))
+def test_section_is_kept_per_pair_of_subgroups(name):
+    # section(p, a, b) builds a/b once and hands back the same object; a
+    # pair that differs from another in a alone or in b alone is another
+    # section.  gamma_i/gamma_j is abelian for i < j <= 2i.
+    p = LAYERED[name]()
+    lcs = sg.lower_central_series(p)
+    for i, a in enumerate(lcs):
+        for b in lcs[i + 1:2 * i + 2]:
+            sec = section(p, a, b)
+            assert section(p, a, b) is sec
+            ref = FgAbelian(p, a, b)
+            assert (sec.periods, sec.basis) == (ref.periods, ref.basis)
 
 
 def torsion_tower():

@@ -253,10 +253,10 @@ class TestComputedOnce:
         built, derived = [], []
         init, derive = ab.FgAbelian.__init__, pc._derive_layers
 
-        def section(self, q, a, b, **kwargs):
+        def section(self, q, a, b):
             if q == p and a == whole and b == der:
                 built.append(b)
-            init(self, q, a, b, **kwargs)
+            init(self, q, a, b)
 
         def recording(q, *args, **kwargs):
             derived.append(q.name)
@@ -297,6 +297,30 @@ class TestComputedOnce:
             total += len(commutators) + len(passes)
             assert len(set(commutators)) == len(commutators), cmd
             assert len(set(passes)) == len(passes), cmd
+        assert total
+
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])
+    def test_each_section_built_once(self, capsys, monkeypatch, name):
+        # Every report command builds each section a/b at most once per
+        # presentation object: abelian.section is the one builder, so a
+        # section that two constructions share (G/G' in key_subgroups and
+        # in adapt, a pairing's layer and a chain's gap) is one object.
+        built, seen = [], []
+        init = ab.FgAbelian.__init__
+
+        def section(self, p, a, b):
+            seen.append(p)  # held, so no id is reused during the command
+            built.append((id(p), a.rows, b.rows))
+            init(self, p, a, b)
+
+        monkeypatch.setattr(ab.FgAbelian, "__init__", section)
+        total = 0
+        for cmd in REPORT_COMMANDS:
+            del built[:], seen[:]
+            main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
+            capsys.readouterr()
+            total += len(built)
+            assert len(set(built)) == len(built), cmd
         assert total
 
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
-the names `__init__.py` imports, and `__version__`.
+the names `__init__.py` imports, and `__version__`; and no module but
+abelian.py calls FgAbelian, so each section has one builder.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -72,6 +73,32 @@ def test_detects_a_private_import():
                          ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def calls_of(source: str, name: str):
+    """Lines that call `name`, bare or as an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None)))
+
+
+def test_detects_a_call():
+    src = ("from .abelian import FgAbelian\n"
+           "x = FgAbelian(p, a, b)\n"
+           "y = ab.FgAbelian(p, a, b)\n"
+           "z = _once(p, key, FgAbelian, a, b)\n")
+    assert calls_of(src, "FgAbelian") == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "abelian.py"],
+                         ids=lambda p: p.name)
+def test_sections_are_built_only_by_abelian(path):
+    # abelian.section keeps each section on its presentation; a bare
+    # FgAbelian(...) elsewhere would build it again
+    assert calls_of(path.read_text(encoding="utf-8"), "FgAbelian") == []
 
 
 def _reads(tree):
