@@ -116,8 +116,9 @@ class PcPresentation:
         default_factory=dict, init=False, repr=False, compare=False,
         hash=False
     )
-    # Commutator subgroups and constrained passes built on this
-    # presentation, keyed by canonical rows (see subgroups.py). Apart from
+    # Commutator subgroups, constrained passes and the generating set S
+    # built on this presentation, keyed by canonical rows (see
+    # subgroups.py). Apart from
     # _layers and _steps: those are collector tables, which
     # consistency_check must tell apart, while these are subgroup results
     # that only subgroups.py reads.
@@ -420,7 +421,9 @@ def _derive_layers(p: PcPresentation, slack: int = 0) -> Optional[_Tables]:
     accepted layers of the cover stop at the first one whose certificate
     fails. slack raises every degree bound, so more lattice points are
     used; a sound bound leaves the tables unchanged (the tests pin it that
-    way).
+    way). The weights w are read off the commutator tails once: they give
+    the degree bound and the class bound d = max w (_Tables.degree), above
+    which _extends skips the triple overlaps.
     """
     m = p.m
     cover = PcPresentation(p.name, (None,) * m, (), p.commutators)
@@ -435,26 +438,33 @@ def _derive_layers(p: PcPresentation, slack: int = 0) -> Optional[_Tables]:
     layers = _Tables(cover, polys, finite, degree)
     low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
-        if not _extends(p, i, layers):
+        if not _extends(p, i, layers, weight):
             return None
-        if low == i + 1 and (i >= f or _extends(cover, i, layers)):
+        if low == i + 1 and (i >= f or _extends(cover, i, layers, weight)):
             polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
             low = i
     return _Tables(cover, tuple(polys), finite, degree)
 
 
-def _extends(q: PcPresentation, i: int, layers: _Tables) -> bool:
+def _extends(q: PcPresentation, i: int, layers: _Tables, weight) -> bool:
     """Whether layer i of q is consistent, given that Q_{i+1} =
     <u_{i+1}, ..., u_m> is: the overlaps of layer i, read as relations of
     c: u_l -> u_l [u_l, u_i] (l > i), collected in Q_{i+1} with the tables
     of the layers above i (see consistency_check). The cover has no
     periods, so there only the triple part applies, and it is the
-    certificate of layer i (see "the cover")."""
+    certificate of layer i (see "the cover"). A triple (k, j, i) whose
+    weights sum past the class bound layers.degree holds in any
+    consistent Q_{i+1} and is skipped (see "Weights" in
+    consistency_check)."""
     c = dict(_step(q, i))
+    room = layers.degree - weight[i]  # kept: w(j) + w(k) <= room
     for j in range(i + 1, q.m + 1):
         cj = c[j]
-        cj_inv = _inverse(q, cj, layers)
-        for k, ukj in _step(q, j):  # ukj = u_k [u_k, u_j]
+        triples = [(k, ukj) for k, ukj in _step(q, j)  # ukj = u_k [u_k, u_j]
+                   if weight[j] + weight[k] <= room]
+        if triples:
+            cj_inv = _inverse(q, cj, layers)
+        for k, ukj in triples:
             lhs = _multiply(q, _multiply(q, cj_inv, c[k], layers), cj, layers)
             if lhs != _apply_aut(q, c, ukj, layers):
                 return False
@@ -806,6 +816,34 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     9.8, are redundant here because the tails of [u_j, u_i] have support
     > j). Conversely, in a consistent G_i conjugation by u_i is such an
     automorphism, so every layer passes.
+
+    Weights. Only the triples with w(i) + w(j) + w(k) <= d are collected,
+    where w are the weights of "conjugation polynomials" (w(l) >= w(i) +
+    w(j) for every l in the tail of [u_j, u_i]) and d = max w bounds the
+    class (Vaughan-Lee 1984; Sims 1994, chapter 11); the power overlaps
+    are all collected. The others hold in any consistent G_{i+1}. Let W_s
+    be the subgroup of G_{i+1} generated by the u_k (k > i) with w(k) >=
+    s. For such u_k and any j > i, the commutator of u_k and u_j is a
+    tail, or its inverse, whose letters weigh at least w(k) + w(j) > s, so
+    u_j^-1 W_s u_j <= W_s, and by the maximal condition (as in
+    subgroups.induce) W_s is normal in G_{i+1}. The same tails put the
+    commutators of the generators of W_a and W_b in W_{a+b}, and [W_a,
+    W_b] is the normal closure in <W_a, W_b> of those, so [W_a, W_b] <=
+    W_{a+b}; and W_{d+1} = 1. Write c(u_l) = u_l a_l, where a_l, the tail
+    of [u_l, u_i], lies in W_{w(l)+w(i)}. Let s = w(i) + w(j) + w(k) > d,
+    so W_s = 1. The left side of the triple is (u_k a_k)^(u_j a_j).
+    Conjugating by u_j gives u_k [u_k, u_j] a_k [a_k, u_j] with [a_k, u_j]
+    in W_s, and conjugating x = u_k [u_k, u_j] a_k, which lies in
+    W_{w(k)}, by a_j moves it by [x, a_j] in W_s. The right side is
+    c(u_k) c(t) with t the tail of [u_k, u_j]; each letter u_l of t has
+    a_l in W_{w(l)+w(i)} <= W_s, so c(t) = t, and a_k commutes with t, as
+    [a_k, t] lies in W_{2w(k)+w(i)+w(j)}. Both sides are u_k [u_k, u_j]
+    a_k. Nothing here reads a power tail: W_s is generated by letters, the
+    bounds read commutator tails only, and the relations of G_{i+1}, power
+    tails included, hold by the induction. So power tails need no weight
+    condition. The cover's certificate is the triple part in G~_{i+1},
+    which has the same commutator tails and weights, and is pruned the
+    same way.
 
     The tables of the layers above i may be used at layer i without
     circularity. Layer l's table describes the cover G~_l and is accepted

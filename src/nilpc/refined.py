@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import presentation as pc
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import Bilinearization, bilinearize
@@ -124,7 +123,6 @@ def refined_series(p: PcPresentation,
     whole = s.lower[0]
     trivial = sg.trivial_subgroup(p)
     derived = s.lower[1]
-    gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))
     pairing = pairing_of(b)
     base = scalar_ring(pairing)
 
@@ -142,7 +140,7 @@ def refined_series(p: PcPresentation,
     zc = {}
     for i in range(2, c + 2):
         zc[i] = sg.constrained_subgroup(
-            p, s.lower[i - 1], [(gens, trivial)])
+            p, s.lower[i - 1], [(sg.generating_set(p), trivial)])
 
     ae_cons = []
     for i in range(2, c + 1):

@@ -20,11 +20,33 @@ A constrained pass needs neither a closure nor a strip per layer: each
 [r, h] is collected once per pass and sifted once per condition by
 L.coset_rep, and a binding layer's rows are read off the HNF of its
 solution lattice (_lattice_subgroup, also used in series.py).
+
+G is read through a generating set S modulo G' (generating_set), built
+once per presentation from the commutator tails alone.  Drop u_l when
+some tail leads at l with a unit exponent: +-1 when u_l's period is
+infinite, prime to it when finite.  That tail is a commutator of
+generators, so G' holds an element that leads at l with a unit
+coefficient, and u_l lies in G' G_{l+1}, with G_{l+1} = <u_{l+1}, ...,
+u_m>.  By descending induction on l, <S> G' holds every u_l, so
+<S> G' = G.  In a nilpotent group G' <= Phi(G) (Robinson, A Course in the
+Theory of Groups, ch. 5), whose elements are non-generators, and G' is
+finitely generated, so its generators drop out of <S, G'> one at a time:
+<S> = G.  S is used where any generating set serves:
+
+* the normal closure (induce) conjugates by S only;
+* [A, B] is the normal closure in <A, B> of the commutators of
+  generators, so commutator_subgroup reads a side that is G as S;
+* for normal L and each x, the g with [x, g] in L form a subgroup, so a
+  condition (G's rows, L) says what (S, L) says.  constrained_subgroup
+  replaces the former by the latter before it keys the pass, so a pass
+  asked for with either is built once (at class 2, bilinearize's radical
+  pass, on the condition (G, gamma_3), is the centre's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
@@ -173,21 +195,47 @@ def whole_subgroup(p: PcPresentation) -> Subgroup:
     return Subgroup(p, tuple(pc.generator(p, i) for i in range(1, p.m + 1)))
 
 
+def generating_set(p: PcPresentation) -> Tuple[Element, ...]:
+    """S: the generators u_l but those at which some commutator tail
+    leads with a unit exponent; S generates G (see the module docstring).
+    Built once per presentation."""
+    return _once(p, ("generating set",), _build_generating_set)
+
+
+def _build_generating_set(p: PcPresentation) -> Tuple[Element, ...]:
+    dropped = set()
+    for _, tail in p.commutators:
+        if tail:
+            l, a = tail[0]
+            e = p.period(l)
+            if abs(a) == 1 if e is None else gcd(a, e) == 1:
+                dropped.add(l)
+    return tuple(r for l, r in enumerate(whole_subgroup(p).rows, 1)
+                 if l not in dropped)
+
+
+def _read_whole(p: PcPresentation, rows: Sequence[Element]
+                ) -> Tuple[Element, ...]:
+    """rows, or S when they are the whole group's rows."""
+    rows = tuple(rows)
+    return generating_set(p) if rows == whole_subgroup(p).rows else rows
+
+
 def induce(p: PcPresentation, gens: Sequence[Element], *,
            normal: bool = False) -> Subgroup:
     """Canonical row sequence for the subgroup generated by gens.
 
     With normal=True the normal closure is taken instead: conjugates by
-    the ambient generators are added until the rows stabilise.  One side
-    is enough.  A polycyclic group satisfies the maximal condition on
-    subgroups, and s^{u_i} <= s gives the ascending chain
-    s <= s^{u_i^-1} <= s^{u_i^-2} <= ...; it stabilises at some k, and
-    conjugating s^{u_i^-k} = s^{u_i^-(k+1)} by u_i^(k+1) gives s^{u_i} = s.
-    So s is also closed under conjugation by u_i^-1, hence by all of G.
+    the elements g of S = generating_set(p) are added until the rows
+    stabilise.  One side is enough.  A polycyclic group satisfies the
+    maximal condition on subgroups, and s^g <= s gives the ascending chain
+    s <= s^{g^-1} <= s^{g^-2} <= ...; it stabilises at some k, and
+    conjugating s^{g^-k} = s^{g^-(k+1)} by g^(k+1) gives s^g = s.  So s is
+    also closed under conjugation by g^-1, hence by <S> = G.
     """
     rows: Dict[int, Element] = {}
     queue: List[Element] = [g for g in gens if leading_index(g) is not None]
-    ambient = [pc.generator(p, i) for i in range(1, p.m + 1)]
+    ambient = generating_set(p) if normal else ()
 
     def obligations(r: Element) -> None:
         lam = leading_index(r)
@@ -197,9 +245,8 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
         for other in rows.values():
             if other is not r:
                 queue.append(pc.commutator(p, r, other))
-        if normal:
-            for g in ambient:
-                queue.append(pc.conjugate(p, r, g))
+        for g in ambient:
+            queue.append(pc.conjugate(p, r, g))
 
     def install(lam: int, g: Element) -> None:
         a = g[lam - 1]
@@ -257,12 +304,18 @@ def _reduce_deeper(p: PcPresentation, x: Element,
 
 
 def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
-    """[a, b], built once per presentation and pair of row tuples."""
+    """[a, b], built once per presentation and pair of row tuples.
+
+    [A, B] is the normal closure in <A, B> of the commutators of a
+    generating set of A with one of B, so a side that is the whole group
+    is read through S = generating_set(p); <A, B> is then G, whose normal
+    closure induce takes."""
     return _once(p, ("commutator", a.rows, b.rows), _build_commutator, a, b)
 
 
 def _build_commutator(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
-    gens = [pc.commutator(p, r, s) for r in a.rows for s in b.rows]
+    gens = [pc.commutator(p, r, s) for r in _read_whole(p, a.rows)
+            for s in _read_whole(p, b.rows)]
     return induce(p, gens, normal=True)
 
 
@@ -294,7 +347,8 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
                          conditions: Sequence[Condition]) -> Subgroup:
     """Largest T <= s with [T, h] inside L for every condition (hs, L).
 
-    Each pass is run once per presentation and key (s, conditions); see
+    Each pass is run once per presentation and key (s, conditions), a
+    condition on G's rows keyed and run as one on generating_set(p); see
     the module docstring.  Each L must be normal, so L*K is a subgroup for
     every K <= G and L*x = x*L.
 
@@ -325,8 +379,9 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     row of t that survives a binding layer is the same element, a new row
     a new key), and sifts it once per condition position.
     """
+    conditions = [(_read_whole(p, hs), ell) for hs, ell in conditions]
     key = ("constrained", s.rows,
-           tuple((tuple(hs), ell.rows) for hs, ell in conditions))
+           tuple((hs, ell.rows) for hs, ell in conditions))
     return _once(p, key, _build_constrained, s, conditions)
 
 
@@ -401,9 +456,12 @@ def center(p: PcPresentation) -> Subgroup:
 
 
 def commutation_preimage(p: PcPresentation, ell: Subgroup) -> Subgroup:
-    """Largest subgroup T with [T, G] inside ell.  ell must be normal."""
-    gens = tuple(pc.generator(p, i) for i in range(1, p.m + 1))
-    return constrained_subgroup(p, whole_subgroup(p), [(gens, ell)])
+    """Largest subgroup T with [T, G] inside ell.  ell must be normal, so
+    for each x the g with [x, g] in ell form a subgroup, the preimage of
+    the centralizer of x*ell in G/ell: [T, G] <= ell exactly when
+    [T, g] <= ell for every g in S = generating_set(p)."""
+    return constrained_subgroup(p, whole_subgroup(p),
+                                [(generating_set(p), ell)])
 
 
 def upper_central_series(p: PcPresentation) -> List[Subgroup]:

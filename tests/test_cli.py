@@ -299,6 +299,28 @@ class TestComputedOnce:
             assert len(set(passes)) == len(passes), cmd
         assert total
 
+    @pytest.mark.parametrize("name,builds", [
+        ("HEIS", 20), ("NR", 28), ("F23", 36), ("ZG", 28), ("ZH", 28),
+        ("ZK", 28)])
+    def test_passes_stay_shared_across_readings_of_g(self, capsys,
+                                                     monkeypatch, name,
+                                                     builds):
+        # A condition on G's rows is keyed as one on the generating set S,
+        # so a pass asked for with either is built once: the report
+        # commands run 168 constrained passes over the six fixtures, as
+        # many as when every condition read all of G's generators.
+        passes, build = [], sg._build_constrained
+
+        def constrained(*args):
+            passes.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(sg, "_build_constrained", constrained)
+        for cmd in REPORT_COMMANDS:
+            main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
+            capsys.readouterr()
+        assert len(passes) == builds
+
     @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])
     def test_each_section_built_once(self, capsys, monkeypatch, name):
         # Every report command builds each section a/b at most once per

@@ -602,6 +602,49 @@ def test_check_reports_mutants_as_rewriting_does(name):
         assert kind in {f.kind for f in report.failures if f.i == layer}
 
 
+# -- triples above the class ------------------------------------------------------
+
+
+def jac(*extra):
+    """Rank 7, all periods infinite, class 3: u4 = [u2, u1], u5 = [u3, u1],
+    u6 = [u3, u2] and u7 = [u4, u3]. Jacobi on (u3, u2, u1) also asks
+    [u5, u2] = u7, which extra may supply."""
+    return PcPresentation(
+        name="JAC", periods=(None,) * 7, powers=(),
+        commutators=tuple(sorted((
+            ((2, 1), ((4, 1),)), ((3, 1), ((5, 1),)), ((3, 2), ((6, 1),)),
+            ((4, 3), ((7, 1),))) + extra)))
+
+
+def test_proof_keeps_the_triple_at_the_class():
+    # u1, u2, u3 weigh 1, u4, u5, u6 weigh 2 and u7 weighs 3 = c. The one
+    # failing overlap, (u3, u2, u1), has weight sum exactly c, so the proof
+    # must collect it while it skips every triple above the class.
+    report = pc.consistency_check(jac())
+    assert [(f.kind, f.j, f.i, f.k) for f in report.failures] == [
+        ("triple", 2, 1, 3)]
+    assert pc.consistency_check(jac(((5, 2), ((7, 1),)))).ok
+
+
+@pytest.mark.parametrize("name", ["ZG", "H_10"])
+def test_class_two_proof_collects_no_triple(name, monkeypatch):
+    # Every triple of a class-2 group weighs at least 3 > c = 2, so none is
+    # collected. _extends inverts c(u_j) only for a j with a triple left,
+    # and otherwise inverts only the power tail w_i of each finite period.
+    p = zg() if name == "ZG" else heisenberg(10)
+    inverse, inverted = pc._inverse, []
+
+    def spy(q, x, layers):
+        if sys._getframe(1).f_code.co_name == "_extends":
+            inverted.append(x)
+        return inverse(q, x, layers)
+
+    monkeypatch.setattr(pc, "_inverse", spy)
+    assert pc.consistency_check(p).ok
+    assert pc._conj_layers(p).degree == 2
+    assert len(inverted) == sum(e is not None for e in p.periods)
+
+
 # -- runtime dependencies --------------------------------------------------------
 
 DEPENDENCY_FREE = """

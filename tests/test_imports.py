@@ -2,7 +2,9 @@
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names `__init__.py` imports, and `__version__`; and no module but
-abelian.py calls FgAbelian, so each section has one builder.
+abelian.py calls FgAbelian, so each section has one builder; and only
+whole_subgroup and identity_hom list every generator, as G is read
+elsewhere through the smaller subgroups.generating_set.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -12,6 +14,7 @@ attribute, outside its own body.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -99,6 +102,46 @@ def test_sections_are_built_only_by_abelian(path):
     # abelian.section keeps each section on its presentation; a bare
     # FgAbelian(...) elsewhere would build it again
     assert calls_of(path.read_text(encoding="utf-8"), "FgAbelian") == []
+
+
+def generator_enumerations(source: str):
+    """(line, enclosing top-level function) for each comprehension that
+    lists every generator: generator(...) for i in range(1, p.m + 1), with
+    no filter."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+                    and len(node.generators) == 1
+                    and not node.generators[0].ifs
+                    and re.fullmatch(r"range\(1, \w+\.m \+ 1\)",
+                                     ast.unparse(node.generators[0].iter))
+                    and isinstance(node.elt, ast.Call)
+                    and "generator" in (getattr(node.elt.func, "id", None),
+                                        getattr(node.elt.func, "attr", None))):
+                found.append((node.lineno, getattr(top, "name", None)))
+    return found
+
+
+def test_detects_an_enumeration_of_the_generators():
+    src = ("def whole(p):\n"
+           "    return tuple(pc.generator(p, i) for i in range(1, p.m + 1))\n"
+           "def some(p, keep):\n"
+           "    xs = [generator(p, i) for i in range(1, p.m + 1) if i]\n"
+           "    ys = [f(pc.generator(p, i)) for i in range(1, p.m + 1)]\n"
+           "    zs = [pc.generator(p, k + 1) for k in range(n)]\n"
+           "    return [pc.generator(p, i) for i in range(1, p.m + 1)]\n"
+           "gens = {generator(q, i) for i in range(1, q.m + 1)}\n")
+    assert generator_enumerations(src) == [(2, "whole"), (7, "some"),
+                                           (8, None)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_g_is_listed_by_its_generators_only_as_the_whole_group(path):
+    # everywhere else G is read through subgroups.generating_set, which
+    # generates it with fewer elements
+    found = generator_enumerations(path.read_text(encoding="utf-8"))
+    assert {name for _, name in found} <= {"whole_subgroup", "identity_hom"}
 
 
 def _reads(tree):

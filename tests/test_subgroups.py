@@ -10,6 +10,8 @@ from nilpc import subgroups as sg
 from nilpc.abelian import isolator, torsion_subgroup
 from nilpc.bilinear import associated_series
 from nilpc.deformation import presentation_on
+from nilpc.presentation import PcPresentation
+from nilpc.refined import refined_series
 
 import oracles
 from groups_def import (
@@ -281,12 +283,14 @@ def test_commutation_preimage_heis():
 
 
 def test_center_via_relative_condition():
+    # the condition on all of G's generators is keyed as the centre's pass
+    # on S, so the oracle is what tells the two readings apart
     w = sg.whole_subgroup(N6)
-    z = sg.constrained_subgroup(
-        N6, w, [(tuple(pc.generator(N6, i) for i in range(1, 7)),
-                 sg.trivial_subgroup(N6))]
-    )
+    conditions = [(tuple(pc.generator(N6, i) for i in range(1, 7)),
+                   sg.trivial_subgroup(N6))]
+    z = sg.constrained_subgroup(N6, w, conditions)
     assert z == sg.center(N6)
+    assert z == oracles.ref_constrained_subgroup(N6, w, conditions)
 
 
 def test_subgroup_presentation_consistent():
@@ -425,3 +429,91 @@ def test_constrained_subgroup_matches_oracle_on_random_inputs(name):
                       for _ in range(rng.randint(1, 2))]
         got = sg.constrained_subgroup(p, s, conditions)
         assert got == oracles.ref_constrained_subgroup(p, s, conditions)
+
+
+# -- the generating set S modulo G' --------------------------------------------
+
+
+def tor():
+    """u1, u2 free, u3 of period 4 with [u2, u1] = u3^2, u4 free with
+    [u4, u3] = u5 of period 2.  The tail at u3 leads with 2, no unit mod 4,
+    so u3 is outside G'*G_4 and stays in S; u4 commutes with u1 and u2 but
+    not with u3, so without u3 the centre would take u4 in."""
+    return PcPresentation(
+        name="TOR", periods=(None, None, 4, None, 2), powers=(),
+        commutators=(((2, 1), ((3, 2),)), ((4, 3), ((5, 1),))))
+
+
+GENERATING = {
+    **{f.__name__.upper(): f for f in (heis, zg, zh, zk, nr, f23)},
+    "HEIS-index2": heis_index2, "UT_5": lambda: unitriangular(5),
+    "UT_7": lambda: unitriangular(7), "H_4": lambda: heisenberg(4),
+    "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7), "TOR": tor,
+    **{f"{name} rebased": (lambda make=make: _basis_change(make()))
+       for name, make in (("HEIS", heis), ("NR", nr), ("F23", f23),
+                          ("UT_4", lambda: unitriangular(4)),
+                          ("H_3", lambda: heisenberg(3)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING))
+def test_generating_set_is_off_the_unit_leads_of_g_prime(name):
+    """S, read off the commutator tails, is the u_i at which G' (the
+    oracle's normal closure of all commutators of generators) has no row
+    with lead 1, and it generates G."""
+    p = GENERATING[name]()
+    gens = [gen(p, i) for i in range(1, p.m + 1)]
+    der = oracles.ref_normal_closure(
+        p, [oracles.ref_commutator(p, x, y) for x in gens for y in gens])
+    off = tuple(g for i, g in enumerate(gens, 1)
+                if der.row_at(i) is None or der.row_at(i)[i - 1] != 1)
+    assert sg.generating_set(p) == off
+    assert sg.induce(p, sg.generating_set(p)) == sg.whole_subgroup(p)
+
+
+def test_generating_set_keeps_a_generator_led_by_a_non_unit():
+    p = tor()
+    assert [sg.leading_index(g) for g in sg.generating_set(p)] == [1, 2, 3, 4]
+    gens = tuple(gen(p, i) for i in range(1, p.m + 1))
+    whole, trivial = sg.whole_subgroup(p), sg.trivial_subgroup(p)
+    z = sg.center(p)
+    assert z == oracles.ref_constrained_subgroup(p, whole, [(gens, trivial)])
+    assert not z.contains(gen(p, 4))
+    assert sg.commutator_subgroup(p, whole, whole) == \
+        oracles.ref_normal_closure(p, [oracles.ref_commutator(p, x, y)
+                                       for x in gens for y in gens])
+
+
+def test_center_commutes_with_the_generating_set_only(monkeypatch):
+    # ZG's S is u1..u5. The pass collects [r, h] for G's 10 rows and the 3
+    # rows a binding layer makes, each against the 5 elements of S: 65
+    # commutators, where all 10 generators would take 130.
+    p = zg()
+    pairs, real = [], pc.commutator
+
+    def spy(q, x, y):
+        pairs.append((x, y))
+        return real(q, x, y)
+
+    monkeypatch.setattr(pc, "commutator", spy)
+    sg.commutation_preimage(p, sg.trivial_subgroup(p))
+    assert sg.generating_set(p) == tuple(gen(p, i) for i in range(1, 6))
+    assert {h for _, h in pairs} == set(sg.generating_set(p))
+    assert len(pairs) == len(set(pairs)) == 13 * 5
+
+
+def test_h10_refined_series_runs_four_passes(monkeypatch):
+    # The preimage of G', the centre, Z^L_2 and Z^L_3 (on the trivial
+    # subgroup). A condition on G's rows is keyed as one on S, so the
+    # radical's pass on (G, gamma_3) is the centre's, and W_2's on
+    # (Z, [(G, 1)]) is Z^L_2's, as Z = G' in H_10.
+    p = heisenberg(10)
+    passes, build = [], sg._build_constrained
+
+    def spy(*args):
+        passes.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sg, "_build_constrained", spy)
+    refined_series(p)
+    assert len(passes) == 4
