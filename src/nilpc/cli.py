@@ -2,16 +2,36 @@
 
 Every command reads presentation files, prints a deterministic report on
 standard output, and exits 0 on success, 1 on a mathematical failure
-(inconsistent input, failed certification, ...), 2 on a usage error.
-`deform` is the exception to the report rule: it prints a presentation
-file so its output can be fed straight back in.
+(inconsistent input, failed certification, ...), 2 on a usage error or on
+a file that cannot be read or parsed.  `deform` is the exception to the
+report rule: it prints a presentation file so its output can be fed
+straight back in.
+
+The argv grammar is read off COMMANDS:
+
+    nilpc [-h] command [args ...]
+
+The command comes first.  Its positionals follow in order; its options,
+`--opt value` or `--opt=value`, may come before, between or after them.
+An unambiguous prefix names a long option (`--k` is `--kind`), a repeated
+option keeps its last value, and `--` makes every later token a
+positional.  A token is an option when it starts with '-', unless it is
+'-' alone, a negative number or holds a space: `--d -1` passes -1, and a
+value that looks like an option is given as `--d=-1,2`.
+
+`-h` or `--help` in place of the command prints the command list;
+`nilpc <cmd> --help` prints `usage: nilpc <cmd> ...`, the command's
+description and one line per argument.  Both exit 0.  A usage error (an
+unknown command or option, a missing or extra argument, a missing value,
+a bad choice, or a value its type refuses) prints the usage line and
+`nilpc <cmd>: error: <what>` on standard error and raises SystemExit(2).
 """
 
-import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from . import files
 from . import presentation as pc
@@ -59,8 +79,8 @@ def _parse_d(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(",")) if text else ()
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated integer list")
+        raise ValueError(
+            f"{text!r} is not a comma-separated integer list") from None
 
 
 def _parse_c(text: str) -> Tuple[Tuple[int, ...], ...]:
@@ -71,8 +91,8 @@ def _parse_c(text: str) -> Tuple[Tuple[int, ...], ...]:
             tuple(int(v) for v in row.split(","))
             for row in text.split(";"))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a semicolon-separated matrix")
+        raise ValueError(
+            f"{text!r} is not a semicolon-separated matrix") from None
 
 
 def _cmd_check(args) -> int:
@@ -225,8 +245,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _read_hom(src: PcPresentation, dst: PcPresentation, map_path: str):
-    with open(map_path, "r", encoding="utf-8") as fh:
-        words = files.parse_hom_map(fh.read(), src.m)
+    words = files.parse_hom_map(files.read_text(map_path), src.m)
     for i, word in enumerate(words):
         for k, _ in word:
             if not 1 <= k <= dst.m:
@@ -323,25 +342,27 @@ def _cmd_primes(args) -> int:
     return 0
 
 
-def _arg(*flags, **options):
-    return flags, options
+def _arg(name, **options):
+    return name, options
 
 
 FILE = _arg("file", help="presentation file")
-PAIR = _arg("source"), _arg("target")
+PAIR = (_arg("source", help="presentation file of the source group"),
+        _arg("target", help="presentation file of the target group"))
 
-# name -> (handler, help, arguments); main builds only the chosen
-# command's parser
+# name -> (handler, help, arguments); an argument is a positional or a
+# --option, with the keys help, choices, default, type, required and
+# action="store_true"
 COMMANDS = {
     "check": (_cmd_check, "validate and consistency-check a presentation",
               (FILE,)),
     "analyze": (_cmd_analyze, "key subgroups and adapted markers", (FILE,)),
     "series": (_cmd_series, "central series and refinements", (
         FILE, _arg("--kind", choices=("lower", "upper", "refined"),
-                   default="lower"))),
+                   default="lower", help="which series to print"))),
     "scalars": (_cmd_scalars, "bilinearized pairing and its scalar rings", (
         FILE, _arg("--series", choices=("lower", "upper"),
-                   default="lower"))),
+                   default="lower", help="the central series to pair"))),
     "adapt": (_cmd_adapt, "rewrite on a basis adapted to M >= N >= Is(G')",
               (FILE,)),
     "deform": (_cmd_deform,
@@ -360,8 +381,10 @@ COMMANDS = {
              help="also spot-check 200 random pairs"))),
     "inverse-pair": (_cmd_inverse_pair,
                      "certify a two-sided isomorphism witness", PAIR + (
-                         _arg("--forward", required=True),
-                         _arg("--backward", required=True))),
+                         _arg("--forward", required=True,
+                              help="image word file, source to target"),
+                         _arg("--backward", required=True,
+                              help="image word file, target to source"))),
     "invariants": (_cmd_invariants, "basis-independent profile of the group",
                    (FILE,)),
     "primes": (_cmd_primes, "factor the zero ideal of a finite ring", (
@@ -369,29 +392,171 @@ COMMANDS = {
              help="modulus of the multiplication ring"),)),
 }
 
+TOP_USAGE = "usage: nilpc [-h] command [args ...]"
+HELP = ("-h", "--help")
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    top = argparse.ArgumentParser(
-        prog="nilpc",
-        description="Exact computation with polycyclic presentations of "
-                    "finitely generated nilpotent groups.",
-        epilog="commands:\n" + "\n".join(
+
+class _UsageError(Exception):
+    """Bad argv; _parse_args prints it under the usage line and exits 2."""
+
+
+def _option(token: str, names) -> Optional[Tuple[Optional[str],
+                                                  Optional[str]]]:
+    """How token reads against the option names: None for a value, else
+    (name, the text after '=' or None), with name None for an unknown
+    option.  '-' alone, a negative number and a token holding a space are
+    values; an unambiguous prefix names a long option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    flag, eq, text = token.partition("=")
+    if flag in names:
+        hits = [flag]
+    elif flag.startswith("--"):
+        hits = [name for name in names if name.startswith(flag)]
+    else:
+        hits = []
+    if len(hits) > 1:
+        raise _UsageError(
+            f"ambiguous option: {flag} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], text if eq else None
+    whole, dot, frac = token[1:].partition(".")
+    if ((whole.isdecimal() or (dot and not whole))
+            and (not dot or frac.isdecimal())) or " " in token:
+        return None
+    return None, None
+
+
+def _no_value(name: str, text: Optional[str]) -> None:
+    if text is not None:
+        raise _UsageError(
+            f"argument {name}: ignored explicit argument {text!r}")
+
+
+def _exit_help(lines: Sequence[str]) -> NoReturn:
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _synopsis(name: str, options: dict) -> str:
+    if name[0] != "-":
+        return name
+    if options.get("action") != "store_true":
+        name += " " + ("{" + ",".join(options["choices"]) + "}"
+                       if "choices" in options else name[2:].upper())
+    return name if options.get("required") else f"[{name}]"
+
+
+def _usage(command: str) -> str:
+    return f"usage: nilpc {command} [-h] " + " ".join(
+        _synopsis(name, options) for name, options in COMMANDS[command][2])
+
+
+def _command_help(command: str) -> List[str]:
+    _, help_text, arguments = COMMANDS[command]
+    return [_usage(command), "", help_text, "", "arguments:"] + [
+        f"  {_synopsis(name, options).strip('[]'):<28}  {options['help']}"
+        + (f" (default: {options['default']})" if "default" in options
+           else "")
+        for name, options in arguments] + [
+        f"  {'-h, --help':<28}  show this help and exit"]
+
+
+def _value(name: str, options: dict, text: str):
+    try:
+        value = options.get("type", str)(text)
+    except ValueError as exc:
+        raise _UsageError(f"argument {name}: {exc}")
+    if "choices" in options and value not in options["choices"]:
+        raise _UsageError(
+            f"argument {name}: invalid choice: {value!r} (choose from "
+            f"{', '.join(map(repr, options['choices']))})")
+    return value
+
+
+def _read_args(command: str, argv: Sequence[str]) -> dict:
+    """The values of the command's arguments in argv, by destination."""
+    arguments = COMMANDS[command][2]
+    spec = dict(arguments)
+    names = [name for name in spec if name[0] == "-"] + list(HELP)
+    values, positionals, extras = {}, [], []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":  # the rest are values
+            positionals.extend(tokens)
+            break
+        read = _option(token, names)
+        if read is None:
+            positionals.append(token)
+            continue
+        name, text = read
+        if name is None:
+            extras.append(token)
+        elif name in HELP:
+            _no_value(name, text)
+            _exit_help(_command_help(command))
+        elif spec[name].get("action") == "store_true":
+            _no_value(name, text)
+            values[name] = True
+        else:
+            if text is None:
+                text = next(tokens, None)
+                if text is None or _option(text, names) is not None:
+                    raise _UsageError(f"argument {name}: expected one "
+                                      "argument")
+            values[name] = _value(name, spec[name], text)
+    wanted = [name for name in spec if name[0] != "-"]
+    values.update((name, _value(name, spec[name], text))
+                  for name, text in zip(wanted, positionals))
+    missing = [name for name, options in arguments if name not in values
+               and (name[0] != "-" or options.get("required"))]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing))
+    extras += positionals[len(wanted):]
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return {name.lstrip("-").replace("-", "_"): values.get(
+                name, options.get("default", False if "action" in options
+                                  else None))
+            for name, options in arguments}
+
+
+def _no_command(argv: Sequence[str]) -> NoReturn:
+    """Top-level help, or the usage error of an argv that does not start
+    with a command."""
+    read = _option(argv[0], HELP) if argv else None
+    if read and read[0]:
+        _no_value(*read)
+        _exit_help([
+            TOP_USAGE, "", "Exact computation with polycyclic presentations "
+            "of finitely generated nilpotent groups.", "", "commands:"] + [
             f"  {name:<14}{help_text}"
-            for name, (_, help_text, _) in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("command", choices=COMMANDS, metavar="command",
-                     help="one of the commands below")
-    top.add_argument("args", nargs=argparse.REMAINDER,
-                     help="its arguments; see nilpc <command> --help")
-    chosen = top.parse_args(argv)
-    handler, help_text, arguments = COMMANDS[chosen.command]
-    parser = argparse.ArgumentParser(prog=f"nilpc {chosen.command}",
-                                     description=help_text)
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    args = parser.parse_args(chosen.args)
-    args.command, args.handler = chosen.command, handler
-    return args
+            for name, (_, help_text, _) in COMMANDS.items()] + [
+            "", "See nilpc <command> --help for its arguments."])
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if read:
+        raise _UsageError(f"unrecognized arguments: {argv[0]}")
+    raise _UsageError(
+        f"argument command: invalid choice: {argv[0]!r} (choose from "
+        f"{', '.join(map(repr, COMMANDS))})")
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    try:
+        if command is None:
+            _no_command(argv)
+        values = _read_args(command, argv[1:])
+    except _UsageError as exc:
+        usage, prog = ((TOP_USAGE, "nilpc") if command is None
+                       else (_usage(command), f"nilpc {command}"))
+        sys.stderr.write(f"{usage}\n{prog}: error: {exc}\n")
+        raise SystemExit(2)
+    return SimpleNamespace(command=command, handler=COMMANDS[command][0],
+                           **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

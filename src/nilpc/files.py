@@ -6,8 +6,8 @@ validates the schema, rebuilds the presentation (which enforces the
 support and range rules), and by default also runs the consistency
 check.  A rank above RANK_CAP is refused before anything is built, as
 a PresentationError.  Text that is not a JSON value the parser can
-build, such as arrays nested past the recursion limit, is a
-FileFormatError like any other malformed input.  Emission is
+build, such as arrays nested past the recursion limit, or bytes that are
+not UTF-8, is a FileFormatError like any other malformed input.  Emission is
 deterministic: tails sorted by index, keys in numeric order, fixed
 indentation.
 """
@@ -164,9 +164,18 @@ def parse(text: str, *, check: bool = True) -> PcPresentation:
     return presentation_from_dict(_json(text), check=check)
 
 
+def read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a FileFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
 def load(path: str, *, check: bool = True) -> PcPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), check=check)
+    return parse(read_text(path), check=check)
 
 
 def save(p: PcPresentation, path: str) -> None:

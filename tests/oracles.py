@@ -5,12 +5,14 @@ the package itself (classical textbook forms, brute-force enumeration, or an
 explicit matrix model), so agreement between the two is meaningful evidence.
 """
 
+import argparse
 from collections import deque
 from itertools import combinations, product
 
 from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
+from nilpc.cli import _parse_c, _parse_d
 from nilpc.abelian import FgAbelian
 from nilpc.deformation import presentation_on
 from nilpc.intlinalg import InvariantFactors, hnf_basis, solve_congruences
@@ -874,3 +876,49 @@ def ref_prime_decomposition_zero(ring):
                 seen.add(nxt)
                 queue.append((nxt, path + [p]))
     raise sc.ScalarRingError("zero ideal is not a product of prime ideals")
+
+
+# ---------------------------------------------------------------------------
+# the command line, parsed by argparse
+
+
+def _ref_arg(*flags, **options):
+    return flags, options
+
+
+_REF_FILE = _ref_arg("file")
+_REF_PAIR = _ref_arg("source"), _ref_arg("target")
+REF_COMMANDS = {
+    "check": (_REF_FILE,),
+    "analyze": (_REF_FILE,),
+    "series": (_REF_FILE, _ref_arg(
+        "--kind", choices=("lower", "upper", "refined"), default="lower")),
+    "scalars": (_REF_FILE, _ref_arg(
+        "--series", choices=("lower", "upper"), default="lower")),
+    "adapt": (_REF_FILE,),
+    "deform": (_REF_FILE, _ref_arg("--d", type=_parse_d, required=True),
+               _ref_arg("--c", type=_parse_c, required=True)),
+    "enumerate": (_REF_FILE,),
+    "hom": _REF_PAIR + (_ref_arg("--map", required=True),
+                        _ref_arg("--verify", action="store_true")),
+    "inverse-pair": _REF_PAIR + (_ref_arg("--forward", required=True),
+                                 _ref_arg("--backward", required=True)),
+    "invariants": (_REF_FILE,),
+    "primes": (_ref_arg("--zmod", type=int, required=True),),
+}
+
+
+def ref_parse_args(argv):
+    """argv parsed as argparse parsed it for the command line: a top-level
+    parser picks the command and passes the rest to the command's own
+    parser.  Usage errors raise SystemExit(2), help SystemExit(0)."""
+    top = argparse.ArgumentParser(prog="nilpc")
+    top.add_argument("command", choices=REF_COMMANDS)
+    top.add_argument("args", nargs=argparse.REMAINDER)
+    chosen = top.parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"nilpc {chosen.command}")
+    for flags, options in REF_COMMANDS[chosen.command]:
+        parser.add_argument(*flags, **options)
+    args = parser.parse_args(chosen.args)
+    args.command = chosen.command
+    return args

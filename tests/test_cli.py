@@ -3,13 +3,18 @@
 import cProfile
 import hashlib
 import json
+import os
 import pstats
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import nilpc
 from nilpc import abelian as ab
+from nilpc import cli
 from nilpc import files
 from nilpc import presentation as pc
 from nilpc import scalars as sc
@@ -18,6 +23,7 @@ from nilpc.cli import main
 
 from groups_def import f23, heis, mutated_heis, nr, wide_adapted, zg, \
     zh, zk
+from oracles import ref_parse_args
 
 
 @pytest.fixture
@@ -62,6 +68,158 @@ class TestParser:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# argvs both parsers read, with the same values
+VALID_ARGVS = (
+    ("check", "G.json"),
+    ("check", "--", "G.json"),
+    ("check", "-"),
+    ("check", "-x y.json"),
+    ("analyze", "G.json"),
+    ("series", "G.json"),
+    ("series", "G.json", "--kind", "refined"),
+    ("series", "--kind=upper", "G.json"),
+    ("series", "G.json", "--k", "upper"),
+    ("series", "G.json", "--ki=refined"),
+    ("series", "G.json", "--kind", "upper", "--kind", "lower"),
+    ("scalars", "G.json", "--series", "upper"),
+    ("scalars", "--ser", "upper", "G.json"),
+    ("adapt", "G.json"),
+    ("deform", "G.json", "--d", "2", "--c", "1"),
+    ("deform", "--d=2,3", "--c=1,0;0,1", "G.json"),
+    ("deform", "--c", "1", "G.json", "--d", "-1"),
+    ("deform", "G.json", "--d=-1,2", "--c", "-1"),
+    ("deform", "G.json", "--d=", "--c="),
+    ("deform", "G.json", "--d", "2", "--c", "1", "--d", "3"),
+    ("enumerate", "G.json"),
+    ("hom", "A.json", "B.json", "--map", "m.json"),
+    ("hom", "--map", "m.json", "A.json", "B.json", "--verify"),
+    ("hom", "A.json", "--ma=m.json", "B.json", "--ver"),
+    ("hom", "A.json", "B.json", "--map", "x.json", "--map", "m.json"),
+    ("hom", "A.json", "B.json", "--verify", "--map", "m.json", "--verify"),
+    ("inverse-pair", "A.json", "B.json", "--forward", "f.json",
+     "--backward", "b.json"),
+    ("inverse-pair", "--back", "b.json", "A.json", "--for=f.json",
+     "B.json"),
+    ("invariants", "G.json"),
+    ("primes", "--zmod", "30"),
+    ("primes", "--zmod=-5"),
+    ("primes", "--z", "64"),
+)
+
+# argvs both parsers refuse, each with one usage error
+INVALID_ARGVS = (
+    (),
+    ("bogus", "G.json"),
+    ("--bogus",),
+    ("--help=x",),
+    ("check",),
+    ("check", "G.json", "--bogus"),
+    ("check", "G.json", "-x"),
+    ("check", "G.json", "extra.json"),
+    ("check", "G.json", "--help=x"),
+    ("hom", "A.json", "B.json"),
+    ("hom", "A.json", "--map", "m.json"),
+    ("hom", "A.json", "B.json", "--map"),
+    ("hom", "A.json", "B.json", "--map", "--verify"),
+    ("hom", "A.json", "B.json", "--map", "m.json", "--verify=yes"),
+    ("inverse-pair", "A.json", "B.json", "--forward", "f.json"),
+    ("deform", "G.json", "--d", "2"),
+    ("deform", "G.json", "--d", "x", "--c", "1"),
+    ("deform", "G.json", "--d", "2", "--c", "1;x"),
+    ("deform", "G.json", "--d", "-1,2", "--c", "1"),
+    ("series", "G.json", "--kind"),
+    ("series", "G.json", "--kind", "middle"),
+    ("scalars", "G.json", "--series", "refined"),
+    ("primes",),
+    ("primes", "--zmod", "x"),
+    ("primes", "--zmod", "30", "40"),
+)
+
+HELP_ARGVS = (("-h",), ("--help",), ("--he",), ("series", "--h"),
+              ("hom", "A.json", "-h")) + tuple(
+    (name, "--help") for name in ALL_COMMANDS)
+
+
+def _exit_code(parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return exc.value.code
+
+
+class TestParserMatchesArgparse:
+    """cli._parse_args against oracles.ref_parse_args, the argparse parser
+    it replaced, over a fixed corpus for all eleven commands."""
+
+    def test_corpus_covers_every_command(self):
+        assert {argv[0] for argv in VALID_ARGVS} == set(ALL_COMMANDS)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_same_values(self, argv):
+        args = vars(cli._parse_args(list(argv)))
+        assert args.pop("handler") is cli.COMMANDS[argv[0]][0]
+        assert args == vars(ref_parse_args(list(argv)))
+
+    @pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
+    def test_same_usage_error(self, capsys, argv):
+        assert _exit_code(ref_parse_args, argv) == 2
+        capsys.readouterr()
+        assert _exit_code(cli._parse_args, argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prog = "nilpc " + argv[0] if argv and argv[0] in cli.COMMANDS \
+            else "nilpc"
+        assert f"\n{prog}: error: " in captured.err
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_same_help_exit(self, capsys, argv):
+        assert _exit_code(ref_parse_args, argv) == 0
+        assert _exit_code(cli._parse_args, argv) == 0
+
+    def test_parses_without_regular_expressions(self, monkeypatch):
+        # argparse compiles fresh patterns in every process that parses,
+        # which a cold command paid in milliseconds
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsing used a regular expression")
+
+        monkeypatch.setattr(re, "compile", refuse)
+        monkeypatch.setattr(re, "match", refuse)
+        for argv in REPORT_JOBS.values():
+            assert cli._parse_args(list(argv)).command == argv[0]
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=60)
+
+
+class TestEntryPoint:
+    def test_importing_the_cli_loads_no_argparse(self):
+        out = _python("-c", "import sys, nilpc.cli; "
+                      "print('argparse' in sys.modules)")
+        assert out.returncode == 0
+        assert out.stdout == b"False\n"
+
+    def test_module_prints_the_bytes_of_main(self, capsys):
+        argv = ["check", str(FIXTURES / "ZG.json")]
+        code, out = run(capsys, *argv)
+        child = _python("-m", "nilpc.cli", *argv)
+        assert (child.returncode, code) == (0, 0)
+        assert child.stdout == out.encode()
+
+    @pytest.mark.parametrize("argv", [("bogus",), ("check",),
+                                      ("deform", "G.json", "--d", "x")])
+    def test_usage_error_exits_2_without_a_traceback(self, argv):
+        child = _python("-m", "nilpc.cli", *argv)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert b"error: " in child.stderr
+        assert b"Traceback" not in child.stderr
+
+
 class TestCheck:
     def test_consistent(self, workdir, capsys):
         code, out = run(capsys, "check", str(workdir / "ZG.json"))
@@ -80,6 +238,15 @@ class TestCheck:
     def test_missing_file(self, workdir, capsys):
         code = main(["check", str(workdir / "NOPE.json")])
         assert code == 2
+
+    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: not UTF-8 text "
+                                "(byte 13: invalid continuation byte)\n")
 
     @pytest.mark.parametrize("rank", [files.RANK_CAP, files.RANK_CAP + 1])
     def test_rank_cap(self, tmp_path, capsys, monkeypatch, rank):
@@ -485,6 +652,17 @@ class TestHoms:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"letter {letter} is not a generator" in captured.err
+
+
+    def test_map_that_is_not_utf8_is_usage_error(self, workdir, capsys):
+        mapfile = workdir / "latin1.json"
+        mapfile.write_bytes(b"[[[1, 1]], [], []] \xff")
+        heis_file = str(workdir / "HEIS.json")
+        assert main(["hom", heis_file, heis_file, "--map",
+                     str(mapfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {mapfile}: not UTF-8 text")
 
 
 class TestPrimes:
