@@ -70,8 +70,8 @@ coordinatewise, c_j = sum_{j <= k <= d} (-1)^(k-j) binom(k, j) binom(n, k)
 (x^0 has zero coordinates). That costs d - 1 products whatever n is, and
 one reduction in G of the finite coordinates maps the result to x^n in G,
 because u_l -> u_l is a homomorphism G~ -> G. Binary powering stays for
-|n| <= d, where it costs no more, and for rewriting, which
-consistency_check and letters below the lowest accepted layer use.
+|n| <= d, where it costs no more, and for the letters below the lowest
+accepted layer, which rewrite.
 """
 
 from __future__ import annotations
@@ -235,16 +235,17 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 # conjugation automorphisms, by rewriting
 #
 # Letters below the lowest accepted layer of the cover move by these
-# automorphisms, and so does every letter of the rewriting pass that writes
-# consistency_check's failure list (layers=None selects rewriting
-# throughout). _step(p, i) maps k > i to the canonical form of
-# u_i^-1 u_k u_i, which is also the map c: u_k -> u_k [u_k, u_i] whose
-# extension the check proves; _step_inv is its inverse, solved from the top
-# index downward. Both are kept in the presentation's _steps field, under i
-# and -i, and _step_inv is always solved by rewriting, so every path reads
-# the same images. The field is separate from _layers because its entries
-# depend on the relations alone, whenever they were filled, so the check may
-# read them. Larger exponents are assembled by binary powering.
+# automorphisms; layers=None rewrites every letter, as _step_inv and the
+# tests' reference collection do. _step(p, i) maps k > i to the canonical
+# form of u_i^-1 u_k u_i, which is also the map c: u_k -> u_k [u_k, u_i]
+# whose extension consistency_check proves, collecting its overlaps in
+# G_{i+1} on the tables of the layers above i. _step_inv is its inverse,
+# solved from the top index downward. Both are kept in the presentation's
+# _steps field, under i and -i, and _step_inv is always solved by
+# rewriting, so every path reads the same images. The field is separate
+# from _layers because its entries depend on the relations alone, whenever
+# they were filled, so the check may read them. Larger exponents are
+# assembled by binary powering.
 
 
 def _step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
@@ -355,11 +356,12 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # The certificate collects in G~_{i+1} with the accepted layers above i,
 # never with layer i's own table, and the layers below the first one that
 # fails keep rewriting. It is the triple part of the routine (_extends) that
-# proves layer i of G in consistency_check: the cover has no periods, so the
-# other parts do not apply to it. From the last finite generator f on, the
-# cover's tables are G's own (G~_{i+1} = G_{i+1} for i >= f), so layer i of
-# G, which consistency_check proves before it derives layer i's table,
-# includes the certificate, and the certificate skips those layers.
+# proves layer i of G in consistency_check, read up to its first failure:
+# the cover has no periods, so the other parts do not apply to it. From the
+# last finite generator f on, the cover's tables are G's own (G~_{i+1} =
+# G_{i+1} for i >= f), so layer i of G, which consistency_check proves
+# before it derives layer i's table, includes the certificate, and the
+# certificate skips those layers.
 
 
 @dataclass(frozen=True)
@@ -402,20 +404,19 @@ def _conj_layers(p: PcPresentation) -> _Tables:
     """The tables of p. When p was never checked, the proof runs here, and
     an inconsistent p is refused; p._layers then keeps False, so the proof
     runs once."""
-    layers = p._layers
-    if not layers:
-        if layers is None:
-            layers = _derive_layers(p) or False
-            object.__setattr__(p, "_layers", layers)
-        if not layers:
-            raise PresentationError(f"{p.name}: inconsistent presentation")
-    return layers
+    if p._layers is None:
+        consistency_check(p)
+    if not p._layers:
+        raise PresentationError(f"{p.name}: inconsistent presentation")
+    return p._layers
 
 
-def _derive_layers(p: PcPresentation, slack: int = 0) -> Optional[_Tables]:
+def _derive_layers(
+    p: PcPresentation, slack: int = 0,
+) -> Union[_Tables, Tuple[ConsistencyFailure, ...]]:
     """Prove p consistent layer by layer, deepest first, and derive the
-    tables of the cover on the way; None at the first layer of p that fails
-    (see consistency_check).
+    tables of the cover on the way; at the first layer of p that fails,
+    its failing overlaps instead (see consistency_check).
 
     Layer i of p is proven before layer i's table is derived, and the
     accepted layers of the cover stop at the first one whose certificate
@@ -438,51 +439,67 @@ def _derive_layers(p: PcPresentation, slack: int = 0) -> Optional[_Tables]:
     layers = _Tables(cover, polys, finite, degree)
     low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
-        if not _extends(p, i, layers, weight):
-            return None
-        if low == i + 1 and (i >= f or _extends(cover, i, layers, weight)):
+        failures = tuple(_extends(p, i, layers, weight))
+        if failures:
+            return failures
+        if low == i + 1 and (
+                i >= f or not any(_extends(cover, i, layers, weight))):
             polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
             low = i
     return _Tables(cover, tuple(polys), finite, degree)
 
 
-def _extends(q: PcPresentation, i: int, layers: _Tables, weight) -> bool:
-    """Whether layer i of q is consistent, given that Q_{i+1} =
-    <u_{i+1}, ..., u_m> is: the overlaps of layer i, read as relations of
-    c: u_l -> u_l [u_l, u_i] (l > i), collected in Q_{i+1} with the tables
-    of the layers above i (see consistency_check). The cover has no
-    periods, so there only the triple part applies, and it is the
-    certificate of layer i (see "the cover"). A triple (k, j, i) whose
-    weights sum past the class bound layers.degree holds in any
-    consistent Q_{i+1} and is skipped (see "Weights" in
-    consistency_check)."""
+def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
+    """Yield the failing overlaps of layer i of q, given that Q_{i+1} =
+    <u_{i+1}, ..., u_m> is consistent: the overlaps of layer i, read as
+    relations of c: u_l -> u_l [u_l, u_i] (l > i), collected in Q_{i+1}
+    with the tables of the layers above i (see consistency_check). Each
+    failure carries the two sides of its overlap collected from the left
+    (see ConsistencyFailure), in the order triples, then power-gen and
+    gen-power by j, then power-power. The cover has no periods, so there
+    only the triple part applies, and it is the certificate of layer i
+    (see "the cover"). A triple (k, j, i) whose weights sum past the class
+    bound layers.degree holds in any consistent Q_{i+1} and is skipped
+    (see "Weights" in consistency_check)."""
+    def at_i(x: Element) -> Element:  # u_i x, for x in Q_{i+1}
+        return x[:i - 1] + (1,) + x[i:]
+
+    m = q.m
     c = dict(_step(q, i))
     room = layers.degree - weight[i]  # kept: w(j) + w(k) <= room
-    for j in range(i + 1, q.m + 1):
-        cj = c[j]
-        triples = [(k, ukj) for k, ukj in _step(q, j)  # ukj = u_k [u_k, u_j]
-                   if weight[j] + weight[k] <= room]
-        if triples:
-            cj_inv = _inverse(q, cj, layers)
-        for k, ukj in triples:
-            lhs = _multiply(q, _multiply(q, cj_inv, c[k], layers), cj, layers)
-            if lhs != _apply_aut(q, c, ukj, layers):
-                return False
+    for j in range(i + 1, m + 1):
+        for k, ukj in _step(q, j):  # ukj = u_k [u_k, u_j]
+            if weight[j] + weight[k] <= room:
+                lhs = _multiply(q, c[k], c[j], layers)
+                rhs = _multiply(q, c[j], _apply_aut(q, c, ukj, layers), layers)
+                if lhs != rhs:
+                    yield ConsistencyFailure(
+                        "triple", j, i, k, at_i(lhs), at_i(rhs))
+    ei = q.periods[i - 1]
+    if ei is not None:
+        wi = element_of_word_coords(q, q.power_tail(i))
+        # c^{e_i}(u_j) as c^{e_i - 1}(c(u_j)), the way u_i^{e_i - 1} moves
+        # past u_i c(u_j) when collected from the left
+        rest = _conj_aut(q, i, ei - 1, layers)
+    for j in range(i + 1, m + 1):
         ej = q.periods[j - 1]
         if ej is not None:
             wj = element_of_word_coords(q, q.power_tail(j))
-            if _apply_aut(q, c, wj, layers) != _power(q, cj, ej, layers):
-                return False
-    ei = q.periods[i - 1]
-    if ei is None:
-        return True
-    wi = element_of_word_coords(q, q.power_tail(i))
-    wi_inv = _inverse(q, wi, layers)
-    for j, img in _conj_aut(q, i, ei, layers).items():
-        uj = _multiply(q, wi_inv, generator(q, j), layers)
-        if img != _multiply(q, uj, wi, layers):
-            return False
-    return _apply_aut(q, c, wi, layers) == wi
+            lhs = _apply_aut(q, c, wj, layers)
+            rhs = _power(q, c[j], ej, layers)
+            if lhs != rhs:
+                yield ConsistencyFailure(
+                    "power-gen", j, i, None, at_i(lhs), at_i(rhs))
+        if ei is not None:
+            lhs = _multiply(q, generator(q, j), wi, layers)
+            rhs = _multiply(q, wi, _apply_aut(q, rest, c[j], layers), layers)
+            if lhs != rhs:
+                yield ConsistencyFailure("gen-power", j, i, None, lhs, rhs)
+    if ei is not None:
+        cwi = _apply_aut(q, c, wi, layers)
+        if cwi != wi:
+            yield ConsistencyFailure(
+                "power-power", i, i, None, at_i(wi), at_i(cwi))
 
 
 def _derive_layer(p: PcPresentation, i: int, weight, layers,
@@ -775,7 +792,26 @@ def conjugate(p: PcPresentation, x: Element, g: Element) -> Element:
 
 @dataclass(frozen=True)
 class ConsistencyFailure:
-    kind: str  # "triple" | "power-gen" | "gen-power" | "power-power"
+    """A failing overlap of layer i, the first layer the proof rejects.
+
+    kind and the indices, with w_l the power tail of u_l:
+    - "triple": u_k u_j u_i, for i < j < k;
+    - "power-gen": u_j^{e_j} u_i, for j > i with e_j finite;
+    - "gen-power": u_j u_i^{e_i}, for j > i with e_i finite;
+    - "power-power": u_i^{e_i + 1}, with j = i.
+    k is None except for triples.
+
+    lhs and rhs are the two ways of collecting the overlap from the left,
+    in G_{i+1} = <u_{i+1}, ..., u_m>, which the proof has shown consistent.
+    c is conjugation by u_i, u_l -> u_l [u_l, u_i], applied letter by
+    letter, and u_i x is x with coordinate i set to 1:
+    - triple: lhs u_i c(u_k) c(u_j), rhs u_i c(u_j) c(u_k [u_k, u_j]);
+    - power-gen: lhs u_i c(w_j), rhs u_i c(u_j)^{e_j};
+    - gen-power: lhs u_j w_i, rhs w_i c^{e_i}(u_j);
+    - power-power: lhs u_i w_i, rhs u_i c(w_i).
+    """
+
+    kind: str
     j: int
     i: int
     k: Optional[int]
@@ -792,7 +828,7 @@ class ConsistencyReport:
 def consistency_check(p: PcPresentation) -> ConsistencyReport:
     """Prove the presentation consistent layer by layer, from i = m down to
     1, and leave the collector's tables on it; at the first layer that
-    fails, write the failure list by rewriting.
+    fails, report that layer's failing overlaps.
 
     By descending induction on i, let the presentation of G_{i+1} =
     <u_{i+1}, ..., u_m> be consistent. The overlaps of layer i are
@@ -860,72 +896,16 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     never read.
 
     When every layer passes, the tables are left in p._layers for the
-    commands that follow; this proof is their only source. When one fails,
-    p._layers keeps False and the overlap pairs are collected both ways by
-    rewriting alone in all of G (_rewriting_check), which writes the report;
-    the tests hold the two passes against each other.
+    commands that follow; this proof is their only source. When layer i0
+    fails, p._layers keeps False, and the report lists the failing overlaps
+    of i0 that the proof found, each with its two sides collected from the
+    left (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
+    defined, while an overlap of a lower layer would be collected in a
+    group already known to be inconsistent and is not reported.
     """
     layers = _derive_layers(p)
-    object.__setattr__(p, "_layers", layers or False)
-    if layers is None:
-        return _rewriting_check(p)
-    return ConsistencyReport(ok=True, failures=())
-
-
-def _rewriting_check(p: PcPresentation) -> ConsistencyReport:
-    """Collect the standard overlap pairs both ways, by rewriting alone,
-    and compare.
-
-    Checked overlaps: u_k(u_j u_i) vs (u_k u_j)u_i for k > j > i;
-    u_j^{e_j} u_i against the power tail for finite e_j; u_j u_i^{e_i}
-    likewise for finite e_i; and u_i^{e_i + 1} both ways. Each is the
-    layer-i relation of the same name in consistency_check, so both passes
-    reject the same presentations.
-    """
-    failures = []
-    m = p.m
-
-    def nf(word):
-        return _normal_form(p, word, None)
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                a = nf(((j, 1), (i, 1)))
-                lhs = nf(((k, 1),) + word_of(p, a))
-                b = nf(((k, 1), (j, 1)))
-                rhs = nf(word_of(p, b) + ((i, 1),))
-                if lhs != rhs:
-                    failures.append(
-                        ConsistencyFailure("triple", j, i, k, lhs, rhs)
-                    )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            ej = p.period(j)
-            if ej is not None:
-                lhs = nf(p.power_tail(j) + ((i, 1),))
-                a = nf(((j, 1), (i, 1)))
-                rhs = nf(((j, ej - 1),) + word_of(p, a))
-                if lhs != rhs:
-                    failures.append(
-                        ConsistencyFailure("power-gen", j, i, None, lhs, rhs)
-                    )
-            ei = p.period(i)
-            if ei is not None:
-                lhs = nf(((j, 1),) + p.power_tail(i))
-                a = nf(((j, 1), (i, 1)))
-                rhs = nf(word_of(p, a) + ((i, ei - 1),))
-                if lhs != rhs:
-                    failures.append(
-                        ConsistencyFailure("gen-power", j, i, None, lhs, rhs)
-                    )
-    for i in range(1, m + 1):
-        ei = p.period(i)
-        if ei is not None:
-            lhs = nf(((i, 1),) + p.power_tail(i))
-            rhs = nf(p.power_tail(i) + ((i, 1),))
-            if lhs != rhs:
-                failures.append(
-                    ConsistencyFailure("power-power", i, i, None, lhs, rhs)
-                )
-    return ConsistencyReport(ok=not failures, failures=tuple(failures))
+    if isinstance(layers, _Tables):
+        object.__setattr__(p, "_layers", layers)
+        return ConsistencyReport(ok=True, failures=())
+    object.__setattr__(p, "_layers", False)
+    return ConsistencyReport(ok=False, failures=layers)

@@ -48,6 +48,20 @@ def mutated_heis():
     )
 
 
+def mutated_ut5():
+    """UT_5 with [e35, e13] = e14 in place of e15^-1 (u5 = e13, u7 = e35,
+    u8 = e14). G_5 stays consistent, but conjugation by e45 (u4) fixes e13
+    and e35 and moves e14 to e14 e15, so it breaks the new relation: layer
+    4 is the first that fails, and the rewriting reference also finds
+    failing overlaps at layers 3 and 1."""
+    p = unitriangular(5)
+    comms = dict(p.commutators)
+    comms[(7, 5)] = ((8, 1),)
+    return PcPresentation(name="UT_5 mutated", periods=p.periods,
+                          powers=p.powers,
+                          commutators=tuple(sorted(comms.items())))
+
+
 def zg(q=5):
     return PcPresentation(
         name="ZG" if q == 5 else f"ZG_{q}",

@@ -711,13 +711,72 @@ def ref_adapted_presentation(p):
 
 
 # ---------------------------------------------------------------------------
-# the torsion-free cover
+# consistency and the torsion-free cover
 #
-# The package certifies the cover of a presentation layer by layer, by an
-# endomorphism check collected with its own polynomials. The oracle asks the
-# rewriting pass of consistency_check (_rewriting_check, which collects
-# every overlap in the whole group and derives no tables) about each
-# periods-dropped subpresentation instead.
+# The package proves a presentation layer by layer, collecting each layer's
+# overlaps with the tables of the layers above it, and certifies the cover
+# the same way. The reference collects every overlap of every layer in the
+# whole group by rewriting alone and derives no tables; the cover oracle
+# asks it about each periods-dropped subpresentation.
+
+
+def ref_consistency_check(p):
+    """Collect the standard overlap pairs both ways, by rewriting alone,
+    and compare.
+
+    Checked overlaps: u_k(u_j u_i) vs (u_k u_j)u_i for k > j > i;
+    u_j^{e_j} u_i against the power tail for finite e_j; u_j u_i^{e_i}
+    likewise for finite e_i; and u_i^{e_i + 1} both ways. Each is the
+    layer-i relation of the same name in consistency_check, so both passes
+    reject the same presentations. Overlaps of layers below the highest
+    failing one are collected in a group already known to be
+    inconsistent, so their sides depend on the collection strategy.
+    """
+    failures = []
+    m = p.m
+
+    def nf(word):
+        return pc._normal_form(p, word, None)
+
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            for k in range(j + 1, m + 1):
+                a = nf(((j, 1), (i, 1)))
+                lhs = nf(((k, 1),) + pc.word_of(p, a))
+                b = nf(((k, 1), (j, 1)))
+                rhs = nf(pc.word_of(p, b) + ((i, 1),))
+                if lhs != rhs:
+                    failures.append(
+                        pc.ConsistencyFailure("triple", j, i, k, lhs, rhs)
+                    )
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            ej = p.period(j)
+            if ej is not None:
+                lhs = nf(p.power_tail(j) + ((i, 1),))
+                a = nf(((j, 1), (i, 1)))
+                rhs = nf(((j, ej - 1),) + pc.word_of(p, a))
+                if lhs != rhs:
+                    failures.append(pc.ConsistencyFailure(
+                        "power-gen", j, i, None, lhs, rhs))
+            ei = p.period(i)
+            if ei is not None:
+                lhs = nf(((j, 1),) + p.power_tail(i))
+                a = nf(((j, 1), (i, 1)))
+                rhs = nf(pc.word_of(p, a) + ((i, ei - 1),))
+                if lhs != rhs:
+                    failures.append(pc.ConsistencyFailure(
+                        "gen-power", j, i, None, lhs, rhs))
+    for i in range(1, m + 1):
+        ei = p.period(i)
+        if ei is not None:
+            lhs = nf(((i, 1),) + p.power_tail(i))
+            rhs = nf(p.power_tail(i) + ((i, 1),))
+            if lhs != rhs:
+                failures.append(
+                    pc.ConsistencyFailure("power-power", i, i, None, lhs, rhs)
+                )
+    return pc.ConsistencyReport(ok=not failures, failures=tuple(failures))
 
 
 def lowest_consistent_cover_layer(p):
@@ -732,7 +791,7 @@ def lowest_consistent_cover_layer(p):
         cover = pc.PcPresentation(name=f"{p.name} cover of G_{i}",
                                   periods=(None,) * (m - i + 1),
                                   commutators=comms)
-        if not pc._rewriting_check(cover).ok:
+        if not ref_consistency_check(cover).ok:
             return i + 1
     return 1
 

@@ -21,9 +21,9 @@ from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import main
 
-from groups_def import f23, heis, mutated_heis, nr, wide_adapted, zg, \
-    zh, zk
-from oracles import ref_parse_args
+from groups_def import f23, heis, mutated_heis, mutated_ut5, nr, \
+    wide_adapted, zg, zh, zk
+from oracles import ref_consistency_check, ref_parse_args
 
 
 @pytest.fixture
@@ -234,6 +234,20 @@ class TestCheck:
         assert code == 1
         assert payload["consistent"] is False
         assert payload["failures"]
+
+    def test_inconsistent_reports_only_the_rejected_layer(self, tmp_path,
+                                                          capsys):
+        # the reference fails at layers 4, 3 and 1; check lists layer 4
+        path = tmp_path / "UT_5.json"
+        files.save(mutated_ut5(), str(path))
+        code, out = run(capsys, "check", str(path))
+        assert code == 1
+        want = [f for f in ref_consistency_check(mutated_ut5()).failures
+                if f.i == 4]
+        assert json.loads(out)["failures"] == [
+            {"kind": f.kind, "j": f.j, "i": f.i, "k": f.k,
+             "lhs": list(f.lhs), "rhs": list(f.rhs)} for f in want]
+        assert [(f.kind, f.j, f.k) for f in want] == [("triple", 5, 7)]
 
     def test_missing_file(self, workdir, capsys):
         code = main(["check", str(workdir / "NOPE.json")])

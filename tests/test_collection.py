@@ -11,9 +11,12 @@ pin the products a power costs, hold commutators and conjugates, which are
 left quotients, to their words collected from the identity, pin the degree
 bound the polynomials are interpolated under, and pin the certificate
 against a rewriting oracle on random presentations. consistency_check
-proves a presentation layer by layer on the tables it builds: the tests hold
-its reports to those of the rewriting pass (_rewriting_check) on mutants and
-random presentations, and check that it never reads tables left on the
+proves a presentation layer by layer on the tables it builds and reports
+the failing overlaps of the first layer it rejects: the tests hold each
+report to the failures that the rewriting reference
+(oracles.ref_consistency_check) finds at its highest failing layer, on
+mutants and random presentations, check that writing the report rewrites
+nothing, and check that the proof never reads tables left on the
 presentation. The proof is the tables' only source, so arithmetic on an
 inconsistent presentation that was never checked is refused.
 """
@@ -33,8 +36,9 @@ from nilpc.presentation import PcPresentation, PresentationError
 
 import oracles
 from groups_def import (
-    f23, heis, heis_index2, heisenberg, heisenberg_letters, mutated_heis, nr,
-    random_basis, rebase, unitriangular, ut_letters, zg, zh, zk)
+    f23, heis, heis_index2, heisenberg, heisenberg_letters, mutated_heis,
+    mutated_ut5, nr, random_basis, rebase, unitriangular, ut_letters, zg, zh,
+    zk)
 
 BASE = {
     "UT_3": lambda: unitriangular(3), "UT_4": lambda: unitriangular(4),
@@ -405,10 +409,25 @@ def random_presentation(rng):
                           for i in range(1, j) if rng.random() < 0.6))
 
 
+def assert_reports_as_oracle(report, q):
+    """report has the rewriting reference's verdict on q, and when q fails,
+    lists exactly the reference's failures at its highest failing layer,
+    in order: the reference finds none above that layer, so it is the
+    first one the proof rejects. Returns that layer (None for ok)."""
+    ref = oracles.ref_consistency_check(q)
+    assert report.ok == ref.ok, q
+    if ref.ok:
+        return None
+    top = max(f.i for f in ref.failures)
+    assert {f.i for f in report.failures} == {top}, q
+    assert report.failures == tuple(f for f in ref.failures if f.i == top), q
+    return top
+
+
 def test_certificate_matches_rewriting_oracle_sweep():
-    # consistency_check against its rewriting pass on every draw, then the
-    # certificate against the oracle and collection against rewriting on
-    # the consistent ones
+    # consistency_check against the rewriting reference on every draw, then
+    # the certificate against the oracle and collection against rewriting
+    # on the consistent ones
     rng = random.Random("cover sweep")
     exponents = random.Random("cover sweep exponents")  # keeps rng's draws
     consistent = fails = 0
@@ -416,7 +435,7 @@ def test_certificate_matches_rewriting_oracle_sweep():
         p = random_presentation(rng)
         q = PcPresentation(p.name, p.periods, p.powers, p.commutators)
         report = pc.consistency_check(p)
-        assert report == pc._rewriting_check(q), p
+        assert_reports_as_oracle(report, q)
         if not report.ok:
             assert p._layers is False
             continue
@@ -509,11 +528,8 @@ PLACED_MUTANTS = {
     # where e12 and e13 commute in UT_5 (u5 = e13, u8 = e14)
     "UT_5 top": (lambda: _mutant(unitriangular(5), (5, 1), ((8, -1),)),
                  1, "triple"),
-    # deep layer: [e35, e13] = e14 in place of e15^-1 (u5 = e13, u7 = e35,
-    # u8 = e14). G_5 stays consistent, but conjugation by e45 (u4) fixes
-    # e13 and e35 and moves e14 to e14 e15, so it breaks the new relation
-    "UT_5 deep": (lambda: _mutant(unitriangular(5), (7, 5), ((8, 1),)),
-                  4, "triple"),
+    # deep layer, with failing overlaps below it as well
+    "UT_5 deep": (mutated_ut5, 4, "triple"),
     # finite layer: u4 = a has period 5 and the central power tail u5 = f;
     # [u9, u4] = u10 makes c^5 move u9 by u10^5, where conjugation by f
     # fixes it
@@ -563,7 +579,7 @@ def test_check_rejects_mutants_after_tables_exist(name):
             run(p, x)
         assert p._layers is False, op
     report = pc.consistency_check(p)
-    assert report == pc._rewriting_check(make())
+    assert_reports_as_oracle(report, make())
     object.__setattr__(p, "_layers", pc._conj_layers(ORIGINALS[name]()))
     assert pc.consistency_check(p) == report
 
@@ -591,15 +607,36 @@ def test_arithmetic_refuses_the_unchecked_mutated_fixture(monkeypatch):
 
 @pytest.mark.parametrize("name", list(MUTANTS) + list(PLACED_MUTANTS))
 def test_check_reports_mutants_as_rewriting_does(name):
+    # a placed mutant reports its layer alone: "UT_5 deep" and "ZG
+    # gen-power" also fail below it in the reference
     make, layer, kind = PLACED_MUTANTS.get(name) or (MUTANTS[name], 0, None)
     p = make()
     report = pc.consistency_check(p)
     assert not report.ok
     assert p._layers is False
-    assert report == pc._rewriting_check(make())
+    top = assert_reports_as_oracle(report, make())
     if kind is not None:
-        assert max(f.i for f in report.failures) == layer
-        assert kind in {f.kind for f in report.failures if f.i == layer}
+        assert top == layer
+        assert {f.i for f in report.failures} == {layer}
+        assert kind in {f.kind for f in report.failures}
+
+
+def test_failure_report_rewrites_nothing(monkeypatch):
+    # [u3, u1] = u4 breaks layer 1 of UT_7. The proof collects each overlap
+    # on the tables of the layers above, and the report is its output, so
+    # no letter is collected by rewriting (layers=None).
+    p = _mutant(unitriangular(7), (3, 1), ((4, 1),))
+    collect, calls = pc._collect, []
+
+    def spy(q, t, stack, layers):
+        calls.append(layers)
+        collect(q, t, stack, layers)
+
+    monkeypatch.setattr(pc, "_collect", spy)
+    report = pc.consistency_check(p)
+    assert not report.ok
+    assert {f.i for f in report.failures} == {1}
+    assert calls and None not in calls
 
 
 # -- triples above the class ------------------------------------------------------
@@ -629,20 +666,23 @@ def test_proof_keeps_the_triple_at_the_class():
 @pytest.mark.parametrize("name", ["ZG", "H_10"])
 def test_class_two_proof_collects_no_triple(name, monkeypatch):
     # Every triple of a class-2 group weighs at least 3 > c = 2, so none is
-    # collected. _extends inverts c(u_j) only for a j with a triple left,
-    # and otherwise inverts only the power tail w_i of each finite period.
+    # compared. _extends takes two products for each triple it compares,
+    # and otherwise only the two of each gen-power overlap u_j u_i^{e_i},
+    # one for every j > i when e_i is finite.
     p = zg() if name == "ZG" else heisenberg(10)
-    inverse, inverted = pc._inverse, []
+    multiply, products = pc._multiply, []
 
-    def spy(q, x, layers):
+    def spy(q, x, y, layers):
         if sys._getframe(1).f_code.co_name == "_extends":
-            inverted.append(x)
-        return inverse(q, x, layers)
+            products.append((x, y))
+        return multiply(q, x, y, layers)
 
-    monkeypatch.setattr(pc, "_inverse", spy)
+    monkeypatch.setattr(pc, "_multiply", spy)
     assert pc.consistency_check(p).ok
     assert pc._conj_layers(p).degree == 2
-    assert len(inverted) == sum(e is not None for e in p.periods)
+    gen_power = sum(p.m - i for i, e in enumerate(p.periods, 1)
+                    if e is not None)
+    assert len(products) == 2 * gen_power  # and none for a triple
 
 
 # -- runtime dependencies --------------------------------------------------------

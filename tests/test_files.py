@@ -3,6 +3,7 @@ malformed input, which may only end in FileFormatError or
 PresentationError."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from nilpc.cli import main
 from nilpc.deformation import abdef, adapt_basis
 from nilpc.presentation import PresentationError
 
-from groups_def import ALL_CONSISTENT, zg, zk
+from groups_def import ALL_CONSISTENT, mutated_ut5, zg, zk
 
 
 class TestRoundTrip:
@@ -59,6 +60,16 @@ class TestPackagedFixtures:
             files.load_fixture("HEIS_MUTATED")
         p = files.load_fixture("HEIS_MUTATED", check=False)
         assert p.period(1) == 2
+
+    def test_load_names_the_first_rejected_layer(self, tmp_path):
+        # the proof rejects layer 4 first; the overlaps the reference also
+        # finds at layers 3 and 1 are not named
+        path = tmp_path / "UT_5.json"
+        files.save(mutated_ut5(), str(path))
+        message = ("UT_5 mutated: inconsistent presentation, first failing "
+                   "overlap kind=triple at (j=5, i=4, k=7)")
+        with pytest.raises(PresentationError, match=re.escape(message)):
+            files.load(str(path))
 
     def test_unknown_fixture(self):
         with pytest.raises(files.FileFormatError):
