@@ -11,12 +11,12 @@ computed exactly through section coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
 from . import subgroups as sg
 from .abelian import FgAbelian, section
-from .intlinalg import hnf_basis, identity as eye, solve_congruences
+from .intlinalg import hnf_basis, identity as eye, kernel
 from .presentation import Element, PcPresentation
 from .subgroups import Subgroup
 
@@ -107,15 +107,8 @@ class Bilinearization:
         return self.out[block].coords(pc.commutator(self.pres, x, y))
 
     def _kernel_trivial(self, side: FgAbelian,
-                        eq_rows: List[List[int]],
-                        moduli: List[int]) -> bool:
-        n = len(side.periods)
-        if n == 0:
-            return True
-        if not eq_rows:
-            return False
-        sol = solve_congruences(eq_rows, [0] * len(eq_rows), moduli, n)
-        for v in sol.basis:
+                        eqs: List[Tuple[Dict[int, int], int]]) -> bool:
+        for v in kernel(eqs, len(side.periods)):
             for c, d in zip(v, side.periods):
                 if d is None:
                     if c:
@@ -125,26 +118,24 @@ class Bilinearization:
         return True
 
     def left_nondegenerate(self) -> bool:
-        eq_rows, moduli = [], []
+        eqs = []
         for block, (b_i, c_i) in enumerate(zip(self.right, self.out)):
             for t in range(len(b_i.periods)):
                 for k, d in enumerate(c_i.periods):
-                    eq_rows.append(
-                        [self.tables[block][s][t][k]
-                         for s in range(len(self.left.periods))])
-                    moduli.append(0 if d is None else d)
-        return self._kernel_trivial(self.left, eq_rows, moduli)
+                    eqs.append((
+                        {s: row[t][k]
+                         for s, row in enumerate(self.tables[block])},
+                        0 if d is None else d))
+        return self._kernel_trivial(self.left, eqs)
 
     def right_nondegenerate(self) -> bool:
         for block, (b_i, c_i) in enumerate(zip(self.right, self.out)):
-            eq_rows, moduli = [], []
-            for s in range(len(self.left.periods)):
+            eqs = []
+            for row in self.tables[block]:
                 for k, d in enumerate(c_i.periods):
-                    eq_rows.append(
-                        [self.tables[block][s][t][k]
-                         for t in range(len(b_i.periods))])
-                    moduli.append(0 if d is None else d)
-            if not self._kernel_trivial(b_i, eq_rows, moduli):
+                    eqs.append(({t: cell[k] for t, cell in enumerate(row)},
+                                0 if d is None else d))
+            if not self._kernel_trivial(b_i, eqs):
                 return False
         return True
 

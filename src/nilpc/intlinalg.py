@@ -1,19 +1,18 @@
 """Exact linear algebra over the integers.
 
-Hermite and Smith normal forms with unimodular transforms, a solver for
-systems of linear congruences with mixed moduli (modulus 0 meaning equality
-over Z), and lattice_kernel, which solves a sparse homogeneous system one
-connected component of unknowns at a time. Matrices are lists of rows of
-Python ints; nothing here mutates its arguments. All downstream lattice
-work in the package (subgroup layers, abelian sections, scalar-ring
-solving) funnels through this module, and InvariantFactors is the one
-reading of a Smith form as coordinates on a finitely generated abelian
-group.
+Hermite and Smith normal forms with unimodular transforms, and kernel,
+the one solver: the Hermite basis of the solutions of a sparse homogeneous
+system of congruences with mixed moduli (modulus 0 meaning equality over
+Z), solved one connected component of unknowns at a time. Matrices are
+lists of rows of Python ints; nothing here mutates its arguments. All
+downstream lattice work in the package (subgroup layers, abelian sections,
+scalar-ring solving) funnels through this module, and InvariantFactors is
+the one reading of a Smith form as coordinates on a finitely generated
+abelian group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -63,17 +62,10 @@ def _row_neg(m: Matrix, i: int) -> None:
     m[i] = [-x for x in m[i]]
 
 
-def hnf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
-    """Row Hermite normal form.
-
-    Returns (h, u) with u * a == h and u unimodular. h is in upper echelon
-    shape: pivots positive, strictly increasing pivot columns, entries above
-    each pivot reduced into [0, pivot), zero rows at the bottom.
-    """
-    m = [list(r) for r in a]
+def _hermite(m: Matrix, ncols: int) -> None:
+    """Hermite form of the first ncols columns of m, in place, by
+    operations on whole rows."""
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    u = identity(nrows)
     top = 0
     for c in range(ncols):
         if top >= nrows:
@@ -87,28 +79,37 @@ def hnf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
                     best = i
             if best != top:
                 m[top], m[best] = m[best], m[top]
-                u[top], u[best] = u[best], u[top]
             clean = True
             for i in range(top + 1, nrows):
                 if m[i][c]:
                     q = m[i][c] // m[top][c]
                     _row_sub(m, i, top, q)
-                    _row_sub(u, i, top, q)
                     if m[i][c]:
                         clean = False
             if clean:
                 break
         if m[top][c] < 0:
             _row_neg(m, top)
-            _row_neg(u, top)
         p = m[top][c]
         for i in range(top):
             q = m[i][c] // p
             if q:
                 _row_sub(m, i, top, q)
-                _row_sub(u, i, top, q)
         top += 1
-    return m, u
+
+
+def hnf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
+    """Row Hermite normal form.
+
+    Returns (h, u) with u * a == h and u unimodular. h is in upper echelon
+    shape: pivots positive, strictly increasing pivot columns, entries above
+    each pivot reduced into [0, pivot), zero rows at the bottom.  u is the
+    identity block that the row operations carry along.
+    """
+    ncols = len(a[0]) if a else 0
+    m = [list(r) + e for r, e in zip(a, identity(len(a)))]
+    _hermite(m, ncols)
+    return [r[:ncols] for r in m], [r[ncols:] for r in m]
 
 
 def hnf_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
@@ -119,7 +120,8 @@ def hnf_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     for r in rows:
         if len(r) != ncols:
             raise ValueError("row length disagrees with ncols")
-    h, _ = hnf(list(rows))
+    h = [list(r) for r in rows]
+    _hermite(h, ncols)
     return [row for row in h if any(row)]
 
 
@@ -274,83 +276,26 @@ def solve_lattice(
     return x
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Solutions of a congruence system.
-
-    `particular` is one solution; `basis` spans the homogeneous solutions
-    (as a spanning set, not necessarily independent). Both are projections
-    onto the original unknowns, auxiliary modulus variables stripped.
-    """
-
-    consistent: bool
-    particular: Optional[Tuple[int, ...]]
-    basis: Tuple[Tuple[int, ...], ...]
-
-
-def solve_congruences(
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    moduli: Sequence[int],
-    n_unknowns: int,
-) -> SolutionSet:
-    """Solve rows[r] . x == rhs[r] (mod moduli[r]) for x in Z^n_unknowns.
-
-    Modulus 0 means equality over Z. Finite moduli are handled by one
-    auxiliary integer unknown per congruence; the returned solutions are
-    projected back onto the first n_unknowns coordinates.
-    """
-    neq = len(rows)
-    if len(rhs) != neq or len(moduli) != neq:
-        raise ValueError("rows, rhs, moduli must have equal length")
-    for r in rows:
-        if len(r) != n_unknowns:
-            raise ValueError("equation width disagrees with n_unknowns")
-    aux = [r for r in range(neq) if moduli[r] != 0]
-    ntot = n_unknowns + len(aux)
-    # columns of the transposed system: one per equation
-    cols = []
-    for r in range(neq):
-        col = list(rows[r]) + [0] * len(aux)
-        if moduli[r] != 0:
-            col[n_unknowns + aux.index(r)] = moduli[r]
-        cols.append(col)
-    # solve z . A == rhs where A has shape (ntot, neq)
-    a = transpose(cols) if cols else [[] for _ in range(ntot)]
-    h, u = hnf(a)
-    w = [0] * ntot
-    residual = list(rhs)
-    for k, row in enumerate(h):
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        if residual[nz] % row[nz]:
-            return SolutionSet(False, None, ())
-        q = residual[nz] // row[nz]
-        w[k] = q
-        if q:
-            for j in range(neq):
-                residual[j] -= q * row[j]
-    if any(residual):
-        return SolutionSet(False, None, ())
-    z0 = vec_mat(w, u)
-    kernel = [u[i] for i in range(ntot) if not any(h[i])]
-    particular = tuple(z0[:n_unknowns])
-    basis = tuple(tuple(k[:n_unknowns]) for k in kernel)
-    return SolutionSet(True, particular, basis)
-
-
-def lattice_kernel(rows: Sequence[Tuple[Dict[int, int], int]],
-                   n: int) -> List[List[int]]:
-    """A spanning set of {x in Z^n : row . x == 0 (mod modulus), every row}.
+def kernel(rows: Sequence[Tuple[Dict[int, int], int]], n: int) -> Matrix:
+    """Hermite basis of {x in Z^n : row . x == 0 (mod modulus), every row}.
 
     Each row is a (column -> coefficient, modulus) pair, modulus 0 meaning
     equality over Z.  Two unknowns are linked when a row touches both; the
     solution lattice is the direct sum of the lattices of the connected
-    components, so each component is solved densely on its own columns
-    (a finite modulus's auxiliary unknown lives in its one row, hence in
-    its component) and an unknown that no row touches contributes its unit
-    vector.
+    components, so each component is solved on its own columns and an
+    unknown that no row touches contributes its unit vector.
+
+    A component with unknowns x, equations E and one auxiliary unknown a_r
+    per finite modulus m_r gives the lattice {(x E + a D, x)}, D the
+    diagonal of the moduli, spanned by the rows (E_k | e_k) of the
+    unknowns and (m_r e_r | 0) of the auxiliaries.  Its vectors that vanish
+    on the equation columns are the (0, x) with x a solution.  In an
+    echelon basis they are spanned by the rows whose pivot lies past the
+    equation columns, so in the Hermite basis those rows, cut to the
+    unknowns' columns, are the Hermite basis of the solutions, read off
+    one HNF with no second reduction (Cohen, GTM 138, section 2.4).  Rows
+    of different components share no column, so their Hermite bases,
+    sorted by pivot, are the Hermite basis of the direct sum.
     """
     parent = list(range(n))
 
@@ -380,21 +325,28 @@ def lattice_kernel(rows: Sequence[Tuple[Dict[int, int], int]],
     blocks: Dict[int, list] = {}
     for terms, mod in live:
         blocks.setdefault(find(terms[0][0]), []).append((terms, mod))
-    out = [[1 if i == j else 0 for i in range(n)]
-           for j in range(n) if not touched[j]]
+    # the rows of the result, keyed by their pivot columns
+    out = {j: [1 if i == j else 0 for i in range(n)]
+           for j in range(n) if not touched[j]}
     for root, cols in members.items():
+        eqs = blocks[root]
+        neq, width = len(eqs), len(eqs) + len(cols)
         pos = {j: k for k, j in enumerate(cols)}
-        dense, moduli = [], []
-        for terms, mod in blocks[root]:
-            row = [0] * len(cols)
+        lattice = [[0] * width for _ in cols]
+        for k, row in enumerate(lattice):
+            row[neq + k] = 1
+        for r, (terms, mod) in enumerate(eqs):
             for j, v in terms:
-                row[pos[j]] = v
-            dense.append(row)
-            moduli.append(mod)
-        sol = solve_congruences(dense, [0] * len(dense), moduli, len(cols))
-        for b in sol.basis:
-            vec = [0] * n
-            for j, v in zip(cols, b):
-                vec[j] = v
-            out.append(vec)
-    return out
+                lattice[pos[j]][r] = v
+            if mod:
+                lattice.append([0] * width)
+                lattice[-1][r] = mod
+        _hermite(lattice, width)
+        for row in lattice:
+            sol = row[neq:]
+            if any(sol) and not any(row[:neq]):
+                vec = [0] * n
+                for j, v in zip(cols, sol):
+                    vec[j] = v
+                out[cols[next(k for k, v in enumerate(sol) if v)]] = vec
+    return [out[j] for j in sorted(out)]

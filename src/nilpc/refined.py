@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import Bilinearization, bilinearize
-from .intlinalg import solve_congruences
+from .intlinalg import kernel
 from .presentation import PcPresentation
 from .scalars import (
     HomCompat,
@@ -94,22 +94,31 @@ def _embedding_matrix(small: FgAbelian, big: FgAbelian):
 
 
 def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
-    """Matrix of the action on the embedded section: solve e.x == m.e."""
+    """Matrix of the action on the embedded section: for each small basis
+    vector e_k, a solution x of e.x == m.e_k modulo the big periods.
+
+    The right-hand side rhs = m.e_k becomes an unknown s in column 0, with
+    the rows (-rhs_r) s + e_r.x == 0 (mod big period r).  The values of s
+    on the solutions (s, x) form an ideal dZ.  When d > 0, the first row
+    of kernel's Hermite basis has its pivot d in column 0; otherwise that
+    row, if any, has 0 there.  So e.x == rhs is solvable exactly when the
+    first row has pivot 1 in column 0, and then that row is (1, x).  e
+    embeds the small section in the big one, so two solutions agree
+    modulo the small periods, and small.reduce makes x canonical."""
     nbig = len(big_periods)
     nsmall = len(small.periods)
-    moduli = [0 if per is None else per for per in big_periods]
     cols = []
     for k in range(nsmall):
-        rhs = []
-        for r in range(nbig):
-            rhs.append(sum(
-                block_mat[r][t] * e_rows[t][k] for t in range(nbig)))
-        sol = solve_congruences(
-            [list(row) for row in e_rows], rhs, moduli, nsmall)
-        if not sol.consistent:
+        eqs = []
+        for r, per in enumerate(big_periods):
+            row = {1 + t: v for t, v in enumerate(e_rows[r])}
+            row[0] = -sum(block_mat[r][t] * e_rows[t][k] for t in range(nbig))
+            eqs.append((row, 0 if per is None else per))
+        basis = kernel(eqs, 1 + nsmall)
+        if not basis or basis[0][0] != 1:
             raise ScalarRingError(
                 "embedded section is not invariant under the ring")
-        cols.append(small.reduce(tuple(sol.particular)))
+        cols.append(small.reduce(tuple(basis[0][1:])))
     return tuple(
         tuple(cols[k][r] for k in range(nsmall)) for r in range(nsmall))
 

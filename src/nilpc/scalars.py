@@ -23,15 +23,17 @@ whose Berlekamp subalgebra {x : x^p == x} splits into the primitive
 idempotents.  Ideals are Hermite-normal lattices; the factors are
 returned sorted by (size, sorted elements), each repeated t(M) times.
 
-The defining system has na^2 + nb^2 + nc^2 unknowns but is sparse: each
-congruence touches one column of phi1 or phi2 and one row of phi0, so the
-unknowns fall into many small connected components (UT_7's 661 unknowns
-into 481, the largest of 41).  intlinalg.lattice_kernel solves each
-component on its own and takes the direct sum.  A ring is its lattice of
-triples, held in Hermite normal form; a restriction solves only its new
-conditions, in the ring's own coordinates (one unknown per basis triple,
-plus the conditions' auxiliary unknowns), so restrictions compose without
-re-solving earlier ones.
+The defining system has na^2 + nb^2 + nc^2 unknowns, and intlinalg.kernel
+solves it one connected component of unknowns at a time.  A congruence
+touches those entries of one column of phi1 or phi2 and of one row of phi0
+that meet nonzero table cells, so how sparse the system is depends on the
+bases of A, B and C.  On a sparse table the unknowns fall into many small
+components (UT_7's 661 unknowns into 481, the largest of 41); on a dense
+one they do not (a random basis change of H_6 puts all 289 unknowns in one
+component).  A ring is its lattice of triples, held in Hermite normal
+form; a restriction solves only its new conditions, in the ring's own
+coordinates (one unknown per basis triple, plus the conditions' auxiliary
+unknowns), so restrictions compose without re-solving earlier ones.
 
 B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks matter to restriction constraints, which address a
@@ -48,7 +50,7 @@ from .intlinalg import (
     InvariantFactors,
     hnf_basis,
     identity,
-    lattice_kernel,
+    kernel,
     mat_mul,
     solve_lattice,
     transpose,
@@ -317,22 +319,21 @@ def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
 class ScalarRing(InvariantFactors):
     """The ring of scalar triples of a pairing, with exact coordinates.
 
-    `rows` is any spanning set of the lattice of triples; s_basis is its
-    Hermite normal form, so equal lattices give equal rings.  Additive
-    structure: the InvariantFactors of the solution lattice
-    modulo null triples, with each free basis vector oriented so that its
-    first nonzero entry is positive.  Multiplication is composition,
-    tabulated on the additive basis.  The basis is rechecked against the
-    pairing identities unless recheck is off, which restrict_ring alone
-    does (its docstring proves the check redundant there).
+    `s_basis` is the Hermite basis of the lattice of triples, so equal
+    lattices give equal rings.  Additive structure: the InvariantFactors
+    of the solution lattice modulo null triples, with each free basis
+    vector oriented so that its first nonzero entry is positive.
+    Multiplication is composition, tabulated on the additive basis.  The
+    basis is rechecked against the pairing identities unless recheck is
+    off, which restrict_ring alone does (its docstring proves the check
+    redundant there).
     """
 
-    def __init__(self, pairing: Pairing, rows: Sequence[Sequence[int]],
+    def __init__(self, pairing: Pairing, s_basis: Sequence[Sequence[int]],
                  recheck: bool = True):
         self.pairing = pairing
         self.lay = _Layout(pairing)
-        self.s_basis = tuple(
-            tuple(r) for r in hnf_basis(rows, self.lay.total))
+        self.s_basis = tuple(tuple(r) for r in s_basis)
 
         n = self.lay.total
         rho = len(self.s_basis)
@@ -520,7 +521,7 @@ class ScalarRing(InvariantFactors):
 
 def scalar_ring(pairing: Pairing) -> ScalarRing:
     lay, rows = _base_system(pairing)
-    return ScalarRing(pairing, lattice_kernel(rows, lay.total))
+    return ScalarRing(pairing, kernel(rows, lay.total))
 
 
 def restrict_ring(ring: ScalarRing,
@@ -567,11 +568,14 @@ def restrict_ring(ring: ScalarRing,
             else:
                 row[rank + i - lay.total] = v
         rows.append((row, mod))
-    kernel = [x[:rank] for x in lattice_kernel(rows, rank + naux)]
-    if hnf_basis(kernel, rank) == identity(rank):
+    # the rows with a pivot among the first rank columns, cut to them, are
+    # the Hermite basis of the solutions' projection
+    xs = [x[:rank] for x in kernel(rows, rank + naux) if any(x[:rank])]
+    if xs == identity(rank):
         return ring
-    return ScalarRing(ring.pairing, [vec_mat(x, s) for x in kernel],
-                      recheck=False)
+    return ScalarRing(
+        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], lay.total),
+        recheck=False)
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +593,7 @@ def _kernel_mod(g: Sequence[Sequence[int]], p: int) -> List[List[int]]:
     n = len(g)
     rows = [({i: v for i, v in enumerate(col) if v}, p)
             for col in transpose(g)]
-    return hnf_basis(lattice_kernel(rows, n), n)
+    return kernel(rows, n)
 
 
 def _maximal_ideal_gens(ring: ScalarRing, p: int) -> List[List[List[int]]]:

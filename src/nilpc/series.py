@@ -20,7 +20,7 @@ from typing import Tuple
 from . import subgroups as sg
 from .abelian import (
     FgAbelian, abelianization, isolator, section, torsion_subgroup)
-from .intlinalg import InvariantFactors, solve_congruences
+from .intlinalg import InvariantFactors, kernel
 from .presentation import PcPresentation
 from .subgroups import Subgroup, SubgroupError
 
@@ -41,11 +41,11 @@ def _torsion_image_part(p: PcPresentation, z: Subgroup,
         return z
     free_pos = [k for k, d in enumerate(ab.periods) if d is None]
     row_coords = [ab.coords(r) for r in z.rows]
-    eqs = [[rc[k] for rc in row_coords] for k in free_pos]
+    eqs = [(dict(enumerate(rc[k] for rc in row_coords)), 0)
+           for k in free_pos]
     if not eqs:
         return z
-    sol = solve_congruences(eqs, [0] * len(eqs), [0] * len(eqs), len(z.rows))
-    return sg._lattice_subgroup(p, z, sol.basis)
+    return sg._lattice_subgroup(p, z, kernel(eqs, len(z.rows)))
 
 
 def _free_complement(p: PcPresentation, z: Subgroup,

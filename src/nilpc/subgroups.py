@@ -50,7 +50,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
-from .intlinalg import hnf_basis, solve_congruences
+from .intlinalg import kernel
 from .presentation import Element, PcPresentation
 
 
@@ -407,7 +407,7 @@ def _build_constrained(p: PcPresentation, s: Subgroup,
         if t.is_trivial:
             break
         columns = columns or [column(c, h) for c, h in pairs]
-        eq_rows, moduli = [], []
+        eqs = []
         for (c, _), (ys, low) in zip(pairs, columns):
             row_j = conditions[c][1].row_at(j)
             o_j = row_j[j - 1] if row_j is not None else p.period(j)
@@ -415,36 +415,32 @@ def _build_constrained(p: PcPresentation, s: Subgroup,
                 continue
             if low < j:
                 raise SubgroupError("layer invariant violated in constraint pass")
-            vals = [y[j - 1] for y in ys]
-            if any(vals):
-                eq_rows.append(vals)
-                moduli.append(0 if o_j is None else o_j)
-        if not eq_rows:
+            vals = {k: y[j - 1] for k, y in enumerate(ys) if y[j - 1]}
+            if vals:
+                eqs.append((vals, 0 if o_j is None else o_j))
+        if not eqs:
             continue
-        sol = solve_congruences(eq_rows, [0] * len(eq_rows), moduli,
-                                len(t.rows))
-        if not sol.consistent:
-            raise SubgroupError("homogeneous system reported inconsistent")
-        t, columns = _lattice_subgroup(p, t, sol.basis), None
+        t, columns = _lattice_subgroup(p, t, kernel(eqs, len(t.rows))), None
     return t
 
 
 def _lattice_subgroup(p: PcPresentation, t: Subgroup,
-                      spanning: Sequence[Sequence[int]]) -> Subgroup:
+                      basis: Sequence[Sequence[int]]) -> Subgroup:
     """The products of t's rows r_k to the exponents w, over w in the
-    lattice spanned by `spanning`, which must hold every relation among
-    t's rows, as a homomorphism's kernel lattice does.  Let d_k be the HNF
-    pivot in column k and o_k r_k's relative order.  An x in t with r_k's
-    lead is r_k^w_k times deeper rows, w_k != 0 (in (0, o_k) if o_k is
-    finite), and its lead coefficient is w_k times r_k's.  x is in the
-    subgroup exactly when w is in the lattice, so d_k divides w_k; and
-    d_k divides o_k, as the lattice holds r_k's power relation.  So the
-    subgroup has an element with r_k's lead exactly when d_k > 0 and
-    d_k != o_k, and the HNF row's product is one with the least positive
-    lead coefficient; _reduce_deeper makes the rows canonical."""
+    lattice with Hermite basis `basis` (as kernel returns it), which must
+    hold every relation among t's rows, as a homomorphism's kernel lattice
+    does.  Let d_k be the pivot in column k and o_k r_k's relative order.
+    An x in t with r_k's lead is r_k^w_k times deeper rows, w_k != 0 (in
+    (0, o_k) if o_k is finite), and its lead coefficient is w_k times
+    r_k's.  x is in the subgroup exactly when w is in the lattice, so d_k
+    divides w_k; and d_k divides o_k, as the lattice holds r_k's power
+    relation.  So the subgroup has an element with r_k's lead exactly when
+    d_k > 0 and d_k != o_k, and the HNF row's product is one with the
+    least positive lead coefficient; _reduce_deeper makes the rows
+    canonical."""
     orders = t.relative_orders()
     gens = []
-    for h in hnf_basis(spanning, len(t.rows)):
+    for h in basis:
         k = leading_index(h) - 1
         if h[k] != orders[k]:
             gens.append(prod_rows(p, t.rows, h))

@@ -7,15 +7,18 @@ explicit matrix model), so agreement between the two is meaningful evidence.
 
 import argparse
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Optional, Tuple
 
+from nilpc import intlinalg as la
 from nilpc import presentation as pc
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import _parse_c, _parse_d
 from nilpc.abelian import FgAbelian
 from nilpc.deformation import presentation_on
-from nilpc.intlinalg import InvariantFactors, hnf_basis, solve_congruences
+from nilpc.intlinalg import InvariantFactors, hnf_basis
 from nilpc.series import key_subgroups
 
 
@@ -147,6 +150,71 @@ def satisfies(rows, rhs, moduli, x):
         elif v % md != 0:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class SolutionSet:
+    """Solutions of a congruence system.
+
+    `particular` is one solution; `basis` spans the homogeneous solutions
+    (as a spanning set, not necessarily independent). Both are projections
+    onto the original unknowns, auxiliary modulus variables stripped.
+    """
+
+    consistent: bool
+    particular: Optional[Tuple[int, ...]]
+    basis: Tuple[Tuple[int, ...], ...]
+
+
+def ref_solve_congruences(rows, rhs, moduli, n_unknowns):
+    """Solve rows[r] . x == rhs[r] (mod moduli[r]) for x in Z^n_unknowns
+    by one dense HNF with its transform, the package's solver before
+    intlinalg.kernel.
+
+    Modulus 0 means equality over Z. Finite moduli are handled by one
+    auxiliary integer unknown per congruence; the returned solutions are
+    projected back onto the first n_unknowns coordinates.  It calls hnf
+    through the module, so a test that spies on intlinalg's elimination
+    sees this solver's matrix too.
+    """
+    neq = len(rows)
+    if len(rhs) != neq or len(moduli) != neq:
+        raise ValueError("rows, rhs, moduli must have equal length")
+    for r in rows:
+        if len(r) != n_unknowns:
+            raise ValueError("equation width disagrees with n_unknowns")
+    aux = [r for r in range(neq) if moduli[r] != 0]
+    ntot = n_unknowns + len(aux)
+    # columns of the transposed system: one per equation
+    cols = []
+    for r in range(neq):
+        col = list(rows[r]) + [0] * len(aux)
+        if moduli[r] != 0:
+            col[n_unknowns + aux.index(r)] = moduli[r]
+        cols.append(col)
+    # solve z . A == rhs where A has shape (ntot, neq)
+    a = la.transpose(cols) if cols else [[] for _ in range(ntot)]
+    h, u = la.hnf(a)
+    w = [0] * ntot
+    residual = list(rhs)
+    for k, row in enumerate(h):
+        nz = next((j for j, x in enumerate(row) if x), None)
+        if nz is None:
+            continue
+        if residual[nz] % row[nz]:
+            return SolutionSet(False, None, ())
+        q = residual[nz] // row[nz]
+        w[k] = q
+        if q:
+            for j in range(neq):
+                residual[j] -= q * row[j]
+    if any(residual):
+        return SolutionSet(False, None, ())
+    z0 = la.vec_mat(w, u)
+    kernel = [u[i] for i in range(ntot) if not any(h[i])]
+    particular = tuple(z0[:n_unknowns])
+    basis = tuple(tuple(k[:n_unknowns]) for k in kernel)
+    return SolutionSet(True, particular, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +590,8 @@ def ref_constrained_subgroup(p, s, conditions):
                     moduli.append(0 if o_j is None else o_j)
         if not eq_rows:
             continue
-        sol = solve_congruences(eq_rows, [0] * len(eq_rows), moduli,
-                                len(t.rows))
+        sol = ref_solve_congruences(eq_rows, [0] * len(eq_rows), moduli,
+                                    len(t.rows))
         assert sol.consistent
         t = sg.induce(p, [sg.prod_rows(p, t.rows, v) for v in sol.basis])
     return t
@@ -666,8 +734,8 @@ def ref_adapted_presentation(p):
         lat = ab_nontail[idx + 1:] + ab_tail
         rows = [[ab_nontail[idx][r]] + [v[r] for v in lat]
                 for r in range(len(moduli))]
-        sol = solve_congruences(rows, list(abel.coords(w)), moduli,
-                                1 + len(lat))
+        sol = ref_solve_congruences(rows, list(abel.coords(w)), moduli,
+                                    1 + len(lat))
         assert sol.consistent
         return sol.particular[0]
 
@@ -840,8 +908,8 @@ def ref_scalar_ring(pairing):
     """The ring of scalars from one dense system in na^2 + nb^2 + nc^2
     unknowns, solved by a single HNF."""
     lay, rows, moduli = ref_base_system(pairing)
-    sol = solve_congruences(rows, [0] * len(rows), moduli, lay.total)
-    return sc.ScalarRing(pairing, sol.basis)
+    sol = ref_solve_congruences(rows, [0] * len(rows), moduli, lay.total)
+    return sc.ScalarRing(pairing, hnf_basis(sol.basis, lay.total))
 
 
 def ref_restrict_ring(pairing, constraints):
@@ -864,7 +932,7 @@ def ref_restrict_ring(pairing, constraints):
             row[i] = v
         rows.append(row)
         moduli.append(mod)
-    sol = solve_congruences(rows, [0] * len(rows), moduli, width)
+    sol = ref_solve_congruences(rows, [0] * len(rows), moduli, width)
     return hnf_basis([list(b)[:lay.total] for b in sol.basis], lay.total)
 
 

@@ -103,6 +103,21 @@ class TestSchemaErrors:
         with pytest.raises(files.FileFormatError):
             files.parse("{nope")
 
+    @pytest.mark.parametrize("text", [
+        '{"name": "B", "rank": true, "periods": [false], "powers": {}, '
+        '"commutators": {}}',
+        '{"name": "B", "rank": 1, "periods": [false], "powers": {}, '
+        '"commutators": {}}',
+        '{"name": "B", "rank": 2, "periods": [0, 0], "powers": {}, '
+        '"commutators": {"2,1": [[true, 1]]}}',
+        '{"name": "B", "rank": 2, "periods": [0, 0], "powers": {}, '
+        '"commutators": {"2,1": [[2, false]]}}',
+    ])
+    def test_booleans_are_not_integers(self, text):
+        # json loads true and false as bools, which isinstance counts as int
+        with pytest.raises(files.FileFormatError):
+            files.parse(text)
+
     def test_tail_repeating_a_generator(self):
         text = ('{"name": "bad", "rank": 3, "periods": [0, 0, 0], '
                 '"powers": {}, "commutators": {"2,1": [[3, 1], [3, 1]]}}')
@@ -188,3 +203,7 @@ class TestHomMapFiles:
     def test_wrong_length(self):
         with pytest.raises(files.FileFormatError):
             files.parse_hom_map("[[[1, 1]]]", 2)
+
+    def test_boolean_letter(self):
+        with pytest.raises(files.FileFormatError):
+            files.parse_hom_map("[[[true, 1]]]", 1)

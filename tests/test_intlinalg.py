@@ -12,6 +12,7 @@ from oracles import (
     ref_det,
     ref_hermite,
     ref_smith_diagonal,
+    ref_solve_congruences,
     satisfies,
 )
 
@@ -45,25 +46,37 @@ def test_smith_frozen():
     assert la.mat_mul(la.mat_mul(u, [[2, 0], [0, 3]]), v) == d
 
 
+def read_off(rows, rhs, moduli, n):
+    """(x, homogeneous basis) for rows . x == rhs (mod moduli), x None when
+    there is no solution, read off kernel as refined._pullback reads it:
+    the right-hand side is an unknown s in column 0, the system is solvable
+    exactly when the first Hermite row is (1, x), and the rows with s == 0
+    are the homogeneous solutions."""
+    eqs = [({0: -b, **{1 + j: v for j, v in enumerate(row)}}, md)
+           for row, b, md in zip(rows, rhs, moduli)]
+    basis = la.kernel(eqs, 1 + n)
+    x = basis[0][1:] if basis and basis[0][0] == 1 else None
+    return x, [h[1:] for h in basis if h[0] == 0]
+
+
 def test_crt_solve():
     # x = 1 mod 2, x = 2 mod 3  ->  x = 5 mod 6
-    sol = la.solve_congruences([[1], [1]], [1, 2], [2, 3], 1)
-    assert sol.consistent
-    assert sol.particular[0] % 6 == 5
-    basis = la.hnf_basis(sol.basis, 1)
+    assert la.kernel([({0: -1, 1: 1}, 2), ({0: -2, 1: 1}, 3)], 2) == [
+        [1, 5], [0, 6]]
+    x, basis = read_off([[1], [1]], [1, 2], [2, 3], 1)
+    assert x == [5]
     assert basis == [[6]]
 
 
 def test_inconsistent_solve():
-    sol = la.solve_congruences([[2]], [3], [0], 1)
-    assert not sol.consistent
+    # 2x = 3 over Z: s is even on every solution (s, x)
+    assert la.kernel([({0: -3, 1: 2}, 0)], 2) == [[2, 3]]
+    assert read_off([[2]], [3], [0], 1) == (None, [])
 
 
 def test_no_equations():
-    sol = la.solve_congruences([], [], [], 2)
-    assert sol.consistent
-    assert sol.particular == (0, 0)
-    assert la.hnf_basis(sol.basis, 2) == [[1, 0], [0, 1]]
+    assert la.kernel([], 3) == la.identity(3)
+    assert read_off([], [], [], 2) == ([0, 0], [[1, 0], [0, 1]])
 
 
 def test_unimodular_inverse_roundtrip():
@@ -193,18 +206,20 @@ def test_solver_against_exhaustive(case):
     rows = [list(r) for r, _, _ in eqs]
     rhs = [b for _, b, _ in eqs]
     moduli = [md for _, _, md in eqs]
-    sol = la.solve_congruences(rows, rhs, moduli, n)
+    x, basis = read_off(rows, rhs, moduli, n)
     box = 6
     found = exhaustive_solutions(rows, rhs, moduli, n, box)
-    if not sol.consistent:
+    # solvable exactly when a solution exists: a solution in the box
+    # forces a read-off, and the read-off row is itself a solution
+    if x is None:
         assert found == []
         return
-    assert satisfies(rows, rhs, moduli, sol.particular)
-    for v in sol.basis:
+    assert satisfies(rows, rhs, moduli, x)
+    for v in basis:
         assert satisfies(rows, [0] * len(rhs), moduli, v)
-    for x in found:
-        delta = [a - b for a, b in zip(x, sol.particular)]
-        assert la.solve_lattice(la.hnf_basis(sol.basis, n), delta) is not None
+    for y in found:
+        delta = [a - b for a, b in zip(y, x)]
+        assert la.solve_lattice(basis, delta) is not None
 
 
 @settings(max_examples=120, deadline=None)
@@ -252,7 +267,7 @@ def test_lattice_kernel_frozen():
     rows = [({0: 2, 1: 4}, 6), ({}, 3), ({2: 0}, 5), ({3: 3}, 0),
             ({4: 2}, 4), ({1: 1, 5: -1}, 0), ({7: 1, 8: 1, 9: 1}, 0)]
     before = [(dict(d), md) for d, md in rows]
-    got = la.hnf_basis(la.lattice_kernel(rows, 10), 10)
+    got = la.kernel(rows, 10)
     assert got == [[1, 1, 0, 0, 0, 1, 0, 0, 0, 0],
                    [0, 3, 0, 0, 0, 3, 0, 0, 0, 0],
                    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
@@ -279,8 +294,9 @@ def test_lattice_kernel_matches_dense_solve(case):
     n, rows = case
     dense = [[d.get(j, 0) for j in range(n)] for d, _ in rows]
     moduli = [md for _, md in rows]
-    got = la.lattice_kernel(rows, n)
+    got = la.kernel(rows, n)
     for v in got:
         assert satisfies(dense, [0] * len(rows), moduli, v)
-    sol = la.solve_congruences(dense, [0] * len(rows), moduli, n)
-    assert la.hnf_basis(got, n) == la.hnf_basis(sol.basis, n)
+    assert got == la.hnf_basis(got, n)
+    sol = ref_solve_congruences(dense, [0] * len(rows), moduli, n)
+    assert got == la.hnf_basis(sol.basis, n)

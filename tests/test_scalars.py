@@ -403,13 +403,13 @@ def test_scalar_ring_matches_dense_solve(name):
 def test_scalar_ring_solves_small_blocks(monkeypatch):
     pairing = pairing_of(bilinearize(unitriangular(6)))
     seen = []
-    real = la.hnf
+    real = la._hermite
 
-    def spy(a):
-        seen.append(len(a))
-        return real(a)
+    def spy(m, ncols):
+        seen.append(len(m))
+        return real(m, ncols)
 
-    monkeypatch.setattr(la, "hnf", spy)
+    monkeypatch.setattr(la, "_hermite", spy)
     scalar_ring(pairing)
     assert seen and max(seen) <= 64
     seen.clear()
