@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from . import presentation as pc
 from . import subgroups as sg
 from .intlinalg import InvariantFactors
 from .presentation import Element, PcPresentation
@@ -54,7 +53,7 @@ class FgAbelian(InvariantFactors):
             raise SubgroupError(f"{p.name}: section A/B has B outside A")
         for i, r in enumerate(a.rows):
             for s in a.rows[i + 1:]:
-                if not b.contains(pc.commutator(p, r, s)):
+                if not b.contains(sg._comm(p, r, s)):
                     raise SubgroupError(
                         f"{p.name}: section A/B is not abelian")
         self.pres = p
@@ -75,7 +74,7 @@ class FgAbelian(InvariantFactors):
                 mu = leading_index(y)
                 q = x[mu - 1] // y[mu - 1]
                 if q:
-                    x = self.rep(pc.multiply(p, x, pc.power(p, y, -q)))
+                    x = self.rep(sg._mul(p, x, sg._pow(p, y, -q)))
             rows.insert(0, x)
         self.arows: Tuple[Element, ...] = tuple(rows)
         self._order = {leading_index(r): k for k, r in enumerate(rows)}
@@ -86,7 +85,7 @@ class FgAbelian(InvariantFactors):
             if e is None:
                 continue
             o = e // r[lam - 1]
-            vec = [-c for c in self._sift(pc.power(p, r, o))]
+            vec = [-c for c in self._sift(sg._pow(p, r, o))]
             vec[k] += o
             rel.append(vec)
         super().__init__(rel, len(rows))
@@ -98,7 +97,7 @@ class FgAbelian(InvariantFactors):
                          if c and self._period[j] is None), 0)
             if lead < 0:
                 self.negate(k)
-                h = self.rep(pc.inverse(p, h))
+                h = self.rep(sg._inv(p, h))
             basis.append(h)
         self.basis: Tuple[Element, ...] = tuple(basis)
 
@@ -117,7 +116,7 @@ class FgAbelian(InvariantFactors):
                 raise SubgroupError("element does not lie in the section")
             q = y[lam - 1] // self.arows[k][lam - 1]
             coeffs[k] = q
-            y = self.rep(pc.multiply(p, pc.power(p, self.arows[k], -q), y))
+            y = self.rep(sg._mul(p, sg._pow(p, self.arows[k], -q), y))
 
     @property
     def free_rank(self) -> int:

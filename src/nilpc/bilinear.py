@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import presentation as pc
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .intlinalg import hnf_basis, identity as eye, kernel
@@ -104,7 +103,7 @@ class Bilinearization:
 
     def evaluate_exact(self, block: int, x: Element, y: Element
                        ) -> Tuple[int, ...]:
-        return self.out[block].coords(pc.commutator(self.pres, x, y))
+        return self.out[block].coords(sg._comm(self.pres, x, y))
 
     def _kernel_trivial(self, side: FgAbelian,
                         eqs: List[Tuple[Dict[int, int], int]]) -> bool:
@@ -174,7 +173,7 @@ def bilinearize(p: PcPresentation,
         b_i = section(p, s.upper[i], s.upper[i + 1])
         c_i = section(p, s.lower[i + 1], s.lower[i + 2])
         table = tuple(
-            tuple(c_i.coords(pc.commutator(p, xs, yt)) for yt in b_i.basis)
+            tuple(c_i.coords(sg._comm(p, xs, yt)) for yt in b_i.basis)
             for xs in left.basis)
         right.append(b_i)
         out.append(c_i)

@@ -90,13 +90,13 @@ def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
     powers = []
     for i, (g, e) in enumerate(zip(gens, periods), start=1):
         if e is not None:
-            word = tail(pc.power(p, g, e), i + 1)
+            word = tail(sg._pow(p, g, e), i + 1)
             if word:
                 powers.append((i, word))
     commutators = []
     for j in range(2, len(gens) + 1):
         for i in range(1, j):
-            word = tail(pc.commutator(p, gens[j - 1], gens[i - 1]), j + 1)
+            word = tail(sg._comm(p, gens[j - 1], gens[i - 1]), j + 1)
             if word:
                 commutators.append(((j, i), word))
     return PcPresentation(name=name, periods=tuple(periods),
@@ -134,7 +134,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
         for seg in segments:
             c = seg.coords(w)
             vec += c
-            w = pc.multiply(p, pc.inverse(p, seg.element(c)), w)
+            w = sg._mul(p, sg._inv(p, seg.element(c)), w)
         coeffs = tail.coefficients_of(w)
         if coeffs is None:
             raise DeformError(f"{p.name}: remainder escapes the deep segment")

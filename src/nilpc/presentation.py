@@ -116,12 +116,15 @@ class PcPresentation:
         default_factory=dict, init=False, repr=False, compare=False,
         hash=False
     )
-    # Commutator subgroups, constrained passes and the generating set S
-    # built on this presentation, keyed by canonical rows (see
-    # subgroups.py). Apart from
-    # _layers and _steps: those are collector tables, which
-    # consistency_check must tell apart, while these are subgroup results
-    # that only subgroups.py reads.
+    # What the subgroup layer builds on this presentation, once each (see
+    # subgroups.py): G and the generating set S, commutator subgroups,
+    # constrained passes and sections keyed by canonical rows, and the
+    # products, powers, commutators, conjugates and inverses it collects,
+    # keyed by ("pc", name, *arguments). Apart from _layers and _steps:
+    # those are collector tables, which consistency_check must tell apart,
+    # while these are results that only the subgroup layer reads and
+    # writes, through subgroups.py. The public operations of this module
+    # keep no table.
     _built: Dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False,
         hash=False

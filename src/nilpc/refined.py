@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import subgroups as sg
 from .abelian import FgAbelian, section
-from .bilinear import Bilinearization, bilinearize
+from .bilinear import Bilinearization, SeriesError, bilinearize
 from .intlinalg import kernel
 from .presentation import PcPresentation
 from .scalars import (
@@ -129,6 +129,9 @@ def refined_series(p: PcPresentation,
     b = bilinearize(p, series)
     s = b.series
     c = s.c
+    if c == 0:
+        # the chains start at U_1 and G', and the gap section at U_c
+        raise SeriesError(f"{p.name}: the trivial group has no refined series")
     whole = s.lower[0]
     trivial = sg.trivial_subgroup(p)
     derived = s.lower[1]

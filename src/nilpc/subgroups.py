@@ -7,18 +7,35 @@ and every row is reduced modulo the deeper rows.  Membership is a pure
 divide-and-strip pass against the rows, so equality of subgroups is
 equality of row tuples.
 
-So rows are a sound cache key.  commutator_subgroup(p, a, b) and
-constrained_subgroup(p, s, conditions) keep what they build on p, keyed by
-a's and b's rows, or by s's rows and each condition's (generators, rows):
-each [A, B] and each constrained pass (center, commutation preimages,
-radical, ...) is built at most once per presentation, whichever caller
-asks first.  The results are immutable.  No presentation of a quotient is
+So rows are a sound cache key.  p._built keeps what this layer builds or
+collects on p, each at most once per presentation, whichever caller asks
+first, and the values are immutable:
+
+* G (whole_subgroup) and S (generating_set);
+* each [A, B] (commutator_subgroup), keyed by a's and b's rows; each
+  constrained pass (center, commutation preimages, radical, ...), keyed by
+  s's rows and each condition's (generators, rows); each section a/b
+  (abelian.section), keyed by a's and b's rows;
+* each group operation the layer asks for: _mul, _pow, _comm, _conj and
+  _inv are pc.multiply, power, commutator, conjugate and inverse, keyed by
+  ("pc", name, *arguments).
+
+An operation's value is the normal form of its result, unique in a
+consistent presentation, so it is a function of its key; on an
+inconsistent one the collector raises PresentationError before anything
+is stored.  The tag "pc" keeps these keys apart from the subgroups': at
+rank 0 the identity () equals the trivial subgroup's rows ().  The layer
+asks the same questions again and again (induce, coefficients_of,
+coset_rep and prod_rows sift by the same rows; passes share their [r, h];
+each section checks its rows commute), so each is collected once.  The
+public functions of presentation.py keep no table, as arithmetic on
+arbitrary elements seldom repeats.  No presentation of a quotient is
 built: a section is read in G by coset_rep (see abelian.py), and a
 constrained pass by L's rows alone.
 
 A constrained pass needs neither a closure nor a strip per layer: each
-[r, h] is collected once per pass and sifted once per condition by
-L.coset_rep, and a binding layer's rows are read off the HNF of its
+[r, h] is collected once per presentation and sifted once per condition
+and pass by L.coset_rep, and a binding layer's rows are read off the HNF of its
 solution lattice (_lattice_subgroup, also used in series.py).
 
 G is read through a generating set S modulo G' (generating_set), built
@@ -120,7 +137,7 @@ class Subgroup:
                 return None
             q = a // b
             coeffs[self._order[lam]] = q
-            y = pc.multiply(p, pc.power(p, row, -q), y)
+            y = _mul(p, _pow(p, row, -q), y)
 
     def coset_rep(self, x: Element) -> Element:
         """The element of x*self whose coordinate at each lead mu of the
@@ -132,7 +149,7 @@ class Subgroup:
         for mu, r in self._by_lead.items():
             q = x[mu - 1] // r[mu - 1]
             if q:
-                x = pc.multiply(p, x, pc.power(p, r, -q))
+                x = _mul(p, x, _pow(p, r, -q))
         return x
 
     def power_relations(self) -> List[List[int]]:
@@ -143,7 +160,7 @@ class Subgroup:
         for k, (r, o) in enumerate(zip(self.rows, self.relative_orders())):
             if o is None:
                 continue
-            coeffs = self.coefficients_of(pc.power(self.pres, r, o))
+            coeffs = self.coefficients_of(_pow(self.pres, r, o))
             if coeffs is None:
                 raise SubgroupError("power of a row left the subgroup")
             vec = [-c for c in coeffs]
@@ -182,7 +199,7 @@ def prod_rows(p: PcPresentation, rows: Sequence[Element],
     acc = pc.identity_element(p)
     for r, a in zip(rows, exps):
         if a:
-            acc = pc.multiply(p, acc, pc.power(p, r, a))
+            acc = _mul(p, acc, _pow(p, r, a))
     return acc
 
 
@@ -191,8 +208,10 @@ def trivial_subgroup(p: PcPresentation) -> Subgroup:
 
 
 def whole_subgroup(p: PcPresentation) -> Subgroup:
-    # the generators themselves are canonical rows
-    return Subgroup(p, tuple(pc.generator(p, i) for i in range(1, p.m + 1)))
+    """G, built once per presentation: the generators themselves are
+    canonical rows."""
+    return _once(p, ("whole group",), lambda p: Subgroup(
+        p, tuple(pc.generator(p, i) for i in range(1, p.m + 1))))
 
 
 def generating_set(p: PcPresentation) -> Tuple[Element, ...]:
@@ -241,24 +260,24 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
         lam = leading_index(r)
         e = p.period(lam)
         if e is not None:
-            queue.append(pc.power(p, r, e // r[lam - 1]))
+            queue.append(_pow(p, r, e // r[lam - 1]))
         for other in rows.values():
             if other is not r:
-                queue.append(pc.commutator(p, r, other))
+                queue.append(_comm(p, r, other))
         for g in ambient:
-            queue.append(pc.conjugate(p, r, g))
+            queue.append(_conj(p, r, g))
 
     def install(lam: int, g: Element) -> None:
         a = g[lam - 1]
         e = p.period(lam)
         if e is None:
             if a < 0:
-                g = pc.inverse(p, g)
+                g = _inv(p, g)
         else:
             d, s, _ = _xgcd(a, e)
             if d != a:
                 queue.append(g)
-                g = pc.power(p, g, s)
+                g = _pow(p, g, s)
         rows[lam] = g
         obligations(g)
 
@@ -275,10 +294,10 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
                 break
             b = h[lam - 1]
             if a % b == 0:
-                y = pc.multiply(p, pc.power(p, h, -(a // b)), y)
+                y = _mul(p, _pow(p, h, -(a // b)), y)
                 continue
             d, s, t = _xgcd(a, b)
-            combined = pc.multiply(p, pc.power(p, y, s), pc.power(p, h, t))
+            combined = _mul(p, _pow(p, y, s), _pow(p, h, t))
             queue.append(h)
             queue.append(y)
             install(lam, combined)
@@ -299,7 +318,7 @@ def _reduce_deeper(p: PcPresentation, x: Element,
             continue
         q = x[mu - 1] // r[mu - 1]
         if q:
-            x = pc.multiply(p, x, pc.power(p, r, -q))
+            x = _mul(p, x, _pow(p, r, -q))
     return x
 
 
@@ -314,7 +333,7 @@ def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup
 
 
 def _build_commutator(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
-    gens = [pc.commutator(p, r, s) for r in _read_whole(p, a.rows)
+    gens = [_comm(p, r, s) for r in _read_whole(p, a.rows)
             for s in _read_whole(p, b.rows)]
     return induce(p, gens, normal=True)
 
@@ -335,6 +354,19 @@ def _once(p: PcPresentation, key: tuple, build, *args):
     if key not in p._built:
         p._built[key] = build(p, *args)
     return p._built[key]
+
+
+def _collected(name: str):
+    """pc.<name>, collected once per presentation and arguments (see the
+    module docstring).  pc.<name> is looked up at each call, so whatever
+    wraps the public function sees every collection that runs."""
+    def op(p: PcPresentation, *args) -> Element:
+        return _once(p, ("pc", name) + args, getattr(pc, name), *args)
+    return op
+
+
+_mul, _pow, _comm, _conj, _inv = map(_collected, (
+    "multiply", "power", "commutator", "conjugate", "inverse"))
 
 
 # -- constrained subgroups ----------------------------------------------------
@@ -375,9 +407,11 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     in [0, o_j) by coset_rep or by the normal form.  A nonzero coordinate
     before j means [r, h] is not in L*K_j, which earlier layers rule out.
 
-    The pass collects each [r, h] once, keyed by the elements r and h (a
-    row of t that survives a binding layer is the same element, a new row
-    a new key), and sifts it once per condition position.
+    Each [r, h] is collected once per presentation through _comm (see the
+    module docstring), so the passes share it with each other and with
+    every other caller; a row of t that survives a binding layer is the
+    same element, a new row a new key.  The pass sifts it once per
+    condition position.
     """
     conditions = [(_read_whole(p, hs), ell) for hs, ell in conditions]
     key = ("constrained", s.rows,
@@ -387,7 +421,6 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
-    comm: Dict[Tuple[Element, Element], Element] = {}
     reps: Dict[Tuple[int, Element, Element], Element] = {}
 
     def column(c: int, h: Element) -> Tuple[List[Element], int]:
@@ -395,9 +428,7 @@ def _build_constrained(p: PcPresentation, s: Subgroup,
         and their least lead."""
         for r in t.rows:
             if (c, r, h) not in reps:
-                if (r, h) not in comm:
-                    comm[r, h] = pc.commutator(p, r, h)
-                reps[c, r, h] = conditions[c][1].coset_rep(comm[r, h])
+                reps[c, r, h] = conditions[c][1].coset_rep(_comm(p, r, h))
         ys = [reps[c, r, h] for r in t.rows]
         return ys, min(leading_index(y) or p.m + 1 for y in ys)
 

@@ -489,6 +489,35 @@ class TestComputedOnce:
             assert len(set(passes)) == len(passes), cmd
         assert total
 
+    @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])
+    def test_each_group_operation_collected_once(self, capsys, monkeypatch,
+                                                 name):
+        # Every report command collects each product, power, commutator,
+        # conjugate and inverse at most once per presentation object: the
+        # subgroup layer reads them through the presentation's table.
+        collected, seen = [], []
+
+        def recording(op):
+            real = getattr(pc, op)
+
+            def collect(p, *args):
+                seen.append(p)  # held, so no id is reused during the command
+                collected.append((op, id(p), args))
+                return real(p, *args)
+            return collect
+
+        for op in ("multiply", "power", "commutator", "conjugate",
+                   "inverse"):
+            monkeypatch.setattr(pc, op, recording(op))
+        total = 0
+        for cmd in REPORT_COMMANDS:
+            del collected[:], seen[:]
+            main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
+            capsys.readouterr()
+            total += len(collected)
+            assert len(set(collected)) == len(collected), cmd
+        assert total
+
     @pytest.mark.parametrize("name,builds", [
         ("HEIS", 20), ("NR", 28), ("F23", 36), ("ZG", 28), ("ZH", 28),
         ("ZK", 28)])
@@ -835,3 +864,24 @@ def test_report_bytes_match_golden(capsys, tmp_path, job_id):
         argv = (argv[0], str(path)) + argv[2:]
     code, out = run(capsys, *argv)
     assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[job_id]
+
+
+def test_report_commands_on_the_trivial_group(capsys, tmp_path):
+    # Rank 0 is class 0: the refined series starts at U_1 and G', which
+    # the trivial group lacks, so the commands that print it refuse with
+    # exit 1 and a message; every other report prints the empty chains.
+    path = tmp_path / "ONE.json"
+    files.save(pc.PcPresentation("ONE", ()), str(path))
+    refused = {("series", "--kind", "refined"), ("scalars",),
+               ("scalars", "--series", "upper")}
+    for cmd in REPORT_COMMANDS:
+        code = main([cmd[0], str(path), *cmd[1:]])
+        captured = capsys.readouterr()
+        assert captured.err == "", cmd
+        payload = json.loads(captured.out)
+        if cmd in refused:
+            assert (code, payload) == (1, {
+                "command": cmd[0],
+                "error": "ONE: the trivial group has no refined series"})
+        else:
+            assert code == 0 and "error" not in payload, cmd

@@ -2,9 +2,11 @@
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names `__init__.py` imports, and `__version__`; and no module but
-abelian.py calls FgAbelian, so each section has one builder; and only
-whole_subgroup and identity_hom list every generator, as G is read
-elsewhere through the smaller subgroups.generating_set.
+abelian.py calls FgAbelian, so each section has one builder; no module of
+the subgroup layer calls a collector operation but through the table
+that keeps it on the presentation; and only whole_subgroup and
+identity_hom list every generator, as G is read elsewhere through the
+smaller subgroups.generating_set.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -102,6 +104,51 @@ def test_sections_are_built_only_by_abelian(path):
     # abelian.section keeps each section on its presentation; a bare
     # FgAbelian(...) elsewhere would build it again
     assert calls_of(path.read_text(encoding="utf-8"), "FgAbelian") == []
+
+
+OPERATIONS = ("multiply", "power", "commutator", "conjugate", "inverse")
+SUBGROUP_LAYER = ("subgroups", "abelian", "bilinear", "deformation", "series",
+                  "refined")
+
+
+def collector_calls(source: str):
+    """(line, name) for each call of a collector operation of
+    presentation.py: pc.<name>(...), or <name>(...) imported bare."""
+    tree = ast.parse(source)
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "presentation"
+            for alias in node.names if alias.name in OPERATIONS}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in OPERATIONS
+                and getattr(f.value, "id", None) == "pc"):
+            found.append((node.lineno, f.attr))
+        elif isinstance(f, ast.Name) and f.id in bare:
+            found.append((node.lineno, f.id))
+    return sorted(found)
+
+
+def test_detects_a_collector_call():
+    src = ("from . import presentation as pc\n"
+           "from .presentation import power as pw, Element\n"
+           "x = pc.commutator(p, a, b)\n"
+           "y = pw(p, a, 2)\n"
+           "z = sg._comm(p, a, b)\n"
+           "w = ring.power(2)\n")
+    assert collector_calls(src) == [(3, "commutator"), (4, "pw")]
+
+
+@pytest.mark.parametrize("name", SUBGROUP_LAYER)
+def test_subgroup_layer_collects_through_the_table(name):
+    # the layer reads each group operation through the presentation's
+    # table (subgroups._collected), so it is collected once per
+    # presentation; a direct pc.* call would go around it
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert collector_calls(source) == []
 
 
 def generator_enumerations(source: str):

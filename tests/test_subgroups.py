@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilpc import files
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.abelian import isolator, torsion_subgroup
 from nilpc.bilinear import associated_series
-from nilpc.deformation import presentation_on
+from nilpc.deformation import adapt_basis, presentation_on
 from nilpc.presentation import PcPresentation
 from nilpc.refined import refined_series
+from nilpc.series import key_subgroups
 
 import oracles
 from groups_def import (
@@ -376,12 +378,13 @@ def test_constrained_subgroup_matches_quotient_per_layer(name):
 
 @pytest.mark.parametrize("name", ["HEIS-index2", "NR", "UT_5", "ZG"])
 def test_constrained_pass_collects_each_commutator_once(name, monkeypatch):
-    """Within one pass no [r, h] is collected twice, and no closure runs:
-    a binding layer's rows are read off its solution lattice."""
+    """Over every pass on one presentation no [r, h] is collected twice
+    (the passes share the presentation's table), and no closure runs: a
+    binding layer's rows are read off its solution lattice."""
     p = CONSTRAINED[name]()
     inputs = _constrained_inputs(p)
     real_commutator, real_induce = pc.commutator, sg.induce
-    induced = []
+    induced, pairs = [], []
 
     def induce(*args, **kwargs):
         induced.append(args)
@@ -393,14 +396,11 @@ def test_constrained_pass_collects_each_commutator_once(name, monkeypatch):
 
     monkeypatch.setattr(sg, "induce", induce)
     monkeypatch.setattr(pc, "commutator", commutator)
-    collected = 0
     for s, conditions in inputs:
-        pairs = []
         sg._build_constrained(p, s, conditions)
-        assert induced == []
-        assert len(pairs) == len(set(pairs))
-        collected += len(pairs)
-    assert collected
+    assert induced == []
+    assert len(pairs) == len(set(pairs))
+    assert pairs
 
 
 SWEEP = {
@@ -429,6 +429,64 @@ def test_constrained_subgroup_matches_oracle_on_random_inputs(name):
                       for _ in range(rng.randint(1, 2))]
         got = sg.constrained_subgroup(p, s, conditions)
         assert got == oracles.ref_constrained_subgroup(p, s, conditions)
+
+
+# -- the table of collected operations ----------------------------------------
+
+
+OPERATIONS = ("multiply", "power", "commutator", "conjugate", "inverse")
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_table_holds_what_the_collector_computes(name):
+    """Each operation the subgroup layer kept on p is the one the public
+    function computes on a fresh copy of p, which keeps no table."""
+    p = SWEEP[name]()
+    key_subgroups(p)
+    refined_series(p)
+    adapt_basis(p)
+    fresh = PcPresentation(p.name, p.periods, p.powers, p.commutators)
+    kept = [(key[1], key[2:], value)
+            for key, value in p._built.items() if key[0] == "pc"]
+    assert {op for op, _, _ in kept} <= set(OPERATIONS)
+    assert kept
+    for op, args, value in kept:
+        assert getattr(pc, op)(fresh, *args) == value, (op, args)
+    assert fresh._built == {}
+
+
+def test_public_operations_keep_no_table():
+    p = unitriangular(4)
+    key_subgroups(p)
+    before = list(p._built.items())
+    rng = random.Random(0)
+    for _ in range(10):
+        x, y = _random_element(p, rng), _random_element(p, rng)
+        pc.multiply(p, x, y)
+        pc.power(p, x, rng.randint(-5, 5))
+        pc.commutator(p, x, y)
+        pc.conjugate(p, x, y)
+        pc.inverse(p, x)
+    assert list(p._built.items()) == before
+
+
+def test_inconsistent_presentation_keeps_no_operation():
+    # the collector refuses before anything is stored, on every call; only
+    # what is read off the tails alone (G's rows and S) stays on p
+    p = files.load_fixture("HEIS_MUTATED", check=False)
+    for _ in range(2):
+        with pytest.raises(pc.PresentationError):
+            sg.center(p)
+    assert set(p._built) <= {("whole group",), ("generating set",)}
+
+
+def test_table_keys_are_apart_from_subgroup_keys():
+    # at rank 0 the identity () equals the trivial subgroup's rows ()
+    p = PcPresentation("TRIVIAL", ())
+    one = sg.trivial_subgroup(p)
+    assert sg._comm(p, (), ()) == ()
+    assert sg.commutator_subgroup(p, one, one) == one
+    assert sg._comm(p, (), ()) == ()
 
 
 # -- the generating set S modulo G' --------------------------------------------
