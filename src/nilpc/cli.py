@@ -33,6 +33,10 @@ import sys
 from types import SimpleNamespace
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
+# Every command's modules load here, not inside the command: a caller that
+# forks one job per command from a process that imported only this module,
+# as the benchmark's reports and family workloads do, would otherwise
+# compile them inside every job.
 from . import files
 from . import presentation as pc
 from . import subgroups as sg

@@ -13,7 +13,6 @@ indentation.
 """
 
 import json
-from importlib import resources
 from typing import List, Optional, Tuple
 
 from . import presentation as pc
@@ -190,6 +189,7 @@ def save(p: PcPresentation, path: str) -> None:
 
 
 def fixture_names() -> Tuple[str, ...]:
+    from importlib import resources  # not at the top: the CLI reads no fixture
     root = resources.files("nilpc") / "fixtures"
     return tuple(sorted(
         entry.name[:-5] for entry in root.iterdir()
@@ -197,6 +197,7 @@ def fixture_names() -> Tuple[str, ...]:
 
 
 def load_fixture(name: str, *, check: bool = True) -> PcPresentation:
+    from importlib import resources
     path = resources.files("nilpc") / "fixtures" / f"{name}.json"
     if not path.is_file():
         raise FileFormatError(f"no fixture named {name!r}")

@@ -125,17 +125,21 @@ def hnf_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     return [row for row in h if any(row)]
 
 
-def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
+def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     """Smith normal form.
 
-    Returns (d, u, v) with u * a * v == d, u and v unimodular, d diagonal
-    with nonnegative entries, each dividing the next, zeros trailing.
+    Returns (d, u, v, w) with u * a * v == d, u and v unimodular, d diagonal
+    with nonnegative entries, each dividing the next, zeros trailing, and
+    w == v^-1. w undoes each column operation on v by a row operation: a
+    swap of columns of v swaps the same rows of w, and col_j -= q * col_t
+    on v is row_t += q * row_j on w.
     """
     m = [list(r) for r in a]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = identity(nr)
     v = identity(nc)
+    w = identity(nc)
     t = 0
     while t < min(nr, nc):
         piv = None
@@ -156,6 +160,7 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
                 row[t], row[j0] = row[j0], row[t]
             for row in v:
                 row[t], row[j0] = row[j0], row[t]
+            w[t], w[j0] = w[j0], w[t]
         dirty = False
         for i in range(t + 1, nr):
             if m[i][t]:
@@ -171,6 +176,7 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
                     row[j] -= q * row[t]
                 for row in v:
                     row[j] -= q * row[t]
+                _row_sub(w, t, j, -q)
                 if m[t][j]:
                     dirty = True
         if dirty:
@@ -192,15 +198,7 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
             _row_neg(m, t)
             _row_neg(u, t)
         t += 1
-    return m, u, v
-
-
-def inverse_unimodular(u: Sequence[Sequence[int]]) -> Matrix:
-    """Integer inverse of a unimodular matrix (HNF of it is the identity)."""
-    h, w = hnf(u)
-    if h != identity(len(u)):
-        raise ValueError("matrix is not unimodular")
-    return w
+    return m, u, v, w
 
 
 class InvariantFactors:
@@ -215,11 +213,10 @@ class InvariantFactors:
 
     def __init__(self, rel: Sequence[Sequence[int]], n: int):
         if rel:
-            d, _, v = snf(rel)
+            d, _, v, vinv = snf(rel)
             dvals = [d[j][j] if j < len(d) else 0 for j in range(n)]
         else:
-            v, dvals = identity(n), [0] * n
-        vinv = inverse_unimodular(v)
+            v, vinv, dvals = identity(n), identity(n), [0] * n
         kept = [j for j in range(n) if dvals[j] != 1]
         self.rows = [vinv[j] for j in kept]
         self._cols = [[r[j] for r in v] for j in kept]

@@ -203,6 +203,34 @@ class TestEntryPoint:
         assert out.returncode == 0
         assert out.stdout == b"False\n"
 
+    def test_loading_a_file_loads_only_files_and_presentation(self):
+        out = _python("-c", "import sys; from nilpc import files; "
+                      f"files.load({str(FIXTURES / 'HEIS.json')!r}); "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'nilpc'))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (b"['nilpc', 'nilpc.files', "
+                              b"'nilpc.presentation']\n")
+
+    def test_importing_the_cli_loads_every_package_module(self):
+        # reports and family fork each job from a process that imported
+        # only nilpc.cli; a module left out would compile inside every job
+        out = _python("-c", "import sys, nilpc.cli; "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'nilpc'))")
+        modules = ["nilpc"] + sorted(f"nilpc.{p.stem}"
+                                     for p in FIXTURES.parent.glob("*.py")
+                                     if p.stem != "__init__")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (repr(modules) + "\n").encode()
+
+    def test_importing_the_cli_loads_no_importlib_resources(self):
+        # -S: site can import importlib.resources on its own
+        out = _python("-S", "-c", "import sys, nilpc.cli; "
+                      "print('importlib.resources' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"False\n"
+
     def test_module_prints_the_bytes_of_main(self, capsys):
         argv = ["check", str(FIXTURES / "ZG.json")]
         code, out = run(capsys, *argv)

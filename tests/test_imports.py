@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, no
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
-the names `__init__.py` imports, and `__version__`; and no module but
-abelian.py calls FgAbelian, so each section has one builder; no module of
+the names of the package's export table, and `__version__`; and no module
+but abelian.py calls FgAbelian, so each section has one builder; no module of
 the subgroup layer calls a collector operation but through the table
 that keeps it on the presentation; and only whole_subgroup and
 identity_hom list every generator, as G is read elsewhere through the
@@ -10,13 +10,17 @@ smaller subgroups.generating_set.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
-exempt: its imports are the package's re-exports.  A private definition
+exempt: it loads its exports on first use.  A private definition
 is read when some package module or test reads it, as a name or as an
 attribute, outside its own body.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -237,9 +241,38 @@ def test_every_private_definition_is_read():
 
 
 def test_all_lists_exactly_the_reexports():
-    """A deleted export leaves no stale entry in __all__, and no import in
-    __init__.py goes unlisted."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert sorted(nilpc.__all__) == sorted(imported | {"__version__"})
+    """__all__ is the export table's names and __version__, and each name is
+    the object of that name in the module the table gives for it."""
+    names = [name for names in nilpc._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names))  # no name under two modules
+    assert sorted(nilpc.__all__) == sorted([*names, "__version__"])
+    for name, module in nilpc._OWNER.items():
+        assert getattr(nilpc, name) is getattr(
+            importlib.import_module(f"nilpc.{module}"), name)
+
+
+def test_the_table_names_every_submodule():
+    assert sorted(nilpc._EXPORTS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_submodule_resolves_on_the_package(path):
+    # in a fresh interpreter, where no import has bound it on the package yet
+    code = (f"import sys, nilpc; m = nilpc.{path.stem}; "
+            f"print(m is sys.modules['nilpc.{path.stem}'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         timeout=60)
+    assert (out.returncode, out.stdout) == (0, b"True\n"), out.stderr
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nilpc.no_such_name
+    assert not hasattr(nilpc, "_private_name")
+
+
+def test_dir_lists_the_exports():
+    listing = dir(nilpc)
+    assert "__all__" in listing
+    assert set(nilpc.__all__) <= set(listing)
