@@ -10,7 +10,7 @@ computed exactly through section coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import subgroups as sg
@@ -24,12 +24,13 @@ class SeriesError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AssociatedSeries:
-    pres: PcPresentation
-    given: Tuple[Subgroup, ...]
-    lower: Tuple[Subgroup, ...]  # lower[k] is the (k+1)-st lower companion
-    upper: Tuple[Subgroup, ...]  # upper[k] is the (k+1)-st upper companion
+class AssociatedSeries(
+        namedtuple("AssociatedSeries", "pres given lower upper")):
+    """A central series `given` of pres, as a tuple of Subgroups, with its
+    companions: lower[k] is the (k+1)-st lower one, upper[k] the (k+1)-st
+    upper one."""
+
+    __slots__ = ()
 
     @property
     def c(self) -> int:
@@ -71,14 +72,14 @@ def associated_series(p: PcPresentation,
     return AssociatedSeries(p, tuple(series), tuple(lower), upper)
 
 
-@dataclass(frozen=True)
-class Bilinearization:
-    series: AssociatedSeries
-    v_r: Subgroup
-    left: FgAbelian
-    right: Tuple[FgAbelian, ...]
-    out: Tuple[FgAbelian, ...]
-    tables: Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], ...]
+class Bilinearization(namedtuple(
+        "Bilinearization", "series v_r left right out tables")):
+    """The layer pairings of an AssociatedSeries: left is the section G/v_r,
+    v_r the radical; layer i pairs it with right[i] into out[i], and
+    tables[i][s][t] is the out[i] coordinates of [left basis s, right[i]
+    basis t]."""
+
+    __slots__ = ()
 
     @property
     def pres(self) -> PcPresentation:

@@ -27,7 +27,6 @@ a bad choice, or a value its type refuses) prints the usage line and
 `nilpc <cmd>: error: <what>` on standard error and raises SystemExit(2).
 """
 
-import dataclasses
 import json
 import sys
 from types import SimpleNamespace
@@ -223,8 +222,9 @@ def _cmd_adapt(args) -> int:
 def _cmd_deform(args) -> int:
     p = files.load(args.file)
     a = adapt_basis(p)
-    out = abdef(a, args.d, args.c)
-    named = dataclasses.replace(out.pres, name=f"{p.name} deformed")
+    q = abdef(a, args.d, args.c).pres
+    named = PcPresentation(f"{p.name} deformed", q.periods, q.powers,
+                           q.commutators)
     sys.stdout.write(files.emit(named))
     return 0
 

@@ -8,7 +8,7 @@ land diagonally on the free segment below, those tails can be rescaled
 and permuted without touching anything else; that is the deformation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 from math import factorial, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,8 +28,9 @@ class DeformError(ValueError):
 SURVEY_CAP = 10 ** 6  # (d, c) cases; every shipped fixture needs at most 8
 
 
-@dataclass(frozen=True)
-class AdaptedPresentation:
+class AdaptedPresentation(namedtuple(
+        "AdaptedPresentation", "pres i0 i1 i2 n p e new_in_old old_in_new",
+        defaults=(None, None))):
     """A presentation whose generators are grouped i0 | i1 | i2 | rest.
 
     Segment boundaries are cumulative counts: generators 1..i0 are free
@@ -41,31 +42,22 @@ class AdaptedPresentation:
     produced by deformation.
     """
 
-    pres: PcPresentation
-    i0: int
-    i1: int
-    i2: int
-    n: int
-    p: int
-    e: int
-    new_in_old: Optional[Tuple[Element, ...]] = None
-    old_in_new: Optional[Tuple[Tuple[int, ...], ...]] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(namedtuple("ExtClass", "moduli components")):
     """Where each finite-section power lands in the free segment, mod e_i."""
 
-    moduli: Tuple[int, ...]
-    components: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeformationSurvey:
-    bound: int
-    classes: Tuple[ExtClass, ...]
-    representatives: Tuple[
-        Tuple[ExtClass, Tuple[int, ...], Tuple[Tuple[int, ...], ...]], ...]
+class DeformationSurvey(
+        namedtuple("DeformationSurvey", "bound classes representatives")):
+    """The extension classes in sorted order, one (class, d, c)
+    representative of each, and bound, the crude upper bound e^p on their
+    number."""
+
+    __slots__ = ()
 
 
 def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],

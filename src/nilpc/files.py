@@ -170,13 +170,16 @@ def parse(text: str, *, check: bool = True) -> PcPresentation:
 
 
 def read_text(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 are a FileFormatError."""
+    """The file's text, with CRLF and CR newlines read as LF, as in text
+    mode; bytes that are not UTF-8 are a FileFormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load(path: str, *, check: bool = True) -> PcPresentation:

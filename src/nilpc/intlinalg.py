@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
-Hermite and Smith normal forms with unimodular transforms, and kernel,
-the one solver: the Hermite basis of the solutions of a sparse homogeneous
-system of congruences with mixed moduli (modulus 0 meaning equality over
-Z), solved one connected component of unknowns at a time. Matrices are
-lists of rows of Python ints; nothing here mutates its arguments. All
-downstream lattice work in the package (subgroup layers, abelian sections,
-scalar-ring solving) funnels through this module, and InvariantFactors is
-the one reading of a Smith form as coordinates on a finitely generated
-abelian group.
+The Hermite basis of a lattice, the Smith normal form with its unimodular
+transforms, and kernel, the one solver: the Hermite basis of the solutions
+of a sparse homogeneous system of congruences with mixed moduli (modulus 0
+meaning equality over Z), solved one connected component of unknowns at a
+time. Matrices are lists of rows of Python ints; nothing here mutates its
+arguments. All downstream lattice work in the package (subgroup layers,
+abelian sections, scalar-ring solving) funnels through this module, and
+InvariantFactors is the one reading of a Smith form as coordinates on a
+finitely generated abelian group.
 """
 
 from __future__ import annotations
@@ -96,20 +96,6 @@ def _hermite(m: Matrix, ncols: int) -> None:
             if q:
                 _row_sub(m, i, top, q)
         top += 1
-
-
-def hnf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
-    """Row Hermite normal form.
-
-    Returns (h, u) with u * a == h and u unimodular. h is in upper echelon
-    shape: pivots positive, strictly increasing pivot columns, entries above
-    each pivot reduced into [0, pivot), zero rows at the bottom.  u is the
-    identity block that the row operations carry along.
-    """
-    ncols = len(a[0]) if a else 0
-    m = [list(r) + e for r, e in zip(a, identity(len(a)))]
-    _hermite(m, ncols)
-    return [r[:ncols] for r in m], [r[ncols:] for r in m]
 
 
 def hnf_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
@@ -246,18 +232,29 @@ class InvariantFactors:
         self._cols[k] = [-x for x in self._cols[k]]
 
 
-def solve_lattice(
-    basis: Sequence[Sequence[int]], v: Sequence[int]
-) -> Optional[List[int]]:
-    """Coefficients x with x * basis == v, or None if v is outside the span.
-
-    `basis` must be in echelon shape, as hnf_basis returns it: nonzero rows
-    whose leading columns strictly increase.  Then x is read off in one
-    back-substitution; any other basis raises ValueError.
-    """
+def echelon_leads(basis: Sequence[Sequence[int]]) -> List[int]:
+    """The leading column of each row of an echelon basis, as hnf_basis
+    returns it: nonzero rows whose leading columns strictly increase. Any
+    other basis raises ValueError."""
     leads = [next((j for j, a in enumerate(row) if a), None) for row in basis]
     if None in leads or any(a >= b for a, b in zip(leads, leads[1:])):
         raise ValueError("solve_lattice needs an echelon basis")
+    return leads
+
+
+def solve_lattice(
+    basis: Sequence[Sequence[int]], v: Sequence[int],
+    leads: Optional[Sequence[int]] = None,
+) -> Optional[List[int]]:
+    """Coefficients x with x * basis == v, or None if v is outside the span.
+
+    `basis` must be in echelon shape (echelon_leads). Then x is read off in
+    one back-substitution. A caller that solves against one basis many
+    times passes its echelon_leads once computed; otherwise they are
+    computed here, and a basis that is not echelon raises ValueError.
+    """
+    if leads is None:
+        leads = echelon_leads(basis)
     x = []
     residual = list(v)
     for row, lead in zip(basis, leads):

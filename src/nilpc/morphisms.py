@@ -7,7 +7,7 @@ the images.  Since the presentation is defining, that check is complete;
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Tuple
 
 from . import presentation as pc
@@ -22,11 +22,10 @@ class HomError(ValueError):
         self.relation = relation
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    source: PcPresentation
-    target: PcPresentation
-    images: Tuple[Element, ...]
+class GroupHom(namedtuple("GroupHom", "source target images")):
+    """The map of source to target that sends u_i to images[i - 1]."""
+
+    __slots__ = ()
 
 
 def evaluate(h: GroupHom, x: Element) -> Element:
@@ -122,17 +121,10 @@ def spot_check(h: GroupHom, *, pairs: int = 200, seed: int = 0) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    hirsch: int
-    nilpotency_class: int
-    ab_invariants: Tuple[Optional[int], ...]
-    mn_order: int
-    p: int
-    n: int
-    e: int
-    regular: bool
-    tame: bool
+class InvariantReport(namedtuple(
+        "InvariantReport", "hirsch nilpotency_class ab_invariants mn_order "
+        "p n e regular tame")):
+    __slots__ = ()
 
 
 def invariant_report(p: PcPresentation) -> InvariantReport:

@@ -76,7 +76,7 @@ accepted layer, which rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 from operator import sub
 from typing import Dict, Iterable, Optional, Tuple, Union
@@ -91,7 +91,6 @@ class PresentationError(ValueError):
     """Raised when a presentation violates the structural contract."""
 
 
-@dataclass(frozen=True)
 class PcPresentation:
     """Immutable polycyclic presentation.
 
@@ -99,38 +98,31 @@ class PcPresentation:
         with a nontrivial tail; the word is the canonical form of u_i^{e_i}.
     commutators: tuple of ((j, i), tail word) pairs with i < j; the word is
         the canonical form of [u_j, u_i]. Absent pairs commute.
+
+    ==, hash and repr read these four fields alone. The other slots are
+    caches, kept out of all three:
+    - _pow and _comm: the tails by generator and by pair;
+    - _layers and _steps: the collector's tables (_conj_layers, _step);
+    - _built: what the subgroup layer builds on this presentation, once
+      each (see subgroups.py): G and the generating set S, commutator
+      subgroups, constrained passes and sections keyed by canonical rows,
+      and the products, powers, commutators, conjugates and inverses it
+      collects, keyed by ("pc", name, *arguments). It is apart from
+      _layers and _steps, which consistency_check must tell apart, and
+      only the subgroup layer reads and writes it, through subgroups.py.
+      The public operations of this module keep no table.
     """
 
-    name: str
-    periods: Tuple[Period, ...]
-    powers: Tuple[Tuple[int, Word], ...] = ()
-    commutators: Tuple[Tuple[Tuple[int, int], Word], ...] = ()
-    _pow: Dict[int, Word] = field(init=False, repr=False, compare=False, hash=False)
-    _comm: Dict[Tuple[int, int], Word] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
-    _layers: Union[_Tables, bool, None] = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _steps: Dict[int, Tuple[Tuple[int, Element], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False,
-        hash=False
-    )
-    # What the subgroup layer builds on this presentation, once each (see
-    # subgroups.py): G and the generating set S, commutator subgroups,
-    # constrained passes and sections keyed by canonical rows, and the
-    # products, powers, commutators, conjugates and inverses it collects,
-    # keyed by ("pc", name, *arguments). Apart from _layers and _steps:
-    # those are collector tables, which consistency_check must tell apart,
-    # while these are results that only the subgroup layer reads and
-    # writes, through subgroups.py. The public operations of this module
-    # keep no table.
-    _built: Dict[tuple, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False,
-        hash=False
-    )
+    __slots__ = ("name", "periods", "powers", "commutators", "_pow", "_comm",
+                 "_layers", "_steps", "_built", "__weakref__")
 
-    def __post_init__(self):
+    def __init__(self, name: str, periods: Tuple[Period, ...],
+                 powers: Tuple[Tuple[int, Word], ...] = (),
+                 commutators: Tuple[Tuple[Tuple[int, int], Word], ...] = ()):
+        for slot, value in (("name", name), ("periods", periods),
+                            ("powers", powers), ("commutators", commutators),
+                            ("_layers", None), ("_steps", {}), ("_built", {})):
+            object.__setattr__(self, slot, value)
         m = len(self.periods)
         for e in self.periods:
             if e is not None and e < 2:
@@ -161,6 +153,26 @@ class PcPresentation:
             comm_map[(j, i)] = tuple(word)
         object.__setattr__(self, "_pow", pow_map)
         object.__setattr__(self, "_comm", comm_map)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.name, self.periods, self.powers, self.commutators
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"PcPresentation(name={self.name!r}, periods={self.periods!r}"
+                f", powers={self.powers!r}, commutators={self.commutators!r})")
 
     def _check_tail(self, word: Word, low: int, m: int) -> None:
         prev = low
@@ -367,8 +379,7 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # certificate skips those layers.
 
 
-@dataclass(frozen=True)
-class _ConjPoly:
+class _ConjPoly(namedtuple("_ConjPoly", "binoms monos rows")):
     """The h_k of one layer, over a chain of binomial monomials.
 
     binoms: (variable, top degree) pairs; variable 0 is e, variable v is
@@ -379,13 +390,10 @@ class _ConjPoly:
     rows: (0-based coordinate k, ((monomial, coefficient), ...)) pairs.
     """
 
-    binoms: Tuple[Tuple[int, int], ...]
-    monos: Tuple[Tuple[int, int, int], ...]
-    rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(namedtuple("_Tables", "cover polys finite degree")):
     """What collection in a presentation reads besides its relations.
 
     cover: the torsion-free cover G~, with no periods or power tails.
@@ -397,10 +405,7 @@ class _Tables:
         degree at most this (see "powers" in the module docstring).
     """
 
-    cover: PcPresentation
-    polys: tuple
-    finite: Tuple[int, ...]
-    degree: int
+    __slots__ = ()
 
 
 def _conj_layers(p: PcPresentation) -> _Tables:
@@ -793,8 +798,8 @@ def conjugate(p: PcPresentation, x: Element, g: Element) -> Element:
 # consistency
 
 
-@dataclass(frozen=True)
-class ConsistencyFailure:
+class ConsistencyFailure(
+        namedtuple("ConsistencyFailure", "kind j i k lhs rhs")):
     """A failing overlap of layer i, the first layer the proof rejects.
 
     kind and the indices, with w_l the power tail of u_l:
@@ -814,18 +819,14 @@ class ConsistencyFailure:
     - power-power: lhs u_i w_i, rhs u_i c(w_i).
     """
 
-    kind: str
-    j: int
-    i: int
-    k: Optional[int]
-    lhs: Element
-    rhs: Element
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    ok: bool
-    failures: Tuple[ConsistencyFailure, ...]
+class ConsistencyReport(namedtuple("ConsistencyReport", "ok failures")):
+    """ok, and when it is False the failing overlaps of the first layer
+    that the proof rejects (ConsistencyFailure)."""
+
+    __slots__ = ()
 
 
 def consistency_check(p: PcPresentation) -> ConsistencyReport:

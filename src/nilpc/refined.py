@@ -25,18 +25,17 @@ without matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Sequence, Tuple
 
 from . import subgroups as sg
 from .abelian import FgAbelian, section
-from .bilinear import Bilinearization, SeriesError, bilinearize
+from .bilinear import SeriesError, bilinearize
 from .intlinalg import kernel
 from .presentation import PcPresentation
 from .scalars import (
     HomCompat,
     InvariantSubmodule,
-    ScalarRing,
     ScalarRingError,
     pairing_of,
     restrict_ring,
@@ -44,11 +43,9 @@ from .scalars import (
 )
 from .subgroups import Subgroup
 
-Matrix = Tuple[Tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
-class ChainAction:
+class ChainAction(namedtuple(
+        "ChainAction", "chain top bottom section kind matrices")):
     """One gap of one refined chain and how the ring acts on it.
 
     matrices has one entry per additive basis element of the ring (the
@@ -56,24 +53,17 @@ class ChainAction:
     special gap, which the ring does not act on.
     """
 
-    chain: str
-    top: str
-    bottom: str
-    section: FgAbelian
-    kind: str
-    matrices: Optional[Tuple[Matrix, ...]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RefinedSeries:
-    pres: PcPresentation
-    bilin: Bilinearization
-    base_ring: ScalarRing
-    ring: ScalarRing
-    upper_chain: Tuple[Tuple[str, Subgroup], ...]
-    left_chain: Tuple[Tuple[str, Subgroup], ...]
-    gap_section: FgAbelian
-    actions: Tuple[ChainAction, ...]
+class RefinedSeries(namedtuple(
+        "RefinedSeries", "pres bilin base_ring ring upper_chain left_chain "
+        "gap_section actions")):
+    """The refined chains of pres, each a tuple of (label, Subgroup), with
+    ring (base_ring restricted by the chains), the special gap's section
+    and one ChainAction per gap."""
+
+    __slots__ = ()
 
 
 def _dedup(terms: Sequence[Tuple[str, Subgroup]]):

@@ -42,12 +42,13 @@ single block of phi2 or phi0, and to ScalarRing.block_matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intlinalg import (
     InvariantFactors,
+    echelon_leads,
     hnf_basis,
     identity,
     kernel,
@@ -72,44 +73,47 @@ def _offsets(blocks: Sequence[int]) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(namedtuple("Pairing", "periods_a periods_b periods_c table "
+                         "b_blocks c_blocks")):
     """Bilinear map A x B -> C on invariant-factor coordinates.
 
     Periods are None for an infinite cyclic factor, else the factor's order.
-    table[s][t] is the C-coordinate vector of f(a_s, b_t).
+    table[s][t] is the C-coordinate vector of f(a_s, b_t), kept reduced
+    modulo the periods of C. b_blocks and c_blocks are the block sizes of
+    the gradings of B and C, one block each when None is given.
     """
 
-    periods_a: Tuple[Period, ...]
-    periods_b: Tuple[Period, ...]
-    periods_c: Tuple[Period, ...]
-    table: Tuple[Tuple[Cell, ...], ...]
-    b_blocks: Optional[Tuple[int, ...]] = None
-    c_blocks: Optional[Tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        na, nb, nc = len(self.periods_a), len(self.periods_b), len(self.periods_c)
-        for per in self.periods_a + self.periods_b + self.periods_c:
+    def __new__(cls, periods_a: Tuple[Period, ...],
+                periods_b: Tuple[Period, ...], periods_c: Tuple[Period, ...],
+                table: Tuple[Tuple[Cell, ...], ...],
+                b_blocks: Optional[Tuple[int, ...]] = None,
+                c_blocks: Optional[Tuple[int, ...]] = None):
+        na, nb, nc = len(periods_a), len(periods_b), len(periods_c)
+        for per in periods_a + periods_b + periods_c:
             if per is not None and per < 1:
                 raise ScalarRingError("periods must be None or positive")
-        if self.b_blocks is None:
-            object.__setattr__(self, "b_blocks", (nb,) if nb else ())
-        if self.c_blocks is None:
-            object.__setattr__(self, "c_blocks", (nc,) if nc else ())
-        if sum(self.b_blocks) != nb or sum(self.c_blocks) != nc:
+        if b_blocks is None:
+            b_blocks = (nb,) if nb else ()
+        if c_blocks is None:
+            c_blocks = (nc,) if nc else ()
+        if sum(b_blocks) != nb or sum(c_blocks) != nc:
             raise ScalarRingError("block sizes do not add up")
-        if len(self.table) != na:
+        if len(table) != na:
             raise ScalarRingError("table must have one row per A generator")
+        raw = super().__new__(cls, periods_a, periods_b, periods_c, table,
+                              b_blocks, c_blocks)
         fixed = []
-        for s, row in enumerate(self.table):
+        for s, row in enumerate(table):
             if len(row) != nb:
                 raise ScalarRingError("table row width disagrees with B")
             new_row = []
             for t, cell in enumerate(row):
                 if len(cell) != nc:
                     raise ScalarRingError("table cell width disagrees with C")
-                cell = self.reduce_c(cell)
-                ea, eb = self.periods_a[s], self.periods_b[t]
+                cell = raw.reduce_c(cell)
+                ea, eb = periods_a[s], periods_b[t]
                 g = None
                 if ea is not None:
                     g = ea
@@ -117,7 +121,7 @@ class Pairing:
                     g = eb if g is None else gcd(g, eb)
                 if g is not None:
                     for k, v in enumerate(cell):
-                        per = self.periods_c[k]
+                        per = periods_c[k]
                         bad = v * g != 0 if per is None else (v * g) % per != 0
                         if bad:
                             raise ScalarRingError(
@@ -125,7 +129,8 @@ class Pairing:
                                 "than its arguments allow")
                 new_row.append(cell)
             fixed.append(tuple(new_row))
-        object.__setattr__(self, "table", tuple(fixed))
+        return super().__new__(cls, periods_a, periods_b, periods_c,
+                               tuple(fixed), b_blocks, c_blocks)
 
     def reduce_c(self, cell: Sequence[int]) -> Cell:
         return tuple(
@@ -214,18 +219,15 @@ def _base_system(pairing: Pairing):
 # restriction constraints
 
 
-@dataclass(frozen=True)
-class HomCompat:
+class HomCompat(namedtuple("HomCompat", "e c_block b_block")):
     """Require phi2 (block b_block) to intertwine with phi0 (block c_block)
     through a fixed linear map e between the blocks: phi2 . e == e . phi0."""
 
-    e: Tuple[Tuple[int, ...], ...]
-    c_block: int
-    b_block: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvariantSubmodule:
+class InvariantSubmodule(
+        namedtuple("InvariantSubmodule", "which block gens")):
     """Require one matrix block to map a marked submodule into itself.
 
     which is "phi1", "phi2" or "phi0"; block indexes the grading of the
@@ -233,9 +235,7 @@ class InvariantSubmodule:
     coordinate vectors spanning the submodule.
     """
 
-    which: str
-    block: Optional[int]
-    gens: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _block_geometry(pairing: Pairing, lay: _Layout, which: str,
@@ -334,6 +334,7 @@ class ScalarRing(InvariantFactors):
         self.pairing = pairing
         self.lay = _Layout(pairing)
         self.s_basis = tuple(tuple(r) for r in s_basis)
+        self._leads = echelon_leads(self.s_basis)
 
         n = self.lay.total
         rho = len(self.s_basis)
@@ -350,7 +351,7 @@ class ScalarRing(InvariantFactors):
                     t0.append(vec)
         rel = []
         for vec in t0:
-            y = solve_lattice(list(self.s_basis), vec)
+            y = solve_lattice(self.s_basis, vec, self._leads)
             if y is None:
                 raise ScalarRingError(
                     "null triple escapes the solution lattice")
@@ -428,10 +429,10 @@ class ScalarRing(InvariantFactors):
         return out
 
     def contains_vec(self, vec: Sequence[int]) -> bool:
-        return solve_lattice(list(self.s_basis), list(vec)) is not None
+        return solve_lattice(self.s_basis, vec, self._leads) is not None
 
     def coords_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        y = solve_lattice(list(self.s_basis), list(vec))
+        y = solve_lattice(self.s_basis, vec, self._leads)
         if y is None:
             raise ScalarRingError("triple does not satisfy the pairing "
                                   "identities")

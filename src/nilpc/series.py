@@ -14,8 +14,7 @@ them off the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from . import subgroups as sg
 from .abelian import (
@@ -74,32 +73,20 @@ def _free_complement(p: PcPresentation, z: Subgroup,
         sg._reduce_deeper(p, r, inner.rows) for r in comp.rows))
 
 
-@dataclass(frozen=True)
-class KeySubgroups:
+class KeySubgroups(namedtuple(
+        "KeySubgroups", "pres lower_central abelianized center derived "
+        "derived_isolator torsion iso_center n_sub m_sub g0 mn n_is regular "
+        "tame n p e")):
     """The canonical subgroups of pres; see the module docstring.
 
     lower_central runs G = gamma_1 > gamma_2 = G' > ... > 1, so its length
     is the nilpotency class plus one; abelianized is G/G' as a section.
+    iso_center holds the center elements with torsion abelianized image,
+    n_sub is Is(G') Z and m_sub is Is(G' Z); mn is the section M/N, always
+    finite, and n_is is N/Is(G'), always free.
     """
 
-    pres: PcPresentation
-    lower_central: Tuple[Subgroup, ...]
-    abelianized: FgAbelian
-    center: Subgroup
-    derived: Subgroup
-    derived_isolator: Subgroup
-    torsion: Subgroup
-    iso_center: Subgroup  # center elements with torsion abelianized image
-    n_sub: Subgroup       # Is(G') Z
-    m_sub: Subgroup       # Is(G' Z)
-    g0: Subgroup
-    mn: FgAbelian         # M/N, always finite
-    n_is: FgAbelian       # N/Is(G'), always free
-    regular: bool
-    tame: bool
-    n: int
-    p: int
-    e: int
+    __slots__ = ()
 
 
 def key_subgroups(pres: PcPresentation) -> KeySubgroups:

@@ -62,7 +62,6 @@ finitely generated, so its generators drop out of <S, G'> one at a time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,22 +96,40 @@ def leading_index(x: Element) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    pres: PcPresentation
-    rows: Tuple[Element, ...]  # canonical, ascending leading index
-    _by_lead: Dict[int, Element] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _order: Dict[int, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
+    """The subgroup of pres generated by rows: canonical, in ascending
+    leading index.
 
-    def __post_init__(self):
-        leads = [leading_index(r) for r in self.rows]
-        object.__setattr__(self, "_by_lead", dict(zip(leads, self.rows)))
-        object.__setattr__(
-            self, "_order", {lam: k for k, lam in enumerate(leads)})
+    ==, hash and repr read pres and rows alone. _by_lead (each row by its
+    leading index) and _order (each leading index's position in rows) are
+    derived from rows here, and kept out of all three.
+    """
+
+    __slots__ = ("pres", "rows", "_by_lead", "_order")
+
+    def __init__(self, pres: PcPresentation, rows: Tuple[Element, ...]):
+        leads = [leading_index(r) for r in rows]
+        order = {lam: k for k, lam in enumerate(leads)}
+        for slot, value in (("pres", pres), ("rows", rows),
+                            ("_by_lead", dict(zip(leads, rows))),
+                            ("_order", order)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pres, self.rows) == (other.pres, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pres, self.rows))
+
+    def __repr__(self):
+        return f"Subgroup(pres={self.pres!r}, rows={self.rows!r})"
 
     def row_at(self, i: int) -> Optional[Element]:
         return self._by_lead.get(i)

@@ -61,6 +61,23 @@ def ref_hermite(rows):
     return m
 
 
+def hnf(a):
+    """Row Hermite normal form with its transform, for the references below.
+
+    Returns (h, u) with u * a == h and u unimodular. h is in upper echelon
+    shape: pivots positive, strictly increasing pivot columns, entries above
+    each pivot reduced into [0, pivot), zero rows at the bottom.  u is the
+    identity block that the row operations carry along.  Unlike the rest of
+    this file it eliminates with the package's own intlinalg._hermite, read
+    through the module, so a test that spies on that elimination sees this
+    matrix too; ref_hermite is its independent check.
+    """
+    ncols = len(a[0]) if a else 0
+    m = [list(r) + e for r, e in zip(a, la.identity(len(a)))]
+    la._hermite(m, ncols)
+    return [r[:ncols] for r in m], [r[ncols:] for r in m]
+
+
 def ref_smith_diagonal(rows):
     """Diagonal of the Smith form, computed via gcds of minors.
 
@@ -173,9 +190,9 @@ def ref_solve_congruences(rows, rhs, moduli, n_unknowns):
 
     Modulus 0 means equality over Z. Finite moduli are handled by one
     auxiliary integer unknown per congruence; the returned solutions are
-    projected back onto the first n_unknowns coordinates.  It calls hnf
-    through the module, so a test that spies on intlinalg's elimination
-    sees this solver's matrix too.
+    projected back onto the first n_unknowns coordinates.  Its hnf
+    eliminates through intlinalg's _hermite, so a test that spies on that
+    elimination sees this solver's matrix too.
     """
     neq = len(rows)
     if len(rhs) != neq or len(moduli) != neq:
@@ -194,7 +211,7 @@ def ref_solve_congruences(rows, rhs, moduli, n_unknowns):
         cols.append(col)
     # solve z . A == rhs where A has shape (ntot, neq)
     a = la.transpose(cols) if cols else [[] for _ in range(ntot)]
-    h, u = la.hnf(a)
+    h, u = hnf(a)
     w = [0] * ntot
     residual = list(rhs)
     for k, row in enumerate(h):

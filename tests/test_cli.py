@@ -224,6 +224,15 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert out.stdout == (repr(modules) + "\n").encode()
 
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        # the package's records are namedtuples and slotted classes;
+        # dataclasses would cost every command its import and the class
+        # generation. -S: site may import it on its own
+        out = _python("-S", "-c", "import sys, nilpc.cli; "
+                      "print('dataclasses' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"False\n"
+
     def test_importing_the_cli_loads_no_importlib_resources(self):
         # -S: site can import importlib.resources on its own
         out = _python("-S", "-c", "import sys, nilpc.cli; "

@@ -128,6 +128,40 @@ class TestSchemaErrors:
 DEEP = "[" * 100000 + "]" * 100000
 
 
+class TestReadText:
+    """read_text decodes the file's bytes once; text mode is its reference
+    for the text, and the messages are those text mode gave."""
+
+    @pytest.mark.parametrize("data", [
+        b"a\r\nb\rc\n\r\r\nd\r", b"\r", b"", "caf\u00e9\r\n".encode()])
+    def test_newlines_read_as_in_text_mode(self, tmp_path, data):
+        path = tmp_path / "t.json"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            assert files.read_text(str(path)) == fh.read()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_json_error_counts_lines_as_text_mode(self, tmp_path, newline):
+        path = tmp_path / "bad.json"
+        path.write_bytes(newline.join(
+            ["{", '  "name": "X",', "  oops", "}"]).encode())
+        with pytest.raises(files.FileFormatError) as exc:
+            files.load(str(path))
+        assert str(exc.value) == "not valid JSON (line 3, column 3)"
+
+    @pytest.mark.parametrize("data, where", [
+        (b'{"name": "caf\xe9"}', "byte 13: invalid continuation byte"),
+        (b"\r\n\xff{}", "byte 2: invalid start byte"),
+        (b'{"a": "\xe2\x82', "byte 7: unexpected end of data"),
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, where):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(data)
+        with pytest.raises(files.FileFormatError) as exc:
+            files.load(str(path))
+        assert str(exc.value) == f"{path}: not UTF-8 text ({where})"
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("text", [DEEP, "1" * 5000, "[" + "1" * 5000 + "]"])
     def test_json_the_parser_cannot_build(self, text):

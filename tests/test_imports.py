@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, no
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
-the names of the package's export table, and `__version__`; and no module
-but abelian.py calls FgAbelian, so each section has one builder; no module of
+the names of the package's export table, and `__version__`; no module
+imports dataclasses; and no module but abelian.py calls FgAbelian, so each section has one builder; no module of
 the subgroup layer calls a collector operation but through the table
 that keeps it on the presentation; and only whole_subgroup and
 identity_hom list every generator, as G is read elsewhere through the
@@ -82,6 +82,34 @@ def test_detects_a_private_import():
                          ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dataclass_imports(source: str):
+    """Lines that import dataclasses, in either form."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import)
+            and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
+
+
+def test_detects_a_dataclasses_import():
+    src = ("import dataclasses\n"
+           "from dataclasses import dataclass, field\n"
+           "import json, dataclasses as dc\n"
+           "from .records import dataclass\n"
+           "from collections import namedtuple\n")
+    assert dataclass_imports(src) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_dataclasses(path):
+    # every command is a fresh process, and a dataclass costs it the
+    # import of dataclasses and inspect and about 0.8 ms to create;
+    # records are namedtuples, or slotted classes where caches stay out
+    # of ==
+    assert dataclass_imports(path.read_text(encoding="utf-8")) == []
 
 
 def calls_of(source: str, name: str):
