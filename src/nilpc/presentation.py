@@ -170,6 +170,9 @@ class PcPresentation:
     def __hash__(self):
         return hash(self._key())
 
+    def __reduce__(self):  # a copy or unpickled p starts with empty caches
+        return PcPresentation, self._key()
+
     def __repr__(self):
         return (f"PcPresentation(name={self.name!r}, periods={self.periods!r}"
                 f", powers={self.powers!r}, commutators={self.commutators!r})")

@@ -128,6 +128,9 @@ class Subgroup:
     def __hash__(self):
         return hash((self.pres, self.rows))
 
+    def __reduce__(self):
+        return Subgroup, (self.pres, self.rows)
+
     def __repr__(self):
         return f"Subgroup(pres={self.pres!r}, rows={self.rows!r})"
 

@@ -2,11 +2,12 @@
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names of the package's export table, and `__version__`; no module
-imports dataclasses; and no module but abelian.py calls FgAbelian, so each section has one builder; no module of
-the subgroup layer calls a collector operation but through the table
-that keeps it on the presentation; and only whole_subgroup and
-identity_hom list every generator, as G is read elsewhere through the
-smaller subgroups.generating_set.
+imports dataclasses; no module but abelian.py calls FgAbelian, so each
+section has one builder; no module of the subgroup layer calls a
+collector operation but through the table that keeps it on the
+presentation; and only whole_subgroup and identity_hom list every
+generator, as G is read elsewhere through the smaller
+subgroups.generating_set.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is

@@ -2,8 +2,10 @@
 replaced: equal field values compare equal and hash as the tuple of
 those fields, the repr names each field, and no field can be assigned.
 PcPresentation and Subgroup keep caches out of all of that, and a
-presentation can be held weakly."""
+presentation can be held weakly and copied or pickled."""
 
+import copy
+import pickle
 import weakref
 
 import pytest
@@ -75,3 +77,9 @@ def test_presentation_caches_stay_out_of_equality():
     ref = weakref.ref(p)
     assert ref() is p
     assert len({p, q, sg.center(p), sg.center(q)}) == 2
+    # copies are built by the constructor, so they start with no caches
+    for x in (p, sg.center(p)):
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and y is not x
+    assert pickle.loads(pickle.dumps(p))._layers is None
