@@ -380,9 +380,15 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # G_{i+1} for i >= f), so layer i of G, which consistency_check proves
 # before it derives layer i's table, includes the certificate, and the
 # certificate skips those layers.
+#
+# _ConjPoly and _Tables are slotted classes, not namedtuples: collection
+# reads their fields for every letter, and Python 3.11 reads a slot by a
+# specialized instruction but a namedtuple field by a descriptor call, which
+# made warm arithmetic about 6% slower. == compares the fields, since the
+# tests compare derived tables.
 
 
-class _ConjPoly(namedtuple("_ConjPoly", "binoms monos rows")):
+class _ConjPoly:
     """The h_k of one layer, over a chain of binomial monomials.
 
     binoms: (variable, top degree) pairs; variable 0 is e, variable v is
@@ -393,10 +399,18 @@ class _ConjPoly(namedtuple("_ConjPoly", "binoms monos rows")):
     rows: (0-based coordinate k, ((monomial, coefficient), ...)) pairs.
     """
 
-    __slots__ = ()
+    __slots__ = ("binoms", "monos", "rows")
+
+    def __init__(self, binoms, monos, rows):
+        self.binoms, self.monos, self.rows = binoms, monos, rows
+
+    def __eq__(self, other):
+        return isinstance(other, _ConjPoly) and (
+            (self.binoms, self.monos, self.rows)
+            == (other.binoms, other.monos, other.rows))
 
 
-class _Tables(namedtuple("_Tables", "cover polys finite degree")):
+class _Tables:
     """What collection in a presentation reads besides its relations.
 
     cover: the torsion-free cover G~, with no periods or power tails.
@@ -408,7 +422,16 @@ class _Tables(namedtuple("_Tables", "cover polys finite degree")):
         degree at most this (see "powers" in the module docstring).
     """
 
-    __slots__ = ()
+    __slots__ = ("cover", "polys", "finite", "degree")
+
+    def __init__(self, cover, polys, finite, degree):
+        self.cover, self.polys = cover, polys
+        self.finite, self.degree = finite, degree
+
+    def __eq__(self, other):
+        return isinstance(other, _Tables) and (
+            (self.cover, self.polys, self.finite, self.degree)
+            == (other.cover, other.polys, other.finite, other.degree))
 
 
 def _conj_layers(p: PcPresentation) -> _Tables:
