@@ -1,14 +1,15 @@
 """Exact linear algebra over the integers.
 
-The Hermite basis of a lattice, the Smith normal form with its unimodular
-transforms, and kernel, the one solver: the Hermite basis of the solutions
-of a sparse homogeneous system of congruences with mixed moduli (modulus 0
-meaning equality over Z), solved one connected component of unknowns at a
-time. Matrices are lists of rows of Python ints; nothing here mutates its
-arguments. All downstream lattice work in the package (subgroup layers,
-abelian sections, scalar-ring solving) funnels through this module, and
-InvariantFactors is the one reading of a Smith form as coordinates on a
-finitely generated abelian group.
+The Hermite basis of a lattice, the Smith normal form with its column
+transform and that transform's inverse, and kernel, the one solver: the
+Hermite basis of the solutions of a sparse homogeneous system of
+congruences with mixed moduli (modulus 0 meaning equality over Z), solved
+one connected component of unknowns at a time. Matrices are lists of rows
+of Python ints; nothing here mutates its arguments. All downstream lattice
+work in the package (subgroup layers, abelian sections, scalar-ring
+solving) funnels through this module, and InvariantFactors is the one
+reading of a Smith form as coordinates on a finitely generated abelian
+group.
 """
 
 from __future__ import annotations
@@ -111,19 +112,18 @@ def hnf_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     return [row for row in h if any(row)]
 
 
-def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
     """Smith normal form.
 
-    Returns (d, u, v, w) with u * a * v == d, u and v unimodular, d diagonal
-    with nonnegative entries, each dividing the next, zeros trailing, and
-    w == v^-1. w undoes each column operation on v by a row operation: a
-    swap of columns of v swaps the same rows of w, and col_j -= q * col_t
-    on v is row_t += q * row_j on w.
+    Returns (d, v, w) with u * a * v == d for some unimodular u, which is
+    not formed, v unimodular, d diagonal with nonnegative entries, each
+    dividing the next, zeros trailing, and w == v^-1. w undoes each column
+    operation on v by a row operation: a swap of columns of v swaps the
+    same rows of w, and col_j -= q * col_t on v is row_t += q * row_j on w.
     """
     m = [list(r) for r in a]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    u = identity(nr)
     v = identity(nc)
     w = identity(nc)
     t = 0
@@ -140,7 +140,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
         i0, j0 = piv
         if i0 != t:
             m[t], m[i0] = m[i0], m[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in m:
                 row[t], row[j0] = row[j0], row[t]
@@ -152,7 +151,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
             if m[i][t]:
                 q = m[i][t] // m[t][t]
                 _row_sub(m, i, t, q)
-                _row_sub(u, i, t, q)
                 if m[i][t]:
                     dirty = True
         for j in range(t + 1, nc):
@@ -178,13 +176,11 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
                 break
         if bad is not None:
             _row_sub(m, t, bad, -1)
-            _row_sub(u, t, bad, -1)
             continue
         if m[t][t] < 0:
             _row_neg(m, t)
-            _row_neg(u, t)
         t += 1
-    return m, u, v, w
+    return m, v, w
 
 
 class InvariantFactors:
@@ -199,7 +195,7 @@ class InvariantFactors:
 
     def __init__(self, rel: Sequence[Sequence[int]], n: int):
         if rel:
-            d, _, v, vinv = snf(rel)
+            d, v, vinv = snf(rel)
             dvals = [d[j][j] if j < len(d) else 0 for j in range(n)]
         else:
             v, vinv, dvals = identity(n), identity(n), [0] * n

@@ -263,7 +263,9 @@ def _inverse_word(p: PcPresentation, x: Element) -> Tuple[Tuple[int, int], ...]:
 # rewriting, so every path reads the same images. The field is separate
 # from _layers because its entries depend on the relations alone, whenever
 # they were filled, so the check may read them. Larger exponents are
-# assembled by binary powering.
+# assembled by binary powering. Every image is a normal form, and a normal
+# form collected into the identity is itself, so _apply_aut takes its first
+# factor as it is.
 
 
 def _step(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
@@ -297,10 +299,11 @@ def _step_inv(p: PcPresentation, i: int) -> Tuple[Tuple[int, Element], ...]:
 def _apply_aut(
     p: PcPresentation, images: Dict[int, Element], x: Element, layers
 ) -> Element:
-    acc = identity_element(p)
+    acc = None
     for k, a in word_of(p, x):
-        acc = _multiply(p, acc, _power(p, images[k], a, layers), layers)
-    return acc
+        y = _power(p, images[k], a, layers)
+        acc = y if acc is None else _multiply(p, acc, y, layers)
+    return identity_element(p) if acc is None else acc
 
 
 def _compose_aut(
@@ -349,7 +352,9 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # Deep Thought bound). A layer therefore needs the points b with b_0 >= 1
 # whose weighted degree is at most w(k) for some coordinate k beyond the
 # last z that b uses. Their values come from collecting in G~_{i+1} with the
-# deeper layers' polynomials, so the layers are derived bottom-up.
+# deeper layers' polynomials, so the layers are derived bottom-up. A letter
+# with no tail [u_{i+v}, u_i] commutes with u_i, so it is its own conjugate
+# under every u_i^e, and a point's first factor is its conjugate as it is.
 #
 # the cover
 #
@@ -494,14 +499,26 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
     only the triple part applies, and it is the certificate of layer i
     (see "the cover"). A triple (k, j, i) whose weights sum past the class
     bound layers.degree holds in any consistent Q_{i+1} and is skipped
-    (see "Weights" in consistency_check)."""
+    (see "Weights" in consistency_check). Sides that c fixes are read off
+    the relations (see "Read off" there): c(w_j), c(w_i) and c(u_j)^{e_j}
+    with no letter in M, and c^{e_i}(u_j) when M is empty."""
     def at_i(x: Element) -> Element:  # u_i x, for x in Q_{i+1}
         return x[:i - 1] + (1,) + x[i:]
 
     m = q.m
-    c = dict(_step(q, i))
     room = layers.degree - weight[i]  # kept: w(j) + w(k) <= room
+    if room < 2 and not any(q.periods[i - 1:]):  # no overlap to collect
+        return
+    c = dict(_step(q, i))
+    moved = {k for k in range(i + 1, m + 1) if q.commutator_tail(k, i)}  # M
+
+    def apply_c(x: Element) -> Element:  # read off when x misses M
+        return (_apply_aut(q, c, x, layers)
+                if any(x[k - 1] for k in moved) else x)
+
     for j in range(i + 1, m + 1):
+        if weight[j] + 1 > room:  # every w(k) >= 1
+            continue
         for k, ukj in _step(q, j):  # ukj = u_k [u_k, u_j]
             if weight[j] + weight[k] <= room:
                 lhs = _multiply(q, c[k], c[j], layers)
@@ -514,13 +531,13 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
         wi = element_of_word_coords(q, q.power_tail(i))
         # c^{e_i}(u_j) as c^{e_i - 1}(c(u_j)), the way u_i^{e_i - 1} moves
         # past u_i c(u_j) when collected from the left
-        rest = _conj_aut(q, i, ei - 1, layers)
+        rest = _conj_aut(q, i, ei - 1, layers) if moved else c
     for j in range(i + 1, m + 1):
         ej = q.periods[j - 1]
         if ej is not None:
             wj = element_of_word_coords(q, q.power_tail(j))
-            lhs = _apply_aut(q, c, wj, layers)
-            rhs = _power(q, c[j], ej, layers)
+            lhs = apply_c(wj)
+            rhs = _power(q, c[j], ej, layers) if j in moved else wj
             if lhs != rhs:
                 yield ConsistencyFailure(
                     "power-gen", j, i, None, at_i(lhs), at_i(rhs))
@@ -530,7 +547,7 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
             if lhs != rhs:
                 yield ConsistencyFailure("gen-power", j, i, None, lhs, rhs)
     if ei is not None:
-        cwi = _apply_aut(q, c, wi, layers)
+        cwi = apply_c(wi)
         if cwi != wi:
             yield ConsistencyFailure(
                 "power-power", i, i, None, at_i(wi), at_i(cwi))
@@ -554,6 +571,8 @@ def _derive_layer(p: PcPresentation, i: int, weight, layers,
         if v not in images:
             images[v] = [generator(p, i + v)]
         seq = images[v]
+        if not p.commutator_tail(i + v, i):  # u_{i+v} commutes with u_i
+            return seq[0]
         while len(seq) <= e:
             seq.append(_apply_aut(p, step, seq[-1], layers))
         return seq[e]
@@ -567,8 +586,9 @@ def _derive_layer(p: PcPresentation, i: int, weight, layers,
         if zw:
             prev = z[:last] + (z[last] - 1,) + z[last + 1:]
             for e in range(1, (top[last] - zw) // ws[0] + 1):
-                x = conj[(e,) + prev[1:]] if any(prev) else identity_element(p)
-                conj[(e,) + z[1:]] = _multiply(p, x, image(last, e), layers)
+                y = image(last, e)
+                conj[(e,) + z[1:]] = _multiply(
+                    p, conj[(e,) + prev[1:]], y, layers) if any(prev) else y
         for v in range(last, n + 1):
             if zw + ws[v] + ws[0] <= top[v]:
                 todo.append((z[:v] + (z[v] + 1,) + z[v + 1:], zw + ws[v], v))
@@ -909,7 +929,16 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     tails included, hold by the induction. So power tails need no weight
     condition. The cover's certificate is the triple part in G~_{i+1},
     which has the same commutator tails and weights, and is pruned the
-    same way.
+    same way. So a j with w(j) + 1 > d - w(i) keeps no triple, and a layer
+    with none and no finite period from i on has nothing to collect.
+
+    Read off. Let M be the letters k > i with a tail [u_k, u_i]. c fixes
+    every letter outside M, and _extends reads these sides off:
+    - c(x) is x, for x = w_j in power-gen and x = w_i in power-power, when
+      x has no letter in M: x is a product of fixed letters in normal form;
+    - c(u_j)^{e_j} is w_j when j is not in M: u_j^{e_j} = w_j in G_{i+1},
+      which is consistent, so its normal form is w_j;
+    - c^{e_i}(u_j) is u_j when M is empty: c is then the identity.
 
     The tables of the layers above i may be used at layer i without
     circularity. Layer l's table describes the cover G~_l and is accepted

@@ -796,7 +796,8 @@ class TestPrimes:
 
 
 HUGE = 10 ** 100
-# a period, a power-tail exponent and a commutator-tail exponent of 10^100
+# a period, a power-tail exponent and a commutator-tail exponent of 10^100,
+# and a central generator of that period
 HUGE_PRESENTATIONS = {
     "period": {"periods": [0, 0, HUGE], "powers": {},
                "commutators": {"2,1": [[3, 1]]}},
@@ -804,7 +805,12 @@ HUGE_PRESENTATIONS = {
                    "commutators": {"3,2": [[4, 1]]}},
     "commutator tail": {"periods": [0, 0, 0], "powers": {},
                         "commutators": {"2,1": [[3, HUGE]]}},
+    "central period": {"periods": [0, 0, HUGE, 0, 0], "powers": {},
+                       "commutators": {"2,1": [[4, 1]], "4,1": [[5, 1]]}},
 }
+# (presentation, command): exit 1 at a cap, as in Z/10^100 in the middle
+# section, which is far past enumerate's case cap; every other pair exits 0
+HUGE_CAPPED = {("period", "enumerate")}
 HUGE_COMMANDS = (
     ("check",), ("analyze",), ("invariants",), ("series", "--kind", "refined"),
     ("scalars",), ("adapt",), ("enumerate",))
@@ -827,8 +833,7 @@ class TestHugeExponents:
         captured = capsys.readouterr()
         assert captured.err == ""
         payload = json.loads(captured.out)
-        if command == ("enumerate",) and name == "period":
-            # Z/10^100 in the middle section: far past the case cap
+        if (name, command[0]) in HUGE_CAPPED:
             assert code == 1
             assert "cap" in payload["error"]
         else:

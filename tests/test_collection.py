@@ -7,7 +7,8 @@ letter goes by rewriting. These tests hold the two paths to the same
 answers, compare them with matrix models at large exponents, hold powers,
 which take a Newton series in the exponent when the whole cover is
 accepted, to repeated products, rewriting and the models up to 10^100 and
-pin the products a power costs, hold commutators and conjugates, which are
+pin the products a power costs and those a proof costs where the relations
+fix an overlap's side, hold commutators and conjugates, which are
 left quotients, to their words collected from the identity, pin the degree
 bound the polynomials are interpolated under, and pin the certificate
 against a rewriting oracle on random presentations. consistency_check
@@ -683,6 +684,36 @@ def test_class_two_proof_collects_no_triple(name, monkeypatch):
     gen_power = sum(p.m - i for i, e in enumerate(p.periods, 1)
                     if e is not None)
     assert len(products) == 2 * gen_power  # and none for a triple
+
+
+def central():
+    """u3 is central of period 10^100: no tail [u_k, u3] exists, so
+    conjugation by u3 is the identity on <u4, u5>."""
+    return PcPresentation(
+        name="CENTRAL", periods=(None, None, 10 ** 100, None, None),
+        powers=(), commutators=(((2, 1), ((4, 1),)), ((4, 1), ((5, 1),))))
+
+
+@pytest.mark.parametrize("name, products, compositions", [
+    ("ZG", 39, 0), ("NR", 2, 0), ("H_4", 0, 0), ("CENTRAL", 12, 0)])
+def test_proof_reads_off_what_the_relations_fix(name, products, compositions,
+                                                monkeypatch):
+    # Only letters in M (those with a tail [u_k, u_i]) move under c. A side
+    # whose letters all lie outside M is read off the relations, c^{e_i}
+    # is the identity when M is empty, conjugates of letters outside M are
+    # the letters themselves, and no product starts from the identity. So
+    # ZG collects only its 15 gen-power overlaps and the powers c(u_j)^5
+    # of the letters in M, and CENTRAL composes no automorphism for its
+    # period of 10^100.
+    p = central() if name == "CENTRAL" else BASE[name]()
+    counts = {"_multiply": 0, "_compose_aut": 0}
+    for f in counts:
+        def spy(*args, f=f, real=getattr(pc, f)):
+            counts[f] += 1
+            return real(*args)
+        monkeypatch.setattr(pc, f, spy)
+    assert pc.consistency_check(p).ok
+    assert counts == {"_multiply": products, "_compose_aut": compositions}
 
 
 # -- runtime dependencies --------------------------------------------------------
