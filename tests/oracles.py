@@ -881,6 +881,39 @@ def lowest_consistent_cover_layer(p):
     return 1
 
 
+def predicted_support(p):
+    """Per layer i and coordinate k > i of p's cover, the exponent vectors
+    that commutator trees of the tails predict for h_k (see "conjugation
+    polynomials" in presentation.py): b_0 counts u_i, b_v counts u_{i+v}.
+
+    reach[l] holds the multisets of leaves of the trees that lead to u_l:
+    (l,) itself, and a + b for each tail of [u_j, u_i] that holds l, with a
+    in reach[j] and b in reach[i]. Tails lead to deeper letters, so reach
+    is built in ascending l. Layer i predicts for k each multiset of
+    reach[k] whose least letter is i, that holds a letter above i, and
+    whose letters lie below k.
+    """
+    m = p.m
+    reach = {l: {(l,)} for l in range(1, m + 1)}
+    for l in range(1, m + 1):
+        for (j, i), tail in p.commutators:
+            if any(k == l for k, _ in tail):
+                reach[l] |= {tuple(sorted(a + b))
+                             for a in reach[j] for b in reach[i]}
+    out = {}
+    for i in range(1, m + 1):
+        for k in range(i + 1, m + 1):
+            vecs = []
+            for leaves in reach[k]:
+                if leaves[0] == i and i < leaves[-1] < k:
+                    b = [0] * (m - i + 1)
+                    for x in leaves:
+                        b[x - i] += 1
+                    vecs.append(tuple(b))
+            out[i, k] = vecs
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar rings
 
@@ -927,6 +960,14 @@ def ref_scalar_ring(pairing):
     lay, rows, moduli = ref_base_system(pairing)
     sol = ref_solve_congruences(rows, [0] * len(rows), moduli, lay.total)
     return sc.ScalarRing(pairing, hnf_basis(sol.basis, lay.total))
+
+
+def is_associative(ring):
+    """(e_a e_b) e_c == e_a (e_b e_c) on every triple of basis elements."""
+    k = len(ring.periods)
+    units = [tuple(int(i == a) for i in range(k)) for a in range(k)]
+    return all(ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+               for a, b, c in product(units, repeat=3))
 
 
 def ref_restrict_ring(pairing, constraints):

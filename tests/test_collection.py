@@ -10,7 +10,8 @@ accepted, to repeated products, rewriting and the models up to 10^100 and
 pin the products a power costs and those a proof costs where the relations
 fix an overlap's side, hold commutators and conjugates, which are
 left quotients, to their words collected from the identity, pin the degree
-bound the polynomials are interpolated under, and pin the certificate
+bound the polynomials are interpolated under and the support that the
+commutator trees of the tails predict for them, and pin the certificate
 against a rewriting oracle on random presentations. consistency_check
 proves a presentation layer by layer on the tables it builds and reports
 the failing overlaps of the first layer it rejects: the tests hold each
@@ -27,6 +28,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -478,6 +480,40 @@ def test_one_more_interpolation_point_changes_nothing(name):
     layers = pc._derive_layers(p)
     assert any(layer is not None and layer.rows for layer in layers.polys)
     assert pc._derive_layers(p, slack=1) == layers
+
+
+def support_inputs():
+    yield from (presentation(name) for name in NAMES + ["HEIS", "UT_7"])
+    yield unitriangular(8)
+    yield from (heisenberg(n) for n in range(5, 9))
+    yield fallback()
+    rng = random.Random(0)
+    for _ in range(1000):
+        yield random_presentation(rng)
+
+
+def test_derived_support_follows_commutator_trees():
+    # Every monomial of a derived h_k lies below one that a commutator tree
+    # of the tails predicts (oracles.predicted_support), so a derivation
+    # may interpolate on the predicted lower set alone.
+    layers = 0
+    for p in support_inputs():
+        if not pc.consistency_check(p).ok:
+            continue
+        predicted = oracles.predicted_support(p)
+        for i, poly in enumerate(pc._conj_layers(p).polys, start=1):
+            if poly is None:
+                continue
+            vecs = [(0,) * (p.m - i + 1)]
+            for parent, v, d in poly.monos:
+                vecs.append(vecs[parent][:v] + (d,) + vecs[parent][v + 1:])
+            for k, terms in poly.rows:
+                tops = predicted[i, k + 1]
+                for j, _ in terms:
+                    assert any(all(map(le, vecs[j], b)) for b in tops), (
+                        p, i, k + 1, vecs[j])
+            layers += bool(poly.rows)
+    assert layers >= 400
 
 
 # -- consistency_check, bottom-up --------------------------------------------

@@ -30,6 +30,7 @@ from nilpc.scalars import (
 )
 from oracles import (
     gaussian_solutions,
+    is_associative,
     ref_prime_decomposition_zero,
     ref_restrict_ring,
     ref_scalar_ring,
@@ -309,6 +310,7 @@ def test_restriction_matches_direct_solve(name):
         assert again.periods == got.periods
         got._recheck_basis()  # restrict_ring itself skips it
         again._recheck_basis()
+        assert is_associative(got)
     if name in _CUT:
         assert cuts
 
@@ -398,6 +400,7 @@ def test_scalar_ring_matches_dense_solve(name):
     assert got.s_basis == want.s_basis
     assert got.periods == want.periods
     assert got.unit == want.unit
+    assert is_associative(got)
 
 
 def test_scalar_ring_solves_small_blocks(monkeypatch):

@@ -1,11 +1,22 @@
-"""The canonical subgroup zoo and the numeric invariants built from it."""
+"""The canonical subgroup zoo and the numeric invariants built from it,
+and a sweep over what the constructions prove instead of checking."""
+
+import random
+
+import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
+from nilpc.abelian import section
+from nilpc.bilinear import associated_series, bilinearize
+from nilpc.deformation import adapt_basis
+from nilpc.scalars import pairing_of, scalar_ring
 from nilpc.series import key_subgroups, hirsch_length, nilpotency_class
 
 import oracles
-from groups_def import heis, nr, zg, zh, zk, f23
+from groups_def import (
+    f23, heis, heisenberg, nr, random_basis_change, unitriangular, zg, zh, zk)
+from test_collection import random_presentation
 
 G = zg()
 N6 = nr()
@@ -104,3 +115,72 @@ def test_invariants_agree_across_deformed_fixtures():
         assert x.mn.periods == a.mn.periods
         assert (x.n, x.p, x.e) == (a.n, a.p, a.e)
         assert x.regular == a.regular and x.tame == a.tame
+
+
+# -- what the constructions prove instead of checking ---------------------------
+#
+# key_subgroups, _free_complement, upper_central_series, associated_series,
+# ScalarRing and adapt_basis prove these properties of their output in their
+# docstrings and do not check them when they run.
+
+FIXTURES = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh, "ZK": zk}
+SWEEP = {
+    **FIXTURES,
+    **{f"{name} rebased {seed}":
+       (lambda g=g, seed=seed: random_basis_change(g(), random.Random(seed)))
+       for name, g in FIXTURES.items()
+       # the rebased ZG family solves its scalar ring slowly (ROADMAP K)
+       for seed in (range(3) if name in ("HEIS", "NR", "F23") else (0,))},
+    **{f"UT_{n}": (lambda n=n: unitriangular(n)) for n in (4, 5, 6)},
+    **{f"H_{n}": (lambda n=n: heisenberg(n)) for n in (3, 4, 5)},
+    "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
+}
+
+
+def assert_constructions_hold(p):
+    whole = sg.whole_subgroup(p)
+    ks = key_subgroups(p)
+    # M/N is finite and N/Is(G') free (KeySubgroups)
+    assert None not in ks.mn.periods
+    assert set(ks.n_is.periods) <= {None}
+    # the torsion-image part lies in the centre with a free quotient
+    # (_free_complement)
+    assert all(ks.center.contains(r) for r in ks.iso_center.rows)
+    assert set(section(p, ks.center, ks.iso_center).periods) <= {None}
+    # G is nilpotent (upper_central_series)
+    upper = sg.upper_central_series(p)
+    assert upper[-1] == whole
+    for series in (None, upper[::-1]):
+        # [U_k, G] = L_{k+1} (associated_series)
+        s = associated_series(p, series)
+        for k, u in enumerate(s.upper):
+            assert sg.commutator_subgroup(p, u, whole) == s.lower[k + 1]
+        # the multiplication table is associative (ScalarRing)
+        assert oracles.is_associative(
+            scalar_ring(pairing_of(bilinearize(p, series))))
+    # G/M is free, the remainder after the three sections lies in Is(G'),
+    # and the adapted presentation is consistent (adapt_basis)
+    segments = (section(p, whole, ks.m_sub), ks.mn, ks.n_is)
+    assert set(segments[0].periods) <= {None}
+    for i in range(1, p.m + 1):
+        w = pc.generator(p, i)
+        for seg in segments:
+            w = pc.multiply(p, pc.inverse(p, seg.element(seg.coords(w))), w)
+        assert ks.derived_isolator.contains(w)
+    assert pc.consistency_check(adapt_basis(p).pres).ok
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_constructions_hold_what_they_prove(name):
+    assert_constructions_hold(SWEEP[name]())
+
+
+def test_constructions_hold_what_they_prove_on_random_presentations():
+    rng = random.Random(0)
+    consistent = 0
+    for _ in range(300):
+        p = random_presentation(rng)
+        if pc.consistency_check(p).ok:
+            consistent += 1
+            assert_constructions_hold(p)
+    assert consistent >= 50
