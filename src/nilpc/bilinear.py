@@ -44,7 +44,9 @@ def associated_series(p: PcPresentation,
 
     lower[k + 1] = [series[k], G], and upper[k] is its commutation
     preimage, so [upper[k], G] = lower[k + 1] exactly: <= by the
-    preimage's maximality, >= as series[k] <= upper[k].
+    preimage's maximality, >= as series[k] <= upper[k]. lower ends at 1:
+    each lower[k + 1] is checked to lie in series[k + 1], and series ends
+    at 1.
     """
     # the lower central series is its own lower companion, and each of its
     # commutator subgroups is kept on p, so rebuilding it below costs nothing
@@ -61,8 +63,6 @@ def associated_series(p: PcPresentation,
             if not series[k + 1].contains(r):
                 raise SeriesError("input series is not central")
         lower.append(nxt)
-    if not lower[-1].is_trivial:
-        raise SeriesError("lower companion does not terminate")
 
     upper = tuple(
         sg.commutation_preimage(p, lower[k + 1])

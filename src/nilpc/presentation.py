@@ -50,27 +50,32 @@ coordinate m, w = b. The division collects one letter per nonzero
 coordinate of z, on either path, so a commutator costs two products and at
 most m letters instead of a 4m-letter word collected from the identity.
 
-Powers. When every layer of the cover is accepted, each coordinate of x^n
-in G~ is an integer-valued polynomial f_k(n) of degree at most w(k), the
-weight of u_k (see "conjugation polynomials"), so at most d = max w(k).
-Coordinate k of a product x y in G~ is x_k + y_k + q_k(x_<k, y_<k), where
-q_k has weighted degree at most w(k), counting w(l) for x_l and for y_l:
-collecting y letter by letter substitutes conjugation polynomials, which
-obey that bound, into one another, and substitution keeps it. q_k vanishes
-when x or y is the identity, so every monomial of q_k mixes both factors.
-By induction on k, let f_l have degree at most w(l) for every l < k. Then
+Powers. Let every letter of x lie in an accepted layer, so that x lies in
+G~_s for an accepted s: the accepted layers form a suffix. Then each
+coordinate of x^n in G~_s is an integer-valued polynomial f_k(n) of degree
+at most w(k), the weight of u_k (see "conjugation polynomials"), so at most
+d = max w(k). Coordinate k of a product x y in G~_s is x_k + y_k +
+q_k(x_<k, y_<k), where q_k has weighted degree at most w(k), counting w(l)
+for x_l and for y_l: collecting y letter by letter substitutes the
+conjugation polynomials of layers s..m, which are accepted and obey that
+bound, into one another, and substitution keeps it. q_k vanishes when x or
+y is the identity, so every monomial of q_k mixes both factors. By
+induction on k, let f_l have degree at most w(l) for every l < k. Then
 f_k(n + 1) - f_k(n) = x_k + q_k(f(n), x), and in each monomial of q_k the
 factors from x carry weight at least 1, so those from f(n) carry at most
 w(k) - 1 and have degree at most w(k) - 1 in n. Hence f_k has degree at
 most w(k). So x^n = sum_{k <= d} binom(n, k) Delta^k, with Delta^k the
-k-th forward difference of x^0, x^1, ..., x^d in G~ at 0, for negative n
+k-th forward difference of x^0, x^1, ..., x^d in G~_s at 0, for negative n
 as well, since the series is the polynomial itself. Expanding Delta^k =
 sum_j (-1)^(k-j) binom(k, j) x^j gives x^n = sum_{1 <= j <= d} c_j x^j
 coordinatewise, c_j = sum_{j <= k <= d} (-1)^(k-j) binom(k, j) binom(n, k)
 (x^0 has zero coordinates). That costs d - 1 products whatever n is, and
 one reduction in G of the finite coordinates maps the result to x^n in G,
-because u_l -> u_l is a homomorphism G~ -> G. Binary powering stays for
-|n| <= d, where it costs no more, and for the letters below the lowest
+because u_k -> u_k is a homomorphism G~_s -> G_s once G_s is a group with
+the presentation's relations. Outside the proof it is; inside it, layer s
+of the cover is accepted only above the layer being proven, so G_s is
+already proven (see consistency_check). Binary powering stays for |n| <=
+d, where it costs no more, and for elements with a letter below the lowest
 accepted layer, which rewrite.
 """
 
@@ -396,23 +401,20 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 class _ConjPoly:
     """The h_k of one layer, over a chain of binomial monomials.
 
-    binoms: (variable, top degree) pairs; variable 0 is e, variable v is
-        z_{i+v}.
     monos: one (parent, variable, degree) triple per monomial after the
         constant one: the monomial is its parent times binom(variable,
-        degree).
+        degree), where variable 0 is e and variable v is z_{i+v}.
     rows: (0-based coordinate k, ((monomial, coefficient), ...)) pairs.
     """
 
-    __slots__ = ("binoms", "monos", "rows")
+    __slots__ = ("monos", "rows")
 
-    def __init__(self, binoms, monos, rows):
-        self.binoms, self.monos, self.rows = binoms, monos, rows
+    def __init__(self, monos, rows):
+        self.monos, self.rows = monos, rows
 
     def __eq__(self, other):
         return isinstance(other, _ConjPoly) and (
-            (self.binoms, self.monos, self.rows)
-            == (other.binoms, other.monos, other.rows))
+            (self.monos, self.rows) == (other.monos, other.rows))
 
 
 class _Tables:
@@ -422,9 +424,10 @@ class _Tables:
     polys: per layer, its _ConjPoly in G~, or None where collection rewrites.
     finite: the generators with a finite period, ascending; they have none
         in G~, so collection in the cover reduces nothing.
-    degree: the largest Deep Thought weight w(k). When every layer is
-        accepted, each coordinate of x^n in G~ is a polynomial in n of
-        degree at most this (see "powers" in the module docstring).
+    degree: the largest Deep Thought weight w(k). When every letter of x
+        lies in an accepted layer, each coordinate of x^n in G~ is a
+        polynomial in n of degree at most this (see "Powers" in the module
+        docstring).
     """
 
     __slots__ = ("cover", "polys", "finite", "degree")
@@ -558,7 +561,7 @@ def _derive_layer(p: PcPresentation, i: int, weight, layers,
     m = p.m
     n = m - i
     if not any(p.commutator_tail(k, i) for k in range(i + 1, m + 1)):
-        return _ConjPoly((), (), ())
+        return _ConjPoly((), ())
     ws = weight[i:]  # ws[v]: weight of variable v
     top = [0] * (n + 1)  # top[v]: the largest bound beyond variable v
     for v in range(n - 1, -1, -1):
@@ -626,36 +629,28 @@ def _pack(coeffs: Dict[Tuple[int, ...], tuple], i: int) -> _ConjPoly:
     order = sorted(used, key=lambda b: (sum(1 for x in b if x), b))
     index = {b: j for j, b in enumerate(order)}
     monos = []
-    binoms: Dict[int, int] = {}
     for b in order[1:]:
         up, last = parent(b)
         monos.append((index[up], last, b[last]))
-        binoms[last] = max(binoms.get(last, 0), b[last])
     terms = sorted((index[b], c) for b, c in coeffs.items() if any(c))
     rows = []
     for k in range(len(next(iter(coeffs.values())))):
         row = tuple((j, c[k]) for j, c in terms if c[k])
         if row:
             rows.append((i + k, row))
-    return _ConjPoly(tuple(sorted(binoms.items())), tuple(monos), tuple(rows))
+    return _ConjPoly(tuple(monos), tuple(rows))
 
 
 def _conj_poly(poly: _ConjPoly, e: int, t: list, i: int) -> None:
     """Replace the suffix t[i:] by its conjugate under u_i^e."""
     x = t[i - 1:]
     x[0] = e
-    col: list = [None] * len(x)
-    for v, d in poly.binoms:
-        a = x[v]
-        c = 1
-        b = [1]
-        for r in range(1, d + 1):
-            c = c * (a - r + 1) // r
-            b.append(c)
-        col[v] = b
     vals = [1]
     for parent, v, d in poly.monos:
-        vals.append(vals[parent] * col[v][d])
+        a = c = x[v]  # binom(a, d), from binom(a, 1) = a
+        for r in range(2, d + 1):
+            c = c * (a - r + 1) // r
+        vals.append(vals[parent] * c)
     for k, terms in poly.rows:
         s = 0
         for j, c in terms:
@@ -755,15 +750,14 @@ def _inverse(p: PcPresentation, x: Element, layers) -> Element:
 
 
 def _power(p: PcPresentation, x: Element, n: int, layers) -> Element:
-    """x^n: by a Newton series in n over the cover when every layer of it
-    is accepted and |n| exceeds the degree d (see "powers"), in d - 1
-    products; otherwise by binary powering, which rewriting needs and which
-    costs no more for |n| <= d."""
+    """x^n: by a Newton series in n over the cover when every letter of x
+    lies in an accepted layer and |n| exceeds the degree d (see "Powers"),
+    in d - 1 products; otherwise by binary powering, which rewriting needs
+    and which costs no more for |n| <= d."""
     if n == 0:
         return identity_element(p)
-    # layers.polys is empty when m = 0
-    if (layers is not None and layers.polys and layers.polys[0] is not None
-            and abs(n) > layers.degree):
+    if layers is not None and abs(n) > layers.degree and all(
+            poly is not None for poly, v in zip(layers.polys, x) if v):
         cover, d = layers.cover, layers.degree
         b = [1]  # b[k] = binom(n, k)
         for k in range(d):
@@ -807,9 +801,9 @@ def inverse(p: PcPresentation, x: Element) -> Element:
 
 
 def power(p: PcPresentation, x: Element, n: int) -> Element:
-    """x^n for any integer n. When the cover is accepted at every layer this
-    costs _Tables.degree - 1 products for every |n| above that degree (see
-    "powers" in the module docstring)."""
+    """x^n for any integer n. When every letter of x lies in an accepted
+    layer of the cover this costs _Tables.degree - 1 products for every |n|
+    above that degree (see "Powers" in the module docstring)."""
     return _power(p, x, n, _conj_layers(p))
 
 
@@ -945,10 +939,12 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     only once G~_l is proven: by its certificate below the last finite
     generator f, and from f on by layer l of G itself, which the loop
     proves first (G~_{l+1} = G_{l+1} there, and the triple part is the
-    certificate). Collection in G_{i+1} moves a letter by such a table and
-    reduces in G, which is sound because u_l -> u_l is a homomorphism
-    G~_l -> G_l once G_l is a group with the presentation's relations, and
-    the induction has proven that for every l > i. In G_{i+1} every
+    certificate). Collection in G_{i+1} moves a letter by such a table, or
+    powers an element of such a G~_l by the Newton series ("Powers" in the
+    module docstring), and reduces in G, which is sound because u_l -> u_l
+    is a homomorphism G~_l -> G_l once G_l is a group with the
+    presentation's relations, and the induction has proven that for every
+    l > i. In G_{i+1} every
     collection that applies valid relations ends in the one normal form,
     so layer i is decided as rewriting would decide it. Layer i's own table
     is derived only after layer i passes (_derive_layers), and p._layers is

@@ -327,9 +327,9 @@ class ScalarRing(InvariantFactors):
     cell holds the exact coordinates of a product, and composition is
     associative and keeps null triples null on triples of well-defined
     maps, which scalar_ring and restrict_ring make: the table is associative.
-    The basis is rechecked against the pairing identities unless recheck is
-    off, which restrict_ring alone does (its docstring proves the check
-    redundant there).
+    The basis is rechecked, each triple for well-defined maps and the
+    pairing identities, unless recheck is off, which restrict_ring alone
+    does (its docstring proves the check redundant there).
     """
 
     def __init__(self, pairing: Pairing, s_basis: Sequence[Sequence[int]],
@@ -489,6 +489,16 @@ class ScalarRing(InvariantFactors):
         red = self.pairing.reduce_c
         lay = self.lay
         for h in self.basis_vecs:
+            # each matrix is well defined: a column of period e, times e,
+            # is zero
+            for idx, _, periods in lay.slots:
+                for c, e in enumerate(periods):
+                    if e is not None and any(
+                            e * h[idx(r, c)] % per if per else h[idx(r, c)]
+                            for r, per in enumerate(periods)):
+                        raise ScalarRingError(
+                            "computed basis holds a map that is not well "
+                            "defined")
             phi1, phi2, phi0 = self._reshape(h)
             for s in range(lay.na):
                 for t in range(lay.nb):
@@ -526,16 +536,17 @@ def restrict_ring(ring: ScalarRing,
     satisfies the pairing identities and the conditions of earlier
     restrictions, so restrictions compose.
 
-    The new ring skips _recheck_basis. The identities it checks on a triple
-    h, red(f(phi1 a_s, b_t)) == red(f(a_s, phi2 b_t)) == red(phi0 f(a_s,
-    b_t)) for all s, t, are linear in h, so the triples that pass form a
-    lattice P. The first ring of a chain of restrictions was built with
-    the check, and its lattice is spanned by its basis, which passed, and
-    its null triples, which are zero maps and pass too: a period of A or B
-    kills the table's values by Pairing's order check, and a period of C
-    is reduced away by red. A restriction's triples are integer
-    combinations of its parent's s_basis, so every ring of the chain lies
-    in the first ring's lattice, inside P.
+    The new ring skips _recheck_basis. The conditions it checks on a triple
+    h, that each matrix kills the period of each column and red(f(phi1
+    a_s, b_t)) == red(f(a_s, phi2 b_t)) == red(phi0 f(a_s, b_t)) for all
+    s, t, are linear in h, so the triples that pass form a lattice P. The
+    first ring of a chain of restrictions was built with the check, and
+    its lattice is spanned by its basis, which passed, and its null
+    triples, which are zero maps and pass too: a zero map is well defined,
+    a period of A or B kills the table's values by Pairing's order check,
+    and a period of C is reduced away by red. A restriction's triples are
+    integer combinations of its parent's s_basis, so every ring of the
+    chain lies in the first ring's lattice, inside P.
     The rows of s_basis are independent, so nothing is cut exactly when the
     solutions x, in the ring's coordinates, span Z^rank; then ring itself is
     returned, which is exact since equal lattices have equal HNFs.

@@ -66,7 +66,6 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import presentation as pc
-from .intlinalg import kernel
 from .presentation import Element, PcPresentation
 
 
@@ -441,6 +440,7 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
+    from .intlinalg import kernel  # here alone: sifting solves nothing
     reps: Dict[Tuple[int, Element, Element], Element] = {}
 
     def column(c: int, h: Element) -> Tuple[List[Element], int]:

@@ -212,6 +212,20 @@ class TestEntryPoint:
         assert out.stdout == (b"['nilpc', 'nilpc.files', "
                               b"'nilpc.presentation']\n")
 
+    def test_sifting_loads_no_lattice_algebra(self):
+        # collecting and sifting by rows, all that the arith and family
+        # set-ups ask of subgroups, solve nothing; the first constrained
+        # pass loads the solver
+        out = _python("-c", "import sys; import nilpc.subgroups as sg; "
+                      "from nilpc.presentation import PcPresentation; "
+                      f"p = {unitriangular(4)!r}; "
+                      "x = tuple(range(1, p.m + 1)); "
+                      "assert sg.whole_subgroup(p).coefficients_of(x); "
+                      "print('nilpc.intlinalg' in sys.modules); "
+                      "sg.center(p); print('nilpc.intlinalg' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"False\nTrue\n"
+
     def test_importing_the_cli_loads_every_package_module(self):
         # reports and family fork each job from a process that imported
         # only nilpc.cli; a module left out would compile inside every job
@@ -804,10 +818,13 @@ HUGE_PRESENTATIONS = {
                         "commutators": {"2,1": [[3, HUGE]]}},
     "central period": {"periods": [0, 0, HUGE, 0, 0], "powers": {},
                        "commutators": {"2,1": [[4, 1]], "4,1": [[5, 1]]}},
+    # periods of 10^1000: the proof powers by the series in the cover
+    "two periods": {"periods": [0, 10 ** 1000, 0, 10 ** 1000], "powers": {},
+                    "commutators": {"3,2": [[4, 1]]}},
 }
 # (presentation, command): exit 1 at a cap, as in Z/10^100 in the middle
 # section, which is far past enumerate's case cap; every other pair exits 0
-HUGE_CAPPED = {("period", "enumerate")}
+HUGE_CAPPED = {("period", "enumerate"), ("two periods", "enumerate")}
 HUGE_COMMANDS = (
     ("check",), ("analyze",), ("invariants",), ("series", "--kind", "refined"),
     ("scalars",), ("adapt",), ("enumerate",))

@@ -374,16 +374,28 @@ def test_failed_layer_falls_back_to_rewriting(span):
 
 @pytest.mark.parametrize("n", [-50, 7, 10 ** 6])
 def test_failed_cover_powers_in_binary(n, monkeypatch):
-    # the cover fails at layer 1, so the Newton series does not apply and
-    # no product is taken in the cover
+    # the cover fails at layer 1, so x, which has a letter there, is powered
+    # in binary; the Newton series applies only to elements of the accepted
+    # suffix, such as the images of suffix letters that rewriting powers, so
+    # every product taken in the cover multiplies elements of G~_2
     p = fallback()
     assert pc.consistency_check(p).ok
-    assert pc._conj_layers(p).polys[0] is None
+    assert accepted_layers(p) == [2, 3, 4, 5]
     x = (2, -1, 3, 1, 1)
     want = pc._power(p, x, n, None)
-    calls = spy_products(monkeypatch, p)
+    cover = pc._conj_layers(p).cover
+    multiply, calls = pc._multiply, []
+
+    def spy(q, a, b, layers):
+        calls.append((q is cover, a, b))
+        return multiply(q, a, b, layers)
+
+    monkeypatch.setattr(pc, "_multiply", spy)
     assert pc.power(p, x, n) == want
-    assert calls and not any(calls)
+    assert calls
+    for in_cover, a, b in calls:
+        if in_cover:
+            assert a[0] == b[0] == 0, (a, b)  # so x is never expanded
     if abs(n) <= 50:
         assert want == oracles.ref_power(p, x, n)
 
@@ -730,8 +742,16 @@ def central():
         powers=(), commutators=(((2, 1), ((4, 1),)), ((4, 1), ((5, 1),))))
 
 
+def two_periods():
+    """[u3, u2] = u4, with u2 and u4 of period 10^100."""
+    return PcPresentation(
+        name="TWO PERIODS", periods=(None, 10 ** 100, None, 10 ** 100),
+        powers=(), commutators=(((3, 2), ((4, 1),)),))
+
+
 @pytest.mark.parametrize("name, products, compositions", [
-    ("ZG", 39, 0), ("NR", 2, 0), ("H_4", 0, 0), ("CENTRAL", 12, 0)])
+    ("ZG", 33, 0), ("NR", 2, 0), ("H_4", 0, 0), ("CENTRAL", 12, 0),
+    ("TWO PERIODS", 1073, 536)])
 def test_proof_reads_off_what_the_relations_fix(name, products, compositions,
                                                 monkeypatch):
     # Only letters in M (those with a tail [u_k, u_i]) move under c. A side
@@ -740,8 +760,12 @@ def test_proof_reads_off_what_the_relations_fix(name, products, compositions,
     # the letters themselves, and no product starts from the identity. So
     # ZG collects only its 15 gen-power overlaps and the powers c(u_j)^5
     # of the letters in M, and CENTRAL composes no automorphism for its
-    # period of 10^100.
-    p = central() if name == "CENTRAL" else BASE[name]()
+    # period of 10^100. Powers of elements of an accepted layer of the
+    # cover take the Newton series, d - 1 products each: ZG's c(u_j)^5,
+    # and the powers near 10^100 inside TWO PERIODS' 536 compositions for
+    # c^{e_2 - 1}, which took 103,536 products by binary powering.
+    p = {"CENTRAL": central, "TWO PERIODS": two_periods}.get(
+        name, BASE.get(name))()
     counts = {"_multiply": 0, "_compose_aut": 0}
     for f in counts:
         def spy(*args, f=f, real=getattr(pc, f)):

@@ -176,6 +176,16 @@ class TestScalarRing:
                 table=(((1,),),),
             )
 
+    def test_basis_with_an_ill_defined_map_rejected(self):
+        # every triple of the identity basis satisfies the empty pairing's
+        # identities, but phi1 = E_21 sends u1, of period 2, to the
+        # infinite u2, so it is no map of A
+        pairing = Pairing((2, None), (), (), ((), ()))
+        with pytest.raises(ScalarRingError, match="not well defined"):
+            sc.ScalarRing(pairing, eye(4))
+        ring = sc.ScalarRing(pairing, scalar_ring(pairing).s_basis)
+        assert ring.s_basis == scalar_ring(pairing).s_basis
+
     def test_table_shape_rejected(self):
         with pytest.raises(ScalarRingError):
             Pairing(

@@ -151,8 +151,9 @@ def assert_constructions_hold(p):
     upper = sg.upper_central_series(p)
     assert upper[-1] == whole
     for series in (None, upper[::-1]):
-        # [U_k, G] = L_{k+1} (associated_series)
+        # L ends at 1 and [U_k, G] = L_{k+1} (associated_series)
         s = associated_series(p, series)
+        assert s.lower[-1].is_trivial
         for k, u in enumerate(s.upper):
             assert sg.commutator_subgroup(p, u, whole) == s.lower[k + 1]
         # the multiplication table is associative (ScalarRing)
