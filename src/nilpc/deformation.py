@@ -10,7 +10,7 @@ and permuted without touching anything else; that is the deformation.
 
 from collections import namedtuple
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg as il
@@ -246,20 +246,25 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
     Groups the parameter space by extension class and returns one
     representative per class, together with the crude upper bound e^p on
     how many classes could exist at all.  There are |units|^n n! 2^n
-    cases; past SURVEY_CAP it raises DeformError, as soon as the units
-    listed so far show it, instead of looping.  Every d is a unit and
+    cases; past SURVEY_CAP it raises DeformError, before listing any unit
+    when isqrt(e // 2)^n n! 2^n already passes the cap, and otherwise as
+    soon as the units listed so far show it, instead of looping.
+    |units| = phi(e) >= sqrt(e / 2): phi(p^k) >= sqrt(p^k) for every
+    prime power but 2, and phi(2) = sqrt(2 / 2).  Every d is a unit and
     every c a signed permutation by construction, so the presentation is
     checked once and no case is validated again.
     """
     per_d = factorial(a.n) * 2 ** a.n
+    capped = DeformError(f"{a.pres.name}: surveying deformations takes "
+                         f"more cases than the cap of {SURVEY_CAP}")
+    if isqrt(a.e // 2) ** a.n * per_d > SURVEY_CAP:
+        raise capped
     units = []
     for u in range(1, a.e + 1):
         if gcd(u, a.e) == 1:
             units.append(u)
             if len(units) ** a.n * per_d > SURVEY_CAP:
-                raise DeformError(
-                    f"{a.pres.name}: surveying deformations takes more "
-                    f"cases than the cap of {SURVEY_CAP}")
+                raise capped
     _check_diagonal(a)
     found = {}
     for d in product(units, repeat=a.n):

@@ -29,10 +29,14 @@ proves that G~_i = <u_i, ..., u_m> is a group with those relations (see
   the conjugated suffix.
 
 Popping a letter of index i only ever pushes letters of index > i, which is
-what makes the loop terminate. The polynomials exist only as a by-product of
-consistency_check, which proves the presentation layer by layer and derives
-each layer's table once that layer has passed; they stay in the
-presentation's _layers field for the commands that follow. Arithmetic on a
+what makes the loop terminate. The polynomials come only from
+consistency_check, which proves the presentation layer by layer and accepts
+each layer of the cover once it has passed. An accepted layer's table is
+derived on demand: the first time collection moves a letter of that layer
+past a nonzero suffix, during the proof or in a later command. It then
+stays in the presentation's _layers field. A table derived late is the one
+derived at once, because layer i's table is collected in G~_{i+1} with the
+layers above i, and those are fixed once accepted. Arithmetic on a
 presentation that was never checked runs the proof first and refuses an
 inconsistent one with PresentationError, keeping the refusal. The
 interpolation is complete by a degree bound from per-generator weights read
@@ -357,7 +361,8 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # Deep Thought bound). A layer therefore needs the points b with b_0 >= 1
 # whose weighted degree is at most w(k) for some coordinate k beyond the
 # last z that b uses. Their values come from collecting in G~_{i+1} with the
-# deeper layers' polynomials, so the layers are derived bottom-up. A letter
+# deeper layers' polynomials, so a deeper table that the collection needs is
+# derived first, on demand (_Tables.derive). A letter
 # with no tail [u_{i+v}, u_i] commutes with u_i, so it is its own conjugate
 # under every u_i^e, and a point's first factor is its conjugate as it is.
 #
@@ -388,7 +393,7 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # the cover has no periods, so the other parts do not apply to it. From the
 # last finite generator f on, the cover's tables are G's own (G~_{i+1} =
 # G_{i+1} for i >= f), so layer i of G, which consistency_check proves
-# before it derives layer i's table, includes the certificate, and the
+# before it accepts layer i of the cover, includes the certificate, and the
 # certificate skips those layers.
 #
 # _ConjPoly and _Tables are slotted classes, not namedtuples: collection
@@ -417,29 +422,54 @@ class _ConjPoly:
             (self.monos, self.rows) == (other.monos, other.rows))
 
 
+_PENDING = _ConjPoly(None, None)  # accepted, not derived yet
+
+
 class _Tables:
     """What collection in a presentation reads besides its relations.
 
     cover: the torsion-free cover G~, with no periods or power tails.
-    polys: per layer, its _ConjPoly in G~, or None where collection rewrites.
+    polys: per layer, None where collection rewrites; for an accepted
+        layer its _ConjPoly in G~, or _PENDING until a letter of the layer
+        first moves past a nonzero suffix, which derives it (derive).
     finite: the generators with a finite period, ascending; they have none
         in G~, so collection in the cover reduces nothing.
     degree: the largest Deep Thought weight w(k). When every letter of x
         lies in an accepted layer, each coordinate of x^n in G~ is a
         polynomial in n of degree at most this (see "Powers" in the module
         docstring).
+    weight, slack: the weights w, read off the commutator tails, which
+        the proof and every derivation read, and the slack of the degree
+        bound, which every derivation reads (_derive_layers).
+
+    A table derived late is the table derived at once: layer i's values
+    are collected in G~_{i+1} with the layers above i, which are accepted
+    before layer i is and never change after. == compares the fully
+    derived tables, not how far derivation has got.
     """
 
-    __slots__ = ("cover", "polys", "finite", "degree")
+    __slots__ = ("cover", "polys", "finite", "degree", "weight", "slack")
 
-    def __init__(self, cover, polys, finite, degree):
+    def __init__(self, cover, polys, finite, degree, weight, slack):
         self.cover, self.polys = cover, polys
         self.finite, self.degree = finite, degree
+        self.weight, self.slack = weight, slack
+
+    def derive(self, i: int) -> Optional[_ConjPoly]:
+        """Layer i's table, derived now if it is pending."""
+        poly = self.polys[i - 1]
+        if poly is _PENDING:
+            poly = self.polys[i - 1] = _derive_layer(self.cover, i, self)
+        return poly
+
+    def derived(self) -> tuple:
+        """Every layer's table, with the pending ones derived."""
+        return tuple(map(self.derive, range(1, len(self.polys) + 1)))
 
     def __eq__(self, other):
         return isinstance(other, _Tables) and (
-            (self.cover, self.polys, self.finite, self.degree)
-            == (other.cover, other.polys, other.finite, other.degree))
+            (self.cover, self.derived(), self.finite, self.degree)
+            == (other.cover, other.derived(), other.finite, other.degree))
 
 
 def _conj_layers(p: PcPresentation) -> _Tables:
@@ -456,16 +486,18 @@ def _conj_layers(p: PcPresentation) -> _Tables:
 def _derive_layers(
     p: PcPresentation, slack: int = 0,
 ) -> Union[_Tables, Tuple[ConsistencyFailure, ...]]:
-    """Prove p consistent layer by layer, deepest first, and derive the
-    tables of the cover on the way; at the first layer of p that fails,
+    """Prove p consistent layer by layer, deepest first, and accept the
+    layers of the cover on the way; at the first layer of p that fails,
     its failing overlaps instead (see consistency_check).
 
-    Layer i of p is proven before layer i's table is derived, and the
-    accepted layers of the cover stop at the first one whose certificate
-    fails. slack raises every degree bound, so more lattice points are
-    used; a sound bound leaves the tables unchanged (the tests pin it that
-    way). The weights w are read off the commutator tails once: they give
-    the degree bound and the class bound d = max w (_Tables.degree), above
+    Layer i of the cover is accepted only after layer i of p is proven,
+    and the accepted layers stop at the first one whose certificate fails.
+    An accepted layer is left _PENDING: its table is derived when
+    collection first needs it (_Tables.derive), during the proof or after.
+    slack raises every degree bound, so more lattice points are used; a
+    sound bound leaves the tables unchanged (the tests pin it that way).
+    The weights w are read off the commutator tails once: they give the
+    degree bound and the class bound d = max w (_Tables.degree), above
     which _extends skips the triple overlaps.
     """
     m = p.m
@@ -478,20 +510,20 @@ def _derive_layers(
             weight[l] = max(weight[l], weight[i] + weight[j])
     degree = max(weight)
     polys: list = [None] * m
-    layers = _Tables(cover, polys, finite, degree)
+    layers = _Tables(cover, polys, finite, degree, weight, slack)
     low = m + 1  # the lowest accepted layer so far
     for i in range(m, 0, -1):
-        failures = tuple(_extends(p, i, layers, weight))
+        failures = tuple(_extends(p, i, layers))
         if failures:
             return failures
         if low == i + 1 and (
-                i >= f or not any(_extends(cover, i, layers, weight))):
-            polys[i - 1] = _derive_layer(cover, i, weight, layers, slack)
+                i >= f or not any(_extends(cover, i, layers))):
+            polys[i - 1] = _PENDING
             low = i
-    return _Tables(cover, tuple(polys), finite, degree)
+    return layers
 
 
-def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
+def _extends(q: PcPresentation, i: int, layers: _Tables):
     """Yield the failing overlaps of layer i of q, given that Q_{i+1} =
     <u_{i+1}, ..., u_m> is consistent: the overlaps of layer i, read as
     relations of c: u_l -> u_l [u_l, u_i] (l > i), collected in Q_{i+1}
@@ -504,11 +536,13 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
     bound layers.degree holds in any consistent Q_{i+1} and is skipped
     (see "Weights" in consistency_check). Sides that c fixes are read off
     the relations (see "Read off" there): c(w_j), c(w_i) and c(u_j)^{e_j}
-    with no letter in M, and c^{e_i}(u_j) when M is empty."""
+    with no letter in M, and c^{e_i}(u_j) when M is empty; a gen-power
+    overlap whose sides are equal is not collected at all."""
     def at_i(x: Element) -> Element:  # u_i x, for x in Q_{i+1}
         return x[:i - 1] + (1,) + x[i:]
 
     m = q.m
+    weight = layers.weight
     room = layers.degree - weight[i]  # kept: w(j) + w(k) <= room
     if room < 2 and not any(q.periods[i - 1:]):  # no overlap to collect
         return
@@ -532,9 +566,7 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
     ei = q.periods[i - 1]
     if ei is not None:
         wi = element_of_word_coords(q, q.power_tail(i))
-        # c^{e_i}(u_j) as c^{e_i - 1}(c(u_j)), the way u_i^{e_i - 1} moves
-        # past u_i c(u_j) when collected from the left
-        rest = _conj_aut(q, i, ei - 1, layers) if moved else c
+        rest = None  # c^{e_i - 1}, built when an overlap needs it
     for j in range(i + 1, m + 1):
         ej = q.periods[j - 1]
         if ej is not None:
@@ -544,7 +576,14 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
             if lhs != rhs:
                 yield ConsistencyFailure(
                     "power-gen", j, i, None, at_i(lhs), at_i(rhs))
-        if ei is not None:
+        if ei is not None and (j in moved or any(
+                q.commutator_tail(max(j, l), min(j, l))
+                for l, _ in q.power_tail(i))):
+            if rest is None:
+                # c^{e_i}(u_j) as c^{e_i - 1}(c(u_j)), the way
+                # u_i^{e_i - 1} moves past u_i c(u_j) when collected from
+                # the left
+                rest = _conj_aut(q, i, ei - 1, layers) if moved else c
             lhs = _multiply(q, generator(q, j), wi, layers)
             rhs = _multiply(q, wi, _apply_aut(q, rest, c[j], layers), layers)
             if lhs != rhs:
@@ -556,16 +595,15 @@ def _extends(q: PcPresentation, i: int, layers: _Tables, weight):
                 "power-power", i, i, None, at_i(wi), at_i(cwi))
 
 
-def _derive_layer(p: PcPresentation, i: int, weight, layers,
-                  slack: int) -> _ConjPoly:
+def _derive_layer(p: PcPresentation, i: int, layers: _Tables) -> _ConjPoly:
     m = p.m
     n = m - i
     if not any(p.commutator_tail(k, i) for k in range(i + 1, m + 1)):
         return _ConjPoly((), ())
-    ws = weight[i:]  # ws[v]: weight of variable v
+    ws = layers.weight[i:]  # ws[v]: weight of variable v
     top = [0] * (n + 1)  # top[v]: the largest bound beyond variable v
     for v in range(n - 1, -1, -1):
-        top[v] = max(top[v + 1], ws[v + 1] + slack)
+        top[v] = max(top[v + 1], ws[v + 1] + layers.slack)
     step = dict(_step(p, i))
     images: Dict[int, list] = {}
 
@@ -595,8 +633,7 @@ def _derive_layer(p: PcPresentation, i: int, weight, layers,
         for v in range(last, n + 1):
             if zw + ws[v] + ws[0] <= top[v]:
                 todo.append((z[:v] + (z[v] + 1,) + z[v + 1:], zw + ws[v], v))
-    h = {b: tuple(y - z for y, z in zip(x[i:], b[1:]))
-         for b, x in conj.items()}
+    h = {b: tuple(map(sub, x[i:], b[1:])) for b, x in conj.items()}
     return _pack(_newton(h), i)
 
 
@@ -680,6 +717,8 @@ def _collect(p: PcPresentation, t: list, stack: list,
             raise ValueError(f"letter index {i} out of range")
         poly = polys[i - 1]
         if poly is not None:
+            if poly is _PENDING and any(t[i:]):
+                poly = layers.derive(i)
             if poly.rows and any(t[i:]):
                 _conj_poly(poly, e, t, i)
             t[i - 1] += e
@@ -871,8 +910,9 @@ class ConsistencyReport(namedtuple("ConsistencyReport", "ok failures")):
 
 def consistency_check(p: PcPresentation) -> ConsistencyReport:
     """Prove the presentation consistent layer by layer, from i = m down to
-    1, and leave the collector's tables on it; at the first layer that
-    fails, report that layer's failing overlaps.
+    1, and leave the collector's tables on it, each to be derived when
+    collection first needs it; at the first layer that fails, report that
+    layer's failing overlaps.
 
     By descending induction on i, let the presentation of G_{i+1} =
     <u_{i+1}, ..., u_m> be consistent. The overlaps of layer i are
@@ -932,7 +972,13 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
       x has no letter in M: x is a product of fixed letters in normal form;
     - c(u_j)^{e_j} is w_j when j is not in M: u_j^{e_j} = w_j in G_{i+1},
       which is consistent, so its normal form is w_j;
-    - c^{e_i}(u_j) is u_j when M is empty: c is then the identity.
+    - c^{e_i}(u_j) is u_j when M is empty: c is then the identity;
+    - the gen-power overlap (j, i) is skipped when j is not in M and no
+      letter of w_i but u_j has a commutator tail with u_j: then
+      c^{e_i}(u_j) = u_j, u_j commutes with every letter of w_i, and both
+      sides are the normal form of u_j w_i = w_i u_j in G_{i+1}, which is
+      consistent. c^{e_i - 1} is composed only when some overlap of
+      layer i is still collected.
 
     The tables of the layers above i may be used at layer i without
     circularity. Layer l's table describes the cover G~_l and is accepted
@@ -946,15 +992,21 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     presentation's relations, and the induction has proven that for every
     l > i. In G_{i+1} every
     collection that applies valid relations ends in the one normal form,
-    so layer i is decided as rewriting would decide it. Layer i's own table
-    is derived only after layer i passes (_derive_layers), and p._layers is
-    never read.
+    so layer i is decided as rewriting would decide it. Layer i of the
+    cover is accepted only after layer i passes (_derive_layers), so its
+    table cannot be derived before then, and p._layers is never read.
 
-    When every layer passes, the tables are left in p._layers for the
-    commands that follow; this proof is their only source. When layer i0
-    fails, p._layers keeps False, and the report lists the failing overlaps
-    of i0 that the proof found, each with its two sides collected from the
-    left (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
+    When every layer passes, p._layers keeps the tables for the commands
+    that follow; this proof is their only source. The proof accepts the
+    layers but derives a table only when one of its collections moves a
+    letter of that layer past a nonzero suffix, and each later collection
+    that does so derives the table it needs (_Tables.derive). A table
+    derived late equals one derived at once: layer i's values are
+    collected in G~_{i+1} with the layers above i, which never change once
+    accepted, and with the same weights and slack. When layer i0 fails,
+    p._layers keeps False, and the report lists the failing overlaps of i0
+    that the proof found, each with its two sides collected from the left
+    (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
     defined, while an overlap of a lower layer would be collected in a
     group already known to be inconsistent and is not reported.
     """

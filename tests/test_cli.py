@@ -15,6 +15,7 @@ import pytest
 import nilpc
 from nilpc import abelian as ab
 from nilpc import cli
+from nilpc import deformation as dm
 from nilpc import files
 from nilpc import presentation as pc
 from nilpc import scalars as sc
@@ -853,6 +854,26 @@ class TestHugeExponents:
         else:
             assert code == 0
             assert "error" not in payload
+
+    def test_survey_cap_is_found_without_listing_units(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # e = 10^1000 has phi(e) >= sqrt(e / 2) units, far past the cap,
+        # so enumerate exits at the cap before it lists them with gcd
+        raw = HUGE_PRESENTATIONS["two periods"]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"name": "two periods", "rank": len(raw["periods"]), **raw}))
+        calls = []
+
+        def gcd(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = dm.gcd
+        monkeypatch.setattr(dm, "gcd", gcd)
+        assert main(["enumerate", str(path)]) == 1
+        assert "cap" in json.loads(capsys.readouterr().out)["error"]
+        assert len(calls) < 100
 
     def test_hom_with_huge_images(self, workdir, capsys):
         # u1 -> u1^N, u2 -> u2, u3 -> u3^N respects [u2, u1] = u3^-1

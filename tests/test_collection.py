@@ -372,6 +372,23 @@ def test_failed_layer_falls_back_to_rewriting(span):
     check()
 
 
+def test_no_layer_is_accepted_below_a_failed_certificate():
+    # fallback() under a new central u1 of infinite order: the cover now
+    # fails at layer 2. Layer 1's own certificate passes, as c is the
+    # identity, but G~_1 holds the inconsistent G~_2, so layer 1 is not
+    # accepted and no table is ever derived for it.
+    q = fallback()
+    p = PcPresentation(
+        name="FALLBACK UNDER Z", periods=(None,) + q.periods,
+        commutators=tuple(((j + 1, i + 1), tuple((l + 1, e) for l, e in t))
+                          for (j, i), t in q.commutators))
+    assert pc.consistency_check(p).ok
+    layers = pc._conj_layers(p)
+    assert not any(pc._extends(layers.cover, 1, layers))
+    assert accepted_layers(p) == [3, 4, 5, 6]
+    assert oracles.lowest_consistent_cover_layer(p) == 3
+
+
 @pytest.mark.parametrize("n", [-50, 7, 10 ** 6])
 def test_failed_cover_powers_in_binary(n, monkeypatch):
     # the cover fails at layer 1, so x, which has a letter there, is powered
@@ -485,13 +502,23 @@ def test_certificate_matches_rewriting_oracle_sweep():
 @pytest.mark.parametrize("name", [
     n + r for n in ("UT_3", "UT_4", "UT_5", "UT_6", "H_2", "H_3", "H_4", "F23")
     for r in ("", REBASED)] + ["ZG", "NR", "HEIS-index2"])
-def test_one_more_interpolation_point_changes_nothing(name):
+def test_one_more_interpolation_point_changes_nothing(name, monkeypatch):
     # ZG, NR and HEIS-index2 have finite periods: their tables are those of
-    # the torsion-free cover
+    # the torsion-free cover. == derives every pending table on both sides,
+    # and the wider tables are interpolated on more lattice points.
     p = presentation(name)
     layers = pc._derive_layers(p)
-    assert any(layer is not None and layer.rows for layer in layers.polys)
+    newton, points = pc._newton, []
+
+    def counting(h):
+        points.append(len(h))
+        return newton(h)
+
+    monkeypatch.setattr(pc, "_newton", counting)
+    assert any(layer is not None and layer.rows for layer in layers.derived())
+    narrow, points[:] = sum(points), []
     assert pc._derive_layers(p, slack=1) == layers
+    assert sum(points) > narrow
 
 
 def support_inputs():
@@ -513,7 +540,7 @@ def test_derived_support_follows_commutator_trees():
         if not pc.consistency_check(p).ok:
             continue
         predicted = oracles.predicted_support(p)
-        for i, poly in enumerate(pc._conj_layers(p).polys, start=1):
+        for i, poly in enumerate(pc._conj_layers(p).derived(), start=1):
             if poly is None:
                 continue
             vecs = [(0,) * (p.m - i + 1)]
@@ -526,6 +553,63 @@ def test_derived_support_follows_commutator_trees():
                         p, i, k + 1, vecs[j])
             layers += bool(poly.rows)
     assert layers >= 400
+
+
+# -- tables on demand ------------------------------------------------------------
+
+
+def spy_derivations(monkeypatch):
+    """The layers whose tables are derived from now on, in order."""
+    derive, derived = pc._derive_layer, []
+
+    def recording(q, i, *args):
+        derived.append(i)
+        return derive(q, i, *args)
+
+    monkeypatch.setattr(pc, "_derive_layer", recording)
+    return derived
+
+
+@pytest.mark.parametrize("name, derived", [
+    ("HEIS", []), ("NR", []), ("F23", []), ("H_4", []), ("H_10", []),
+    ("ZG", [4]), ("ZH", [4]), ("ZK", [4]), ("UT_5", [2, 3, 4, 5, 6, 7, 8, 9])])
+def test_load_derives_only_the_tables_the_proof_collects_with(
+        name, derived, monkeypatch):
+    # The proof accepts every layer of these covers but derives a table
+    # only when its collections move a letter of that layer past a nonzero
+    # suffix. The class-2 proofs collect nothing but ZG's (ZH's, ZK's)
+    # powers c(u4)^5 by the series, whose product (u4 u6)(u4 u6) moves u4
+    # past u6; UT_5 compares triples, whose products move letters of
+    # layers 2-9.
+    got = spy_derivations(monkeypatch)
+    if name in files.fixture_names():
+        p = files.load_fixture(name)
+    else:
+        p = files.parse(files.emit(
+            heisenberg(10) if name == "H_10" else presentation(name)))
+    assert sorted(got) == derived
+    assert accepted_layers(p) == list(range(1, p.m + 1))
+
+
+def test_first_product_derives_the_layers_it_moves(monkeypatch):
+    # In HEIS, [u2, u1] = u3^-1. A letter that meets an empty suffix
+    # derives nothing; u1 moved past u2 derives layer 1, u2 moved past u3
+    # layer 2, each once. The tables derived on demand are those of a full
+    # derivation.
+    p = files.load_fixture("HEIS")
+    derived = spy_derivations(monkeypatch)
+    u1, u2, u3 = (pc.generator(p, i) for i in (1, 2, 3))
+    assert pc.multiply(p, u1, u2) == (1, 1, 0)
+    assert pc.multiply(p, u1, u3) == (1, 0, 1)
+    assert derived == []
+    assert pc.multiply(p, u2, u1) == (1, 1, -1)
+    assert derived == [1]
+    assert pc.multiply(p, u3, u2) == (0, 1, 1)
+    assert pc.multiply(p, (0, 3, 2), (5, 0, 0)) == (5, 3, -13)
+    assert derived == [1, 2]
+    assert p._layers.polys[2] is pc._PENDING
+    assert p._layers == pc._derive_layers(
+        files.load_fixture("HEIS", check=False))
 
 
 # -- consistency_check, bottom-up --------------------------------------------
@@ -716,8 +800,11 @@ def test_proof_keeps_the_triple_at_the_class():
 def test_class_two_proof_collects_no_triple(name, monkeypatch):
     # Every triple of a class-2 group weighs at least 3 > c = 2, so none is
     # compared. _extends takes two products for each triple it compares,
-    # and otherwise only the two of each gen-power overlap u_j u_i^{e_i},
-    # one for every j > i when e_i is finite.
+    # and otherwise only the two of each gen-power overlap u_j u_i^{e_i}
+    # that it cannot read off. ZG has none left: its finite layers 4, 6, 7
+    # and 8 have no tail [u_k, u_i], so c fixes every u_j, and the one
+    # power tail, w_4 = u5, is central, so u_j w_4 = w_4 u_j. H_10 has no
+    # finite period.
     p = zg() if name == "ZG" else heisenberg(10)
     multiply, products = pc._multiply, []
 
@@ -729,9 +816,7 @@ def test_class_two_proof_collects_no_triple(name, monkeypatch):
     monkeypatch.setattr(pc, "_multiply", spy)
     assert pc.consistency_check(p).ok
     assert pc._conj_layers(p).degree == 2
-    gen_power = sum(p.m - i for i, e in enumerate(p.periods, 1)
-                    if e is not None)
-    assert len(products) == 2 * gen_power  # and none for a triple
+    assert products == []
 
 
 def central():
@@ -750,20 +835,32 @@ def two_periods():
 
 
 @pytest.mark.parametrize("name, products, compositions", [
-    ("ZG", 33, 0), ("NR", 2, 0), ("H_4", 0, 0), ("CENTRAL", 12, 0),
-    ("TWO PERIODS", 1073, 536)])
+    ("ZG", 3, 0), ("NR", 0, 0), ("H_4", 0, 0), ("CENTRAL", 4, 0),
+    ("TWO PERIODS", 1071, 536)])
 def test_proof_reads_off_what_the_relations_fix(name, products, compositions,
                                                 monkeypatch):
     # Only letters in M (those with a tail [u_k, u_i]) move under c. A side
     # whose letters all lie outside M is read off the relations, c^{e_i}
     # is the identity when M is empty, conjugates of letters outside M are
-    # the letters themselves, and no product starts from the identity. So
-    # ZG collects only its 15 gen-power overlaps and the powers c(u_j)^5
-    # of the letters in M, and CENTRAL composes no automorphism for its
-    # period of 10^100. Powers of elements of an accepted layer of the
-    # cover take the Newton series, d - 1 products each: ZG's c(u_j)^5,
-    # and the powers near 10^100 inside TWO PERIODS' 536 compositions for
-    # c^{e_2 - 1}, which took 103,536 products by binary powering.
+    # the letters themselves, and no product starts from the identity. A
+    # gen-power overlap (j, i) with j outside M whose u_j commutes with
+    # every other letter of w_i has equal sides, u_j w_i = w_i u_j, and is
+    # not collected; c^{e_i - 1} is composed only for one that is. Tables
+    # are derived only when collection moves a letter past a nonzero
+    # suffix, and their products count here too.
+    # - ZG: every gen-power overlap is read off (its finite layers fix
+    #   every letter and w_4 = u5 is central), so its 3 products are the
+    #   powers c(u4)^5 of layers 1-3, one Newton-series product each.
+    # - NR: its one gen-power overlap, (6, 5), is read off, and at class
+    #   2 no triple is compared.
+    # - CENTRAL: u3 is central with no power tail, so both of its
+    #   gen-power overlaps are read off, and no automorphism is composed
+    #   for its period of 10^100; the 4 products are the triple (u3, u2,
+    #   u1), compared in G and in the cover's certificate.
+    # - TWO PERIODS: (4, 2) is read off, but (3, 2) has u3 in M, so the
+    #   536 compositions for c^{e_2 - 1} stay. Their powers near 10^100
+    #   take the Newton series, d - 1 = 1 product each, where binary
+    #   powering took 103,536 products.
     p = {"CENTRAL": central, "TWO PERIODS": two_periods}.get(
         name, BASE.get(name))()
     counts = {"_multiply": 0, "_compose_aut": 0}

@@ -43,6 +43,7 @@ from groups_def import (
     heis,
     heisenberg,
     nr,
+    random_basis_change,
     unitriangular,
     zg,
     zh,
@@ -549,3 +550,78 @@ class TestRefinedSeries:
         rs = refined_series(nr())
         assert rs.ring.mul(rs.ring.unit, rs.ring.unit) == rs.ring.unit
         _unit_acts_as_identity(rs)
+
+
+# -- every gap is a module ------------------------------------------------------
+
+
+def gaussian_heisenberg(period=None):
+    """The Heisenberg group over Z[i], or over Z[i]/period in its centre:
+    x = u1 + u2 i, y = u3 + u4 i, z = u5 + u6 i with [y, x] = z read as
+    multiplication. Its ring is Z[i] (or Z[i]/period), of rank 2, so the
+    basis has a product besides the unit's square."""
+    return pc.PcPresentation(
+        name="HG" if period is None else f"HG_{period}",
+        periods=(None,) * 4 + (period,) * 2,
+        commutators=(((3, 1), ((5, 1),)), ((3, 2), ((6, 1),)),
+                     ((4, 1), ((6, 1),)),
+                     ((4, 2), ((5, -1 if period is None else period - 1),))))
+
+
+MODULE_INPUTS = {
+    **{name: make for name, make in _REFINED.items() if name != "UT_8"},
+    **{f"{name} rebased {seed}": (
+        lambda make=make, seed=seed: random_basis_change(
+            make(), random.Random(seed)))
+       for name, make in _REFINED.items() if name != "UT_8"
+       for seed in (0, 1)},
+    "UT_4": lambda: unitriangular(4), "UT_5": lambda: unitriangular(5),
+    "H_3": lambda: heisenberg(3), "H_4": lambda: heisenberg(4),
+    "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
+    "HG": gaussian_heisenberg, "HG_5": lambda: gaussian_heisenberg(5),
+}
+
+
+def _columns(sec, mat):
+    """The columns of mat, each reduced modulo the section's periods: the
+    images of the section's basis vectors."""
+    n = len(sec.periods)
+    return tuple(sec.reduce(tuple(mat[r][c] for r in range(n)))
+                 for c in range(n))
+
+
+@pytest.mark.parametrize("name", list(MODULE_INPUTS))
+def test_every_gap_is_a_module(name):
+    # Each gap's matrices make it a module over the ring: the matrix of
+    # b_j b_l, read off the ring's multiplication table, is M(b_j) M(b_l),
+    # the order ScalarRing._compose multiplies in, and the unit acts as
+    # the identity, both modulo the section's periods.
+    rs = refined_series(MODULE_INPUTS[name]())
+    ring = rs.ring
+    k = len(ring.periods)
+    gaps = 0
+    for entry in rs.actions:
+        if entry.matrices is None:
+            continue
+        sec, mats = entry.section, entry.matrices
+        n = len(sec.periods)
+        assert len(mats) == k
+        assert all(len(m) == n and all(len(row) == n for row in m)
+                   for m in mats)
+
+        def matrix_of(coords):
+            return [[sum(cj * m[r][c] for cj, m in zip(coords, mats))
+                     for c in range(n)] for r in range(n)]
+
+        where = (entry.chain, entry.top, entry.bottom)
+        assert _columns(sec, matrix_of(ring.unit)) == _columns(
+            sec, eye(n)), where
+        for j in range(k):
+            for l in range(k):
+                product_ = [[sum(mats[j][r][t] * mats[l][t][c]
+                                 for t in range(n)) for c in range(n)]
+                            for r in range(n)]
+                assert _columns(sec, matrix_of(ring.mult_table[j][l])) == \
+                    _columns(sec, product_), (where, j, l)
+        gaps += 1
+    assert gaps
