@@ -31,12 +31,9 @@ proves that G~_i = <u_i, ..., u_m> is a group with those relations (see
 Popping a letter of index i only ever pushes letters of index > i, which is
 what makes the loop terminate. The polynomials come only from
 consistency_check, which proves the presentation layer by layer and accepts
-each layer of the cover once it has passed. An accepted layer's table is
-derived on demand: the first time collection moves a letter of that layer
-past a nonzero suffix, during the proof or in a later command. It then
-stays in the presentation's _layers field. A table derived late is the one
-derived at once, because layer i's table is collected in G~_{i+1} with the
-layers above i, and those are fixed once accepted. Arithmetic on a
+each layer of the cover once it has passed; an accepted layer's table is
+derived when collection first moves a letter of it past a nonzero suffix,
+and stays in the presentation's _layers field. Arithmetic on a
 presentation that was never checked runs the proof first and refuses an
 inconsistent one with PresentationError, keeping the refusal. The
 interpolation is complete by a degree bound from per-generator weights read
@@ -361,8 +358,7 @@ def _conj_aut(p: PcPresentation, i: int, e: int, layers) -> Dict[int, Element]:
 # Deep Thought bound). A layer therefore needs the points b with b_0 >= 1
 # whose weighted degree is at most w(k) for some coordinate k beyond the
 # last z that b uses. Their values come from collecting in G~_{i+1} with the
-# deeper layers' polynomials, so a deeper table that the collection needs is
-# derived first, on demand (_Tables.derive). A letter
+# deeper layers' polynomials, derived first when pending. A letter
 # with no tail [u_{i+v}, u_i] commutes with u_i, so it is its own conjugate
 # under every u_i^e, and a point's first factor is its conjugate as it is.
 #
@@ -430,22 +426,18 @@ class _Tables:
 
     cover: the torsion-free cover G~, with no periods or power tails.
     polys: per layer, None where collection rewrites; for an accepted
-        layer its _ConjPoly in G~, or _PENDING until a letter of the layer
-        first moves past a nonzero suffix, which derives it (derive).
+        layer its _ConjPoly in G~, or _PENDING until collection first
+        needs it (derive; see consistency_check).
     finite: the generators with a finite period, ascending; they have none
         in G~, so collection in the cover reduces nothing.
     degree: the largest Deep Thought weight w(k). When every letter of x
         lies in an accepted layer, each coordinate of x^n in G~ is a
         polynomial in n of degree at most this (see "Powers" in the module
         docstring).
-    weight, slack: the weights w, read off the commutator tails, which
-        the proof and every derivation read, and the slack of the degree
-        bound, which every derivation reads (_derive_layers).
+    weight, slack: the weights w and the slack of the degree bound
+        (_derive_layers).
 
-    A table derived late is the table derived at once: layer i's values
-    are collected in G~_{i+1} with the layers above i, which are accepted
-    before layer i is and never change after. == compares the fully
-    derived tables, not how far derivation has got.
+    == compares the fully derived tables.
     """
 
     __slots__ = ("cover", "polys", "finite", "degree", "weight", "slack")
@@ -490,11 +482,9 @@ def _derive_layers(
     layers of the cover on the way; at the first layer of p that fails,
     its failing overlaps instead (see consistency_check).
 
-    Layer i of the cover is accepted only after layer i of p is proven,
-    and the accepted layers stop at the first one whose certificate fails.
-    An accepted layer is left _PENDING: its table is derived when
-    collection first needs it (_Tables.derive), during the proof or after.
-    slack raises every degree bound, so more lattice points are used; a
+    Layer i of the cover is accepted, as _PENDING, only after layer i of
+    p is proven, and the accepted layers stop at the first one whose
+    certificate fails. slack raises every degree bound, so more lattice points are used; a
     sound bound leaves the tables unchanged (the tests pin it that way).
     The weights w are read off the commutator tails once: they give the
     degree bound and the class bound d = max w (_Tables.degree), above
@@ -997,16 +987,15 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
     table cannot be derived before then, and p._layers is never read.
 
     When every layer passes, p._layers keeps the tables for the commands
-    that follow; this proof is their only source. The proof accepts the
-    layers but derives a table only when one of its collections moves a
-    letter of that layer past a nonzero suffix, and each later collection
-    that does so derives the table it needs (_Tables.derive). A table
-    derived late equals one derived at once: layer i's values are
-    collected in G~_{i+1} with the layers above i, which never change once
-    accepted, and with the same weights and slack. When layer i0 fails,
-    p._layers keeps False, and the report lists the failing overlaps of i0
-    that the proof found, each with its two sides collected from the left
-    (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
+    that follow; this proof is their only source. A table is derived only
+    when a collection, here or later, first moves a letter of its layer
+    past a nonzero suffix (_Tables.derive). A table derived late equals
+    one derived at once: layer i's values are collected in G~_{i+1} with
+    the layers above i, which never change once accepted.
+
+    When layer i0 fails, p._layers keeps False, and the report lists the
+    failing overlaps of i0 that the proof found, each with its two sides
+    collected from the left (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
     defined, while an overlap of a lower layer would be collected in a
     group already known to be inconsistent and is not reported.
     """
