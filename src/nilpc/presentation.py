@@ -637,7 +637,7 @@ def _newton(h: Dict[Tuple[int, ...], tuple]) -> Dict[Tuple[int, ...], tuple]:
                 if b[a] < r:
                     break
                 d = h.get(b[:a] + (b[a] - 1,) + b[a + 1:])
-                if d is not None:
+                if d is not None and any(d):
                     h[b] = tuple(map(sub, h[b], d))
     return h
 
