@@ -484,8 +484,9 @@ def _derive_layers(
 
     Layer i of the cover is accepted, as _PENDING, only after layer i of
     p is proven, and the accepted layers stop at the first one whose
-    certificate fails. slack raises every degree bound, so more lattice points are used; a
-    sound bound leaves the tables unchanged (the tests pin it that way).
+    certificate fails. slack raises every degree bound, so more lattice
+    points are used; a sound bound leaves the tables unchanged (the tests
+    pin it that way).
     The weights w are read off the commutator tails once: they give the
     degree bound and the class bound d = max w (_Tables.degree), above
     which _extends skips the triple overlaps.
@@ -995,9 +996,10 @@ def consistency_check(p: PcPresentation) -> ConsistencyReport:
 
     When layer i0 fails, p._layers keeps False, and the report lists the
     failing overlaps of i0 that the proof found, each with its two sides
-    collected from the left (ConsistencyFailure). G_{i0+1} is proven, so those sides are well
-    defined, while an overlap of a lower layer would be collected in a
-    group already known to be inconsistent and is not reported.
+    collected from the left (ConsistencyFailure). G_{i0+1} is proven, so
+    those sides are well defined, while an overlap of a lower layer would
+    be collected in a group already known to be inconsistent and is not
+    reported.
     """
     layers = _derive_layers(p)
     if isinstance(layers, _Tables):
