@@ -13,6 +13,12 @@ G; coords/element convert both ways.  section(p, a, b) is the only builder
 of sections: it builds each a/b once per presentation, keyed by a's and
 b's rows, and every caller shares it, as a section is immutable once built.
 
+The public FgAbelian(p, a, b) checks that b lies in a and that a/b is
+abelian, and raises SubgroupError otherwise.  section skips both checks:
+its callers pass subgroups that the package built to satisfy them (see
+section), and the tests check every section that a construction leaves
+on its presentation.
+
 isolator(p, n) is the preimage in G of the torsion of G/n, read off the
 sections z/n with z/n the center of G/n.
 """
@@ -56,6 +62,10 @@ class FgAbelian(InvariantFactors):
                 if not b.contains(sg._comm(p, r, s)):
                     raise SubgroupError(
                         f"{p.name}: section A/B is not abelian")
+        self._assemble(p, a, b)
+
+    def _assemble(self, p: PcPresentation, a: Subgroup, b: Subgroup):
+        """Everything but the checks of __init__."""
         self.pres = p
         self.rep = b.coset_rep
         # the period of u_j in G/b: b's lead at j, else u_j's own; a row of
@@ -64,20 +74,23 @@ class FgAbelian(InvariantFactors):
         for j in range(1, p.m + 1):
             row = b.row_at(j)
             self._period[j] = row[j - 1] if row is not None else p.period(j)
+        # x keeps r's lead: where b has a row there, a's lead divides b's,
+        # and equals it only when r is skipped
         rows: List[Element] = []
+        leads: List[int] = []
         for r in reversed(a.rows):
             lam = leading_index(r)
             if self._period[lam] == r[lam - 1]:
                 continue
             x = self.rep(r)
-            for y in rows:
-                mu = leading_index(y)
+            for mu, y in zip(leads, rows):
                 q = x[mu - 1] // y[mu - 1]
                 if q:
                     x = self.rep(sg._mul(p, x, sg._pow(p, y, -q)))
             rows.insert(0, x)
+            leads.insert(0, lam)
         self.arows: Tuple[Element, ...] = tuple(rows)
-        self._order = {leading_index(r): k for k, r in enumerate(rows)}
+        self._order = {lam: k for k, lam in enumerate(leads)}
 
         rel = []
         for k, (lam, r) in enumerate(zip(self._order, rows)):
@@ -131,8 +144,18 @@ class FgAbelian(InvariantFactors):
 
 def section(p: PcPresentation, a: Subgroup, b: Subgroup) -> FgAbelian:
     """FgAbelian(p, a, b), built once per presentation and pair of row
-    tuples."""
-    return sg._once(p, ("section", a.rows, b.rows), FgAbelian, a, b)
+    tuples, without its checks.  Every caller passes b <= a with
+    [a, a] <= b: b holds G', a/b is a layer of the companions of a
+    descending central series (associated_series), a lies in the center,
+    or a/b is the center of G/b (isolator)."""
+    return sg._once(p, ("section", a.rows, b.rows), _unchecked_section, a, b)
+
+
+def _unchecked_section(p: PcPresentation, a: Subgroup,
+                       b: Subgroup) -> FgAbelian:
+    sec = FgAbelian.__new__(FgAbelian)
+    sec._assemble(p, a, b)
+    return sec
 
 
 def abelianization(p: PcPresentation) -> FgAbelian:

@@ -46,7 +46,8 @@ def associated_series(p: PcPresentation,
     preimage, so [upper[k], G] = lower[k + 1] exactly: <= by the
     preimage's maximality, >= as series[k] <= upper[k]. lower ends at 1:
     each lower[k + 1] is checked to lie in series[k + 1], and series ends
-    at 1.
+    at 1.  series is checked to descend, so lower and upper descend, and
+    each of their layers is a section (see abelian.section).
     """
     # the lower central series is its own lower companion, and each of its
     # commutator subgroups is kept on p, so rebuilding it below costs nothing
@@ -58,6 +59,8 @@ def associated_series(p: PcPresentation,
         raise SeriesError("series must end at the trivial subgroup")
     lower = [whole]
     for k in range(len(series) - 1):
+        if not all(series[k].contains(r) for r in series[k + 1].rows):
+            raise SeriesError("input series does not descend")
         nxt = sg.commutator_subgroup(p, series[k], whole)
         for r in nxt.rows:
             if not series[k + 1].contains(r):

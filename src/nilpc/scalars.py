@@ -328,8 +328,8 @@ class ScalarRing(InvariantFactors):
     associative and keeps null triples null on triples of well-defined
     maps, which scalar_ring and restrict_ring make: the table is associative.
     The basis is rechecked, each triple for well-defined maps and the
-    pairing identities, unless recheck is off, which restrict_ring alone
-    does (its docstring proves the check redundant there).
+    pairing identities, unless recheck is off, which scalar_ring and
+    restrict_ring do (their docstrings prove the check redundant there).
     """
 
     def __init__(self, pairing: Pairing, s_basis: Sequence[Sequence[int]],
@@ -522,8 +522,11 @@ class ScalarRing(InvariantFactors):
 
 
 def scalar_ring(pairing: Pairing) -> ScalarRing:
+    """The ring of all scalar triples of pairing.  It skips _recheck_basis:
+    its basis solves _base_system, whose congruences are the conditions
+    that check tests."""
     lay, rows = _base_system(pairing)
-    return ScalarRing(pairing, kernel(rows, lay.total))
+    return ScalarRing(pairing, kernel(rows, lay.total), recheck=False)
 
 
 def restrict_ring(ring: ScalarRing,

@@ -60,11 +60,12 @@ def _free_complement(p: PcPresentation, z: Subgroup,
     if not w_rows:
         return z
     f = InvariantFactors(w_rows, len(z.rows))
-    gens = [sg._reduce_deeper(p, sg.prod_rows(p, z.rows, row), inner.rows)
+    deeper = {sg.leading_index(r): r for r in inner.rows}
+    gens = [sg._reduce_deeper(p, sg.prod_rows(p, z.rows, row), deeper)
             for row in f.rows]
     comp = sg.induce(p, gens)
     return Subgroup(p, tuple(
-        sg._reduce_deeper(p, r, inner.rows) for r in comp.rows))
+        sg._reduce_deeper(p, r, deeper) for r in comp.rows))
 
 
 class KeySubgroups(namedtuple(

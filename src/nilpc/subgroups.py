@@ -26,12 +26,12 @@ inconsistent one the collector raises PresentationError before anything
 is stored.  The tag "pc" keeps these keys apart from the subgroups': at
 rank 0 the identity () equals the trivial subgroup's rows ().  The layer
 asks the same questions again and again (induce, coefficients_of,
-coset_rep and prod_rows sift by the same rows; passes share their [r, h];
-each section checks its rows commute), so each is collected once.  The
-public functions of presentation.py keep no table, as arithmetic on
-arbitrary elements seldom repeats.  No presentation of a quotient is
-built: a section is read in G by coset_rep (see abelian.py), and a
-constrained pass by L's rows alone.
+coset_rep and prod_rows sift by the same rows; passes share their [r, h]),
+so each is collected once, and each question is answered by one lookup
+in p._built (no value stored there is None).  The public functions of
+presentation.py keep no table, as arithmetic on arbitrary elements seldom
+repeats.  No presentation of a quotient is built: a section is read in G
+by coset_rep (see abelian.py), and a constrained pass by L's rows alone.
 
 A constrained pass needs neither a closure nor a strip per layer: each
 [r, h] is collected once per presentation and sifted once per condition
@@ -52,7 +52,9 @@ finitely generated, so its generators drop out of <S, G'> one at a time:
 
 * the normal closure (induce) conjugates by S only;
 * [A, B] is the normal closure in <A, B> of the commutators of
-  generators, so commutator_subgroup reads a side that is G as S;
+  generators, so commutator_subgroup reads a side that is G as S; when
+  both sides read the same rows, as for G' = [G, G], it takes each
+  unordered pair once, as [s, r] = [r, s]^-1 and [r, r] = 1;
 * for normal L and each x, the g with [x, g] in L form a subgroup, so a
   condition (G's rows, L) says what (S, L) says.  constrained_subgroup
   replaces the former by the latter before it keys the pass, so a pass
@@ -322,22 +324,22 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
             install(lam, combined)
             break
 
-    ordered = [rows[lam] for lam in sorted(rows)]
-    return Subgroup(p, tuple(_reduce_deeper(p, r, ordered) for r in ordered))
+    ordered = {lam: rows[lam] for lam in sorted(rows)}
+    return Subgroup(p, tuple(_reduce_deeper(p, r, ordered)
+                             for r in ordered.values()))
 
 
 def _reduce_deeper(p: PcPresentation, x: Element,
-                   rows: Sequence[Element]) -> Element:
-    """x reduced modulo the rows deeper than its lead, in ascending order of
-    lead mu: x becomes x * r^-q with q = x_mu // r_mu."""
-    lam = leading_index(x)
-    for r in rows:
-        mu = leading_index(r)
-        if lam is not None and mu <= lam:
-            continue
-        q = x[mu - 1] // r[mu - 1]
-        if q:
-            x = _mul(p, x, _pow(p, r, -q))
+                   rows: Dict[int, Element]) -> Element:
+    """x reduced modulo the rows deeper than its lead, rows given by lead
+    in ascending order: for each lead mu, x becomes x * r^-q with
+    q = x_mu // r_mu."""
+    lam = leading_index(x) or 0
+    for mu, r in rows.items():
+        if mu > lam:
+            q = x[mu - 1] // r[mu - 1]
+            if q:
+                x = _mul(p, x, _pow(p, r, -q))
     return x
 
 
@@ -352,8 +354,11 @@ def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup
 
 
 def _build_commutator(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
-    gens = [_comm(p, r, s) for r in _read_whole(p, a.rows)
-            for s in _read_whole(p, b.rows)]
+    xs, ys = _read_whole(p, a.rows), _read_whole(p, b.rows)
+    if xs == ys:  # each unordered pair once (see the module docstring)
+        gens = [_comm(p, r, s) for k, r in enumerate(xs) for s in xs[k + 1:]]
+    else:
+        gens = [_comm(p, r, s) for r in xs for s in ys]
     return induce(p, gens, normal=True)
 
 
@@ -370,17 +375,22 @@ def lower_central_series(p: PcPresentation) -> List[Subgroup]:
 
 def _once(p: PcPresentation, key: tuple, build, *args):
     """build(p, *args), made once per presentation and key."""
-    if key not in p._built:
-        p._built[key] = build(p, *args)
-    return p._built[key]
+    value = p._built.get(key)
+    if value is None:
+        value = p._built[key] = build(p, *args)
+    return value
 
 
 def _collected(name: str):
     """pc.<name>, collected once per presentation and arguments (see the
-    module docstring).  pc.<name> is looked up at each call, so whatever
-    wraps the public function sees every collection that runs."""
+    module docstring).  pc.<name> is looked up at each collection, so
+    whatever wraps the public function sees every collection that runs."""
     def op(p: PcPresentation, *args) -> Element:
-        return _once(p, ("pc", name) + args, getattr(pc, name), *args)
+        key = ("pc", name) + args
+        value = p._built.get(key)
+        if value is None:
+            value = p._built[key] = getattr(pc, name)(p, *args)
+        return value
     return op
 
 
@@ -441,16 +451,21 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
     from .intlinalg import kernel  # here alone: sifting solves nothing
-    reps: Dict[Tuple[int, Element, Element], Element] = {}
+    # each representative with its lead, m + 1 for the identity
+    reps: Dict[Tuple[int, Element, Element], Tuple[Element, int]] = {}
 
     def column(c: int, h: Element) -> Tuple[List[Element], int]:
         """The representatives of [r, h] under condition c over t's rows,
         and their least lead."""
+        ys, low = [], p.m + 1
         for r in t.rows:
-            if (c, r, h) not in reps:
-                reps[c, r, h] = conditions[c][1].coset_rep(_comm(p, r, h))
-        ys = [reps[c, r, h] for r in t.rows]
-        return ys, min(leading_index(y) or p.m + 1 for y in ys)
+            rep = reps.get((c, r, h))
+            if rep is None:
+                y = conditions[c][1].coset_rep(_comm(p, r, h))
+                rep = reps[c, r, h] = y, leading_index(y) or p.m + 1
+            ys.append(rep[0])
+            low = min(low, rep[1])
+        return ys, low
 
     pairs = [(c, h) for c, (hs, _) in enumerate(conditions) for h in hs]
     t, columns = s, None
@@ -490,12 +505,14 @@ def _lattice_subgroup(p: PcPresentation, t: Subgroup,
     least positive lead coefficient; _reduce_deeper makes the rows
     canonical."""
     orders = t.relative_orders()
-    gens = []
+    leads = list(t._by_lead)
+    gens = {}
     for h in basis:
         k = leading_index(h) - 1
         if h[k] != orders[k]:
-            gens.append(prod_rows(p, t.rows, h))
-    return Subgroup(p, tuple(_reduce_deeper(p, g, gens) for g in gens))
+            gens[leads[k]] = prod_rows(p, t.rows, h)
+    return Subgroup(p, tuple(_reduce_deeper(p, g, gens)
+                             for g in gens.values()))
 
 
 def center(p: PcPresentation) -> Subgroup:

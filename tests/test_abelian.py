@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nilpc import abelian
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
 from nilpc.abelian import FgAbelian, abelianization, isolator, section, \
@@ -133,13 +134,14 @@ def _assert_section_agrees(p, a, b, sec, rng):
 @pytest.mark.parametrize("name", ["HEIS", "NR", "F23", "ZG", "ZH", "ZK"])
 def test_report_sections_match_quotient_oracle(capsys, monkeypatch, name):
     built = {}
-    init = FgAbelian.__init__
+    build = abelian._unchecked_section
 
-    def recording(self, p, a, b):
-        init(self, p, a, b)
-        built.setdefault((id(p), a.rows, b.rows), (p, a, b, self))
+    def recording(p, a, b):
+        sec = build(p, a, b)
+        built.setdefault((id(p), a.rows, b.rows), (p, a, b, sec))
+        return sec
 
-    monkeypatch.setattr(FgAbelian, "__init__", recording)
+    monkeypatch.setattr(abelian, "_unchecked_section", recording)
     for cmd in REPORT_COMMANDS:
         main([cmd[0], str(FIXTURES / f"{name}.json"), *cmd[1:]])
         capsys.readouterr()

@@ -33,6 +33,19 @@ def test_associated_series_rejects_non_central():
         associated_series(H, bad)
 
 
+def test_associated_series_rejects_a_series_that_does_not_descend():
+    # G > Z < G > G' > 1 is central in a group of class 2, but its
+    # companions do not descend, so a layer such as Z/G would be no section
+    for p in (H, G):
+        w, z = sg.whole_subgroup(p), sg.center(p)
+        der = sg.lower_central_series(p)[1]
+        bad = [w, z, w, der, sg.trivial_subgroup(p)]
+        with pytest.raises(SeriesError, match="does not descend"):
+            associated_series(p, bad)
+        with pytest.raises(SeriesError, match="does not descend"):
+            bilinearize(p, bad)
+
+
 def test_heis_form_is_determinant():
     b = bilinearize(H)
     assert b.v_r == sg.center(H)

@@ -2,8 +2,10 @@
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names of the package's export table, and `__version__`; no module
-imports dataclasses; no module but abelian.py calls FgAbelian, so each
-section has one builder; no module of the subgroup layer calls a
+imports dataclasses; no package module calls FgAbelian, whose public
+constructor checks its input, and only abelian.section reads the private
+path that builds a section without those checks, so each section has one
+builder; no module of the subgroup layer calls a
 collector operation but through the table that keeps it on the
 presentation; and only whole_subgroup and identity_hom list every
 generator, as G is read elsewhere through the smaller
@@ -130,13 +132,38 @@ def test_detects_a_call():
     assert calls_of(src, "FgAbelian") == [2, 3]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES
-                                  if p.name != "abelian.py"],
-                         ids=lambda p: p.name)
+def readers(source: str, name: str):
+    """The top-level definitions that read `name`, bare or as an
+    attribute; None stands for module-level code."""
+    return sorted((getattr(top, "name", None) for top in ast.parse(source).body
+                   if name in _reads(top)), key=str)
+
+
+def test_detects_a_reader():
+    src = ("def section(p):\n    return _once(p, _unchecked_section)\n\n"
+           "def _unchecked_section(p):\n    sec._assemble(p)\n\n"
+           "class FgAbelian:\n"
+           "    def __init__(self, p):\n        self._assemble(p)\n\n"
+           "x = ab._unchecked_section(p)\n")
+    assert readers(src, "_unchecked_section") == [None, "section"]
+    assert readers(src, "_assemble") == ["FgAbelian", "_unchecked_section"]
+
+
+# who may read each step of the path that builds a section unchecked
+SECTION_PATH = {"_unchecked_section": ["section"],
+                "_assemble": ["FgAbelian", "_unchecked_section"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sections_are_built_only_by_abelian(path):
-    # abelian.section keeps each section on its presentation; a bare
-    # FgAbelian(...) elsewhere would build it again
-    assert calls_of(path.read_text(encoding="utf-8"), "FgAbelian") == []
+    # abelian.section keeps each section on its presentation and builds it
+    # without FgAbelian's checks; a FgAbelian(...) in the package, or the
+    # unchecked path taken anywhere else, would build it again
+    source = path.read_text(encoding="utf-8")
+    assert calls_of(source, "FgAbelian") == []
+    for name, allowed in SECTION_PATH.items():
+        want = allowed if path.name == "abelian.py" else []
+        assert readers(source, name) == want, name
 
 
 OPERATIONS = ("multiply", "power", "commutator", "conjugate", "inverse")

@@ -496,9 +496,10 @@ def _unit_acts_as_identity(rs):
             for r in range(n):
                 for c in range(n):
                     acc[r][c] += cj * m[r][c]
-        for r in range(n):
-            want_row = tuple(1 if c == r else 0 for c in range(n))
-            assert entry.section.reduce(tuple(acc[r])) == want_row
+        # column c holds the image of basis vector c, whose coordinate r
+        # lives modulo periods[r]
+        assert _columns(entry.section, acc) == _columns(entry.section,
+                                                        eye(n))
 
 
 class TestRefinedSeries:

@@ -120,8 +120,9 @@ def test_invariants_agree_across_deformed_fixtures():
 # -- what the constructions prove instead of checking ---------------------------
 #
 # key_subgroups, _free_complement, upper_central_series, associated_series,
-# ScalarRing and adapt_basis prove these properties of their output in their
-# docstrings and do not check them when they run.
+# ScalarRing, scalar_ring, abelian.section and adapt_basis prove these
+# properties of their output or input in their docstrings and do not check
+# them when they run.
 
 FIXTURES = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh, "ZK": zk}
 SWEEP = {
@@ -156,9 +157,11 @@ def assert_constructions_hold(p):
         assert s.lower[-1].is_trivial
         for k, u in enumerate(s.upper):
             assert sg.commutator_subgroup(p, u, whole) == s.lower[k + 1]
-        # the multiplication table is associative (ScalarRing)
-        assert oracles.is_associative(
-            scalar_ring(pairing_of(bilinearize(p, series))))
+        # the multiplication table is associative (ScalarRing), and the
+        # basis passes the check that scalar_ring skips
+        ring = scalar_ring(pairing_of(bilinearize(p, series)))
+        assert oracles.is_associative(ring)
+        ring._recheck_basis()
     # G/M is free, the remainder after the three sections lies in Is(G'),
     # and the adapted presentation is consistent (adapt_basis)
     segments = (section(p, whole, ks.m_sub), ks.mn, ks.n_is)
@@ -169,6 +172,15 @@ def assert_constructions_hold(p):
             w = pc.multiply(p, pc.inverse(p, seg.element(seg.coords(w))), w)
         assert ks.derived_isolator.contains(w)
     assert pc.consistency_check(adapt_basis(p).pres).ok
+    # every section built above has b <= a and [a, a] <= b, which section
+    # does not check (abelian.section)
+    sections = [key[1:] for key in p._built if key[0] == "section"]
+    assert sections
+    for a_rows, b_rows in sections:
+        a, b = sg.Subgroup(p, a_rows), sg.Subgroup(p, b_rows)
+        assert all(a.contains(r) for r in b_rows)
+        assert all(b.contains(pc.commutator(p, r, s))
+                   for r in a_rows for s in a_rows)
 
 
 @pytest.mark.parametrize("name", SWEEP)

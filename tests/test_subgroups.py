@@ -560,6 +560,41 @@ def test_center_commutes_with_the_generating_set_only(monkeypatch):
     assert len(pairs) == len(set(pairs)) == 13 * 5
 
 
+def test_derived_subgroup_collects_each_unordered_pair_once(monkeypatch):
+    # [G, G] is the normal closure of the [r, s] with r before s in S, as
+    # [s, r] = [r, s]^-1 and [r, r] = 1: ZG's S has 5 elements, so
+    # _build_commutator collects 10 commutators, where every ordered pair
+    # would take 25.  [A, B] with A != B still takes every pair: S against
+    # the 8 rows of G_3 = <u3, ..., u10> is 40.
+    pairs, handed = [], []
+    real_commutator, real_induce = pc.commutator, sg.induce
+
+    def commutator(q, x, y):
+        pairs.append((x, y))
+        return real_commutator(q, x, y)
+
+    def induce(q, gens, **kwargs):
+        handed.append(list(pairs))  # what _build_commutator collected
+        return real_induce(q, gens, **kwargs)
+
+    monkeypatch.setattr(pc, "commutator", commutator)
+    monkeypatch.setattr(sg, "induce", induce)
+    for side in ("G", "G_3"):
+        p = zg()  # a fresh table
+        del pairs[:], handed[:]
+        whole, s = sg.whole_subgroup(p), sg.generating_set(p)
+        assert len(s) == 5
+        if side == "G":
+            sg.commutator_subgroup(p, whole, whole)
+            want = [(x, y) for k, x in enumerate(s) for y in s[k + 1:]]
+        else:
+            tail = sg.Subgroup(p, whole.rows[2:])
+            sg.commutator_subgroup(p, whole, tail)
+            want = [(x, y) for x in s for y in tail.rows]
+        assert handed[0] == want
+        assert len(want) == (10 if side == "G" else 40)
+
+
 def test_h10_refined_series_runs_four_passes(monkeypatch):
     # The preimage of G', the centre, Z^L_2 and Z^L_3 (on the trivial
     # subgroup). A condition on G's rows is keyed as one on S, so the
