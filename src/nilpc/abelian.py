@@ -13,11 +13,14 @@ G; coords/element convert both ways.  section(p, a, b) is the only builder
 of sections: it builds each a/b once per presentation, keyed by a's and
 b's rows, and every caller shares it, as a section is immutable once built.
 
-The public FgAbelian(p, a, b) checks that b lies in a and that a/b is
-abelian, and raises SubgroupError otherwise.  section skips both checks:
-its callers pass subgroups that the package built to satisfy them (see
-section), and the tests check every section that a construction leaves
-on its presentation.
+Input is checked at the boundary only.  The public constructors check
+a caller's input: FgAbelian(p, a, b) that b lies in a and that a/b is
+abelian (SubgroupError), and scalars.ScalarRing(pairing, s_basis) that
+its basis spans a ring of scalars (ScalarRingError).  The package's own
+builders, section here and scalars.scalar_ring and restrict_ring, skip
+those checks: their input is made to satisfy them, as each proves in its
+docstring, and the tests check every section and ring that a
+construction builds.
 
 isolator(p, n) is the preimage in G of the torsion of G/n, read off the
 sections z/n with z/n the center of G/n.

@@ -38,6 +38,11 @@ unknowns), so restrictions compose without re-solving earlier ones.
 B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks matter to restriction constraints, which address a
 single block of phi2 or phi0, and to ScalarRing.block_matrices.
+
+The public ScalarRing(pairing, s_basis) checks a caller's basis against
+_base_system, the one encoding of the conditions; scalar_ring and
+restrict_ring build through _unchecked_ring without the checks, by the
+boundary rule stated in abelian.py's docstring.
 """
 
 from __future__ import annotations
@@ -221,7 +226,8 @@ def _base_system(pairing: Pairing):
 
 class HomCompat(namedtuple("HomCompat", "e c_block b_block")):
     """Require phi2 (block b_block) to intertwine with phi0 (block c_block)
-    through a fixed linear map e between the blocks: phi2 . e == e . phi0."""
+    through a fixed homomorphism e from the C block to the B block:
+    phi2 . e == e . phi0."""
 
     __slots__ = ()
 
@@ -316,6 +322,41 @@ def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
 # the ring itself
 
 
+def _reshape(lay: _Layout, vec: Sequence[int]):
+    """The triple vec as its three matrices (phi1, phi2, phi0)."""
+    return tuple([list(vec[idx(r, 0):idx(r, 0) + n]) for r in range(n)]
+                 for idx, n, _ in lay.slots)
+
+
+def _compose(lay: _Layout, v1: Sequence[int],
+             v2: Sequence[int]) -> List[int]:
+    out = []
+    for x, y in zip(_reshape(lay, v1), _reshape(lay, v2)):
+        for row in mat_mul(x, y):
+            out.extend(row)
+    return out
+
+
+def _null_triples(lay: _Layout):
+    """The triples of zero maps that span the null lattice: one entry of
+    row r set to the period of coordinate r."""
+    for idx, size, periods in lay.slots:
+        for r in range(size):
+            if periods[r] is not None:
+                for c in range(size):
+                    vec = [0] * lay.total
+                    vec[idx(r, c)] = periods[r]
+                    yield vec
+
+
+def _unit_triple(lay: _Layout) -> List[int]:
+    vec = [0] * lay.total
+    for idx, size, _ in lay.slots:
+        for r in range(size):
+            vec[idx(r, r)] = 1
+    return vec
+
+
 class ScalarRing(InvariantFactors):
     """The ring of scalar triples of a pairing, with exact coordinates.
 
@@ -326,41 +367,48 @@ class ScalarRing(InvariantFactors):
     Multiplication is composition, tabulated on the additive basis; each
     cell holds the exact coordinates of a product, and composition is
     associative and keeps null triples null on triples of well-defined
-    maps, which scalar_ring and restrict_ring make: the table is associative.
-    The basis is rechecked, each triple for well-defined maps and the
-    pairing identities, unless recheck is off, which scalar_ring and
-    restrict_ring do (their docstrings prove the check redundant there).
+    maps: the table is associative.
     """
 
-    def __init__(self, pairing: Pairing, s_basis: Sequence[Sequence[int]],
-                 recheck: bool = True):
+    def __init__(self, pairing: Pairing, s_basis: Sequence[Sequence[int]]):
+        """Check s_basis, then build.  Each triple must meet every
+        congruence of _base_system: be made of well-defined maps (the
+        system's first rows) and satisfy the pairing identities; the null
+        triples and the unit must lie in the lattice, and so must the
+        product of any two triples.  Raises ScalarRingError otherwise."""
+        s_basis = tuple(tuple(r) for r in s_basis)
+        leads = echelon_leads(s_basis)
+        lay, rows = _base_system(pairing)
+        maps = sum(n * sum(e is not None for e in periods)
+                   for _, n, periods in lay.slots)
+        for h in s_basis:
+            for k, (row, mod) in enumerate(rows):
+                v = sum(c * h[i] for i, c in row.items())
+                if v % mod if mod else v:
+                    raise ScalarRingError(
+                        "basis holds a map that is not well defined"
+                        if k < maps else
+                        "basis violates the pairing identities")
+
+        def escapes(vecs) -> bool:
+            return any(solve_lattice(s_basis, v, leads) is None for v in vecs)
+
+        if escapes(_null_triples(lay)):
+            raise ScalarRingError("null triple escapes the solution lattice")
+        if escapes([_unit_triple(lay)]):
+            raise ScalarRingError("unit escapes the solution lattice")
+        if escapes(_compose(lay, g, h) for g in s_basis for h in s_basis):
+            raise ScalarRingError("product of scalars escapes the ring")
+        self._assemble(pairing, s_basis)
+
+    def _assemble(self, pairing: Pairing, s_basis: Sequence[Sequence[int]]):
+        """Everything but the checks of __init__."""
         self.pairing = pairing
-        self.lay = _Layout(pairing)
+        self.lay = lay = _Layout(pairing)
         self.s_basis = tuple(tuple(r) for r in s_basis)
         self._leads = echelon_leads(self.s_basis)
-
-        n = self.lay.total
-        rho = len(self.s_basis)
-
-        # null triples: matrices that are the zero map entrywise
-        t0 = []
-        for idx, size, periods in self.lay.slots:
-            for r in range(size):
-                if periods[r] is None:
-                    continue
-                for c in range(size):
-                    vec = [0] * n
-                    vec[idx(r, c)] = periods[r]
-                    t0.append(vec)
-        rel = []
-        for vec in t0:
-            y = solve_lattice(self.s_basis, vec, self._leads)
-            if y is None:
-                raise ScalarRingError(
-                    "null triple escapes the solution lattice")
-            rel.append(y)
-
-        super().__init__(rel, rho)
+        super().__init__([solve_lattice(self.s_basis, v, self._leads)
+                          for v in _null_triples(lay)], len(self.s_basis))
         basis_vecs = []
         for k, period in enumerate(self.periods):
             h = vec_mat(self.rows[k], list(self.s_basis))
@@ -370,54 +418,18 @@ class ScalarRing(InvariantFactors):
             basis_vecs.append(h)
         self.basis_vecs = tuple(tuple(h) for h in basis_vecs)
 
-        unit_vec = [0] * n
-        for idx, size, _ in self.lay.slots:
-            for r in range(size):
-                unit_vec[idx(r, r)] = 1
-        self.unit = self.coords_vec(unit_vec)
+        self.unit = self.coords_vec(_unit_triple(lay))
 
-        if recheck:
-            self._recheck_basis()
-
+        self.mult_table = tuple(
+            tuple(self.coords_vec(_compose(lay, g, h))
+                  for h in self.basis_vecs)
+            for g in self.basis_vecs)
         k = len(self.periods)
-        table = []
-        for j in range(k):
-            row = []
-            for l in range(k):
-                prod_vec = self._compose(self.basis_vecs[j],
-                                         self.basis_vecs[l])
-                try:
-                    row.append(self.coords_vec(prod_vec))
-                except ScalarRingError:
-                    raise ScalarRingError(
-                        "product of scalars escapes the ring")
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
         self.is_commutative = all(
             self.mult_table[j][l] == self.mult_table[l][j]
             for j in range(k) for l in range(k))
 
     # -- vector-level helpers
-
-    def _reshape(self, vec: Sequence[int]):
-        lay = self.lay
-        phi1 = [list(vec[lay.idx1(r, 0):lay.idx1(r, 0) + lay.na])
-                for r in range(lay.na)]
-        phi2 = [list(vec[lay.idx2(r, 0):lay.idx2(r, 0) + lay.nb])
-                for r in range(lay.nb)]
-        phi0 = [list(vec[lay.idx0(r, 0):lay.idx0(r, 0) + lay.nc])
-                for r in range(lay.nc)]
-        return phi1, phi2, phi0
-
-    def _compose(self, v1: Sequence[int], v2: Sequence[int]) -> List[int]:
-        a1, a2, a0 = self._reshape(v1)
-        b1, b2, b0 = self._reshape(v2)
-        out = []
-        for x, y in ((a1, b1), (a2, b2), (a0, b0)):
-            m = mat_mul(x, y)
-            for row in m:
-                out.extend(row)
-        return out
 
     def contains_vec(self, vec: Sequence[int]) -> bool:
         return solve_lattice(self.s_basis, vec, self._leads) is not None
@@ -438,7 +450,7 @@ class ScalarRing(InvariantFactors):
         return vec
 
     def triple_of(self, coords: Sequence[int]):
-        return self._reshape(self.element_vec(coords))
+        return _reshape(self.lay, self.element_vec(coords))
 
     def block_matrices(self, which: str, block: Optional[int] = None):
         """Per additive basis element, the matrix of `which` ("phi1",
@@ -482,51 +494,28 @@ class ScalarRing(InvariantFactors):
                     acc[i] += aj * bl * cell[i]
         return self.reduce(tuple(acc))
 
-    # -- semantic recheck, independent of the congruence assembly
 
-    def _recheck_basis(self) -> None:
-        f = self.pairing.table
-        red = self.pairing.reduce_c
-        lay = self.lay
-        for h in self.basis_vecs:
-            # each matrix is well defined: a column of period e, times e,
-            # is zero
-            for idx, _, periods in lay.slots:
-                for c, e in enumerate(periods):
-                    if e is not None and any(
-                            e * h[idx(r, c)] % per if per else h[idx(r, c)]
-                            for r, per in enumerate(periods)):
-                        raise ScalarRingError(
-                            "computed basis holds a map that is not well "
-                            "defined")
-            phi1, phi2, phi0 = self._reshape(h)
-            for s in range(lay.na):
-                for t in range(lay.nb):
-                    v1 = [0] * lay.nc
-                    for r in range(lay.na):
-                        if phi1[r][s]:
-                            for k in range(lay.nc):
-                                v1[k] += phi1[r][s] * f[r][t][k]
-                    v2 = [0] * lay.nc
-                    for r in range(lay.nb):
-                        if phi2[r][t]:
-                            for k in range(lay.nc):
-                                v2[k] += phi2[r][t] * f[s][r][k]
-                    v0 = [0] * lay.nc
-                    for ell in range(lay.nc):
-                        v0[ell] = sum(
-                            phi0[ell][k] * f[s][t][k] for k in range(lay.nc))
-                    if not red(v1) == red(v2) == red(v0):
-                        raise ScalarRingError(
-                            "computed basis violates the pairing identities")
+def _unchecked_ring(pairing: Pairing,
+                    s_basis: Sequence[Sequence[int]]) -> ScalarRing:
+    ring = ScalarRing.__new__(ScalarRing)
+    ring._assemble(pairing, s_basis)
+    return ring
 
 
 def scalar_ring(pairing: Pairing) -> ScalarRing:
-    """The ring of all scalar triples of pairing.  It skips _recheck_basis:
-    its basis solves _base_system, whose congruences are the conditions
-    that check tests."""
+    """The ring of all scalar triples of pairing, built without
+    ScalarRing's checks.  Its basis spans the solutions of _base_system,
+    so each triple meets that system.  A null triple, whose one nonzero
+    entry is the period e_r of its row's coordinate, meets it too: a
+    well-definedness row is taken modulo e_r; an identity row reads phi1
+    at (r, s) times a cell f(a_r, b_t), which e_r kills by Pairing's order
+    check, phi2 at (r, t) likewise, and phi0 at (ell, k) modulo e_ell.  So
+    the null triples lie in the lattice.  A product of two scalar triples
+    is one, f(phi1 psi1 a, b) = phi0 f(psi1 a, b) = phi0 psi0 f(a, b) and
+    likewise on the right, and composed maps are well defined; so the
+    products lie in it too."""
     lay, rows = _base_system(pairing)
-    return ScalarRing(pairing, kernel(rows, lay.total), recheck=False)
+    return _unchecked_ring(pairing, kernel(rows, lay.total))
 
 
 def restrict_ring(ring: ScalarRing,
@@ -539,17 +528,18 @@ def restrict_ring(ring: ScalarRing,
     satisfies the pairing identities and the conditions of earlier
     restrictions, so restrictions compose.
 
-    The new ring skips _recheck_basis. The conditions it checks on a triple
-    h, that each matrix kills the period of each column and red(f(phi1
-    a_s, b_t)) == red(f(a_s, phi2 b_t)) == red(phi0 f(a_s, b_t)) for all
-    s, t, are linear in h, so the triples that pass form a lattice P. The
-    first ring of a chain of restrictions was built with the check, and
-    its lattice is spanned by its basis, which passed, and its null
-    triples, which are zero maps and pass too: a zero map is well defined,
-    a period of A or B kills the table's values by Pairing's order check,
-    and a period of C is reduced away by red. A restriction's triples are
-    integer combinations of its parent's s_basis, so every ring of the
-    chain lies in the first ring's lattice, inside P.
+    The new ring is built without ScalarRing's checks.  Its triples are
+    integer combinations of ring's, which meet _base_system, so they do.
+    Its null triples lie in ring's lattice and meet each condition: a
+    HomCompat row, taken modulo the period of B's coordinate bo + r,
+    reads phi2 in that row and phi0 at (co + k, co + t) times e[r][k],
+    which the period of C's coordinate co + k kills as e is a
+    homomorphism; an InvariantSubmodule row is met by setting the
+    auxiliary unknown of the period row at the null entry's row.  So they
+    lie in the new lattice.  A product of two of its triples lies in
+    ring's lattice and meets the conditions, as composition keeps
+    phi2 . e == e . phi0 and keeps a submodule invariant; so it lies in
+    the new lattice too.
     The rows of s_basis are independent, so nothing is cut exactly when the
     solutions x, in the ring's coordinates, span Z^rank; then ring itself is
     returned, which is exact since equal lattices have equal HNFs.
@@ -579,9 +569,8 @@ def restrict_ring(ring: ScalarRing,
     xs = [x[:rank] for x in kernel(rows, rank + naux) if any(x[:rank])]
     if xs == identity(rank):
         return ring
-    return ScalarRing(
-        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], lay.total),
-        recheck=False)
+    return _unchecked_ring(
+        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], lay.total))
 
 
 # --------------------------------------------------------------------------

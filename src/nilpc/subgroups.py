@@ -191,8 +191,7 @@ class Subgroup:
 
     def relative_orders(self) -> Tuple[Optional[int], ...]:
         out = []
-        for r in self.rows:
-            lam = leading_index(r)
+        for lam, r in self._by_lead.items():
             e = self.pres.period(lam)
             out.append(None if e is None else e // r[lam - 1])
         return tuple(out)
@@ -363,13 +362,18 @@ def _build_commutator(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def lower_central_series(p: PcPresentation) -> List[Subgroup]:
+    """gamma_1 = G, gamma_{k+1} = [gamma_k, G], up to the first trivial
+    term, which is gamma_{m+1} at the latest.  p is consistent, as
+    _conj_layers refuses any other before a collection, so G_j =
+    <u_j, ..., u_m> is normal, and each [u_i, u_j] lies in G_{max(i,j)+1}:
+    the filtration is central.  By induction gamma_k <= G_k, as
+    [gamma_k, G] <= [G_k, G] <= G_{k+1}; and G_{m+1} = 1."""
     whole = whole_subgroup(p)
     chain = [whole]
-    while not chain[-1].is_trivial:
-        nxt = commutator_subgroup(p, chain[-1], whole)
-        if nxt == chain[-1]:
-            raise SubgroupError(f"{p.name}: lower central series does not reach 1")
-        chain.append(nxt)
+    for _ in range(p.m):
+        if chain[-1].is_trivial:
+            break
+        chain.append(commutator_subgroup(p, chain[-1], whole))
     return chain
 
 
@@ -434,7 +438,9 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     multiple of the lead b of L's row at i; but coset_rep puts y_i in
     [0, b).  So y is zero before j, and y_j is the layer value, already
     in [0, o_j) by coset_rep or by the normal form.  A nonzero coordinate
-    before j means [r, h] is not in L*K_j, which earlier layers rule out.
+    before j would mean [r, h] is not in L*K_j, which earlier layers rule
+    out (a layer with o_j == 1 or no equation holds for every row), so
+    the pass reads coordinate j alone.
 
     Each [r, h] is collected once per presentation through _comm (see the
     module docstring), so the passes share it with each other and with
@@ -451,21 +457,17 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
     from .intlinalg import kernel  # here alone: sifting solves nothing
-    # each representative with its lead, m + 1 for the identity
-    reps: Dict[Tuple[int, Element, Element], Tuple[Element, int]] = {}
+    reps: Dict[Tuple[int, Element, Element], Element] = {}
 
-    def column(c: int, h: Element) -> Tuple[List[Element], int]:
-        """The representatives of [r, h] under condition c over t's rows,
-        and their least lead."""
-        ys, low = [], p.m + 1
+    def column(c: int, h: Element) -> List[Element]:
+        """The representatives of [r, h] under condition c over t's rows."""
+        ys = []
         for r in t.rows:
-            rep = reps.get((c, r, h))
-            if rep is None:
-                y = conditions[c][1].coset_rep(_comm(p, r, h))
-                rep = reps[c, r, h] = y, leading_index(y) or p.m + 1
-            ys.append(rep[0])
-            low = min(low, rep[1])
-        return ys, low
+            y = reps.get((c, r, h))
+            if y is None:
+                y = reps[c, r, h] = conditions[c][1].coset_rep(_comm(p, r, h))
+            ys.append(y)
+        return ys
 
     pairs = [(c, h) for c, (hs, _) in enumerate(conditions) for h in hs]
     t, columns = s, None
@@ -474,13 +476,11 @@ def _build_constrained(p: PcPresentation, s: Subgroup,
             break
         columns = columns or [column(c, h) for c, h in pairs]
         eqs = []
-        for (c, _), (ys, low) in zip(pairs, columns):
+        for (c, _), ys in zip(pairs, columns):
             row_j = conditions[c][1].row_at(j)
             o_j = row_j[j - 1] if row_j is not None else p.period(j)
             if o_j == 1:
                 continue
-            if low < j:
-                raise SubgroupError("layer invariant violated in constraint pass")
             vals = {k: y[j - 1] for k, y in enumerate(ys) if y[j - 1]}
             if vals:
                 eqs.append((vals, 0 if o_j is None else o_j))

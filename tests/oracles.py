@@ -962,6 +962,94 @@ def ref_scalar_ring(pairing):
     return sc.ScalarRing(pairing, hnf_basis(sol.basis, lay.total))
 
 
+def _ref_matrices(pairing, h):
+    """The flat triple h as its matrices phi1, phi2 and phi0, with the
+    periods of the modules they act on."""
+    out, at = [], 0
+    for periods in (pairing.periods_a, pairing.periods_b, pairing.periods_c):
+        n = len(periods)
+        out.append(([list(h[at + r * n:at + (r + 1) * n]) for r in range(n)],
+                    periods))
+        at += n * n
+    return out
+
+
+def _ref_is_zero(vec, periods):
+    return all(v == 0 if e is None else v % e == 0
+               for v, e in zip(vec, periods))
+
+
+def ref_is_scalar(pairing, h):
+    """The triple h is made of well-defined maps, and f(phi1 a_s, b_t),
+    f(a_s, phi2 b_t) and phi0 f(a_s, b_t) agree in C for all s, t."""
+    mats = _ref_matrices(pairing, h)
+    for m, periods in mats:
+        for c, e in enumerate(periods):
+            if e is not None and not _ref_is_zero(
+                    [e * row[c] for row in m], periods):
+                return False
+    (phi1, _), (phi2, _), (phi0, per_c) = mats
+    f = pairing.table
+    na, nb, nc = len(phi1), len(phi2), len(phi0)
+    for s in range(na):
+        for t in range(nb):
+            left = [sum(phi1[r][s] * f[r][t][k] for r in range(na))
+                    for k in range(nc)]
+            right = [sum(phi2[r][t] * f[s][r][k] for r in range(nb))
+                     for k in range(nc)]
+            mid = [sum(phi0[k][l] * f[s][t][l] for l in range(nc))
+                   for k in range(nc)]
+            if not (_ref_is_zero([x - y for x, y in zip(left, mid)], per_c)
+                    and _ref_is_zero([x - y for x, y in zip(right, mid)],
+                                     per_c)):
+                return False
+    return True
+
+
+def ref_in_lattice(basis, vec):
+    """vec is an integer combination of the echelon rows `basis`: strip
+    each row at its leading entry."""
+    vec = list(vec)
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(vec[lead], row[lead])
+        if r:
+            return False
+        vec = [x - q * y for x, y in zip(vec, row)]
+    return not any(vec)
+
+
+def ref_check_basis(pairing, s_basis):
+    """Whether s_basis spans a ring of scalars of pairing, written out by
+    hand: each triple passes ref_is_scalar, and the null triples, the
+    unit and the product of any two triples lie in the lattice."""
+    if not all(ref_is_scalar(pairing, h) for h in s_basis):
+        return False
+    modules = (pairing.periods_a, pairing.periods_b, pairing.periods_c)
+    total = sum(len(periods) ** 2 for periods in modules)
+    vecs, unit, at = [], [0] * total, 0
+    for periods in modules:
+        n = len(periods)
+        for r in range(n):
+            unit[at + r * n + r] = 1
+            for c in range(n):
+                if periods[r] is not None:
+                    vecs.append([0] * total)
+                    vecs[-1][at + r * n + c] = periods[r]
+        at += n * n
+    vecs.append(unit)
+    for g in s_basis:
+        for h in s_basis:
+            prod = []
+            for (x, _), (y, _) in zip(_ref_matrices(pairing, g),
+                                      _ref_matrices(pairing, h)):
+                n = len(x)
+                prod += [sum(x[r][k] * y[k][c] for k in range(n))
+                         for r in range(n) for c in range(n)]
+            vecs.append(prod)
+    return all(ref_in_lattice(s_basis, v) for v in vecs)
+
+
 def is_associative(ring):
     """(e_a e_b) e_c == e_a (e_b e_c) on every triple of basis elements."""
     k = len(ring.periods)

@@ -2,10 +2,11 @@
 package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names of the package's export table, and `__version__`; no module
-imports dataclasses; no package module calls FgAbelian, whose public
-constructor checks its input, and only abelian.section reads the private
-path that builds a section without those checks, so each section has one
-builder; no module of the subgroup layer calls a
+imports dataclasses; no package module calls FgAbelian or ScalarRing,
+whose public constructors check their input, and only abelian.section,
+and scalars.scalar_ring and restrict_ring, read the private paths that
+build a section or a ring without those checks; no module of the
+subgroup layer calls a
 collector operation but through the table that keeps it on the
 presentation; and only whole_subgroup and identity_hom list every
 generator, as G is read elsewhere through the smaller
@@ -149,9 +150,22 @@ def test_detects_a_reader():
     assert readers(src, "_assemble") == ["FgAbelian", "_unchecked_section"]
 
 
-# who may read each step of the path that builds a section unchecked
+# who may read each step of the path that builds a section, or a ring,
+# without the public constructor's checks, in the module that holds the
+# path; in every other module, nobody
 SECTION_PATH = {"_unchecked_section": ["section"],
                 "_assemble": ["FgAbelian", "_unchecked_section"]}
+RING_PATH = {"_unchecked_ring": ["restrict_ring", "scalar_ring"],
+             "_assemble": ["ScalarRing", "_unchecked_ring"]}
+OWN_PATH = {"abelian.py": SECTION_PATH, "scalars.py": RING_PATH}
+
+
+def assert_one_builder(path, public, steps):
+    source = path.read_text(encoding="utf-8")
+    assert calls_of(source, public) == []
+    own = OWN_PATH.get(path.name, {})
+    for name in steps:
+        assert readers(source, name) == own.get(name, []), name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -159,11 +173,16 @@ def test_sections_are_built_only_by_abelian(path):
     # abelian.section keeps each section on its presentation and builds it
     # without FgAbelian's checks; a FgAbelian(...) in the package, or the
     # unchecked path taken anywhere else, would build it again
-    source = path.read_text(encoding="utf-8")
-    assert calls_of(source, "FgAbelian") == []
-    for name, allowed in SECTION_PATH.items():
-        want = allowed if path.name == "abelian.py" else []
-        assert readers(source, name) == want, name
+    assert_one_builder(path, "FgAbelian", SECTION_PATH)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_rings_are_built_only_by_scalars(path):
+    # scalar_ring and restrict_ring build from bases that meet ScalarRing's
+    # checks by construction; a ScalarRing(...) in the package would check
+    # its own output again, and the unchecked path taken anywhere else
+    # would skip the checks on a caller's basis
+    assert_one_builder(path, "ScalarRing", RING_PATH)
 
 
 OPERATIONS = ("multiply", "power", "commutator", "conjugate", "inverse")

@@ -31,6 +31,7 @@ from nilpc.scalars import (
 from oracles import (
     gaussian_solutions,
     is_associative,
+    ref_check_basis,
     ref_prime_decomposition_zero,
     ref_restrict_ring,
     ref_scalar_ring,
@@ -187,6 +188,16 @@ class TestScalarRing:
         ring = sc.ScalarRing(pairing, scalar_ring(pairing).s_basis)
         assert ring.s_basis == scalar_ring(pairing).s_basis
 
+    def test_block_matrices_refuses_a_map_across_blocks(self):
+        # b2 pairs to zero, so phi2 may send b1, in block 0, to b1 + b2:
+        # the ring holds an element that maps out of the block
+        ring = scalar_ring(Pairing((None,), (None, None), (None, None),
+                                   (((1, 0), (0, 0)),),
+                                   b_blocks=(1, 1), c_blocks=(1, 1)))
+        with pytest.raises(ScalarRingError,
+                           match="phi2 does not respect the grading"):
+            ring.block_matrices("phi2", 0)
+
     def test_table_shape_rejected(self):
         with pytest.raises(ScalarRingError):
             Pairing(
@@ -319,8 +330,9 @@ def test_restriction_matches_direct_solve(name):
         again = restrict_ring(restrict_ring(ring, cons[:k]), cons[k:])
         assert again.s_basis == want
         assert again.periods == got.periods
-        got._recheck_basis()  # restrict_ring itself skips it
-        again._recheck_basis()
+        # restrict_ring itself checks neither
+        assert ref_check_basis(got.pairing, got.s_basis)
+        assert ref_check_basis(again.pairing, again.s_basis)
         assert is_associative(got)
     if name in _CUT:
         assert cuts
@@ -332,10 +344,10 @@ _REFINED = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh,
 
 @pytest.mark.parametrize("name", list(_REFINED))
 def test_restrictions_pass_the_full_recheck(name, monkeypatch):
-    # restrict_ring builds its ring without _recheck_basis, on the proof in
-    # its docstring; run the full check on every ring restrict_ring returns
-    # to refined_series (test_restriction_matches_direct_solve runs it on
-    # random ones)
+    # restrict_ring builds its ring without ScalarRing's checks, on the
+    # proof in its docstring; run the oracle's check on every ring
+    # restrict_ring returns to refined_series
+    # (test_restriction_matches_direct_solve runs it on random ones)
     built = []
     restrict = rf.restrict_ring
 
@@ -347,7 +359,94 @@ def test_restrictions_pass_the_full_recheck(name, monkeypatch):
     refined_series(_REFINED[name]())
     assert built
     for ring in built:
-        ring._recheck_basis()
+        assert ref_check_basis(ring.pairing, ring.s_basis)
+
+
+# -- the public constructor checks a caller's basis -----------------------------
+
+
+def random_pairing(rng):
+    """At most two coordinates per module, periods None, 2, 3, 4 or 6, and
+    table values that the orders of their arguments allow."""
+    def periods():
+        return tuple(rng.choice((None, 2, 3, 4, 6))
+                     for _ in range(rng.randint(0, 2)))
+
+    per_a, per_b, per_c = periods(), periods(), periods()
+    table = []
+    for ea in per_a:
+        row = []
+        for eb in per_b:
+            g = ea if eb is None else eb if ea is None else gcd(ea, eb)
+            row.append(tuple(
+                rng.randint(-2, 2) if g is None
+                else 0 if ec is None
+                else rng.randint(-2, 2) * (ec // gcd(ec, g))
+                for ec in per_c))
+        table.append(tuple(row))
+    return Pairing(per_a, per_b, per_c, tuple(table))
+
+
+def perturbed(basis, rng):
+    """basis with one row moved at or after its lead, dropped or doubled;
+    the rows stay echelon."""
+    rows = [list(r) for r in basis]
+    if not rows:
+        return rows
+    k = rng.randrange(len(rows))
+    pick = rng.random()
+    if pick < 0.6:
+        lead = next(i for i, v in enumerate(rows[k]) if v)
+        i = rng.randrange(lead, len(rows[k]))
+        d = rng.choice((-2, -1, 1, 2))
+        if i == lead and rows[k][i] + d == 0:
+            d = -d
+        rows[k][i] += d
+    elif pick < 0.8:
+        del rows[k]
+    else:
+        rows[k] = [2 * v for v in rows[k]]
+    return rows
+
+
+def test_public_constructor_refuses_what_the_oracle_refuses():
+    # ScalarRing(pairing, s_basis) checks through _base_system's rows; the
+    # oracle writes the same conditions out by hand
+    rng = random.Random(35)
+    refused = []
+    for _ in range(300):
+        pairing = random_pairing(rng)
+        basis = scalar_ring(pairing).s_basis
+        if rng.random() < 0.7:
+            basis = perturbed(basis, rng)
+        if ref_check_basis(pairing, basis):
+            ring = sc.ScalarRing(pairing, basis)
+            assert ring.s_basis == tuple(map(tuple, basis))
+            assert is_associative(ring)
+        else:
+            with pytest.raises(ScalarRingError) as err:
+                sc.ScalarRing(pairing, basis)
+            refused.append(str(err.value))
+    for reason in ("not well defined", "pairing identities", "null triple",
+                   "unit escapes"):
+        assert any(reason in msg for msg in refused), reason
+
+
+def test_public_constructor_refuses_a_lattice_not_closed_under_products():
+    # Z^3 acting diagonally: the lattice of 1 and diag(1, 2, 3) holds the
+    # unit, but not diag(1, 2, 3)^2 = diag(1, 4, 9)
+    pairing = Pairing((None,) * 3, (None,) * 3, (None,) * 3,
+                      tuple(tuple(tuple(int(s == t == k) for k in range(3))
+                                  for t in range(3)) for s in range(3)))
+
+    def diagonal(d):
+        return [d[r] if r == c else 0 for _ in range(3)
+                for r in range(3) for c in range(3)]
+
+    basis = la.hnf_basis([diagonal((1, 1, 1)), diagonal((1, 2, 3))], 27)
+    with pytest.raises(ScalarRingError, match="product of scalars escapes"):
+        sc.ScalarRing(pairing, basis)
+    assert not ref_check_basis(pairing, basis)
 
 
 def gaussian_pairing_mod(p):
@@ -595,7 +694,7 @@ def _columns(sec, mat):
 def test_every_gap_is_a_module(name):
     # Each gap's matrices make it a module over the ring: the matrix of
     # b_j b_l, read off the ring's multiplication table, is M(b_j) M(b_l),
-    # the order ScalarRing._compose multiplies in, and the unit acts as
+    # the order scalars._compose multiplies in, and the unit acts as
     # the identity, both modulo the section's periods.
     rs = refined_series(MODULE_INPUTS[name]())
     ring = rs.ring

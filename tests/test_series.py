@@ -119,7 +119,8 @@ def test_invariants_agree_across_deformed_fixtures():
 
 # -- what the constructions prove instead of checking ---------------------------
 #
-# key_subgroups, _free_complement, upper_central_series, associated_series,
+# key_subgroups, _free_complement, upper_central_series,
+# lower_central_series, constrained_subgroup, associated_series,
 # ScalarRing, scalar_ring, abelian.section and adapt_basis prove these
 # properties of their output or input in their docstrings and do not check
 # them when they run.
@@ -148,9 +149,14 @@ def assert_constructions_hold(p):
     # (_free_complement)
     assert all(ks.center.contains(r) for r in ks.iso_center.rows)
     assert set(section(p, ks.center, ks.iso_center).periods) <= {None}
-    # G is nilpotent (upper_central_series)
+    # G is nilpotent (upper_central_series), and gamma_k <= G_k, so the
+    # lower central series reaches 1 (lower_central_series)
     upper = sg.upper_central_series(p)
     assert upper[-1] == whole
+    lower = sg.lower_central_series(p)
+    assert lower[-1].is_trivial
+    for k, term in enumerate(lower, 1):
+        assert all(sg.leading_index(r) >= k for r in term.rows)
     for series in (None, upper[::-1]):
         # L ends at 1 and [U_k, G] = L_{k+1} (associated_series)
         s = associated_series(p, series)
@@ -158,10 +164,10 @@ def assert_constructions_hold(p):
         for k, u in enumerate(s.upper):
             assert sg.commutator_subgroup(p, u, whole) == s.lower[k + 1]
         # the multiplication table is associative (ScalarRing), and the
-        # basis passes the check that scalar_ring skips
+        # basis passes the checks that scalar_ring skips
         ring = scalar_ring(pairing_of(bilinearize(p, series)))
         assert oracles.is_associative(ring)
-        ring._recheck_basis()
+        assert oracles.ref_check_basis(ring.pairing, ring.s_basis)
     # G/M is free, the remainder after the three sections lies in Is(G'),
     # and the adapted presentation is consistent (adapt_basis)
     segments = (section(p, whole, ks.m_sub), ks.mn, ks.n_is)
@@ -172,6 +178,18 @@ def assert_constructions_hold(p):
             w = pc.multiply(p, pc.inverse(p, seg.element(seg.coords(w))), w)
         assert ks.derived_isolator.contains(w)
     assert pc.consistency_check(adapt_basis(p).pres).ok
+    # every constrained pass above kept rows x of s with [x, h] in L for
+    # each condition (hs, L), the layer invariant it does not check
+    # (constrained_subgroup)
+    passes = [(key[1], key[2], t) for key, t in p._built.items()
+              if key[0] == "constrained"]
+    assert passes
+    for s_rows, conditions, t in passes:
+        assert all(sg.Subgroup(p, s_rows).contains(x) for x in t.rows)
+        for hs, ell_rows in conditions:
+            ell = sg.Subgroup(p, ell_rows)
+            assert all(ell.contains(pc.commutator(p, x, h))
+                       for x in t.rows for h in hs)
     # every section built above has b <= a and [a, a] <= b, which section
     # does not check (abelian.section)
     sections = [key[1:] for key in p._built if key[0] == "section"]
