@@ -9,7 +9,8 @@ ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and the
 image rows of a are canonical modulo b.  The periods and coordinates are
 those of intlinalg.InvariantFactors on the relation lattice of the image
 rows; this module adds only the sign rule.  Basis elements are elements of
-G; coords/element convert both ways.  section(p, a, b) is the only builder
+G; coords reads an element's coordinates, and the product of the basis
+to coordinates c has coordinates c.  section(p, a, b) is the only builder
 of sections: it builds each a/b once per presentation, keyed by a's and
 b's rows, and every caller shares it, as a section is immutable once built.
 
@@ -140,9 +141,6 @@ class FgAbelian(InvariantFactors):
 
     def coords(self, x: Element) -> Tuple[int, ...]:
         return super().coords(self._sift(x))
-
-    def element(self, vec: Tuple[int, ...]) -> Element:
-        return sg.prod_rows(self.pres, self.basis, vec)
 
 
 def section(p: PcPresentation, a: Subgroup, b: Subgroup) -> FgAbelian:

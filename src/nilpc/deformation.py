@@ -2,16 +2,19 @@
 
 An adapted basis runs through four segments: a free basis modulo
 M = Is(G'Z), invariant-factor generators of the finite section M/N where
-N = Is(G')Z, a free basis of N modulo Is(G'), and an induced generating
-sequence of Is(G') itself.  Once the power tails of the middle segment
-land diagonally on the free segment below, those tails can be rescaled
-and permuted without touching anything else; that is the deformation.
+N = Is(G')Z, a free basis of N modulo Is(G') taken in the center, and an
+induced generating sequence of Is(G') itself.  The free segment can be
+central because N = Is(G')Z: each coset of Is(G') in N meets Z.  Then
+the free generators occur in no commutator tail and in no power tail but
+the middle segment's, so once those land diagonally on the free segment
+they can be rescaled and permuted without touching anything else, and
+the result is again consistent (abdef); that is the deformation.
 """
 
 from collections import namedtuple
 from itertools import permutations, product
-from math import factorial, gcd, isqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import factorial, gcd, isqrt, prod
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import intlinalg as il
 from . import presentation as pc
@@ -35,7 +38,9 @@ class AdaptedPresentation(namedtuple(
 
     Segment boundaries are cumulative counts: generators 1..i0 are free
     modulo M, (i0, i1] generate M/N with invariant factors multiplying to
-    e, (i1, i2] are free modulo Is(G'), the rest generate Is(G').
+    e, (i1, i2] are free modulo Is(G') and central, and the rest generate
+    Is(G').  The free segment can be central as N = Is(G')Z, and
+    adapt_basis takes it in the center (KeySubgroups.central_lifts).
     `new_in_old` gives each new generator as an element of the presentation
     it was adapted from; `old_in_new` gives each old generator as an
     exponent vector over the new basis.  Both are absent on presentations
@@ -99,37 +104,42 @@ def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
 def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
     """Rewrite p on a basis adapted to the M >= N >= Is(G') tower.
 
-    The basis is that of the sections G/M, M/N and N/Is(G'), as FgAbelian
-    builds them, then the rows of Is(G').  The coordinates of w are read
-    off the same sections: its G/M coordinates c1, then the M/N
-    coordinates of w1 = element(c1)^-1 w, the N/Is(G') coordinates of the
-    next remainder, and the exponents of the last over Is(G')'s rows.
-    Each section's coordinates are unique (reduced modulo the periods of
-    M/N), so each tail is the unique normal form.
+    The basis is that of the sections G/M and M/N, as FgAbelian builds
+    them, then the central lifts of N/Is(G')'s basis
+    (KeySubgroups.central_lifts), then the rows of Is(G').  The
+    coordinates of w are read off the three sections: its G/M coordinates
+    c1, then the M/N coordinates of w1 = x1^-1 w, x1 the product of the
+    G/M generators to c1, the N/Is(G') coordinates of the next remainder,
+    and the exponents of the last over Is(G')'s rows.  Each section's
+    coordinates are unique (reduced modulo the periods of M/N), so each
+    tail is the unique normal form.
 
     Nothing is checked on the way, as nothing can fail. G/M is free
-    abelian, since M = Is(G'Z) is isolated and holds G'. A section a/b
-    leaves element(c)^-1 w in b, so the last remainder lies in Is(G').
+    abelian, since M = Is(G'Z) is isolated and holds G'. In a section a/b
+    the product x of a segment's generators to w's coordinates c has
+    coordinates c (the lifts have the unit coordinates, and coordinates
+    are additive), so x^-1 w lies in b, and the last remainder in Is(G').
     The result is G on a new polycyclic sequence with its tails read in G,
     so it is consistent (Sims 1994, ch. 9); collecting in it proves it
     first all the same (pc._conj_layers).
     """
     ks = key_subgroups(p)
     seg1 = section(p, ks.lower_central[0], ks.m_sub)
-    segments = (seg1, ks.mn, ks.n_is)
+    segments = ((seg1, seg1.basis), (ks.mn, ks.mn.basis),
+                (ks.n_is, ks.central_lifts))
     tail = ks.derived_isolator
     n, p_rank, e = ks.n, ks.p, ks.e
     i0 = len(seg1.periods)
     i1, i2 = i0 + n, i0 + n + p_rank
     mseq: List[Element] = [
-        x for seg in segments for x in seg.basis] + list(tail.rows)
+        x for _, gens in segments for x in gens] + list(tail.rows)
 
     def expr(w: Element) -> Tuple[int, ...]:
         vec: List[int] = []
-        for seg in segments:
+        for seg, gens in segments:
             c = seg.coords(w)
             vec += c
-            w = sg._mul(p, sg._inv(p, seg.element(c)), w)
+            w = sg._mul(p, sg._inv(p, sg.prod_rows(p, gens, c)), w)
         return tuple(vec + tail.coefficients_of(w))
 
     periods: List[Optional[int]] = (
@@ -149,12 +159,7 @@ def _validate_params(a: AdaptedPresentation,
         raise DeformError("need one multiplier per finite-section generator")
     if len(c) != a.n or any(len(row) != a.n for row in c):
         raise DeformError(f"change matrix must be {a.n}x{a.n}")
-    if a.n == 0:
-        return
-    prod = 1
-    for dk in d:
-        prod *= abs(dk)
-    if gcd(prod, a.e) != 1:
+    if gcd(prod(d), a.e) != 1:
         raise DeformError(
             "multipliers must be invertible modulo the section exponent")
     if il.hnf_basis(c, a.n) != il.identity(a.n):
@@ -162,56 +167,70 @@ def _validate_params(a: AdaptedPresentation,
 
 
 def _check_diagonal(a: AdaptedPresentation) -> None:
-    """The i-th middle power must land exactly on free generator i + n."""
-    tails = dict(a.pres.powers)
+    """Refuse an a outside abdef's argument, reading its relations alone:
+    it needs n middle and p >= n free generators, these of infinite period
+    and central, the i-th middle power landing exactly on free generator
+    i + n, and no other tail holding a free generator.  adapt_basis gives
+    all but the diagonal (see the module docstring)."""
+    pres, free = a.pres, range(a.i1 + 1, a.i2 + 1)
+    if ((a.i1 - a.i0, a.i2 - a.i1) != (a.n, a.p) or a.n > a.p
+            or any(pres.periods[k - 1] is not None for k in free)):
+        raise DeformError(
+            f"{pres.name}: segments do not hold n = {a.n} middle and "
+            f"p = {a.p} >= n free generators of infinite period")
+    others = list(pres.commutators) + [
+        ((i,), w) for i, w in pres.powers if not a.i0 < i <= a.i1]
+    for key, w in others:
+        if w and (set(key) | {k for k, _ in w}) & set(free):
+            raise DeformError(
+                f"{pres.name}: a free generator is not central, or occurs "
+                "in a tail other than a middle power")
+    tails = dict(pres.powers)
     for i in range(a.i0 + 1, a.i1 + 1):
         tail = dict(tails.get(i, ()))
-        for k in range(a.i1 + 1, a.i2 + 1):
-            want = 1 if k == i + a.n else 0
-            if tail.get(k, 0) != want:
-                raise DeformError(
-                    f"{a.pres.name}: power tail of generator {i} is not "
-                    "diagonally normalized")
+        if [tail.get(k, 0) for k in free] != [int(k == i + a.n) for k in free]:
+            raise DeformError(f"{pres.name}: power tail of generator {i} is "
+                              "not diagonally normalized")
 
 
 def abdef(a: AdaptedPresentation,
           d: Tuple[int, ...],
           c: Tuple[Tuple[int, ...], ...]) -> AdaptedPresentation:
-    """Deform: middle power i now lands on the free segment via d and c."""
+    """Deform: middle power i now lands on the free segment via d and c.
+
+    The result is consistent when a.pres is, so no proof runs.  Let G be
+    the group of a.pres and A = <f_1, ..., f_p>, its free segment; by
+    _check_diagonal A is central, free abelian on the f_t (normal forms
+    are unique), in no tail but the middle powers', and middle power
+    i0 + t is w f_t, w free of A.  Let phi be the endomorphism of A that
+    sends f_t to prod_k f_k^(d_k c_tk), the new tail's free part, for
+    t <= n and fixes the rest; H = (G x A)/{(y, phi(y)^-1) : y in A}.
+    u_j -> (u_j, 1) and f_t -> (1, f_t) map the deformed group onto H,
+    as the images generate H and meet every deformed relation: those
+    without an f_t hold in G, the (1, f_t) are central, and
+    (u_i, 1)^(e_i) = (w, 1)(f_t, 1) = (w, 1)(1, phi(f_t)).  Collection
+    writes each element of the deformed group as a normal form.  Two with
+    one image in H give x = x' y and a = a' phi(y)^-1 for some y in A,
+    where x, x' are their products in G over the generators outside A and
+    a, a' over the f_t.  As y is central, the normal form of x' y in G
+    has the exponents of x' off A and those of y on A, so unique normal
+    forms in G give x = x', y = 1 and a = a'.  So distinct normal forms
+    are distinct elements: the deformed presentation is consistent.
+    """
     _validate_params(a, d, c)
     _check_diagonal(a)
-    pres = a.pres
-    tails = dict(pres.powers)
-    new_powers = []
-    for i in range(1, pres.m + 1):
-        if pres.periods[i - 1] is None:
-            continue
-        if a.i0 < i <= a.i1:
-            t = i - a.i0 - 1
-            tail: Dict[int, int] = {
-                k: v for k, v in tails.get(i, ())
-                if not a.i1 < k <= a.i2}
-            for k in range(1, a.n + 1):
-                coef = d[k - 1] * c[t][k - 1]
-                if coef:
-                    tail[a.i1 + k] = coef
-            entries = tuple(sorted(tail.items()))
-        else:
-            entries = tails.get(i, ())
-        if entries:
-            new_powers.append((i, entries))
-    new_p = PcPresentation(
-        name=f"{pres.name} deformed",
-        periods=pres.periods,
-        powers=tuple(new_powers),
-        commutators=pres.commutators,
-    )
-    report = pc.consistency_check(new_p)
-    if not report.ok:
-        raise DeformError(
-            f"deformation is inconsistent: {report.failures[0]}")
+    tails = dict(a.pres.powers)
+    for t, i in enumerate(range(a.i0 + 1, a.i1 + 1)):
+        tails[i] = tuple(sorted(
+            [(k, v) for k, v in tails[i] if not a.i1 < k <= a.i2]
+            + [(a.i1 + k + 1, d[k] * c[t][k]) for k in range(a.n)
+               if d[k] * c[t][k]]))
+    pres = PcPresentation(
+        f"{a.pres.name} deformed", a.pres.periods,
+        tuple((i, w) for i, w in sorted(tails.items()) if w),
+        a.pres.commutators)
     return AdaptedPresentation(
-        pres=new_p, i0=a.i0, i1=a.i1, i2=a.i2, n=a.n, p=a.p, e=a.e)
+        pres=pres, i0=a.i0, i1=a.i1, i2=a.i2, n=a.n, p=a.p, e=a.e)
 
 
 def ext_class(a: AdaptedPresentation,
@@ -226,18 +245,12 @@ def ext_class(a: AdaptedPresentation,
 def _ext_class(a: AdaptedPresentation,
                d: Tuple[int, ...],
                c: Tuple[Tuple[int, ...], ...]) -> ExtClass:
-    """ext_class on parameters already known to be valid."""
-    moduli = []
-    components = []
-    for i in range(a.i0 + 1, a.i1 + 1):
-        t = i - a.i0 - 1
-        ei = a.pres.periods[i - 1]
-        assert ei is not None
-        moduli.append(ei)
-        components.append(tuple(
-            (d[k] * c[t][k]) % ei if k < a.n else 0
-            for k in range(a.p)))
-    return ExtClass(moduli=tuple(moduli), components=tuple(components))
+    """ext_class on parameters already known to be valid, and on an a that
+    passed _check_diagonal, so the middle periods are finite."""
+    moduli = tuple(a.pres.periods[a.i0:a.i1])
+    return ExtClass(moduli=moduli, components=tuple(
+        tuple((d[k] * c[t][k]) % ei if k < a.n else 0 for k in range(a.p))
+        for t, ei in enumerate(moduli)))
 
 
 def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:

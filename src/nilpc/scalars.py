@@ -437,8 +437,7 @@ class ScalarRing(InvariantFactors):
     def coords_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
         y = solve_lattice(self.s_basis, vec, self._leads)
         if y is None:
-            raise ScalarRingError("triple does not satisfy the pairing "
-                                  "identities")
+            raise ScalarRingError("triple lies outside the ring's lattice")
         return self.coords(y)
 
     def element_vec(self, coords: Sequence[int]) -> List[int]:

@@ -724,22 +724,50 @@ def ref_isolator(p, n):
 # adapted bases
 #
 # The package reads each adapted coordinate off the sections G/M, M/N and
-# N/Is(G') that key_subgroups built. The oracle peels one basis element at
-# a time instead: its exponent solves a congruence system over
-# abelianization coordinates, modulo every later basis element, and the
-# presentation is assembled here rather than by deformation.presentation_on.
+# N/Is(G') that key_subgroups built, and its free segment off one HNF over
+# the center's rows. The oracle peels one basis element at a time instead:
+# its exponent solves a congruence system over abelianization coordinates,
+# modulo every later basis element. It lifts each basis element of
+# N/Is(G') into the center by a congruence system of its own, and the
+# presentation is assembled here rather than by
+# deformation.presentation_on.
+
+
+def ref_central_lift(p, ks, b):
+    """The element prod z_j^w_j of the center's rows z_j congruent to b
+    modulo Is(G'), w reduced modulo the Hermite basis of the w with a
+    product in Is(G'): where the free abelianization coordinates agree,
+    as Is(G')/G' is the torsion of G/G'."""
+    abel, z = ks.abelianized, ks.center.rows
+    free = [r for r, d in enumerate(abel.periods) if d is None]
+    cz = [abel.coords(r) for r in z]
+    rows = [[c[r] for c in cz] for r in free]
+    sol = ref_solve_congruences(rows, [abel.coords(b)[r] for r in free],
+                                [0] * len(free), len(z))
+    assert sol.consistent
+    w = list(sol.particular)
+    for row in ref_hermite(sol.basis):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            q = w[lead] // row[lead]
+            w = [x - q * y for x, y in zip(w, row)]
+    out = pc.identity_element(p)
+    for r, e in zip(z, w):
+        out = pc.multiply(p, out, pc.power(p, r, e))
+    return out
 
 
 def ref_adapted_presentation(p):
     """(pres, new_in_old, old_in_new) on the adapted basis of p."""
     ks = key_subgroups(p)
     seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
-    seg2, seg3, tail = ks.mn, ks.n_is, ks.derived_isolator
+    seg2, tail = ks.mn, ks.derived_isolator
+    seg3 = [ref_central_lift(p, ks, b) for b in ks.n_is.basis]
     assert all(d is None for d in seg1.periods)
     i0 = len(seg1.periods)
     i1 = i0 + len(seg2.periods)
-    i2 = i1 + len(seg3.periods)
-    nontail = list(seg1.basis) + list(seg2.basis) + list(seg3.basis)
+    i2 = i1 + len(seg3)
+    nontail = list(seg1.basis) + list(seg2.basis) + seg3
     mseq = nontail + list(tail.rows)
     abel = ks.abelianized
     moduli = [0 if d is None else d for d in abel.periods]

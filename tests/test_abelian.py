@@ -45,7 +45,7 @@ def test_mixed_torsion_invariants():
     ab = FgAbelian(a2, sg.whole_subgroup(a2), sg.trivial_subgroup(a2))
     assert ab.periods == (2, 4)
     x = ab.coords(pc.generator(a2, 1))
-    rebuilt = ab.element(x)
+    rebuilt = sg.prod_rows(a2, ab.basis, x)
     assert ab.coords(rebuilt) == x
 
 

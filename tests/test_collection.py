@@ -441,6 +441,16 @@ def random_presentation(rng):
                           for i in range(1, j) if rng.random() < 0.6))
 
 
+@functools.lru_cache(maxsize=None)
+def consistent_draws(seed):
+    """(k, p) for each consistent p among the first 3,000 draws of
+    random_presentation on Random(seed), k counting from 0."""
+    rng = random.Random(seed)
+    draws = [random_presentation(rng) for _ in range(3000)]
+    return tuple((k, p) for k, p in enumerate(draws)
+                 if pc.consistency_check(p).ok)
+
+
 def assert_reports_as_oracle(report, q):
     """report has the rewriting reference's verdict on q, and when q fails,
     lists exactly the reference's failures at its highest failing layer,

@@ -1,6 +1,7 @@
 """Adapted bases, power-tail deformations, class enumeration, embeddings."""
 
 import random
+import re
 from math import gcd
 
 import pytest
@@ -19,6 +20,8 @@ from nilpc.deformation import (
     standard_embedding,
     twisted_embedding,
 )
+from nilpc.morphisms import hom_from_images, is_inverse_pair
+from nilpc.series import key_subgroups
 
 from groups_def import (
     f23,
@@ -33,6 +36,7 @@ from groups_def import (
     zk,
 )
 from oracles import ref_adapted_presentation
+from test_collection import consistent_draws
 
 ADAPTABLE = {
     "HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh, "ZK": zk,
@@ -84,12 +88,32 @@ class TestAdaptBasis:
 
     @pytest.mark.parametrize("name", ADAPTABLE)
     def test_matches_reference(self, name):
-        p = ADAPTABLE[name]()
-        a = adapt_basis(p)
-        pres, new_in_old, old_in_new = ref_adapted_presentation(p)
-        assert same_presentation(a.pres, pres)
-        assert a.new_in_old == new_in_old
-        assert a.old_in_new == old_in_new
+        assert_matches_reference(ADAPTABLE[name]())
+
+    def test_matches_reference_where_lifts_leave_the_section_basis(self):
+        # the seed-0 draws whose free segment is not N/Is(G')'s section
+        # basis, every fourth of them
+        moved = [p for _, p in consistent_draws(0)
+                 if (ks := key_subgroups(p)).central_lifts != ks.n_is.basis]
+        assert len(moved) == 96
+        for p in moved[::4]:
+            assert_matches_reference(p)
+
+    def test_free_segment_is_central_and_adapting_is_an_isomorphism(self):
+        # on every seed-0 draw with a middle section; the free segment,
+        # read off N/Is(G')'s section basis, had a commutator tail on 72
+        checked = 0
+        for _, p in consistent_draws(0):
+            a = adapt_basis(p)
+            if a.n < 1:
+                continue
+            checked += 1
+            for f in a.new_in_old[a.i1:a.i2]:
+                assert all(not any(pc.commutator(p, f, pc.generator(p, i)))
+                           for i in range(1, p.m + 1)), p
+            assert is_inverse_pair(hom_from_images(a.pres, p, a.new_in_old),
+                                   hom_from_images(p, a.pres, a.old_in_new))
+        assert checked == 448
 
     @pytest.mark.parametrize("name", ADAPTABLE)
     def test_witness_words_invert(self, name):
@@ -104,6 +128,31 @@ class TestAdaptBasis:
                     accum = pc.multiply(
                         p, accum, pc.power(p, a.new_in_old[k], exp))
             assert accum == pc.generator(p, i)
+
+
+def assert_matches_reference(p):
+    a = adapt_basis(p)
+    pres, new_in_old, old_in_new = ref_adapted_presentation(p)
+    assert same_presentation(a.pres, pres)
+    assert a.new_in_old == new_in_old
+    assert a.old_in_new == old_in_new
+
+
+def draw_605():
+    """The 606th random_presentation draw on Random(0), consistent or not:
+    periods (5, inf, inf, 5, 5), u1^5 = u5^4, u4^5 = u5^4,
+    [u3, u1] = u5^2 and [u3, u2] = u4^4. M/N has invariant factors 5
+    and 25, and u3 is free modulo Is(G') but not central."""
+    return dict(consistent_draws(0))[605]
+
+
+def hand_adapted(periods, powers, commutators=(), i0=0, p=2):
+    """A hand-built AdaptedPresentation with two middle generators after
+    i0 others, p free ones, e = 9 and the rest in Is(G')."""
+    pres = pc.PcPresentation(name="HAND", periods=periods, powers=powers,
+                             commutators=commutators)
+    return AdaptedPresentation(pres=pres, i0=i0, i1=i0 + 2, i2=i0 + 2 + p,
+                               n=2, p=p, e=9)
 
 
 def two_by_two():
@@ -161,6 +210,72 @@ class TestAbdef:
         a = adapt_basis(zk())  # power tail lands on the square
         with pytest.raises(DeformError):
             abdef(a, (2,), ((1,),))
+
+    def test_every_surveyed_class_of_draw_605_deforms(self):
+        # its free generator u3 used to keep [u3, u2] = u4^4, and 140 of
+        # the 160 deformations were inconsistent
+        a = adapt_basis(draw_605())
+        survey = enumerate_deformations(a)
+        assert len(survey.representatives) == 160
+        for _, d, c in survey.representatives:
+            assert pc.consistency_check(abdef(a, d, c).pres).ok, (d, c)
+
+    def test_surveyed_classes_of_draws_deform(self):
+        # every eighth representative of each seed-0 draw with e^n at most
+        # 10^4 (larger surveys take seconds), proven after the fact, as
+        # abdef proves nothing
+        checked = 0
+        for _, p in consistent_draws(0):
+            a = adapt_basis(p)
+            if a.n < 1 or a.e ** a.n > 10 ** 4:
+                continue
+            try:
+                survey = enumerate_deformations(a)
+            except DeformError as exc:
+                assert re.search("diagonally normalized|cap", str(exc))
+                continue
+            for _, d, c in survey.representatives[::8]:
+                checked += 1
+                assert pc.consistency_check(abdef(a, d, c).pres).ok, p
+        assert checked >= 200
+
+    def test_runs_no_proof(self, monkeypatch):
+        # the deformed presentation is consistent by abdef's docstring
+        # argument, so nothing proves it
+        a = adapt_basis(zg())
+        calls = []
+        monkeypatch.setattr(pc, "consistency_check",
+                            lambda *args: calls.append(args))
+        out = abdef(a, (2,), ((1,),))
+        assert calls == []
+        assert same_presentation(out.pres, zk())
+
+    @pytest.mark.parametrize("a,match", [
+        # a free generator with a commutator tail: u3 = f1, [u3, u1] = u5
+        (hand_adapted((3, 3, None, None, None),
+                      ((1, ((3, 1),)), (2, ((4, 1),))),
+                      (((3, 1), ((5, 1),)),)), "not central"),
+        # a free generator in a commutator tail: [u2, u1] = f1
+        (hand_adapted((3, 3, None, None),
+                      ((1, ((3, 1),)), (2, ((4, 1),))),
+                      (((2, 1), ((3, 1),)),)), "occurs in a tail"),
+        # a free generator in the power tail of u1, outside the middle
+        (hand_adapted((2, 3, 3, None, None),
+                      ((1, ((4, 1),)), (2, ((4, 1),)), (3, ((5, 1),))),
+                      i0=1), "occurs in a tail"),
+        # a free generator of finite period
+        (hand_adapted((3, 3, None, 5), ((1, ((3, 1),)), (2, ((4, 1),)))),
+         "segments"),
+        # fewer free generators than middle ones
+        (hand_adapted((3, 3, None), ((1, ((3, 1),)),), p=1), "segments"),
+    ])
+    def test_refuses_an_input_outside_the_argument(self, a, match):
+        # abdef's argument needs these, and _check_diagonal reads them off
+        # the relations, so the refusal is eager and runs no proof
+        with pytest.raises(DeformError, match=match):
+            abdef(a, (1, 1), ((1, 0), (0, 1)))
+        with pytest.raises(DeformError, match=match):
+            enumerate_deformations(a)
 
 
 class TestExtClass:

@@ -5,12 +5,12 @@ the names of the package's export table, and `__version__`; no module
 imports dataclasses; no package module calls FgAbelian or ScalarRing,
 whose public constructors check their input, and only abelian.section,
 and scalars.scalar_ring and restrict_ring, read the private paths that
-build a section or a ring without those checks; no module of the
-subgroup layer calls a
-collector operation but through the table that keeps it on the
-presentation; and only whole_subgroup and identity_hom list every
-generator, as G is read elsewhere through the smaller
-subgroups.generating_set.
+build a section or a ring without those checks; only the input
+boundary and the collector's first use call consistency_check; no module
+of the subgroup layer calls a collector operation but through the table
+that keeps it on the presentation; and only whole_subgroup and
+identity_hom list every generator, as G is read elsewhere through the
+smaller subgroups.generating_set.
 
 No linter ships with the package, so these tests parse each module with
 ast.  An import is used when the module reads the name; `__init__.py` is
@@ -183,6 +183,35 @@ def test_rings_are_built_only_by_scalars(path):
     # its own output again, and the unchecked path taken anywhere else
     # would skip the checks on a caller's basis
     assert_one_builder(path, "ScalarRing", RING_PATH)
+
+
+def callers(source: str, name: str):
+    """The top-level definitions that call `name`, bare or as an
+    attribute; None stands for module-level code."""
+    return sorted((getattr(top, "name", None) for top in ast.parse(source).body
+                   if calls_of(ast.unparse(top), name)), key=str)
+
+
+def test_detects_a_caller():
+    src = ("def load(p):\n    return parse(p)\n\n"
+           "def parse(p):\n    pc.consistency_check(p)\n\n"
+           "def doc(p):\n    \"\"\"consistency_check(p)\"\"\"\n\n"
+           "consistency_check(q)\n")
+    assert callers(src, "consistency_check") == [None, "parse"]
+
+
+# who may prove a presentation: the input boundary (files.load and parse
+# through presentation_from_dict, and the check command) and the proof's
+# own first use (_conj_layers); constructions prove their output in their
+# docstrings instead
+PROVERS = {"files.py": ["presentation_from_dict"], "cli.py": ["_cmd_check"],
+           "presentation.py": ["_conj_layers"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_consistency_is_proven_only_at_the_boundary(path):
+    source = path.read_text(encoding="utf-8")
+    assert callers(source, "consistency_check") == PROVERS.get(path.name, [])
 
 
 OPERATIONS = ("multiply", "power", "commutator", "conjugate", "inverse")

@@ -249,6 +249,21 @@ class TestRestriction:
             ring, [InvariantSubmodule("phi0", 0, gens)])
         assert res.s_basis == ring.s_basis
 
+    def test_a_triple_outside_the_restricted_lattice_names_the_lattice(self):
+        # E with only E_2[1][0] = 1 meets every pairing identity of the zero
+        # pairing, so it lies in the base ring, but it does not keep the
+        # submodule (1, 0) of B invariant; the error names the lattice, not
+        # the identities
+        pr = Pairing((None,), (None, None), (None,), (((0,), (0,)),))
+        base = scalar_ring(pr)
+        ring = restrict_ring(base, [InvariantSubmodule("phi2", 0, ((1, 0),))])
+        vec = [0] * base.lay.total
+        vec[base.lay.idx2(1, 0)] = 1
+        assert base.contains_vec(vec) and not ring.contains_vec(vec)
+        with pytest.raises(ScalarRingError,
+                           match="outside the ring's lattice"):
+            ring.coords_vec(vec)
+
 
 def split_pairing(p, q):
     """Multiplication on Z/p and on Z/q side by side, one block each (None

@@ -16,7 +16,7 @@ from nilpc.series import key_subgroups, hirsch_length, nilpotency_class
 import oracles
 from groups_def import (
     f23, heis, heisenberg, nr, random_basis_change, unitriangular, zg, zh, zk)
-from test_collection import random_presentation
+from test_collection import consistent_draws, random_presentation
 
 G = zg()
 N6 = nr()
@@ -119,7 +119,7 @@ def test_invariants_agree_across_deformed_fixtures():
 
 # -- what the constructions prove instead of checking ---------------------------
 #
-# key_subgroups, _free_complement, upper_central_series,
+# key_subgroups, upper_central_series,
 # lower_central_series, constrained_subgroup, associated_series,
 # ScalarRing, scalar_ring, abelian.section and adapt_basis prove these
 # properties of their output or input in their docstrings and do not check
@@ -145,10 +145,7 @@ def assert_constructions_hold(p):
     # M/N is finite and N/Is(G') free (KeySubgroups)
     assert None not in ks.mn.periods
     assert set(ks.n_is.periods) <= {None}
-    # the torsion-image part lies in the centre with a free quotient
-    # (_free_complement)
-    assert all(ks.center.contains(r) for r in ks.iso_center.rows)
-    assert set(section(p, ks.center, ks.iso_center).periods) <= {None}
+    assert_center_split(p)
     # G is nilpotent (upper_central_series), and gamma_k <= G_k, so the
     # lower central series reaches 1 (lower_central_series)
     upper = sg.upper_central_series(p)
@@ -168,14 +165,18 @@ def assert_constructions_hold(p):
         ring = scalar_ring(pairing_of(bilinearize(p, series)))
         assert oracles.is_associative(ring)
         assert oracles.ref_check_basis(ring.pairing, ring.s_basis)
-    # G/M is free, the remainder after the three sections lies in Is(G'),
-    # and the adapted presentation is consistent (adapt_basis)
-    segments = (section(p, whole, ks.m_sub), ks.mn, ks.n_is)
-    assert set(segments[0].periods) <= {None}
+    # G/M is free, the remainder after the three sections, the last read
+    # through the central lifts, lies in Is(G'), and the adapted
+    # presentation is consistent (adapt_basis)
+    seg1 = section(p, whole, ks.m_sub)
+    segments = ((seg1, seg1.basis), (ks.mn, ks.mn.basis),
+                (ks.n_is, ks.central_lifts))
+    assert set(seg1.periods) <= {None}
     for i in range(1, p.m + 1):
         w = pc.generator(p, i)
-        for seg in segments:
-            w = pc.multiply(p, pc.inverse(p, seg.element(seg.coords(w))), w)
+        for seg, gens in segments:
+            x = sg.prod_rows(p, gens, seg.coords(w))
+            w = pc.multiply(p, pc.inverse(p, x), w)
         assert ks.derived_isolator.contains(w)
     assert pc.consistency_check(adapt_basis(p).pres).ok
     # every constrained pass above kept rows x of s with [x, h] in L for
@@ -199,6 +200,33 @@ def assert_constructions_hold(p):
         assert all(a.contains(r) for r in b_rows)
         assert all(b.contains(pc.commutator(p, r, s))
                    for r in a_rows for s in a_rows)
+
+
+def assert_center_split(p):
+    """The split of the center over Is(G') that key_subgroups reads off
+    one HNF, checked by its properties alone."""
+    ks = key_subgroups(p)
+    z, iso_c = ks.center, ks.iso_center
+    # iso_center lies in Z n Is(G') and Z/iso_center is free of rank p;
+    # Z/(Z n Is(G')) = N/Is(G') has rank p too, so (Z n Is(G'))/iso_center
+    # is finite inside a free group: iso_center is all of Z n Is(G')
+    assert all(z.contains(r) and ks.derived_isolator.contains(r)
+               for r in iso_c.rows)
+    assert section(p, z, iso_c).periods == (None,) * ks.p
+    assert ks.n_is.free_rank == ks.p
+    # g0 and iso_center generate Z, and g0 has Hirsch rank p
+    assert sg.induce(p, list(ks.g0.rows) + list(iso_c.rows)) == z
+    assert ks.g0.relative_orders().count(None) == ks.p
+    # each lift is central with a unit vector as N/Is(G') coordinates
+    for t, x in enumerate(ks.central_lifts):
+        assert z.contains(x)
+        assert ks.n_is.coords(x) == tuple(int(k == t) for k in range(ks.p))
+    assert ks.tame == (ks.p == 0)
+
+
+def test_center_split_holds_its_properties_on_random_presentations():
+    for _, p in consistent_draws(0):
+        assert_center_split(p)
 
 
 @pytest.mark.parametrize("name", SWEEP)
