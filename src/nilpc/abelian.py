@@ -114,7 +114,7 @@ class FgAbelian(InvariantFactors):
                          if c and self._period[j] is None), 0)
             if lead < 0:
                 self.negate(k)
-                h = self.rep(sg._inv(p, h))
+                h = self.rep(sg._pow(p, h, -1))
             basis.append(h)
         self.basis: Tuple[Element, ...] = tuple(basis)
 

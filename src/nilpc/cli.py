@@ -39,6 +39,7 @@ from typing import List, NoReturn, Optional, Sequence, Tuple
 from . import files
 from . import presentation as pc
 from . import subgroups as sg
+from .abelian import torsion_subgroup
 from .bilinear import SeriesError
 from .deformation import DeformError, abdef, adapt_basis, \
     enumerate_deformations
@@ -126,7 +127,7 @@ def _cmd_analyze(args) -> int:
         "center": _rows(ks.center),
         "derived": _rows(ks.derived),
         "derived_isolator": _rows(ks.derived_isolator),
-        "torsion": _rows(ks.torsion),
+        "torsion": _rows(torsion_subgroup(p)),
         "m_subgroup": _rows(ks.m_sub),
         "n_subgroup": _rows(ks.n_sub),
         "free_complement": _rows(ks.g0),

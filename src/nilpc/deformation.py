@@ -139,7 +139,7 @@ def adapt_basis(p: PcPresentation) -> AdaptedPresentation:
         for seg, gens in segments:
             c = seg.coords(w)
             vec += c
-            w = sg._mul(p, sg._inv(p, sg.prod_rows(p, gens, c)), w)
+            w = sg._mul(p, sg._pow(p, sg.prod_rows(p, gens, c), -1), w)
         return tuple(vec + tail.coefficients_of(w))
 
     periods: List[Optional[int]] = (

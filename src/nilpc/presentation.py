@@ -112,10 +112,10 @@ class PcPresentation:
     - _built: what the subgroup layer builds on this presentation, once
       each (see subgroups.py): G and the generating set S, commutator
       subgroups, constrained passes and sections keyed by canonical rows,
-      and the products, powers, commutators, conjugates and inverses it
-      collects, keyed by ("pc", name, *arguments). It is apart from
-      _layers and _steps, which consistency_check must tell apart, and
-      only the subgroup layer reads and writes it, through subgroups.py.
+      and the products, powers and commutators it collects, keyed by
+      ("pc", name, *arguments). It is apart from _layers and _steps,
+      which consistency_check must tell apart, and only the subgroup
+      layer reads and writes it, through subgroups.py.
       The public operations of this module keep no table.
     """
 

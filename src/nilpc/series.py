@@ -2,8 +2,8 @@
 
 key_subgroups computes, exactly: the lower central series, the center,
 the derived subgroup G' (the second term of that series) and its
-isolator, the abelianization G/G', the torsion subgroup, the products
-N = Is(G') Z and M = Is(G' Z), the section invariants (n, p, e) read off
+isolator, the abelianization G/G', the products N = Is(G') Z and
+M = Is(G' Z) = Is(N), the section invariants (n, p, e) read off
 M/N and N/Is(G'), and the split of the center over Is(G'): Z n Is(G'),
 central lifts of a basis of N/Is(G'), and the free complement G0 of
 Z n Is(G') in Z that they generate, all three from one HNF.  The
@@ -19,7 +19,7 @@ from collections import namedtuple
 from math import prod
 
 from . import subgroups as sg
-from .abelian import abelianization, isolator, section, torsion_subgroup
+from .abelian import abelianization, isolator, section
 from .intlinalg import hnf_basis
 from .presentation import PcPresentation
 from .subgroups import Subgroup
@@ -35,13 +35,15 @@ def nilpotency_class(p: PcPresentation) -> int:
 
 class KeySubgroups(namedtuple(
         "KeySubgroups", "pres lower_central abelianized center derived "
-        "derived_isolator torsion iso_center n_sub m_sub g0 mn n_is "
+        "derived_isolator iso_center n_sub m_sub g0 mn n_is "
         "central_lifts regular tame n p e")):
     """The canonical subgroups of pres; see the module docstring.
 
     lower_central runs G = gamma_1 > gamma_2 = G' > ... > 1, so its length
     is the nilpotency class plus one; abelianized is G/G' as a section.
-    n_sub is Is(G') Z and m_sub is Is(G' Z); mn is the section M/N, always
+    n_sub is Is(G') Z and m_sub is Is(G' Z), read as Is(N): Is(G') and Z
+    lie in the isolated subgroup Is(G'Z), so N <= Is(G'Z), and
+    G'Z <= N, so Is(N) = Is(G'Z).  mn is the section M/N, always
     finite, as each element of M has a power in G'Z <= N, and n_is is
     N/Is(G'), always free, as it lies in G/Is(G'), which is torsion-free.
     tame says Z <= Is(G'), that is p = 0.
@@ -75,11 +77,8 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
     z = sg.center(pres)
     ab = abelianization(pres)
     iso_der = isolator(pres, der)
-    tors = torsion_subgroup(pres)
-
     n_sub = sg.induce(pres, list(iso_der.rows) + list(z.rows))
-    dz = sg.induce(pres, list(der.rows) + list(z.rows))
-    m_sub = isolator(pres, dz)
+    m_sub = isolator(pres, n_sub)
     mn = section(pres, m_sub, n_sub)
     n_is = section(pres, n_sub, iso_der)
     k, rank = len(z.rows), n_is.free_rank
@@ -97,7 +96,6 @@ def key_subgroups(pres: PcPresentation) -> KeySubgroups:
         center=z,
         derived=der,
         derived_isolator=iso_der,
-        torsion=tors,
         iso_center=iso_c,
         n_sub=n_sub,
         m_sub=m_sub,

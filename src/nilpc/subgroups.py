@@ -16,9 +16,10 @@ first, and the values are immutable:
   constrained pass (center, commutation preimages, radical, ...), keyed by
   s's rows and each condition's (generators, rows); each section a/b
   (abelian.section), keyed by a's and b's rows;
-* each group operation the layer asks for: _mul, _pow, _comm, _conj and
-  _inv are pc.multiply, power, commutator, conjugate and inverse, keyed by
-  ("pc", name, *arguments).
+* each group operation the layer asks for: _mul, _pow and _comm are
+  pc.multiply, power and commutator, keyed by ("pc", name, *arguments).
+  An inverse is the power by -1, and the normal closure reads [r, g] for
+  r^g (see induce), so it shares the constrained passes' commutators.
 
 An operation's value is the normal form of its result, unique in a
 consistent presentation, so it is a function of its key; on an
@@ -34,9 +35,9 @@ repeats.  No presentation of a quotient is built: a section is read in G
 by coset_rep (see abelian.py), and a constrained pass by L's rows alone.
 
 A constrained pass needs neither a closure nor a strip per layer: each
-[r, h] is collected once per presentation and sifted once per condition
-and pass by L.coset_rep, and a binding layer's rows are read off the HNF of its
-solution lattice (_lattice_subgroup, also used in series.py).
+[r, h] is collected once per presentation and sifted by L.coset_rep, whose
+products are the table's too, and a binding layer's rows are read off the
+HNF of its solution lattice (_lattice_subgroup, also used in series.py).
 
 G is read through a generating set S modulo G' (generating_set), built
 once per presentation from the commutator tails alone.  Drop u_l when
@@ -50,7 +51,7 @@ Theory of Groups, ch. 5), whose elements are non-generators, and G' is
 finitely generated, so its generators drop out of <S, G'> one at a time:
 <S> = G.  S is used where any generating set serves:
 
-* the normal closure (induce) conjugates by S only;
+* the normal closure (induce) takes commutators with S only;
 * [A, B] is the normal closure in <A, B> of the commutators of
   generators, so commutator_subgroup reads a side that is G as S; when
   both sides read the same rows, as for G' = [G, G], it takes each
@@ -264,10 +265,12 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
            normal: bool = False) -> Subgroup:
     """Canonical row sequence for the subgroup generated by gens.
 
-    With normal=True the normal closure is taken instead: conjugates by
-    the elements g of S = generating_set(p) are added until the rows
-    stabilise.  One side is enough.  A polycyclic group satisfies the
-    maximal condition on subgroups, and s^g <= s gives the ascending chain
+    With normal=True the normal closure is taken instead: the
+    commutators [r, g] of each row r with each g of S = generating_set(p)
+    are added until the rows stabilise.  r lies in s, so r^g = r[r, g]
+    lies in s exactly when [r, g] does, and s^g <= s.  One side is
+    enough.  A polycyclic group satisfies the maximal condition on
+    subgroups, and s^g <= s gives the ascending chain
     s <= s^{g^-1} <= s^{g^-2} <= ...; it stabilises at some k, and
     conjugating s^{g^-k} = s^{g^-(k+1)} by g^(k+1) gives s^g = s.  So s is
     also closed under conjugation by g^-1, hence by <S> = G.
@@ -285,14 +288,14 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
             if other is not r:
                 queue.append(_comm(p, r, other))
         for g in ambient:
-            queue.append(_conj(p, r, g))
+            queue.append(_comm(p, r, g))
 
     def install(lam: int, g: Element) -> None:
         a = g[lam - 1]
         e = p.period(lam)
         if e is None:
             if a < 0:
-                g = _inv(p, g)
+                g = _pow(p, g, -1)
         else:
             d, s, _ = _xgcd(a, e)
             if d != a:
@@ -398,8 +401,7 @@ def _collected(name: str):
     return op
 
 
-_mul, _pow, _comm, _conj, _inv = map(_collected, (
-    "multiply", "power", "commutator", "conjugate", "inverse"))
+_mul, _pow, _comm = map(_collected, ("multiply", "power", "commutator"))
 
 
 # -- constrained subgroups ----------------------------------------------------
@@ -445,8 +447,9 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
     Each [r, h] is collected once per presentation through _comm (see the
     module docstring), so the passes share it with each other and with
     every other caller; a row of t that survives a binding layer is the
-    same element, a new row a new key.  The pass sifts it once per
-    condition position.
+    same element, a new row a new key.  Its sift by L.coset_rep reads
+    the table too, so the pass keeps no memo of its own: after a binding
+    layer it reads each column again, from the table.
     """
     conditions = [(_read_whole(p, hs), ell) for hs, ell in conditions]
     key = ("constrained", s.rows,
@@ -457,17 +460,10 @@ def constrained_subgroup(p: PcPresentation, s: Subgroup,
 def _build_constrained(p: PcPresentation, s: Subgroup,
                        conditions: Sequence[Condition]) -> Subgroup:
     from .intlinalg import kernel  # here alone: sifting solves nothing
-    reps: Dict[Tuple[int, Element, Element], Element] = {}
 
     def column(c: int, h: Element) -> List[Element]:
         """The representatives of [r, h] under condition c over t's rows."""
-        ys = []
-        for r in t.rows:
-            y = reps.get((c, r, h))
-            if y is None:
-                y = reps[c, r, h] = conditions[c][1].coset_rep(_comm(p, r, h))
-            ys.append(y)
-        return ys
+        return [conditions[c][1].coset_rep(_comm(p, r, h)) for r in t.rows]
 
     pairs = [(c, h) for c, (hs, _) in enumerate(conditions) for h in hs]
     t, columns = s, None

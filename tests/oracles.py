@@ -725,20 +725,20 @@ def ref_isolator(p, n):
 #
 # The package reads each adapted coordinate off the sections G/M, M/N and
 # N/Is(G') that key_subgroups built, and its free segment off one HNF over
-# the center's rows. The oracle peels one basis element at a time instead:
-# its exponent solves a congruence system over abelianization coordinates,
-# modulo every later basis element. It lifts each basis element of
-# N/Is(G') into the center by a congruence system of its own, and the
-# presentation is assembled here rather than by
-# deformation.presentation_on.
+# the center's rows. The oracle builds Is(G'), N and M itself, M as the
+# isolator of G'Z where the package reads Is(N), and peels one basis
+# element at a time: its exponent solves a congruence system over
+# coordinates of G/G' read in the quotient presentation, modulo every later
+# basis element. It lifts each basis element of N/Is(G') into the center
+# by a congruence system of its own, and the presentation is assembled
+# here rather than by deformation.presentation_on.
 
 
-def ref_central_lift(p, ks, b):
+def ref_central_lift(p, abel, z, b):
     """The element prod z_j^w_j of the center's rows z_j congruent to b
     modulo Is(G'), w reduced modulo the Hermite basis of the w with a
-    product in Is(G'): where the free abelianization coordinates agree,
-    as Is(G')/G' is the torsion of G/G'."""
-    abel, z = ks.abelianized, ks.center.rows
+    product in Is(G'): where the free coordinates in abel = G/G' agree, as
+    Is(G')/G' is the torsion of G/G'."""
     free = [r for r, d in enumerate(abel.periods) if d is None]
     cz = [abel.coords(r) for r in z]
     rows = [[c[r] for c in cz] for r in free]
@@ -757,19 +757,44 @@ def ref_central_lift(p, ks, b):
     return out
 
 
+def assert_section_basis(sec, ref):
+    """sec has ref's periods, and its basis has the unit vectors as
+    coordinates in both."""
+    assert sec.periods == ref.periods
+    for k, x in enumerate(sec.basis):
+        unit = tuple(int(j == k) for j in range(len(sec.periods)))
+        assert sec.coords(x) == ref.coords(x) == unit
+
+
+def times_z(p):
+    """G x Z: p with one more generator t, of infinite period and in no
+    tail."""
+    return pc.PcPresentation(f"{p.name} x Z", p.periods + (None,),
+                             p.powers, p.commutators)
+
+
 def ref_adapted_presentation(p):
-    """(pres, new_in_old, old_in_new) on the adapted basis of p."""
+    """(pres, new_in_old, old_in_new) on the adapted basis of p.  The
+    package's sections keep their bases, on which the bytes depend, once
+    assert_section_basis has checked them."""
     ks = key_subgroups(p)
-    seg1 = FgAbelian(p, ks.lower_central[0], ks.m_sub)
-    seg2, tail = ks.mn, ks.derived_isolator
-    seg3 = [ref_central_lift(p, ks, b) for b in ks.n_is.basis]
+    whole, der, z = ks.lower_central[0], ks.derived, ks.center
+    tail = ref_isolator(p, der)
+    n_sub = sg.induce(p, list(tail.rows) + list(z.rows))
+    m_sub = ref_isolator(p, sg.induce(p, list(der.rows) + list(z.rows)))
+    assert (ks.derived_isolator, ks.n_sub, ks.m_sub) == (tail, n_sub, m_sub)
+    abel = RefSection(p, whole, der)
+    seg2 = ks.mn
+    assert_section_basis(seg2, RefSection(p, m_sub, n_sub))
+    assert_section_basis(ks.abelianized, abel)
+    seg1 = FgAbelian(p, whole, m_sub)
+    seg3 = [ref_central_lift(p, abel, z.rows, b) for b in ks.n_is.basis]
     assert all(d is None for d in seg1.periods)
     i0 = len(seg1.periods)
     i1 = i0 + len(seg2.periods)
     i2 = i1 + len(seg3)
     nontail = list(seg1.basis) + list(seg2.basis) + seg3
     mseq = nontail + list(tail.rows)
-    abel = ks.abelianized
     moduli = [0 if d is None else d for d in abel.periods]
     ab_nontail = [abel.coords(x) for x in nontail]
     ab_tail = [abel.coords(r) for r in tail.rows]

@@ -571,14 +571,14 @@ class TestComputedOnce:
         assert total
 
     @pytest.mark.parametrize("name,builds", [
-        ("HEIS", 20), ("NR", 28), ("F23", 36), ("ZG", 28), ("ZH", 28),
-        ("ZK", 28)])
+        ("HEIS", 20), ("NR", 25), ("F23", 36), ("ZG", 25), ("ZH", 25),
+        ("ZK", 25)])
     def test_passes_stay_shared_across_readings_of_g(self, capsys,
                                                      monkeypatch, name,
                                                      builds):
         # A condition on G's rows is keyed as one on the generating set S,
         # so a pass asked for with either is built once: the report
-        # commands run 168 constrained passes over the six fixtures, as
+        # commands run 156 constrained passes over the six fixtures, as
         # many as when every condition read all of G's generators.
         passes, build = [], sg._build_constrained
 

@@ -35,7 +35,7 @@ from groups_def import (
     zh,
     zk,
 )
-from oracles import ref_adapted_presentation
+from oracles import ref_adapted_presentation, times_z
 from test_collection import consistent_draws
 
 ADAPTABLE = {
@@ -339,6 +339,51 @@ class TestEnumerate:
         assert 6 ** 6 * 720 * 2 ** 6 > SURVEY_CAP
         with pytest.raises(DeformError, match="cap"):
             enumerate_deformations(a)
+
+
+class TestElementaryEquivalence:
+    """Finitely generated nilpotent G and H are elementarily equivalent
+    exactly when G x Z and H x Z are isomorphic (F. Oger, J. London Math.
+    Soc. (2) 44, 1991).  For n = 1 with f central, G has u^e = w f and a
+    deformation H has u^e = w f^k, k prime to e; choose beta, alpha with
+    k beta - e alpha = 1.  G x Z -> H x Z sends u to u t, f to f^k t^e
+    and t to f^alpha t^beta; its inverse sends u to u f^alpha t^-k, f to
+    f^beta t^-e and t to f^-alpha t^k.  Both fix the other generators."""
+
+    @staticmethod
+    def images(src, dst, moved):
+        """Generator images of src in dst: moved[i] gives u_i's image as
+        exponents by generator, ascending and so a normal form; every
+        other u_i goes to u_i."""
+        out = []
+        for i in range(1, src.m + 1):
+            img = [0] * dst.m
+            for j, x in moved.get(i, {i: 1}).items():
+                img[j - 1] = x
+            out.append(tuple(img))
+        return tuple(out)
+
+    @pytest.mark.parametrize("name,classes", [("NR", 2), ("ZG", 4),
+                                              ("ZH", 4)])
+    def test_every_class_times_z_is_g_times_z(self, name, classes):
+        a = adapt_basis(ADAPTABLE[name]())
+        g = times_z(a.pres)
+        u, f, t = a.i0 + 1, a.i1 + 1, g.m
+        e = a.pres.periods[u - 1]
+        survey = enumerate_deformations(a).representatives
+        assert a.n == 1 and len(survey) == classes
+        for _, d, c in survey:
+            k = d[0] * c[0][0]
+            beta = pow(k, -1, e)
+            alpha = (k * beta - 1) // e
+            h = times_z(abdef(a, d, c).pres)
+            there = self.images(g, h, {u: {u: 1, t: 1}, f: {f: k, t: e},
+                                       t: {f: alpha, t: beta}})
+            back = self.images(h, g, {u: {u: 1, f: alpha, t: -k},
+                                      f: {f: beta, t: -e},
+                                      t: {f: -alpha, t: k}})
+            assert is_inverse_pair(hom_from_images(g, h, there),
+                                   hom_from_images(h, g, back))
 
 
 class TestEmbeddings:

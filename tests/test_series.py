@@ -7,7 +7,7 @@ import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
-from nilpc.abelian import section
+from nilpc.abelian import section, torsion_subgroup
 from nilpc.bilinear import associated_series, bilinearize
 from nilpc.deformation import adapt_basis
 from nilpc.scalars import pairing_of, scalar_ring
@@ -42,7 +42,7 @@ def test_zoo_zg():
     assert leads(ks.center) == [5, 6, 7, 8, 9, 10]
     assert leads(ks.derived) == [6, 7, 8, 9, 10]
     assert ks.derived_isolator == ks.derived
-    assert leads(ks.torsion) == [6, 7, 8]
+    assert leads(torsion_subgroup(G)) == [6, 7, 8]
     assert leads(ks.iso_center) == [6, 7, 8, 9, 10]
     assert leads(ks.n_sub) == [5, 6, 7, 8, 9, 10]
     assert leads(ks.m_sub) == [4, 5, 6, 7, 8, 9, 10]
@@ -65,7 +65,7 @@ def test_zoo_nr():
     assert ks.center.row_at(3)[2] == 3
     assert leads(ks.derived) == [4, 5, 6]
     assert ks.derived_isolator == ks.derived
-    assert leads(ks.torsion) == [5, 6]
+    assert leads(torsion_subgroup(N6)) == [5, 6]
     assert ks.n_sub == ks.center
     assert leads(ks.m_sub) == [3, 4, 5, 6]
     assert ks.m_sub.row_at(3)[2] == 1
@@ -83,7 +83,7 @@ def test_zoo_heis():
     assert leads(ks.center) == [3]
     assert leads(ks.derived) == [3]
     assert ks.derived_isolator == ks.derived
-    assert ks.torsion.is_trivial
+    assert torsion_subgroup(H).is_trivial
     assert ks.n_sub == ks.center
     assert ks.m_sub == ks.center
     assert ks.g0.is_trivial  # iso_center is all of the center here
