@@ -5,8 +5,9 @@ FgAbelian(p, a, b) presents a/b as a direct sum of cyclic groups in
 invariant-factor order (torsion factors first, ascending divisibility, then
 free factors).  It works on G's elements alone, by the induced polycyclic
 sequences of Sims (Computation with Finitely Presented Groups, 1994,
-ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and the
-image rows of a are canonical modulo b.  The periods and coordinates are
+ch. 9): b.coset_rep(x) is the canonical element of the coset x*b, and a's
+rows, but those at a lead where b has a row of the same value, are
+canonical rows of a/b (see FgAbelian).  The periods and coordinates are
 those of intlinalg.InvariantFactors on the relation lattice of the image
 rows; this module adds only the sign rule.  Basis elements are elements of
 G; coords reads an element's coordinates, and the product of the basis
@@ -34,7 +35,7 @@ from typing import List, Tuple
 from . import subgroups as sg
 from .intlinalg import InvariantFactors
 from .presentation import Element, PcPresentation
-from .subgroups import Subgroup, SubgroupError, leading_index
+from .subgroups import Subgroup, SubgroupError
 
 
 class FgAbelian(InvariantFactors):
@@ -48,10 +49,19 @@ class FgAbelian(InvariantFactors):
     holds [a_m, a]; for m = 1 that is [a, a].
 
     rep(x) = b.coset_rep(x) is the canonical element of x*b, which for x in
-    a stands for the coset x*b = b*x.  The image rows are the reps of a's
-    rows whose lead is not a lead of b with the same value, each reduced
-    modulo the deeper image rows; they are canonical rows of a/b, and
-    every product in a/b is a product in G followed by rep.
+    a stands for the coset x*b = b*x, and every product in a/b is a
+    product in G followed by rep.  The image rows are a's rows but those
+    whose lead value is the period of u_lam in G/b, kept by lead; rep
+    fixes each, and they are canonical rows of a/b:
+
+    * b <= a, so every lead of b is a lead of a, and a's value there
+      divides b's (and is less at a kept row's own lead);
+    * a's rows are canonical (Subgroup requires it; induce,
+      _lattice_subgroup and whole_subgroup provide it), so each row's
+      coordinate at every deeper lead of a lies in [0, a's lead), inside
+      [0, b's lead) where b has one;
+    * so b.coset_rep multiplies no row by a power of b's rows, and no row
+      needs reducing modulo the deeper image rows, which are a's.
 
     Each basis element is oriented so that its first nonzero coordinate at
     a generator of infinite period in G/b (infinite in G, and no lead of b)
@@ -78,26 +88,12 @@ class FgAbelian(InvariantFactors):
         for j in range(1, p.m + 1):
             row = b.row_at(j)
             self._period[j] = row[j - 1] if row is not None else p.period(j)
-        # x keeps r's lead: where b has a row there, a's lead divides b's,
-        # and equals it only when r is skipped
-        rows: List[Element] = []
-        leads: List[int] = []
-        for r in reversed(a.rows):
-            lam = leading_index(r)
-            if self._period[lam] == r[lam - 1]:
-                continue
-            x = self.rep(r)
-            for mu, y in zip(leads, rows):
-                q = x[mu - 1] // y[mu - 1]
-                if q:
-                    x = self.rep(sg._mul(p, x, sg._pow(p, y, -q)))
-            rows.insert(0, x)
-            leads.insert(0, lam)
-        self.arows: Tuple[Element, ...] = tuple(rows)
-        self._order = {lam: k for k, lam in enumerate(leads)}
+        self._by_lead = {lam: r for lam, r in a._by_lead.items()
+                         if self._period[lam] != r[lam - 1]}
+        rows = self.arows = tuple(self._by_lead.values())
 
         rel = []
-        for k, (lam, r) in enumerate(zip(self._order, rows)):
+        for k, (lam, r) in enumerate(self._by_lead.items()):
             e = self._period[lam]
             if e is None:
                 continue
@@ -121,19 +117,10 @@ class FgAbelian(InvariantFactors):
     def _sift(self, x: Element) -> List[int]:
         """Exponents c with rep(x) == rep(arows[0]^c0 * arows[1]^c1 * ...),
         stripping from the left and taking rep after each strip."""
-        p = self.pres
-        coeffs = [0] * len(self.arows)
-        y = self.rep(x)
-        while True:
-            lam = leading_index(y)
-            if lam is None:
-                return coeffs
-            k = self._order.get(lam)
-            if k is None or y[lam - 1] % self.arows[k][lam - 1]:
-                raise SubgroupError("element does not lie in the section")
-            q = y[lam - 1] // self.arows[k][lam - 1]
-            coeffs[k] = q
-            y = self.rep(sg._mul(p, sg._pow(p, self.arows[k], -q), y))
+        exps, y = sg._strip(self.pres, self.rep(x), self._by_lead, self.rep)
+        if any(y):
+            raise SubgroupError("element does not lie in the section")
+        return [exps.get(lam, 0) for lam in self._by_lead]
 
     @property
     def free_rank(self) -> int:

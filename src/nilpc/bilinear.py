@@ -103,10 +103,6 @@ class Bilinearization(namedtuple(
                     acc[k] += xv * yv * cell[k]
         return self.out[block].reduce(tuple(acc))
 
-    def evaluate_exact(self, block: int, x: Element, y: Element
-                       ) -> Tuple[int, ...]:
-        return self.out[block].coords(sg._comm(self.pres, x, y))
-
     def _kernel_trivial(self, side: FgAbelian,
                         eqs: List[Tuple[Dict[int, int], int]]) -> bool:
         for v in kernel(eqs, len(side.periods)):

@@ -341,7 +341,9 @@ def _embedding(a: AdaptedPresentation, d: Tuple[int, ...],
                c: Tuple[Tuple[int, ...], ...], qs: List[int]
                ) -> Tuple[AdaptedPresentation, Tuple[Element, ...]]:
     """The embedding into abdef(a, d, c) sheared by qs; qs = 0 is the
-    standard one."""
+    standard one.  Each middle generator has a finite period e_i: abdef's
+    _check_diagonal refuses one of infinite period, as it has no power
+    tail to land on the free segment."""
     out = abdef(a, d, c)
     q = out.pres
     free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
@@ -350,7 +352,6 @@ def _embedding(a: AdaptedPresentation, d: Tuple[int, ...],
         if a.i0 < i <= a.i1:
             t = i - a.i0 - 1
             ei = a.pres.periods[i - 1]
-            assert ei is not None
             img = sg.prod_rows(
                 q, [pc.generator(q, i)] + free,
                 [1] + [qs[k] * (a.e // ei) * c[t][k] for k in range(a.n)])

@@ -26,12 +26,16 @@ consistent presentation, so it is a function of its key; on an
 inconsistent one the collector raises PresentationError before anything
 is stored.  The tag "pc" keeps these keys apart from the subgroups': at
 rank 0 the identity () equals the trivial subgroup's rows ().  The layer
-asks the same questions again and again (induce, coefficients_of,
-coset_rep and prod_rows sift by the same rows; passes share their [r, h]),
-so each is collected once, and each question is answered by one lookup
-in p._built (no value stored there is None).  The public functions of
-presentation.py keep no table, as arithmetic on arbitrary elements seldom
-repeats.  No presentation of a quotient is built: a section is read in G
+asks the same questions again and again (prod_rows and the two strips
+take powers of the same rows; passes share their [r, h]), so each is
+collected once, and each question is answered by one lookup in p._built
+(no value stored there is None).  The public functions of presentation.py
+keep no table, as arithmetic on arbitrary elements seldom repeats.
+
+Elements are stripped by rows two ways: _strip, y -> r^-q y, reads
+exponents for coefficients_of, induce and a section's coordinates
+(abelian.py); _coset_rep, x -> x r^-q, reaches a coset representative for
+coset_rep and _reduce_deeper.  No presentation of a quotient is built: a section is read in G
 by coset_rep (see abelian.py), and a constrained pass by L's rows alone.
 
 A constrained pass needs neither a closure nor a strip per layer: each
@@ -103,18 +107,16 @@ class Subgroup:
     leading index.
 
     ==, hash and repr read pres and rows alone. _by_lead (each row by its
-    leading index) and _order (each leading index's position in rows) are
-    derived from rows here, and kept out of all three.
+    leading index, in the order of rows) is derived from rows here, and
+    kept out of all three.
     """
 
-    __slots__ = ("pres", "rows", "_by_lead", "_order")
+    __slots__ = ("pres", "rows", "_by_lead")
 
     def __init__(self, pres: PcPresentation, rows: Tuple[Element, ...]):
-        leads = [leading_index(r) for r in rows]
-        order = {lam: k for k, lam in enumerate(leads)}
+        by_lead = {leading_index(r): r for r in rows}
         for slot, value in (("pres", pres), ("rows", rows),
-                            ("_by_lead", dict(zip(leads, rows))),
-                            ("_order", order)):
+                            ("_by_lead", by_lead)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, *value):
@@ -144,22 +146,8 @@ class Subgroup:
 
     def coefficients_of(self, x: Element) -> Optional[List[int]]:
         """Exponents a with x == rows[0]^a0 * rows[1]^a1 * ... , or None."""
-        p = self.pres
-        coeffs = [0] * len(self.rows)
-        y = x
-        while True:
-            lam = leading_index(y)
-            if lam is None:
-                return coeffs
-            row = self._by_lead.get(lam)
-            if row is None:
-                return None
-            a, b = y[lam - 1], row[lam - 1]
-            if a % b:
-                return None
-            q = a // b
-            coeffs[self._order[lam]] = q
-            y = _mul(p, _pow(p, row, -q), y)
+        exps, y = _strip(self.pres, x, self._by_lead)
+        return None if any(y) else [exps.get(lam, 0) for lam in self._by_lead]
 
     def coset_rep(self, x: Element) -> Element:
         """The element of x*self whose coordinate at each lead mu of the
@@ -167,28 +155,7 @@ class Subgroup:
         order of lead.  It is unique, since right multiplication by a
         nontrivial element of self with lead mu moves coordinate mu by a
         nonzero multiple of the lead and fixes the ones before it."""
-        p = self.pres
-        for mu, r in self._by_lead.items():
-            q = x[mu - 1] // r[mu - 1]
-            if q:
-                x = _mul(p, x, _pow(p, r, -q))
-        return x
-
-    def power_relations(self) -> List[List[int]]:
-        """o*e_k minus the coefficients of r^o, for each row r = rows[k] of
-        finite relative order o; for an abelian subgroup these span the
-        relation lattice of the rows."""
-        rel = []
-        for k, (r, o) in enumerate(zip(self.rows, self.relative_orders())):
-            if o is None:
-                continue
-            coeffs = self.coefficients_of(_pow(self.pres, r, o))
-            if coeffs is None:
-                raise SubgroupError("power of a row left the subgroup")
-            vec = [-c for c in coeffs]
-            vec[k] += o
-            rel.append(vec)
-        return rel
+        return _coset_rep(self.pres, x, self._by_lead.items())
 
     def relative_orders(self) -> Tuple[Optional[int], ...]:
         out = []
@@ -213,6 +180,35 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return not self.rows
+
+
+def _strip(p: PcPresentation, y: Element, rows_by_lead: Dict[int, Element],
+           rep=None) -> Tuple[Dict[int, int], Element]:
+    """Strip y from the left: while the row r at y's lead lam divides y's
+    lead coefficient, y becomes r^-q * y with q = y_lam // r_lam, then
+    rep(y) when rep is given.  Returns each q by its lead, and what is
+    left of y: nothing exactly when y is the product of the rows to those
+    powers in ascending order of lead (up to rep)."""
+    exps = {}
+    while True:
+        lam = leading_index(y)
+        row = rows_by_lead.get(lam)
+        if row is None or y[lam - 1] % row[lam - 1]:
+            return exps, y
+        q = exps[lam] = y[lam - 1] // row[lam - 1]
+        y = _mul(p, _pow(p, row, -q), y)
+        if rep is not None:
+            y = rep(y)
+
+
+def _coset_rep(p: PcPresentation, x: Element, rows) -> Element:
+    """Strip x from the right by the (lead, row) pairs in turn: for each
+    lead mu, x becomes x * r^-q with q = x_mu // r_mu."""
+    for mu, r in rows:
+        q = x[mu - 1] // r[mu - 1]
+        if q:
+            x = _mul(p, x, _pow(p, r, -q))
+    return x
 
 
 def prod_rows(p: PcPresentation, rows: Sequence[Element],
@@ -305,26 +301,19 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
         obligations(g)
 
     while queue:
-        y = queue.pop()
-        while True:
-            lam = leading_index(y)
-            if lam is None:
-                break
-            a = y[lam - 1]
-            h = rows.get(lam)
-            if h is None:
-                install(lam, y)
-                break
-            b = h[lam - 1]
-            if a % b == 0:
-                y = _mul(p, _pow(p, h, -(a // b)), y)
-                continue
-            d, s, t = _xgcd(a, b)
-            combined = _mul(p, _pow(p, y, s), _pow(p, h, t))
-            queue.append(h)
-            queue.append(y)
-            install(lam, combined)
-            break
+        _, y = _strip(p, queue.pop(), rows)
+        lam = leading_index(y)
+        if lam is None:
+            continue
+        h = rows.get(lam)
+        if h is None:
+            install(lam, y)
+            continue
+        _, s, t = _xgcd(y[lam - 1], h[lam - 1])
+        combined = _mul(p, _pow(p, y, s), _pow(p, h, t))
+        queue.append(h)
+        queue.append(y)
+        install(lam, combined)
 
     ordered = {lam: rows[lam] for lam in sorted(rows)}
     return Subgroup(p, tuple(_reduce_deeper(p, r, ordered)
@@ -334,15 +323,9 @@ def induce(p: PcPresentation, gens: Sequence[Element], *,
 def _reduce_deeper(p: PcPresentation, x: Element,
                    rows: Dict[int, Element]) -> Element:
     """x reduced modulo the rows deeper than its lead, rows given by lead
-    in ascending order: for each lead mu, x becomes x * r^-q with
-    q = x_mu // r_mu."""
+    in ascending order."""
     lam = leading_index(x) or 0
-    for mu, r in rows.items():
-        if mu > lam:
-            q = x[mu - 1] // r[mu - 1]
-            if q:
-                x = _mul(p, x, _pow(p, r, -q))
-    return x
+    return _coset_rep(p, x, [(mu, r) for mu, r in rows.items() if mu > lam])
 
 
 def commutator_subgroup(p: PcPresentation, a: Subgroup, b: Subgroup) -> Subgroup:

@@ -673,6 +673,40 @@ class RefQuotient:
 ref_quotient = RefQuotient
 
 
+def ref_coefficients(p, rows, x):
+    """Exponents a with x == rows[0]^a0 * rows[1]^a1 * ..., or None, for
+    canonical rows in ascending lead: walk the rows in order, and divide
+    each one out of x by the public collector, which keeps no table."""
+    out = []
+    for r in rows:
+        lam = next(j for j, c in enumerate(r) if c)
+        q, rem = divmod(x[lam], r[lam])
+        if any(x[:lam]) or rem:
+            return None
+        out.append(q)
+        x = pc.multiply(p, pc.power(p, r, -q), x)
+    return None if any(x) else out
+
+
+def ref_power_relations(s):
+    """o*e_k minus the coefficients of r^o, for each row r = s.rows[k] of
+    finite relative order o = e/lead: the relation lattice of the rows of
+    an abelian s."""
+    p, rel = s.pres, []
+    for k, r in enumerate(s.rows):
+        lam = next(j for j, c in enumerate(r) if c)
+        e = p.periods[lam]
+        if e is None:
+            continue
+        o = e // r[lam]
+        coeffs = ref_coefficients(p, s.rows, pc.power(p, r, o))
+        assert coeffs is not None
+        vec = [-c for c in coeffs]
+        vec[k] += o
+        rel.append(vec)
+    return rel
+
+
 class RefSection(InvariantFactors):
     """The section a/b read in G/b, which must be a presentation: induced
     rows of the projected a, their power relations, and the sign rule at
@@ -683,7 +717,8 @@ class RefSection(InvariantFactors):
         qp = qm.pres
         self.qm = qm
         self.arows = sg.induce(qp, [qm.proj(r) for r in a.rows])
-        super().__init__(self.arows.power_relations(), len(self.arows.rows))
+        super().__init__(ref_power_relations(self.arows),
+                         len(self.arows.rows))
         basis = []
         for k, row in enumerate(self.rows):
             h = sg.prod_rows(qp, self.arows.rows, row)
@@ -696,7 +731,8 @@ class RefSection(InvariantFactors):
         self.basis = tuple(basis)
 
     def coords(self, x):
-        coeffs = self.arows.coefficients_of(self.qm.proj(x))
+        coeffs = ref_coefficients(self.qm.pres, self.arows.rows,
+                                  self.qm.proj(x))
         assert coeffs is not None
         return super().coords(coeffs)
 
@@ -707,7 +743,7 @@ ref_section = RefSection
 def ref_torsion(p):
     """The torsion tz of the center, then the torsion of G/tz lifted back."""
     z = sg.center(p)
-    f = InvariantFactors(z.power_relations(), len(z.rows))
+    f = InvariantFactors(ref_power_relations(z), len(z.rows))
     tz = sg.induce(p, [sg.prod_rows(p, z.rows, row)
                        for row, d in zip(f.rows, f.periods) if d is not None])
     return tz if tz.is_trivial else ref_isolator(p, tz)
@@ -820,7 +856,7 @@ def ref_adapted_presentation(p):
             if a:
                 vec[idx] = a
                 x = pc.multiply(p, pc.power(p, nontail[idx], -a), x)
-        coeffs = tail.coefficients_of(x)
+        coeffs = ref_coefficients(p, tail.rows, x)
         assert coeffs is not None
         for jpos, c in enumerate(coeffs):
             assert not c or i2 + jpos + 1 >= level

@@ -439,6 +439,75 @@ def test_constrained_subgroup_matches_oracle_on_random_inputs(name):
         assert got == oracles.ref_constrained_subgroup(p, s, conditions)
 
 
+# -- the left and right strips -------------------------------------------------
+
+
+STRIPS = {
+    **{name: (lambda make=make: [make()]) for name, make in SWEEP.items()},
+    "seed-0 draws": lambda: [p for _, p in consistent_draws(0)[::10]],
+}
+
+
+def _canonical_subgroups(p):
+    ks = key_subgroups(p)
+    chains = refined_series(p)
+    return (list(ks.lower_central) + sg.upper_central_series(p)
+            + [ks.derived_isolator, ks.iso_center, ks.n_sub, ks.m_sub, ks.g0,
+               torsion_subgroup(p)]
+            + [term for _, term in chains.upper_chain + chains.left_chain])
+
+
+def _product_of_powers(p, rows, rng):
+    x = pc.identity_element(p)
+    for r in rows:
+        x = pc.multiply(p, x, pc.power(p, r, rng.randint(-3, 3)))
+    return x
+
+
+@pytest.mark.parametrize("name", STRIPS)
+def test_strips_match_the_hand_written_reference(name):
+    """On random and canonical subgroups s: coefficients_of and contains
+    agree with oracles.ref_coefficients, and coset_rep(x) lies in x*s with
+    each coordinate at s's leads in [0, lead).  Then every section the
+    constructions built takes a's rows as its image rows, but those whose
+    lead value is the period of u_lam in G/b, and b.coset_rep fixes each
+    (see abelian.FgAbelian)."""
+    for p in STRIPS[name]():
+        rng = random.Random(p.name)
+        randoms = [sg.induce(p, [_random_element(p, rng)
+                                 for _ in range(rng.randint(1, 3))])
+                   for _ in range(3)]
+        for s in randoms + _canonical_subgroups(p):
+            members = [_product_of_powers(p, s.rows, rng) for _ in range(3)]
+            others = [_random_element(p, rng) for _ in range(3)]
+            for x in members + others + [pc.multiply(p, members[0], others[0])]:
+                ref = oracles.ref_coefficients(p, s.rows, x)
+                assert s.coefficients_of(x) == ref, (p, s, x)
+                assert s.contains(x) == (ref is not None)
+                assert ref is not None or x not in members
+                rep = s.coset_rep(x)
+                assert oracles.ref_coefficients(
+                    p, s.rows, pc.multiply(p, pc.inverse(p, x), rep)) \
+                    is not None, (p, s, x)
+                for r in s.rows:
+                    lam = sg.leading_index(r)
+                    assert 0 <= rep[lam - 1] < r[lam - 1], (p, s, x)
+        sections = [(key[1:], sec) for key, sec in p._built.items()
+                    if key[0] == "section"]
+        assert sections
+        for (a_rows, b_rows), sec in sections:
+            b = sg.Subgroup(p, b_rows)
+
+            def period_mod_b(lam):
+                row = b.row_at(lam)
+                return p.period(lam) if row is None else row[lam - 1]
+
+            kept = tuple(r for r in a_rows if r[sg.leading_index(r) - 1]
+                         != period_mod_b(sg.leading_index(r)))
+            assert sec.arows == kept, (p, a_rows, b_rows)
+            assert all(b.coset_rep(r) == r for r in kept)
+
+
 # -- the table of collected operations ----------------------------------------
 
 
