@@ -82,10 +82,6 @@ class Bilinearization(namedtuple(
 
     __slots__ = ()
 
-    @property
-    def pres(self) -> PcPresentation:
-        return self.series.pres
-
     def evaluate(self, block: int, x: Element, y: Element) -> Tuple[int, ...]:
         xs = self.left.coords(x)
         ys = self.right[block].coords(y)

@@ -189,8 +189,10 @@ class InvariantFactors:
     With d == u * rel * v the Smith form, the rows of v^-1 generate cyclic
     summands of Z^n / span(rel) whose orders are the diagonal of d. The
     summands of order 1 are dropped: rows[k] is the k-th kept basis row over
-    Z^n and periods[k] its order, None when free. A vector y has coordinate
-    k equal to y * v at the kept column, reduced modulo periods[k].
+    Z^n and periods[k] its order, None when free. coord_map[k] is v's kept
+    column: a vector y has coordinate k equal to y . coord_map[k], reduced
+    modulo periods[k], so y lies in span(rel) exactly when each such dot
+    product vanishes modulo its period (zero when free).
     """
 
     def __init__(self, rel: Sequence[Sequence[int]], n: int):
@@ -201,13 +203,13 @@ class InvariantFactors:
             v, vinv, dvals = identity(n), identity(n), [0] * n
         kept = [j for j in range(n) if dvals[j] != 1]
         self.rows = [vinv[j] for j in kept]
-        self._cols = [[r[j] for r in v] for j in kept]
+        self.coord_map = [[r[j] for r in v] for j in kept]
         self.periods: Tuple[Optional[int], ...] = tuple(
             dvals[j] or None for j in kept)
 
     def coords(self, y: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(
-            sum(a * b for a, b in zip(y, col)) for col in self._cols))
+            sum(a * b for a, b in zip(y, col)) for col in self.coord_map))
 
     def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return tuple(
@@ -225,7 +227,7 @@ class InvariantFactors:
     def negate(self, k: int) -> None:
         """Replace basis row k by its negative; coordinate k changes sign."""
         self.rows[k] = [-x for x in self.rows[k]]
-        self._cols[k] = [-x for x in self._cols[k]]
+        self.coord_map[k] = [-x for x in self.coord_map[k]]
 
 
 def echelon_leads(basis: Sequence[Sequence[int]]) -> List[int]:

@@ -14,13 +14,12 @@ Compatibility is expressed through linear side conditions on the scalar
 triples (intertwining with the connecting maps between layers, invariance
 of the embedded images).  The final ring is one restriction of the
 pairing's ring by all of them together, which is the intersection of the
-subrings each set cuts out: restrictions compose (see restrict_ring) and
-no two conditions share an auxiliary unknown.  Each gap of each chain is
-reported with its section, built by abelian.section and so the pairing's
-own where they share one, and the matrices by which the ring's additive
-basis acts on it; the one gap that carries no action (between a chain's
-graded part and its central refinement) is marked special and reported
-without matrices.
+subrings each set cuts out, since restrictions compose (see
+restrict_ring).  Each gap of each chain is reported with its section,
+built by abelian.section and so the pairing's own where they share one,
+and the matrices by which the ring's additive basis acts on it; the one
+gap that carries no action (between a chain's graded part and its central
+refinement) is marked special and reported without matrices.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ components (UT_7's 661 unknowns into 481, the largest of 41); on a dense
 one they do not (a random basis change of H_6 puts all 289 unknowns in one
 component).  A ring is its lattice of triples, held in Hermite normal
 form; a restriction solves only its new conditions, in the ring's own
-coordinates (one unknown per basis triple, plus the conditions' auxiliary
-unknowns), so restrictions compose without re-solving earlier ones.
+coordinates (one unknown per basis triple), so restrictions compose
+without re-solving earlier ones.
 
 B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks matter to restriction constraints, which address a
@@ -107,8 +107,6 @@ class Pairing(namedtuple("Pairing", "periods_a periods_b periods_c table "
             raise ScalarRingError("block sizes do not add up")
         if len(table) != na:
             raise ScalarRingError("table must have one row per A generator")
-        raw = super().__new__(cls, periods_a, periods_b, periods_c, table,
-                              b_blocks, c_blocks)
         fixed = []
         for s, row in enumerate(table):
             if len(row) != nb:
@@ -117,7 +115,8 @@ class Pairing(namedtuple("Pairing", "periods_a periods_b periods_c table "
             for t, cell in enumerate(row):
                 if len(cell) != nc:
                     raise ScalarRingError("table cell width disagrees with C")
-                cell = raw.reduce_c(cell)
+                cell = tuple(v if per is None else v % per
+                             for v, per in zip(cell, periods_c))
                 ea, eb = periods_a[s], periods_b[t]
                 g = None
                 if ea is not None:
@@ -136,11 +135,6 @@ class Pairing(namedtuple("Pairing", "periods_a periods_b periods_c table "
             fixed.append(tuple(new_row))
         return super().__new__(cls, periods_a, periods_b, periods_c,
                                tuple(fixed), b_blocks, c_blocks)
-
-    def reduce_c(self, cell: Sequence[int]) -> Cell:
-        return tuple(
-            v if per is None else v % per
-            for v, per in zip(cell, self.periods_c))
 
 
 def multiplication_pairing(n: int) -> Pairing:
@@ -261,61 +255,59 @@ def _block_geometry(pairing: Pairing, lay: _Layout, which: str,
     raise ScalarRingError(f"unknown matrix name {which!r}")
 
 
-def _constraint_rows(pairing: Pairing, lay: _Layout, con, aux_base: int):
-    """Sparse congruence rows for one constraint; returns (rows, naux)."""
-    rows = []
+def _constraint_rows(pairing: Pairing, lay: _Layout, con):
+    """Sparse congruence rows for one constraint, over the flattened
+    unknowns: row (R, T) says (sum of P . M . Q over the constraint's
+    terms)[R][T] == 0 (mod m_R), each M a diagonal block of phi1, phi2 or
+    phi0 located by _block_geometry and P, Q fixed integer matrices.
+
+    HomCompat is phi2 . e - e . phi0 on its blocks, taken modulo the
+    periods of B's block.  InvariantSubmodule asks M g to lie in S for
+    each column g of G, the nonzero generators; S is spanned by them and
+    the period rows of the block, since M acts on the block's module.
+    With P the coordinate map and m the periods of InvariantFactors(S),
+    a vector lies in S exactly when its image in Z^size / S, whose
+    coordinates P reads, is zero: coordinate R modulo m_R, with m_R == 0
+    when that factor is free (Cohen, GTM 138, section 2.4).  So the
+    condition is P . M . G == 0 (mod m), with no unknowns for the
+    coefficients of M g over S."""
     if isinstance(con, HomCompat):
-        boffs = _offsets(pairing.b_blocks)
-        coffs = _offsets(pairing.c_blocks)
-        bo, sb = boffs[con.b_block], pairing.b_blocks[con.b_block]
-        co, sc = coffs[con.c_block], pairing.c_blocks[con.c_block]
+        idx2, _, bo, sb, periods = _block_geometry(
+            pairing, lay, "phi2", con.b_block)
+        idx0, _, co, sc, _ = _block_geometry(pairing, lay, "phi0", con.c_block)
         e = con.e
         if len(e) != sb or any(len(r) != sc for r in e):
             raise ScalarRingError("intertwiner shape disagrees with blocks")
-        for r in range(sb):
-            per = pairing.periods_b[bo + r]
-            mod = 0 if per is None else per
-            for t in range(sc):
-                row: Dict[int, int] = {}
-                for k in range(sb):
-                    if e[k][t]:
-                        i = lay.idx2(bo + r, bo + k)
-                        row[i] = row.get(i, 0) + e[k][t]
-                for k in range(sc):
-                    if e[r][k]:
-                        i = lay.idx0(co + k, co + t)
-                        row[i] = row.get(i, 0) - e[r][k]
-                if row:
-                    rows.append((row, mod))
-        return rows, 0
-    if isinstance(con, InvariantSubmodule):
-        idx, nm, o, size, periods = _block_geometry(
+        terms = ((idx2, bo, identity(sb), e),
+                 (idx0, co, [[-v for v in r] for r in e], identity(sc)))
+        moduli, width = periods[bo:bo + sb], sc
+    elif isinstance(con, InvariantSubmodule):
+        idx, _, o, size, periods = _block_geometry(
             pairing, lay, con.which, con.block)
-        lat = [list(g) for g in con.gens if any(g)]
-        for r, per in enumerate(periods[o:o + size]):
-            if per is not None:
-                lat.append([per if k == r else 0 for k in range(size)])
-        naux = 0
-        for g in con.gens:
-            if not any(g):
-                continue
-            if len(g) != size:
-                raise ScalarRingError("generator width disagrees with block")
-            base = aux_base + naux
-            naux += len(lat)
-            for r in range(size):
-                row: Dict[int, int] = {}
-                for k in range(size):
-                    if g[k]:
-                        i = idx(o + r, o + k)
-                        row[i] = row.get(i, 0) + g[k]
-                for j, lrow in enumerate(lat):
-                    if lrow[r]:
-                        row[base + j] = -lrow[r]
-                if row:
-                    rows.append((row, 0))
-        return rows, naux
-    raise ScalarRingError(f"unknown constraint {con!r}")
+        gens = [list(g) for g in con.gens if any(g)]
+        if any(len(g) != size for g in gens):
+            raise ScalarRingError("generator width disagrees with block")
+        quot = InvariantFactors(
+            gens + [[per if k == r else 0 for k in range(size)]
+                    for r, per in enumerate(periods[o:o + size])
+                    if per is not None], size)
+        terms = ((idx, o, quot.coord_map, transpose(gens)),)
+        moduli, width = quot.periods, len(gens)
+    else:
+        raise ScalarRingError(f"unknown constraint {con!r}")
+    rows = []
+    for r_out, mod in enumerate(moduli):
+        for t_out in range(width):
+            row: Dict[int, int] = {}
+            for idx, o, left, right in terms:
+                for r, a in enumerate(left[r_out]):
+                    for c, b in enumerate(right):
+                        if a * b[t_out]:
+                            i = idx(o + r, o + c)
+                            row[i] = row.get(i, 0) + a * b[t_out]
+            if row:
+                rows.append((row, mod or 0))
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -522,10 +514,10 @@ def restrict_ring(ring: ScalarRing,
     """Subring cut out by extra linear side conditions.
 
     The conditions are solved in the ring's own coordinates: the unknown
-    triple is x . s_basis, so there is one unknown per basis triple plus
-    the conditions' auxiliary unknowns.  Every triple of the ring already
-    satisfies the pairing identities and the conditions of earlier
-    restrictions, so restrictions compose.
+    triple is x . s_basis, so there is one unknown per basis triple and
+    kernel's Hermite basis of the solutions x is the new lattice.  Every
+    triple of the ring already satisfies the pairing identities and the
+    conditions of earlier restrictions, so restrictions compose.
 
     The new ring is built without ScalarRing's checks.  Its triples are
     integer combinations of ring's, which meet _base_system, so they do.
@@ -533,43 +525,32 @@ def restrict_ring(ring: ScalarRing,
     HomCompat row, taken modulo the period of B's coordinate bo + r,
     reads phi2 in that row and phi0 at (co + k, co + t) times e[r][k],
     which the period of C's coordinate co + k kills as e is a
-    homomorphism; an InvariantSubmodule row is met by setting the
-    auxiliary unknown of the period row at the null entry's row.  So they
-    lie in the new lattice.  A product of two of its triples lies in
-    ring's lattice and meets the conditions, as composition keeps
-    phi2 . e == e . phi0 and keeps a submodule invariant; so it lies in
-    the new lattice too.
+    homomorphism.  For an InvariantSubmodule, a null block M has the
+    single entry e_r at (r, c), so M g = e_r g_c u_r lies in S, which
+    holds e_r u_r (a null triple whose entry lies off the block has
+    M == 0).  So they lie in the new lattice.  A product of two of its
+    triples lies in ring's lattice and meets the conditions, as
+    composition keeps phi2 . e == e . phi0 and keeps a submodule
+    invariant; so it lies in the new lattice too.
     The rows of s_basis are independent, so nothing is cut exactly when the
-    solutions x, in the ring's coordinates, span Z^rank; then ring itself is
-    returned, which is exact since equal lattices have equal HNFs.
+    solutions x span Z^rank; then ring itself is returned, which is exact
+    since equal lattices have equal HNFs.
     """
-    lay, s = ring.lay, ring.s_basis
-    sparse = []
-    naux = 0
-    for con in constraints:
-        rows, used = _constraint_rows(ring.pairing, lay, con,
-                                      lay.total + naux)
-        sparse.extend(rows)
-        naux += used
-    rank = len(s)
+    s = ring.s_basis
     rows = []
-    for d, mod in sparse:
-        row: Dict[int, int] = {}
-        for i, v in d.items():
-            if i < lay.total:
+    for con in constraints:
+        for d, mod in _constraint_rows(ring.pairing, ring.lay, con):
+            row: Dict[int, int] = {}
+            for i, v in d.items():
                 for t, h in enumerate(s):
                     if h[i]:
                         row[t] = row.get(t, 0) + v * h[i]
-            else:
-                row[rank + i - lay.total] = v
-        rows.append((row, mod))
-    # the rows with a pivot among the first rank columns, cut to them, are
-    # the Hermite basis of the solutions' projection
-    xs = [x[:rank] for x in kernel(rows, rank + naux) if any(x[:rank])]
-    if xs == identity(rank):
+            rows.append((row, mod))
+    xs = kernel(rows, len(s))
+    if xs == identity(len(s)):
         return ring
     return _unchecked_ring(
-        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], lay.total))
+        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], ring.lay.total))
 
 
 # --------------------------------------------------------------------------

@@ -29,10 +29,6 @@ def hirsch_length(p: PcPresentation) -> int:
     return sum(1 for e in p.periods if e is None)
 
 
-def nilpotency_class(p: PcPresentation) -> int:
-    return len(sg.lower_central_series(p)) - 1
-
-
 class KeySubgroups(namedtuple(
         "KeySubgroups", "pres lower_central abelianized center derived "
         "derived_isolator iso_center n_sub m_sub g0 mn n_is "

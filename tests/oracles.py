@@ -1147,26 +1147,71 @@ def is_associative(ring):
                for a, b, c in product(units, repeat=3))
 
 
+def _ref_condition_rows(pairing, lay, con, width):
+    """The dense rows of one restriction condition over `width` columns,
+    the flattened triple first, with their moduli.  A HomCompat is
+    phi2 . e == e . phi0 on its blocks modulo B's periods; an
+    InvariantSubmodule writes M g over Z as a combination of the
+    submodule's generators and the block's period vectors, whose
+    coefficients are appended as new columns.  Returns (rows, moduli,
+    width) with width grown by those columns."""
+    if isinstance(con, sc.HomCompat):
+        bo = sum(pairing.b_blocks[:con.b_block])
+        co = sum(pairing.c_blocks[:con.c_block])
+        nb, nc = pairing.b_blocks[con.b_block], pairing.c_blocks[con.c_block]
+        rows, moduli = [], []
+        for r in range(nb):
+            for t in range(nc):
+                row = [0] * width
+                for k in range(nb):
+                    row[lay.idx2(bo + r, bo + k)] += con.e[k][t]
+                for k in range(nc):
+                    row[lay.idx0(co + k, co + t)] -= con.e[r][k]
+                if any(row):
+                    rows.append(row)
+                    per = pairing.periods_b[bo + r]
+                    moduli.append(0 if per is None else per)
+        return rows, moduli, width
+    idx, periods, o = {
+        "phi1": (lay.idx1, pairing.periods_a, 0),
+        "phi2": (lay.idx2, pairing.periods_b,
+                 sum(pairing.b_blocks[:con.block or 0])),
+        "phi0": (lay.idx0, pairing.periods_c,
+                 sum(pairing.c_blocks[:con.block or 0])),
+    }[con.which]
+    size = len(con.gens[0])
+    lat = [list(g) for g in con.gens if any(g)]
+    lat += [[per if k == r else 0 for k in range(size)]
+            for r, per in enumerate(periods[o:o + size]) if per is not None]
+    rows = []
+    for g in con.gens:
+        if not any(g):
+            continue
+        base, width = width, width + len(lat)
+        rows = [row + [0] * len(lat) for row in rows]
+        for r in range(size):
+            row = [0] * width
+            for k in range(size):
+                row[idx(o + r, o + k)] += g[k]
+            for j, lrow in enumerate(lat):
+                row[base + j] = -lrow[r]
+            rows.append(row)
+    return rows, [0] * len(rows), width
+
+
 def ref_restrict_ring(pairing, constraints):
     """HNF basis of the scalar triples of `pairing` that satisfy
-    `constraints`, from one system over the full triple coordinates: every
-    defining congruence of the pairing and every condition, solved together
-    in na^2 + nb^2 + nc^2 unknowns plus the conditions' auxiliary ones."""
-    lay, base_rows, moduli = ref_base_system(pairing)
-    sparse = []
-    naux = 0
+    `constraints`, from one dense system over the full triple coordinates:
+    every defining congruence of the pairing and every condition, solved
+    together in na^2 + nb^2 + nc^2 unknowns plus the auxiliary ones of
+    _ref_condition_rows."""
+    lay, rows, moduli = ref_base_system(pairing)
+    width = lay.total
     for con in constraints:
-        rows, used = sc._constraint_rows(pairing, lay, con, lay.total + naux)
-        sparse.extend(rows)
-        naux += used
-    width = lay.total + naux
-    rows = [row + [0] * naux for row in base_rows]
-    for d, mod in sparse:
-        row = [0] * width
-        for i, v in d.items():
-            row[i] = v
-        rows.append(row)
-        moduli.append(mod)
+        new, mods, grown = _ref_condition_rows(pairing, lay, con, width)
+        rows = [row + [0] * (grown - width) for row in rows] + new
+        moduli += mods
+        width = grown
     sol = ref_solve_congruences(rows, [0] * len(rows), moduli, width)
     return hnf_basis([list(b)[:lay.total] for b in sol.basis], lay.total)
 

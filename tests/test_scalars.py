@@ -1,6 +1,8 @@
 """Scalar rings of pairings: construction, restriction, primes, refinement."""
 
 import random
+import re
+import sys
 from itertools import product
 from math import gcd
 
@@ -325,8 +327,25 @@ def random_conditions(pairing, rng, count):
     return out
 
 
+@pytest.fixture
+def restrict_systems(monkeypatch):
+    """(len(ring.s_basis), unknowns) of each system restrict_ring hands to
+    kernel, told apart from other kernel calls by the caller's frame."""
+    seen = []
+    solve = sc.kernel
+
+    def spy(rows, n):
+        caller = sys._getframe(1)
+        if caller.f_code is sc.restrict_ring.__code__:
+            seen.append((len(caller.f_locals["ring"].s_basis), n))
+        return solve(rows, n)
+
+    monkeypatch.setattr(sc, "kernel", spy)
+    return seen
+
+
 @pytest.mark.parametrize("name", list(_PAIRING_OF))
-def test_restriction_matches_direct_solve(name):
+def test_restriction_matches_direct_solve(name, restrict_systems):
     pairing = _PAIRING_OF[name]()
     ring = scalar_ring(pairing)
     rng = random.Random(7)
@@ -351,30 +370,57 @@ def test_restriction_matches_direct_solve(name):
         assert is_associative(got)
     if name in _CUT:
         assert cuts
+    # one system per restriction, in the ring's coordinates alone
+    assert len(restrict_systems) == 3 * 12
+    assert restrict_systems == [(rank, rank) for rank, _ in restrict_systems]
+
+
+@pytest.mark.parametrize("con, message", [
+    (HomCompat(((1, 0),), c_block=0, b_block=0),
+     "intertwiner shape disagrees with blocks"),
+    (InvariantSubmodule("phi2", 0, ((1, 0),)),
+     "generator width disagrees with block"),
+    (InvariantSubmodule("phi1", 0, ((1,),)), "phi1 carries no grading"),
+    (InvariantSubmodule("phi3", 0, ((1,),)), "unknown matrix name 'phi3'"),
+    (("phi2", 0, ((1,),)), "unknown constraint"),
+])
+def test_restriction_refuses_malformed_conditions(con, message):
+    ring = scalar_ring(split_pairing(4, 6))
+    with pytest.raises(ScalarRingError, match=re.escape(message)):
+        restrict_ring(ring, [con])
 
 
 _REFINED = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh,
             "ZK": zk, "UT_8": lambda: unitriangular(8)}
+_RECHECKED = {**_REFINED, "UT_7": lambda: unitriangular(7)}
 
 
-@pytest.mark.parametrize("name", list(_REFINED))
-def test_restrictions_pass_the_full_recheck(name, monkeypatch):
+@pytest.mark.parametrize("name", list(_RECHECKED))
+def test_restrictions_pass_the_full_recheck(name, monkeypatch,
+                                            restrict_systems):
     # restrict_ring builds its ring without ScalarRing's checks, on the
     # proof in its docstring; run the oracle's check on every ring
-    # restrict_ring returns to refined_series
-    # (test_restriction_matches_direct_solve runs it on random ones)
+    # restrict_ring returns to refined_series, and compare it with the
+    # dense solve of the conditions refined_series passed
+    # (test_restriction_matches_direct_solve runs both on random ones)
     built = []
     restrict = rf.restrict_ring
 
     def spy(ring, constraints):
-        built.append(restrict(ring, constraints))
-        return built[-1]
+        built.append((ring, constraints, restrict(ring, constraints)))
+        return built[-1][2]
 
     monkeypatch.setattr(rf, "restrict_ring", spy)
-    refined_series(_REFINED[name]())
+    refined_series(_RECHECKED[name]())
     assert built
-    for ring in built:
+    for base, constraints, ring in built:
         assert ref_check_basis(ring.pairing, ring.s_basis)
+        # the dense oracle solves UT_8's 1,219 unknowns in one HNF (2.3 s)
+        if name != "UT_8":
+            want = ref_restrict_ring(base.pairing, constraints)
+            assert ring.s_basis == tuple(tuple(r) for r in want)
+    assert len(restrict_systems) == len(built)
+    assert restrict_systems == [(rank, rank) for rank, _ in restrict_systems]
 
 
 # -- the public constructor checks a caller's basis -----------------------------
