@@ -15,7 +15,8 @@ triples (intertwining with the connecting maps between layers, invariance
 of the embedded images).  The final ring is one restriction of the
 pairing's ring by all of them together, which is the intersection of the
 subrings each set cuts out, since restrictions compose (see
-restrict_ring).  Each gap of each chain is reported with its section,
+restrict_ring).  refined_ring is this stage alone, which the scalars
+report prints.  Each gap of each chain is reported with its section,
 built by abelian.section and so the pairing's own where they share one,
 and the matrices by which the ring's additive basis acts on it; the one
 gap that carries no action (between a chain's graded part and its central
@@ -112,20 +113,19 @@ def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
         tuple(cols[k][r] for k in range(nsmall)) for r in range(nsmall))
 
 
-def refined_series(p: PcPresentation,
-                   series: Optional[Sequence[Subgroup]] = None
-                   ) -> RefinedSeries:
+def refined_ring(p: PcPresentation,
+                 series: Optional[Sequence[Subgroup]] = None):
+    """(bilin, base_ring, ring, zc, w): refined_series' ring stage, with
+    zc[i] the central part of lower[i - 1] and w[i] the radical's
+    intersection with upper[i - 1], which its chains read too."""
     b = bilinearize(p, series)
     s = b.series
     c = s.c
     if c == 0:
         # the chains start at U_1 and G', and the gap section at U_c
         raise SeriesError(f"{p.name}: the trivial group has no refined series")
-    whole = s.lower[0]
     trivial = sg.trivial_subgroup(p)
-    derived = s.lower[1]
-    pairing = pairing_of(b)
-    base = scalar_ring(pairing)
+    base = scalar_ring(pairing_of(b))
 
     # compatibility with the connecting maps between consecutive layers
     pl_cons = []
@@ -166,6 +166,15 @@ def refined_series(p: PcPresentation,
             continue
         ad_cons.append(InvariantSubmodule("phi2", i - 1, gens_i))
     ring = restrict_ring(base, pl_cons + ae_cons + ad_cons)
+    return b, base, ring, zc, w
+
+
+def refined_series(p: PcPresentation,
+                   series: Optional[Sequence[Subgroup]] = None
+                   ) -> RefinedSeries:
+    b, base, ring, zc, w = refined_ring(p, series)
+    s = b.series
+    c = s.c
 
     # chains
     terms_u: List[Tuple[str, Subgroup]] = []
@@ -175,9 +184,9 @@ def refined_series(p: PcPresentation,
         label = "1" if zc[i].is_trivial else f"Z^L{i}"
         terms_u.append((label, zc[i]))
 
-    terms_l: List[Tuple[str, Subgroup]] = [("G", whole), ("V", b.v_r)]
+    terms_l: List[Tuple[str, Subgroup]] = [("G", s.lower[0]), ("V", b.v_r)]
     for i in range(2, c + 1):
-        wg = sg.induce(p, list(w[i].rows) + list(derived.rows))
+        wg = sg.induce(p, list(w[i].rows) + list(s.lower[1].rows))
         terms_l.append((f"W{i}G'", wg))
     for i in range(2, c + 2):
         term = s.lower[i - 1]

@@ -39,6 +39,19 @@ B and C may carry a block grading (one block per layer of a graded
 pairing); the blocks matter to restriction constraints, which address a
 single block of phi2 or phi0, and to ScalarRing.block_matrices.
 
+pairing_of a bilinearization is nondegenerate and full, block by block
+(the theorem in bilinear's docstring), so its ring is commutative and
+graded.  For scalars s, t: s0 t0 f(x, y) = f(t1 x, s2 y) = t0 s0 f(x, y),
+and the values span C, so s0 t0 = t0 s0; then f(s1 t1 x, y) =
+f(t1 s1 x, y) for all y, so s1 t1 = t1 s1 as A has no left radical, and
+s2 t2 = t2 s2 likewise.  phi0 f(x, y) = f(phi1 x, y), so phi0 keeps C_k,
+which f(A, B_k) spans; for y in B_k, f(x, phi2 y) = f(phi1 x, y) lies in
+C_k, so the part of phi2 y in another block pairs to 0 with A and is 0.
+ScalarRing.is_commutative and block_matrices' grading check still
+compute rather than assume: a caller's own Pairing reaches both, and it
+may be degenerate (f(a, b) = a_0 b on (Z/2)^2 x Z/2 has a noncommutative
+ring).
+
 The public ScalarRing(pairing, s_basis) checks a caller's basis against
 _base_system, the one encoding of the conditions; scalar_ring and
 restrict_ring build through _unchecked_ring without the checks, by the

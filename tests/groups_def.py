@@ -11,6 +11,8 @@ Generator dictionaries:
   ZK    same letters, a^5 changed to f^2
   NR    u1..u6 = a, b, c, [a,b], [a,c], [b,c] with the last two of order 3
   F23   free 2-generator class-3: u1, u2, u3=[u2,u1], u4=[u3,u1], u5=[u3,u2]
+  C4    u1..u6 free, class 4: [u2,u1] = u4, [u3,u2] = u5 u6, [u4,u1] = u6^2,
+        [u4,u2] = u5, [u5,u2] = u6
 
 Closed-form families for the collection tests:
   UT_n  unitriangular integer matrices on the letters e_ij (i < j)
@@ -145,6 +147,24 @@ def heis_index2():
         periods=(2, INF, INF, INF),
         powers=((1, ((2, 1),)),),
         commutators=(((3, 1), ((4, -1),)), ((3, 2), ((4, -2),))),
+    )
+
+
+def c4():
+    # rank 6, class 4, all periods infinite: the smallest group seen whose
+    # refined left chain has a gap, W_3 G'/W_4 G', that is no subsection of
+    # its block U_3/U_4, so series --kind refined refuses it (ROADMAP R)
+    return PcPresentation(
+        name="C4",
+        periods=(INF,) * 6,
+        powers=(),
+        commutators=(
+            ((2, 1), ((4, 1),)),
+            ((3, 2), ((5, 1), (6, 1))),
+            ((4, 1), ((6, 2),)),
+            ((4, 2), ((5, 1),)),
+            ((5, 2), ((6, 1),)),
+        ),
     )
 
 

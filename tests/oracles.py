@@ -1004,6 +1004,62 @@ def predicted_support(p):
 
 
 # ---------------------------------------------------------------------------
+# commutator pairings
+#
+# bilinear.py proves that its pairings are nondegenerate and full, and
+# checks none of it. This recomputes the three properties in the group,
+# from G's generators u_i and the commutators [u_i, y], by dense congruence
+# systems and Hermite forms; it reads neither the left section nor the
+# tables.
+
+
+def ref_pairing_properties(b):
+    """(left radical, right radicals, spans) of the bilinearization b.
+
+    The left radical is the subgroup of the x in G with [x, y] in
+    lower[k + 2] for every row y of upper[k] and every block k.  For each
+    such y, x -> [x, y] is a homomorphism into the abelian out[k], so on
+    normal-form exponents e it is e -> sum e_i [u_i, y], and it kills G':
+    the radical is G' together with the products prod u_i^e_i over a
+    spanning set of the e that map to 0.  Block k's right radical is the set of
+    reduced right[k] coordinates z with sum z_t [u_i, y_t] == 0 for every
+    u_i (y_t right[k]'s basis), listed without 0: () when there is none.
+    Block k's span is the Hermite basis of the [u_i, y_t] in out[k] with
+    out[k]'s period vectors: the identity when the values fill out[k]."""
+    s = b.series
+    p = s.pres
+    gens = [pc.generator(p, i) for i in range(1, p.m + 1)]
+    rows, moduli = [], []
+    rights, spans = [], []
+    for k, (sec_b, sec_c) in enumerate(zip(b.right, b.out)):
+        pers = sec_c.periods
+        mods = [0 if d is None else d for d in pers]
+        for y in s.upper[k].rows:
+            vals = [sec_c.coords(ref_commutator(p, u, y)) for u in gens]
+            for r, d in enumerate(mods):
+                rows.append([v[r] for v in vals])
+                moduli.append(d)
+        # cell[i][t] = [u_i, y_t] in out[k]
+        cell = [[sec_c.coords(ref_commutator(p, u, y)) for y in sec_b.basis]
+                for u in gens]
+        eqs = [[cell[i][t][r] for t in range(len(sec_b.basis))]
+               for i in range(len(gens)) for r in range(len(pers))]
+        sol = ref_solve_congruences(
+            eqs, [0] * len(eqs), mods * len(gens), len(sec_b.basis))
+        rights.append(tuple(sorted({
+            z for z in map(sec_b.reduce, sol.basis) if any(z)})))
+        lat = [list(v) for row in cell for v in row]
+        lat += [[d if j == r else 0 for j in range(len(pers))]
+                for r, d in enumerate(mods) if d]
+        spans.append(tuple(tuple(r) for r in ref_hermite(lat) if any(r)))
+    sol = ref_solve_congruences(rows, [0] * len(rows), moduli, len(gens))
+    derived = sg.lower_central_series(p)[1]
+    left = sg.induce(p, [sg.prod_rows(p, gens, e) for e in sol.basis]
+                     + list(derived.rows))
+    return left, tuple(rights), tuple(spans)
+
+
+# ---------------------------------------------------------------------------
 # scalar rings
 
 

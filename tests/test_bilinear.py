@@ -1,13 +1,21 @@
 """Bundles of commutator-induced pairings and their assembled map."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
+from nilpc.abelian import section
 from nilpc.bilinear import associated_series, bilinearize, SeriesError
+from nilpc.intlinalg import identity
 
-from groups_def import f23, heis, zg
+from groups_def import (
+    ALL_CONSISTENT, c4, f23, heis, heis_index2, heisenberg,
+    random_basis_change, unitriangular, zg)
+from oracles import ref_pairing_properties
+from test_collection import consistent_draws
 
 H = heis()
 G = zg()
@@ -16,6 +24,28 @@ F = f23()
 
 def gen(p, i):
     return pc.generator(p, i)
+
+
+def table_value(b, block, x, y):
+    """The class of [x, y] in out[block], read off tables[block]: the
+    coordinates of x and y contracted with the table."""
+    acc = [0] * len(b.out[block].periods)
+    for xv, row in zip(b.left.coords(x), b.tables[block]):
+        for yv, cell in zip(b.right[block].coords(y), row):
+            for k, v in enumerate(cell):
+                acc[k] += xv * yv * v
+    return b.out[block].reduce(tuple(acc))
+
+
+def assert_nondegenerate_and_full(b):
+    # the theorem of bilinear's docstring, checked by the dense oracle: the
+    # left radical is v_r, no block has a right radical, and each block's
+    # values span its target
+    left, rights, spans = ref_pairing_properties(b)
+    assert left == b.v_r
+    assert rights == ((),) * len(b.right)
+    assert spans == tuple(tuple(map(tuple, identity(len(o.periods))))
+                          for o in b.out)
 
 
 def test_associated_series_heis():
@@ -53,12 +83,10 @@ def test_heis_form_is_determinant():
     assert b.right[0].periods == (None, None)
     assert b.out[0].periods == (None,)
     u3 = gen(H, 3)
-    assert b.evaluate(0, gen(H, 1), gen(H, 2)) == b.out[0].coords(u3)
-    assert b.evaluate(0, gen(H, 2), gen(H, 1)) == b.out[0].coords(
+    assert table_value(b, 0, gen(H, 1), gen(H, 2)) == b.out[0].coords(u3)
+    assert table_value(b, 0, gen(H, 2), gen(H, 1)) == b.out[0].coords(
         pc.inverse(H, u3))
-    assert b.left_nondegenerate()
-    assert b.right_nondegenerate()
-    assert b.full()
+    assert_nondegenerate_and_full(b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -68,7 +96,7 @@ def test_heis_form_value(v):
     b = bilinearize(H)
     x = pc.normal_form(H, ((1, x1), (2, x2)))
     y = pc.normal_form(H, ((1, y1), (2, y2)))
-    got = b.evaluate(0, x, y)
+    got = table_value(b, 0, x, y)
     assert got == b.out[0].coords(pc.power(H, gen(H, 3), x1 * y2 - x2 * y1))
 
 
@@ -80,10 +108,8 @@ def test_zg_form_shape():
     assert b.out[0].periods == (5, 5, 5, None, None)
     # [u1, u2] = u9 up in the derived subgroup
     u9 = gen(G, 9)
-    assert b.evaluate(0, gen(G, 1), gen(G, 2)) == b.out[0].coords(u9)
-    assert b.left_nondegenerate()
-    assert b.right_nondegenerate()
-    assert b.full()
+    assert table_value(b, 0, gen(G, 1), gen(G, 2)) == b.out[0].coords(u9)
+    assert_nondegenerate_and_full(b)
 
 
 def test_f23_bundle_blocks():
@@ -95,11 +121,9 @@ def test_f23_bundle_blocks():
     assert b.right[1].periods == (None,)
     assert b.out[0].periods == (None,)
     assert b.out[1].periods == (None, None)
-    assert b.evaluate(1, gen(F, 1), gen(F, 3)) == b.out[1].coords(
+    assert table_value(b, 1, gen(F, 1), gen(F, 3)) == b.out[1].coords(
         pc.inverse(F, gen(F, 4)))
-    assert b.left_nondegenerate()
-    assert b.right_nondegenerate()
-    assert b.full()
+    assert_nondegenerate_and_full(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,9 +139,49 @@ def test_f23_table_matches_commutators(xc, xc2, yc, block):
     x2 = pc.normal_form(F, ((1, xc2[0]), (2, xc2[1])))
     y = sg.prod_rows(F, b.series.upper[block].rows,
                      [yc] * len(b.series.upper[block].rows))
-    assert b.evaluate(block, x, y) == b.out[block].coords(
+    assert table_value(b, block, x, y) == b.out[block].coords(
         pc.commutator(F, x, y))
-    lhs = b.evaluate(block, pc.multiply(F, x, x2), y)
-    s = tuple(a + c for a, c in zip(b.evaluate(block, x, y),
-                                    b.evaluate(block, x2, y)))
+    lhs = table_value(b, block, pc.multiply(F, x, x2), y)
+    s = tuple(a + c for a, c in zip(table_value(b, block, x, y),
+                                    table_value(b, block, x2, y)))
     assert lhs == b.out[block].reduce(s)
+
+
+# the groups of the theorem's sweep, each with three seeded rebases
+THEOREM_GROUPS = {
+    **{make.__name__: make for make in ALL_CONSISTENT + [heis_index2, c4]},
+    **{f"UT_{n}": (lambda n=n: unitriangular(n)) for n in (4, 5, 6)},
+    **{f"H_{n}": (lambda n=n: heisenberg(n)) for n in (3, 4, 5)},
+    "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
+}
+THEOREM_INPUTS = {}
+for _name, _make in THEOREM_GROUPS.items():
+    THEOREM_INPUTS[_name] = lambda make=_make: [make()]
+    for _seed in (0, 1, 2):
+        THEOREM_INPUTS[f"{_name} rebased {_seed}"] = (
+            lambda make=_make, seed=_seed: [
+                random_basis_change(make(), random.Random(seed))])
+THEOREM_INPUTS["seed-0 draws"] = lambda: [
+    p for _, p in consistent_draws(0)[::10]]
+
+
+@pytest.mark.parametrize("name", THEOREM_INPUTS)
+def test_pairings_are_nondegenerate_and_full(name):
+    # bilinear's docstring proves it for every series associated_series
+    # accepts; the lower and the upper central series on each input
+    for p in THEOREM_INPUTS[name]():
+        for series in (None, list(reversed(sg.upper_central_series(p)))):
+            assert_nondegenerate_and_full(bilinearize(p, series))
+
+
+def test_oracle_sees_a_degenerate_pairing():
+    # HEIS's radical taken as G, without its one condition, is too large;
+    # F23's block 1 taken over 1 instead of upper[2] keeps a right radical
+    large = bilinearize(H)._replace(v_r=sg.whole_subgroup(H))
+    left, _, _ = ref_pairing_properties(large)
+    assert left == sg.center(H) != large.v_r
+    b = bilinearize(F)
+    wide = section(F, b.series.upper[1], sg.trivial_subgroup(F))
+    _, rights, _ = ref_pairing_properties(
+        b._replace(right=(b.right[0], wide)))
+    assert rights[0] == () and rights[1]

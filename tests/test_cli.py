@@ -18,13 +18,14 @@ from nilpc import cli
 from nilpc import deformation as dm
 from nilpc import files
 from nilpc import presentation as pc
+from nilpc import refined as rf
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import main
 
-from groups_def import f23, heis, heisenberg, mutated_heis, mutated_ut5, \
-    nr, unitriangular, wide_adapted, zg, zh, zk
-from oracles import ref_consistency_check, ref_parse_args
+from groups_def import c4, f23, heis, heisenberg, mutated_heis, \
+    mutated_ut5, nr, unitriangular, wide_adapted, zg, zh, zk
+from oracles import ref_consistency_check, ref_parse_args, ref_restrict_ring
 
 
 @pytest.fixture
@@ -447,6 +448,30 @@ class TestSeriesScalars:
         a, b = json.loads(low), json.loads(up)
         assert a["tables"] == b["tables"]
         assert a["pairing_ring"]["periods"] == [0]
+
+    @pytest.mark.parametrize("series", ["lower", "upper"])
+    def test_scalars_prints_the_ring_stage_alone(self, tmp_path, capsys,
+                                                 monkeypatch, series):
+        # scalars builds no chain, so it answers on C4, whose refined left
+        # chain has a gap that is no subsection of its block (ROADMAP R);
+        # the ring it prints is the dense solve of the conditions passed
+        path = tmp_path / "C4.json"
+        files.save(c4(), str(path))
+        built, restrict = [], rf.restrict_ring
+
+        def spy(ring, constraints):
+            built.append((ring, constraints, restrict(ring, constraints)))
+            return built[-1][2]
+
+        monkeypatch.setattr(rf, "restrict_ring", spy)
+        code, out = run(capsys, "scalars", str(path), "--series", series)
+        assert code == 0, out
+        [(base, constraints, ring)] = built
+        want = ref_restrict_ring(base.pairing, constraints)
+        assert ring.s_basis == tuple(tuple(r) for r in want)
+        payload = json.loads(out)
+        assert payload["pairing_ring"]["periods"] == cli._enc(base.periods)
+        assert payload["refined_ring"]["periods"] == cli._enc(ring.periods)
 
 
 class TestComputedOnce:
