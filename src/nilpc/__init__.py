@@ -22,8 +22,7 @@ _EXPORTS = {
     "cli": (),
     "deformation": ("AdaptedPresentation", "DeformationSurvey", "DeformError",
                     "ExtClass", "abdef", "adapt_basis",
-                    "enumerate_deformations", "ext_class",
-                    "standard_embedding", "twisted_embedding"),
+                    "enumerate_deformations", "ext_class"),
     "files": ("FileFormatError", "emit", "load", "load_fixture",
               "fixture_names", "parse", "save"),
     "intlinalg": (),

@@ -296,70 +296,3 @@ def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
         classes=classes,
         representatives=tuple((cl,) + found[cl] for cl in classes))
 
-
-def standard_embedding(
-    a: AdaptedPresentation,
-    d: Tuple[int, ...],
-    c: Tuple[Tuple[int, ...], ...],
-) -> Tuple[AdaptedPresentation, Tuple[Element, ...]]:
-    """Embed the base group into its deformation, fixing everything but
-    the free segment: the free generator that used to receive power i is
-    sent to the product its deformed power now lands on."""
-    return _embedding(a, d, c, [0] * a.n)
-
-
-def _prime_product_avoiding(dk: int, j: int) -> int:
-    """Product of the first j primes not dividing dk."""
-    out = 1
-    count = 0
-    cand = 2
-    while count < j:
-        if all(cand % q for q in range(2, cand)) and dk % cand:
-            out *= cand
-            count += 1
-        cand += 1
-    return out
-
-
-def twisted_embedding(
-    a: AdaptedPresentation,
-    d: Tuple[int, ...],
-    c: Tuple[Tuple[int, ...], ...],
-    j: int,
-) -> Tuple[AdaptedPresentation, Tuple[Element, ...]]:
-    """Like the standard embedding but sheared by q = first j primes
-    missing from d: the middle segment picks up e/e_i-fold twists and the
-    free segment is stretched by d + q e instead of d.  The image index
-    grows with j yet stays coprime to e."""
-    if j < 1:
-        raise DeformError("twist depth must be at least 1")
-    return _embedding(
-        a, d, c, [_prime_product_avoiding(d[k], j) for k in range(a.n)])
-
-
-def _embedding(a: AdaptedPresentation, d: Tuple[int, ...],
-               c: Tuple[Tuple[int, ...], ...], qs: List[int]
-               ) -> Tuple[AdaptedPresentation, Tuple[Element, ...]]:
-    """The embedding into abdef(a, d, c) sheared by qs; qs = 0 is the
-    standard one.  Each middle generator has a finite period e_i: abdef's
-    _check_diagonal refuses one of infinite period, as it has no power
-    tail to land on the free segment."""
-    out = abdef(a, d, c)
-    q = out.pres
-    free = [pc.generator(q, a.i1 + k + 1) for k in range(a.n)]
-    images = []
-    for i in range(1, q.m + 1):
-        if a.i0 < i <= a.i1:
-            t = i - a.i0 - 1
-            ei = a.pres.periods[i - 1]
-            img = sg.prod_rows(
-                q, [pc.generator(q, i)] + free,
-                [1] + [qs[k] * (a.e // ei) * c[t][k] for k in range(a.n)])
-        elif a.i1 < i <= a.i1 + a.n:
-            t = i - a.i1 - 1
-            img = sg.prod_rows(
-                q, free, [(d[k] + qs[k] * a.e) * c[t][k] for k in range(a.n)])
-        else:
-            img = pc.generator(q, i)
-        images.append(img)
-    return out, tuple(images)

@@ -16,6 +16,7 @@ Generator dictionaries:
 
 Closed-form families for the collection tests:
   UT_n  unitriangular integer matrices on the letters e_ij (i < j)
+  UT_n(Z[i])  the same over Z[i], on the letters e_ij(1), e_ij(i)
   H_n   x_1..x_n, y_1..y_n, z = [x_i, y_i] central, inside UT_{n+2}
   ZG_q  ZG with its period 5 replaced by the prime q
 
@@ -153,7 +154,8 @@ def heis_index2():
 def c4():
     # rank 6, class 4, all periods infinite: the smallest group seen whose
     # refined left chain has a gap, W_3 G'/W_4 G', that is no subsection of
-    # its block U_3/U_4, so series --kind refined refuses it (ROADMAP R)
+    # its block U_3/U_4; series --kind refined exits 1 on it with the
+    # internal message "element does not lie in the section" (ROADMAP R)
     return PcPresentation(
         name="C4",
         periods=(INF,) * 6,
@@ -185,20 +187,25 @@ def heisenberg_letters(n):
             + [(i + 1, n + 2) for i in range(1, n + 1)] + [(1, n + 2)])
 
 
-def _matrix_letters(name, letters):
-    """[x, y] = x^-1 y^-1 x y of elementary matrices: [e_ij, e_jk] = e_ik,
-    and letters that share no index commute."""
-    pos = {x: k for k, x in enumerate(letters, start=1)}
+def _matrix_letters(name, letters, units=1):
+    """[x, y] = x^-1 y^-1 x y of elementary matrices over Z (units = 1) or
+    over Z[i] (units = 2: the letters e_ij(1), e_ij(i) for each e_ij):
+    [e_ij(a), e_jk(b)] = e_ik(ab), and letters that share no index
+    commute."""
+    gens = [(x, r) for x in letters for r in range(units)]
+    pos = {g: k for k, g in enumerate(gens, start=1)}
     comms = []
-    for (i, j) in letters:
-        for (j2, k) in letters:
-            if j2 == j and (i, k) in pos:
-                a, b = pos[(i, j)], pos[(j, k)]
+    for ((i, j), r) in gens:
+        for ((j2, k), s) in gens:
+            if j2 == j and ((i, k), 0) in pos:
+                a, b = pos[((i, j), r)], pos[((j, k), s)]
+                # i^r i^s = +-i^((r + s) mod 2)
+                c, sign = pos[((i, k), (r + s) % 2)], (-1) ** ((r + s) // 2)
                 if a < b:
-                    comms.append(((b, a), ((pos[(i, k)], -1),)))
+                    comms.append(((b, a), ((c, -sign),)))
                 else:
-                    comms.append(((a, b), ((pos[(i, k)], 1),)))
-    return PcPresentation(name=name, periods=(INF,) * len(letters),
+                    comms.append(((a, b), ((c, sign),)))
+    return PcPresentation(name=name, periods=(INF,) * len(gens),
                           commutators=tuple(sorted(comms)))
 
 
@@ -208,6 +215,11 @@ def unitriangular(n):
 
 def heisenberg(n):
     return _matrix_letters(f"H_{n}", heisenberg_letters(n))
+
+
+def ut_gaussian(n):
+    """UT_n over Z[i], on two letters per e_ij: its base ring has rank 2."""
+    return _matrix_letters(f"UT_{n}(Z[i])", ut_letters(n), units=2)
 
 
 def random_basis_change(p, rng):

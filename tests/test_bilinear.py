@@ -13,7 +13,7 @@ from nilpc.intlinalg import identity
 
 from groups_def import (
     ALL_CONSISTENT, c4, f23, heis, heis_index2, heisenberg,
-    random_basis_change, unitriangular, zg)
+    random_basis_change, unitriangular, ut_gaussian, zg)
 from oracles import ref_pairing_properties
 from test_collection import consistent_draws
 
@@ -152,6 +152,7 @@ THEOREM_GROUPS = {
     **{make.__name__: make for make in ALL_CONSISTENT + [heis_index2, c4]},
     **{f"UT_{n}": (lambda n=n: unitriangular(n)) for n in (4, 5, 6)},
     **{f"H_{n}": (lambda n=n: heisenberg(n)) for n in (3, 4, 5)},
+    **{f"UT_{n}(Z[i])": (lambda n=n: ut_gaussian(n)) for n in (4, 5)},
     "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
 }
 THEOREM_INPUTS = {}

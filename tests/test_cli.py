@@ -693,8 +693,9 @@ class TestComputedOnce:
 
 
 class TestHoms:
-    def test_standard_embedding_map(self, workdir, capsys):
-        mapfile = workdir / "embed.json"
+    def test_map_file_with_an_index_two_image(self, workdir, capsys):
+        # ZG -> ZK fixing every generator but u5, sent to u5^2
+        mapfile = workdir / "square.json"
         words = [[[i, 1]] for i in range(1, 11)]
         words[4] = [[5, 2]]
         mapfile.write_text(files.emit_hom_map(words), encoding="utf-8")

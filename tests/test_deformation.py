@@ -1,7 +1,10 @@
-"""Adapted bases, power-tail deformations, class enumeration, embeddings."""
+"""Adapted bases, power-tail deformations, class enumeration, and Oger
+witnesses that each deformation is elementarily equivalent to its base."""
 
+import functools
 import random
 import re
+from itertools import product
 from math import gcd
 
 import pytest
@@ -17,9 +20,8 @@ from nilpc.deformation import (
     adapt_basis,
     enumerate_deformations,
     ext_class,
-    standard_embedding,
-    twisted_embedding,
 )
+from nilpc.intlinalg import identity, vec_mat
 from nilpc.morphisms import hom_from_images, is_inverse_pair
 from nilpc.series import key_subgroups
 
@@ -35,7 +37,7 @@ from groups_def import (
     zh,
     zk,
 )
-from oracles import ref_adapted_presentation, times_z
+from oracles import ref_adapted_presentation, ref_det, times_z
 from test_collection import consistent_draws
 
 ADAPTABLE = {
@@ -102,18 +104,13 @@ class TestAdaptBasis:
     def test_free_segment_is_central_and_adapting_is_an_isomorphism(self):
         # on every seed-0 draw with a middle section; the free segment,
         # read off N/Is(G')'s section basis, had a commutator tail on 72
-        checked = 0
-        for _, p in consistent_draws(0):
-            a = adapt_basis(p)
-            if a.n < 1:
-                continue
-            checked += 1
+        for p, a in adapted_draws():
             for f in a.new_in_old[a.i1:a.i2]:
                 assert all(not any(pc.commutator(p, f, pc.generator(p, i)))
                            for i in range(1, p.m + 1)), p
             assert is_inverse_pair(hom_from_images(a.pres, p, a.new_in_old),
                                    hom_from_images(p, a.pres, a.old_in_new))
-        assert checked == 448
+        assert len(adapted_draws()) == 448
 
     @pytest.mark.parametrize("name", ADAPTABLE)
     def test_witness_words_invert(self, name):
@@ -128,6 +125,14 @@ class TestAdaptBasis:
                     accum = pc.multiply(
                         p, accum, pc.power(p, a.new_in_old[k], exp))
             assert accum == pc.generator(p, i)
+
+
+@functools.lru_cache(maxsize=None)
+def adapted_draws():
+    """(p, adapt_basis(p)) for each consistent seed-0 draw p with a middle
+    section (n >= 1), adapted once for the sweeps that share them."""
+    return tuple((p, a) for _, p in consistent_draws(0)
+                 if (a := adapt_basis(p)).n >= 1)
 
 
 def assert_matches_reference(p):
@@ -225,9 +230,8 @@ class TestAbdef:
         # 10^4 (larger surveys take seconds), proven after the fact, as
         # abdef proves nothing
         checked = 0
-        for _, p in consistent_draws(0):
-            a = adapt_basis(p)
-            if a.n < 1 or a.e ** a.n > 10 ** 4:
+        for p, a in adapted_draws():
+            if a.e ** a.n > 10 ** 4:
                 continue
             try:
                 survey = enumerate_deformations(a)
@@ -344,11 +348,49 @@ class TestEnumerate:
 class TestElementaryEquivalence:
     """Finitely generated nilpotent G and H are elementarily equivalent
     exactly when G x Z and H x Z are isomorphic (F. Oger, J. London Math.
-    Soc. (2) 44, 1991).  For n = 1 with f central, G has u^e = w f and a
-    deformation H has u^e = w f^k, k prime to e; choose beta, alpha with
-    k beta - e alpha = 1.  G x Z -> H x Z sends u to u t, f to f^k t^e
-    and t to f^alpha t^beta; its inverse sends u to u f^alpha t^-k, f to
-    f^beta t^-e and t to f^-alpha t^k.  Both fix the other generators."""
+    Soc. (2) 44, 1991).  On an adapted basis G has u_t^(e_t) = w_t f_t for
+    its n middle generators u_t, with w_t in Is(G') and the f_t central;
+    the deformation H by (d, c) has u_t^(e_t) = w_t prod_k f_k^(K_tk), with
+    K_tk = d_k c_tk.  Let s generate the Z factor, and for an n x n integer
+    B and a in Z^n put N = [K + diag(e) B | diag(e) a].  When N's maximal
+    minors are coprime, N is the top n rows of a unimodular U.  Then
+    G x Z -> H x Z sends u_t to u_t f^(B_t) s^(a_t), sends (f_1, ..., f_n,
+    s) through U's rows and fixes every other generator.  f^(B_t) s^(a_t)
+    is central, so the image of u_t has (e_t)-th power
+    w_t f^(K_t + e_t B_t) s^(e_t a_t), which is the image of w_t f_t.  The
+    inverse sends (f_1, ..., f_n, s) through the rows of U^-1, and u_t to
+    u_t times the inverse of f^(B_t) s^(a_t)'s preimage.  For n = 1,
+    B = 0 and a = 1 give N = [k | e], completed by k beta - e alpha = 1.
+    """
+
+    @staticmethod
+    def completion(K, e):
+        """(B, a, U) for the first B in {0, 1, -1}^(n x n), then a in
+        {0, 1, 2}^n, whose N has coprime maximal minors, or None.  U is N
+        over a Bezout row x of its signed minors, so det U = 1 by cofactor
+        expansion along x."""
+        n = len(e)
+        for flat in product((0, 1, -1), repeat=n * n):
+            B = [list(flat[t * n:(t + 1) * n]) for t in range(n)]
+            for a in product((0, 1, 2), repeat=n):
+                N = [[K[t][k] + e[t] * B[t][k] for k in range(n)]
+                     + [e[t] * a[t]] for t in range(n)]
+                g, x = 0, []
+                for j in range(n + 1):
+                    minor = ref_det([row[:j] + row[j + 1:] for row in N])
+                    g, y, z = sg._xgcd(g, (-1) ** (n + j) * minor)
+                    x = [y * v for v in x] + [z]
+                if g == 1:
+                    return B, list(a), N + [x]
+        return None
+
+    @staticmethod
+    def inverse(u):
+        """U^-1 for det U = 1: the adjugate."""
+        m = len(u)
+        return [[(-1) ** (i + j) * ref_det(
+            [row[:i] + row[i + 1:] for r, row in enumerate(u) if r != j])
+            for j in range(m)] for i in range(m)]
 
     @staticmethod
     def images(src, dst, moved):
@@ -363,56 +405,57 @@ class TestElementaryEquivalence:
             out.append(tuple(img))
         return tuple(out)
 
+    def assert_witness(self, a, d, c):
+        """Certify the docstring's witness for the class (d, c) of a, and
+        its inverse; a class with no completion fails."""
+        n, e = a.n, a.pres.periods[a.i0:a.i1]
+        found = self.completion(
+            [[d[k] * c[t][k] for k in range(n)] for t in range(n)], e)
+        assert found, (a.pres.name, d, c)
+        b, av, u = found
+        v = self.inverse(u)
+        g, h = times_z(a.pres), times_z(abdef(a, d, c).pres)
+        mid = range(a.i0 + 1, a.i1 + 1)
+        z = list(range(a.i1 + 1, a.i1 + n + 1)) + [g.m]  # f_1..f_n, s
+        there = {x: dict(zip(z, row)) for x, row in zip(z, u)}
+        back = {x: dict(zip(z, row)) for x, row in zip(z, v)}
+        for t, ut in enumerate(mid):
+            there[ut] = {ut: 1, **dict(zip(z, b[t] + [av[t]]))}
+            back[ut] = {ut: 1, **{x: -y for x, y in zip(
+                z, vec_mat(b[t] + [av[t]], v))}}
+        assert is_inverse_pair(
+            hom_from_images(g, h, self.images(g, h, there)),
+            hom_from_images(h, g, self.images(h, g, back))), (d, c)
+
     @pytest.mark.parametrize("name,classes", [("NR", 2), ("ZG", 4),
                                               ("ZH", 4)])
     def test_every_class_times_z_is_g_times_z(self, name, classes):
         a = adapt_basis(ADAPTABLE[name]())
-        g = times_z(a.pres)
-        u, f, t = a.i0 + 1, a.i1 + 1, g.m
-        e = a.pres.periods[u - 1]
         survey = enumerate_deformations(a).representatives
         assert a.n == 1 and len(survey) == classes
         for _, d, c in survey:
-            k = d[0] * c[0][0]
-            beta = pow(k, -1, e)
-            alpha = (k * beta - 1) // e
-            h = times_z(abdef(a, d, c).pres)
-            there = self.images(g, h, {u: {u: 1, t: 1}, f: {f: k, t: e},
-                                       t: {f: alpha, t: beta}})
-            back = self.images(h, g, {u: {u: 1, f: alpha, t: -k},
-                                      f: {f: beta, t: -e},
-                                      t: {f: -alpha, t: k}})
-            assert is_inverse_pair(hom_from_images(g, h, there),
-                                   hom_from_images(h, g, back))
+            self.assert_witness(a, d, c)
 
-
-class TestEmbeddings:
-    def test_standard_zg_to_zk(self):
-        a = adapt_basis(zg())
-        deformed, images = standard_embedding(a, (2,), ((1,),))
-        q = deformed.pres
-        assert same_presentation(q, zk())
-        for i in (1, 2, 3, 4, 6, 7, 8, 9, 10):
-            assert images[i - 1] == pc.generator(q, i)
-        assert images[4] == pc.power(q, pc.generator(q, 5), 2)
-        sub = sg.induce(q, list(images))
-        assert sub.index_in_ambient() == 2
-
-    @pytest.mark.parametrize("j,qval,index", [
-        (1, 3, 17),
-        (2, 15, 77),
-        (3, 105, 527),
-        (4, 1155, 5777),
-        (5, 15015, 75077),
-    ])
-    def test_twisted_zg_to_zk(self, j, qval, index):
-        a = adapt_basis(zg())
-        deformed, images = twisted_embedding(a, (2,), ((1,),), j)
-        q = deformed.pres
-        assert images[3] == pc.multiply(
-            q, pc.generator(q, 4), pc.power(q, pc.generator(q, 5), qval))
-        assert images[4] == pc.power(q, pc.generator(q, 5), 2 + 5 * qval)
-        sub = sg.induce(q, list(images))
-        got = sub.index_in_ambient()
-        assert got == index
-        assert gcd(got, 5) == 1
+    def test_draws_times_z_are_g_times_z(self):
+        # two classes of every seed-0 draw with n = 2 or 3 that abdef
+        # accepts, with u the least unit of e above 1: d = (u, ..., u)
+        # with c = 1, and d = (1, u, ..., u) with c the reversal, negated;
+        # these are the 99 draws enumerate surveys and 4 past its cap
+        checked = 0
+        for _, a in adapted_draws():
+            if a.n not in (2, 3):
+                continue
+            u = next(x for x in range(2, a.e + 2) if gcd(x, a.e) == 1)
+            one = identity(a.n)
+            classes = (((u,) * a.n, one),
+                       ((1,) + (u,) * (a.n - 1),
+                        [[-x for x in reversed(row)] for row in one]))
+            try:
+                abdef(a, *classes[0])
+            except DeformError as exc:
+                assert "diagonally normalized" in str(exc)
+                continue
+            checked += 1
+            for d, c in classes:
+                self.assert_witness(a, d, c)
+        assert checked == 103

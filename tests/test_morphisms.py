@@ -6,8 +6,7 @@ import pytest
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
-from nilpc.deformation import (
-    abdef, adapt_basis, presentation_on, standard_embedding)
+from nilpc.deformation import abdef, adapt_basis, presentation_on
 from nilpc.morphisms import (
     HomError,
     compose,
@@ -118,13 +117,6 @@ class TestImageIndex:
         image, idx = image_index(h)
         assert idx == 4
         assert image.rows == sub.rows
-
-    def test_standard_embedding_index_two(self):
-        a = adapt_basis(zg())
-        deformed, images = standard_embedding(a, (2,), ((1,),))
-        h = hom_from_images(a.pres, deformed.pres, images)
-        _, idx = image_index(h)
-        assert idx == 2
 
 
 class TestInvariantReport:

@@ -48,6 +48,7 @@ from groups_def import (
     nr,
     random_basis_change,
     unitriangular,
+    ut_gaussian,
     zg,
     zh,
     zk,
@@ -740,6 +741,11 @@ MODULE_INPUTS = {
     "H_3": lambda: heisenberg(3), "H_4": lambda: heisenberg(4),
     "ZG_3": lambda: zg(3), "ZG_7": lambda: zg(7),
     "HG": gaussian_heisenberg, "HG_5": lambda: gaussian_heisenberg(5),
+    # class 3 and 4 over a base ring of rank 2 (every named group of class
+    # >= 3 above has one of rank 1); rebased UT_5(Z[i]) takes about 1 s
+    "UT_4(Z[i])": lambda: ut_gaussian(4), "UT_5(Z[i])": lambda: ut_gaussian(5),
+    "UT_4(Z[i]) rebased 0": lambda: random_basis_change(
+        ut_gaussian(4), random.Random(0)),
 }
 
 
@@ -786,3 +792,12 @@ def test_every_gap_is_a_module(name):
                     _columns(sec, product_), (where, j, l)
         gaps += 1
     assert gaps
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_gaussian_unitriangular_ring_is_not_cut(n):
+    # class n - 1 over Z[i]: the base ring has rank 2, and the chains'
+    # conditions leave all of it
+    rs = refined_series(ut_gaussian(n))
+    assert rs.base_ring.periods == (None, None)
+    assert rs.ring.s_basis == rs.base_ring.s_basis
