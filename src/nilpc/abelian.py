@@ -19,10 +19,9 @@ Input is checked at the boundary only.  The public constructors check
 a caller's input: FgAbelian(p, a, b) that b lies in a and that a/b is
 abelian (SubgroupError), and scalars.ScalarRing(pairing, s_basis) that
 its basis spans a ring of scalars (ScalarRingError).  The package's own
-builders, section here and scalars.scalar_ring and restrict_ring, skip
-those checks: their input is made to satisfy them, as each proves in its
-docstring, and the tests check every section and ring that a
-construction builds.
+builders, section here and scalars.scalar_ring, skip those checks:
+their input is made to satisfy them, as each proves in its docstring,
+and the tests check every section and ring that a construction builds.
 
 isolator(p, n) is the preimage in G of the torsion of G/n, read off the
 sections z/n with z/n the center of G/n.

@@ -167,7 +167,8 @@ def _cmd_series(args) -> int:
             {"label": label, "rows": _rows(term)}
             for label, term in rs.left_chain],
         "gap_section": _enc(rs.gap_section.periods),
-        "base_ring": _ring_summary(rs.base_ring),
+        # the refined ring is the pairing ring (see refined's docstring)
+        "base_ring": _ring_summary(rs.ring),
         "ring": _ring_summary(rs.ring),
         "actions": [
             {"chain": a.chain, "top": a.top, "bottom": a.bottom,
@@ -183,9 +184,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_scalars(args) -> int:
     p = files.load(args.file)
-    # the refined ring is one restriction of the pairing ring (the same
-    # ring when nothing cuts it); no series means the lower central series
-    b, base, ring, _, _ = refined_ring(
+    # refined_ring checks that the chains' conditions leave the whole
+    # pairing ring, so it is printed as both; no series means the lower
+    # central series
+    b, ring, _, _ = refined_ring(
         p, _central_series(p, "upper") if args.series == "upper" else None)
     _print_json({
         "command": "scalars",
@@ -200,7 +202,7 @@ def _cmd_scalars(args) -> int:
         "left_nondegenerate": True,
         "right_nondegenerate": True,
         "full": True,
-        "pairing_ring": _ring_summary(base),
+        "pairing_ring": _ring_summary(ring),
         "refined_ring": _ring_summary(ring),
     })
     return 0

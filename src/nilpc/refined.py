@@ -1,8 +1,8 @@
 """Canonical refinements of a central series, with their scalar actions.
 
 Starting from the graded commutator pairing of a central series, this
-module cuts the full scalar ring down to the subring compatible with two
-canonical refinements of the series:
+module builds two canonical refinements of the series, on which the
+pairing's ring of scalars acts:
 
 * the upper-style chain, refined below its last term by the central parts
   of the lower-style terms, and
@@ -10,17 +10,36 @@ canonical refinements of the series:
   refined by the intersections with the upper-style terms (pushed up by
   the derived subgroup).
 
-Compatibility is expressed through linear side conditions on the scalar
-triples (intertwining with the connecting maps between layers, invariance
-of the embedded images).  The final ring is one restriction of the
-pairing's ring by all of them together, which is the intersection of the
-subrings each set cuts out, since restrictions compose (see
-restrict_ring).  refined_ring is this stage alone, which the scalars
-report prints.  Each gap of each chain is reported with its section,
-built by abelian.section and so the pairing's own where they share one,
-and the matrices by which the ring's additive basis acts on it; the one
-gap that carries no action (between a chain's graded part and its central
+With U_i = upper[i - 1] and L_i = lower[i - 1], the chains want the
+subring of the pairing's ring whose triples meet three kinds of linear
+condition: phi2 . e == e . phi0 for each connecting map
+e: L_i/L_{i+1} -> U_i/U_{i+1}, modulo the periods of U_i/U_{i+1}; phi0
+keeps the image S of the central part Z^L_i of L_i in L_i/L_{i+1}; and
+phi2 keeps the image S of the radical's part W_i of U_i in U_i/U_{i+1}.
+S holds the block's period vectors, as the block matrix M acts on the
+block's module, and M keeps S when M g lies in S for each generator g.
+
+Null triples meet every condition.  A null triple has one nonzero entry,
+the period e_r of its row's coordinate, at (r, c).  In phi2 it adds e_r
+e[c][t] to entry (r, t), which vanishes modulo e_r; in phi0 at (k, c) it
+adds e[r][k] e_k to entry (r, c), which vanishes modulo B's period as e
+is a homomorphism; in a kept block M g = e_r g_c u_r lies in S, which
+holds e_r u_r.  The conditions are linear, and the ring's lattice is
+spanned by its additive basis and the null triples.  So they hold on the
+whole ring exactly when they hold on each additive basis element, and
+then the subring is the pairing's ring itself.  refined_ring checks them
+so and raises SeriesError naming the first that fails: a group that
+fails one would be the first known to cut the ring.
+
+refined_ring is this ring stage alone, which the scalars report prints.
+Each gap of each chain is reported with its section, built by
+abelian.section and so the pairing's own where they share one, and the
+matrices by which the ring's additive basis acts on it; the one gap that
+carries no action (between a chain's graded part and its central
 refinement) is marked special and reported without matrices.
+refined_series refuses, naming the gap, a left chain gap
+W_i G'/W_{i+1} G' with W_i G' outside U_i, as it reads the action in
+U_i/U_{i+1}.
 """
 
 from __future__ import annotations
@@ -31,16 +50,9 @@ from typing import List, Optional, Sequence, Tuple
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import SeriesError, bilinearize
-from .intlinalg import kernel
+from .intlinalg import InvariantFactors, kernel, mat_mul
 from .presentation import PcPresentation
-from .scalars import (
-    HomCompat,
-    InvariantSubmodule,
-    ScalarRingError,
-    pairing_of,
-    restrict_ring,
-    scalar_ring,
-)
+from .scalars import ScalarRingError, pairing_of, scalar_ring
 from .subgroups import Subgroup
 
 
@@ -57,11 +69,11 @@ class ChainAction(namedtuple(
 
 
 class RefinedSeries(namedtuple(
-        "RefinedSeries", "pres bilin base_ring ring upper_chain left_chain "
+        "RefinedSeries", "pres bilin ring upper_chain left_chain "
         "gap_section actions")):
     """The refined chains of pres, each a tuple of (label, Subgroup), with
-    ring (base_ring restricted by the chains), the special gap's section
-    and one ChainAction per gap."""
+    ring (the pairing's ring, checked to meet the chains' conditions), the
+    special gap's section and one ChainAction per gap."""
 
     __slots__ = ()
 
@@ -113,11 +125,42 @@ def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
         tuple(cols[k][r] for k in range(nsmall)) for r in range(nsmall))
 
 
+def _intertwines(ring, e, c_block: int, b_block: int, periods) -> bool:
+    """Whether phi2 . e == e . phi0 on every additive basis element of ring,
+    entry (r, t) modulo periods[r]: e maps C block c_block into B block
+    b_block, whose periods these are."""
+    return all(not any((x - y) % per if per else x - y
+                       for x, y in zip(row2, row0))
+               for m2, m0 in zip(ring.block_matrices("phi2", b_block),
+                                 ring.block_matrices("phi0", c_block))
+               for per, row2, row0 in zip(periods, mat_mul(m2, e),
+                                          mat_mul(e, m0)))
+
+
+def _keeps(ring, which: str, block: Optional[int], gens, periods) -> bool:
+    """Whether `which` of every additive basis element of ring maps each of
+    gens, vectors of one block with these periods, into S, the span of
+    gens and the block's period vectors: a vector lies in S exactly when
+    its InvariantFactors coordinates modulo S are all zero."""
+    gens = [list(g) for g in gens if any(g)]
+    if not gens:
+        return True
+    n = len(periods)
+    quot = InvariantFactors(gens + [[per if k == r else 0 for k in range(n)]
+                                    for r, per in enumerate(periods) if per],
+                            n)
+    return all(not any(quot.coords([sum(a * x for a, x in zip(row, g))
+                                    for row in m]))
+               for m in ring.block_matrices(which, block) for g in gens)
+
+
 def refined_ring(p: PcPresentation,
                  series: Optional[Sequence[Subgroup]] = None):
-    """(bilin, base_ring, ring, zc, w): refined_series' ring stage, with
-    zc[i] the central part of lower[i - 1] and w[i] the radical's
-    intersection with upper[i - 1], which its chains read too."""
+    """(bilin, ring, zc, w): refined_series' ring stage, with zc[i] the
+    central part of lower[i - 1] and w[i] the radical's intersection with
+    upper[i - 1], which its chains read too.  ring is the pairing's ring,
+    once the module docstring's checks pass; SeriesError names the first
+    condition that fails."""
     b = bilinearize(p, series)
     s = b.series
     c = s.c
@@ -125,54 +168,47 @@ def refined_ring(p: PcPresentation,
         # the chains start at U_1 and G', and the gap section at U_c
         raise SeriesError(f"{p.name}: the trivial group has no refined series")
     trivial = sg.trivial_subgroup(p)
-    base = scalar_ring(pairing_of(b))
+    ring = scalar_ring(pairing_of(b))
+
+    def check(holds: bool, what: str) -> None:
+        if not holds:
+            raise SeriesError(f"{p.name}: the pairing ring does not {what}, "
+                              "so the refined ring is a proper subring")
 
     # compatibility with the connecting maps between consecutive layers
-    pl_cons = []
     for i in range(2, c):
-        small = b.out[i - 2]
-        big = b.right[i - 1]
-        if not small.periods or not big.periods:
-            continue
-        pl_cons.append(HomCompat(
-            _embedding_matrix(small, big), c_block=i - 2, b_block=i - 1))
+        small, big = b.out[i - 2], b.right[i - 1]
+        if small.periods and big.periods:
+            check(_intertwines(ring, _embedding_matrix(small, big), i - 2,
+                               i - 1, big.periods),
+                  f"commute with the map L{i}/L{i + 1} -> U{i}/U{i + 1}")
 
     # central parts of the lower-style terms
     zc = {}
     for i in range(2, c + 2):
         zc[i] = sg.constrained_subgroup(
             p, s.lower[i - 1], [(sg.generating_set(p), trivial)])
-
-    ae_cons = []
     for i in range(2, c + 1):
         sec = b.out[i - 2]
-        if not sec.periods or not zc[i].rows:
-            continue
-        ae_cons.append(InvariantSubmodule(
-            "phi0", i - 2, tuple(sec.coords(r) for r in zc[i].rows)))
+        check(_keeps(ring, "phi0", i - 2, [sec.coords(r) for r in zc[i].rows],
+                     sec.periods), f"keep Z^L{i} in L{i}/L{i + 1}")
 
     # intersections of the radical with the upper-style terms
     vcond = [(s.upper[i].rows, s.lower[i + 2]) for i in range(c - 1)]
     w = {1: b.v_r}
     for i in range(2, c + 1):
         w[i] = sg.constrained_subgroup(p, s.upper[i - 1], vcond)
-
-    ad_cons = []
-    for i in range(1, c):
+    for i in range(1, c):  # W_1 = V and U_1 = G
         sec = b.right[i - 1]
-        gens_i = tuple(sec.coords(r) for r in w[i].rows)
-        gens_i = tuple(g for g in gens_i if any(g))
-        if not sec.periods or not gens_i:
-            continue
-        ad_cons.append(InvariantSubmodule("phi2", i - 1, gens_i))
-    ring = restrict_ring(base, pl_cons + ae_cons + ad_cons)
-    return b, base, ring, zc, w
+        check(_keeps(ring, "phi2", i - 1, [sec.coords(r) for r in w[i].rows],
+                     sec.periods), f"keep W{i} in U{i}/U{i + 1}")
+    return b, ring, zc, w
 
 
 def refined_series(p: PcPresentation,
                    series: Optional[Sequence[Subgroup]] = None
                    ) -> RefinedSeries:
-    b, base, ring, zc, w = refined_ring(p, series)
+    b, ring, zc, w = refined_ring(p, series)
     s = b.series
     c = s.c
 
@@ -214,6 +250,12 @@ def refined_series(p: PcPresentation,
         elif idx == 0:
             return "phi1", ring.block_matrices("phi1")
         elif idx < c:  # (W_i G', W_{i+1} G'), i = idx, W_1 G' read as V
+            if not all(s.upper[idx - 1].contains(x) for x in sec.basis):
+                gap = f"{terms_l[idx][0]}/{terms_l[idx + 1][0]}"
+                raise SeriesError(
+                    f"{p.name}: the left chain's gap {gap} is not a section "
+                    f"of U{idx}/U{idx + 1} ({terms_l[idx][0]} does not lie "
+                    f"in U{idx}), and its action is not computed")
             return "pullback-phi2", pullbacks(sec, "phi2", idx - 1)
         elif idx > c:  # (L_i, L_{i+1}), i = idx - c + 1
             return "phi0", ring.block_matrices("phi0", idx - c - 1)
@@ -230,7 +272,7 @@ def refined_series(p: PcPresentation,
                                            *action(chain, idx, sec)))
 
     return RefinedSeries(
-        pres=p, bilin=b, base_ring=base, ring=ring,
+        pres=p, bilin=b, ring=ring,
         upper_chain=_dedup(terms_u), left_chain=_dedup(terms_l),
         gap_section=section(p, s.upper[c - 1], zc[2]),
         actions=tuple(actions))

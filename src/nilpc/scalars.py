@@ -10,9 +10,12 @@ Triples add entrywise and multiply by composition, and the set of all of
 them modulo triples of null maps is a ring with identity.  This module
 computes that ring exactly: a lattice basis for the solution set, additive
 invariant factors (read as intlinalg.InvariantFactors, like the abelian
-sections), unit coordinates, the multiplication table, restrictions by
-extra linear side conditions, and prime factorizations of the zero ideal
-when the ring is finite and commutative.
+sections), unit coordinates, the multiplication table, the matrices of
+its additive basis on each block, and prime factorizations of the zero
+ideal when the ring is finite and commutative.  It is the largest ring of
+scalars (Myasnikov, Siberian Math. J. 1990); refined.refined_ring checks
+the refined chains' conditions on it and refuses when one fails, so no
+subring is ever solved for.
 
 The factorization follows the ring's structure rather than enumerating
 its ideals: a finite commutative ring is the product of local rings, one
@@ -31,13 +34,11 @@ bases of A, B and C.  On a sparse table the unknowns fall into many small
 components (UT_7's 661 unknowns into 481, the largest of 41); on a dense
 one they do not (a random basis change of H_6 puts all 289 unknowns in one
 component).  A ring is its lattice of triples, held in Hermite normal
-form; a restriction solves only its new conditions, in the ring's own
-coordinates (one unknown per basis triple), so restrictions compose
-without re-solving earlier ones.
+form.
 
 B and C may carry a block grading (one block per layer of a graded
-pairing); the blocks matter to restriction constraints, which address a
-single block of phi2 or phi0, and to ScalarRing.block_matrices.
+pairing); the blocks matter to ScalarRing.block_matrices, which reads one
+block of phi1, phi2 or phi0.
 
 pairing_of a bilinearization is nondegenerate and full, block by block
 (the theorem in bilinear's docstring), so its ring is commutative and
@@ -53,9 +54,9 @@ may be degenerate (f(a, b) = a_0 b on (Z/2)^2 x Z/2 has a noncommutative
 ring).
 
 The public ScalarRing(pairing, s_basis) checks a caller's basis against
-_base_system, the one encoding of the conditions; scalar_ring and
-restrict_ring build through _unchecked_ring without the checks, by the
-boundary rule stated in abelian.py's docstring.
+_base_system, the one encoding of the conditions; scalar_ring builds
+without the checks, by the boundary rule stated in abelian.py's
+docstring.
 """
 
 from __future__ import annotations
@@ -228,27 +229,7 @@ def _base_system(pairing: Pairing):
 
 
 # --------------------------------------------------------------------------
-# restriction constraints
-
-
-class HomCompat(namedtuple("HomCompat", "e c_block b_block")):
-    """Require phi2 (block b_block) to intertwine with phi0 (block c_block)
-    through a fixed homomorphism e from the C block to the B block:
-    phi2 . e == e . phi0."""
-
-    __slots__ = ()
-
-
-class InvariantSubmodule(
-        namedtuple("InvariantSubmodule", "which block gens")):
-    """Require one matrix block to map a marked submodule into itself.
-
-    which is "phi1", "phi2" or "phi0"; block indexes the grading of the
-    matching module (None for phi1, which is ungraded); gens are block-local
-    coordinate vectors spanning the submodule.
-    """
-
-    __slots__ = ()
+# the ring itself
 
 
 def _block_geometry(pairing: Pairing, lay: _Layout, which: str,
@@ -266,65 +247,6 @@ def _block_geometry(pairing: Pairing, lay: _Layout, which: str,
         o = _offsets(pairing.c_blocks)[block]
         return lay.idx0, lay.nc, o, pairing.c_blocks[block], pairing.periods_c
     raise ScalarRingError(f"unknown matrix name {which!r}")
-
-
-def _constraint_rows(pairing: Pairing, lay: _Layout, con):
-    """Sparse congruence rows for one constraint, over the flattened
-    unknowns: row (R, T) says (sum of P . M . Q over the constraint's
-    terms)[R][T] == 0 (mod m_R), each M a diagonal block of phi1, phi2 or
-    phi0 located by _block_geometry and P, Q fixed integer matrices.
-
-    HomCompat is phi2 . e - e . phi0 on its blocks, taken modulo the
-    periods of B's block.  InvariantSubmodule asks M g to lie in S for
-    each column g of G, the nonzero generators; S is spanned by them and
-    the period rows of the block, since M acts on the block's module.
-    With P the coordinate map and m the periods of InvariantFactors(S),
-    a vector lies in S exactly when its image in Z^size / S, whose
-    coordinates P reads, is zero: coordinate R modulo m_R, with m_R == 0
-    when that factor is free (Cohen, GTM 138, section 2.4).  So the
-    condition is P . M . G == 0 (mod m), with no unknowns for the
-    coefficients of M g over S."""
-    if isinstance(con, HomCompat):
-        idx2, _, bo, sb, periods = _block_geometry(
-            pairing, lay, "phi2", con.b_block)
-        idx0, _, co, sc, _ = _block_geometry(pairing, lay, "phi0", con.c_block)
-        e = con.e
-        if len(e) != sb or any(len(r) != sc for r in e):
-            raise ScalarRingError("intertwiner shape disagrees with blocks")
-        terms = ((idx2, bo, identity(sb), e),
-                 (idx0, co, [[-v for v in r] for r in e], identity(sc)))
-        moduli, width = periods[bo:bo + sb], sc
-    elif isinstance(con, InvariantSubmodule):
-        idx, _, o, size, periods = _block_geometry(
-            pairing, lay, con.which, con.block)
-        gens = [list(g) for g in con.gens if any(g)]
-        if any(len(g) != size for g in gens):
-            raise ScalarRingError("generator width disagrees with block")
-        quot = InvariantFactors(
-            gens + [[per if k == r else 0 for k in range(size)]
-                    for r, per in enumerate(periods[o:o + size])
-                    if per is not None], size)
-        terms = ((idx, o, quot.coord_map, transpose(gens)),)
-        moduli, width = quot.periods, len(gens)
-    else:
-        raise ScalarRingError(f"unknown constraint {con!r}")
-    rows = []
-    for r_out, mod in enumerate(moduli):
-        for t_out in range(width):
-            row: Dict[int, int] = {}
-            for idx, o, left, right in terms:
-                for r, a in enumerate(left[r_out]):
-                    for c, b in enumerate(right):
-                        if a * b[t_out]:
-                            i = idx(o + r, o + c)
-                            row[i] = row.get(i, 0) + a * b[t_out]
-            if row:
-                rows.append((row, mod or 0))
-    return rows
-
-
-# --------------------------------------------------------------------------
-# the ring itself
 
 
 def _reshape(lay: _Layout, vec: Sequence[int]):
@@ -499,13 +421,6 @@ class ScalarRing(InvariantFactors):
         return self.reduce(tuple(acc))
 
 
-def _unchecked_ring(pairing: Pairing,
-                    s_basis: Sequence[Sequence[int]]) -> ScalarRing:
-    ring = ScalarRing.__new__(ScalarRing)
-    ring._assemble(pairing, s_basis)
-    return ring
-
-
 def scalar_ring(pairing: Pairing) -> ScalarRing:
     """The ring of all scalar triples of pairing, built without
     ScalarRing's checks.  Its basis spans the solutions of _base_system,
@@ -519,51 +434,9 @@ def scalar_ring(pairing: Pairing) -> ScalarRing:
     likewise on the right, and composed maps are well defined; so the
     products lie in it too."""
     lay, rows = _base_system(pairing)
-    return _unchecked_ring(pairing, kernel(rows, lay.total))
-
-
-def restrict_ring(ring: ScalarRing,
-                  constraints: Sequence) -> ScalarRing:
-    """Subring cut out by extra linear side conditions.
-
-    The conditions are solved in the ring's own coordinates: the unknown
-    triple is x . s_basis, so there is one unknown per basis triple and
-    kernel's Hermite basis of the solutions x is the new lattice.  Every
-    triple of the ring already satisfies the pairing identities and the
-    conditions of earlier restrictions, so restrictions compose.
-
-    The new ring is built without ScalarRing's checks.  Its triples are
-    integer combinations of ring's, which meet _base_system, so they do.
-    Its null triples lie in ring's lattice and meet each condition: a
-    HomCompat row, taken modulo the period of B's coordinate bo + r,
-    reads phi2 in that row and phi0 at (co + k, co + t) times e[r][k],
-    which the period of C's coordinate co + k kills as e is a
-    homomorphism.  For an InvariantSubmodule, a null block M has the
-    single entry e_r at (r, c), so M g = e_r g_c u_r lies in S, which
-    holds e_r u_r (a null triple whose entry lies off the block has
-    M == 0).  So they lie in the new lattice.  A product of two of its
-    triples lies in ring's lattice and meets the conditions, as
-    composition keeps phi2 . e == e . phi0 and keeps a submodule
-    invariant; so it lies in the new lattice too.
-    The rows of s_basis are independent, so nothing is cut exactly when the
-    solutions x span Z^rank; then ring itself is returned, which is exact
-    since equal lattices have equal HNFs.
-    """
-    s = ring.s_basis
-    rows = []
-    for con in constraints:
-        for d, mod in _constraint_rows(ring.pairing, ring.lay, con):
-            row: Dict[int, int] = {}
-            for i, v in d.items():
-                for t, h in enumerate(s):
-                    if h[i]:
-                        row[t] = row.get(t, 0) + v * h[i]
-            rows.append((row, mod))
-    xs = kernel(rows, len(s))
-    if xs == identity(len(s)):
-        return ring
-    return _unchecked_ring(
-        ring.pairing, hnf_basis([vec_mat(x, s) for x in xs], ring.lay.total))
+    ring = ScalarRing.__new__(ScalarRing)
+    ring._assemble(pairing, kernel(rows, lay.total))
+    return ring
 
 
 # --------------------------------------------------------------------------

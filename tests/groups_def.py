@@ -22,7 +22,13 @@ Closed-form families for the collection tests:
 
 wide_adapted() is a hand-built adapted presentation with n = 6 and e = 7,
 whose deformation survey would take phi(7)^6 * 6! * 2^6 (about 2e9) cases.
+
+graded_presentation(rng) draws a presentation graded by weights, which
+reaches class 4 and 5; graded_draws() keeps a fixed number of them.
 """
+
+import functools
+import random
 
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
@@ -154,8 +160,8 @@ def heis_index2():
 def c4():
     # rank 6, class 4, all periods infinite: the smallest group seen whose
     # refined left chain has a gap, W_3 G'/W_4 G', that is no subsection of
-    # its block U_3/U_4; series --kind refined exits 1 on it with the
-    # internal message "element does not lie in the section" (ROADMAP R)
+    # its block U_3/U_4; series --kind refined refuses it with a message
+    # that names the gap (ROADMAP R)
     return PcPresentation(
         name="C4",
         periods=(INF,) * 6,
@@ -220,6 +226,50 @@ def heisenberg(n):
 def ut_gaussian(n):
     """UT_n over Z[i], on two letters per e_ij: its base ring has rank 2."""
     return _matrix_letters(f"UT_{n}(Z[i])", ut_letters(n), units=2)
+
+
+GRADED_WEIGHTS = ((1, 1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3),
+                  (1, 1, 1, 2, 2, 2, 3), (1, 1, 2, 3, 3), (1, 1, 1, 2, 3, 3),
+                  (1, 1, 2, 2, 3, 4), (1, 1, 2, 3, 4), (1, 1, 1, 2, 3, 4),
+                  (1, 1, 2, 3, 4, 5))
+
+
+def graded_presentation(rng):
+    """Generators u_1..u_m of weights w from GRADED_WEIGHTS, no power
+    relations, and in about 45% of draws periods from {2, 3, 4, 9}.  The
+    tail of [u_j, u_i] holds each u_k with w_k >= w_i + w_j with
+    probability 1/2, at exponent +-1 or 2 (a nonzero residue when u_k has
+    a period), so the group's class is at most the largest weight."""
+    w = rng.choice(GRADED_WEIGHTS)
+    m = len(w)
+    finite = rng.random() < 0.45
+    periods = tuple(rng.choice((INF, 2, 3, 4, 9)) if finite else INF
+                    for _ in range(m))
+    comms = []
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            tail = tuple(
+                (k, rng.randrange(1, per) if per else rng.choice((-1, 1, 2)))
+                for k, per in enumerate(periods, start=1)
+                if w[k - 1] >= w[i - 1] + w[j - 1] and rng.random() < 0.5)
+            if tail:
+                comms.append(((j, i), tail))
+    return PcPresentation(name="graded", periods=periods,
+                          commutators=tuple(comms))
+
+
+@functools.lru_cache(maxsize=None)
+def graded_draws(count=30, seed=5):
+    """The first `count` consistent draws of graded_presentation on
+    Random(seed) whose class is at least 4, chosen by class alone."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = graded_presentation(rng)
+        if (pc.consistency_check(p).ok
+                and len(sg.lower_central_series(p)) > 4):
+            out.append(p)
+    return tuple(out)
 
 
 def random_basis_change(p, rng):

@@ -6,7 +6,7 @@ explicit matrix model), so agreement between the two is meaningful evidence.
 """
 
 import argparse
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Tuple
@@ -1203,15 +1203,23 @@ def is_associative(ring):
                for a, b, c in product(units, repeat=3))
 
 
+# the two kinds of linear side condition that the refined chains put on a
+# scalar triple: phi2 (block b_block) . e == e . phi0 (block c_block), for
+# a homomorphism e from the C block to the B block; and one block of
+# `which` ("phi1", "phi2" or "phi0"; block None for phi1) keeping the
+# submodule that the block-local vectors gens span with the period vectors
+HomCompat = namedtuple("HomCompat", "e c_block b_block")
+InvariantSubmodule = namedtuple("InvariantSubmodule", "which block gens")
+
+
 def _ref_condition_rows(pairing, lay, con, width):
-    """The dense rows of one restriction condition over `width` columns,
-    the flattened triple first, with their moduli.  A HomCompat is
-    phi2 . e == e . phi0 on its blocks modulo B's periods; an
-    InvariantSubmodule writes M g over Z as a combination of the
-    submodule's generators and the block's period vectors, whose
-    coefficients are appended as new columns.  Returns (rows, moduli,
-    width) with width grown by those columns."""
-    if isinstance(con, sc.HomCompat):
+    """The dense rows of one condition over `width` columns, the flattened
+    triple first, with their moduli.  A HomCompat is phi2 . e == e . phi0
+    on its blocks modulo B's periods; an InvariantSubmodule writes M g
+    over Z as a combination of the submodule's generators and the block's
+    period vectors, whose coefficients are appended as new columns.
+    Returns (rows, moduli, width) with width grown by those columns."""
+    if isinstance(con, HomCompat):
         bo = sum(pairing.b_blocks[:con.b_block])
         co = sum(pairing.c_blocks[:con.c_block])
         nb, nc = pairing.b_blocks[con.b_block], pairing.c_blocks[con.c_block]
@@ -1253,6 +1261,31 @@ def _ref_condition_rows(pairing, lay, con, width):
                 row[base + j] = -lrow[r]
             rows.append(row)
     return rows, [0] * len(rows), width
+
+
+def chain_conditions(b, zc, w):
+    """The refined chains' conditions on the ring of the bilinearization
+    b, as this module's records, from b's sections and the subgroups zc
+    and w that refined.refined_ring returns: phi2 intertwines with phi0
+    through each connecting map L_i/L_{i+1} -> U_i/U_{i+1} (column t the
+    U-coordinates of L's basis element t), phi0 keeps the central part
+    Z^L_i in L_i/L_{i+1}, and phi2 keeps the radical's part W_i in
+    U_i/U_{i+1}."""
+    c = b.series.c
+    out = []
+    for i in range(2, c):
+        small, big = b.out[i - 2], b.right[i - 1]
+        if small.periods and big.periods:
+            cols = [big.coords(x) for x in small.basis]
+            out.append(HomCompat(tuple(zip(*cols)), i - 2, i - 1))
+    for which, secs, parts, first in (("phi0", b.out, zc, 2),
+                                      ("phi2", b.right, w, 1)):
+        for i in range(first, c + first - 1):
+            sec = secs[i - first]
+            gens = tuple(g for g in map(sec.coords, parts[i].rows) if any(g))
+            if gens:
+                out.append(InvariantSubmodule(which, i - first, gens))
+    return out
 
 
 def ref_restrict_ring(pairing, constraints):

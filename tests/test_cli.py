@@ -25,7 +25,8 @@ from nilpc.cli import main
 
 from groups_def import c4, f23, heis, heisenberg, mutated_heis, \
     mutated_ut5, nr, unitriangular, wide_adapted, zg, zh, zk
-from oracles import ref_consistency_check, ref_parse_args, ref_restrict_ring
+from oracles import chain_conditions, ref_consistency_check, ref_parse_args, \
+    ref_restrict_ring
 
 
 @pytest.fixture
@@ -451,27 +452,56 @@ class TestSeriesScalars:
 
     @pytest.mark.parametrize("series", ["lower", "upper"])
     def test_scalars_prints_the_ring_stage_alone(self, tmp_path, capsys,
-                                                 monkeypatch, series):
+                                                 series):
         # scalars builds no chain, so it answers on C4, whose refined left
         # chain has a gap that is no subsection of its block (ROADMAP R);
-        # the ring it prints is the dense solve of the conditions passed
+        # it prints the pairing ring as the refined ring, which the dense
+        # solve of the chains' conditions confirms
         path = tmp_path / "C4.json"
         files.save(c4(), str(path))
-        built, restrict = [], rf.restrict_ring
-
-        def spy(ring, constraints):
-            built.append((ring, constraints, restrict(ring, constraints)))
-            return built[-1][2]
-
-        monkeypatch.setattr(rf, "restrict_ring", spy)
         code, out = run(capsys, "scalars", str(path), "--series", series)
         assert code == 0, out
-        [(base, constraints, ring)] = built
-        want = ref_restrict_ring(base.pairing, constraints)
+        p = c4()
+        b, ring, zc, w = rf.refined_ring(
+            p, cli._central_series(p, "upper") if series == "upper" else None)
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
         assert ring.s_basis == tuple(tuple(r) for r in want)
         payload = json.loads(out)
-        assert payload["pairing_ring"]["periods"] == cli._enc(base.periods)
+        assert payload["pairing_ring"] == payload["refined_ring"]
         assert payload["refined_ring"]["periods"] == cli._enc(ring.periods)
+
+    def test_refined_series_names_the_gap_outside_its_block(self, tmp_path,
+                                                             capsys):
+        # C4's left chain gap W_3 G'/W_4 G' does not lie in U_3, so it is no
+        # section of the block U_3/U_4 that its action is read in
+        path = tmp_path / "C4.json"
+        files.save(c4(), str(path))
+        code, out = run(capsys, "series", str(path), "--kind", "refined")
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "series",
+            "error": "C4: the left chain's gap W3G'/W4G' is not a section "
+                     "of U3/U4 (W3G' does not lie in U3), and its action "
+                     "is not computed"}
+
+    @pytest.mark.parametrize("check, condition", [
+        ("_intertwines", "commute with the map L2/L3 -> U2/U3"),
+        ("_keeps", "keep Z^L2 in L2/L3"),
+    ])
+    def test_a_failed_ring_check_is_a_clean_refusal(
+            self, workdir, capsys, monkeypatch, check, condition):
+        # no group is known to fail a check, so one is made to fail: each
+        # command that builds the ring stage exits 1 with the condition
+        monkeypatch.setattr(rf, check, lambda *args: False)
+        path = str(workdir / "F23.json")
+        error = (f"F23: the pairing ring does not {condition}, so the "
+                 "refined ring is a proper subring")
+        for argv in (("scalars", path), ("scalars", path, "--series", "upper"),
+                     ("series", path, "--kind", "refined")):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert (code, err) == (1, ""), argv
+            assert json.loads(out) == {"command": argv[0], "error": error}
 
 
 class TestComputedOnce:

@@ -3,9 +3,9 @@ package module imports another's private name, and every private
 module-level function or class is read somewhere; `__all__` lists exactly
 the names of the package's export table, and `__version__`; no module
 imports dataclasses; no package module calls FgAbelian or ScalarRing,
-whose public constructors check their input, and only abelian.section,
-and scalars.scalar_ring and restrict_ring, read the private paths that
-build a section or a ring without those checks; only the input
+whose public constructors check their input, and only abelian.section
+and scalars.scalar_ring read the private paths that build a section or
+a ring without those checks; only the input
 boundary and the collector's first use call consistency_check; no module
 of the subgroup layer calls a collector operation but through the table
 that keeps it on the presentation; and only whole_subgroup and
@@ -155,8 +155,7 @@ def test_detects_a_reader():
 # path; in every other module, nobody
 SECTION_PATH = {"_unchecked_section": ["section"],
                 "_assemble": ["FgAbelian", "_unchecked_section"]}
-RING_PATH = {"_unchecked_ring": ["restrict_ring", "scalar_ring"],
-             "_assemble": ["ScalarRing", "_unchecked_ring"]}
+RING_PATH = {"_assemble": ["ScalarRing", "scalar_ring"]}
 OWN_PATH = {"abelian.py": SECTION_PATH, "scalars.py": RING_PATH}
 
 
@@ -178,10 +177,10 @@ def test_sections_are_built_only_by_abelian(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_rings_are_built_only_by_scalars(path):
-    # scalar_ring and restrict_ring build from bases that meet ScalarRing's
-    # checks by construction; a ScalarRing(...) in the package would check
-    # its own output again, and the unchecked path taken anywhere else
-    # would skip the checks on a caller's basis
+    # scalar_ring builds from a basis that meets ScalarRing's checks by
+    # construction; a ScalarRing(...) in the package would check its own
+    # output again, and the unchecked path taken anywhere else would skip
+    # the checks on a caller's basis
     assert_one_builder(path, "ScalarRing", RING_PATH)
 
 

@@ -16,8 +16,7 @@ from nilpc.bilinear import associated_series, bilinearize
 from nilpc.deformation import adapt_basis, enumerate_deformations, ext_class
 from nilpc.morphisms import identity_hom, invariant_report
 from nilpc.refined import refined_series
-from nilpc.scalars import (
-    HomCompat, InvariantSubmodule, multiplication_pairing, pairing_of)
+from nilpc.scalars import multiplication_pairing, pairing_of
 from nilpc.series import key_subgroups
 
 from groups_def import heis, mutated_heis, zg
@@ -37,9 +36,6 @@ RECORDS = {
     "ChainAction": (lambda: refined_series(heis()).actions[0], None),
     "Pairing": (lambda: pairing_of(bilinearize(heis())), None),
     "Pairing, default blocks": (lambda: multiplication_pairing(6), None),
-    "HomCompat": (lambda: HomCompat(((1,),), 0, 0), None),
-    "InvariantSubmodule": (
-        lambda: InvariantSubmodule("phi1", None, ((1, 0),)), None),
     "AdaptedPresentation": (lambda: adapt_basis(zg()), None),
     "ExtClass": (lambda: ext_class(adapt_basis(zg()), (3,), ((-1,),)), None),
     "DeformationSurvey": (lambda: enumerate_deformations(adapt_basis(zg())),

@@ -1,8 +1,7 @@
-"""Scalar rings of pairings: construction, restriction, primes, refinement."""
+"""Scalar rings of pairings: construction, primes, refinement."""
 
 import random
 import re
-import sys
 from itertools import product
 from math import gcd
 
@@ -20,17 +19,17 @@ from nilpc.intlinalg import identity as eye
 from nilpc.refined import refined_series
 from nilpc.scalars import (
     PRIMES_ORDER_CAP,
-    HomCompat,
-    InvariantSubmodule,
     Pairing,
     ScalarRingError,
     multiplication_pairing,
     pairing_of,
     prime_decomposition_zero,
-    restrict_ring,
     scalar_ring,
 )
 from oracles import (
+    HomCompat,
+    InvariantSubmodule,
+    chain_conditions,
     gaussian_solutions,
     is_associative,
     ref_check_basis,
@@ -43,6 +42,7 @@ from oracles import (
 
 from groups_def import (
     f23,
+    graded_draws,
     heis,
     heisenberg,
     nr,
@@ -234,35 +234,28 @@ def _zg_ring():
 
 
 class TestRestriction:
-    def test_restrict_nothing_is_identity(self):
-        ring = scalar_ring(pairing_of(bilinearize(heis())))
-        assert restrict_ring(ring, []) is ring
+    """The refined chains' conditions, checked on the pairing's ring."""
 
     def test_zg_full_block_invariance_is_vacuous(self):
         # the central part of the first lower layer of ZG is that whole
-        # layer, so requiring phi0 to preserve it changes nothing
+        # layer, so phi0 keeps it on every ring element
         p = zg()
         ring = _zg_ring()
         b = bilinearize(p)
         zpart = sg.constrained_subgroup(
             p, b.series.lower[1],
             [(sg.whole_subgroup(p).rows, sg.trivial_subgroup(p))])
-        gens = tuple(b.out[0].coords(r) for r in zpart.rows)
-        res = restrict_ring(
-            ring, [InvariantSubmodule("phi0", 0, gens)])
-        assert res.s_basis == ring.s_basis
+        gens = [b.out[0].coords(r) for r in zpart.rows]
+        assert rf._keeps(ring, "phi0", 0, gens, b.out[0].periods)
 
-    def test_a_triple_outside_the_restricted_lattice_names_the_lattice(self):
-        # E with only E_2[1][0] = 1 meets every pairing identity of the zero
-        # pairing, so it lies in the base ring, but it does not keep the
-        # submodule (1, 0) of B invariant; the error names the lattice, not
-        # the identities
-        pr = Pairing((None,), (None, None), (None,), (((0,), (0,)),))
-        base = scalar_ring(pr)
-        ring = restrict_ring(base, [InvariantSubmodule("phi2", 0, ((1, 0),))])
-        vec = [0] * base.lay.total
-        vec[base.lay.idx2(1, 0)] = 1
-        assert base.contains_vec(vec) and not ring.contains_vec(vec)
+    def test_a_triple_outside_the_lattice_names_the_lattice(self):
+        # on Z x Z -> Z, phi1 = 1 with phi2 = phi0 = 0 breaks
+        # f(phi1 a, b) == phi0 f(a, b), so it lies outside the ring
+        ring = scalar_ring(Pairing((None,), (None,), (None,), (((1,),),)))
+        vec = [0] * ring.lay.total
+        vec[ring.lay.idx1(0, 0)] = 1
+        assert not ring.contains_vec(vec)
+        assert ring.contains_vec(ring.element_vec(ring.unit))
         with pytest.raises(ScalarRingError,
                            match="outside the ring's lattice"):
             ring.coords_vec(vec)
@@ -277,7 +270,8 @@ def split_pairing(p, q):
 
 
 # the groups' rings are all Z, which no condition cuts; the last three
-# pairings have larger rings, so that the comparison sees proper cuts
+# pairings have larger rings, so that the comparison sees proper cuts: of
+# their 12 seeded condition sets each, _CUTS[name] cut the ring
 _PAIRING_OF = {
     "HEIS": lambda: pairing_of(bilinearize(heis())),
     "NR": lambda: pairing_of(bilinearize(nr())),
@@ -289,7 +283,7 @@ _PAIRING_OF = {
     "ZxZ": lambda: split_pairing(None, None),
     "Z/4xZ/6": lambda: split_pairing(4, 6),
 }
-_CUT = ("Z[i]", "ZxZ", "Z/4xZ/6")
+_CUTS = {"Z[i]": 12, "ZxZ": 5, "Z/4xZ/6": 3}
 
 
 def random_conditions(pairing, rng, count):
@@ -328,25 +322,37 @@ def random_conditions(pairing, rng, count):
     return out
 
 
-@pytest.fixture
-def restrict_systems(monkeypatch):
-    """(len(ring.s_basis), unknowns) of each system restrict_ring hands to
-    kernel, told apart from other kernel calls by the caller's frame."""
-    seen = []
-    solve = sc.kernel
+def refused(ring, cons):
+    """Whether refined's checks refuse one of cons on ring, each given the
+    periods of its block."""
+    pairing = ring.pairing
 
-    def spy(rows, n):
-        caller = sys._getframe(1)
-        if caller.f_code is sc.restrict_ring.__code__:
-            seen.append((len(caller.f_locals["ring"].s_basis), n))
-        return solve(rows, n)
+    def periods(which, block):
+        if which == "phi1":
+            return pairing.periods_a
+        sizes, pers = ((pairing.b_blocks, pairing.periods_b)
+                       if which == "phi2" else
+                       (pairing.c_blocks, pairing.periods_c))
+        o = sum(sizes[:block])
+        return pers[o:o + sizes[block]]
 
-    monkeypatch.setattr(sc, "kernel", spy)
-    return seen
+    for con in cons:
+        if isinstance(con, HomCompat):
+            holds = rf._intertwines(ring, con.e, con.c_block, con.b_block,
+                                    periods("phi2", con.b_block))
+        else:
+            holds = rf._keeps(ring, con.which, con.block, con.gens,
+                              periods(con.which, con.block))
+        if not holds:
+            return True
+    return False
 
 
 @pytest.mark.parametrize("name", list(_PAIRING_OF))
-def test_restriction_matches_direct_solve(name, restrict_systems):
+def test_restriction_matches_direct_solve(name):
+    # the checks refuse a set of conditions exactly when the oracle's
+    # dense solve of the pairing's identities and the conditions together
+    # gives a proper sublattice of the ring's
     pairing = _PAIRING_OF[name]()
     ring = scalar_ring(pairing)
     rng = random.Random(7)
@@ -354,41 +360,36 @@ def test_restriction_matches_direct_solve(name, restrict_systems):
     for _ in range(12):
         cons = random_conditions(pairing, rng, rng.randint(1, 4))
         want = tuple(tuple(r) for r in ref_restrict_ring(pairing, cons))
-        got = restrict_ring(ring, cons)
-        assert got.s_basis == want
-        # the parent itself comes back exactly when nothing is cut
-        assert (got is ring) == (got.s_basis == ring.s_basis)
-        cuts += got.s_basis != ring.s_basis
-        # restricting in two steps solves the second conditions in the
-        # coordinates of the first restriction
-        k = rng.randint(0, len(cons))
-        again = restrict_ring(restrict_ring(ring, cons[:k]), cons[k:])
-        assert again.s_basis == want
-        assert again.periods == got.periods
-        # restrict_ring itself checks neither
-        assert ref_check_basis(got.pairing, got.s_basis)
-        assert ref_check_basis(again.pairing, again.s_basis)
-        assert is_associative(got)
-    if name in _CUT:
-        assert cuts
-    # one system per restriction, in the ring's coordinates alone
-    assert len(restrict_systems) == 3 * 12
-    assert restrict_systems == [(rank, rank) for rank, _ in restrict_systems]
+        assert refused(ring, cons) == (want != ring.s_basis), cons
+        cuts += want != ring.s_basis
+    assert cuts == _CUTS.get(name, 0)
 
 
-@pytest.mark.parametrize("con, message", [
-    (HomCompat(((1, 0),), c_block=0, b_block=0),
-     "intertwiner shape disagrees with blocks"),
-    (InvariantSubmodule("phi2", 0, ((1, 0),)),
-     "generator width disagrees with block"),
-    (InvariantSubmodule("phi1", 0, ((1,),)), "phi1 carries no grading"),
-    (InvariantSubmodule("phi3", 0, ((1,),)), "unknown matrix name 'phi3'"),
-    (("phi2", 0, ((1,),)), "unknown constraint"),
+@pytest.mark.parametrize("gens, cut", [
+    (((3, 1),), False),  # the ideal (3 + i), though i (3 + i) = 4 + 3i
+    (((2, 1),), False),  # the ideal (2 + i)
+    (((1, 0),), True),   # the integers mod 5, which i moves
 ])
-def test_restriction_refuses_malformed_conditions(con, message):
+def test_membership_reads_the_block_modulo_its_periods(gens, cut):
+    # on Z[i]/5 in the basis (1, i), i (3 + i) = -1 + 3i is read as
+    # (4, 3), which is 3 (3, 1) only modulo the periods; the oracle's dense
+    # solve says which submodules every scalar keeps
+    pairing = gaussian_pairing_mod(5)
+    ring = scalar_ring(pairing)
+    con = InvariantSubmodule("phi2", 0, gens)
+    want = tuple(tuple(r) for r in ref_restrict_ring(pairing, [con]))
+    assert (want != ring.s_basis) == cut
+    assert refused(ring, [con]) == cut
+
+
+@pytest.mark.parametrize("which, block, message", [
+    ("phi1", 0, "phi1 carries no grading"),
+    ("phi3", 0, "unknown matrix name 'phi3'"),
+])
+def test_block_matrices_name_a_bad_block(which, block, message):
     ring = scalar_ring(split_pairing(4, 6))
     with pytest.raises(ScalarRingError, match=re.escape(message)):
-        restrict_ring(ring, [con])
+        ring.block_matrices(which, block)
 
 
 _REFINED = {"HEIS": heis, "NR": nr, "F23": f23, "ZG": zg, "ZH": zh,
@@ -397,31 +398,17 @@ _RECHECKED = {**_REFINED, "UT_7": lambda: unitriangular(7)}
 
 
 @pytest.mark.parametrize("name", list(_RECHECKED))
-def test_restrictions_pass_the_full_recheck(name, monkeypatch,
-                                            restrict_systems):
-    # restrict_ring builds its ring without ScalarRing's checks, on the
-    # proof in its docstring; run the oracle's check on every ring
-    # restrict_ring returns to refined_series, and compare it with the
-    # dense solve of the conditions refined_series passed
-    # (test_restriction_matches_direct_solve runs both on random ones)
-    built = []
-    restrict = rf.restrict_ring
-
-    def spy(ring, constraints):
-        built.append((ring, constraints, restrict(ring, constraints)))
-        return built[-1][2]
-
-    monkeypatch.setattr(rf, "restrict_ring", spy)
-    refined_series(_RECHECKED[name]())
-    assert built
-    for base, constraints, ring in built:
-        assert ref_check_basis(ring.pairing, ring.s_basis)
-        # the dense oracle solves UT_8's 1,219 unknowns in one HNF (2.3 s)
-        if name != "UT_8":
-            want = ref_restrict_ring(base.pairing, constraints)
-            assert ring.s_basis == tuple(tuple(r) for r in want)
-    assert len(restrict_systems) == len(built)
-    assert restrict_systems == [(rank, rank) for rank, _ in restrict_systems]
+def test_restrictions_pass_the_full_recheck(name):
+    # scalar_ring builds the ring refined_ring returns without
+    # ScalarRing's checks, and refined_ring certifies it as the refined
+    # ring; run the oracle's check on it, and the dense solve of the
+    # pairing's identities with the chains' own conditions
+    b, ring, zc, w = rf.refined_ring(_RECHECKED[name]())
+    assert ref_check_basis(ring.pairing, ring.s_basis)
+    # the dense oracle solves UT_8's 1,219 unknowns in one HNF (2.3 s)
+    if name != "UT_8":
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+        assert ring.s_basis == tuple(tuple(r) for r in want)
 
 
 # -- the public constructor checks a caller's basis -----------------------------
@@ -691,7 +678,6 @@ class TestRefinedSeries:
         assert rs.gap_section.basis[0] == pc.generator(p, 5)
         specials = [e for e in rs.actions if e.matrices is None]
         assert len(specials) == 2  # one per chain
-        assert rs.ring is rs.base_ring
         _unit_acts_as_identity(rs)
 
     def test_abelian_degenerate(self):
@@ -796,8 +782,22 @@ def test_every_gap_is_a_module(name):
 
 @pytest.mark.parametrize("n", (4, 5))
 def test_gaussian_unitriangular_ring_is_not_cut(n):
-    # class n - 1 over Z[i]: the base ring has rank 2, and the chains'
-    # conditions leave all of it
-    rs = refined_series(ut_gaussian(n))
-    assert rs.base_ring.periods == (None, None)
-    assert rs.ring.s_basis == rs.base_ring.s_basis
+    # class n - 1 over Z[i]: the pairing ring has rank 2, refined_ring's
+    # checks pass on both of its basis elements, and the oracle's dense
+    # solve of the chains' conditions leaves all of it
+    b, ring, zc, w = rf.refined_ring(ut_gaussian(n))
+    assert ring.periods == (None, None)
+    want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+    assert ring.s_basis == tuple(tuple(r) for r in want)
+
+
+@pytest.mark.parametrize("kind", ("lower", "upper"))
+def test_graded_draws_certify_the_pairing_ring(kind):
+    # class 4 and 5: refined_ring's checks pass on each draw, and the
+    # oracle's dense solve of the chains' conditions leaves the whole ring
+    for p in graded_draws():
+        series = (list(reversed(sg.upper_central_series(p)))
+                  if kind == "upper" else None)
+        b, ring, zc, w = rf.refined_ring(p, series)
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+        assert ring.s_basis == tuple(tuple(r) for r in want), p
