@@ -12,7 +12,7 @@ the result is again consistent (abdef); that is the deformation.
 """
 
 from collections import namedtuple
-from itertools import permutations, product
+from itertools import count, permutations, product
 from math import factorial, gcd, isqrt, prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -28,7 +28,7 @@ class DeformError(ValueError):
     pass
 
 
-SURVEY_CAP = 10 ** 6  # (d, c) cases; every shipped fixture needs at most 8
+SURVEY_CAP = 10 ** 6  # classes; every shipped fixture has at most 4
 
 
 class AdaptedPresentation(namedtuple(
@@ -58,9 +58,9 @@ class ExtClass(namedtuple("ExtClass", "moduli components")):
 
 class DeformationSurvey(
         namedtuple("DeformationSurvey", "bound classes representatives")):
-    """The extension classes in sorted order, one (class, d, c)
-    representative of each, and bound, the crude upper bound e^p on their
-    number."""
+    """The extension classes sorted by components, one (class, d, c)
+    representative of each (enumerate_deformations says which), and bound,
+    the crude upper bound e^p on their number."""
 
     __slots__ = ()
 
@@ -239,14 +239,6 @@ def ext_class(a: AdaptedPresentation,
     """Class of the deformed extension; equal classes, equal groups."""
     _validate_params(a, d, c)
     _check_diagonal(a)
-    return _ext_class(a, d, c)
-
-
-def _ext_class(a: AdaptedPresentation,
-               d: Tuple[int, ...],
-               c: Tuple[Tuple[int, ...], ...]) -> ExtClass:
-    """ext_class on parameters already known to be valid, and on an a that
-    passed _check_diagonal, so the middle periods are finite."""
     moduli = tuple(a.pres.periods[a.i0:a.i1])
     return ExtClass(moduli=moduli, components=tuple(
         tuple((d[k] * c[t][k]) % ei if k < a.n else 0 for k in range(a.p))
@@ -254,45 +246,61 @@ def _ext_class(a: AdaptedPresentation,
 
 
 def enumerate_deformations(a: AdaptedPresentation) -> DeformationSurvey:
-    """Survey all (d, c) with d unit multipliers and c a signed permutation.
+    """The classes of all (d, c), d unit multipliers in [1, e] and c a
+    signed permutation, each with the first (d, c) that reaches it when d
+    runs in lexicographic order, then the permutations, then the signs
+    with 1 before -1; and the crude upper bound e^p on their number.
 
-    Groups the parameter space by extension class and returns one
-    representative per class, together with the crude upper bound e^p on
-    how many classes could exist at all.  There are |units|^n n! 2^n
-    cases; past SURVEY_CAP it raises DeformError, before listing any unit
-    when isqrt(e // 2)^n n! 2^n already passes the cap, and otherwise as
-    soon as the units listed so far show it, instead of looping.
-    |units| = phi(e) >= sqrt(e / 2): phi(p^k) >= sqrt(p^k) for every
-    prime power but 2, and phi(2) = sqrt(2 / 2).  Every d is a unit and
-    every c a signed permutation by construction, so the presentation is
-    checked once and no case is validated again.
+    A signed permutation (sigma, s) puts one nonzero entry in row t of the
+    class, s_t d_sigma(t) mod e_t at column sigma(t).  Each e_t divides e,
+    so the units mod e reduce onto the units mod e_t, and the classes are
+    exactly the pairs (sigma, (v_t)) with each v_t a unit mod e_t:
+    n! prod phi(e_t) of them, all distinct, as e_t >= 2 makes v_t nonzero,
+    which fixes sigma.  Constraints on different columns are independent,
+    so the first (d, c) of a class is found column by column: d_k is the
+    least unit of [1, e] with d_k = +-v_t (mod e_t), t = sigma^-1(k), and
+    s_t = 1 exactly when d_k = v_t (mod e_t).  A middle period that does
+    not divide e is refused by name, as its classes are not these pairs.
+
+    Past SURVEY_CAP classes it raises DeformError, before listing any unit
+    when n! prod isqrt(e_t // 2) already passes the cap, and otherwise as
+    soon as the units listed so far show it.  phi(m) >= sqrt(m / 2):
+    phi(p^k) >= sqrt(p^k) for every prime power but 2, and
+    phi(2) = sqrt(2 / 2).
     """
-    per_d = factorial(a.n) * 2 ** a.n
-    capped = DeformError(f"{a.pres.name}: surveying deformations takes "
-                         f"more cases than the cap of {SURVEY_CAP}")
-    if isqrt(a.e // 2) ** a.n * per_d > SURVEY_CAP:
+    moduli = tuple(a.pres.periods[a.i0:a.i1])
+    for i, m in enumerate(moduli, start=a.i0 + 1):
+        if m is None or a.e % m:
+            raise DeformError(f"{a.pres.name}: the period of generator {i} "
+                              "does not divide the section exponent")
+    capped = DeformError(f"{a.pres.name}: surveying deformations lists "
+                         f"more classes than the cap of {SURVEY_CAP}")
+    low = {m: isqrt(m // 2) for m in moduli}  # phi(m) >= low[m]
+    if factorial(a.n) * prod(low[m] for m in moduli) > SURVEY_CAP:
         raise capped
-    units = []
-    for u in range(1, a.e + 1):
-        if gcd(u, a.e) == 1:
-            units.append(u)
-            if len(units) ** a.n * per_d > SURVEY_CAP:
-                raise capped
+    units = {}  # m -> {v: (d_k, s_t)} for the units v mod m
+    for m in low:
+        units[m] = {}
+        for v in range(1, m):
+            if gcd(v, m) == 1:
+                lo, hi = sorted((v, m - v))
+                d_k = next(u for j in count(0, m) for u in (j + lo, j + hi)
+                           if gcd(u, a.e) == 1)
+                units[m][v] = (d_k, 1 if d_k % m == v else -1)
+                low[m] = max(low[m], len(units[m]))
+                if factorial(a.n) * prod(low[t] for t in moduli) > SURVEY_CAP:
+                    raise capped
     _check_diagonal(a)
-    found = {}
-    for d in product(units, repeat=a.n):
-        for perm in permutations(range(a.n)):
-            for signs in product((1, -1), repeat=a.n):
-                c = tuple(
-                    tuple(signs[t] if k == perm[t] else 0
-                          for k in range(a.n))
-                    for t in range(a.n))
-                cls = _ext_class(a, d, c)
-                if cls not in found:
-                    found[cls] = (d, c)
-    classes = tuple(sorted(found, key=lambda cl: cl.components))
-    return DeformationSurvey(
-        bound=a.e ** a.p,
-        classes=classes,
-        representatives=tuple((cl,) + found[cl] for cl in classes))
-
+    found = []
+    for sigma in permutations(range(a.n)):
+        for vs in product(*(units[m] for m in moduli)):
+            d, c = [0] * a.n, [[0] * a.n for _ in range(a.n)]
+            for t, (k, v, m) in enumerate(zip(sigma, vs, moduli)):
+                d[k], c[t][k] = units[m][v]
+            found.append((ExtClass(moduli, tuple(
+                tuple(v if k == sigma[t] else 0 for k in range(a.p))
+                for t, v in enumerate(vs))), tuple(d), tuple(map(tuple, c))))
+    found.sort(key=lambda rep: rep[0].components)
+    return DeformationSurvey(bound=a.e ** a.p,
+                             classes=tuple(rep[0] for rep in found),
+                             representatives=tuple(found))

@@ -358,9 +358,6 @@ class ScalarRing(InvariantFactors):
 
     # -- vector-level helpers
 
-    def contains_vec(self, vec: Sequence[int]) -> bool:
-        return solve_lattice(self.s_basis, vec, self._leads) is not None
-
     def coords_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
         y = solve_lattice(self.s_basis, vec, self._leads)
         if y is None:
@@ -374,9 +371,6 @@ class ScalarRing(InvariantFactors):
                 for i, x in enumerate(h):
                     vec[i] += cj * x
         return vec
-
-    def triple_of(self, coords: Sequence[int]):
-        return _reshape(self.lay, self.element_vec(coords))
 
     def block_matrices(self, which: str, block: Optional[int] = None):
         """Per additive basis element, the matrix of `which` ("phi1",
@@ -402,9 +396,6 @@ class ScalarRing(InvariantFactors):
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def neg(self, a: Sequence[int]) -> Tuple[int, ...]:
-        return self.reduce(tuple(-x for x in a))
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         k = len(self.periods)

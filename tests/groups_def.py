@@ -21,7 +21,7 @@ Closed-form families for the collection tests:
   ZG_q  ZG with its period 5 replaced by the prime q
 
 wide_adapted() is a hand-built adapted presentation with n = 6 and e = 7,
-whose deformation survey would take phi(7)^6 * 6! * 2^6 (about 2e9) cases.
+whose deformation survey would list 6! * phi(7)^6 (about 3.4e7) classes.
 
 graded_presentation(rng) draws a presentation graded by weights, which
 reaches class 4 and 5; graded_draws() keeps a fixed number of them.
@@ -324,8 +324,8 @@ def rebase(p, rows):
 
 def wide_adapted():
     """u1..u6 of period 7 with u_i^7 = u_{i+6}, u7..u12 free; declared with
-    n = p = 6 and e = 7 (its true section exponent is 7^6: only n and e
-    size the survey)."""
+    n = p = 6 and e = 7 (its true section exponent is 7^6: only n and the
+    periods size the survey, 720 * 6^6 classes)."""
     pres = PcPresentation(
         name="WIDE", periods=(7,) * 6 + (INF,) * 6,
         powers=tuple((i, ((i + 6, 1),)) for i in range(1, 7)))

@@ -8,7 +8,8 @@ explicit matrix model), so agreement between the two is meaningful evidence.
 import argparse
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial, gcd, isqrt
 from typing import Optional, Tuple
 
 from nilpc import intlinalg as la
@@ -17,7 +18,8 @@ from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import _parse_c, _parse_d
 from nilpc.abelian import FgAbelian
-from nilpc.deformation import presentation_on
+from nilpc.deformation import (
+    DeformationSurvey, ExtClass, _check_diagonal, presentation_on)
 from nilpc.intlinalg import InvariantFactors, hnf_basis
 from nilpc.series import key_subgroups
 
@@ -882,6 +884,41 @@ def ref_adapted_presentation(p):
         powers=tuple(powers), commutators=tuple(commutators))
     old_in_new = tuple(expr(pc.generator(p, i), 1) for i in range(1, p.m + 1))
     return pres, tuple(mseq), old_in_new
+
+
+def ref_enumerate_deformations(a, cap=10 ** 6):
+    """The deformation survey by walking every (d, c): d over the units of
+    [1, e] in lexicographic order, then c over the signed permutations,
+    permutations in order and signs with 1 before -1, keeping the first
+    (d, c) of each class; the classes sorted by components.  None when
+    the walk would take more than cap cases, |units|^n n! 2^n of them."""
+    per_d = factorial(a.n) * 2 ** a.n
+    if isqrt(a.e // 2) ** a.n * per_d > cap:
+        return None
+    units = []
+    for u in range(1, a.e + 1):
+        if gcd(u, a.e) == 1:
+            units.append(u)
+            if len(units) ** a.n * per_d > cap:
+                return None
+    _check_diagonal(a)
+    moduli = tuple(a.pres.periods[a.i0:a.i1])
+    signed = [tuple(tuple(signs[t] if k == perm[t] else 0
+                          for k in range(a.n)) for t in range(a.n))
+              for perm in permutations(range(a.n))
+              for signs in product((1, -1), repeat=a.n)]
+    found = {}
+    for d in product(units, repeat=a.n):
+        for c in signed:
+            cls = ExtClass(moduli, tuple(
+                tuple((d[k] * c[t][k]) % m if k < a.n else 0
+                      for k in range(a.p))
+                for t, m in enumerate(moduli)))
+            found.setdefault(cls, (d, c))
+    classes = tuple(sorted(found, key=lambda cl: cl.components))
+    return DeformationSurvey(
+        bound=a.e ** a.p, classes=classes,
+        representatives=tuple((cl,) + found[cl] for cl in classes))
 
 
 # ---------------------------------------------------------------------------

@@ -880,7 +880,8 @@ HUGE_PRESENTATIONS = {
                     "commutators": {"3,2": [[4, 1]]}},
 }
 # (presentation, command): exit 1 at a cap, as in Z/10^100 in the middle
-# section, which is far past enumerate's case cap; every other pair exits 0
+# section, whose deformation classes are far past enumerate's class cap;
+# every other pair exits 0
 HUGE_CAPPED = {("period", "enumerate"), ("two periods", "enumerate")}
 HUGE_COMMANDS = (
     ("check",), ("analyze",), ("invariants",), ("series", "--kind", "refined"),

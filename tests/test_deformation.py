@@ -5,7 +5,6 @@ import functools
 import random
 import re
 from itertools import product
-from math import gcd
 
 import pytest
 
@@ -21,7 +20,7 @@ from nilpc.deformation import (
     enumerate_deformations,
     ext_class,
 )
-from nilpc.intlinalg import identity, vec_mat
+from nilpc.intlinalg import vec_mat
 from nilpc.morphisms import hom_from_images, is_inverse_pair
 from nilpc.series import key_subgroups
 
@@ -37,7 +36,12 @@ from groups_def import (
     zh,
     zk,
 )
-from oracles import ref_adapted_presentation, ref_det, times_z
+from oracles import (
+    ref_adapted_presentation,
+    ref_det,
+    ref_enumerate_deformations,
+    times_z,
+)
 from test_collection import consistent_draws
 
 ADAPTABLE = {
@@ -169,6 +173,45 @@ def two_by_two():
     return AdaptedPresentation(pres=pres, i0=0, i1=2, i2=4, n=2, p=2, e=9)
 
 
+def matches_walk(a):
+    """True when enumerate_deformations(a) equals the parameter walk's
+    survey, bound, classes and representatives; False when both refuse a
+    with one message; None when the walk is past its case cap."""
+    try:
+        want = ref_enumerate_deformations(a)
+    except DeformError as exc:
+        with pytest.raises(DeformError) as got:
+            enumerate_deformations(a)
+        assert str(got.value) == str(exc)
+        return False
+    if want is None:
+        return None
+    assert enumerate_deformations(a) == want, a.pres.name
+    return True
+
+
+# hand-built inputs outside abdef's argument, and what names them
+REFUSED = [
+    # a free generator with a commutator tail: u3 = f1, [u3, u1] = u5
+    (hand_adapted((3, 3, None, None, None),
+                  ((1, ((3, 1),)), (2, ((4, 1),))),
+                  (((3, 1), ((5, 1),)),)), "not central"),
+    # a free generator in a commutator tail: [u2, u1] = f1
+    (hand_adapted((3, 3, None, None),
+                  ((1, ((3, 1),)), (2, ((4, 1),))),
+                  (((2, 1), ((3, 1),)),)), "occurs in a tail"),
+    # a free generator in the power tail of u1, outside the middle
+    (hand_adapted((2, 3, 3, None, None),
+                  ((1, ((4, 1),)), (2, ((4, 1),)), (3, ((5, 1),))),
+                  i0=1), "occurs in a tail"),
+    # a free generator of finite period
+    (hand_adapted((3, 3, None, 5), ((1, ((3, 1),)), (2, ((4, 1),)))),
+     "segments"),
+    # fewer free generators than middle ones
+    (hand_adapted((3, 3, None), ((1, ((3, 1),)),), p=1), "segments"),
+]
+
+
 class TestAbdef:
     def test_zg_deforms_to_zk(self):
         a = adapt_basis(zg())
@@ -227,8 +270,8 @@ class TestAbdef:
 
     def test_surveyed_classes_of_draws_deform(self):
         # every eighth representative of each seed-0 draw with e^n at most
-        # 10^4 (larger surveys take seconds), proven after the fact, as
-        # abdef proves nothing
+        # 10^4 (all draws would prove 3,867 deformations in seconds),
+        # proven after the fact, as abdef proves nothing
         checked = 0
         for p, a in adapted_draws():
             if a.e ** a.n > 10 ** 4:
@@ -254,25 +297,7 @@ class TestAbdef:
         assert calls == []
         assert same_presentation(out.pres, zk())
 
-    @pytest.mark.parametrize("a,match", [
-        # a free generator with a commutator tail: u3 = f1, [u3, u1] = u5
-        (hand_adapted((3, 3, None, None, None),
-                      ((1, ((3, 1),)), (2, ((4, 1),))),
-                      (((3, 1), ((5, 1),)),)), "not central"),
-        # a free generator in a commutator tail: [u2, u1] = f1
-        (hand_adapted((3, 3, None, None),
-                      ((1, ((3, 1),)), (2, ((4, 1),))),
-                      (((2, 1), ((3, 1),)),)), "occurs in a tail"),
-        # a free generator in the power tail of u1, outside the middle
-        (hand_adapted((2, 3, 3, None, None),
-                      ((1, ((4, 1),)), (2, ((4, 1),)), (3, ((5, 1),))),
-                      i0=1), "occurs in a tail"),
-        # a free generator of finite period
-        (hand_adapted((3, 3, None, 5), ((1, ((3, 1),)), (2, ((4, 1),)))),
-         "segments"),
-        # fewer free generators than middle ones
-        (hand_adapted((3, 3, None), ((1, ((3, 1),)),), p=1), "segments"),
-    ])
+    @pytest.mark.parametrize("a,match", REFUSED)
     def test_refuses_an_input_outside_the_argument(self, a, match):
         # abdef's argument needs these, and _check_diagonal reads them off
         # the relations, so the refusal is eager and runs no proof
@@ -339,10 +364,55 @@ class TestEnumerate:
             enumerate_deformations(adapt_basis(zk()))
 
     def test_survey_past_the_cap_raises(self):
+        # 720 permutations times 6 units mod 7 in each of 6 rows
         a = wide_adapted()
-        assert 6 ** 6 * 720 * 2 ** 6 > SURVEY_CAP
-        with pytest.raises(DeformError, match="cap"):
+        assert 720 * 6 ** 6 > SURVEY_CAP
+        with pytest.raises(DeformError, match="more classes than the cap"):
             enumerate_deformations(a)
+
+    def test_a_period_that_does_not_divide_e_is_refused(self):
+        # units mod 9 do not reduce onto units mod 5, so the classes are
+        # not the closed form's pairs
+        a = hand_adapted((3, 5, None, None), ((1, ((3, 1),)), (2, ((4, 1),))))
+        with pytest.raises(DeformError, match="period of generator 2 does "
+                                              "not divide"):
+            enumerate_deformations(a)
+
+    @pytest.mark.parametrize("name", ADAPTABLE)
+    def test_matches_the_walk_on_fixtures(self, name):
+        # ZK's refusal included
+        assert matches_walk(adapt_basis(ADAPTABLE[name]())) is not None
+
+    def test_matches_the_walk_on_draw_605_and_hand_built_inputs(self):
+        assert matches_walk(adapt_basis(draw_605()))
+        assert matches_walk(two_by_two())
+        for a, _ in REFUSED:
+            assert matches_walk(a) is False
+
+    def test_matches_the_walk_on_draws(self):
+        # every seed-0 draw with a middle section; the walk refuses 239 at
+        # _check_diagonal as the survey does, and 16 are past its case cap
+        outcomes = [matches_walk(a) for _, a in adapted_draws()]
+        assert [outcomes.count(x) for x in (True, False, None)] == [
+            193, 239, 16]
+
+    @pytest.mark.parametrize("k", [2014, 2987])
+    def test_one_class_object_per_class(self, monkeypatch, k):
+        # n = 3 and e = 27: 48 classes, where the walk made one per
+        # (d, c) case, 18^3 * 3! * 2^3 = 279,936 of them
+        made = []
+
+        class Spy(dm.ExtClass):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                made.append(args or kwargs)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(dm, "ExtClass", Spy)
+        survey = enumerate_deformations(
+            adapt_basis(dict(consistent_draws(0))[k]))
+        assert len(survey.classes) == len(made) == 48
 
 
 class TestElementaryEquivalence:
@@ -437,25 +507,19 @@ class TestElementaryEquivalence:
             self.assert_witness(a, d, c)
 
     def test_draws_times_z_are_g_times_z(self):
-        # two classes of every seed-0 draw with n = 2 or 3 that abdef
-        # accepts, with u the least unit of e above 1: d = (u, ..., u)
-        # with c = 1, and d = (1, u, ..., u) with c the reversal, negated;
-        # these are the 99 draws enumerate surveys and 4 past its cap
+        # the first, the last and every 16th class that enumerate prints,
+        # for every seed-0 draw with n = 2 or 3 that abdef accepts: 103
+        # draws, 4 of them past the parameter walk's old case cap
         checked = 0
         for _, a in adapted_draws():
             if a.n not in (2, 3):
                 continue
-            u = next(x for x in range(2, a.e + 2) if gcd(x, a.e) == 1)
-            one = identity(a.n)
-            classes = (((u,) * a.n, one),
-                       ((1,) + (u,) * (a.n - 1),
-                        [[-x for x in reversed(row)] for row in one]))
             try:
-                abdef(a, *classes[0])
+                survey = enumerate_deformations(a).representatives
             except DeformError as exc:
                 assert "diagonally normalized" in str(exc)
                 continue
             checked += 1
-            for d, c in classes:
+            for _, d, c in survey[::16] + survey[-1:]:
                 self.assert_witness(a, d, c)
         assert checked == 103
