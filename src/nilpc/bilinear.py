@@ -37,9 +37,9 @@ class SeriesError(ValueError):
 
 
 class AssociatedSeries(
-        namedtuple("AssociatedSeries", "pres given lower upper")):
-    """A central series `given` of pres, as a tuple of Subgroups, with its
-    companions: lower[k] is the (k+1)-st lower one, upper[k] the (k+1)-st
+        namedtuple("AssociatedSeries", "pres lower upper")):
+    """The companions of a central series of pres, as tuples of
+    Subgroups: lower[k] is the (k+1)-st lower one, upper[k] the (k+1)-st
     upper one."""
 
     __slots__ = ()
@@ -82,7 +82,7 @@ def associated_series(p: PcPresentation,
     upper = tuple(
         sg.commutation_preimage(p, lower[k + 1])
         for k in range(len(lower) - 1))
-    return AssociatedSeries(p, tuple(series), tuple(lower), upper)
+    return AssociatedSeries(p, tuple(lower), upper)
 
 
 class Bilinearization(namedtuple(

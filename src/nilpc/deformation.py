@@ -28,7 +28,9 @@ class DeformError(ValueError):
     pass
 
 
-SURVEY_CAP = 10 ** 6  # classes; every shipped fixture has at most 4
+# classes; every shipped fixture has at most 4.  A survey holds each class
+# it lists, about 0.5-1.5 KB apiece, so the cap bounds it near 150 MB
+SURVEY_CAP = 10 ** 5
 
 
 class AdaptedPresentation(namedtuple(

@@ -4,8 +4,9 @@ The Hermite basis of a lattice, the Smith normal form with its column
 transform and that transform's inverse, and kernel, the one solver: the
 Hermite basis of the solutions of a sparse homogeneous system of
 congruences with mixed moduli (modulus 0 meaning equality over Z), solved
-one connected component of unknowns at a time. Matrices are lists of rows
-of Python ints; nothing here mutates its arguments. All downstream lattice
+one connected component of unknowns at a time, with solve reading its
+basis for inhomogeneous systems. Matrices are lists of rows of Python
+ints; nothing here mutates its arguments. All downstream lattice
 work in the package (subgroup layers, abelian sections, scalar-ring
 solving) funnels through this module, and InvariantFactors is the one
 reading of a Smith form as coordinates on a finitely generated abelian
@@ -342,3 +343,35 @@ def kernel(rows: Sequence[Tuple[Dict[int, int], int]], n: int) -> Matrix:
                     vec[j] = v
                 out[cols[next(k for k, v in enumerate(sol) if v)]] = vec
     return [out[j] for j in sorted(out)]
+
+
+def solve(columns: Sequence[Sequence[int]], moduli: Sequence[int],
+          rhs: Sequence[Sequence[int]]
+          ) -> Tuple[Optional[List[List[int]]], Matrix]:
+    """(xs, basis) for the systems sum_k x[k] columns[k] == v (mod moduli),
+    one per v in rhs, each vector with one entry per modulus (0 meaning
+    equality over Z): xs[j] solves the system of rhs[j], or xs is None
+    when some v is not reached, and basis is the Hermite basis of the
+    homogeneous solutions.
+
+    Each of the q right-hand sides becomes one more unknown s_j, in
+    columns 0..q-1, with the rows -sum_j s_j v_j + sum_k x_k columns[k]
+    == 0, and kernel solves them all at once.  The s-parts of the
+    solutions (s, x) form a lattice, and the s-parts of the Hermite rows
+    whose pivots lie in columns 0..q-1 are its Hermite basis.  Every v is
+    reached exactly when that lattice is all of Z^q, so exactly when the
+    first q rows have pivot 1 in columns 0..q-1 (row j's pivot lies at
+    or past column j, so it is 1 in column j); then the Hermite
+    reduction clears the other s-entries above each pivot, so row j is
+    (e_j, x_j).  The rows whose pivots lie past column q - 1 are (0, x)
+    with x homogeneous, and span all of those."""
+    q = len(rhs)
+    if any(len(v) != len(moduli) for v in (*columns, *rhs)):
+        raise ValueError("solve needs one entry per modulus in each vector")
+    eqs = [({**{j: -v[r] for j, v in enumerate(rhs)},
+             **{q + k: col[r] for k, col in enumerate(columns)}}, mod)
+           for r, mod in enumerate(moduli)]
+    basis = kernel(eqs, q + len(columns))
+    reached = len(basis) >= q and all(basis[j][j] == 1 for j in range(q))
+    return ([row[q:] for row in basis[:q]] if reached else None,
+            [row[q:] for row in basis if not any(row[:q])])

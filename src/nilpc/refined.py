@@ -32,12 +32,16 @@ so and raises SeriesError naming the first that fails: a group that
 fails one would be the first known to cut the ring.
 
 refined_ring is this ring stage alone, which the scalars report prints.
-Each gap of each chain is reported with its section, built by
-abelian.section and so the pairing's own where they share one, and the
-matrices by which the ring's additive basis acts on it; the one gap that
-carries no action (between a chain's graded part and its central
-refinement) is marked special and reported without matrices.
-refined_series refuses, naming the gap, a left chain gap
+refined_series lists each chain as terms (label, subgroup, kind, block),
+kind and block saying how the ring acts on the gap below the term: as
+phi1, or as phi2 or phi0 on that block; as pullback-phi2 or
+pullback-phi0, on a gap that embeds in that block, each matrix read back
+through the embedding by intlinalg.solve; or not at all on the special
+gap, between a chain's graded part and its central refinement.  Each gap
+whose terms differ is reported with its section, built by
+abelian.section and so the pairing's own where they share one, and its
+matrices, one per additive basis element of the ring (None on the
+special gap).  refined_series refuses, naming the gap, a left chain gap
 W_i G'/W_{i+1} G' with W_i G' outside U_i, as it reads the action in
 U_i/U_{i+1}.
 """
@@ -50,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import SeriesError, bilinearize
-from .intlinalg import InvariantFactors, kernel, mat_mul
+from .intlinalg import InvariantFactors, mat_mul, solve, transpose
 from .presentation import PcPresentation
 from .scalars import ScalarRingError, pairing_of, scalar_ring
 from .subgroups import Subgroup
@@ -69,60 +73,43 @@ class ChainAction(namedtuple(
 
 
 class RefinedSeries(namedtuple(
-        "RefinedSeries", "pres bilin ring upper_chain left_chain "
-        "gap_section actions")):
-    """The refined chains of pres, each a tuple of (label, Subgroup), with
-    ring (the pairing's ring, checked to meet the chains' conditions), the
-    special gap's section and one ChainAction per gap."""
+        "RefinedSeries", "ring upper_chain left_chain gap_section actions")):
+    """The refined chains of a presentation, each a tuple of (label,
+    Subgroup), with ring (the pairing's ring, checked to meet the chains'
+    conditions), the special gap's section and one ChainAction per gap."""
 
     __slots__ = ()
 
 
-def _dedup(terms: Sequence[Tuple[str, Subgroup]]):
+def _dedup(terms):
+    """The (label, subgroup) pairs of a chain, each term equal to the one
+    before it dropped."""
     out: List[Tuple[str, Subgroup]] = []
-    for label, term in terms:
-        if out and out[-1][1] == term:
-            continue
-        out.append((label, term))
+    for label, term, _, _ in terms:
+        if not out or out[-1][1] != term:
+            out.append((label, term))
     return tuple(out)
 
 
-def _embedding_matrix(small: FgAbelian, big: FgAbelian):
-    """Columns are the big-section coordinates of the small basis."""
-    cols = [big.coords(x) for x in small.basis]
-    rows = tuple(
-        tuple(col[r] for col in cols) for r in range(len(big.periods)))
-    return rows
-
-
-def _pullback(e_rows, big_periods, small: FgAbelian, block_mat):
-    """Matrix of the action on the embedded section: for each small basis
-    vector e_k, a solution x of e.x == m.e_k modulo the big periods.
-
-    The right-hand side rhs = m.e_k becomes an unknown s in column 0, with
-    the rows (-rhs_r) s + e_r.x == 0 (mod big period r).  The values of s
-    on the solutions (s, x) form an ideal dZ.  When d > 0, the first row
-    of kernel's Hermite basis has its pivot d in column 0; otherwise that
-    row, if any, has 0 there.  So e.x == rhs is solvable exactly when the
-    first row has pivot 1 in column 0, and then that row is (1, x).  e
-    embeds the small section in the big one, so two solutions agree
-    modulo the small periods, and small.reduce makes x canonical."""
-    nbig = len(big_periods)
-    nsmall = len(small.periods)
-    cols = []
-    for k in range(nsmall):
-        eqs = []
-        for r, per in enumerate(big_periods):
-            row = {1 + t: v for t, v in enumerate(e_rows[r])}
-            row[0] = -sum(block_mat[r][t] * e_rows[t][k] for t in range(nbig))
-            eqs.append((row, 0 if per is None else per))
-        basis = kernel(eqs, 1 + nsmall)
-        if not basis or basis[0][0] != 1:
+def _pullback(ring, which: str, block: int, big: FgAbelian,
+              small: FgAbelian):
+    """The matrices of `which` of the ring's additive basis on small, a
+    section embedded in big, the section of block `block`: column k of
+    the matrix of m is a solution x of e.x == m.e_k modulo big's periods,
+    e the embedding, whose columns are the big coordinates of small's
+    basis.  e embeds small in big, so two solutions agree modulo small's
+    periods, and small.reduce makes x canonical."""
+    e = [big.coords(x) for x in small.basis]
+    moduli = [per or 0 for per in big.periods]
+    mats = []
+    for m in ring.block_matrices(which, block):
+        xs, _ = solve(e, moduli, [[sum(a * v for a, v in zip(row, col))
+                                   for row in m] for col in e])
+        if xs is None:
             raise ScalarRingError(
                 "embedded section is not invariant under the ring")
-        cols.append(small.reduce(tuple(basis[0][1:])))
-    return tuple(
-        tuple(cols[k][r] for k in range(nsmall)) for r in range(nsmall))
+        mats.append(tuple(zip(*(small.reduce(x) for x in xs))))
+    return tuple(mats)
 
 
 def _intertwines(ring, e, c_block: int, b_block: int, periods) -> bool:
@@ -179,8 +166,8 @@ def refined_ring(p: PcPresentation,
     for i in range(2, c):
         small, big = b.out[i - 2], b.right[i - 1]
         if small.periods and big.periods:
-            check(_intertwines(ring, _embedding_matrix(small, big), i - 2,
-                               i - 1, big.periods),
+            e = transpose([big.coords(x) for x in small.basis])
+            check(_intertwines(ring, e, i - 2, i - 1, big.periods),
                   f"commute with the map L{i}/L{i + 1} -> U{i}/U{i + 1}")
 
     # central parts of the lower-style terms
@@ -212,67 +199,49 @@ def refined_series(p: PcPresentation,
     s = b.series
     c = s.c
 
-    # chains
-    terms_u: List[Tuple[str, Subgroup]] = []
-    for i in range(1, c + 1):
-        terms_u.append(("G" if i == 1 else f"U{i}", s.upper[i - 1]))
-    for i in range(2, c + 2):
-        label = "1" if zc[i].is_trivial else f"Z^L{i}"
-        terms_u.append((label, zc[i]))
-
-    terms_l: List[Tuple[str, Subgroup]] = [("G", s.lower[0]), ("V", b.v_r)]
-    for i in range(2, c + 1):
-        wg = sg.induce(p, list(w[i].rows) + list(s.lower[1].rows))
-        terms_l.append((f"W{i}G'", wg))
-    for i in range(2, c + 2):
-        term = s.lower[i - 1]
-        label = "1" if term.is_trivial else ("G'" if i == 2 else f"L{i}")
-        terms_l.append((label, term))
+    # terms (label, subgroup, kind, block), kind and block saying how the
+    # ring acts on the gap below the term; each chain ends at 1, with no
+    # gap below it
+    upper = [("G" if i == 1 else f"U{i}", s.upper[i - 1],
+              "phi2" if i < c else "special", i - 1) for i in range(1, c + 1)]
+    upper += [("1" if zc[i].is_trivial else f"Z^L{i}", zc[i],
+               "pullback-phi0", i - 2) for i in range(2, c + 2)]
+    left = [("G", s.lower[0], "phi1", None)]
+    for i in range(1, c + 1):  # W_1 G' is V
+        term = b.v_r if i == 1 else sg.induce(
+            p, list(w[i].rows) + list(s.lower[1].rows))
+        left.append(("V" if i == 1 else f"W{i}G'", term,
+                     "pullback-phi2" if i < c else "special", i - 1))
+    left += [("1" if s.lower[i - 1].is_trivial else "G'" if i == 2
+              else f"L{i}", s.lower[i - 1], "phi0", i - 2)
+             for i in range(2, c + 2)]
 
     sections = {"phi2": b.right, "phi0": b.out}
-
-    def pullbacks(sec, which, i):
-        """The action on sec, a section embedded in block i of `which`."""
-        if not sec.periods:
-            return ((),) * len(ring.periods)
-        big = sections[which][i]
-        e = _embedding_matrix(sec, big)
-        return tuple(_pullback(e, big.periods, sec, m)
-                     for m in ring.block_matrices(which, i))
-
-    def action(chain, idx, sec):
-        """The kind of gap idx of chain, and the ring's action on it."""
-        if chain == "upper":
-            if idx < c - 1:  # (U_i, U_{i+1}), i = idx + 1
-                return "phi2", ring.block_matrices("phi2", idx)
-            if idx > c - 1:  # (Z^L_i, Z^L_{i+1}), i = idx - c + 2
-                return "pullback-phi0", pullbacks(sec, "phi0", idx - c)
-        elif idx == 0:
-            return "phi1", ring.block_matrices("phi1")
-        elif idx < c:  # (W_i G', W_{i+1} G'), i = idx, W_1 G' read as V
-            if not all(s.upper[idx - 1].contains(x) for x in sec.basis):
-                gap = f"{terms_l[idx][0]}/{terms_l[idx + 1][0]}"
-                raise SeriesError(
-                    f"{p.name}: the left chain's gap {gap} is not a section "
-                    f"of U{idx}/U{idx + 1} ({terms_l[idx][0]} does not lie "
-                    f"in U{idx}), and its action is not computed")
-            return "pullback-phi2", pullbacks(sec, "phi2", idx - 1)
-        elif idx > c:  # (L_i, L_{i+1}), i = idx - c + 1
-            return "phi0", ring.block_matrices("phi0", idx - c - 1)
-        # between the graded part and its central refinement
-        return "special", None
-
     actions: List[ChainAction] = []
-    for chain, terms in (("upper", terms_u), ("left", terms_l)):
-        for idx in range(len(terms) - 1):
-            (top, x), (bottom, y) = terms[idx], terms[idx + 1]
-            if x != y:
-                sec = section(p, x, y)
-                actions.append(ChainAction(chain, top, bottom, sec,
-                                           *action(chain, idx, sec)))
+    for chain, terms in (("upper", upper), ("left", left)):
+        for (top, x, kind, block), (bottom, y, _, _) in zip(terms, terms[1:]):
+            if x == y:
+                continue
+            sec = section(p, x, y)
+            if kind == "pullback-phi2" and not all(
+                    s.upper[block].contains(v) for v in sec.basis):
+                raise SeriesError(
+                    f"{p.name}: the left chain's gap {top}/{bottom} is not "
+                    f"a section of U{block + 1}/U{block + 2} ({top} does "
+                    f"not lie in U{block + 1}), and its action is not "
+                    "computed")
+            if kind == "special":
+                matrices = None
+            elif kind.startswith("pullback-"):
+                which = kind[len("pullback-"):]
+                matrices = _pullback(ring, which, block,
+                                     sections[which][block], sec)
+            else:
+                matrices = ring.block_matrices(kind, block)
+            actions.append(ChainAction(chain, top, bottom, sec, kind,
+                                       matrices))
 
     return RefinedSeries(
-        pres=p, bilin=b, ring=ring,
-        upper_chain=_dedup(terms_u), left_chain=_dedup(terms_l),
+        ring=ring, upper_chain=_dedup(upper), left_chain=_dedup(left),
         gap_section=section(p, s.upper[c - 1], zc[2]),
         actions=tuple(actions))

@@ -76,6 +76,15 @@ def test_associated_series_rejects_a_series_that_does_not_descend():
             bilinearize(p, bad)
 
 
+def test_associated_series_names_a_series_without_its_ends():
+    w, z, one = (sg.whole_subgroup(H), sg.center(H),
+                 sg.trivial_subgroup(H))
+    with pytest.raises(SeriesError, match="start at the whole group"):
+        associated_series(H, [z, one])
+    with pytest.raises(SeriesError, match="end at the trivial subgroup"):
+        associated_series(H, [w, z])
+
+
 def test_heis_form_is_determinant():
     b = bilinearize(H)
     assert b.v_r == sg.center(H)

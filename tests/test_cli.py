@@ -23,8 +23,8 @@ from nilpc import scalars as sc
 from nilpc import subgroups as sg
 from nilpc.cli import main
 
-from groups_def import c4, f23, heis, heisenberg, mutated_heis, \
-    mutated_ut5, nr, unitriangular, wide_adapted, zg, zh, zk
+from groups_def import c4, f23, graded_draws, heis, heisenberg, \
+    mutated_heis, mutated_ut5, nr, unitriangular, wide_adapted, zg, zh, zk
 from oracles import chain_conditions, ref_consistency_check, ref_parse_args, \
     ref_restrict_ring
 
@@ -767,6 +767,26 @@ class TestHoms:
         assert code == 0
         assert payload["inverse_pair"] is True
 
+    def test_inverse_pair_with_an_uncertified_map_exits_1(self, workdir,
+                                                          capsys):
+        # u3 -> 1 breaks [u2, u1]: the pair is refused before it is composed
+        bad = workdir / "collapse.json"
+        bad.write_text(files.emit_hom_map([[[1, 1]], [[2, 1]], []]),
+                       encoding="utf-8")
+        good = workdir / "id.json"
+        good.write_text(files.emit_hom_map([[[1, 1]], [[2, 1]], [[3, 1]]]),
+                        encoding="utf-8")
+        heis_file = str(workdir / "HEIS.json")
+        for fwd, bwd in ((bad, good), (good, bad)):
+            code = main(["inverse-pair", heis_file, heis_file,
+                         "--forward", str(fwd), "--backward", str(bwd)])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (1, "")
+            payload = json.loads(captured.out)
+            assert payload.pop("reason").startswith(
+                "commutator relation [u2, u1] is violated")
+            assert payload == {"command": "inverse-pair", "certified": False}
+
     def test_inverse_pair_loads_each_file_once(self, workdir, capsys,
                                                monkeypatch):
         ident = workdir / "id.json"
@@ -1019,3 +1039,39 @@ def test_report_commands_on_the_trivial_group(capsys, tmp_path):
                 "error": "ONE: the trivial group has no refined series"})
         else:
             assert code == 0 and "error" not in payload, cmd
+
+
+# (command, message) of each input refusal a graded draw may end in, the
+# message with the group's name and every index stripped; any other
+# nonzero exit fails the sweep, so a new refusal is added here on purpose
+GRADED_REFUSALS = {
+    # ROADMAP R: the gap is read in U3/U4, which W3G' leaves
+    ("series --kind refined",
+     "the left chain's gap W#G'/W#G' is not a section of U#/U# (W#G' does "
+     "not lie in U#), and its action is not computed"),
+    # ROADMAP F.2: the survey reads only diagonally normalized tails
+    ("enumerate", "power tail of generator # is not diagonally normalized"),
+}
+
+
+def test_report_commands_on_the_graded_draws(capsys, tmp_path):
+    # class 4 and 5: each report ends in exit 0, or in exit 1 with a
+    # catalogued refusal, and never writes to stderr
+    seen = set()
+    for i, p in enumerate(graded_draws()):
+        path = tmp_path / f"draw{i}.json"
+        files.save(p, str(path))
+        for cmd in REPORT_COMMANDS:
+            code = main([cmd[0], str(path), *cmd[1:]])
+            captured = capsys.readouterr()
+            assert captured.err == "", (i, cmd)
+            payload = json.loads(captured.out)
+            if code == 0 and "error" not in payload:
+                continue
+            assert code == 1, (i, cmd, code)
+            message = re.sub(rf"^{re.escape(p.name)}( adapted)?: ", "",
+                             payload["error"])
+            refusal = (" ".join(cmd), re.sub(r"\d+", "#", message))
+            assert refusal in GRADED_REFUSALS, (i, payload["error"])
+            seen.add(refusal)
+    assert seen == GRADED_REFUSALS

@@ -243,6 +243,15 @@ class TestAbdef:
         with pytest.raises(DeformError):
             abdef(a, (2,), ((2,),))
 
+    @pytest.mark.parametrize("d, c, message", [
+        ((2, 3), ((1,),), "need one multiplier per finite-section generator"),
+        ((2,), ((1, 0),), "change matrix must be 1x1"),
+        ((2,), ((1,), (0,)), "change matrix must be 1x1"),
+    ])
+    def test_parameter_shapes_are_named(self, d, c, message):
+        with pytest.raises(DeformError, match=message):
+            abdef(adapt_basis(zg()), d, c)
+
     @pytest.mark.parametrize("c", [((2, 1), (1, 1)), ((1, 3), (0, -1))])
     def test_unimodular_non_permutation_accepted(self, c):
         out = abdef(two_by_two(), (1, 1), c)
@@ -368,6 +377,19 @@ class TestEnumerate:
         a = wide_adapted()
         assert 720 * 6 ** 6 > SURVEY_CAP
         with pytest.raises(DeformError, match="more classes than the cap"):
+            enumerate_deformations(a)
+
+    def test_a_survey_just_past_the_cap_is_refused(self):
+        # n = 1 with the prime modulus 100,003 has phi = 100,002 classes,
+        # just past the cap: refused once the units listed show it, before
+        # any class is built
+        pres = pc.PcPresentation(name="LONG", periods=(100_003, None),
+                                 powers=((1, ((2, 1),)),))
+        a = AdaptedPresentation(pres=pres, i0=0, i1=1, i2=2, n=1, p=1,
+                                e=100_003)
+        assert 100_002 > SURVEY_CAP
+        with pytest.raises(DeformError, match="LONG: surveying deformations "
+                           "lists more classes than the cap of 100000"):
             enumerate_deformations(a)
 
     def test_a_period_that_does_not_divide_e_is_refused(self):

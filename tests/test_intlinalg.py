@@ -1,6 +1,7 @@
 """Frozen values and properties for the exact integer matrix layer."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,15 +58,10 @@ def test_smith_frozen():
 
 def read_off(rows, rhs, moduli, n):
     """(x, homogeneous basis) for rows . x == rhs (mod moduli), x None when
-    there is no solution, read off kernel as refined._pullback reads it:
-    the right-hand side is an unknown s in column 0, the system is solvable
-    exactly when the first Hermite row is (1, x), and the rows with s == 0
-    are the homogeneous solutions."""
-    eqs = [({0: -b, **{1 + j: v for j, v in enumerate(row)}}, md)
-           for row, b, md in zip(rows, rhs, moduli)]
-    basis = la.kernel(eqs, 1 + n)
-    x = basis[0][1:] if basis and basis[0][0] == 1 else None
-    return x, [h[1:] for h in basis if h[0] == 0]
+    there is no solution, read off la.solve with one right-hand side."""
+    xs, basis = la.solve([[row[k] for row in rows] for k in range(n)],
+                         moduli, [rhs])
+    return (None if xs is None else xs[0]), basis
 
 
 def test_crt_solve():
@@ -86,6 +82,54 @@ def test_inconsistent_solve():
 def test_no_equations():
     assert la.kernel([], 3) == la.identity(3)
     assert read_off([], [], [], 2) == ([0, 0], [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batched_solve_matches_the_dense_solver(seed):
+    # several right-hand sides against one matrix, solved in one call:
+    # reached exactly when the dense oracle solves every one, each x_j a
+    # solution, and the homogeneous basis the oracle's lattice; at least
+    # one right-hand side of each system is reached by construction
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    moduli = [rng.choice((0, 0, 2, 3, 4, 6)) for _ in range(m)]
+    reached = la.vec_mat([rng.randint(-3, 3) for _ in range(n)],
+                         la.transpose(rows))
+    rhs = [reached] + [[rng.randint(-5, 5) for _ in range(m)]
+                       for _ in range(rng.randint(0, 3))]
+    xs, basis = la.solve(la.transpose(rows), moduli, rhs)
+    refs = [ref_solve_congruences(rows, v, moduli, n) for v in rhs]
+    assert (xs is not None) == all(r.consistent for r in refs)
+    hom = ref_solve_congruences(rows, [0] * m, moduli, n)
+    assert basis == la.hnf_basis(hom.basis, n)
+    if xs is not None:
+        assert len(xs) == len(rhs)
+        for v, x in zip(rhs, xs):
+            assert satisfies(rows, v, moduli, x)
+            # each system alone reads the same solution as the batch
+            assert read_off(rows, v, moduli, n) == (x, basis)
+
+
+def test_solve_reads_an_unreached_right_hand_side_as_none():
+    # 2x == 1 over Z is not reached although 2x == 4 is: the pivot of s_1
+    # is 2, and that row is no solution
+    xs, basis = la.solve([[2]], [0], [[4], [1]])
+    assert (xs, basis) == (None, [])
+    assert la.solve([[2]], [0], [[4], [6]]) == ([[2], [3]], [])
+    assert la.solve([[2]], [0], []) == ([], [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: la.solve([[1, 2]], [0], [[1]]), "one entry per modulus"),
+    (lambda: la.solve([[1]], [0], [[1, 2]]), "one entry per modulus"),
+    (lambda: la.mat_mul([[1, 2]], [[1, 2]]), "shape mismatch in mat_mul"),
+    (lambda: la.vec_mat([1, 2], [[1, 2]]), "shape mismatch in vec_mat"),
+    (lambda: la.hnf_basis([[1, 2]], 3), "row length disagrees with ncols"),
+])
+def test_shape_errors_are_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_lattice_membership():

@@ -78,6 +78,19 @@ class TestCertification:
         with pytest.raises(HomError):
             hom_from_images(p, p, tuple(images))
 
+    def test_wrong_image_count_is_named(self):
+        p = heis()
+        with pytest.raises(HomError, match="expected 3 images, got 2"):
+            hom_from_images(p, p, (pc.generator(p, 1), pc.generator(p, 2)))
+
+    def test_violated_power_relation_is_named(self):
+        # u1 of period 2 cannot go to u1 of period 4
+        src = pc.PcPresentation("C2", (2,))
+        dst = pc.PcPresentation("C4", (4,))
+        with pytest.raises(HomError,
+                           match="power relation of generator 1 is violated"):
+            hom_from_images(src, dst, (pc.generator(dst, 1),))
+
 
 class TestInversePair:
     def test_worked_pair_is_inverse(self):
@@ -94,6 +107,18 @@ class TestInversePair:
     def test_shape_mismatch_raises(self):
         with pytest.raises(HomError):
             is_inverse_pair(identity_hom(heis()), identity_hom(zg()))
+        with pytest.raises(HomError, match="composition shapes do not"):
+            compose(identity_hom(heis()), identity_hom(zg()))
+
+    def test_a_left_inverse_alone_is_not(self):
+        # Z -> Z^2 -> Z fixes u1, but Z^2 -> Z -> Z^2 kills u2
+        z = pc.PcPresentation("Z", (None,))
+        z2 = pc.PcPresentation("Z2", (None, None))
+        f = hom_from_images(z, z2, (pc.generator(z2, 1),))
+        g = hom_from_images(z2, z, (pc.generator(z, 1),
+                                    pc.identity_element(z)))
+        assert compose(g, f).images == (pc.generator(z, 1),)
+        assert not is_inverse_pair(f, g)
 
     def test_composition_fixes_generators(self):
         phi, psi = phi_zh_to_zk(), psi_zk_to_zh()

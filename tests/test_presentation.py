@@ -262,6 +262,28 @@ def test_tail_repeating_a_generator_rejected():
                        powers=((1, ((2, 1), (3, 1), (3, 1))),))
 
 
+@pytest.mark.parametrize("powers, commutators, message", [
+    (((1, ((2, 1),)), (1, ((3, 1),))), (), "duplicate power tail for 1"),
+    ((), (((3, 2), ((4, 1),)), ((3, 2), ((4, 1),))),
+     r"duplicate commutator \(3,2\)"),
+    ((), (((3, 2), ((4, 0),)),), "zero exponent in tail"),
+    (((1, ((3, 0),)),), (), "zero exponent in tail"),
+])
+def test_malformed_tables_are_named(powers, commutators, message):
+    with pytest.raises(PresentationError, match=message):
+        PcPresentation(name="bad", periods=(2, None, None, None),
+                       powers=powers, commutators=commutators)
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_indices_outside_the_generators_are_named(index):
+    p = heis()
+    with pytest.raises(ValueError, match=f"generator index {index} out"):
+        pc.generator(p, index)
+    with pytest.raises(ValueError, match=f"letter index {index} out"):
+        pc.normal_form(p, [(1, 1), (index, 2)])
+
+
 def _assert_canonical(p, x):
     for e, v in zip(p.periods, x):
         if e is not None:

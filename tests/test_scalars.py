@@ -14,7 +14,7 @@ from nilpc import presentation as pc
 from nilpc import refined as rf
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
-from nilpc.bilinear import bilinearize
+from nilpc.bilinear import SeriesError, bilinearize
 from nilpc.intlinalg import identity as eye
 from nilpc.refined import refined_series
 from nilpc.scalars import (
@@ -41,6 +41,7 @@ from oracles import (
 )
 
 from groups_def import (
+    c4,
     f23,
     graded_draws,
     heis,
@@ -200,6 +201,20 @@ class TestScalarRing:
         with pytest.raises(ScalarRingError,
                            match="phi2 does not respect the grading"):
             ring.block_matrices("phi2", 0)
+
+    @pytest.mark.parametrize("args, message", [
+        (((0,), (), (), ((),)), "periods must be None or positive"),
+        (((), (None,), (), (), (2,)), "block sizes do not add up"),
+        (((2,), (), (), ()), "table must have one row per A generator"),
+        (((2,), (2,), (2,), (((1, 1),),)), "table cell width disagrees"),
+    ])
+    def test_pairing_input_is_named(self, args, message):
+        with pytest.raises(ScalarRingError, match=message):
+            Pairing(*args)
+
+    def test_multiplication_pairing_needs_a_positive_modulus(self):
+        with pytest.raises(ScalarRingError, match="modulus must be positive"):
+            multiplication_pairing(0)
 
     def test_table_shape_rejected(self):
         with pytest.raises(ScalarRingError):
@@ -504,8 +519,17 @@ def gaussian_pairing_mod(p):
     return Pairing((p, p), (p, p), (p, p), gaussian_pairing().table)
 
 
-# Z/n for n <= 40 (n = 1 is the zero ring), products of two Z/n, and
-# Z[i]/p: local (p = 2), a field (p = 3) and split (p = 5)
+def truncated_polynomial_pairing():
+    """Multiplication on F_2[x]/(x^3) in the basis 1, x, x^2: the ring has
+    dimension 3 over F_2, more than p = 2, so its nilradical x F_2[x] needs
+    the square of the Frobenius map."""
+    return Pairing((2,) * 3, (2,) * 3, (2,) * 3,
+                   tuple(tuple(tuple(int(s + t == k) for k in range(3))
+                               for t in range(3)) for s in range(3)))
+
+
+# Z/n for n <= 40 (n = 1 is the zero ring), products of two Z/n,
+# Z[i]/p: local (p = 2), a field (p = 3) and split (p = 5), and F_2[x]/(x^3)
 _FINITE = {f"Z/{n}": (lambda n=n: multiplication_pairing(n))
            for n in range(1, 41)}
 _FINITE.update({f"Z/{p}xZ/{q}": (lambda p=p, q=q: split_pairing(p, q))
@@ -513,6 +537,7 @@ _FINITE.update({f"Z/{p}xZ/{q}": (lambda p=p, q=q: split_pairing(p, q))
                              (2, 4))})
 _FINITE.update({f"Z[i]/{p}": (lambda p=p: gaussian_pairing_mod(p))
                 for p in (2, 3, 5)})
+_FINITE["F_2[x]/(x^3)"] = truncated_polynomial_pairing
 
 
 def _factor(fn, ring):
@@ -601,6 +626,16 @@ class TestPrimeDecomposition:
         ring = scalar_ring(multiplication_pairing(5))
         factors = prime_decomposition_zero(ring)
         assert factors == [frozenset({(0,)})]
+
+    def test_local_ring_of_dimension_past_p(self):
+        # F_2[x]/(x^3) has one prime, M = (x) with |M| = 4, and M^3 = 0
+        # while M^2 != 0: the nilradical is read off Frobenius squared
+        ring = scalar_ring(truncated_polynomial_pairing())
+        assert ring.order() == 8 and len(ring.periods) == 3
+        factors = prime_decomposition_zero(ring)
+        assert factors == ref_prime_decomposition_zero(ring)
+        assert len(factors) == 3 and len(set(factors)) == 1
+        assert len(factors[0]) == 4
 
     def test_infinite_ring_rejected(self):
         ring = scalar_ring(symplectic_pairing())
@@ -744,13 +779,12 @@ def _columns(sec, mat):
                  for c in range(n))
 
 
-@pytest.mark.parametrize("name", list(MODULE_INPUTS))
-def test_every_gap_is_a_module(name):
-    # Each gap's matrices make it a module over the ring: the matrix of
-    # b_j b_l, read off the ring's multiplication table, is M(b_j) M(b_l),
-    # the order scalars._compose multiplies in, and the unit acts as
-    # the identity, both modulo the section's periods.
-    rs = refined_series(MODULE_INPUTS[name]())
+def _assert_gaps_are_modules(rs):
+    """Each gap's matrices make it a module over the ring: the matrix of
+    b_j b_l, read off the ring's multiplication table, is M(b_j) M(b_l),
+    the order scalars._compose multiplies in, and the unit acts as the
+    identity, both modulo the section's periods.  Returns the gaps
+    checked."""
     ring = rs.ring
     k = len(ring.periods)
     gaps = 0
@@ -778,7 +812,53 @@ def test_every_gap_is_a_module(name):
                 assert _columns(sec, matrix_of(ring.mult_table[j][l])) == \
                     _columns(sec, product_), (where, j, l)
         gaps += 1
-    assert gaps
+    return gaps
+
+
+@pytest.mark.parametrize("name", list(MODULE_INPUTS))
+def test_every_gap_is_a_module(name):
+    assert _assert_gaps_are_modules(refined_series(MODULE_INPUTS[name]()))
+
+
+# (input, series) -> pullback-phi2 gaps, on every series of C4 rebased 1 and
+# of the graded draws that prints one; MODULE_INPUTS has none, as UT_5's
+# left chain is G, V, L3, L4, 1
+PULLBACK_PHI2_GAPS = {
+    ("C4 rebased 1", "lower"): 1, ("C4 rebased 1", "upper"): 1,
+    **{(f"draw {i}", "lower"): 1 for i in (3, 4, 11, 15, 20, 24)},
+    **{(f"draw {i}", "upper"): 1
+       for i in (0, 3, 4, 5, 9, 11, 15, 17, 18, 19, 20, 24, 27, 29)},
+    **{(f"draw {i}", "upper"): 2 for i in (2, 16, 21)},
+}
+# the series that refuse W3G'/W4G' instead (ROADMAP R)
+GAP_REFUSED = {("draw 8", "lower"), ("draw 26", "lower"),
+               ("draw 8", "upper"), ("draw 25", "upper"), ("draw 26", "upper")}
+
+
+@pytest.mark.parametrize("kind", ("lower", "upper"))
+def test_every_pullback_phi2_gap_is_a_module(kind):
+    # Every ring here has rank 1, so the check pins the matrices' shapes
+    # and the unit's action on these gaps, not an action of rank 2.
+    inputs = {"C4 rebased 1": random_basis_change(c4(), random.Random(1)),
+              **{f"draw {i}": p for i, p in enumerate(graded_draws())}}
+    found, refused = {}, set()
+    for name, p in inputs.items():
+        series = (list(reversed(sg.upper_central_series(p)))
+                  if kind == "upper" else None)
+        try:
+            rs = refined_series(p, series)
+        except SeriesError as e:
+            assert "the left chain's gap W3G'/W4G' is not a section" in str(e)
+            refused.add((name, kind))
+            continue
+        gaps = [a for a in rs.actions if a.kind == "pullback-phi2"]
+        if gaps:
+            assert len(rs.ring.periods) == 1, name
+            found[name, kind] = len(gaps)
+        _assert_gaps_are_modules(rs)
+    assert found == {key: n for key, n in PULLBACK_PHI2_GAPS.items()
+                     if key[1] == kind}
+    assert refused == {key for key in GAP_REFUSED if key[1] == kind}
 
 
 @pytest.mark.parametrize("n", (4, 5))

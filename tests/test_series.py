@@ -15,7 +15,8 @@ from nilpc.series import key_subgroups, hirsch_length
 
 import oracles
 from groups_def import (
-    f23, heis, heisenberg, nr, random_basis_change, unitriangular, zg, zh, zk)
+    f23, graded_draws, heis, heisenberg, nr, random_basis_change,
+    unitriangular, zg, zh, zk)
 from test_collection import consistent_draws, random_presentation
 
 G = zg()
@@ -231,6 +232,12 @@ def test_center_split_holds_its_properties_on_random_presentations():
 @pytest.mark.parametrize("name", SWEEP)
 def test_constructions_hold_what_they_prove(name):
     assert_constructions_hold(SWEEP[name]())
+
+
+def test_constructions_hold_what_they_prove_on_graded_draws():
+    # class 4 and 5; every third draw, as all 30 take about 7 s
+    for p in graded_draws()[::3]:
+        assert_constructions_hold(p)
 
 
 def test_constructions_hold_what_they_prove_on_random_presentations():
