@@ -134,7 +134,8 @@ def section(p: PcPresentation, a: Subgroup, b: Subgroup) -> FgAbelian:
     tuples, without its checks.  Every caller passes b <= a with
     [a, a] <= b: b holds G', a/b is a layer of the companions of a
     descending central series (associated_series), a lies in the center,
-    or a/b is the center of G/b (isolator)."""
+    a/b is the center of G/b (isolator), or a/b is W_i/K_i, K_i holding
+    [W_i, W_i] (see refined's docstring)."""
     return sg._once(p, ("section", a.rows, b.rows), _unchecked_section, a, b)
 
 

@@ -187,7 +187,7 @@ def _cmd_scalars(args) -> int:
     # refined_ring checks that the chains' conditions leave the whole
     # pairing ring, so it is printed as both; no series means the lower
     # central series
-    b, ring, _, _ = refined_ring(
+    b, ring, *_ = refined_ring(
         p, _central_series(p, "upper") if args.series == "upper" else None)
     _print_json({
         "command": "scalars",

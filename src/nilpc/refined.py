@@ -15,9 +15,10 @@ subring of the pairing's ring whose triples meet three kinds of linear
 condition: phi2 . e == e . phi0 for each connecting map
 e: L_i/L_{i+1} -> U_i/U_{i+1}, modulo the periods of U_i/U_{i+1}; phi0
 keeps the image S of the central part Z^L_i of L_i in L_i/L_{i+1}; and
-phi2 keeps the image S of the radical's part W_i of U_i in U_i/U_{i+1}.
-S holds the block's period vectors, as the block matrix M acts on the
-block's module, and M keeps S when M g lies in S for each generator g.
+phi2 keeps, in U_i/U_{i+1}, the image S of the radical's part W_i of U_i
+and, for 1 < i < c, the image T of the K_i below.  S and T hold the
+block's period vectors, as the block matrix M acts on the block's
+module, and M keeps S when M g lies in S for each generator g.
 
 Null triples meet every condition.  A null triple has one nonzero entry,
 the period e_r of its row's coordinate, at (r, c).  In phi2 it adds e_r
@@ -35,15 +36,48 @@ refined_ring is this ring stage alone, which the scalars report prints.
 refined_series lists each chain as terms (label, subgroup, kind, block),
 kind and block saying how the ring acts on the gap below the term: as
 phi1, or as phi2 or phi0 on that block; as pullback-phi2 or
-pullback-phi0, on a gap that embeds in that block, each matrix read back
-through the embedding by intlinalg.solve; or not at all on the special
-gap, between a chain's graded part and its central refinement.  Each gap
-whose terms differ is reported with its section, built by
+pullback-phi0, on a gap read through that block; or not at all on the
+special gap, between a chain's graded part and its central refinement.
+Each gap whose terms differ is reported with its section, built by
 abelian.section and so the pairing's own where they share one, and its
 matrices, one per additive basis element of the ring (None on the
-special gap).  refined_series refuses, naming the gap, a left chain gap
-W_i G'/W_{i+1} G' with W_i G' outside U_i, as it reads the action in
-U_i/U_{i+1}.
+special gap).
+
+A pullback gap is read as a section a/k, with a in the block's top
+term, that embeds in the block modulo T, the block image of k: an x in
+a whose image lies in T lies in k.  a is generated by k and a/k's
+basis, so the image S of a is span(e) + T, e the block coordinates of
+a/k's basis; the ring keeps S and T, so it acts on S/T, and through the
+embedding on a/k.  _pullback reads the matrix of m column by column:
+column j is the e-part x of a solution of e.x + T.y == m.e_j modulo the
+block's periods.  Every such system can be solved, as m.e_j lies in S.
+Two solutions differ in an x whose element of a maps into T, and so
+lies in k: x is unique modulo a/k's periods, and a/k's reduce makes it
+canonical.  The gaps are:
+
+* upper chain, Z^L_i/Z^L_{i+1} in L_i/L_{i+1}: Z^L_{i+1} = Z^L_i n
+  L_{i+1} is k, so T is 0 and the gap embeds.
+* left chain, V/W_2 G' in G/U_2: W_1 = V, and W_2 G' <= U_2 (G' <= U_2,
+  as [G', G] <= L_3), so T is 0; an x in V with image 0 lies in V n U_2
+  = W_2.
+* left chain, W_i G'/W_{i+1} G' for 1 < i < c, in U_i/U_{i+1}, where
+  W_i G' need not lie in U_i (from class 4 on W_3 G' leaves U_3).
+  W_i = V n U_i, so W_{i+1} = W_i n U_{i+1} <= W_i.  W_{i+1} G' holds
+  G', so W_i G' = W_i (W_{i+1} G'), and W_i maps onto the gap with
+  kernel K_i = W_i n W_{i+1} G'.  By the modular law (A(B n C) = AB n C
+  for A <= C), with A = W_{i+1} <= C = W_i and B = G', K_i = W_{i+1}
+  (W_i n G'), so K_i holds W_{i+1} and [W_i, W_i], and W_i/K_i is
+  isomorphic to the gap through inclusion: the gap is read as a = W_i,
+  k = K_i, and its reported section is W_i/K_i.  It embeds modulo T:
+  an x in W_i with image in T is k' u with k' in K_i and u in U_{i+1},
+  so u = k'^-1 x lies in W_i n U_{i+1} = W_{i+1} <= K_i, and x in K_i.
+  refined_ring reads K_i as the kernel of W_i -> W_i G'/W_{i+1} G' on
+  W_i's rows: the map is a homomorphism into an abelian group, so the
+  exponent vectors of W_i's rows that it kills form a lattice that holds
+  every relation among the rows.  intlinalg.solve gives its Hermite
+  basis with no right-hand side, and subgroups._lattice_subgroup its
+  subgroup.  refined_ring checks that the ring keeps T, as it keeps S,
+  and refuses by name when it does not.
 """
 
 from __future__ import annotations
@@ -55,8 +89,8 @@ from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import SeriesError, bilinearize
 from .intlinalg import InvariantFactors, mat_mul, solve, transpose
-from .presentation import PcPresentation
-from .scalars import ScalarRingError, pairing_of, scalar_ring
+from .presentation import Element, PcPresentation
+from .scalars import pairing_of, scalar_ring
 from .subgroups import Subgroup
 
 
@@ -64,9 +98,12 @@ class ChainAction(namedtuple(
         "ChainAction", "chain top bottom section kind matrices")):
     """One gap of one refined chain and how the ring acts on it.
 
-    matrices has one entry per additive basis element of the ring (the
-    action is additive in the ring element); it is None exactly for the
-    special gap, which the ring does not act on.
+    section is top/bottom, but on a left chain gap W_i G'/W_{i+1} G'
+    with 1 < i < c, where it is W_i/K_i, which inclusion maps onto the
+    gap (see the module docstring).  matrices has one entry per additive
+    basis element of the ring (the action is additive in the ring
+    element); it is None exactly for the special gap, which the ring does
+    not act on.
     """
 
     __slots__ = ()
@@ -76,7 +113,8 @@ class RefinedSeries(namedtuple(
         "RefinedSeries", "ring upper_chain left_chain gap_section actions")):
     """The refined chains of a presentation, each a tuple of (label,
     Subgroup), with ring (the pairing's ring, checked to meet the chains'
-    conditions), the special gap's section and one ChainAction per gap."""
+    conditions), the special gap's section and one ChainAction per gap,
+    its section read as the module docstring says."""
 
     __slots__ = ()
 
@@ -92,23 +130,22 @@ def _dedup(terms):
 
 
 def _pullback(ring, which: str, block: int, big: FgAbelian,
-              small: FgAbelian):
-    """The matrices of `which` of the ring's additive basis on small, a
-    section embedded in big, the section of block `block`: column k of
-    the matrix of m is a solution x of e.x == m.e_k modulo big's periods,
-    e the embedding, whose columns are the big coordinates of small's
-    basis.  e embeds small in big, so two solutions agree modulo small's
-    periods, and small.reduce makes x canonical."""
+              small: FgAbelian, t: Sequence[Element]):
+    """The matrices of `which` of the ring's additive basis on small = a/k,
+    which embeds in big, the section of block `block`, modulo T, the span
+    of the big coordinates of t, k's rows (none where T is 0): column j of
+    the matrix of m is the e-part x of a solution of e.x + T.y == m.e_j
+    modulo big's periods, e the big coordinates of small's basis, and
+    small.reduce makes x canonical.  The module docstring proves that a
+    solution exists and that x is unique modulo small's periods."""
     e = [big.coords(x) for x in small.basis]
+    cols = e + [big.coords(x) for x in t]
     moduli = [per or 0 for per in big.periods]
     mats = []
     for m in ring.block_matrices(which, block):
-        xs, _ = solve(e, moduli, [[sum(a * v for a, v in zip(row, col))
-                                   for row in m] for col in e])
-        if xs is None:
-            raise ScalarRingError(
-                "embedded section is not invariant under the ring")
-        mats.append(tuple(zip(*(small.reduce(x) for x in xs))))
+        xs, _ = solve(cols, moduli, [[sum(a * v for a, v in zip(row, col))
+                                      for row in m] for col in e])
+        mats.append(tuple(zip(*(small.reduce(x[:len(e)]) for x in xs))))
     return tuple(mats)
 
 
@@ -143,11 +180,12 @@ def _keeps(ring, which: str, block: Optional[int], gens, periods) -> bool:
 
 def refined_ring(p: PcPresentation,
                  series: Optional[Sequence[Subgroup]] = None):
-    """(bilin, ring, zc, w): refined_series' ring stage, with zc[i] the
-    central part of lower[i - 1] and w[i] the radical's intersection with
-    upper[i - 1], which its chains read too.  ring is the pairing's ring,
-    once the module docstring's checks pass; SeriesError names the first
-    condition that fails."""
+    """(bilin, ring, zc, w, wg, k): refined_series' ring stage, with zc[i]
+    the central part of lower[i - 1], w[i] the radical's intersection with
+    upper[i - 1], wg[i] = W_i G', and k[i] = K_i for each nonempty gap
+    W_i G'/W_{i+1} G' with 1 < i < c, which its chains read too.  ring is
+    the pairing's ring, once the module docstring's checks pass;
+    SeriesError names the first condition that fails."""
     b = bilinearize(p, series)
     s = b.series
     c = s.c
@@ -189,13 +227,31 @@ def refined_ring(p: PcPresentation,
         sec = b.right[i - 1]
         check(_keeps(ring, "phi2", i - 1, [sec.coords(r) for r in w[i].rows],
                      sec.periods), f"keep W{i} in U{i}/U{i + 1}")
-    return b, ring, zc, w
+
+    # the left chain's terms W_i G', W_1 G' = V; at class 2, L_3 = 1, so
+    # U_2 = V = W_2 = Z(G) holds G', and W_2 G' = W_2
+    wg = {1: b.v_r, **{i: w[i] if c == 2 else sg.induce(
+        p, list(w[i].rows) + list(s.lower[1].rows)) for i in range(2, c + 1)}}
+    # K_i, the kernel of W_i -> W_i G'/W_{i+1} G', for each nonempty gap
+    # with 1 < i < c, and its image T in U_i/U_{i+1} (module docstring)
+    k = {}
+    for i in range(2, c):
+        if wg[i] == wg[i + 1]:
+            continue
+        gap = section(p, wg[i], wg[i + 1])
+        _, basis = solve([gap.coords(r) for r in w[i].rows],
+                         [per or 0 for per in gap.periods], [])
+        k[i] = sg._lattice_subgroup(p, w[i], basis)
+        sec = b.right[i - 1]
+        check(_keeps(ring, "phi2", i - 1, [sec.coords(r) for r in k[i].rows],
+                     sec.periods), f"keep W{i} n W{i + 1}G' in U{i}/U{i + 1}")
+    return b, ring, zc, w, wg, k
 
 
 def refined_series(p: PcPresentation,
                    series: Optional[Sequence[Subgroup]] = None
                    ) -> RefinedSeries:
-    b, ring, zc, w = refined_ring(p, series)
+    b, ring, zc, w, wg, k = refined_ring(p, series)
     s = b.series
     c = s.c
 
@@ -207,14 +263,15 @@ def refined_series(p: PcPresentation,
     upper += [("1" if zc[i].is_trivial else f"Z^L{i}", zc[i],
                "pullback-phi0", i - 2) for i in range(2, c + 2)]
     left = [("G", s.lower[0], "phi1", None)]
-    for i in range(1, c + 1):  # W_1 G' is V
-        term = b.v_r if i == 1 else sg.induce(
-            p, list(w[i].rows) + list(s.lower[1].rows))
-        left.append(("V" if i == 1 else f"W{i}G'", term,
-                     "pullback-phi2" if i < c else "special", i - 1))
+    left += [("V" if i == 1 else f"W{i}G'", wg[i],
+              "pullback-phi2" if i < c else "special", i - 1)
+             for i in range(1, c + 1)]
     left += [("1" if s.lower[i - 1].is_trivial else "G'" if i == 2
               else f"L{i}", s.lower[i - 1], "phi0", i - 2)
              for i in range(2, c + 2)]
+    # a left chain gap W_i G'/W_{i+1} G' with 1 < i < c is read as W_i/K_i,
+    # modulo K_i's block image (module docstring); every other gap as itself
+    parts = {f"W{i}G'": (w[i], k[i]) for i in k}
 
     sections = {"phi2": b.right, "phi0": b.out}
     actions: List[ChainAction] = []
@@ -222,20 +279,15 @@ def refined_series(p: PcPresentation,
         for (top, x, kind, block), (bottom, y, _, _) in zip(terms, terms[1:]):
             if x == y:
                 continue
-            sec = section(p, x, y)
-            if kind == "pullback-phi2" and not all(
-                    s.upper[block].contains(v) for v in sec.basis):
-                raise SeriesError(
-                    f"{p.name}: the left chain's gap {top}/{bottom} is not "
-                    f"a section of U{block + 1}/U{block + 2} ({top} does "
-                    f"not lie in U{block + 1}), and its action is not "
-                    "computed")
+            part = parts.get(top)
+            sec = section(p, *(part or (x, y)))
             if kind == "special":
                 matrices = None
             elif kind.startswith("pullback-"):
                 which = kind[len("pullback-"):]
                 matrices = _pullback(ring, which, block,
-                                     sections[which][block], sec)
+                                     sections[which][block], sec,
+                                     part[1].rows if part else ())
             else:
                 matrices = ring.block_matrices(kind, block)
             actions.append(ChainAction(chain, top, bottom, sec, kind,

@@ -364,14 +364,6 @@ class ScalarRing(InvariantFactors):
             raise ScalarRingError("triple lies outside the ring's lattice")
         return self.coords(y)
 
-    def element_vec(self, coords: Sequence[int]) -> List[int]:
-        vec = [0] * self.lay.total
-        for cj, h in zip(coords, self.basis_vecs):
-            if cj:
-                for i, x in enumerate(h):
-                    vec[i] += cj * x
-        return vec
-
     def block_matrices(self, which: str, block: Optional[int] = None):
         """Per additive basis element, the matrix of `which` ("phi1",
         "phi2" or "phi0") on one block of its grading (None for phi1).
@@ -393,9 +385,6 @@ class ScalarRing(InvariantFactors):
         return tuple(out)
 
     # -- coordinate-level ring operations
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         k = len(self.periods)

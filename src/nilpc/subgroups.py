@@ -41,7 +41,8 @@ by coset_rep (see abelian.py), and a constrained pass by L's rows alone.
 A constrained pass needs neither a closure nor a strip per layer: each
 [r, h] is collected once per presentation and sifted by L.coset_rep, whose
 products are the table's too, and a binding layer's rows are read off the
-HNF of its solution lattice (_lattice_subgroup, also used in series.py).
+HNF of its solution lattice (_lattice_subgroup, also used in series.py and
+refined.py).
 
 G is read through a generating set S modulo G' (generating_set), built
 once per presentation from the commutator tails alone.  Drop u_l when

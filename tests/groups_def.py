@@ -25,6 +25,7 @@ whose deformation survey would list 6! * phi(7)^6 (about 3.4e7) classes.
 
 graded_presentation(rng) draws a presentation graded by weights, which
 reaches class 4 and 5; graded_draws() keeps a fixed number of them.
+direct_product(p, q) presents p x q on p's generators, then q's.
 """
 
 import functools
@@ -160,8 +161,8 @@ def heis_index2():
 def c4():
     # rank 6, class 4, all periods infinite: the smallest group seen whose
     # refined left chain has a gap, W_3 G'/W_4 G', that is no subsection of
-    # its block U_3/U_4; series --kind refined refuses it with a message
-    # that names the gap (ROADMAP R)
+    # its block U_3/U_4; series --kind refined reads it as W_3/K_3, which
+    # embeds in U_3/U_4 modulo the image of K_3 = W_3 n W_4 G' (ROADMAP R)
     return PcPresentation(
         name="C4",
         periods=(INF,) * 6,
@@ -270,6 +271,20 @@ def graded_draws(count=30, seed=5):
                 and len(sg.lower_central_series(p)) > 4):
             out.append(p)
     return tuple(out)
+
+
+def direct_product(p, q):
+    """p x q: q's generators after p's, renumbered, with no cross tails."""
+    m = p.m
+
+    def shift(word):
+        return tuple((k + m, e) for k, e in word)
+
+    return PcPresentation(
+        name=f"{p.name} x {q.name}", periods=p.periods + q.periods,
+        powers=p.powers + tuple((i + m, shift(w)) for i, w in q.powers),
+        commutators=p.commutators + tuple(
+            ((j + m, i + m), shift(w)) for (j, i), w in q.commutators))
 
 
 def random_basis_change(p, rng):

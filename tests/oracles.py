@@ -1300,14 +1300,14 @@ def _ref_condition_rows(pairing, lay, con, width):
     return rows, [0] * len(rows), width
 
 
-def chain_conditions(b, zc, w):
+def chain_conditions(b, zc, w, k):
     """The refined chains' conditions on the ring of the bilinearization
-    b, as this module's records, from b's sections and the subgroups zc
-    and w that refined.refined_ring returns: phi2 intertwines with phi0
+    b, as this module's records, from b's sections and the subgroups zc,
+    w and k that refined.refined_ring returns: phi2 intertwines with phi0
     through each connecting map L_i/L_{i+1} -> U_i/U_{i+1} (column t the
     U-coordinates of L's basis element t), phi0 keeps the central part
-    Z^L_i in L_i/L_{i+1}, and phi2 keeps the radical's part W_i in
-    U_i/U_{i+1}."""
+    Z^L_i in L_i/L_{i+1}, and phi2 keeps the radical's part W_i and each
+    K_i = W_i n W_{i+1} G' in U_i/U_{i+1}."""
     c = b.series.c
     out = []
     for i in range(2, c):
@@ -1316,8 +1316,11 @@ def chain_conditions(b, zc, w):
             cols = [big.coords(x) for x in small.basis]
             out.append(HomCompat(tuple(zip(*cols)), i - 2, i - 1))
     for which, secs, parts, first in (("phi0", b.out, zc, 2),
-                                      ("phi2", b.right, w, 1)):
+                                      ("phi2", b.right, w, 1),
+                                      ("phi2", b.right, k, 1)):
         for i in range(first, c + first - 1):
+            if i not in parts:
+                continue
             sec = secs[i - first]
             gens = tuple(g for g in map(sec.coords, parts[i].rows) if any(g))
             if gens:
@@ -1357,7 +1360,8 @@ def ref_prime_decomposition_zero(ring):
         raise sc.ScalarRingError("ring too large to factor exhaustively")
     elements = sorted(product(*[range(d) for d in ring.periods]))
     zero = tuple(0 for _ in range(k))
-    add = {(a, b): ring.add(a, b) for a in elements for b in elements}
+    add = {(a, b): ring.reduce(tuple(x + y for x, y in zip(a, b)))
+           for a in elements for b in elements}
     mul = {(a, b): ring.mul(a, b) for a in elements for b in elements}
 
     def closure(gens):

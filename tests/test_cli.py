@@ -453,18 +453,19 @@ class TestSeriesScalars:
     @pytest.mark.parametrize("series", ["lower", "upper"])
     def test_scalars_prints_the_ring_stage_alone(self, tmp_path, capsys,
                                                  series):
-        # scalars builds no chain, so it answers on C4, whose refined left
-        # chain has a gap that is no subsection of its block (ROADMAP R);
-        # it prints the pairing ring as the refined ring, which the dense
-        # solve of the chains' conditions confirms
+        # scalars builds no chain, but checks that the ring keeps T in
+        # U3/U4, the image of K3 = W3 n W4G', on C4, whose refined left
+        # chain has a gap, W3G'/W4G', outside its block U3/U4; it prints
+        # the pairing ring as the refined ring, which the dense solve of
+        # the chains' conditions confirms
         path = tmp_path / "C4.json"
         files.save(c4(), str(path))
         code, out = run(capsys, "scalars", str(path), "--series", series)
         assert code == 0, out
         p = c4()
-        b, ring, zc, w = rf.refined_ring(
+        b, ring, zc, w, _, k = rf.refined_ring(
             p, cli._central_series(p, "upper") if series == "upper" else None)
-        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w, k))
         assert ring.s_basis == tuple(tuple(r) for r in want)
         payload = json.loads(out)
         assert payload["pairing_ring"] == payload["refined_ring"]
@@ -472,32 +473,42 @@ class TestSeriesScalars:
 
     def test_refined_series_names_the_gap_outside_its_block(self, tmp_path,
                                                              capsys):
-        # C4's left chain gap W_3 G'/W_4 G' does not lie in U_3, so it is no
-        # section of the block U_3/U_4 that its action is read in
+        # C4's left chain gap W_3 G'/W_4 G' does not lie in U_3; it is read
+        # as W_3/K_3, which embeds in the block U_3/U_4 modulo T, and the
+        # ring acts on it as on Z
         path = tmp_path / "C4.json"
         files.save(c4(), str(path))
         code, out = run(capsys, "series", str(path), "--kind", "refined")
-        assert code == 1
-        assert json.loads(out) == {
-            "command": "series",
-            "error": "C4: the left chain's gap W3G'/W4G' is not a section "
-                     "of U3/U4 (W3G' does not lie in U3), and its action "
-                     "is not computed"}
+        assert code == 0
+        gaps = [a for a in json.loads(out)["actions"]
+                if a["kind"] == "pullback-phi2"]
+        assert gaps == [{"chain": "left", "top": "W3G'", "bottom": "W4G'",
+                         "kind": "pullback-phi2", "section": [0],
+                         "matrices": [[[1]]]}]
 
     @pytest.mark.parametrize("check, condition", [
         ("_intertwines", "commute with the map L2/L3 -> U2/U3"),
         ("_keeps", "keep Z^L2 in L2/L3"),
+        ("_keeps", "keep W3 n W4G' in U3/U4"),
     ])
     def test_a_failed_ring_check_is_a_clean_refusal(
-            self, workdir, capsys, monkeypatch, check, condition):
+            self, workdir, tmp_path, capsys, monkeypatch, check, condition):
         # no group is known to fail a check, so one is made to fail: each
-        # command that builds the ring stage exits 1 with the condition
-        monkeypatch.setattr(rf, check, lambda *args: False)
+        # command that builds the ring stage exits 1 with the condition.
+        # F23 has no T to check (its gap W2G'/W3G' is empty); on C4, of
+        # class 4, the seventh _keeps call, after Z^L2..Z^L4 and W1..W3, is
+        # the only check of T, the image of K3 in U3/U4
+        name, passing = ("C4", 6) if "W4G'" in condition else ("F23", 0)
         path = str(workdir / "F23.json")
-        error = (f"F23: the pairing ring does not {condition}, so the "
+        if name == "C4":
+            path = str(tmp_path / "C4.json")
+            files.save(c4(), path)
+        error = (f"{name}: the pairing ring does not {condition}, so the "
                  "refined ring is a proper subring")
         for argv in (("scalars", path), ("scalars", path, "--series", "upper"),
                      ("series", path, "--kind", "refined")):
+            answers = iter([True] * passing)
+            monkeypatch.setattr(rf, check, lambda *args: next(answers, False))
             code = main(list(argv))
             out, err = capsys.readouterr()
             assert (code, err) == (1, ""), argv
@@ -1045,10 +1056,6 @@ def test_report_commands_on_the_trivial_group(capsys, tmp_path):
 # message with the group's name and every index stripped; any other
 # nonzero exit fails the sweep, so a new refusal is added here on purpose
 GRADED_REFUSALS = {
-    # ROADMAP R: the gap is read in U3/U4, which W3G' leaves
-    ("series --kind refined",
-     "the left chain's gap W#G'/W#G' is not a section of U#/U# (W#G' does "
-     "not lie in U#), and its action is not computed"),
     # ROADMAP F.2: the survey reads only diagonally normalized tails
     ("enumerate", "power tail of generator # is not diagonally normalized"),
 }

@@ -4,6 +4,7 @@ import random
 import re
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from nilpc import presentation as pc
 from nilpc import refined as rf
 from nilpc import scalars as sc
 from nilpc import subgroups as sg
-from nilpc.bilinear import SeriesError, bilinearize
+from nilpc.abelian import section
+from nilpc.bilinear import bilinearize
 from nilpc.intlinalg import identity as eye
 from nilpc.refined import refined_series
 from nilpc.scalars import (
@@ -42,6 +44,7 @@ from oracles import (
 
 from groups_def import (
     c4,
+    direct_product,
     f23,
     graded_draws,
     heis,
@@ -98,7 +101,7 @@ class TestScalarRing:
         # and the lattice has no extra points in the same box
         box_pts = set()
         for k in range(-20, 21):
-            v = ring.element_vec(tuple(k * c for c in ring.unit))
+            v = la.vec_mat(tuple(k * c for c in ring.unit), ring.basis_vecs)
             if all(-2 <= x <= 2 for x in v):
                 box_pts.add(tuple(v))
         assert box_pts == {flat(t) for t in sols}
@@ -125,7 +128,7 @@ class TestScalarRing:
         pts = set()
         for a in range(-12, 13):
             for b in range(-12, 13):
-                v = tuple(ring.element_vec((a, b)))
+                v = tuple(la.vec_mat((a, b), ring.basis_vecs))
                 if all(-2 <= x <= 2 for x in v):
                     pts.add(v)
         assert pts == oracle
@@ -151,7 +154,8 @@ class TestScalarRing:
     def test_heis_ring_is_z(self):
         ring = scalar_ring(pairing_of(bilinearize(heis())))
         assert ring.periods == (None,)
-        phi1, phi2, phi0 = sc._reshape(ring.lay, ring.element_vec(ring.unit))
+        phi1, phi2, phi0 = sc._reshape(
+            ring.lay, la.vec_mat(ring.unit, ring.basis_vecs))
         assert phi1 == eye(2)
         assert phi2 == eye(2)
         assert phi0 == eye(1)
@@ -164,7 +168,8 @@ class TestScalarRing:
         ring = scalar_ring(p)
         for j in range(len(ring.periods)):
             coords = tuple(1 if i == j else 0 for i in range(len(ring.periods)))
-            _, phi2, phi0 = sc._reshape(ring.lay, ring.element_vec(coords))
+            _, phi2, phi0 = sc._reshape(
+                ring.lay, la.vec_mat(coords, ring.basis_vecs))
             # off-diagonal blocks vanish
             for r in range(2):
                 assert phi2[r][2] == 0
@@ -233,8 +238,12 @@ class TestScalarRing:
         a = tuple(ring.reduce(tuple(raw[0:1] * n))[:n])
         b = ring.reduce(tuple(raw[i % 6] for i in range(n)))
         c = ring.reduce(tuple(raw[(i + 3) % 6] for i in range(n)))
-        left = ring.mul(a, ring.add(b, c))
-        right = ring.add(ring.mul(a, b), ring.mul(a, c))
+
+        def add(x, y):
+            return ring.reduce(tuple(s + t for s, t in zip(x, y)))
+
+        left = ring.mul(a, add(b, c))
+        right = add(ring.mul(a, b), ring.mul(a, c))
         assert left == right
 
 
@@ -271,7 +280,7 @@ class TestRestriction:
         vec[ring.lay.idx1(0, 0)] = 1
         assert la.solve_lattice(ring.s_basis, vec) is None
         assert la.solve_lattice(
-            ring.s_basis, ring.element_vec(ring.unit)) is not None
+            ring.s_basis, la.vec_mat(ring.unit, ring.basis_vecs)) is not None
         with pytest.raises(ScalarRingError,
                            match="outside the ring's lattice"):
             ring.coords_vec(vec)
@@ -419,11 +428,11 @@ def test_restrictions_pass_the_full_recheck(name):
     # ScalarRing's checks, and refined_ring certifies it as the refined
     # ring; run the oracle's check on it, and the dense solve of the
     # pairing's identities with the chains' own conditions
-    b, ring, zc, w = rf.refined_ring(_RECHECKED[name]())
+    b, ring, zc, w, _, k = rf.refined_ring(_RECHECKED[name]())
     assert ref_check_basis(ring.pairing, ring.s_basis)
     # the dense oracle solves UT_8's 1,219 unknowns in one HNF (2.3 s)
     if name != "UT_8":
-        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w, k))
         assert ring.s_basis == tuple(tuple(r) for r in want)
 
 
@@ -820,37 +829,39 @@ def test_every_gap_is_a_module(name):
     assert _assert_gaps_are_modules(refined_series(MODULE_INPUTS[name]()))
 
 
-# (input, series) -> pullback-phi2 gaps, on every series of C4 rebased 1 and
-# of the graded draws that prints one; MODULE_INPUTS has none, as UT_5's
+C4S = {"C4": c4, **{f"C4 rebased {seed}": (
+    lambda seed=seed: random_basis_change(c4(), random.Random(seed)))
+    for seed in range(4)}}
+
+
+def _series(p, kind):
+    """The central series to refine: None for the lower central series."""
+    return (list(reversed(sg.upper_central_series(p)))
+            if kind == "upper" else None)
+
+
+# (input, series) -> pullback-phi2 gaps, on every series of C4, its rebases
+# and the graded draws that prints one; MODULE_INPUTS has none, as UT_5's
 # left chain is G, V, L3, L4, 1
 PULLBACK_PHI2_GAPS = {
-    ("C4 rebased 1", "lower"): 1, ("C4 rebased 1", "upper"): 1,
-    **{(f"draw {i}", "lower"): 1 for i in (3, 4, 11, 15, 20, 24)},
+    **{(name, kind): 1 for name in C4S for kind in ("lower", "upper")},
+    **{(f"draw {i}", "lower"): 1 for i in (3, 4, 8, 11, 15, 20, 24, 26)},
     **{(f"draw {i}", "upper"): 1
-       for i in (0, 3, 4, 5, 9, 11, 15, 17, 18, 19, 20, 24, 27, 29)},
+       for i in (0, 3, 4, 5, 8, 9, 11, 15, 17, 18, 19, 20, 24, 25, 26, 27,
+                 29)},
     **{(f"draw {i}", "upper"): 2 for i in (2, 16, 21)},
 }
-# the series that refuse W3G'/W4G' instead (ROADMAP R)
-GAP_REFUSED = {("draw 8", "lower"), ("draw 26", "lower"),
-               ("draw 8", "upper"), ("draw 25", "upper"), ("draw 26", "upper")}
 
 
 @pytest.mark.parametrize("kind", ("lower", "upper"))
 def test_every_pullback_phi2_gap_is_a_module(kind):
     # Every ring here has rank 1, so the check pins the matrices' shapes
     # and the unit's action on these gaps, not an action of rank 2.
-    inputs = {"C4 rebased 1": random_basis_change(c4(), random.Random(1)),
+    inputs = {**{name: make() for name, make in C4S.items()},
               **{f"draw {i}": p for i, p in enumerate(graded_draws())}}
-    found, refused = {}, set()
+    found = {}
     for name, p in inputs.items():
-        series = (list(reversed(sg.upper_central_series(p)))
-                  if kind == "upper" else None)
-        try:
-            rs = refined_series(p, series)
-        except SeriesError as e:
-            assert "the left chain's gap W3G'/W4G' is not a section" in str(e)
-            refused.add((name, kind))
-            continue
+        rs = refined_series(p, _series(p, kind))
         gaps = [a for a in rs.actions if a.kind == "pullback-phi2"]
         if gaps:
             assert len(rs.ring.periods) == 1, name
@@ -858,7 +869,75 @@ def test_every_pullback_phi2_gap_is_a_module(kind):
         _assert_gaps_are_modules(rs)
     assert found == {key: n for key, n in PULLBACK_PHI2_GAPS.items()
                      if key[1] == kind}
-    assert refused == {key for key in GAP_REFUSED if key[1] == kind}
+
+
+def _terms(p, series):
+    """Each chain label of refined_series, mapped to its subgroup, built
+    from the definitions: W_i G' from W_i and G' by induce."""
+    b, _, zc, w, _, _ = rf.refined_ring(p, series)
+    s = b.series
+    c = s.c
+    return {"G": s.lower[0], "V": b.v_r, "G'": s.lower[1],
+            "1": sg.trivial_subgroup(p),
+            **{f"U{i}": s.upper[i - 1] for i in range(2, c + 1)},
+            **{f"L{i}": s.lower[i - 1] for i in range(3, c + 2)},
+            **{f"Z^L{i}": zc[i] for i in range(2, c + 2)},
+            **{f"W{i}G'": sg.induce(p, w[i].rows + s.lower[1].rows)
+               for i in range(2, c + 1)}}
+
+
+@pytest.mark.parametrize("kind", ("lower", "upper"))
+def test_every_section_has_its_gaps_periods(kind):
+    # an action's section may be a subquotient of its block that inclusion
+    # maps onto the printed gap top/bottom (W_i/K_i on the left chain), so
+    # it has the gap's periods
+    inputs = {**{name: make()
+                 for name, make in {**MODULE_INPUTS, **C4S}.items()},
+              **{f"draw {i}": p for i, p in enumerate(graded_draws())},
+              **{f"C4 x {name}": direct_product(c4(), MODULE_INPUTS[name]())
+                 for name in ("UT_4(Z[i])", "UT_4")}}
+    for name, p in inputs.items():
+        series = _series(p, kind)
+        terms = _terms(p, series)
+        for a in refined_series(p, series).actions:
+            gap = section(p, terms[a.top], terms[a.bottom])
+            assert a.section.periods == gap.periods, (name, a.top, a.bottom)
+
+
+@pytest.mark.parametrize("other, rank", [("UT_4(Z[i])", 3), ("UT_4", 2)])
+@pytest.mark.parametrize("kind", ("lower", "upper"))
+def test_products_with_c4_act_on_its_left_gap(other, rank, kind):
+    # C4 x UT_4(Z[i]) has a ring of rank 3 and C4 x UT_4 one of rank 2:
+    # on C4's gap W3G'/W4G' the ring's first basis element, C4's factor,
+    # acts as 1 and the others as 0
+    p = direct_product(c4(), MODULE_INPUTS[other]())
+    rs = refined_series(p, _series(p, kind))
+    assert len(rs.ring.periods) == rank
+    # on G/U2 the first basis element fixes the basis elements that lie in
+    # C4's generators u1..u6 and kills the others
+    top = rs.actions[0]
+    in_c4 = [not any(x[6:]) for x in top.section.basis]
+    assert (top.top, top.bottom) == ("G", "U2")
+    assert top.matrices[0] == tuple(
+        tuple(int(r == col and in_c4[r]) for col in range(len(in_c4)))
+        for r in range(len(in_c4)))
+    gaps = [a for a in rs.actions if a.kind == "pullback-phi2"]
+    assert [(a.top, a.bottom, a.matrices) for a in gaps] == [
+        ("W3G'", "W4G'", (((1,),),) + (((0,),),) * (rank - 1))]
+    assert _assert_gaps_are_modules(rs)
+
+
+def test_pullback_reads_the_gap_modulo_T():
+    # a = Z^2 over k = <u2>, in the block Z^2, so T = <e_2>: m maps e_1 to
+    # e_1 + e_2, in span(e_1) + T but not in span(e_1), and acts on a/k
+    # as 1
+    p = pc.PcPresentation(name="Z^2", periods=(None, None))
+    whole, u2 = sg.whole_subgroup(p), sg.induce(p, [(0, 1)])
+    big, small = section(p, whole, sg.trivial_subgroup(p)), section(
+        p, whole, u2)
+    ring = SimpleNamespace(block_matrices=lambda which, block: (
+        ((1, 0), (1, 1)),))
+    assert rf._pullback(ring, "phi2", 0, big, small, u2.rows) == (((1,),),)
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -866,9 +945,9 @@ def test_gaussian_unitriangular_ring_is_not_cut(n):
     # class n - 1 over Z[i]: the pairing ring has rank 2, refined_ring's
     # checks pass on both of its basis elements, and the oracle's dense
     # solve of the chains' conditions leaves all of it
-    b, ring, zc, w = rf.refined_ring(ut_gaussian(n))
+    b, ring, zc, w, _, k = rf.refined_ring(ut_gaussian(n))
     assert ring.periods == (None, None)
-    want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+    want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w, k))
     assert ring.s_basis == tuple(tuple(r) for r in want)
 
 
@@ -879,6 +958,6 @@ def test_graded_draws_certify_the_pairing_ring(kind):
     for p in graded_draws():
         series = (list(reversed(sg.upper_central_series(p)))
                   if kind == "upper" else None)
-        b, ring, zc, w = rf.refined_ring(p, series)
-        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w))
+        b, ring, zc, w, _, k = rf.refined_ring(p, series)
+        want = ref_restrict_ring(ring.pairing, chain_conditions(b, zc, w, k))
         assert ring.s_basis == tuple(tuple(r) for r in want), p
