@@ -7,6 +7,12 @@ a file that cannot be read or parsed.  `deform` is the exception to the
 report rule: it prints a presentation file so its output can be fed
 straight back in.
 
+A command computes its report and exit code and writes nothing; main
+writes every report, as JSON with `command` as its first key, and
+deform's file as it is.  A mathematical failure is the report
+{"command", "error"} with exit 1; a file error goes to standard error
+with exit 2, as does a failed write.
+
 The argv grammar is read off COMMANDS:
 
     nilpc [-h] command [args ...]
@@ -57,10 +63,6 @@ from .scalars import (
 from .series import hirsch_length, key_subgroups
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
 def _rows(s: sg.Subgroup) -> List[List[int]]:
     return [list(r) for r in s.rows]
 
@@ -99,27 +101,23 @@ def _parse_c(text: str) -> Tuple[Tuple[int, ...], ...]:
             f"{text!r} is not a semicolon-separated matrix") from None
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Tuple[dict, int]:
     p = files.load(args.file, check=False)
     report = pc.consistency_check(p)
-    _print_json({
-        "command": "check",
+    return {
         "name": p.name,
         "rank": p.m,
         "consistent": report.ok,
         "failures": [
             {"kind": f.kind, "j": f.j, "i": f.i, "k": f.k,
              "lhs": list(f.lhs), "rhs": list(f.rhs)}
-            for f in report.failures],
-    })
-    return 0 if report.ok else 1
+            for f in report.failures]}, 0 if report.ok else 1
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     ks = key_subgroups(p)
-    _print_json({
-        "command": "analyze",
+    return {
         "name": p.name,
         "rank": p.m,
         "hirsch": hirsch_length(p),
@@ -136,9 +134,7 @@ def _cmd_analyze(args) -> int:
         "p": ks.p,
         "e": ks.e,
         "regular": ks.regular,
-        "tame": ks.tame,
-    })
-    return 0
+        "tame": ks.tame}, 0
 
 
 def _central_series(p: PcPresentation, kind: str) -> List[sg.Subgroup]:
@@ -148,16 +144,13 @@ def _central_series(p: PcPresentation, kind: str) -> List[sg.Subgroup]:
     return sg.lower_central_series(p)
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     if args.kind != "refined":
-        _print_json({
-            "command": "series", "kind": args.kind, "name": p.name,
-            "terms": [_rows(t) for t in _central_series(p, args.kind)]})
-        return 0
+        return {"kind": args.kind, "name": p.name, "terms": [
+            _rows(t) for t in _central_series(p, args.kind)]}, 0
     rs = refined_series(p)
-    _print_json({
-        "command": "series",
+    return {
         "kind": "refined",
         "name": p.name,
         "upper_chain": [
@@ -177,20 +170,17 @@ def _cmd_series(args) -> int:
              "matrices": (None if a.matrices is None
                           else [[list(row) for row in m]
                                 for m in a.matrices])}
-            for a in rs.actions],
-    })
-    return 0
+            for a in rs.actions]}, 0
 
 
-def _cmd_scalars(args) -> int:
+def _cmd_scalars(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     # refined_ring checks that the chains' conditions leave the whole
     # pairing ring, so it is printed as both; no series means the lower
     # central series
     b, ring, *_ = refined_ring(
         p, _central_series(p, "upper") if args.series == "upper" else None)
-    _print_json({
-        "command": "scalars",
+    return {
         "series": args.series,
         "name": p.name,
         "left": _enc(b.left.periods),
@@ -203,41 +193,33 @@ def _cmd_scalars(args) -> int:
         "right_nondegenerate": True,
         "full": True,
         "pairing_ring": _ring_summary(ring),
-        "refined_ring": _ring_summary(ring),
-    })
-    return 0
+        "refined_ring": _ring_summary(ring)}, 0
 
 
-def _cmd_adapt(args) -> int:
+def _cmd_adapt(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     a = adapt_basis(p)
-    _print_json({
-        "command": "adapt",
+    return {
         "name": p.name,
         "i0": a.i0, "i1": a.i1, "i2": a.i2,
         "n": a.n, "p": a.p, "e": a.e,
         "presentation": files.presentation_to_dict(a.pres),
-        "new_in_old": [list(x) for x in a.new_in_old],
-    })
-    return 0
+        "new_in_old": [list(x) for x in a.new_in_old]}, 0
 
 
-def _cmd_deform(args) -> int:
+def _cmd_deform(args) -> Tuple[str, int]:
     p = files.load(args.file)
     a = adapt_basis(p)
     q = abdef(a, args.d, args.c).pres
-    named = PcPresentation(f"{p.name} deformed", q.periods, q.powers,
-                           q.commutators)
-    sys.stdout.write(files.emit(named))
-    return 0
+    return files.emit(PcPresentation(f"{p.name} deformed", q.periods,
+                                     q.powers, q.commutators)), 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     a = adapt_basis(p)
     survey = enumerate_deformations(a)
-    _print_json({
-        "command": "enumerate",
+    return {
         "name": p.name,
         "bound": survey.bound,
         "count": len(survey.classes),
@@ -246,9 +228,7 @@ def _cmd_enumerate(args) -> int:
              "components": [list(c) for c in cls.components],
              "d": list(d),
              "c": [list(row) for row in c]}
-            for cls, d, c in survey.representatives],
-    })
-    return 0
+            for cls, d, c in survey.representatives]}, 0
 
 
 def _read_hom(src: PcPresentation, dst: PcPresentation, map_path: str):
@@ -263,66 +243,43 @@ def _read_hom(src: PcPresentation, dst: PcPresentation, map_path: str):
     return hom_from_images(src, dst, images)
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> Tuple[dict, int]:
     src = files.load(args.source)
     dst = files.load(args.target)
     try:
         h = _read_hom(src, dst, args.map)
     except HomError as exc:
-        _print_json({
-            "command": "hom",
-            "certified": False,
-            "reason": str(exc),
-            "relation": list(exc.relation) if exc.relation else None,
-        })
-        return 1
+        return {"certified": False, "reason": str(exc),
+                "relation": list(exc.relation) if exc.relation else None}, 1
     sub, idx = image_index(h)
-    payload = {
-        "command": "hom",
+    report = {
         "source": src.name,
         "target": dst.name,
         "certified": True,
         "image_index": idx,
-        "image_rows": _rows(sub),
-    }
-    code = 0
+        "image_rows": _rows(sub)}
     if args.verify:
-        ok = spot_check(h)
-        payload["spot_check"] = ok
-        if not ok:
-            code = 1
-    _print_json(payload)
-    return code
+        report["spot_check"] = spot_check(h)
+    return report, 0 if report.get("spot_check", True) else 1
 
 
-def _cmd_inverse_pair(args) -> int:
+def _cmd_inverse_pair(args) -> Tuple[dict, int]:
     src = files.load(args.source)
     dst = files.load(args.target)
     try:
         fwd = _read_hom(src, dst, args.forward)
         bwd = _read_hom(dst, src, args.backward)
     except HomError as exc:
-        _print_json({
-            "command": "inverse-pair",
-            "certified": False,
-            "reason": str(exc),
-        })
-        return 1
+        return {"certified": False, "reason": str(exc)}, 1
     ok = is_inverse_pair(fwd, bwd)
-    _print_json({
-        "command": "inverse-pair",
-        "certified": True,
-        "inverse_pair": ok,
-    })
-    return 0 if ok else 1
+    return {"certified": True, "inverse_pair": ok}, 0 if ok else 1
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> Tuple[dict, int]:
     p = files.load(args.file)
     r = invariant_report(p)
     # no name field: equivalent groups must print byte-identical reports
-    _print_json({
-        "command": "invariants",
+    return {
         "hirsch": r.hirsch,
         "class": r.nilpotency_class,
         "ab_invariants": _enc(r.ab_invariants),
@@ -331,22 +288,17 @@ def _cmd_invariants(args) -> int:
         "n": r.n,
         "e": r.e,
         "regular": r.regular,
-        "tame": r.tame,
-    })
-    return 0
+        "tame": r.tame}, 0
 
 
-def _cmd_primes(args) -> int:
+def _cmd_primes(args) -> Tuple[dict, int]:
     ring = scalar_ring(multiplication_pairing(args.zmod))
     factors = prime_decomposition_zero(ring)
-    _print_json({
-        "command": "primes",
+    return {
         "modulus": args.zmod,
         "ring_periods": _enc(ring.periods),
         "factors": [
-            sorted(list(v) for v in ideal) for ideal in factors],
-    })
-    return 0
+            sorted(list(v) for v in ideal) for ideal in factors]}, 0
 
 
 def _arg(name, **options):
@@ -569,14 +521,17 @@ def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
-        return args.handler(args)
+        try:
+            report, code = args.handler(args)
+        except (PresentationError, DeformError, HomError, SeriesError,
+                ScalarRingError, sg.SubgroupError) as exc:
+            report, code = {"error": str(exc)}, 1
+        sys.stdout.write(report if isinstance(report, str) else json.dumps(
+            {"command": args.command, **report}, indent=2) + "\n")
     except (files.FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PresentationError, DeformError, HomError, SeriesError,
-            ScalarRingError, sg.SubgroupError) as exc:
-        _print_json({"command": args.command, "error": str(exc)})
-        return 1
+    return code
 
 
 if __name__ == "__main__":

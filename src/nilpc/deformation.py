@@ -75,27 +75,24 @@ def presentation_on(p: PcPresentation, name: str, gens: Sequence[Element],
     periods.  coords(x) is the exponent vector over gens of an x in
     <gens>.  The tails are the coords of gens[i-1]^periods[i-1], which must
     lie in <gens[i], ...>, and of [gens[j-1], gens[i-1]], which must lie
-    in <gens[j], ...>, in ascending (j, i) order."""
+    in <gens[j], ...>, in ascending (j, i) order; PcPresentation refuses
+    a tail that does not with PresentationError."""
 
-    def tail(x: Element, k: int) -> pc.Word:
+    def tail(x: Element) -> pc.Word:
         if sg.leading_index(x) is None:
             return ()
-        vec = coords(x)
-        if any(vec[:k - 1]):
-            raise sg.SubgroupError(
-                f"{name}: tail escapes below its own generator")
-        return tuple((i + 1, c) for i, c in enumerate(vec) if c)
+        return tuple((i + 1, c) for i, c in enumerate(coords(x)) if c)
 
     powers = []
     for i, (g, e) in enumerate(zip(gens, periods), start=1):
         if e is not None:
-            word = tail(sg._pow(p, g, e), i + 1)
+            word = tail(sg._pow(p, g, e))
             if word:
                 powers.append((i, word))
     commutators = []
     for j in range(2, len(gens) + 1):
         for i in range(1, j):
-            word = tail(sg._comm(p, gens[j - 1], gens[i - 1]), j + 1)
+            word = tail(sg._comm(p, gens[j - 1], gens[i - 1]))
             if word:
                 commutators.append(((j, i), word))
     return PcPresentation(name=name, periods=tuple(periods),

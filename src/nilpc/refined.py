@@ -88,7 +88,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import subgroups as sg
 from .abelian import FgAbelian, section
 from .bilinear import SeriesError, bilinearize
-from .intlinalg import InvariantFactors, mat_mul, solve, transpose
+from .intlinalg import mat_mul, solve, transpose
 from .presentation import Element, PcPresentation
 from .scalars import pairing_of, scalar_ring
 from .subgroups import Subgroup
@@ -164,18 +164,14 @@ def _intertwines(ring, e, c_block: int, b_block: int, periods) -> bool:
 def _keeps(ring, which: str, block: Optional[int], gens, periods) -> bool:
     """Whether `which` of every additive basis element of ring maps each of
     gens, vectors of one block with these periods, into S, the span of
-    gens and the block's period vectors: a vector lies in S exactly when
-    its InvariantFactors coordinates modulo S are all zero."""
-    gens = [list(g) for g in gens if any(g)]
-    if not gens:
-        return True
-    n = len(periods)
-    quot = InvariantFactors(gens + [[per if k == r else 0 for k in range(n)]
-                                    for r, per in enumerate(periods) if per],
-                            n)
-    return all(not any(quot.coords([sum(a * x for a, x in zip(row, g))
-                                    for row in m]))
-               for m in ring.block_matrices(which, block) for g in gens)
+    gens and the block's period vectors: exactly when intlinalg.solve
+    reaches every image M g modulo the periods."""
+    if not any(map(any, gens)):
+        return True  # S holds only period vectors, and M keeps those
+    images = [[sum(a * x for a, x in zip(row, g)) for row in m]
+              for m in ring.block_matrices(which, block) for g in gens]
+    xs, _ = solve(gens, [per or 0 for per in periods], images)
+    return xs is not None
 
 
 def refined_ring(p: PcPresentation,

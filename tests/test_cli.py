@@ -264,6 +264,42 @@ class TestEntryPoint:
         assert (child.returncode, code) == (0, 0)
         assert child.stdout == out.encode()
 
+    def test_only_main_writes_a_report(self, workdir, capsys):
+        # each handler returns (report, code) and prints nothing; main
+        # prints the report under its command, or deform's file as it is
+        ident, collapse = workdir / "id.json", workdir / "collapse.json"
+        ident.write_text(files.emit_hom_map([[[1, 1]], [[2, 1]], [[3, 1]]]),
+                         encoding="utf-8")
+        collapse.write_text(files.emit_hom_map([[[1, 1]], [[2, 1]], []]),
+                            encoding="utf-8")
+        heis_file = str(workdir / "HEIS.json")
+        zg_file = str(workdir / "ZG.json")
+        argvs = [
+            ("check", heis_file), ("check", str(workdir / "BAD.json")),
+            ("analyze", zg_file), ("series", zg_file, "--kind", "refined"),
+            ("scalars", heis_file), ("adapt", zg_file),
+            ("deform", zg_file, "--d", "2", "--c", "1"),
+            ("enumerate", zg_file),
+            ("hom", heis_file, heis_file, "--map", str(ident), "--verify"),
+            ("hom", heis_file, heis_file, "--map", str(collapse)),
+            ("inverse-pair", heis_file, heis_file, "--forward", str(ident),
+             "--backward", str(ident)),
+            ("invariants", zg_file), ("primes", "--zmod", "6")]
+        assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+        codes = set()
+        for argv in argvs:
+            args = cli._parse_args(argv)
+            report, code = args.handler(args)
+            assert capsys.readouterr().out == "", argv
+            if argv[0] == "deform":
+                text = report
+            else:
+                text = json.dumps({"command": argv[0], **report},
+                                  indent=2) + "\n"
+            assert run(capsys, *argv) == (code, text), argv
+            codes.add(code)
+        assert codes == {0, 1}
+
     @pytest.mark.parametrize("argv", [("bogus",), ("check",),
                                       ("deform", "G.json", "--d", "x")])
     def test_usage_error_exits_2_without_a_traceback(self, argv):

@@ -11,6 +11,8 @@ import pytest
 from nilpc import deformation as dm
 from nilpc import presentation as pc
 from nilpc import subgroups as sg
+from nilpc.abelian import section
+from nilpc.bilinear import bilinearize
 from nilpc.deformation import (
     SURVEY_CAP,
     AdaptedPresentation,
@@ -21,7 +23,9 @@ from nilpc.deformation import (
     ext_class,
 )
 from nilpc.intlinalg import vec_mat
-from nilpc.morphisms import hom_from_images, is_inverse_pair
+from nilpc.morphisms import hom_from_images, invariant_report, \
+    is_inverse_pair
+from nilpc.refined import refined_series
 from nilpc.series import key_subgroups
 
 from groups_def import (
@@ -129,6 +133,16 @@ class TestAdaptBasis:
                     accum = pc.multiply(
                         p, accum, pc.power(p, a.new_in_old[k], exp))
             assert accum == pc.generator(p, i)
+
+    def test_an_escaping_tail_is_refused_by_the_presentation(self):
+        # HEIS on (u3, u2, u1): [u1, u2] = u3 is the tail of (3, 2), and it
+        # lies on the first generator, below its own
+        p = heis()
+        with pytest.raises(pc.PresentationError, match=re.escape(
+                "rev: tail touches generator 1, needs support > 3")):
+            dm.presentation_on(p, "rev", [pc.generator(p, k) for k in
+                                          (3, 2, 1)], (None,) * 3,
+                               lambda x: tuple(reversed(x)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -497,6 +511,31 @@ class TestElementaryEquivalence:
             out.append(tuple(img))
         return tuple(out)
 
+    @staticmethod
+    def profile(p):
+        """p's elementary profile (ROADMAP Y): invariant_report, then under
+        the lower and the upper central series the periods of each central
+        factor, the pairing's left, right and out periods, its ring's
+        periods, order and commutativity, and the refined chains' labels,
+        the special gap's periods and each action's gap, kind and section
+        periods.  Each is read off the group, not its basis."""
+        out = [tuple(invariant_report(p))]
+        for series in (sg.lower_central_series(p),
+                       sg.upper_central_series(p)[::-1]):
+            b = bilinearize(p, series)
+            rs = refined_series(p, series)
+            out += [
+                [section(p, x, y).periods for x, y in zip(series, series[1:])],
+                b.left.periods, [r.periods for r in b.right],
+                [o.periods for o in b.out],
+                rs.ring.periods, rs.ring.order(), rs.ring.is_commutative,
+                [label for label, _ in rs.upper_chain],
+                [label for label, _ in rs.left_chain],
+                rs.gap_section.periods,
+                [(x.chain, x.top, x.bottom, x.kind, x.section.periods)
+                 for x in rs.actions]]
+        return out
+
     def assert_witness(self, a, d, c):
         """Certify the docstring's witness for the class (d, c) of a, and
         its inverse; a class with no completion fails."""
@@ -544,4 +583,38 @@ class TestElementaryEquivalence:
             checked += 1
             for _, d, c in survey[::16] + survey[-1:]:
                 self.assert_witness(a, d, c)
+        assert checked == 103
+
+    # Y.1: a certified class is elementarily equivalent to its base, so it
+    # has its base's profile; each deformation is compared with the base
+    # as given, not adapted, so a field read off the basis shows
+
+    @pytest.mark.parametrize("name", ["NR", "ZG", "ZH"])
+    def test_every_class_has_its_base_profile(self, name):
+        p = ADAPTABLE[name]()
+        a = adapt_basis(p)
+        base = self.profile(p)
+        for _, d, c in enumerate_deformations(a).representatives:
+            assert self.profile(abdef(a, d, c).pres) == base, (d, c)
+
+    def test_zk_has_zgs_profile(self):
+        # enumerate refuses ZK, the deformation of ZG by d = 2, c = 1
+        assert self.profile(zk()) == self.profile(zg())
+
+    def test_draw_classes_have_their_base_profile(self):
+        # the first and the last class that enumerate prints, for the 103
+        # draws with n = 2 or 3 that test_draws_times_z_are_g_times_z
+        # certifies
+        checked = 0
+        for p, a in adapted_draws():
+            if a.n not in (2, 3):
+                continue
+            try:
+                survey = enumerate_deformations(a).representatives
+            except DeformError:
+                continue
+            checked += 1
+            base = self.profile(p)
+            for _, d, c in (survey[0], survey[-1]):
+                assert self.profile(abdef(a, d, c).pres) == base, (p, d, c)
         assert checked == 103
